@@ -7,9 +7,10 @@
 //! (`re2x_datagen::cache`), and (4) proves the loaded graph identical to
 //! the generated one: equal [`graph_digest`]s (term dictionary in interning
 //! order plus the full sorted triple stream) *and* byte-identical answers
-//! to a probe-query workload. It then bootstraps the schema and runs one
-//! ReOLAP synthesis on the *loaded* graph, so the rung's analytics run
-//! end-to-end from the snapshot.
+//! to a probe-query workload. It then bootstraps the schema and runs two
+//! ReOLAP syntheses on the *loaded* graph — a tuple validated by one `ASK`
+//! per candidate and one that takes the shared-observation-set path — so
+//! the rung's analytics run end-to-end from the snapshot.
 //!
 //! Two claims are checked across the ladder:
 //!
@@ -17,10 +18,14 @@
 //!   regeneration on every rung (the point of zero-reparse loading);
 //! * **schema-bound analytics** — bootstrap and ReOLAP latency must grow
 //!   sublinearly in the observation count (the paper's central §5.3 claim:
-//!   cost tracks schema complexity, not data volume).
+//!   cost tracks schema complexity, not data volume). For ReOLAP the
+//!   slower of the two probes counts on every rung: the set-path probe's
+//!   member is reached by tens of thousands to millions of observations,
+//!   so it only stays flat if the fetch cap bounds work, not just output.
 
 use re2x_cube::{bootstrap, BootstrapConfig};
 use re2x_datagen::cache;
+use re2x_obs::Tracer;
 use re2x_rdf::graph_digest;
 use re2x_sparql::{parse_query, LocalEndpoint, Solutions, SparqlEndpoint};
 use re2xolap::{reolap, ReolapConfig};
@@ -50,9 +55,41 @@ pub struct ScaleRung {
     pub bootstrap: Duration,
     /// Members discovered by the bootstrap (shape sanity).
     pub members: usize,
-    /// One ReOLAP synthesis on the loaded graph.
+    /// One ReOLAP synthesis of [`ASK_PATH_EXAMPLE`] on the loaded graph: one
+    /// validation `ASK` per candidate.
     pub reolap: Duration,
+    /// One ReOLAP synthesis of [`SET_PATH_EXAMPLE`], validated over shared
+    /// observation sets.
+    pub reolap_sets: Duration,
+    /// `true` if both probes synthesized at least one query.
+    pub synthesized: bool,
+    /// Observation sets the set-path probe fetched …
+    pub set_fetches: u64,
+    /// … and how many of them came back over the cap.
+    pub sets_truncated: u64,
 }
+
+/// The `ASK`-walk probe: Germany is a destination and an origin country,
+/// 2014 a year — two candidates over three interpretations, both of which
+/// hold.
+pub const ASK_PATH_EXAMPLE: [&str; 2] = ["Germany", "2014"];
+
+/// The set-path probe: Europe is a destination and an origin continent, so
+/// the repeated keyword yields three candidates (⟨a,a⟩, ⟨a,b⟩, ⟨b,b⟩) over
+/// two interpretations — more candidates than interpretations, which is
+/// what selects the set path. Both observation sets exceed the fetch cap on
+/// every rung (a seventh to a half of all observations), and all three
+/// candidates hold, so what the probe times is the capped fetches.
+///
+/// Deliberately *not* several distinct ambiguous keywords: every ambiguity
+/// in this dataset is origin-vs-destination over one country pool, so such
+/// a tuple always contains same-dimension pairs no observation satisfies,
+/// and a false candidate's `ASK` costs the smaller side's size on either
+/// validation path — the probe would time that, not the cap.
+pub const SET_PATH_EXAMPLE: [&str; 2] = ["Europe", "Europe"];
+
+/// Observation sets the set-path probe fetches: one per interpretation.
+pub const SET_PATH_FETCHES: u64 = 2;
 
 impl ScaleRung {
     /// Regeneration time over snapshot load time.
@@ -110,9 +147,17 @@ impl ScaleReport {
         self.relative_growth(|r| r.bootstrap) < 0.5
     }
 
-    /// `true` if ReOLAP synthesis latency is schema-bound across the ladder.
+    /// `true` if ReOLAP synthesis latency is schema-bound across the
+    /// ladder — judged on the slower probe of every rung, and only if on
+    /// every rung both probes synthesized and the set-path probe fetched
+    /// its sets and found them over the cap.
     pub fn reolap_sublinear(&self) -> bool {
-        self.relative_growth(|r| r.reolap) < 0.5
+        let probed = |r: &ScaleRung| {
+            r.synthesized
+                && r.set_fetches == SET_PATH_FETCHES
+                && r.sets_truncated == SET_PATH_FETCHES
+        };
+        self.rows.iter().all(probed) && self.relative_growth(|r| r.reolap.max(r.reolap_sets)) < 0.5
     }
 
     /// Machine-readable form, written to `bench_results/scale.json`.
@@ -141,7 +186,9 @@ impl ScaleReport {
                 "    {{\"observations\": {}, \"triples\": {}, \
                  \"generate_us\": {}, \"write_us\": {}, \"load_us\": {}, \
                  \"load_speedup\": {:.2}, \"cache_hit\": {}, \"identical\": {}, \
-                 \"bootstrap_us\": {}, \"members\": {}, \"reolap_us\": {}}}{comma}",
+                 \"bootstrap_us\": {}, \"members\": {}, \"reolap_us\": {}, \
+                 \"reolap_sets_us\": {}, \"synthesized\": {}, \"set_fetches\": {}, \
+                 \"sets_truncated\": {}}}{comma}",
                 r.observations,
                 r.triples,
                 r.generate.as_micros(),
@@ -153,6 +200,10 @@ impl ScaleReport {
                 r.bootstrap.as_micros(),
                 r.members,
                 r.reolap.as_micros(),
+                r.reolap_sets.as_micros(),
+                r.synthesized,
+                r.set_fetches,
+                r.sets_truncated,
             );
         }
         out.push_str("  ]\n");
@@ -165,7 +216,7 @@ impl ScaleReport {
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "{:>12} {:>10} {:>10} {:>10} {:>9} {:>5} {:>10} {:>10}",
+            "{:>12} {:>10} {:>10} {:>10} {:>9} {:>5} {:>10} {:>10} {:>10}",
             "observations",
             "gen ms",
             "load ms",
@@ -173,12 +224,13 @@ impl ScaleReport {
             "identical",
             "hit",
             "boot ms",
-            "reolap ms"
+            "reolap ms",
+            "sets ms"
         );
         for r in &self.rows {
             let _ = writeln!(
                 out,
-                "{:>12} {:>10.1} {:>10.1} {:>9.1}x {:>9} {:>5} {:>10.1} {:>10.1}",
+                "{:>12} {:>10.1} {:>10.1} {:>9.1}x {:>9} {:>5} {:>10.1} {:>10.1} {:>10.1}",
                 r.observations,
                 r.generate.as_secs_f64() * 1e3,
                 r.load.as_secs_f64() * 1e3,
@@ -187,6 +239,7 @@ impl ScaleReport {
                 r.cache_hit,
                 r.bootstrap.as_secs_f64() * 1e3,
                 r.reolap.as_secs_f64() * 1e3,
+                r.reolap_sets.as_secs_f64() * 1e3,
             );
         }
         let _ = writeln!(out);
@@ -294,24 +347,40 @@ pub fn run(rungs: &[usize], seed: u64, snapshot_dir: &Path) -> ScaleReport {
             .map(|r| r.schema.stats().members)
             .unwrap_or_default();
 
-        // One ReOLAP synthesis, end-to-end from the snapshot-loaded graph.
+        // ReOLAP synthesis, end-to-end from the snapshot-loaded graph.
         // Min of three runs: the synthesis is schema-bound (microseconds to
         // milliseconds), so a single sample is mostly scheduler noise.
-        let reolap_time = match &report {
-            Ok(report) => {
-                let refs = ["Germany", "Syria"];
-                let cfg = ReolapConfig::default();
-                (0..3)
-                    .map(|_| {
-                        let start = Instant::now();
-                        let _ = reolap(&loaded_endpoint, &report.schema, &refs, &cfg);
-                        start.elapsed()
-                    })
-                    .min()
-                    .unwrap_or(Duration::ZERO)
-            }
-            Err(_) => Duration::ZERO,
+        let probe = |example: &[&str]| -> Option<Duration> {
+            let schema = &report.as_ref().ok()?.schema;
+            let cfg = ReolapConfig::default();
+            (0..3)
+                .map(|_| {
+                    let start = Instant::now();
+                    let outcome = reolap(&loaded_endpoint, schema, example, &cfg);
+                    let elapsed = start.elapsed();
+                    outcome
+                        .is_ok_and(|o| !o.queries.is_empty())
+                        .then_some(elapsed)
+                })
+                .min()
+                .flatten()
         };
+        let (reolap_time, reolap_sets) = (probe(&ASK_PATH_EXAMPLE), probe(&SET_PATH_EXAMPLE));
+        // one counted run says which validation branch the set-path probe
+        // takes
+        let counted = ReolapConfig {
+            tracer: Tracer::enabled(),
+            ..Default::default()
+        };
+        if let Ok(report) = &report {
+            let _ = reolap(
+                &loaded_endpoint,
+                &report.schema,
+                &SET_PATH_EXAMPLE,
+                &counted,
+            );
+        }
+        let counter = |name: &str| counted.tracer.metrics().map_or(0, |m| m.counter(name));
 
         rows.push(ScaleRung {
             observations,
@@ -323,7 +392,11 @@ pub fn run(rungs: &[usize], seed: u64, snapshot_dir: &Path) -> ScaleReport {
             identical: identical && report.is_ok(),
             bootstrap: bootstrap_time,
             members,
-            reolap: reolap_time,
+            reolap: reolap_time.unwrap_or_default(),
+            reolap_sets: reolap_sets.unwrap_or_default(),
+            synthesized: reolap_time.is_some() && reolap_sets.is_some(),
+            set_fetches: counter("reolap.validation.sets"),
+            sets_truncated: counter("reolap.validation.sets_truncated"),
         });
     }
     ScaleReport { seed, rows }

@@ -15,6 +15,7 @@ use re2x_cube::{patterns, LevelId, VirtualSchemaGraph};
 use re2x_sparql::{
     PatternElement, Query, SparqlEndpoint, SparqlError, TermPattern, TriplePattern, Value,
 };
+use std::collections::HashSet;
 
 /// How keywords are matched against member attributes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -49,11 +50,14 @@ pub fn matches(
     let literals = endpoint.keyword_search(keyword, mode == MatchMode::Exact);
     let graph = endpoint.graph();
     let mut out = Vec::new();
+    // (member, attribute predicate, label, level) already emitted — all
+    // borrowed from the graph, so deduplication clones nothing
+    let mut seen: HashSet<(&str, &str, &str, LevelId)> = HashSet::new();
     for literal in literals {
-        let (lexical, literal_term) = match graph.term(literal).as_literal() {
-            Some(l) => (l.lexical().to_owned(), l.clone()),
-            None => continue,
+        let Some(literal_term) = graph.term(literal).as_literal() else {
+            continue;
         };
+        let lexical = literal_term.lexical();
         // candidate members: subjects of any predicate pointing at the
         // literal — asked through the endpoint so the caching/tracing/
         // sharding decorators observe (and can answer) the probe
@@ -61,7 +65,7 @@ pub fn matches(
             Query::select_all(vec![PatternElement::Triple(TriplePattern::with_pred_var(
                 TermPattern::Var("x".to_owned()),
                 "p",
-                TermPattern::Literal(literal_term),
+                TermPattern::Literal(literal_term.clone()),
             ))]);
         probe
             .select
@@ -70,31 +74,28 @@ pub fn matches(
             .select
             .push(re2x_sparql::SelectItem::Var("p".to_owned()));
         let solutions = endpoint.select(&probe)?;
-        let mut candidates: Vec<(String, String)> = Vec::new(); // (member, attr pred)
+        // candidate members with the attribute predicate that reached them
         for row in &solutions.rows {
-            if let (Some(Value::Term(s)), Some(Value::Term(p))) = (row[0].as_ref(), row[1].as_ref())
-            {
-                if let (Some(member), Some(pred)) =
-                    (graph.term(*s).as_iri(), graph.term(*p).as_iri())
-                {
-                    candidates.push((member.to_owned(), pred.to_owned()));
-                }
-            }
-        }
-        for (member_iri, attribute_predicate) in candidates {
-            for level in member_levels(endpoint, schema, &member_iri)? {
-                let binding = ExampleBinding {
-                    keyword: keyword.to_owned(),
-                    member_iri: member_iri.clone(),
-                    label: lexical.clone(),
-                    level,
-                };
-                let m = MemberMatch {
-                    binding,
-                    attribute_predicate: attribute_predicate.clone(),
-                };
-                if !out.contains(&m) {
-                    out.push(m);
+            let (Some(Value::Term(s)), Some(Value::Term(p))) = (row[0].as_ref(), row[1].as_ref())
+            else {
+                continue;
+            };
+            let (Some(member_iri), Some(attribute_predicate)) =
+                (graph.term(*s).as_iri(), graph.term(*p).as_iri())
+            else {
+                continue;
+            };
+            for level in member_levels(endpoint, schema, member_iri)? {
+                if seen.insert((member_iri, attribute_predicate, lexical, level)) {
+                    out.push(MemberMatch {
+                        binding: ExampleBinding {
+                            keyword: keyword.to_owned(),
+                            member_iri: member_iri.to_owned(),
+                            label: lexical.to_owned(),
+                            level,
+                        },
+                        attribute_predicate: attribute_predicate.to_owned(),
+                    });
                 }
             }
         }

@@ -22,10 +22,12 @@ use crate::query_model::{
 };
 use re2x_cube::{patterns, LevelId, VirtualSchemaGraph};
 use re2x_obs::Tracer;
+use re2x_rdf::TermId;
 use re2x_sparql::{
-    with_async_endpoint, AggFunc, AsyncSparqlEndpoint, Expr, PatternElement, Query, SelectItem,
-    SparqlEndpoint, TermPattern, Ticket, TriplePattern,
+    AggFunc, Expr, PatternElement, Query, QueryForm, SelectItem, SparqlEndpoint, TermPattern,
+    TriplePattern, Value,
 };
+use std::collections::{HashMap, HashSet};
 use std::time::{Duration, Instant};
 
 /// Configuration of the synthesis phase.
@@ -37,21 +39,15 @@ pub struct ReolapConfig {
     /// retrieves "all aggregation functions (max, min, avg, sum) over all
     /// available measures".
     pub aggregates: Vec<AggFunc>,
-    /// Validate each interpretation with an `ASK` against the endpoint
-    /// (switchable for the ablation study).
+    /// Validate each interpretation against the endpoint (switchable for
+    /// the ablation study).
     pub validate: bool,
     /// Upper bound on interpretation combinations before giving up with
     /// [`Re2xError::TooManyInterpretations`].
     pub max_interpretations: usize,
-    /// When non-zero, candidate validation `ASK`s are submitted as one
-    /// batch through the poll-based async endpoint adapter and serviced
-    /// by this many pool threads, overlapping their round-trips. The
-    /// accepted candidate set (and, for [`reolap`], the exact queries
-    /// issued) is identical to serial validation — only wall time
-    /// changes. `0` (the default) validates serially.
-    pub validation_workers: usize,
     /// Tracer receiving per-phase spans (`reolap`, `reolap.match` per
-    /// keyword, `reolap.validate` per candidate). Disabled by default.
+    /// keyword, `reolap.observations` per fetched observation set,
+    /// `reolap.validate` per candidate). Disabled by default.
     pub tracer: Tracer,
 }
 
@@ -62,7 +58,6 @@ impl Default for ReolapConfig {
             aggregates: AggFunc::NUMERIC.to_vec(),
             validate: true,
             max_interpretations: 100_000,
-            validation_workers: 0,
             tracer: Tracer::disabled(),
         }
     }
@@ -77,6 +72,30 @@ pub struct SynthesisOutcome {
     pub interpretations_considered: usize,
     /// Wall-clock synthesis time.
     pub elapsed: Duration,
+}
+
+/// The size of a cartesian product of `counts`, saturating at
+/// `usize::MAX`: a handful of ambiguous components overflows `usize`, and
+/// a wrapped product would slip *under* `max_interpretations`.
+fn saturating_product(counts: impl IntoIterator<Item = usize>) -> usize {
+    counts.into_iter().fold(1, usize::saturating_mul)
+}
+
+/// Advances `indices` as a mixed-radix counter over `sizes` (lowest
+/// position first). Returns `false` once every combination was visited.
+fn next_combination(indices: &mut [usize], sizes: impl Fn(usize) -> usize) -> bool {
+    for (position, index) in indices.iter_mut().enumerate() {
+        *index += 1;
+        if *index < sizes(position) {
+            return true;
+        }
+        *index = 0;
+    }
+    false
+}
+
+fn owned(bindings: &[&ExampleBinding]) -> Vec<ExampleBinding> {
+    bindings.iter().map(|&b| b.clone()).collect()
 }
 
 /// Algorithm 1 for a single example tuple.
@@ -105,7 +124,7 @@ pub fn reolap(
         }
         per_component.push(hits);
     }
-    let combinations: usize = per_component.iter().map(Vec::len).product();
+    let combinations = saturating_product(per_component.iter().map(Vec::len));
     if combinations > config.max_interpretations {
         return Err(Re2xError::TooManyInterpretations {
             combinations,
@@ -113,42 +132,31 @@ pub fn reolap(
         });
     }
 
-    // Lines 8–11: combine interpretations (deduplicating by member
-    // multiset), then validate and build queries. Enumeration is pure CPU
-    // — no endpoint traffic — so it runs to completion first; validation,
-    // the only query-issuing step, then sees the full candidate list and
-    // can be overlapped as one ASK batch (see [`validate_candidates`]).
-    let mut candidates: Vec<Vec<ExampleBinding>> = Vec::new();
-    let mut seen: Vec<Vec<(LevelId, String)>> = Vec::new();
+    // Lines 8–11: combine interpretations (deduplicating by member set,
+    // first occurrence wins), then validate and build queries. Enumeration
+    // is pure CPU — no endpoint traffic — so it runs to completion first;
+    // validation, the only query-issuing step, then sees the full candidate
+    // list and can share work across it (see [`validate_candidates`]).
+    let mut candidates: Vec<Vec<&ExampleBinding>> = Vec::new();
+    let mut seen: HashSet<Vec<(LevelId, &str)>> = HashSet::new();
     let mut indices = vec![0usize; per_component.len()];
-    'enumerate: loop {
-        let bindings: Vec<ExampleBinding> = indices
+    loop {
+        let bindings: Vec<&ExampleBinding> = indices
             .iter()
-            .enumerate()
-            .map(|(c, &i)| per_component[c][i].binding.clone())
+            .zip(&per_component)
+            .map(|(&i, hits)| &hits[i].binding)
             .collect();
-        let mut key: Vec<(LevelId, String)> = bindings
+        let mut key: Vec<(LevelId, &str)> = bindings
             .iter()
-            .map(|b| (b.level, b.member_iri.clone()))
+            .map(|b| (b.level, b.member_iri.as_str()))
             .collect();
-        key.sort();
+        key.sort_unstable();
         key.dedup();
-        if !seen.contains(&key) {
-            seen.push(key);
+        if seen.insert(key) {
             candidates.push(bindings);
         }
-        // advance the mixed-radix counter
-        let mut c = 0;
-        loop {
-            if c == indices.len() {
-                break 'enumerate;
-            }
-            indices[c] += 1;
-            if indices[c] < per_component[c].len() {
-                break;
-            }
-            indices[c] = 0;
-            c += 1;
+        if !next_combination(&mut indices, |c| per_component[c].len()) {
+            break;
         }
     }
 
@@ -157,7 +165,7 @@ pub fn reolap(
         .iter()
         .zip(&verdicts)
         .filter(|&(_, &valid)| valid)
-        .map(|(bindings, _)| get_query(schema, bindings, &config.aggregates))
+        .map(|(bindings, _)| get_query(schema, &owned(bindings), &config.aggregates))
         .collect();
     Ok(SynthesisOutcome {
         queries,
@@ -166,50 +174,165 @@ pub fn reolap(
     })
 }
 
-/// Validates each candidate interpretation, returning one verdict per
-/// candidate in order.
+/// Most observation ids fetched per interpretation by the set path of
+/// [`validate_candidates`]: 16 KiB of ids, ≲ 0.5 ms for a set that fits
+/// (2–3 ms for one that does not, on a 400k-observation store). A set that
+/// comes back larger is *unknown*, not truncated-and-used.
+const OBSERVATION_SET_CAP: usize = 4096;
+
+/// Validates each candidate — does some observation reach all its members
+/// simultaneously? — returning one verdict per candidate in order. The one
+/// validation routine of [`reolap`] and [`reolap_multi`].
 ///
-/// Serial by default: one `ASK` per candidate under its own
-/// `reolap.validate` span. With `config.validation_workers > 0` every
-/// `ASK` is submitted up front through the async endpoint adapter and the
-/// verdicts are awaited together, overlapping the round-trips. The
-/// submissions happen inside the same `reolap.validate` spans, and each
-/// pool thread adopts its submitter's span context, so query provenance
-/// reconciles to the exact same paths as the serial walk — and since
-/// [`reolap`]'s serial loop never short-circuits between candidates, the
-/// issued query multiset is identical too.
-fn validate_candidates(
+/// Candidates are combinations of a few `(level, member)` interpretations,
+/// so an ambiguous tuple yields many more candidates than interpretations
+/// (|H₁|·|H₂| against |H₁|+|H₂|). Whenever that is the case — a property
+/// of the input, not a setting — each distinct interpretation's
+/// observation ids are fetched *once*, sorted, and a candidate is decided
+/// by intersecting its interpretations' id lists: the level paths are
+/// walked once per interpretation instead of once per combination. With no
+/// more candidates than interpretations (every unambiguous tuple) the
+/// per-candidate [`validate_interpretation`] `ASK` issues fewer queries and
+/// is kept. Fetches are capped at [`OBSERVATION_SET_CAP`] rows; a set that
+/// exceeds the cap is unknown and every candidate touching it falls back to
+/// its `ASK`, so verdicts are identical on either path.
+pub fn validate_candidates(
     endpoint: &dyn SparqlEndpoint,
     schema: &VirtualSchemaGraph,
-    candidates: &[Vec<ExampleBinding>],
+    candidates: &[Vec<&ExampleBinding>],
     config: &ReolapConfig,
 ) -> Result<Vec<bool>, Re2xError> {
     if !config.validate {
         return Ok(vec![true; candidates.len()]);
     }
-    if config.validation_workers == 0 || candidates.len() < 2 {
-        return candidates
-            .iter()
-            .map(|bindings| {
-                let _validate = config.tracer.span("reolap.validate");
-                validate_interpretation(endpoint, schema, bindings)
-            })
-            .collect();
+    let tracer = &config.tracer;
+
+    // distinct interpretations in first-seen order; per candidate, the
+    // slots of its bindings
+    let mut interpretations: Vec<&ExampleBinding> = Vec::new();
+    let mut slot_of: HashMap<(LevelId, &str), usize> = HashMap::new();
+    let slots: Vec<Vec<usize>> = candidates
+        .iter()
+        .map(|bindings| {
+            bindings
+                .iter()
+                .map(|&binding| {
+                    *slot_of
+                        .entry((binding.level, binding.member_iri.as_str()))
+                        .or_insert_with(|| {
+                            interpretations.push(binding);
+                            interpretations.len() - 1
+                        })
+                })
+                .collect()
+        })
+        .collect();
+
+    // `None` marks an unknown set: over the cap, or never fetched because
+    // the per-candidate walk is the cheaper plan for this input
+    let mut sets: Vec<Option<Vec<TermId>>> = vec![None; interpretations.len()];
+    if candidates.len() > interpretations.len() {
+        for (set, &binding) in sets.iter_mut().zip(&interpretations) {
+            *set = observation_set(endpoint, schema, binding, tracer)?;
+        }
     }
-    let verdicts = with_async_endpoint(endpoint, config.validation_workers, |pool| {
-        let tickets: Vec<Ticket> = candidates
-            .iter()
-            .map(|bindings| {
-                let _validate = config.tracer.span("reolap.validate");
-                pool.submit_ask(validation_query(schema, bindings))
-            })
-            .collect();
-        pool.join_all(tickets)
-    });
-    verdicts
-        .into_iter()
-        .map(|verdict| Ok(verdict.and_then(re2x_sparql::AsyncResponse::into_ask)?))
+
+    candidates
+        .iter()
+        .zip(&slots)
+        .map(|(bindings, slots)| {
+            let lists: Option<Vec<&[TermId]>> =
+                slots.iter().map(|&slot| sets[slot].as_deref()).collect();
+            match lists {
+                // a binding-free candidate has no set to decide it
+                Some(mut lists) if !lists.is_empty() => {
+                    let _validate = tracer.span_with("reolap.validate", &[("via", "sets")]);
+                    Ok(intersects(&mut lists))
+                }
+                _ => {
+                    let _validate = tracer.span_with("reolap.validate", &[("via", "ask")]);
+                    tracer.counter_add("reolap.validation.asks", 1);
+                    let ask = validation_query_over(schema, bindings.iter().copied());
+                    Ok(endpoint.ask(&ask)?)
+                }
+            }
+        })
         .collect()
+}
+
+/// Fetches the sorted, distinct ids of the observations reaching
+/// `binding`'s member over its level path — the single-binding
+/// [`validation_query`] as a `SELECT ?o`. `None` when more than
+/// [`OBSERVATION_SET_CAP`] rows come back (or a row is not a term).
+///
+/// No `DISTINCT`: an M-to-N path reaches a member several times per
+/// observation, but deduplicating here after a plain join measured 7×
+/// cheaper than the endpoint's distinct-probe plan for this shape. Ids are
+/// only ever compared with each other, so any endpoint stack answering
+/// from one id space (local, cached, sharded replica) yields the same
+/// verdicts.
+fn observation_set(
+    endpoint: &dyn SparqlEndpoint,
+    schema: &VirtualSchemaGraph,
+    binding: &ExampleBinding,
+    tracer: &Tracer,
+) -> Result<Option<Vec<TermId>>, Re2xError> {
+    let mut query = validation_query_over(schema, [binding]);
+    query.form = QueryForm::Select;
+    query.select = vec![SelectItem::Var("o".to_owned())];
+    query.limit = Some(OBSERVATION_SET_CAP + 1);
+
+    let mut fetch = tracer.span_with(
+        "reolap.observations",
+        &[
+            ("level", &schema.level(binding.level).path.join("/")),
+            ("member", &binding.member_iri),
+        ],
+    );
+    let solutions = endpoint.select(&query)?;
+    let truncated = solutions.rows.len() > OBSERVATION_SET_CAP;
+    fetch.record("rows", solutions.rows.len());
+    fetch.record("truncated", truncated);
+    tracer.counter_add("reolap.validation.sets", 1);
+    if truncated {
+        tracer.counter_add("reolap.validation.sets_truncated", 1);
+        return Ok(None);
+    }
+    let ids: Option<Vec<TermId>> = solutions
+        .rows
+        .iter()
+        .map(|row| match row.first() {
+            Some(Some(Value::Term(id))) => Some(*id),
+            _ => None,
+        })
+        .collect();
+    Ok(ids.map(|mut ids| {
+        ids.sort_unstable();
+        ids.dedup();
+        ids
+    }))
+}
+
+/// `true` if the sorted, duplicate-free id lists share an element: walks
+/// the smallest list and gallops the others forward, stopping at the first
+/// common id or as soon as any list is exhausted.
+fn intersects(lists: &mut [&[TermId]]) -> bool {
+    lists.sort_by_key(|list| list.len());
+    let Some((smallest, rest)) = lists.split_first_mut() else {
+        return false;
+    };
+    'ids: for id in smallest.iter() {
+        for list in rest.iter_mut() {
+            *list = &list[list.partition_point(|other| other < id)..];
+            match list.first() {
+                None => return false,
+                Some(other) if other != id => continue 'ids,
+                Some(_) => {}
+            }
+        }
+        return true;
+    }
+    false
 }
 
 /// Algorithm 1 generalized to multiple example tuples (footnote 3 of the
@@ -268,7 +391,7 @@ pub fn reolap_multi(
         }
         position_levels.push(levels);
     }
-    let combinations: usize = position_levels.iter().map(Vec::len).product();
+    let combinations = saturating_product(position_levels.iter().map(Vec::len));
     if combinations == 0 {
         return Ok(SynthesisOutcome {
             queries: Vec::new(),
@@ -283,96 +406,45 @@ pub fn reolap_multi(
         });
     }
 
-    // Enumerate every combo's per-tuple bindings first (pure CPU); each
-    // tuple must validate independently against the endpoint.
-    let mut combos: Vec<Vec<Vec<ExampleBinding>>> = Vec::with_capacity(combinations);
+    // Enumerate every combo's per-tuple bindings first (pure CPU): each
+    // tuple contributes one binding per position at the combo's level.
+    // One flat candidate list, `examples.len()` consecutive tuples per combo.
+    let mut tuples: Vec<Vec<&ExampleBinding>> = Vec::new();
     let mut indices = vec![0usize; arity];
-    'combos: loop {
-        let levels: Vec<LevelId> = indices
-            .iter()
-            .enumerate()
-            .map(|(p, &i)| position_levels[p][i])
-            .collect();
-        // each tuple contributes one binding per position at the chosen level
-        let example_tuples: Vec<Vec<ExampleBinding>> = all
+    loop {
+        let combo: Option<Vec<Vec<&ExampleBinding>>> = all
             .iter()
             .map(|row| {
-                (0..arity)
-                    .map(|p| {
-                        row[p]
-                            .iter()
-                            .find(|m| m.binding.level == levels[p])
-                            .expect("level intersected across tuples")
-                            .binding
-                            .clone()
+                row.iter()
+                    .zip(indices.iter().zip(&position_levels))
+                    .map(|(hits, (&i, levels))| {
+                        hits.iter()
+                            .map(|m| &m.binding)
+                            .find(|binding| binding.level == levels[i])
                     })
                     .collect()
             })
             .collect();
-        combos.push(example_tuples);
-        let mut c = 0;
-        loop {
-            if c == arity {
-                break 'combos;
-            }
-            indices[c] += 1;
-            if indices[c] < position_levels[c].len() {
-                break;
-            }
-            indices[c] = 0;
-            c += 1;
+        // the levels were intersected across tuples, so every tuple has a
+        // hit at every chosen level and no combo is ever dropped here
+        tuples.extend(combo.into_iter().flatten());
+        if !next_combination(&mut indices, |p| position_levels[p].len()) {
+            break;
         }
     }
 
-    let mut queries = Vec::new();
-    if config.validate && config.validation_workers > 0 {
-        // One flat ASK batch over every (combo, tuple) pair, overlapped on
-        // the async adapter. A combo is valid iff all its tuples are. The
-        // accepted combo set is identical to the serial walk; the batch
-        // may issue *more* ASKs than serial, which short-circuits a combo
-        // on its first invalid tuple.
-        let verdicts = with_async_endpoint(endpoint, config.validation_workers, |pool| {
-            let tickets: Vec<Ticket> = combos
-                .iter()
-                .flatten()
-                .map(|tuple_bindings| {
-                    let _validate = config.tracer.span("reolap.validate");
-                    pool.submit_ask(validation_query(schema, tuple_bindings))
-                })
-                .collect();
-            pool.join_all(tickets)
-        });
-        let mut verdicts = verdicts.into_iter();
-        for example_tuples in &combos {
-            let mut valid = true;
-            for _ in example_tuples {
-                let verdict = verdicts
-                    .next()
-                    .expect("one verdict per submitted ASK")
-                    .and_then(re2x_sparql::AsyncResponse::into_ask)?;
-                valid &= verdict;
-            }
-            if valid {
-                queries.push(get_query_tuples(schema, example_tuples, &config.aggregates));
-            }
-        }
-    } else {
-        for example_tuples in &combos {
-            let mut valid = true;
-            if config.validate {
-                for tuple_bindings in example_tuples {
-                    let _validate = config.tracer.span("reolap.validate");
-                    if !validate_interpretation(endpoint, schema, tuple_bindings)? {
-                        valid = false;
-                        break;
-                    }
-                }
-            }
-            if valid {
-                queries.push(get_query_tuples(schema, example_tuples, &config.aggregates));
-            }
-        }
-    }
+    // Every tuple must validate independently; a combo is valid iff all
+    // its tuples are.
+    let verdicts = validate_candidates(endpoint, schema, &tuples, config)?;
+    let queries = tuples
+        .chunks(examples.len())
+        .zip(verdicts.chunks(examples.len()))
+        .filter(|(_, verdicts)| verdicts.iter().all(|&valid| valid))
+        .map(|(combo, _)| {
+            let combo: Vec<Vec<ExampleBinding>> = combo.iter().map(|t| owned(t)).collect();
+            get_query_tuples(schema, &combo, &config.aggregates)
+        })
+        .collect();
     Ok(SynthesisOutcome {
         queries,
         interpretations_considered: combinations,
@@ -383,6 +455,13 @@ pub fn reolap_multi(
 /// The containment/validity `ASK` for one interpretation: does some
 /// observation reach all members simultaneously? (Section 5.3.)
 pub fn validation_query(schema: &VirtualSchemaGraph, bindings: &[ExampleBinding]) -> Query {
+    validation_query_over(schema, bindings)
+}
+
+fn validation_query_over<'a>(
+    schema: &VirtualSchemaGraph,
+    bindings: impl IntoIterator<Item = &'a ExampleBinding>,
+) -> Query {
     let mut wher = vec![patterns::observation_type("o", &schema.observation_class)];
     for binding in bindings {
         wher.push(patterns::path_to_concrete_member(
@@ -702,6 +781,58 @@ mod tests {
         let (ep, schema) = fixture();
         let outcome = reolap_multi(&ep, &schema, &[], &ReolapConfig::default()).expect("ok");
         assert!(outcome.queries.is_empty());
+    }
+
+    #[test]
+    fn combination_counts_saturate_instead_of_wrapping() {
+        // five components of 2^13 hits are 2^65 combinations: a wrapping
+        // product is 0 — *under* every bound — and would start enumerating
+        let counts = [1usize << 13; 5];
+        assert_eq!(counts.iter().fold(1usize, |n, &c| n.wrapping_mul(c)), 0);
+        assert_eq!(saturating_product(counts), usize::MAX);
+        assert_eq!(saturating_product([3, 4, 5]), 60);
+        assert_eq!(saturating_product([]), 1);
+        assert_eq!(saturating_product([usize::MAX, 2, 0]), 0);
+    }
+
+    #[test]
+    fn combinations_are_visited_lowest_position_first() {
+        let sizes = [2, 1, 3];
+        let mut indices = vec![0; 3];
+        let mut visited = vec![indices.clone()];
+        while next_combination(&mut indices, |p| sizes[p]) {
+            visited.push(indices.clone());
+        }
+        assert_eq!(
+            visited,
+            [
+                [0, 0, 0],
+                [1, 0, 0],
+                [0, 0, 1],
+                [1, 0, 1],
+                [0, 0, 2],
+                [1, 0, 2]
+            ]
+        );
+        assert_eq!(indices, [0, 0, 0], "wrapped around");
+        assert!(!next_combination(&mut [], |_| 0), "the empty tuple");
+    }
+
+    #[test]
+    fn sorted_id_lists_intersect_smallest_first() {
+        let ids = |raw: &[u32]| raw.iter().map(|&i| TermId(i)).collect::<Vec<_>>();
+        let (a, b, c) = (ids(&[1, 4, 9, 16, 25]), ids(&[2, 4, 6, 8, 16]), ids(&[16]));
+        assert!(intersects(&mut [&a, &b]));
+        assert!(intersects(&mut [&a, &b, &c]), "16 is in all three");
+        assert!(intersects(&mut [&a, &a]), "the same interpretation twice");
+        assert!(!intersects(&mut [&a, &ids(&[2, 3, 5, 26])]));
+        assert!(
+            !intersects(&mut [&a, &b, &ids(&[5, 17])]),
+            "4 and 16 miss it"
+        );
+        assert!(!intersects(&mut [&a, &[]]), "an empty set decides it");
+        assert!(intersects(&mut [&c]));
+        assert!(!intersects(&mut []));
     }
 
     #[test]

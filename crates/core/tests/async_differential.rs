@@ -1,14 +1,11 @@
-//! Differential tests: ReOLAP synthesis with batched async candidate
-//! validation, and session refinement previews over the async adapter,
-//! must be byte-identical to their serial equivalents — same accepted
-//! candidates, same result sets, same issued-query counts (for `reolap`,
-//! whose serial walk never short-circuits), and reconciling provenance.
+//! Differential tests: session refinement previews over the async adapter
+//! must be byte-identical to their serial equivalents — same result sets,
+//! same issued-query counts, and reconciling provenance.
 
 use re2x_cube::{bootstrap, BootstrapConfig};
 use re2x_obs::Tracer;
-use re2x_sparql::{LocalEndpoint, SparqlEndpoint, TracingEndpoint};
-use re2xolap::{reolap, reolap_multi, MatchMode, RefineOp, ReolapConfig, Session, SessionConfig};
-use std::time::Duration;
+use re2x_sparql::{LocalEndpoint, TracingEndpoint};
+use re2xolap::{RefineOp, Session, SessionConfig};
 
 fn eurostat_fixture() -> (LocalEndpoint, re2x_cube::VirtualSchemaGraph) {
     let dataset = re2x_datagen::eurostat::generate(500, 7);
@@ -19,37 +16,8 @@ fn eurostat_fixture() -> (LocalEndpoint, re2x_cube::VirtualSchemaGraph) {
     (endpoint, schema)
 }
 
-#[test]
-fn async_validation_accepts_the_same_candidates() {
-    let (endpoint, schema) = eurostat_fixture();
-    // "Germany" is ambiguous in the Eurostat shape (origin and destination
-    // reuse country entities), so several candidates reach validation.
-    for example in [
-        &["Germany", "2014"] as &[&str],
-        &["Germany", "France"],
-        &["Sweden"],
-    ] {
-        let serial = reolap(&endpoint, &schema, example, &ReolapConfig::default()).expect("serial");
-        for workers in [1, 4] {
-            let config = ReolapConfig {
-                validation_workers: workers,
-                ..Default::default()
-            };
-            let batched = reolap(&endpoint, &schema, example, &config).expect("async");
-            assert_eq!(
-                batched.queries, serial.queries,
-                "{example:?} with {workers} workers diverged from serial"
-            );
-            assert_eq!(
-                batched.interpretations_considered,
-                serial.interpretations_considered
-            );
-        }
-    }
-}
-
-/// Queries in the tracer's unattributed bucket (bootstrap and untraced
-/// serial runs land there; the async batch must not add to it).
+/// Queries in the tracer's unattributed bucket (bootstrap lands there; the
+/// async batch must not add to it).
 fn unattributed(tracer: &Tracer) -> u64 {
     tracer
         .provenance()
@@ -57,117 +25,6 @@ fn unattributed(tracer: &Tracer) -> u64 {
         .find(|(path, _)| path == re2x_obs::UNATTRIBUTED)
         .map(|(_, s)| s.queries())
         .unwrap_or(0)
-}
-
-#[test]
-fn async_validation_issues_identical_queries_and_reconciles_provenance() {
-    let dataset = re2x_datagen::eurostat::generate(500, 7);
-    let tracer = Tracer::enabled();
-    let endpoint = TracingEndpoint::new(LocalEndpoint::new(dataset.graph), tracer.clone());
-    let schema = bootstrap(&endpoint, &BootstrapConfig::new(dataset.observation_class))
-        .expect("bootstrap")
-        .schema;
-
-    endpoint.reset_stats();
-    let config = ReolapConfig::default();
-    reolap(&endpoint, &schema, &["Germany", "2014"], &config).expect("serial");
-    let serial_stats = endpoint.stats();
-
-    endpoint.reset_stats();
-    let stray_before = unattributed(&tracer);
-    let config = ReolapConfig {
-        validation_workers: 4,
-        tracer: tracer.clone(),
-        ..Default::default()
-    };
-    reolap(&endpoint, &schema, &["Germany", "2014"], &config).expect("async");
-    let async_stats = endpoint.stats();
-
-    // the serial reolap walk never short-circuits between candidates, so
-    // the batch issues exactly the same queries
-    assert_eq!(async_stats.asks, serial_stats.asks);
-    assert_eq!(async_stats.selects, serial_stats.selects);
-    assert_eq!(async_stats.keyword_searches, serial_stats.keyword_searches);
-
-    // every pool-thread ASK adopted its submitter's validate span; the
-    // only other ask-issuing path is per-keyword matching
-    let provenance = tracer.provenance();
-    let asks_under = |suffix: &str| -> u64 {
-        provenance
-            .iter()
-            .filter(|(path, _)| path.ends_with(suffix))
-            .map(|(_, s)| s.asks)
-            .sum()
-    };
-    let validate_asks = asks_under("reolap.validate");
-    assert!(
-        validate_asks > 0,
-        "a real batch was validated: {provenance:?}"
-    );
-    assert_eq!(
-        validate_asks + asks_under("reolap.match"),
-        async_stats.asks,
-        "validation ASKs attribute to reolap/reolap.validate: {provenance:?}"
-    );
-    assert_eq!(
-        unattributed(&tracer),
-        stray_before,
-        "the async batch must not add unattributed queries: {provenance:?}"
-    );
-}
-
-#[test]
-fn async_multi_tuple_validation_accepts_the_same_combos() {
-    let (endpoint, schema) = eurostat_fixture();
-    let tuples = vec![
-        vec!["Germany".to_owned(), "2013".to_owned()],
-        vec!["France".to_owned(), "2014".to_owned()],
-    ];
-    let serial =
-        reolap_multi(&endpoint, &schema, &tuples, &ReolapConfig::default()).expect("serial");
-    for workers in [1, 4] {
-        let config = ReolapConfig {
-            validation_workers: workers,
-            ..Default::default()
-        };
-        let batched = reolap_multi(&endpoint, &schema, &tuples, &config).expect("async");
-        assert_eq!(
-            batched.queries, serial.queries,
-            "multi-tuple with {workers} workers diverged from serial"
-        );
-    }
-}
-
-#[test]
-fn batched_validation_overlaps_injected_latency() {
-    let dataset = re2x_datagen::eurostat::generate(500, 7);
-    let endpoint = LocalEndpoint::new(dataset.graph).with_latency(Duration::from_millis(2));
-    let schema = bootstrap(&endpoint, &BootstrapConfig::new(dataset.observation_class))
-        .expect("bootstrap")
-        .schema;
-    // keyword matching makes "2014" ambiguous across months and the year
-    // level, so validation sees a real batch of candidates
-    let serial_config = ReolapConfig {
-        mode: MatchMode::Keyword,
-        ..Default::default()
-    };
-    let serial = reolap(&endpoint, &schema, &["Germany", "2014"], &serial_config).expect("serial");
-    let async_config = ReolapConfig {
-        validation_workers: 8,
-        ..serial_config
-    };
-    let batched = reolap(&endpoint, &schema, &["Germany", "2014"], &async_config).expect("async");
-    assert_eq!(batched.queries, serial.queries);
-    assert!(
-        batched.queries.len() > 1,
-        "expected an ambiguous example with several valid interpretations"
-    );
-    assert!(
-        batched.elapsed < serial.elapsed,
-        "batched validation ({:?}) should beat serial ({:?}) under 2 ms per-query latency",
-        batched.elapsed,
-        serial.elapsed
-    );
 }
 
 #[test]

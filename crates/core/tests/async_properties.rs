@@ -1,8 +1,8 @@
 //! Property suite: across randomized datasets, scales, pool widths, and
-//! examples, the async fan-out paths (bootstrap crawl, ReOLAP candidate
-//! validation, refinement preview) must be byte-identical to their serial
-//! equivalents. Per-case seeds come from the testkit harness
-//! (`RE2X_TEST_SEED` / `RE2X_TEST_CASES` reproduce a failure exactly).
+//! examples, the async fan-out paths (bootstrap crawl, refinement preview)
+//! must be byte-identical to their serial equivalents. Per-case seeds come
+//! from the testkit harness (`RE2X_TEST_SEED` / `RE2X_TEST_CASES` reproduce
+//! a failure exactly).
 
 use re2x_cube::{bootstrap, bootstrap_async, BootstrapConfig};
 use re2x_sparql::LocalEndpoint;
@@ -42,31 +42,13 @@ fn async_pipeline_is_differentially_identical_to_serial() {
         );
         assert_eq!(crawled.endpoint_queries, serial.endpoint_queries);
 
-        // 2. synthesis: identical candidate sets under batched validation
-        let serial_outcome = reolap(&endpoint, &serial.schema, example, &ReolapConfig::default());
-        let async_outcome = reolap(
-            &endpoint,
-            &serial.schema,
-            example,
-            &ReolapConfig {
-                validation_workers: workers,
-                ..Default::default()
-            },
-        );
-        let (serial_outcome, async_outcome) = match (serial_outcome, async_outcome) {
-            (Ok(s), Ok(a)) => (s, a),
-            // sparse random datasets may not contain the example at all —
-            // both paths must then fail identically
-            (Err(s), Err(a)) => {
-                assert_eq!(s, a, "error paths diverged (seed {data_seed})");
-                return;
-            }
-            (s, a) => panic!("one path errored, the other did not: {s:?} vs {a:?}"),
+        // 2. synthesis, to have a query to refine; sparse random datasets
+        // may not contain the example at all
+        let Ok(serial_outcome) =
+            reolap(&endpoint, &serial.schema, example, &ReolapConfig::default())
+        else {
+            return;
         };
-        assert_eq!(
-            async_outcome.queries, serial_outcome.queries,
-            "candidate sets diverged (seed {data_seed}, {workers} workers)"
-        );
 
         // 3. refinement preview: identical result sets
         if serial_outcome.queries.is_empty() {

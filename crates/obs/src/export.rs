@@ -93,14 +93,23 @@ pub fn event_to_json(event: &TraceEvent) -> String {
             at,
             wall,
             self_time,
-        } => format!(
-            "{{\"type\":\"exit\",\"span\":{span},\"path\":\"{}\",\
-             \"thread\":{thread},\"at_us\":{},\"wall_us\":{},\"self_us\":{}}}",
-            json_escape(path),
-            at.as_micros(),
-            wall.as_micros(),
-            self_time.as_micros(),
-        ),
+            fields,
+        } => {
+            // annotation-free exits keep the line format older logs have
+            let fields = if fields.is_empty() {
+                String::new()
+            } else {
+                format!(",\"fields\":{}", fields_to_json(fields))
+            };
+            format!(
+                "{{\"type\":\"exit\",\"span\":{span},\"path\":\"{}\",\
+                 \"thread\":{thread},\"at_us\":{},\"wall_us\":{},\"self_us\":{}{fields}}}",
+                json_escape(path),
+                at.as_micros(),
+                wall.as_micros(),
+                self_time.as_micros(),
+            )
+        }
         TraceEvent::Query {
             path,
             kind,
@@ -493,8 +502,9 @@ mod tests {
     fn events_serialize_to_one_json_object_per_line() {
         let tracer = Tracer::enabled();
         {
-            let _a = tracer.span_with("phase", &[("dim", "birthPlace")]);
+            let mut a = tracer.span_with("phase", &[("dim", "birthPlace")]);
             tracer.record_query(QueryKind::Select, Duration::from_micros(7));
+            a.record("rows", 3);
         }
         let jsonl = events_to_jsonl(&tracer.events());
         let lines: Vec<&str> = jsonl.lines().collect();
@@ -506,6 +516,7 @@ mod tests {
         assert!(lines[1].contains("\"latency_us\":7"));
         assert!(lines[2].contains("\"type\":\"exit\""));
         assert!(lines[2].contains("\"wall_us\""));
+        assert!(lines[2].ends_with(",\"fields\":{\"rows\":\"3\"}}"));
         for line in lines {
             assert!(line.starts_with('{') && line.ends_with('}'));
         }

@@ -120,21 +120,7 @@ fn trace_from(obj: &[(String, Json)], kind: &str) -> Result<TraceEvent, String> 
             name: get_string(obj, "name")?,
             thread: get_u64(obj, "thread")?,
             at: micros(obj, "at_us")?,
-            fields: match get(obj, "fields")? {
-                Json::Obj(pairs) => {
-                    let mut fields = Vec::with_capacity(pairs.len());
-                    for (k, v) in pairs {
-                        match v {
-                            Json::Str(s) => fields.push((k.clone(), s.clone())),
-                            other => {
-                                return Err(format!("field {k:?}: expected string, got {other:?}"))
-                            }
-                        }
-                    }
-                    fields
-                }
-                other => return Err(format!("\"fields\": expected object, got {other:?}")),
-            },
+            fields: fields_from(get(obj, "fields")?)?,
         }),
         "exit" => Ok(TraceEvent::Exit {
             span: get_u64(obj, "span")?,
@@ -143,6 +129,11 @@ fn trace_from(obj: &[(String, Json)], kind: &str) -> Result<TraceEvent, String> 
             at: micros(obj, "at_us")?,
             wall: micros(obj, "wall_us")?,
             self_time: micros(obj, "self_us")?,
+            // exits carry "fields" only when the span recorded an outcome
+            fields: match obj.iter().find(|(k, _)| k == "fields") {
+                Some((_, fields)) => fields_from(fields)?,
+                None => Vec::new(),
+            },
         }),
         "query" => Ok(TraceEvent::Query {
             path: get_string(obj, "path")?,
@@ -164,6 +155,20 @@ fn trace_from(obj: &[(String, Json)], kind: &str) -> Result<TraceEvent, String> 
         }),
         other => Err(format!("unknown trace event type {other:?}")),
     }
+}
+
+/// The string-valued annotations of a `"fields"` object.
+fn fields_from(json: &Json) -> Result<Vec<(String, String)>, String> {
+    let Json::Obj(pairs) = json else {
+        return Err(format!("\"fields\": expected object, got {json:?}"));
+    };
+    pairs
+        .iter()
+        .map(|(k, v)| match v {
+            Json::Str(s) => Ok((k.clone(), s.clone())),
+            other => Err(format!("field {k:?}: expected string, got {other:?}")),
+        })
+        .collect()
 }
 
 // ---------------------------------------------------------------------

@@ -190,6 +190,9 @@ pub enum TraceEvent {
         wall: Duration,
         /// Wall time minus same-thread children's wall time.
         self_time: Duration,
+        /// Outcome annotations added through [`SpanGuard::record`] while
+        /// the span was open.
+        fields: Vec<(String, String)>,
     },
     /// A SPARQL query (or keyword lookup) was answered.
     Query {
@@ -354,6 +357,7 @@ impl Tracer {
                 core: None,
                 span: 0,
                 path: String::new(),
+                fields: Vec::new(),
             };
         };
         let span = core.next_span.fetch_add(1, Ordering::Relaxed);
@@ -399,6 +403,7 @@ impl Tracer {
             core: Some(core),
             span,
             path,
+            fields: Vec::new(),
         }
     }
 
@@ -612,9 +617,19 @@ pub struct SpanGuard<'a> {
     core: Option<&'a TracerCore>,
     span: u64,
     path: String,
+    fields: Vec<(String, String)>,
 }
 
 impl SpanGuard<'_> {
+    /// Annotates the span with an outcome only known once its work is done
+    /// (rows fetched, branch taken); carried on the exit event. Inert — the
+    /// value is not even formatted — for disabled tracers.
+    pub fn record(&mut self, key: &str, value: impl std::fmt::Display) {
+        if self.core.is_some() {
+            self.fields.push((key.to_owned(), value.to_string()));
+        }
+    }
+
     /// A cloneable handle for parenting spans on other threads. Inert for
     /// disabled tracers.
     pub fn handle(&self) -> SpanHandle {
@@ -659,6 +674,7 @@ impl Drop for SpanGuard<'_> {
                 at: end.saturating_duration_since(core.epoch),
                 wall,
                 self_time,
+                fields: std::mem::take(&mut self.fields),
             });
         }
     }
@@ -1003,11 +1019,42 @@ mod tests {
     }
 
     #[test]
+    fn recorded_outcomes_ride_on_the_exit_event() {
+        let tracer = Tracer::enabled();
+        {
+            let mut fetch = tracer.span("fetch");
+            fetch.record("rows", 42);
+            fetch.record("truncated", false);
+            let _plain = tracer.span("plain");
+        }
+        let exits: Vec<(String, Vec<(String, String)>)> = tracer
+            .events()
+            .into_iter()
+            .filter_map(|e| match e {
+                TraceEvent::Exit { path, fields, .. } => Some((path, fields)),
+                _ => None,
+            })
+            .collect();
+        let field = |k: &str, v: &str| (k.to_owned(), v.to_owned());
+        assert_eq!(
+            exits,
+            vec![
+                ("fetch/plain".to_owned(), Vec::new()),
+                (
+                    "fetch".to_owned(),
+                    vec![field("rows", "42"), field("truncated", "false")]
+                ),
+            ]
+        );
+    }
+
+    #[test]
     fn disabled_tracer_records_nothing() {
         let tracer = Tracer::disabled();
         assert!(!tracer.is_enabled());
         {
-            let guard = tracer.span("a");
+            let mut guard = tracer.span("a");
+            guard.record("rows", 1);
             assert_eq!(guard.handle(), SpanHandle::default());
             tracer.record_query(QueryKind::Select, Duration::from_micros(1));
             tracer.record_cache(true);

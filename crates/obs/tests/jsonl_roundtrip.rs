@@ -49,6 +49,9 @@ fn gen_trace_event(rng: &mut TestRng) -> TraceEvent {
             at,
             wall: Duration::from_micros(rng.gen_range(0..1_000_000u64)),
             self_time: Duration::from_micros(rng.gen_range(0..1_000_000u64)),
+            fields: (0..rng.gen_range(0..3usize))
+                .map(|_| (gen_string(rng), gen_string(rng)))
+                .collect(),
         },
         2 => TraceEvent::Query {
             path: gen_string(rng),

@@ -2,12 +2,12 @@
 //!
 //! The `trace` experiment shows endpoint round-trips dominating pipeline
 //! wall time under realistic latency — the paper's Virtuoso observation.
-//! Bootstrap, candidate validation, and refinement execution each issue
-//! *batches of independent queries*, so the latency of a batch can be the
-//! latency of one round-trip instead of their sum. [`AsyncSparqlEndpoint`]
-//! is that seam: a ticket-based submission API with **no external
-//! runtime** — no futures executor, no callback plumbing, just
-//! [`std::task::Poll`] over a small internal pool of scoped threads.
+//! Bootstrap and refinement previews each issue *batches of independent
+//! queries*, so the latency of a batch can be the latency of one
+//! round-trip instead of their sum. [`AsyncSparqlEndpoint`] is that seam:
+//! a ticket-based submission API with **no external runtime** — no
+//! futures executor, no callback plumbing, just [`std::task::Poll`] over a
+//! small internal pool of scoped threads.
 //!
 //! ## Ticket lifecycle
 //!

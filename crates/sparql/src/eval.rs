@@ -81,7 +81,11 @@ pub fn evaluate_full(
             return compiled.project(graph, rows);
         }
     }
-    let rows = compiled.run_bgp(graph, query.form == QueryForm::Ask)?;
+    let first = match query.form {
+        QueryForm::Ask => Some(1),
+        QueryForm::Select => compiled.pushed_down_limit(),
+    };
+    let rows = compiled.run_bgp(graph, first)?;
     match query.form {
         QueryForm::Ask => Ok(Solutions {
             vars: vec!["ask".to_owned()],
@@ -94,7 +98,7 @@ pub fn evaluate_full(
 /// Evaluates an `ASK` query (or any query, testing for non-emptiness).
 pub fn evaluate_ask(graph: &Graph, query: &Query) -> Result<bool, SparqlError> {
     let compiled = Compiled::new(graph, query)?;
-    let rows = compiled.run_bgp(graph, true)?;
+    let rows = compiled.run_bgp(graph, Some(1))?;
     Ok(!rows.is_empty())
 }
 
@@ -250,6 +254,60 @@ struct FlatPattern {
     s: Slot,
     p: Slot,
     o: Slot,
+}
+
+impl FlatPattern {
+    /// The index lookup key of the pattern under `row`'s bindings (`None`
+    /// positions are wildcards), or `None` when a constant is absent from
+    /// the graph and nothing can match.
+    fn resolve(&self, row: &[Option<TermId>]) -> Option<[Option<TermId>; 3]> {
+        let resolve = |slot: Slot| match slot {
+            Slot::Const(id) => Some(Some(id)),
+            Slot::Absent => None,
+            Slot::Var(v) => Some(row[v]),
+        };
+        Some([resolve(self.s)?, resolve(self.p)?, resolve(self.o)?])
+    }
+
+    /// Binds the pattern's still-unbound variables in `row` to the matched
+    /// triple, returning the variables it bound — or `None`, with `row`
+    /// restored, when a variable repeated inside the pattern would take
+    /// two different values.
+    fn bind(&self, row: &mut [Option<TermId>], t: re2x_rdf::Triple) -> Option<Bound> {
+        let mut bound = Bound::default();
+        for (slot, value) in [(self.s, t.s), (self.p, t.p), (self.o, t.o)] {
+            if let Slot::Var(v) = slot {
+                match row[v] {
+                    Some(existing) if existing != value => {
+                        bound.unbind(row);
+                        return None;
+                    }
+                    Some(_) => {}
+                    None => {
+                        row[v] = Some(value);
+                        bound.vars[bound.len] = v;
+                        bound.len += 1;
+                    }
+                }
+            }
+        }
+        Some(bound)
+    }
+}
+
+/// The (at most three) variables one [`FlatPattern::bind`] call bound.
+#[derive(Default)]
+struct Bound {
+    vars: [usize; 3],
+    len: usize,
+}
+
+impl Bound {
+    fn unbind(&self, row: &mut [Option<TermId>]) {
+        for &v in &self.vars[..self.len] {
+            row[v] = None;
+        }
+    }
 }
 
 /// Candidate-enumeration guard: probing must be estimated at least this
@@ -559,37 +617,51 @@ impl Compiled {
         (base + 1) >> (2 * fixed).min(20)
     }
 
+    /// The number of binding rows after which evaluation may stop: a
+    /// `LIMIT` (plus `OFFSET`) can be pushed below projection only when
+    /// every binding row becomes exactly one output row in binding order —
+    /// no aggregation, `DISTINCT` or `ORDER BY` between the two.
+    fn pushed_down_limit(&self) -> Option<usize> {
+        let query = &self.query;
+        let limit = query.limit?;
+        (!query.is_aggregate() && !query.distinct && query.order_by.is_empty())
+            .then(|| query.offset.unwrap_or(0).saturating_add(limit))
+    }
+
     /// Runs the WHERE block, returning binding rows over the variable
-    /// registry. With `stop_at_first`, returns at most one row.
+    /// registry. With `first = Some(n)`, returns only the first `n` rows
+    /// (`ASK` is `n = 1`, a pushed-down `LIMIT` its `offset + limit`).
     fn run_bgp(
         &self,
         graph: &Graph,
-        stop_at_first: bool,
+        first: Option<usize>,
     ) -> Result<Vec<Vec<Option<TermId>>>, SparqlError> {
-        let seed = vec![vec![None; self.var_names.len()]];
-        if stop_at_first && self.root.children.is_empty() {
-            // ASK / existence checks over a flat group: depth-first with
-            // early termination — the first complete solution ends the
-            // search, so selective probes never materialize the full join.
-            let prebound = vec![false; self.var_names.len()];
-            let order = self.plan_block(graph, &self.root, &prebound);
-            let filter_step = self.filter_schedule(&self.root, &order, &prebound);
-            let start = vec![None; self.var_names.len()];
-            return Ok(
-                match self.search_first(graph, &self.root, &order, &filter_step, 0, &start) {
-                    Some(row) => vec![row],
-                    None => Vec::new(),
-                },
-            );
-        }
-        if self.exec == ExecMode::Columnar && !stop_at_first && columnar::eligible(self) {
+        let seed = vec![None; self.var_names.len()];
+        // a single row is found by the search without building any batch
+        let existence = first == Some(1);
+        if self.exec == ExecMode::Columnar && !existence && columnar::eligible(self) {
             // flat filter-free block: sorted-ID merge joins over columnar
-            // batches, byte-identical to the row path below
-            return Ok(columnar::run(self, graph));
+            // batches, byte-identical to the row paths below. Under a row
+            // limit the kernel gives up once a batch outgrows it — the
+            // whole answer fits the limit far more often than not, and
+            // merge joins produce it at half the per-row cost of the
+            // search that bounds the rest.
+            let budget = first.unwrap_or(usize::MAX);
+            if let Some(mut rows) = columnar::run(self, graph, budget) {
+                rows.truncate(budget);
+                return Ok(rows);
+            }
         }
-        let mut rows = self.eval_block(graph, &self.root, seed)?;
-        if stop_at_first {
-            rows.truncate(1);
+        if let (Some(want), true) = (first, self.root.children.is_empty()) {
+            // First n rows of a flat group: depth-first with early
+            // termination — the nth complete solution ends the search, so
+            // existence probes and capped fetches never materialize the
+            // full join.
+            return Ok(self.first_rows(graph, &seed, want));
+        }
+        let mut rows = self.eval_block(graph, &self.root, vec![seed])?;
+        if let Some(want) = first {
+            rows.truncate(want);
         }
         Ok(rows)
     }
@@ -876,15 +948,36 @@ impl Compiled {
         })
     }
 
-    /// `true` if some solution extends `row` — a depth-first existence
-    /// search planned for the seeded bindings, with the standard filter
-    /// schedule.
+    /// `true` if some solution extends `row` — the `n = 1` case of
+    /// [`Compiled::first_rows`].
     fn seeded_exists(&self, graph: &Graph, row: &[Option<TermId>]) -> bool {
-        let prebound: Vec<bool> = row.iter().map(Option::is_some).collect();
+        !self.first_rows(graph, row, 1).is_empty()
+    }
+
+    /// The first `want` solutions of the (flat) root block extending
+    /// `seed`, planned for the seeded bindings with the standard filter
+    /// schedule — exactly the prefix [`Compiled::eval_block`] and the
+    /// columnar kernel would return, which all enumerate solutions in the
+    /// same lexicographic order of per-step index matches.
+    fn first_rows(
+        &self,
+        graph: &Graph,
+        seed: &[Option<TermId>],
+        want: usize,
+    ) -> Vec<Vec<Option<TermId>>> {
+        let prebound: Vec<bool> = seed.iter().map(Option::is_some).collect();
         let order = self.plan_block(graph, &self.root, &prebound);
         let filter_step = self.filter_schedule(&self.root, &order, &prebound);
-        self.search_first(graph, &self.root, &order, &filter_step, 0, row)
-            .is_some()
+        let mut search = FirstRows {
+            compiled: self,
+            graph,
+            order: &order,
+            filter_step: &filter_step,
+            want,
+            out: Vec::new(),
+        };
+        search.descend(0, &mut seed.to_vec());
+        search.out
     }
 
     /// The most expensive scan any single pattern forces under the current
@@ -1160,62 +1253,8 @@ impl Compiled {
         Ok(rows)
     }
 
-    /// Depth-first search for one complete solution of a flat block:
-    /// extends the binding through the planned pattern order, applying each
-    /// filter at its scheduled step (deferred filters at the final step),
-    /// and returns on the first full row.
-    fn search_first(
-        &self,
-        graph: &Graph,
-        block: &Block,
-        order: &[usize],
-        filter_step: &[usize],
-        step: usize,
-        row: &[Option<TermId>],
-    ) -> Option<Vec<Option<TermId>>> {
-        let ctx = RowContext {
-            compiled: self,
-            graph,
-        };
-        if step == order.len() {
-            // no-pattern / trailing filters
-            for filter in &block.filters {
-                if !eval_expr(&filter.expr, &ctx, row)
-                    .and_then(|v| v.as_bool())
-                    .unwrap_or(false)
-                {
-                    return None;
-                }
-            }
-            return Some(row.to_vec());
-        }
-        let last_step = order.len() - 1;
-        let pattern = block.patterns[order[step]];
-        let mut found: Option<Vec<Option<TermId>>> = None;
-        self.extend_row_until(graph, pattern, row, |candidate| {
-            for (fi, filter) in block.filters.iter().enumerate() {
-                let due = filter_step[fi] == step
-                    || (step == last_step && filter_step[fi] == usize::MAX)
-                    || (step == 0 && filter_step[fi] == 0);
-                if due
-                    && !eval_expr(&filter.expr, &ctx, candidate.as_slice())
-                        .and_then(|v| v.as_bool())
-                        .unwrap_or(false)
-                {
-                    return false; // next candidate
-                }
-            }
-            match self.search_first(graph, block, order, filter_step, step + 1, &candidate) {
-                Some(hit) => {
-                    found = Some(hit);
-                    true // stop: a full solution exists
-                }
-                None => false,
-            }
-        });
-        found
-    }
-
+    /// Appends to `out` every consistent extension of `row` through
+    /// `pattern`, in index order.
     fn extend_row(
         &self,
         graph: &Graph,
@@ -1223,51 +1262,15 @@ impl Compiled {
         row: &[Option<TermId>],
         out: &mut Vec<Vec<Option<TermId>>>,
     ) {
-        self.extend_row_until(graph, pattern, row, |extended| {
-            out.push(extended);
-            false
+        let Some([s, p, o]) = pattern.resolve(row) else {
+            return; // a constant absent from the graph: no matches
+        };
+        graph.for_each_matching(s, p, o, |t| {
+            let mut extended = row.to_vec();
+            if pattern.bind(&mut extended, t).is_some() {
+                out.push(extended);
+            }
         });
-    }
-
-    /// Lazily enumerates the consistent extensions of `row` through
-    /// `pattern`, stopping when `f` returns `true`. The existence search
-    /// ([`Compiled::search_first`]) relies on this to avoid materializing
-    /// whole candidate lists.
-    fn extend_row_until(
-        &self,
-        graph: &Graph,
-        pattern: FlatPattern,
-        row: &[Option<TermId>],
-        mut f: impl FnMut(Vec<Option<TermId>>) -> bool,
-    ) -> bool {
-        let resolve = |slot: Slot| -> Result<Option<TermId>, ()> {
-            match slot {
-                Slot::Const(id) => Ok(Some(id)),
-                Slot::Absent => Err(()),
-                Slot::Var(v) => Ok(row[v]),
-            }
-        };
-        let (Ok(s), Ok(p), Ok(o)) = (resolve(pattern.s), resolve(pattern.p), resolve(pattern.o))
-        else {
-            return false; // a constant absent from the graph: no matches
-        };
-        graph.for_each_matching_until(s, p, o, |t| {
-            let mut new_row: Option<Vec<Option<TermId>>> = None;
-            for (slot, value) in [(pattern.s, t.s), (pattern.p, t.p), (pattern.o, t.o)] {
-                if let Slot::Var(v) = slot {
-                    let current = new_row.as_ref().map_or(row[v], |r| r[v]);
-                    match current {
-                        Some(existing) if existing != value => return false,
-                        Some(_) => {}
-                        None => {
-                            let r = new_row.get_or_insert_with(|| row.to_vec());
-                            r[v] = Some(value);
-                        }
-                    }
-                }
-            }
-            f(new_row.unwrap_or_else(|| row.to_vec()))
-        })
     }
 
     /// Turns binding rows into the projected solution sequence, handling
@@ -1372,24 +1375,23 @@ impl Compiled {
             if query.having.is_some() {
                 return Err(SparqlError::invalid("HAVING requires aggregation"));
             }
-            for row in &rows {
-                let mut out = Vec::with_capacity(items.len());
-                for item in &items {
-                    match item {
-                        SelectItem::Var(v) => {
-                            let value =
-                                self.var_index.get(v).and_then(|&i| row[i]).map(Value::Term);
-                            out.push(value);
-                        }
-                        SelectItem::Agg { .. } => {
-                            return Err(SparqlError::invalid(
-                                "aggregate select item outside aggregation",
-                            ));
-                        }
-                    }
-                }
-                out_rows.push(out);
-            }
+            // registry index per output column, resolved once (a projected
+            // variable the WHERE block never binds stays unbound)
+            let columns: Vec<Option<usize>> = items
+                .iter()
+                .map(|item| match item {
+                    SelectItem::Var(v) => Ok(self.var_index.get(v).copied()),
+                    SelectItem::Agg { .. } => Err(SparqlError::invalid(
+                        "aggregate select item outside aggregation",
+                    )),
+                })
+                .collect::<Result<_, _>>()?;
+            out_rows.extend(rows.iter().map(|row| {
+                columns
+                    .iter()
+                    .map(|column| column.and_then(|i| row[i]).map(Value::Term))
+                    .collect()
+            }));
         }
 
         let vars: Vec<String> = items.iter().map(|i| i.name().to_owned()).collect();
@@ -1450,6 +1452,66 @@ impl Compiled {
         Ok(Solutions {
             vars,
             rows: out_rows,
+        })
+    }
+}
+
+/// Depth-first enumeration of the root block's solutions along a planned
+/// pattern order, stopping after `want` rows ([`Compiled::first_rows`]).
+/// One binding row is extended and restored in place, so a candidate that
+/// leads nowhere costs no allocation.
+struct FirstRows<'a> {
+    compiled: &'a Compiled,
+    graph: &'a Graph,
+    order: &'a [usize],
+    filter_step: &'a [usize],
+    want: usize,
+    out: Vec<Vec<Option<TermId>>>,
+}
+
+impl FirstRows<'_> {
+    /// Extends `row` through the patterns from `step` on, applying each
+    /// filter at its scheduled step (deferred filters at the final step)
+    /// and collecting every complete row. Returns `true` — and stops —
+    /// once `want` rows are collected; `row` is left as it was found.
+    fn descend(&mut self, step: usize, row: &mut [Option<TermId>]) -> bool {
+        if self.out.len() >= self.want {
+            return true;
+        }
+        let (compiled, graph) = (self.compiled, self.graph);
+        let block = &compiled.root;
+        let passes = |filter: &CompiledFilter, row: &[Option<TermId>]| {
+            eval_expr(&filter.expr, &RowContext { compiled, graph }, row)
+                .and_then(|v| v.as_bool())
+                .unwrap_or(false)
+        };
+        if step == self.order.len() {
+            // with patterns every filter already ran at its step; a
+            // pattern-free block decides them all here
+            if self.order.is_empty() && !block.filters.iter().all(|f| passes(f, row)) {
+                return false;
+            }
+            self.out.push(row.to_vec());
+            return self.out.len() >= self.want;
+        }
+        let last_step = self.order.len() - 1;
+        let pattern = block.patterns[self.order[step]];
+        let Some([s, p, o]) = pattern.resolve(row) else {
+            return false; // a constant absent from the graph: no matches
+        };
+        graph.for_each_matching_until(s, p, o, |t| {
+            let Some(bound) = pattern.bind(row, t) else {
+                return false; // next candidate
+            };
+            let rejected = block.filters.iter().enumerate().any(|(fi, filter)| {
+                let due = self.filter_step[fi] == step
+                    || (step == last_step && self.filter_step[fi] == usize::MAX)
+                    || (step == 0 && self.filter_step[fi] == 0);
+                due && !passes(filter, row)
+            });
+            let done = !rejected && self.descend(step + 1, row);
+            bound.unbind(row);
+            done
         })
     }
 }

@@ -44,19 +44,27 @@ pub(super) fn eligible(compiled: &Compiled) -> bool {
 
 /// Runs the root block's planned pattern chain over columnar batches,
 /// returning binding rows over the variable registry (same contract as
-/// [`super::Compiled::run_bgp`]).
-pub(super) fn run(compiled: &Compiled, graph: &Graph) -> Vec<Vec<Option<TermId>>> {
+/// [`super::Compiled::run_bgp`]) — or `None` as soon as a batch would
+/// outgrow `budget` rows, before materializing it. A caller that only
+/// wants the first `budget` rows then gets them from the depth-first
+/// search instead, so its work stays bounded however large the join is;
+/// `usize::MAX` never gives up.
+pub(super) fn run(
+    compiled: &Compiled,
+    graph: &Graph,
+    budget: usize,
+) -> Option<Vec<Vec<Option<TermId>>>> {
     let nvars = compiled.var_names.len();
     let prebound = vec![false; nvars];
     let order = compiled.plan_block(graph, &compiled.root, &prebound);
     let mut batch = Batch::seed(nvars);
     for &pi in &order {
-        batch = extend(graph, &batch, compiled.root.patterns[pi]);
+        batch = extend(graph, &batch, compiled.root.patterns[pi], budget)?;
         if batch.len == 0 {
             break;
         }
     }
-    batch.into_rows()
+    Some(batch.into_rows())
 }
 
 /// A columnar batch of partial solutions: one dense column of interned
@@ -121,14 +129,15 @@ fn resolve(slot: Slot, batch: &Batch) -> RSlot {
     }
 }
 
-/// Joins one pattern into the batch.
-fn extend(graph: &Graph, batch: &Batch, pattern: FlatPattern) -> Batch {
+/// Joins one pattern into the batch; `None` if the result would exceed
+/// `budget` rows.
+fn extend(graph: &Graph, batch: &Batch, pattern: FlatPattern, budget: usize) -> Option<Batch> {
     let nvars = batch.cols.len();
     let s = resolve(pattern.s, batch);
     let p = resolve(pattern.p, batch);
     let o = resolve(pattern.o, batch);
     if [s, p, o].contains(&RSlot::Absent) {
-        return Batch::empty(nvars);
+        return Some(Batch::empty(nvars));
     }
     let news: Vec<usize> = [s, p, o]
         .iter()
@@ -143,9 +152,9 @@ fn extend(graph: &Graph, batch: &Batch, pattern: FlatPattern) -> Batch {
         _ => false,
     };
     match (news.len(), repeated_new) {
-        (0, _) => semijoin(graph, batch, s, p, o),
-        (1, false) => extend_one(graph, batch, s, p, o),
-        _ => fallback(graph, batch, pattern),
+        (0, _) => Some(semijoin(graph, batch, s, p, o)), // only ever shrinks
+        (1, false) => extend_one(graph, batch, s, p, o, budget),
+        _ => fallback(graph, batch, pattern, budget),
     }
 }
 
@@ -208,12 +217,19 @@ fn keep_to_sel(keep: &[bool]) -> Vec<usize> {
 
 /// Exactly one fresh variable: append each row's sorted match list in one
 /// `extend_from_slice`, recording the source row per output row.
-fn extend_one(graph: &Graph, batch: &Batch, s: RSlot, p: RSlot, o: RSlot) -> Batch {
+fn extend_one(
+    graph: &Graph,
+    batch: &Batch,
+    s: RSlot,
+    p: RSlot,
+    o: RSlot,
+    budget: usize,
+) -> Option<Batch> {
     // which position holds the fresh variable (New in at most one slot)
     let new_var = match (s, p, o) {
         (_, _, RSlot::New(v)) | (RSlot::New(v), _, _) | (_, RSlot::New(v), _) => v,
         // extend() dispatches here only with exactly one New slot
-        _ => return gather(batch, &[], Vec::new()),
+        _ => return Some(gather(batch, &[], Vec::new())),
     };
     let mut sel: Vec<usize> = Vec::new();
     let mut new_col: Vec<TermId> = Vec::new();
@@ -227,17 +243,20 @@ fn extend_one(graph: &Graph, batch: &Batch, s: RSlot, p: RSlot, o: RSlot) -> Bat
         if list.is_empty() {
             continue;
         }
+        if list.len() > budget - sel.len() {
+            return None;
+        }
         new_col.extend_from_slice(list);
         sel.extend(std::iter::repeat_n(i, list.len()));
     }
-    gather(batch, &sel, vec![(new_var, new_col)])
+    Some(gather(batch, &sel, vec![(new_var, new_col)]))
 }
 
 /// General per-row fallback mirroring [`super::Compiled::extend_row`]:
 /// used for patterns with two or more fresh variables or a variable
 /// repeated inside the pattern. Enumeration order equals the row
 /// executor's, so byte-identity is preserved.
-fn fallback(graph: &Graph, batch: &Batch, pattern: FlatPattern) -> Batch {
+fn fallback(graph: &Graph, batch: &Batch, pattern: FlatPattern, budget: usize) -> Option<Batch> {
     let slots = [pattern.s, pattern.p, pattern.o];
     let mut new_vars: Vec<usize> = slots
         .iter()
@@ -258,17 +277,21 @@ fn fallback(graph: &Graph, batch: &Batch, pattern: FlatPattern) -> Batch {
             Slot::Var(v) => batch.cols[v].as_ref().map(|col| col[i]),
             Slot::Absent => None, // filtered out by extend()
         };
-        graph.for_each_matching(fixed(pattern.s), fixed(pattern.p), fixed(pattern.o), |t| {
+        let (s, p, o) = (fixed(pattern.s), fixed(pattern.p), fixed(pattern.o));
+        let over_budget = graph.for_each_matching_until(s, p, o, |t| {
             scratch.iter_mut().for_each(|c| *c = None);
             for (slot, value) in [(pattern.s, t.s), (pattern.p, t.p), (pattern.o, t.o)] {
                 if let Slot::Var(v) = slot {
                     if let Ok(k) = new_vars.binary_search(&v) {
                         match scratch[k] {
-                            Some(existing) if existing != value => return, // inconsistent
+                            Some(existing) if existing != value => return false, // inconsistent
                             _ => scratch[k] = Some(value),
                         }
                     }
                 }
+            }
+            if sel.len() == budget {
+                return true;
             }
             sel.push(i);
             for (k, cell) in scratch.iter().enumerate() {
@@ -276,9 +299,13 @@ fn fallback(graph: &Graph, batch: &Batch, pattern: FlatPattern) -> Batch {
                     new_cols[k].1.push(id);
                 }
             }
+            false
         });
+        if over_budget {
+            return None;
+        }
     }
-    gather(batch, &sel, new_cols)
+    Some(gather(batch, &sel, new_cols))
 }
 
 /// Builds the successor batch: existing columns gathered through `sel`

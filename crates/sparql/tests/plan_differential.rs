@@ -168,12 +168,32 @@ fn sharded_composition_is_identical_under_columnar_default() {
 
 // ---- seeded property harness ----------------------------------------------
 
-/// A random flat BGP whose output order is pinned: `ORDER BY` over every
-/// projected variable (and group keys for aggregates), so all four
-/// plan × executor combinations must agree byte-for-byte. The textual
-/// pattern order is shuffled — including disconnected-first orders — to
-/// exercise the planner's connectivity preference and tie-breaking.
-fn random_pinned_query(rng: &mut TestRng, dataset: &Dataset) -> String {
+/// A random star over `?o` — one to three dimension patterns (`?d0`…), the
+/// measure (`?m`) most of the time, sometimes the class probe and a label
+/// hop off `?d0` (`?l0`) — in shuffled textual order.
+struct Star {
+    wher: String,
+    n_dims: usize,
+    uses_measure: bool,
+    has_label: bool,
+}
+
+impl Star {
+    /// Every variable the star binds, `?o` first.
+    fn projected(&self) -> Vec<String> {
+        let mut projected: Vec<String> = vec!["?o".to_owned()];
+        projected.extend((0..self.n_dims).map(|i| format!("?d{i}")));
+        if self.uses_measure {
+            projected.push("?m".to_owned());
+        }
+        if self.has_label {
+            projected.push("?l0".to_owned());
+        }
+        projected
+    }
+}
+
+fn random_star(rng: &mut TestRng, dataset: &Dataset) -> Star {
     let measure = measure_predicate(dataset);
     let dims = &dataset.dimension_predicates;
     let n_dims = rng.gen_range(1..dims.len().min(3) + 1);
@@ -217,10 +237,24 @@ fn random_pinned_query(rng: &mut TestRng, dataset: &Dataset) -> String {
         let at = bind + rng.gen_range(0..(wher.len() - bind + 1) as u32) as usize;
         wher.insert(at, format!("?d0 <{}> ?l0", dataset.label_predicate));
     }
-    let wher = wher.join(" . ");
+    Star {
+        wher: wher.join(" . "),
+        n_dims,
+        uses_measure,
+        has_label,
+    }
+}
 
-    if uses_measure && rng.gen_bool(0.6) {
-        let group_vars: Vec<String> = (0..n_dims).map(|i| format!("?d{i}")).collect();
+/// A random flat BGP whose output order is pinned: `ORDER BY` over every
+/// projected variable (and group keys for aggregates), so all four
+/// plan × executor combinations must agree byte-for-byte. The textual
+/// pattern order is shuffled — including disconnected-first orders — to
+/// exercise the planner's connectivity preference and tie-breaking.
+fn random_pinned_query(rng: &mut TestRng, dataset: &Dataset) -> String {
+    let star = random_star(rng, dataset);
+    let wher = &star.wher;
+    if star.uses_measure && rng.gen_bool(0.6) {
+        let group_vars: Vec<String> = (0..star.n_dims).map(|i| format!("?d{i}")).collect();
         let funcs = ["SUM", "MIN", "MAX", "COUNT"];
         let aggs: Vec<String> = (0..rng.gen_range(1..3usize))
             .map(|i| format!("({}(?m) AS ?agg{i})", rng.pick(&funcs)))
@@ -231,17 +265,9 @@ fn random_pinned_query(rng: &mut TestRng, dataset: &Dataset) -> String {
             aggs = aggs.join(" "),
         )
     } else {
-        let mut projected: Vec<String> = vec!["?o".to_owned()];
-        projected.extend((0..n_dims).map(|i| format!("?d{i}")));
-        if uses_measure {
-            projected.push("?m".to_owned());
-        }
-        if has_label {
-            projected.push("?l0".to_owned());
-        }
         let mut text = format!(
             "SELECT {p} WHERE {{ {wher} }} ORDER BY {p}",
-            p = projected.join(" ")
+            p = star.projected().join(" ")
         );
         if rng.gen_bool(0.3) {
             text.push_str(&format!(" LIMIT {}", rng.gen_range(1..30u32)));
@@ -274,4 +300,87 @@ fn property_plan_and_exec_modes_agree_on_dbpedia() {
     // expensive and multi-valued fan-out common: the adversarial case for
     // both the planner and the columnar kernel.
     property_all_combos_agree(&dbpedia::generate(250, 101), "plan_differential_dbpedia");
+}
+
+// ---- LIMIT pushdown ---------------------------------------------------------
+
+/// `… LIMIT n [OFFSET k]` must return exactly rows `k..k+n` of the
+/// unlimited answer in every plan × executor combination. For the plain
+/// shape the evaluator stops the join after `k+n` binding rows (the
+/// depth-first "first n rows" search `ASK` is the `n = 1` case of), so the
+/// pushed-down answer has to be the exact prefix the full evaluation
+/// returns; the `DISTINCT`, `ORDER BY` and aggregate shapes transform rows
+/// between the join and the slice and would fail this if they were cut
+/// short too.
+fn property_limit_is_a_slice(dataset: &Dataset, name: &str) {
+    let graph = &dataset.graph;
+    re2x_testkit::check(name, |rng| {
+        let star = random_star(rng, dataset);
+        let wher = if star.uses_measure && rng.gen_bool(0.3) {
+            // a FILTER keeps the search on the scheduled-filter path
+            format!("{} . FILTER(?m > {})", star.wher, rng.gen_range(0..60u32))
+        } else {
+            star.wher.clone()
+        };
+        let all = star.projected().join(" ");
+        // (limited shape, unlimited oracle, whether the oracle's rows still
+        // need first-seen deduplication). The unlimited `DISTINCT` form is
+        // no oracle for itself: it is answered by the sorted distinct-probe
+        // fast path, in a different (equally valid) order.
+        let shapes = [
+            (format!("SELECT {all} WHERE {{ {wher} }}"), None),
+            // ?d0 repeats across observations: deduplication precedes the slice
+            (
+                format!("SELECT DISTINCT ?d0 WHERE {{ {wher} }}"),
+                Some(format!("SELECT ?d0 WHERE {{ {wher} }}")),
+            ),
+            (
+                format!("SELECT {all} WHERE {{ {wher} }} ORDER BY DESC(?o) {all}"),
+                None,
+            ),
+            (
+                format!("SELECT ?d0 (COUNT(?o) AS ?n) WHERE {{ {wher} }} GROUP BY ?d0"),
+                None,
+            ),
+        ];
+        let limit = rng.gen_range(0..40usize);
+        let offset = rng.gen_bool(0.5).then(|| rng.gen_range(0..25usize));
+        for (base, undeduplicated) in shapes {
+            let mut text = format!("{base} LIMIT {limit}");
+            if let Some(offset) = offset {
+                text.push_str(&format!(" OFFSET {offset}"));
+            }
+            let oracle = undeduplicated.as_ref().unwrap_or(&base);
+            let oracle = parse_query(oracle).expect("generated query parses");
+            let limited = parse_query(&text).expect("generated query parses");
+            for (mode, exec) in COMBOS {
+                let mut want = evaluate_full(graph, &oracle, mode, exec).expect("evaluates");
+                if undeduplicated.is_some() {
+                    let mut seen = Vec::new();
+                    want.rows.retain(|row| {
+                        let fresh = !seen.contains(row);
+                        if fresh {
+                            seen.push(row.clone());
+                        }
+                        fresh
+                    });
+                }
+                let skip = offset.unwrap_or(0).min(want.rows.len());
+                want.rows.drain(..skip);
+                want.rows.truncate(limit);
+                let got = evaluate_full(graph, &limited, mode, exec).expect("evaluates");
+                assert_eq!(got, want, "{mode:?}/{exec:?}: not a slice: {text}");
+            }
+        }
+    });
+}
+
+#[test]
+fn property_limit_is_a_slice_of_the_unlimited_answer_on_eurostat() {
+    property_limit_is_a_slice(&eurostat::generate(300, 41), "limit_slice_eurostat");
+}
+
+#[test]
+fn property_limit_is_a_slice_of_the_unlimited_answer_on_dbpedia() {
+    property_limit_is_a_slice(&dbpedia::generate(200, 43), "limit_slice_dbpedia");
 }

@@ -210,6 +210,7 @@ mod tests {
                 at: Duration::from_micros(100),
                 wall: Duration::from_micros(90),
                 self_time: Duration::from_micros(90),
+                fields: Vec::new(),
             }),
             BusEvent::Counter {
                 name: "serve.sessions_admitted{tenant=\"adhoc\"}".to_owned(),
@@ -260,6 +261,7 @@ mod tests {
             at: Duration::from_micros(1),
             wall: Duration::from_micros(1),
             self_time: Duration::from_micros(1),
+            fields: Vec::new(),
         }));
         let frame = render_with(
             &state,
@@ -284,6 +286,7 @@ mod tests {
                 at: Duration::from_micros(1),
                 wall: Duration::from_micros(1),
                 self_time: Duration::from_micros(1),
+                fields: Vec::new(),
             }));
         }
         let frame = render_with(

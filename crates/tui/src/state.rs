@@ -358,6 +358,7 @@ mod tests {
             at: Duration::from_micros(9),
             wall: Duration::from_micros(8),
             self_time: Duration::from_micros(8),
+            fields: Vec::new(),
         }));
         assert_eq!(state.open_spans, 0);
         assert_eq!(state.queries(), 1);

@@ -54,6 +54,7 @@ fn scripted_events() -> Vec<BusEvent> {
             at,
             wall,
             self_time,
+            fields: Vec::new(),
         })
     };
     let query = |path: &str, kind, at, latency| {

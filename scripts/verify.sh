@@ -129,9 +129,17 @@ fi
 
 echo "== plan differential suite (offline) =="
 # Every PlanMode x ExecMode combination must produce identical solutions
-# across the figure datasets and the seeded random-query harness, and the
-# sharded composition must stay identical with columnar shards.
+# across the figure datasets and the seeded random-query harness, the
+# sharded composition must stay identical with columnar shards, and a
+# pushed-down LIMIT/OFFSET must return exactly that slice of the unlimited
+# answer (DISTINCT / ORDER BY / aggregate shapes not cut short).
 cargo test -q --offline -p re2x-sparql --test plan_differential
+
+echo "== validation differential suite (offline) =="
+# Candidate validation over shared, capped observation sets must decide
+# exactly what the per-candidate ASK walk decides — all four datasets,
+# sets over the cap, multi-tuple examples, sharded endpoints.
+cargo test -q --offline -p re2xolap --test validation_differential
 
 echo "== plan experiment (offline) =="
 # Planner + executor ablation on the dbpedia M-to-N dataset: the greedy
@@ -179,7 +187,11 @@ echo "== scale experiment: snapshot load vs regeneration ladder (offline) =="
 # The smoke ladder (100k/200k/400k observations): snapshot load must beat
 # regeneration >= 5x on every rung, every loaded graph must prove
 # digest- and probe-identical to the generated one, and bootstrap/ReOLAP
-# latency must stay schema-bound (sublinear) as the data grows 4x.
+# latency must stay schema-bound (sublinear) as the data grows 4x — for
+# ReOLAP on the slower of two probes per rung, one of which takes the
+# observation-set path over a member reached by a seventh to a half of all
+# observations (2 fetches, both over the cap: the check that the fetch cap
+# bounds work, not just output).
 cargo run --release --offline -p re2x-bench --bin repro -- --out bench_results --scale smoke scale
 if command -v python3 >/dev/null 2>&1; then
     python3 - <<'EOF'
@@ -199,6 +211,9 @@ for r in rungs:
     assert r["cache_hit"] is True and r["identical"] is True
     assert float(r["load_speedup"]) >= 5.0, \
         f"rung {r['observations']}: load speedup {r['load_speedup']}"
+    assert r["synthesized"] is True, f"rung {r['observations']}: a ReOLAP probe found no query"
+    assert int(r["set_fetches"]) == 2 and int(r["sets_truncated"]) == 2, \
+        f"rung {r['observations']}: the set-path probe did not fetch two over-cap sets: {r}"
 print(f"scale.json: valid JSON; {len(rungs)} rungs, min load speedup {speedup:.2f}x, "
       f"all identical, analytics sublinear")
 EOF
@@ -207,6 +222,7 @@ else
     grep -q '"all_identical": true' bench_results/scale.json
     grep -q '"bootstrap_sublinear": true' bench_results/scale.json
     grep -q '"reolap_sublinear": true' bench_results/scale.json
+    grep -q '"sets_truncated": 2' bench_results/scale.json
     echo "scale.json: present (python3 unavailable, structural check only)"
 fi
 
@@ -266,5 +282,17 @@ cargo run --release --offline -p re2x-bench --bin repro -- --out bench_results w
 cmp bench_results/watch.first.txt bench_results/watch.txt
 rm -f bench_results/watch.first.txt
 echo "watch: golden frames stable across runs"
+
+echo "== benchmark: own tests + one smoke workload (offline) =="
+# The benchmark package (benchmark/, BENCHMARK.json) is outside the
+# workspace: its tests cover the drivers' arithmetic and scripts, and one
+# smoke run of the workload this repo's synthesis path is measured by must
+# pass the benchmark's own output checks.
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
+smoke=$(bash benchmark/run.sh --workload synth_ambiguous --smoke | tail -n 1)
+case "$smoke" in
+    *'"correct": true'*) echo "benchmark smoke: synth_ambiguous correct" ;;
+    *) echo "benchmark smoke failed: $smoke" >&2; exit 1 ;;
+esac
 
 echo "verify: OK"

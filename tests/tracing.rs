@@ -1,8 +1,9 @@
 //! Integration tests of the observability layer (`re2x-obs`) threaded
 //! through the whole pipeline: span nesting in the exported JSONL event
 //! log, query provenance reconciling exactly with [`EndpointStats`] —
-//! serially and under `bootstrap_parallel` — per-phase cache accounting,
-//! and the `trace` experiment's "endpoint dominates" claim.
+//! serially, under `bootstrap_parallel` and through set-path candidate
+//! validation — per-phase cache accounting, and the `trace` experiment's
+//! "endpoint dominates" claim.
 
 use re2x_cube::{bootstrap, bootstrap_parallel, BootstrapConfig};
 use re2x_obs::{events_to_jsonl, TraceEvent, Tracer};
@@ -142,6 +143,84 @@ fn provenance_sums_to_endpoint_stats_under_bootstrap_parallel() {
     assert_eq!(selects, stats.selects);
     assert_eq!(asks, stats.asks);
     assert_eq!(keywords, stats.keyword_searches);
+}
+
+/// An ambiguous tuple is validated over shared observation sets: the capped
+/// fetches are SELECTs like any other — attributed to their own span and
+/// counted — and the trace says per candidate which branch decided it.
+#[test]
+fn set_path_validation_reconciles_and_names_its_branch() {
+    let tracer = Tracer::enabled();
+    let dataset = re2x_datagen::eurostat::generate(400, 3);
+    let endpoint = TracingEndpoint::new(LocalEndpoint::new(dataset.graph), tracer.clone());
+    let config = BootstrapConfig::new(&dataset.observation_class).with_tracer(tracer.clone());
+    let schema = bootstrap(&endpoint, &config).expect("bootstrap").schema;
+    let mut session = Session::new(
+        &endpoint,
+        &schema,
+        SessionConfig {
+            tracer: tracer.clone(),
+            ..SessionConfig::default()
+        },
+    );
+    // Germany is a destination and an origin country: candidates ⟨a,a⟩,
+    // ⟨a,b⟩, ⟨b,b⟩ over two interpretations
+    let outcome = session
+        .synthesize(&["Germany", "Germany"])
+        .expect("synthesis");
+    assert_eq!(outcome.queries.len(), 3);
+
+    let stats = endpoint.stats();
+    let provenance = tracer.provenance();
+    let attributed: u64 = provenance.iter().map(|(_, s)| s.queries()).sum();
+    assert_eq!(attributed, stats.total_queries());
+    let under = |suffix: &str| {
+        provenance
+            .iter()
+            .filter(|(path, _)| path.ends_with(suffix))
+            .fold((0, 0), |(selects, asks), (_, s)| {
+                (selects + s.selects, asks + s.asks)
+            })
+    };
+    assert_eq!(under("reolap/reolap.observations"), (2, 0));
+    assert_eq!(under("reolap/reolap.validate"), (0, 0), "decided in core");
+    let metrics = tracer.metrics().expect("enabled");
+    assert_eq!(metrics.counter("reolap.validation.sets"), 2);
+    assert_eq!(metrics.counter("reolap.validation.sets_truncated"), 0);
+    assert_eq!(metrics.counter("reolap.validation.asks"), 0);
+
+    let events = tracer.take_events();
+    let validated_via: Vec<&str> = events
+        .iter()
+        .filter_map(|e| match e {
+            TraceEvent::Enter { name, fields, .. } if name == "reolap.validate" => fields
+                .iter()
+                .find(|(k, _)| k == "via")
+                .map(|(_, v)| v.as_str()),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(validated_via, ["sets"; 3]);
+    let fetched: Vec<&[(String, String)]> = events
+        .iter()
+        .filter_map(|e| match e {
+            TraceEvent::Exit { path, fields, .. } if path.ends_with("reolap.observations") => {
+                Some(fields.as_slice())
+            }
+            _ => None,
+        })
+        .collect();
+    assert_eq!(fetched.len(), 2);
+    for fields in fetched {
+        let field = |key: &str| {
+            fields
+                .iter()
+                .find(|(k, _)| k == key)
+                .map(|(_, v)| v.as_str())
+        };
+        assert!(field("rows").is_some_and(|rows| rows.parse::<usize>().is_ok_and(|n| n > 0)));
+        assert_eq!(field("truncated"), Some("false"));
+    }
 }
 
 #[test]

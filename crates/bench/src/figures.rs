@@ -88,7 +88,7 @@ pub fn table2() -> String {
                 let value = solutions.value(row, col);
                 match value {
                     Some(re2x_sparql::Value::Term(id)) => member_label(&endpoint, *id),
-                    Some(v) => v.string_form(endpoint.graph()),
+                    Some(v) => v.string_form(endpoint.graph()).into_owned(),
                     None => "—".to_owned(),
                 }
             };

@@ -36,14 +36,21 @@ pub fn similarity(
     let Some(split) = split_columns(query, solutions, graph) else {
         return Vec::new();
     };
-    let mut out = Vec::new();
-    for column in &query.measure_columns {
-        if let Some(r) = similarity_for_measure(schema, query, solutions, graph, k, &split, column)
-        {
-            out.push(r);
-        }
-    }
-    out
+    let measure_cols: Vec<Option<usize>> = query
+        .measure_columns
+        .iter()
+        .map(|column| solutions.column(&column.alias))
+        .collect();
+    let profiles = Profiles::build(solutions, graph, &split, &measure_cols);
+    query
+        .measure_columns
+        .iter()
+        .enumerate()
+        .filter(|&(m, _)| measure_cols[m].is_some())
+        .filter_map(|(m, column)| {
+            similarity_for_measure(schema, query, graph, k, &split, column, &profiles, m)
+        })
+        .collect()
 }
 
 struct ColumnSplit {
@@ -84,80 +91,115 @@ fn split_columns(query: &OlapQuery, solutions: &Solutions, graph: &Graph) -> Opt
 
 type FeatureKey = Vec<Option<TermId>>;
 
+/// Every item's sparse feature vector, for every measure column, from one
+/// pass over the solutions: item key (example-dimension member combination)
+/// → feature key (context-dimension member combination) → entry of `sums`,
+/// which keeps one running sum per measure column. Vectors stay sparse
+/// throughout: cosine over hash maps instead of densifying to
+/// |feature space| entries per item, which would be quadratic in the result
+/// size (similarity is the paper's most expensive refinement — Fig. 9a —
+/// and DBpedia's M-to-N results are huge).
+struct Profiles {
+    items: FxHashMap<Vec<TermId>, FxHashMap<FeatureKey, usize>>,
+    sums: Vec<f64>,
+    measures: usize,
+}
+
+impl Profiles {
+    fn build(
+        solutions: &Solutions,
+        graph: &Graph,
+        split: &ColumnSplit,
+        measure_cols: &[Option<usize>],
+    ) -> Self {
+        let mut profiles = Profiles {
+            items: FxHashMap::default(),
+            sums: Vec::new(),
+            measures: measure_cols.len(),
+        };
+        let term = |cell: &Option<Value>| match cell {
+            Some(Value::Term(id)) => Some(*id),
+            _ => None,
+        };
+        let mut entries = 0;
+        for row in &solutions.rows {
+            let key: Option<Vec<TermId>> =
+                split.example_cols.iter().map(|&c| term(&row[c])).collect();
+            let Some(key) = key else { continue };
+            let features: FeatureKey = split.context_cols.iter().map(|&c| term(&row[c])).collect();
+            let entry = *profiles
+                .items
+                .entry(key)
+                .or_default()
+                .entry(features)
+                .or_insert(entries);
+            if entry == entries {
+                entries += 1;
+                profiles.sums.resize(entries * profiles.measures, 0.0);
+            }
+            let sums = &mut profiles.sums[entry * profiles.measures..];
+            for (sum, col) in sums.iter_mut().zip(measure_cols) {
+                let cell = col.and_then(|c| row[c].as_ref());
+                *sum += cell.and_then(|v| v.as_number(graph)).unwrap_or(0.0);
+            }
+        }
+        profiles
+    }
+}
+
 #[allow(clippy::too_many_arguments)]
 fn similarity_for_measure(
     schema: &VirtualSchemaGraph,
     query: &OlapQuery,
-    solutions: &Solutions,
     graph: &Graph,
     k: usize,
     split: &ColumnSplit,
     column: &MeasureColumn,
+    profiles: &Profiles,
+    measure: usize,
 ) -> Option<Refinement> {
-    let mcol = solutions.column(&column.alias)?;
-    // item key (example-dim member combo) → sparse feature map. Vectors
-    // stay sparse throughout: cosine over hash maps instead of densifying
-    // to |feature space| entries per item, which would be quadratic in the
-    // result size (similarity is the paper's most expensive refinement —
-    // Fig. 9a — and DBpedia's M-to-N results are huge).
-    let mut items: FxHashMap<Vec<TermId>, FxHashMap<FeatureKey, f64>> = FxHashMap::default();
+    let value = |entry: &usize| profiles.sums[entry * profiles.measures + measure];
     let scalar_mode = split.context_cols.is_empty();
-    for row in &solutions.rows {
-        let key: Option<Vec<TermId>> = split
-            .example_cols
-            .iter()
-            .map(|&c| match row[c] {
-                Some(Value::Term(id)) => Some(id),
-                _ => None,
-            })
-            .collect();
-        let Some(key) = key else { continue };
-        let features: FeatureKey = split
-            .context_cols
-            .iter()
-            .map(|&c| match row[c] {
-                Some(Value::Term(id)) => Some(id),
-                _ => None,
-            })
-            .collect();
-        let value = row[mcol]
-            .as_ref()
-            .and_then(|v| v.as_number(graph))
-            .unwrap_or(0.0);
-        *items.entry(key).or_default().entry(features).or_insert(0.0) += value;
-    }
-    let example_features = items.get(&split.example_key)?.clone();
+    let example_features = profiles.items.get(&split.example_key)?;
 
-    // score every other item against the example's sparse vector
-    let mut scored: Vec<(Vec<TermId>, f64)> = items
+    // score every other item against the example's sparse vector and keep
+    // the k best: the rank is a total order (ties fall to the key), so
+    // selecting k and sorting only those gives what sorting all would
+    let mut scored: Vec<(&Vec<TermId>, f64)> = profiles
+        .items
         .iter()
         .filter(|(key, _)| **key != split.example_key)
         .map(|(key, features)| {
             let score = if scalar_mode {
-                scalar_similarity(&example_features, features)
+                scalar_similarity(example_features, features, value)
             } else {
-                sparse_cosine(&example_features, features)
+                sparse_cosine(example_features, features, value)
             };
-            (key.clone(), score)
+            (key, score)
         })
         .collect();
-    scored.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-    scored.truncate(k);
+    let by_rank = |a: &(&Vec<TermId>, f64), b: &(&Vec<TermId>, f64)| {
+        b.1.total_cmp(&a.1).then_with(|| a.0.cmp(b.0))
+    };
+    if k < scored.len() {
+        scored.select_nth_unstable_by(k, by_rank);
+        scored.truncate(k);
+    }
+    scored.sort_by(by_rank);
     if scored.is_empty() {
         return None;
     }
 
     // refinement: FILTER pinning the example dims to example ∪ top-k combos
-    let mut kept: Vec<Vec<TermId>> = vec![split.example_key.clone()];
-    kept.extend(scored.iter().map(|(key, _)| key.clone()));
+    let kept = std::iter::once(&split.example_key).chain(scored.iter().map(|(key, _)| *key));
     let vars: Vec<&str> = query
         .group_columns
         .iter()
         .filter(|gc| query.bindings().any(|b| b.level == gc.level))
         .map(|gc| gc.var.as_str())
         .collect();
-    let mut alternatives = Vec::with_capacity(kept.len());
-    for combo in &kept {
+    let mut alternatives = Vec::with_capacity(scored.len() + 1);
+    for combo in kept {
         let conjuncts: Vec<Expr> = vars
             .iter()
             .zip(combo)
@@ -201,15 +243,22 @@ fn similarity_for_measure(
 }
 
 /// Cosine similarity over sparse feature maps (missing features are 0, so
-/// only the key intersection contributes to the dot product).
-fn sparse_cosine(a: &FxHashMap<FeatureKey, f64>, b: &FxHashMap<FeatureKey, f64>) -> f64 {
+/// only the key intersection contributes to the dot product); `value`
+/// reads a map entry's feature value.
+fn sparse_cosine<V>(
+    a: &FxHashMap<FeatureKey, V>,
+    b: &FxHashMap<FeatureKey, V>,
+    value: impl Fn(&V) -> f64,
+) -> f64 {
     let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
     let dot: f64 = small
         .iter()
-        .filter_map(|(k, &x)| large.get(k).map(|&y| x * y))
+        .filter_map(|(k, x)| large.get(k).map(|y| value(x) * value(y)))
         .sum();
-    let na: f64 = a.values().map(|x| x * x).sum::<f64>().sqrt();
-    let nb: f64 = b.values().map(|x| x * x).sum::<f64>().sqrt();
+    let norm = |v: &FxHashMap<FeatureKey, V>| -> f64 {
+        v.values().map(|x| value(x) * value(x)).sum::<f64>().sqrt()
+    };
+    let (na, nb) = (norm(a), norm(b));
     if na == 0.0 || nb == 0.0 {
         return 0.0;
     }
@@ -220,9 +269,13 @@ fn sparse_cosine(a: &FxHashMap<FeatureKey, f64>, b: &FxHashMap<FeatureKey, f64>)
 /// degenerates to ±1; closeness of the measure values is used instead
 /// ("the k countries most similar … based on the values of the measure at
 /// the current aggregation level").
-fn scalar_similarity(a: &FxHashMap<FeatureKey, f64>, b: &FxHashMap<FeatureKey, f64>) -> f64 {
-    let x = a.values().copied().next().unwrap_or(0.0);
-    let y = b.values().copied().next().unwrap_or(0.0);
+fn scalar_similarity<V>(
+    a: &FxHashMap<FeatureKey, V>,
+    b: &FxHashMap<FeatureKey, V>,
+    value: impl Fn(&V) -> f64,
+) -> f64 {
+    let x = a.values().next().map_or(0.0, &value);
+    let y = b.values().next().map_or(0.0, &value);
     -(x - y).abs()
 }
 
@@ -390,12 +443,14 @@ mod tests {
         let five = sparse(&[(0, 5.0)]);
         let six = sparse(&[(0, 6.0)]);
         let fifty = sparse(&[(0, 50.0)]);
-        assert!(scalar_similarity(&five, &six) > scalar_similarity(&five, &fifty));
-        assert_eq!(scalar_similarity(&sparse(&[]), &sparse(&[])), 0.0);
+        let scalar = |a, b| scalar_similarity(a, b, |&x| x);
+        assert!(scalar(&five, &six) > scalar(&five, &fifty));
+        assert_eq!(scalar(&sparse(&[]), &sparse(&[])), 0.0);
     }
 
     #[test]
     fn cosine_properties() {
+        let sparse_cosine = |a, b| sparse_cosine(a, b, |&x| x);
         let a = sparse(&[(0, 1.0), (1, 2.0)]);
         let proportional = sparse(&[(0, 2.0), (1, 4.0)]);
         assert!((sparse_cosine(&a, &proportional) - 1.0).abs() < 1e-12);

@@ -432,7 +432,7 @@ impl AsyncCrawl<'_> {
                     chain.ticket = None;
                     let solutions = result.and_then(AsyncResponse::into_select).ok();
                     if let Some(value) = solutions.as_ref().and_then(|s| s.value(0, "l")) {
-                        chain.label = Some(value.string_form(self.graph));
+                        chain.label = Some(value.string_form(self.graph).into_owned());
                         return true;
                     }
                     chain.next_pred += 1;
@@ -820,7 +820,7 @@ fn typed_object_predicates(
     let mut predicates: Vec<String> = solutions
         .rows
         .iter()
-        .filter_map(|row| row[0].as_ref().map(|v| v.string_form(graph)))
+        .filter_map(|row| row[0].as_ref().map(|v| v.string_form(graph).into_owned()))
         .collect();
     predicates.sort_unstable();
     Ok(predicates)
@@ -915,7 +915,7 @@ fn predicates_from(solutions: &Solutions, graph: &re2x_rdf::Graph) -> Vec<String
     let mut predicates: Vec<String> = solutions
         .rows
         .iter()
-        .filter_map(|row| row[0].as_ref().map(|v| v.string_form(graph)))
+        .filter_map(|row| row[0].as_ref().map(|v| v.string_form(graph).into_owned()))
         .collect();
     predicates.sort_unstable();
     predicates

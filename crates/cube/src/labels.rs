@@ -70,7 +70,7 @@ pub fn label_of(endpoint: &dyn SparqlEndpoint, iri: &str, label_predicates: &[St
     for pred in label_predicates {
         if let Ok(solutions) = endpoint.select(&label_query(iri, pred)) {
             if let Some(value) = solutions.value(0, "l") {
-                return value.string_form(endpoint.graph());
+                return value.string_form(endpoint.graph()).into_owned();
             }
         }
     }

@@ -11,9 +11,9 @@ mod columnar;
 
 use crate::ast::*;
 use crate::error::SparqlError;
-use crate::expr::{eval_expr, EvalContext};
+use crate::expr::{eval_expr, Bindings, CompiledExpr, EvalContext};
 use crate::value::{Solutions, Value};
-use re2x_rdf::hash::FxHashMap;
+use re2x_rdf::hash::{FxHashMap, FxHashSet};
 use re2x_rdf::{Graph, Term, TermId};
 
 /// Join-order planning strategy.
@@ -30,10 +30,10 @@ pub enum PlanMode {
 /// Physical execution strategy for flat basic graph patterns.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecMode {
-    /// Sorted-ID merge joins over columnar batches of interned term ids
-    /// (the default). Falls back to [`ExecMode::Row`] automatically for
-    /// shapes the columnar kernel does not cover (FILTER-interleaved
-    /// blocks, OPTIONAL/UNION children).
+    /// Sorted-ID merge joins over columnar batches of interned term ids,
+    /// filters applied to the batch as selections (the default). Falls
+    /// back to [`ExecMode::Row`] automatically for the shapes the columnar
+    /// kernel does not cover: blocks with OPTIONAL/UNION children.
     #[default]
     Columnar,
     /// Binding-at-a-time row extension (the reference executor).
@@ -77,34 +77,33 @@ pub fn evaluate_full(
         if let Some(solutions) = compiled.try_pattern_count(graph) {
             return Ok(solutions);
         }
-        if let Some(rows) = compiled.try_distinct_probe(graph) {
-            return compiled.project(graph, rows);
+        if let Some(values) = compiled.try_distinct_probe(graph) {
+            return compiled.project(graph, &values);
         }
     }
-    let first = match query.form {
-        QueryForm::Ask => Some(1),
-        QueryForm::Select => compiled.pushed_down_limit(),
-    };
-    let rows = compiled.run_bgp(graph, first)?;
+    let found = compiled.run_bgp(graph, compiled.rows_wanted())?;
     match query.form {
         QueryForm::Ask => Ok(Solutions {
             vars: vec!["ask".to_owned()],
-            rows: vec![vec![Some(Value::Bool(!rows.is_empty()))]],
+            rows: vec![vec![Some(Value::Bool(!found.is_empty()))]],
         }),
-        QueryForm::Select => compiled.project(graph, rows),
+        QueryForm::Select => match &found {
+            Found::Rows(rows) => compiled.project(graph, rows),
+            Found::Batch(batch) => compiled.project(graph, batch),
+        },
     }
 }
 
 /// Evaluates an `ASK` query (or any query, testing for non-emptiness).
 pub fn evaluate_ask(graph: &Graph, query: &Query) -> Result<bool, SparqlError> {
     let compiled = Compiled::new(graph, query)?;
-    let rows = compiled.run_bgp(graph, Some(1))?;
-    Ok(!rows.is_empty())
+    Ok(!compiled.run_bgp(graph, Some(1))?.is_empty())
 }
 
-/// Renders the evaluation plan of a query without executing it: the chosen
-/// join order with per-pattern index-cardinality estimates and the step at
-/// which each filter applies.
+/// Renders the evaluation plan of a query without executing it: which
+/// executor runs each block (`columnar`, or `row: <reason>`), the chosen
+/// join order with per-pattern index-cardinality estimates, and the step
+/// after which each filter selects (`select <expr>`).
 pub fn explain(graph: &Graph, query: &Query) -> Result<String, SparqlError> {
     use std::fmt::Write as _;
     let compiled = Compiled::new(graph, query)?;
@@ -113,6 +112,10 @@ pub fn explain(graph: &Graph, query: &Query) -> Result<String, SparqlError> {
     let filter_step = compiled.filter_schedule(&compiled.root, &order, &prebound);
     let mut bound = prebound;
     let mut out = String::new();
+    let _ = match compiled.row_reason(compiled.rows_wanted()) {
+        None => writeln!(out, "executor: columnar"),
+        Some(reason) => writeln!(out, "executor: row: {reason}"),
+    };
     let slot_name = |slot: Slot, bound: &[bool]| match slot {
         Slot::Const(id) => graph.term(id).to_string(),
         Slot::Absent => "<absent-constant>".to_owned(),
@@ -129,6 +132,14 @@ pub fn explain(graph: &Graph, query: &Query) -> Result<String, SparqlError> {
             }
         }
     };
+    if order.is_empty() {
+        // a pattern-free block decides its variable-free filters up front
+        for (fi, filter) in compiled.root.filters.iter().enumerate() {
+            if filter_step[fi] == 0 {
+                let _ = writeln!(out, "    select {}", crate::pretty::expr(filter.expr));
+            }
+        }
+    }
     for (step, &pi) in order.iter().enumerate() {
         let p = compiled.root.patterns[pi];
         let estimate = compiled.pattern_cost(graph, p, &bound);
@@ -146,13 +157,8 @@ pub fn explain(graph: &Graph, query: &Query) -> Result<String, SparqlError> {
         }
         for (fi, filter) in compiled.root.filters.iter().enumerate() {
             if filter_step[fi] == step {
-                let _ = writeln!(out, "    filter {}", crate::pretty::expr(&filter.expr));
+                let _ = writeln!(out, "    select {}", crate::pretty::expr(filter.expr));
             }
-        }
-    }
-    for (fi, filter) in compiled.root.filters.iter().enumerate() {
-        if filter_step[fi] == usize::MAX {
-            let _ = writeln!(out, "then: filter {}", crate::pretty::expr(&filter.expr));
         }
     }
     for child in &compiled.root.children {
@@ -160,13 +166,23 @@ pub fn explain(graph: &Graph, query: &Query) -> Result<String, SparqlError> {
             Child::Optional(inner) => {
                 let _ = writeln!(
                     out,
-                    "then: left-join OPTIONAL block ({} pattern(s))",
+                    "then: left-join OPTIONAL block ({} pattern(s)), executor: row: OPTIONAL child",
                     inner.patterns.len()
                 );
             }
             Child::Union(branches) => {
-                let _ = writeln!(out, "then: UNION of {} branch(es)", branches.len());
+                let _ = writeln!(
+                    out,
+                    "then: UNION of {} branch(es), executor: row: UNION child",
+                    branches.len()
+                );
             }
+        }
+    }
+    // filters the pattern join never fully binds run after the children
+    for (fi, filter) in compiled.root.filters.iter().enumerate() {
+        if filter_step[fi] == usize::MAX {
+            let _ = writeln!(out, "then: select {}", crate::pretty::expr(filter.expr));
         }
     }
     if query.is_aggregate() {
@@ -375,58 +391,104 @@ impl Iterator for DomainIter<'_> {
     }
 }
 
-/// A filter with the registry indexes of its variables.
-struct CompiledFilter {
-    expr: Expr,
+/// A filter: its source expression (for [`explain`]), the compiled test
+/// every execution path evaluates it through, and the registry slots of
+/// its variables.
+struct CompiledFilter<'q> {
+    expr: &'q Expr,
+    test: CompiledExpr,
     vars: Vec<usize>,
 }
 
 /// A nested child of a group: an `OPTIONAL` block or a `UNION`
 /// alternation.
-enum Child {
-    Optional(Block),
-    Union(Vec<Block>),
+enum Child<'q> {
+    Optional(Block<'q>),
+    Union(Vec<Block<'q>>),
 }
 
 /// One `{ … }` group, compiled: its own triple patterns and filters plus
 /// nested children in textual order.
-struct Block {
+struct Block<'q> {
     patterns: Vec<FlatPattern>,
-    filters: Vec<CompiledFilter>,
-    children: Vec<Child>,
+    filters: Vec<CompiledFilter<'q>>,
+    children: Vec<Child<'q>>,
 }
 
-struct Compiled {
-    /// var name → registry index; internal path variables carry a `\u{1}`
-    /// prefix so they can never collide with user variables.
+/// The bindings a WHERE block produced, as projection receives them: rows
+/// from the row executor and the depth-first search, the batch itself from
+/// the columnar kernel.
+enum Found {
+    Rows(Vec<Vec<Option<TermId>>>),
+    Batch(columnar::Batch),
+}
+
+impl Found {
+    fn is_empty(&self) -> bool {
+        match self {
+            Found::Rows(rows) => rows.is_empty(),
+            Found::Batch(batch) => batch.len() == 0,
+        }
+    }
+}
+
+/// Binding rows as projection and the compiled expressions read them.
+trait Table {
+    fn len(&self) -> usize;
+
+    /// The term row `row` binds at registry slot `slot`, `None` if unbound
+    /// (or if the table has no such slot).
+    fn cell(&self, row: usize, slot: usize) -> Option<TermId>;
+}
+
+impl Table for Vec<Vec<Option<TermId>>> {
+    fn len(&self) -> usize {
+        self.as_slice().len()
+    }
+
+    fn cell(&self, row: usize, slot: usize) -> Option<TermId> {
+        self[row].binding(slot)
+    }
+}
+
+/// One row of a [`Table`], as a compiled expression's variable bindings.
+struct RowOf<'t, T>(&'t T, usize);
+
+impl<T: Table> Bindings for RowOf<'_, T> {
+    fn binding(&self, slot: usize) -> Option<TermId> {
+        self.0.cell(self.1, slot)
+    }
+}
+
+struct Compiled<'q> {
+    /// Variable registry: slot → name. Internal path variables carry a
+    /// `\u{1}` prefix so they can never collide with user variables.
     var_names: Vec<String>,
-    var_index: FxHashMap<String, usize>,
-    root: Block,
-    query: Query,
+    root: Block<'q>,
+    query: &'q Query,
     mode: PlanMode,
     exec: ExecMode,
 }
 
-impl Compiled {
-    fn new(graph: &Graph, query: &Query) -> Result<Self, SparqlError> {
+impl<'q> Compiled<'q> {
+    fn new(graph: &Graph, query: &'q Query) -> Result<Self, SparqlError> {
         Compiled::with_modes(graph, query, PlanMode::Planned, ExecMode::Columnar)
     }
 
     fn with_modes(
         graph: &Graph,
-        query: &Query,
+        query: &'q Query,
         mode: PlanMode,
         exec: ExecMode,
     ) -> Result<Self, SparqlError> {
         let mut c = Compiled {
             var_names: Vec::new(),
-            var_index: FxHashMap::default(),
             root: Block {
                 patterns: Vec::new(),
                 filters: Vec::new(),
                 children: Vec::new(),
             },
-            query: query.clone(),
+            query,
             mode,
             exec,
         };
@@ -438,9 +500,9 @@ impl Compiled {
     fn compile_elements(
         &mut self,
         graph: &Graph,
-        elements: &[PatternElement],
+        elements: &'q [PatternElement],
         internal: &mut usize,
-    ) -> Result<Block, SparqlError> {
+    ) -> Result<Block<'q>, SparqlError> {
         let mut block = Block {
             patterns: Vec::new(),
             filters: Vec::new(),
@@ -487,20 +549,22 @@ impl Compiled {
                             "aggregate calls are not allowed in WHERE filters (use HAVING)",
                         ));
                     }
-                    let mut names = Vec::new();
-                    expr.variables(&mut names);
-                    let vars = names.iter().map(|n| self.var(n)).collect();
-                    block.filters.push(CompiledFilter {
-                        expr: expr.clone(),
-                        vars,
+                    let mut vars = Vec::new();
+                    let test = CompiledExpr::compile(expr, graph, &mut |name| {
+                        let slot = self.var(name);
+                        if !vars.contains(&slot) {
+                            vars.push(slot);
+                        }
+                        slot
                     });
+                    block.filters.push(CompiledFilter { expr, test, vars });
                 }
                 PatternElement::Optional(inner) => {
                     let child = self.compile_elements(graph, inner, internal)?;
                     block.children.push(Child::Optional(child));
                 }
                 PatternElement::Union(branches) => {
-                    let compiled: Result<Vec<Block>, SparqlError> = branches
+                    let compiled: Result<Vec<Block<'q>>, SparqlError> = branches
                         .iter()
                         .map(|b| self.compile_elements(graph, b, internal))
                         .collect();
@@ -511,14 +575,18 @@ impl Compiled {
         Ok(block)
     }
 
+    /// The registry slot of a variable the WHERE block mentions. Queries
+    /// name a handful of variables, and only compilation looks them up by
+    /// name, so the registry is searched, not hashed.
+    fn slot(&self, name: &str) -> Option<usize> {
+        self.var_names.iter().position(|n| n == name)
+    }
+
     fn var(&mut self, name: &str) -> usize {
-        if let Some(&i) = self.var_index.get(name) {
-            return i;
-        }
-        let i = self.var_names.len();
-        self.var_names.push(name.to_owned());
-        self.var_index.insert(name.to_owned(), i);
-        i
+        self.slot(name).unwrap_or_else(|| {
+            self.var_names.push(name.to_owned());
+            self.var_names.len() - 1
+        })
     }
 
     fn slot_of(&mut self, graph: &Graph, tp: &TermPattern) -> Slot {
@@ -538,7 +606,7 @@ impl Compiled {
     /// identical queries always produce the same plan (`remaining` is kept
     /// in ascending index order for exactly this reason). In
     /// [`PlanMode::InOrder`], keeps the textual order.
-    fn plan_block(&self, graph: &Graph, block: &Block, prebound: &[bool]) -> Vec<usize> {
+    fn plan_block(&self, graph: &Graph, block: &Block<'q>, prebound: &[bool]) -> Vec<usize> {
         if self.mode == PlanMode::InOrder {
             return (0..block.patterns.len()).collect();
         }
@@ -617,12 +685,16 @@ impl Compiled {
         (base + 1) >> (2 * fixed).min(20)
     }
 
-    /// The number of binding rows after which evaluation may stop: a
-    /// `LIMIT` (plus `OFFSET`) can be pushed below projection only when
-    /// every binding row becomes exactly one output row in binding order —
-    /// no aggregation, `DISTINCT` or `ORDER BY` between the two.
-    fn pushed_down_limit(&self) -> Option<usize> {
-        let query = &self.query;
+    /// The number of binding rows after which evaluation may stop (`None`:
+    /// all are needed): one for `ASK`; for `SELECT` a `LIMIT` (plus
+    /// `OFFSET`), which can be pushed below projection only when every
+    /// binding row becomes exactly one output row in binding order — no
+    /// aggregation, `DISTINCT` or `ORDER BY` between the two.
+    fn rows_wanted(&self) -> Option<usize> {
+        let query = self.query;
+        if query.form == QueryForm::Ask {
+            return Some(1);
+        }
         let limit = query.limit?;
         (!query.is_aggregate() && !query.distinct && query.order_by.is_empty())
             .then(|| query.offset.unwrap_or(0).saturating_add(limit))
@@ -631,25 +703,19 @@ impl Compiled {
     /// Runs the WHERE block, returning binding rows over the variable
     /// registry. With `first = Some(n)`, returns only the first `n` rows
     /// (`ASK` is `n = 1`, a pushed-down `LIMIT` its `offset + limit`).
-    fn run_bgp(
-        &self,
-        graph: &Graph,
-        first: Option<usize>,
-    ) -> Result<Vec<Vec<Option<TermId>>>, SparqlError> {
+    fn run_bgp(&self, graph: &Graph, first: Option<usize>) -> Result<Found, SparqlError> {
         let seed = vec![None; self.var_names.len()];
-        // a single row is found by the search without building any batch
-        let existence = first == Some(1);
-        if self.exec == ExecMode::Columnar && !existence && columnar::eligible(self) {
-            // flat filter-free block: sorted-ID merge joins over columnar
-            // batches, byte-identical to the row paths below. Under a row
-            // limit the kernel gives up once a batch outgrows it — the
-            // whole answer fits the limit far more often than not, and
-            // merge joins produce it at half the per-row cost of the
-            // search that bounds the rest.
+        if self.row_reason(first).is_none() {
+            // flat block: sorted-ID merge joins over columnar batches with
+            // filters applied as selections, byte-identical to the row
+            // paths below. Under a row limit the kernel gives up once a
+            // batch outgrows it — the whole answer fits the limit far more
+            // often than not, and merge joins produce it at half the
+            // per-row cost of the search that bounds the rest.
             let budget = first.unwrap_or(usize::MAX);
-            if let Some(mut rows) = columnar::run(self, graph, budget) {
-                rows.truncate(budget);
-                return Ok(rows);
+            if let Some(mut batch) = columnar::run(self, graph, budget) {
+                batch.truncate(budget);
+                return Ok(Found::Batch(batch));
             }
         }
         if let (Some(want), true) = (first, self.root.children.is_empty()) {
@@ -657,13 +723,30 @@ impl Compiled {
             // termination — the nth complete solution ends the search, so
             // existence probes and capped fetches never materialize the
             // full join.
-            return Ok(self.first_rows(graph, &seed, want));
+            return Ok(Found::Rows(self.first_rows(graph, &seed, want)));
         }
         let mut rows = self.eval_block(graph, &self.root, vec![seed])?;
         if let Some(want) = first {
             rows.truncate(want);
         }
-        Ok(rows)
+        Ok(Found::Rows(rows))
+    }
+
+    /// Why the root block runs on the row executor when asked for its
+    /// `first` rows (`None`: all of them) — or `None` when the columnar
+    /// kernel runs it. [`Compiled::run_bgp`] dispatches on this and
+    /// [`explain`] prints it, so the two cannot disagree.
+    fn row_reason(&self, first: Option<usize>) -> Option<&'static str> {
+        if self.exec == ExecMode::Row {
+            Some("ExecMode::Row")
+        } else if !columnar::eligible(self) {
+            Some("OPTIONAL/UNION child")
+        } else if first == Some(1) {
+            // found by the search without building any batch
+            Some("single-row search")
+        } else {
+            None
+        }
     }
 
     // ---- distinct-domain probing ------------------------------------------
@@ -675,7 +758,7 @@ impl Compiled {
     /// path exactly, including the implicit single group that yields one
     /// `COUNT = 0` row for an empty match.
     fn try_pattern_count(&self, graph: &Graph) -> Option<Solutions> {
-        let query = &self.query;
+        let query = self.query;
         if !query.group_by.is_empty()
             || query.having.is_some()
             || !query.order_by.is_empty()
@@ -710,7 +793,7 @@ impl Compiled {
             Expr::Number(_) => {}
             // COUNT(?v): only when the pattern binds ?v in every row.
             Expr::Var(v) => {
-                let tv = self.var_index.get(v.as_str()).copied()?;
+                let tv = self.slot(v)?;
                 if !slots.iter().any(|s| matches!(s, Slot::Var(x) if *x == tv)) {
                     return None;
                 }
@@ -750,8 +833,8 @@ impl Compiled {
     /// output formatting, aggregation and DISTINCT semantics are shared
     /// with the general path, or `None` when the shape is not eligible or
     /// probing is not estimated to win.
-    fn try_distinct_probe(&self, graph: &Graph) -> Option<Vec<Vec<Option<TermId>>>> {
-        let query = &self.query;
+    fn try_distinct_probe(&self, graph: &Graph) -> Option<columnar::Batch> {
+        let query = self.query;
         if !query.group_by.is_empty()
             || query.having.is_some()
             || !query.order_by.is_empty()
@@ -772,7 +855,7 @@ impl Compiled {
             } => v,
             _ => return None,
         };
-        let tv = *self.var_index.get(target.as_str())?;
+        let tv = self.slot(target)?;
         let appears = self.root.patterns.iter().any(|p| {
             [p.s, p.p, p.o]
                 .iter()
@@ -796,16 +879,11 @@ impl Compiled {
         }
         out.sort_unstable();
         out.dedup();
-        let width = self.var_names.len();
-        Some(
-            out.into_iter()
-                .map(|id| {
-                    let mut r = vec![None; width];
-                    r[tv] = Some(id);
-                    r
-                })
-                .collect(),
-        )
+        Some(columnar::Batch::single_column(
+            self.var_names.len(),
+            tv,
+            out,
+        ))
     }
 
     /// Collects into `out` the distinct values `row[tv]` takes over every
@@ -930,21 +1008,9 @@ impl Compiled {
     /// semantics; filters with unbound variables are not yet decidable and
     /// pass (they are enforced later, at the search/join leaves).
     fn bound_filters_pass(&self, graph: &Graph, row: &[Option<TermId>]) -> bool {
-        let ctx = RowContext {
-            compiled: self,
-            graph,
-        };
         self.root.filters.iter().all(|f| {
-            if !f
-                .vars
-                .iter()
-                .all(|&v| row.get(v).copied().flatten().is_some())
-            {
-                return true;
-            }
-            eval_expr(&f.expr, &ctx, row)
-                .and_then(|v| v.as_bool())
-                .unwrap_or(false)
+            let decidable = f.vars.iter().all(|&v| row.binding(v).is_some());
+            !decidable || f.test.keeps(graph, row)
         })
     }
 
@@ -1126,7 +1192,7 @@ impl Compiled {
     /// pattern join: the earliest step after which all the filter's
     /// variables are bound; `usize::MAX` for filters whose variables the
     /// join never fully binds (they run after the block's children).
-    fn filter_schedule(&self, block: &Block, order: &[usize], prebound: &[bool]) -> Vec<usize> {
+    fn filter_schedule(&self, block: &Block<'q>, order: &[usize], prebound: &[bool]) -> Vec<usize> {
         let mut bound = prebound.to_vec();
         let mut schedule = vec![usize::MAX; block.filters.len()];
         for (fi, filter) in block.filters.iter().enumerate() {
@@ -1160,7 +1226,7 @@ impl Compiled {
     fn eval_block(
         &self,
         graph: &Graph,
-        block: &Block,
+        block: &Block<'q>,
         input: Vec<Vec<Option<TermId>>>,
     ) -> Result<Vec<Vec<Option<TermId>>>, SparqlError> {
         if input.is_empty() {
@@ -1174,20 +1240,12 @@ impl Compiled {
             .collect();
         let order = self.plan_block(graph, block, &prebound);
         let filter_step = self.filter_schedule(block, &order, &prebound);
-        let ctx = RowContext {
-            compiled: self,
-            graph,
-        };
 
         let mut rows = input;
         // filters decidable before any pattern runs
         for (fi, filter) in block.filters.iter().enumerate() {
             if filter_step[fi] == 0 && order.is_empty() {
-                rows.retain(|row| {
-                    eval_expr(&filter.expr, &ctx, row.as_slice())
-                        .and_then(|v| v.as_bool())
-                        .unwrap_or(false)
-                });
+                rows.retain(|row| filter.test.keeps(graph, row.as_slice()));
             }
         }
         for (step, &pi) in order.iter().enumerate() {
@@ -1199,11 +1257,7 @@ impl Compiled {
             rows = next;
             for (fi, filter) in block.filters.iter().enumerate() {
                 if filter_step[fi] == step {
-                    rows.retain(|row| {
-                        eval_expr(&filter.expr, &ctx, row.as_slice())
-                            .and_then(|v| v.as_bool())
-                            .unwrap_or(false)
-                    });
+                    rows.retain(|row| filter.test.keeps(graph, row.as_slice()));
                 }
             }
             if rows.is_empty() {
@@ -1243,11 +1297,7 @@ impl Compiled {
         // FILTER(!BOUND(?x)) negation patterns)
         for (fi, filter) in block.filters.iter().enumerate() {
             if filter_step[fi] == usize::MAX {
-                rows.retain(|row| {
-                    eval_expr(&filter.expr, &ctx, row.as_slice())
-                        .and_then(|v| v.as_bool())
-                        .unwrap_or(false)
-                });
+                rows.retain(|row| filter.test.keeps(graph, row.as_slice()));
             }
         }
         Ok(rows)
@@ -1273,19 +1323,156 @@ impl Compiled {
         });
     }
 
-    /// Turns binding rows into the projected solution sequence, handling
-    /// grouping, aggregation, HAVING, DISTINCT, ORDER BY and LIMIT/OFFSET.
-    fn project(
+    /// `GROUP BY` and every aggregate of the query in one pass over the
+    /// table: a row finds its group by hashing its key cells in place, then
+    /// feeds each distinct aggregated expression's accumulator once. Groups
+    /// come out in first-seen order, and each accumulator sees its group's
+    /// rows in table order — the order the per-aggregate loops this
+    /// replaces added them in, so every `SUM`/`AVG` keeps its bits.
+    fn aggregate<T: Table>(
         &self,
         graph: &Graph,
-        rows: Vec<Vec<Option<TermId>>>,
-    ) -> Result<Solutions, SparqlError> {
-        let query = &self.query;
+        table: &T,
+        items: &[SelectItem],
+    ) -> Result<Vec<Vec<Option<Value>>>, SparqlError> {
+        /// An output column, resolved once per query.
+        enum Column {
+            /// A grouping variable, by position in `GROUP BY`.
+            Key(usize),
+            /// An aggregate function over `args[.1]`.
+            Agg(AggFunc, usize),
+        }
+        let query = self.query;
+        let mut args: Vec<AggArg> = Vec::new();
+        let mut arg_of = |func: AggFunc, expr| {
+            let arg = args
+                .iter()
+                .position(|a: &AggArg| a.expr == expr)
+                .unwrap_or_else(|| {
+                    // a variable the WHERE block never mentions gets a slot
+                    // no table has: unbound in every row
+                    let mut slot_of = |name: &str| self.slot(name).unwrap_or(usize::MAX);
+                    args.push(AggArg {
+                        expr,
+                        eval: CompiledExpr::compile(expr, graph, &mut slot_of),
+                        distinct: false,
+                    });
+                    args.len() - 1
+                });
+            args[arg].distinct |= func == AggFunc::CountDistinct;
+            arg
+        };
+        let columns: Vec<Column> = items
+            .iter()
+            .map(|item| match item {
+                SelectItem::Var(v) => query
+                    .group_by
+                    .iter()
+                    .position(|g| g == v)
+                    .map(Column::Key)
+                    .ok_or_else(|| {
+                        SparqlError::invalid(format!(
+                            "variable ?{v} is projected but neither grouped nor aggregated"
+                        ))
+                    }),
+                SelectItem::Agg { func, expr, .. } => Ok(Column::Agg(*func, arg_of(*func, expr))),
+            })
+            .collect::<Result<_, _>>()?;
+        if let Some(having) = &query.having {
+            let mut calls = Vec::new();
+            aggregate_calls(having, &mut calls);
+            for (func, expr) in calls {
+                arg_of(func, expr);
+            }
+        }
+        let group_slots: Vec<usize> = query
+            .group_by
+            .iter()
+            .map(|g| {
+                self.slot(g).ok_or_else(|| {
+                    SparqlError::invalid(format!("GROUP BY variable ?{g} not in WHERE"))
+                })
+            })
+            .collect::<Result<_, _>>()?;
+
+        // A row finds its group one key column at a time: `levels[i]` maps
+        // (group of the first i key cells, cell i) to the group of the
+        // first i + 1, so lookups hash two integers and nothing is
+        // allocated per row or per group; the last level numbers the full
+        // keys in first-seen order. Group g's key is
+        // keys[g * width..][..width], its accumulators
+        // accs[g * args.len()..][..args.len()].
+        let width = group_slots.len();
+        let mut levels: Vec<FxHashMap<(usize, Option<TermId>), usize>> =
+            vec![FxHashMap::default(); width];
+        let mut groups = 0;
+        let mut keys: Vec<Option<TermId>> = Vec::new();
+        let mut accs: Vec<Acc> = Vec::new();
+        for row in 0..table.len() {
+            let mut group = 0;
+            for (level, &slot) in levels.iter_mut().zip(&group_slots) {
+                let fresh = level.len();
+                group = *level.entry((group, table.cell(row, slot))).or_insert(fresh);
+            }
+            if group == groups {
+                groups += 1;
+                keys.extend(group_slots.iter().map(|&slot| table.cell(row, slot)));
+                accs.extend(args.iter().map(|a| Acc::new(a.distinct)));
+            }
+            for (arg, acc) in args.iter().zip(&mut accs[group * args.len()..]) {
+                if let Some(value) = arg.eval.eval(graph, &RowOf(table, row)) {
+                    acc.add(value, graph);
+                }
+            }
+        }
+        if width == 0 && groups == 0 {
+            // Aggregates without GROUP BY range over one implicit group
+            // even when nothing matched (SPARQL returns one row with e.g.
+            // COUNT() = 0 for an empty match; we follow that).
+            accs.extend(args.iter().map(|a| Acc::new(a.distinct)));
+            groups = 1;
+        }
+
+        let mut out_rows = Vec::with_capacity(groups);
+        for g in 0..groups {
+            let group = GroupContext {
+                graph,
+                group_by: &query.group_by,
+                key: &keys[g * width..][..width],
+                args: &args,
+                accs: &accs[g * args.len()..][..args.len()],
+            };
+            if let Some(having) = &query.having {
+                let keep = eval_expr(having, &group, &()).and_then(|v| v.as_bool());
+                if keep != Some(true) {
+                    continue;
+                }
+            }
+            out_rows.push(
+                columns
+                    .iter()
+                    .map(|column| match *column {
+                        Column::Key(pos) => group.key[pos].map(Value::Term),
+                        Column::Agg(func, arg) => group.accs[arg].finish(func),
+                    })
+                    .collect(),
+            );
+        }
+        Ok(out_rows)
+    }
+
+    /// Turns binding rows into the projected solution sequence, handling
+    /// grouping, aggregation, HAVING, DISTINCT, ORDER BY and LIMIT/OFFSET.
+    fn project<T: Table>(&self, graph: &Graph, table: &T) -> Result<Solutions, SparqlError> {
+        let query = self.query;
         let aggregating = query.is_aggregate();
 
         // Determine output columns.
-        let items: Vec<SelectItem> = if query.select.is_empty() {
-            if aggregating {
+        let star: Vec<SelectItem>;
+        let items: &[SelectItem] = if !query.select.is_empty() {
+            &query.select
+        } else {
+            star = if aggregating {
                 query
                     .group_by
                     .iter()
@@ -1297,102 +1484,37 @@ impl Compiled {
                     .filter(|n| !n.starts_with('\u{1}'))
                     .map(|n| SelectItem::Var(n.clone()))
                     .collect()
-            }
-        } else {
-            query.select.clone()
+            };
+            &star
         };
 
-        let mut out_rows: Vec<Vec<Option<Value>>> = Vec::new();
-        if aggregating {
-            // validate: projected plain vars must be grouped
-            for item in &items {
-                if let SelectItem::Var(v) = item {
-                    if !query.group_by.iter().any(|g| g == v) {
-                        return Err(SparqlError::invalid(format!(
-                            "variable ?{v} is projected but neither grouped nor aggregated"
-                        )));
-                    }
-                }
-            }
-            let group_idx: Vec<usize> = query
-                .group_by
-                .iter()
-                .map(|g| {
-                    self.var_index.get(g).copied().ok_or_else(|| {
-                        SparqlError::invalid(format!("GROUP BY variable ?{g} not in WHERE"))
-                    })
-                })
-                .collect::<Result<_, _>>()?;
-
-            let mut groups: FxHashMap<Vec<Option<TermId>>, Vec<usize>> = FxHashMap::default();
-            let mut group_order: Vec<Vec<Option<TermId>>> = Vec::new();
-            for (ri, row) in rows.iter().enumerate() {
-                let key: Vec<Option<TermId>> = group_idx.iter().map(|&i| row[i]).collect();
-                groups
-                    .entry(key.clone())
-                    .or_insert_with(|| {
-                        group_order.push(key);
-                        Vec::new()
-                    })
-                    .push(ri);
-            }
-            // Implicit single group for aggregates without GROUP BY, but
-            // only if there are rows (SPARQL returns one row with e.g.
-            // COUNT()=0 for an empty match; we follow that).
-            if query.group_by.is_empty() && group_order.is_empty() {
-                group_order.push(Vec::new());
-                groups.insert(Vec::new(), Vec::new());
-            }
-
-            for key in &group_order {
-                let members = &groups[key];
-                let ctx = GroupContext {
-                    compiled: self,
-                    graph,
-                    rows: &rows,
-                    members,
-                    group_by: &query.group_by,
-                    key,
-                };
-                if let Some(having) = &query.having {
-                    let keep = ctx.eval(having).and_then(|v| v.as_bool()).unwrap_or(false);
-                    if !keep {
-                        continue;
-                    }
-                }
-                let mut out = Vec::with_capacity(items.len());
-                for item in &items {
-                    match item {
-                        SelectItem::Var(v) => out.push(ctx.group_var(v).map(Value::Term)),
-                        SelectItem::Agg { func, expr, .. } => {
-                            out.push(ctx.aggregate(*func, expr));
-                        }
-                    }
-                }
-                out_rows.push(out);
-            }
+        let mut out_rows: Vec<Vec<Option<Value>>> = if aggregating {
+            self.aggregate(graph, table, items)?
         } else {
             if query.having.is_some() {
                 return Err(SparqlError::invalid("HAVING requires aggregation"));
             }
-            // registry index per output column, resolved once (a projected
+            // registry slot per output column, resolved once (a projected
             // variable the WHERE block never binds stays unbound)
             let columns: Vec<Option<usize>> = items
                 .iter()
                 .map(|item| match item {
-                    SelectItem::Var(v) => Ok(self.var_index.get(v).copied()),
+                    SelectItem::Var(v) => Ok(self.slot(v)),
                     SelectItem::Agg { .. } => Err(SparqlError::invalid(
                         "aggregate select item outside aggregation",
                     )),
                 })
                 .collect::<Result<_, _>>()?;
-            out_rows.extend(rows.iter().map(|row| {
-                columns
-                    .iter()
-                    .map(|column| column.and_then(|i| row[i]).map(Value::Term))
-                    .collect()
-            }));
-        }
+            (0..table.len())
+                .map(|row| {
+                    columns
+                        .iter()
+                        .map(|column| column.and_then(|slot| table.cell(row, slot)))
+                        .map(|cell| cell.map(Value::Term))
+                        .collect()
+                })
+                .collect()
+        };
 
         let vars: Vec<String> = items.iter().map(|i| i.name().to_owned()).collect();
 
@@ -1461,7 +1583,7 @@ impl Compiled {
 /// One binding row is extended and restored in place, so a candidate that
 /// leads nowhere costs no allocation.
 struct FirstRows<'a> {
-    compiled: &'a Compiled,
+    compiled: &'a Compiled<'a>,
     graph: &'a Graph,
     order: &'a [usize],
     filter_step: &'a [usize],
@@ -1480,11 +1602,8 @@ impl FirstRows<'_> {
         }
         let (compiled, graph) = (self.compiled, self.graph);
         let block = &compiled.root;
-        let passes = |filter: &CompiledFilter, row: &[Option<TermId>]| {
-            eval_expr(&filter.expr, &RowContext { compiled, graph }, row)
-                .and_then(|v| v.as_bool())
-                .unwrap_or(false)
-        };
+        let passes =
+            |filter: &CompiledFilter, row: &[Option<TermId>]| filter.test.keeps(graph, row);
         if step == self.order.len() {
             // with patterns every filter already ran at its step; a
             // pattern-free block decides them all here
@@ -1541,98 +1660,100 @@ impl DedupKey {
     }
 }
 
-/// Expression context over one binding row (WHERE filters).
-pub(crate) struct RowContext<'a> {
-    compiled: &'a Compiled,
-    graph: &'a Graph,
+/// One distinct expression the query aggregates over. Every aggregate of
+/// `SELECT` and `HAVING` over the same expression reads the same
+/// accumulator, so `MAX`/`MIN`/`AVG`/`SUM(?m)` cost one evaluation of `?m`
+/// and one numeric lookup per row between them.
+struct AggArg<'a> {
+    expr: &'a Expr,
+    eval: CompiledExpr,
+    /// Whether some `COUNT(DISTINCT …)` needs the set of values.
+    distinct: bool,
 }
 
-impl<'a> EvalContext for RowContext<'a> {
-    type Row = [Option<TermId>];
-
-    fn graph(&self) -> &Graph {
-        self.graph
-    }
-
-    fn lookup(&self, name: &str, row: &Self::Row) -> Option<Value> {
-        let &i = self.compiled.var_index.get(name)?;
-        row.get(i).copied().flatten().map(Value::Term)
-    }
-
-    fn aggregate(&self, _func: AggFunc, _expr: &Expr, _row: &Self::Row) -> Option<Value> {
-        None // aggregates rejected in WHERE filters at compile time
-    }
+/// The running state of every aggregate function over one [`AggArg`]
+/// within one group.
+struct Acc {
+    count: usize,
+    numeric: usize,
+    sum: f64,
+    min: f64,
+    max: f64,
+    distinct: Option<Box<FxHashSet<DedupKey>>>,
 }
 
-/// Expression context over one group (HAVING and aggregate projection).
-struct GroupContext<'a> {
-    compiled: &'a Compiled,
-    graph: &'a Graph,
-    rows: &'a [Vec<Option<TermId>>],
-    members: &'a [usize],
-    group_by: &'a [String],
-    key: &'a [Option<TermId>],
-}
-
-impl<'a> GroupContext<'a> {
-    fn group_var(&self, name: &str) -> Option<TermId> {
-        let pos = self.group_by.iter().position(|g| g == name)?;
-        self.key.get(pos).copied().flatten()
-    }
-
-    fn eval(&self, expr: &Expr) -> Option<Value> {
-        eval_expr(expr, self, &())
-    }
-
-    fn aggregate(&self, func: AggFunc, expr: &Expr) -> Option<Value> {
-        let row_ctx = RowContext {
-            compiled: self.compiled,
-            graph: self.graph,
-        };
-        let mut count = 0usize;
-        let mut sum = 0.0f64;
-        let mut min = f64::INFINITY;
-        let mut max = f64::NEG_INFINITY;
-        let mut numeric_count = 0usize;
-        let mut distinct: re2x_rdf::hash::FxHashSet<DedupKey> = Default::default();
-        for &ri in self.members {
-            let row = &self.rows[ri];
-            let Some(v) = eval_expr(expr, &row_ctx, row.as_slice()) else {
-                continue;
-            };
-            count += 1;
-            if func == AggFunc::CountDistinct {
-                distinct.insert(DedupKey::of(&Some(v.clone())));
-            }
-            if let Some(n) = v.as_number(self.graph) {
-                numeric_count += 1;
-                sum += n;
-                min = min.min(n);
-                max = max.max(n);
-            }
+impl Acc {
+    fn new(distinct: bool) -> Self {
+        Acc {
+            count: 0,
+            numeric: 0,
+            sum: 0.0,
+            min: f64::INFINITY,
+            max: f64::NEG_INFINITY,
+            distinct: distinct.then(Box::default),
         }
+    }
+
+    fn add(&mut self, value: Value, graph: &Graph) {
+        self.count += 1;
+        if let Some(n) = value.as_number(graph) {
+            self.numeric += 1;
+            self.sum += n;
+            self.min = self.min.min(n);
+            self.max = self.max.max(n);
+        }
+        if let Some(seen) = &mut self.distinct {
+            seen.insert(DedupKey::of(&Some(value)));
+        }
+    }
+
+    fn finish(&self, func: AggFunc) -> Option<Value> {
+        let number = |n: f64| Some(Value::Number(n));
         match func {
-            AggFunc::Count => Some(Value::Number(count as f64)),
-            AggFunc::CountDistinct => Some(Value::Number(distinct.len() as f64)),
-            AggFunc::CountNumeric => Some(Value::Number(numeric_count as f64)),
-            // Unbound (not 0) when no binding was numeric, matching
+            AggFunc::Count => number(self.count as f64),
+            AggFunc::CountDistinct => number(self.distinct.as_ref()?.len() as f64),
+            AggFunc::CountNumeric => number(self.numeric as f64),
+            // Unbound (not 0) when no binding was numeric, like
             // Avg/Min/Max — a spurious `SUM = 0` would satisfy HAVING
             // filters over groups that carry no numeric data at all.
-            AggFunc::Sum => (numeric_count > 0).then_some(Value::Number(sum)),
-            AggFunc::Avg => {
-                if numeric_count == 0 {
-                    None
-                } else {
-                    Some(Value::Number(sum / numeric_count as f64))
-                }
-            }
-            AggFunc::Min => (numeric_count > 0).then_some(Value::Number(min)),
-            AggFunc::Max => (numeric_count > 0).then_some(Value::Number(max)),
+            _ if self.numeric == 0 => None,
+            AggFunc::Sum => number(self.sum),
+            AggFunc::Avg => number(self.sum / self.numeric as f64),
+            AggFunc::Min => number(self.min),
+            AggFunc::Max => number(self.max),
         }
     }
 }
 
-impl<'a> EvalContext for GroupContext<'a> {
+/// Collects the aggregate calls of a `HAVING` expression (not descending
+/// into their arguments: an aggregate of an aggregate has no value).
+fn aggregate_calls<'a>(expr: &'a Expr, out: &mut Vec<(AggFunc, &'a Expr)>) {
+    match expr {
+        Expr::Agg(func, inner) => out.push((*func, inner)),
+        Expr::Var(_) | Expr::Iri(_) | Expr::Literal(_) | Expr::Number(_) | Expr::Bool(_) => {}
+        Expr::Not(e) => aggregate_calls(e, out),
+        Expr::And(a, b) | Expr::Or(a, b) | Expr::Cmp(a, _, b) | Expr::Arith(a, _, b) => {
+            aggregate_calls(a, out);
+            aggregate_calls(b, out);
+        }
+        Expr::In(e, list) => {
+            aggregate_calls(e, out);
+            list.iter().for_each(|item| aggregate_calls(item, out));
+        }
+        Expr::Call(_, args) => args.iter().for_each(|arg| aggregate_calls(arg, out)),
+    }
+}
+
+/// Expression context over one finished group (`HAVING`).
+struct GroupContext<'a> {
+    graph: &'a Graph,
+    group_by: &'a [String],
+    key: &'a [Option<TermId>],
+    args: &'a [AggArg<'a>],
+    accs: &'a [Acc],
+}
+
+impl EvalContext for GroupContext<'_> {
     type Row = ();
 
     fn graph(&self) -> &Graph {
@@ -1640,10 +1761,12 @@ impl<'a> EvalContext for GroupContext<'a> {
     }
 
     fn lookup(&self, name: &str, _row: &()) -> Option<Value> {
-        self.group_var(name).map(Value::Term)
+        let pos = self.group_by.iter().position(|g| g == name)?;
+        self.key[pos].map(Value::Term)
     }
 
     fn aggregate(&self, func: AggFunc, expr: &Expr, _row: &()) -> Option<Value> {
-        GroupContext::aggregate(self, func, expr)
+        let arg = self.args.iter().position(|a| a.expr == expr)?;
+        self.accs[arg].finish(func)
     }
 }

@@ -1,11 +1,14 @@
 //! Vectorized BGP execution: sorted-ID merge joins over columnar batches.
 //!
 //! The row executor ([`super::Compiled::eval_block`]) extends bindings one
-//! row at a time, probing the store's hash indexes per row. For flat basic
-//! graph patterns — no FILTERs, no OPTIONAL/UNION children, i.e. the shape
-//! of every OLAP star query RE²xOLAP generates — this module evaluates the
-//! planned pattern chain over a [`Batch`] instead: a struct-of-arrays
-//! layout with one dense `Vec<TermId>` column per bound variable.
+//! row at a time, probing the store's hash indexes per row. For flat
+//! blocks — patterns and FILTERs, no OPTIONAL/UNION children, i.e. the
+//! shape of every OLAP star query RE²xOLAP generates and of every
+//! refinement of one — this module evaluates the planned pattern chain
+//! over a [`Batch`] instead: a struct-of-arrays layout with one dense
+//! `Vec<TermId>` column per bound variable. The batch is also what
+//! projection and aggregation read ([`super::Table`]); no row is ever
+//! materialized.
 //!
 //! Per pattern, the kernel picks one of three strategies:
 //!
@@ -26,53 +29,94 @@
 //!    uses.
 //!
 //! All three enumerate matches in exactly the index order the row
-//! executor sees, so the produced rows are *byte-identical* to
-//! [`super::Compiled::eval_block`] — the differential suites
-//! (`tests/plan_differential.rs`) hold this across datasets, plan modes,
-//! and `ShardedEndpoint` composition.
+//! executor sees, and a FILTER — applied after the step that binds the
+//! last of its variables, the row executor's own schedule — only removes
+//! rows: it is a pure function of the ids in its variables' columns (see
+//! [`crate::expr::CompiledExpr`]), evaluated per batch row into a
+//! selection the columns are gathered through. So the produced rows are
+//! *byte-identical* to [`super::Compiled::eval_block`] — the differential
+//! suites (`tests/plan_differential.rs`) hold this across datasets, plan
+//! modes, and `ShardedEndpoint` composition.
 
-use super::{Compiled, FlatPattern, Slot};
+use super::{Compiled, CompiledFilter, FlatPattern, RowOf, Slot, Table};
 use re2x_rdf::{Graph, TermId};
 
 /// Whether the compiled query's WHERE tree is a shape the columnar kernel
-/// covers: a single flat block with no filters and no children. Everything
-/// else (FILTER-interleaved blocks, OPTIONAL/UNION, property-path-free
-/// existence probes) stays on the row executor.
+/// covers: a single flat block. Blocks with OPTIONAL/UNION children stay
+/// on the row executor.
 pub(super) fn eligible(compiled: &Compiled) -> bool {
-    compiled.root.children.is_empty() && compiled.root.filters.is_empty()
+    compiled.root.children.is_empty()
 }
 
-/// Runs the root block's planned pattern chain over columnar batches,
-/// returning binding rows over the variable registry (same contract as
-/// [`super::Compiled::run_bgp`]) — or `None` as soon as a batch would
-/// outgrow `budget` rows, before materializing it. A caller that only
-/// wants the first `budget` rows then gets them from the depth-first
+/// Runs the root block's planned pattern chain and scheduled filters over
+/// columnar batches (same solutions, in the same order, as
+/// [`super::Compiled::eval_block`]) — or returns `None` as soon as a batch
+/// would outgrow `budget` rows, before materializing it. A caller that
+/// only wants the first `budget` rows then gets them from the depth-first
 /// search instead, so its work stays bounded however large the join is;
 /// `usize::MAX` never gives up.
-pub(super) fn run(
-    compiled: &Compiled,
-    graph: &Graph,
-    budget: usize,
-) -> Option<Vec<Vec<Option<TermId>>>> {
+pub(super) fn run(compiled: &Compiled, graph: &Graph, budget: usize) -> Option<Batch> {
     let nvars = compiled.var_names.len();
     let prebound = vec![false; nvars];
-    let order = compiled.plan_block(graph, &compiled.root, &prebound);
+    let root = &compiled.root;
+    let order = compiled.plan_block(graph, root, &prebound);
+    let filter_step = compiled.filter_schedule(root, &order, &prebound);
+    let due = |at: usize| -> Vec<&CompiledFilter> {
+        let scheduled = root.filters.iter().zip(&filter_step);
+        scheduled
+            .filter(|(_, &s)| s == at)
+            .map(|(f, _)| f)
+            .collect()
+    };
     let mut batch = Batch::seed(nvars);
-    for &pi in &order {
-        batch = extend(graph, &batch, compiled.root.patterns[pi], budget)?;
+    if order.is_empty() {
+        // a pattern-free block decides its variable-free filters up front
+        batch = select(graph, batch, &due(0));
+    }
+    for (step, &pi) in order.iter().enumerate() {
+        batch = extend(graph, &batch, root.patterns[pi], budget)?;
+        batch = select(graph, batch, &due(step));
         if batch.len == 0 {
-            break;
+            return Some(batch);
         }
     }
-    Some(batch.into_rows())
+    // filters naming a variable no pattern binds
+    Some(select(graph, batch, &due(usize::MAX)))
+}
+
+/// Keeps the batch rows every one of `filters` keeps, in order.
+fn select(graph: &Graph, batch: Batch, filters: &[&CompiledFilter]) -> Batch {
+    if filters.is_empty() {
+        return batch;
+    }
+    let sel: Vec<usize> = (0..batch.len)
+        .filter(|&i| {
+            let row = RowOf(&batch, i);
+            filters.iter().all(|f| f.test.keeps(graph, &row))
+        })
+        .collect();
+    if sel.len() == batch.len {
+        return batch;
+    }
+    gather(&batch, &sel, Vec::new())
 }
 
 /// A columnar batch of partial solutions: one dense column of interned
 /// term ids per *bound* variable (`None` for variables not yet bound by
 /// any pattern), all columns of identical length.
-struct Batch {
+pub(super) struct Batch {
     cols: Vec<Option<Vec<TermId>>>,
     len: usize,
+}
+
+impl Table for Batch {
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    fn cell(&self, row: usize, slot: usize) -> Option<TermId> {
+        self.cols.get(slot)?.as_ref().map(|col| col[row])
+    }
 }
 
 impl Batch {
@@ -92,18 +136,20 @@ impl Batch {
         }
     }
 
-    /// Materializes the batch back into the row representation the
-    /// projection layer consumes.
-    fn into_rows(self) -> Vec<Vec<Option<TermId>>> {
-        let mut rows = vec![vec![None; self.cols.len()]; self.len];
-        for (v, col) in self.cols.iter().enumerate() {
-            if let Some(col) = col {
-                for (row, &id) in rows.iter_mut().zip(col) {
-                    row[v] = Some(id);
-                }
-            }
+    /// A batch over `nvars` variables binding only `var`, one row per id.
+    pub(super) fn single_column(nvars: usize, var: usize, ids: Vec<TermId>) -> Self {
+        let mut batch = Batch::empty(nvars);
+        batch.len = ids.len();
+        batch.cols[var] = Some(ids);
+        batch
+    }
+
+    /// Drops every row after the first `len`.
+    pub(super) fn truncate(&mut self, len: usize) {
+        self.len = self.len.min(len);
+        for col in self.cols.iter_mut().flatten() {
+            col.truncate(len);
         }
-        rows
     }
 }
 

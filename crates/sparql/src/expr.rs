@@ -1,13 +1,25 @@
-//! Expression evaluation shared by `FILTER` (row context) and `HAVING` /
-//! aggregate projection (group context).
+//! Expression evaluation.
 //!
 //! SPARQL expression errors (type errors, unbound variables, division by
 //! zero) are modelled as `None`; a filter keeps a solution only when its
 //! expression evaluates to `Some(true)`.
+//!
+//! Two evaluators live here, each the only one for its job:
+//!
+//! * [`CompiledExpr`] evaluates everything that is a function of one
+//!   binding row — `WHERE` filters on every execution path and the
+//!   arguments of aggregates. It is compiled once per query: variables
+//!   become registry slots, constants are resolved against the graph, and
+//!   evaluation touches no variable name and no constant string again.
+//! * [`eval_expr`] walks the AST against an [`EvalContext`]. The engine
+//!   uses it for `HAVING` (one evaluation per group, with aggregates the
+//!   context supplies); the filter differential suite uses it as the
+//!   oracle [`CompiledExpr`] is checked against.
 
 use crate::ast::{AggFunc, ArithOp, CmpOp, Expr, Func};
 use crate::value::Value;
-use re2x_rdf::{Graph, Term};
+use re2x_rdf::{Graph, Literal, Term, TermId};
+use std::borrow::Cow;
 
 /// Environment against which expressions are evaluated.
 pub trait EvalContext {
@@ -29,16 +41,8 @@ pub fn eval_expr<C: EvalContext>(expr: &Expr, ctx: &C, row: &C::Row) -> Option<V
     let graph = ctx.graph();
     match expr {
         Expr::Var(v) => ctx.lookup(v, row),
-        Expr::Iri(iri) => Some(
-            graph
-                .iri_id(iri)
-                .map_or_else(|| Value::Str(iri.clone()), Value::Term),
-        ),
-        Expr::Literal(l) => Some(
-            graph
-                .term_id(&Term::Literal(l.clone()))
-                .map_or_else(|| literal_value(l), Value::Term),
-        ),
+        Expr::Iri(iri) => Some(iri_constant(graph, iri)),
+        Expr::Literal(l) => Some(literal_constant(graph, l)),
         Expr::Number(n) => Some(Value::Number(*n)),
         Expr::Bool(b) => Some(Value::Bool(*b)),
         Expr::Not(e) => eval_expr(e, ctx, row)?.as_bool().map(|b| Value::Bool(!b)),
@@ -106,16 +110,18 @@ pub fn eval_expr<C: EvalContext>(expr: &Expr, ctx: &C, row: &C::Row) -> Option<V
             },
             Func::Str => {
                 let v = eval_expr(&args[0], ctx, row)?;
-                Some(Value::Str(v.string_form(graph)))
+                Some(Value::Str(v.string_form(graph).into_owned()))
             }
             Func::LCase => {
                 let v = eval_expr(&args[0], ctx, row)?;
                 Some(Value::Str(v.string_form(graph).to_lowercase()))
             }
             Func::Contains => {
-                let hay = eval_expr(&args[0], ctx, row)?.string_form(graph);
-                let needle = eval_expr(&args[1], ctx, row)?.string_form(graph);
-                Some(Value::Bool(hay.contains(&needle)))
+                let hay = eval_expr(&args[0], ctx, row)?;
+                let needle = eval_expr(&args[1], ctx, row)?;
+                Some(Value::Bool(
+                    hay.string_form(graph).contains(&*needle.string_form(graph)),
+                ))
             }
             Func::Abs => {
                 let n = eval_expr(&args[0], ctx, row)?.as_number(graph)?;
@@ -151,12 +157,283 @@ pub fn eval_expr<C: EvalContext>(expr: &Expr, ctx: &C, row: &C::Row) -> Option<V
     }
 }
 
-/// A literal constant that is not interned in the graph, as a value.
-fn literal_value(l: &re2x_rdf::Literal) -> Value {
-    if let Some(n) = l.as_f64() {
+/// An IRI constant as a value: its term when the graph interns it, its
+/// text otherwise.
+fn iri_constant(graph: &Graph, iri: &str) -> Value {
+    graph
+        .iri_id(iri)
+        .map_or_else(|| Value::Str(iri.to_owned()), Value::Term)
+}
+
+/// A literal constant as a value: its term when the graph interns it,
+/// otherwise its number or lexical form.
+fn literal_constant(graph: &Graph, l: &Literal) -> Value {
+    if let Some(id) = graph.term_id(&Term::Literal(l.clone())) {
+        Value::Term(id)
+    } else if let Some(n) = l.as_f64() {
         Value::Number(n)
     } else {
         Value::Str(l.lexical().to_owned())
+    }
+}
+
+/// One solution's variable bindings, addressed by registry slot — what a
+/// [`CompiledExpr`] reads its variables from. Implemented for binding rows
+/// (`[Option<TermId>]`) here and for one row of a columnar batch by the
+/// evaluator.
+pub trait Bindings {
+    /// The term bound at `slot`; `None` when the variable is unbound or
+    /// the slot does not exist.
+    fn binding(&self, slot: usize) -> Option<TermId>;
+}
+
+impl Bindings for [Option<TermId>] {
+    fn binding(&self, slot: usize) -> Option<TermId> {
+        self.get(slot).copied().flatten()
+    }
+}
+
+/// An expression over one binding row, compiled against a graph and a
+/// variable registry.
+///
+/// The contract every caller relies on: the result is a **pure function of
+/// the ids** bound at the expression's slots (given the graph it was
+/// compiled against). It never looks at a variable name, never depends on
+/// where the row came from, and evaluating it has no effect — which is what
+/// lets `&&` / `||` stop at a deciding operand, lets a filter run at any
+/// step after its variables are bound, and lets the columnar kernel apply
+/// it to a batch row by row as a selection. Results agree with
+/// [`eval_expr`] on every input; nothing here can panic — an expression
+/// that has no value (an aggregate outside a group, a built-in missing an
+/// argument, a slot the row does not have) evaluates to the error value.
+#[derive(Debug, Clone)]
+pub struct CompiledExpr(Node);
+
+#[derive(Debug, Clone)]
+enum Node {
+    /// A variable, by registry slot.
+    Var(usize),
+    /// A constant, resolved against the graph at compile time.
+    Const(Value),
+    Not(Box<Node>),
+    /// `a && b && …`: nested conjunctions flattened, operands in order.
+    All(Vec<Node>),
+    /// `a || b || …`: nested disjunctions flattened, operands in order.
+    Any(Vec<Node>),
+    /// `?v = term` (either way round) against a term the graph interns —
+    /// the comparison Similarity filters are made of, kept free of the
+    /// general node's operand evaluation; [`Value::equals`] decides it, on
+    /// ids alone whenever both sides are IRIs.
+    VarIsTerm(usize, TermId),
+    Cmp(Box<Node>, CmpOp, Box<Node>),
+    Arith(Box<Node>, ArithOp, Box<Node>),
+    In(Box<Node>, Vec<Node>),
+    /// `BOUND(?v)`.
+    Bound(usize),
+    /// A one-argument built-in (everything but `BOUND` and `CONTAINS`).
+    Unary(Func, Box<Node>),
+    Contains(Box<Node>, Box<Node>),
+    /// Always the error value.
+    Error,
+}
+
+impl CompiledExpr {
+    /// Compiles `expr`: `slot_of` maps each variable name to its registry
+    /// slot (and may register names it has not seen), constants resolve
+    /// against `graph`.
+    pub fn compile(expr: &Expr, graph: &Graph, slot_of: &mut impl FnMut(&str) -> usize) -> Self {
+        CompiledExpr(Node::compile(expr, graph, slot_of))
+    }
+
+    /// The expression's value on `row`; `None` is the SPARQL error value.
+    pub fn eval<R: Bindings + ?Sized>(&self, graph: &Graph, row: &R) -> Option<Value> {
+        self.0.value(graph, row).map(Cow::into_owned)
+    }
+
+    /// Whether a `FILTER` over this expression keeps `row`: it does only
+    /// when the expression is `true` — `false` and errors both reject.
+    pub fn keeps<R: Bindings + ?Sized>(&self, graph: &Graph, row: &R) -> bool {
+        self.0.truth(graph, row) == Some(true)
+    }
+}
+
+impl Node {
+    fn compile(expr: &Expr, graph: &Graph, slot_of: &mut impl FnMut(&str) -> usize) -> Node {
+        let mut sub = |e: &Expr| Box::new(Node::compile(e, graph, slot_of));
+        match expr {
+            Expr::Var(v) => Node::Var(slot_of(v)),
+            Expr::Iri(iri) => Node::Const(iri_constant(graph, iri)),
+            Expr::Literal(l) => Node::Const(literal_constant(graph, l)),
+            Expr::Number(n) => Node::Const(Value::Number(*n)),
+            Expr::Bool(b) => Node::Const(Value::Bool(*b)),
+            Expr::Not(e) => Node::Not(sub(e)),
+            // `&&` and `||` are associative under three-valued logic (false
+            // / true dominates, then error), so a chain is one flat node
+            Expr::And(a, b) => {
+                let mut operands = Vec::new();
+                for operand in [*sub(a), *sub(b)] {
+                    match operand {
+                        Node::All(inner) => operands.extend(inner),
+                        other => operands.push(other),
+                    }
+                }
+                Node::All(operands)
+            }
+            Expr::Or(a, b) => {
+                let mut operands = Vec::new();
+                for operand in [*sub(a), *sub(b)] {
+                    match operand {
+                        Node::Any(inner) => operands.extend(inner),
+                        other => operands.push(other),
+                    }
+                }
+                Node::Any(operands)
+            }
+            Expr::Cmp(a, CmpOp::Eq, b) => match (*sub(a), *sub(b)) {
+                (Node::Var(slot), Node::Const(Value::Term(id)))
+                | (Node::Const(Value::Term(id)), Node::Var(slot)) => Node::VarIsTerm(slot, id),
+                (left, right) => Node::Cmp(Box::new(left), CmpOp::Eq, Box::new(right)),
+            },
+            Expr::Cmp(a, op, b) => Node::Cmp(sub(a), *op, sub(b)),
+            Expr::Arith(a, op, b) => Node::Arith(sub(a), *op, sub(b)),
+            Expr::In(e, list) => {
+                let needle = sub(e);
+                Node::In(needle, list.iter().map(|item| *sub(item)).collect())
+            }
+            Expr::Call(Func::Bound, args) => match args.first() {
+                Some(Expr::Var(v)) => Node::Bound(slot_of(v)),
+                _ => Node::Error,
+            },
+            Expr::Call(Func::Contains, args) => match args.as_slice() {
+                [hay, needle, ..] => Node::Contains(sub(hay), sub(needle)),
+                _ => Node::Error,
+            },
+            Expr::Call(func, args) => match args.first() {
+                Some(arg) => Node::Unary(*func, sub(arg)),
+                None => Node::Error,
+            },
+            // aggregates have no value on a single row
+            Expr::Agg(..) => Node::Error,
+        }
+    }
+
+    /// The node's value; booleans computed by [`Node::truth`] are wrapped.
+    /// Constants are lent, so a row never copies a constant's string.
+    fn value<'a, R: Bindings + ?Sized>(
+        &'a self,
+        graph: &'a Graph,
+        row: &R,
+    ) -> Option<Cow<'a, Value>> {
+        let owned = |v: Value| Some(Cow::Owned(v));
+        match self {
+            Node::Var(slot) => owned(Value::Term(row.binding(*slot)?)),
+            Node::Const(v) => Some(Cow::Borrowed(v)),
+            Node::Arith(a, op, b) => {
+                let left = a.value(graph, row)?.as_number(graph)?;
+                let right = b.value(graph, row)?.as_number(graph)?;
+                owned(Value::Number(match op {
+                    ArithOp::Add => left + right,
+                    ArithOp::Sub => left - right,
+                    ArithOp::Mul => left * right,
+                    ArithOp::Div if right == 0.0 => return None,
+                    ArithOp::Div => left / right,
+                }))
+            }
+            Node::Unary(func, arg) => {
+                let v = arg.value(graph, row)?;
+                owned(match func {
+                    Func::Str => Value::Str(v.string_form(graph).into_owned()),
+                    Func::LCase => Value::Str(v.string_form(graph).to_lowercase()),
+                    Func::Abs => Value::Number(v.as_number(graph)?.abs()),
+                    Func::IsIri => Value::Bool(matches!(
+                        *v,
+                        Value::Term(id) if graph.term(id).is_iri()
+                    )),
+                    Func::IsLiteral => Value::Bool(match *v {
+                        Value::Term(id) => graph.term(id).is_literal(),
+                        Value::Str(_) | Value::Number(_) | Value::Bool(_) => true,
+                    }),
+                    Func::IsNumeric => Value::Bool(match *v {
+                        Value::Term(id) => graph.numeric_value(id).is_some(),
+                        Value::Number(_) => true,
+                        Value::Str(_) | Value::Bool(_) => false,
+                    }),
+                    // compiled to their own nodes
+                    Func::Bound | Func::Contains => return None,
+                })
+            }
+            Node::Contains(hay, needle) => {
+                let hay = hay.value(graph, row)?;
+                let needle = needle.value(graph, row)?;
+                owned(Value::Bool(
+                    hay.string_form(graph).contains(&*needle.string_form(graph)),
+                ))
+            }
+            Node::Not(_)
+            | Node::All(_)
+            | Node::Any(_)
+            | Node::VarIsTerm(..)
+            | Node::Cmp(..)
+            | Node::In(..)
+            | Node::Bound(_) => owned(Value::Bool(self.truth(graph, row)?)),
+            Node::Error => None,
+        }
+    }
+
+    /// The node as a boolean: `None` for an error or a non-boolean value.
+    /// `&&` and `||` stop at an operand that decides them — exact under
+    /// three-valued logic, since `false && x` is `false` and `true || x`
+    /// is `true` whether `x` is true, false or an error, and evaluating
+    /// `x` has no effect to lose.
+    fn truth<R: Bindings + ?Sized>(&self, graph: &Graph, row: &R) -> Option<bool> {
+        // `deciding` wins outright; otherwise one error makes an error
+        let chain = |operands: &[Node], deciding: bool| {
+            let mut result = Some(!deciding);
+            for operand in operands {
+                match operand.truth(graph, row) {
+                    Some(b) if b == deciding => return Some(deciding),
+                    Some(_) => {}
+                    None => result = None,
+                }
+            }
+            result
+        };
+        match self {
+            Node::Not(e) => e.truth(graph, row).map(|b| !b),
+            Node::All(operands) => chain(operands, false),
+            Node::Any(operands) => chain(operands, true),
+            Node::VarIsTerm(slot, term) => {
+                Some(Value::Term(row.binding(*slot)?).equals(&Value::Term(*term), graph))
+            }
+            Node::Cmp(a, op, b) => {
+                let left = a.value(graph, row)?;
+                let right = b.value(graph, row)?;
+                Some(match op {
+                    CmpOp::Eq => left.equals(&right, graph),
+                    CmpOp::Ne => !left.equals(&right, graph),
+                    CmpOp::Lt => left.compare(&right, graph).is_lt(),
+                    CmpOp::Le => left.compare(&right, graph).is_le(),
+                    CmpOp::Gt => left.compare(&right, graph).is_gt(),
+                    CmpOp::Ge => left.compare(&right, graph).is_ge(),
+                })
+            }
+            Node::In(needle, list) => {
+                let needle = needle.value(graph, row)?;
+                for item in list {
+                    if needle.equals(&*item.value(graph, row)?, graph) {
+                        return Some(true);
+                    }
+                }
+                Some(false)
+            }
+            Node::Bound(slot) => Some(row.binding(*slot).is_some()),
+            Node::Var(_)
+            | Node::Const(_)
+            | Node::Arith(..)
+            | Node::Unary(..)
+            | Node::Contains(..)
+            | Node::Error => self.value(graph, row)?.as_bool(),
+        }
     }
 }
 
@@ -164,7 +441,6 @@ fn literal_value(l: &re2x_rdf::Literal) -> Value {
 mod tests {
     use super::*;
     use re2x_rdf::hash::FxHashMap;
-    use re2x_rdf::Literal;
 
     /// A trivial context backed by a name→value map.
     struct MapContext {

@@ -46,7 +46,7 @@ fn join(items: impl Iterator<Item = String>, sep: &str) -> String {
 
 /// CSV value form: bare IRI / lexical form / formatted number.
 fn csv_form(value: &Value, graph: &Graph) -> String {
-    value.string_form(graph)
+    value.string_form(graph).into_owned()
 }
 
 /// RFC 4180: quote when the field contains comma, quote, CR or LF; double

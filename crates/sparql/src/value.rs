@@ -1,6 +1,7 @@
 //! Runtime values and the solution-sequence representation.
 
 use re2x_rdf::{Graph, Term, TermId};
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::fmt::Write as _;
 
@@ -36,16 +37,19 @@ impl Value {
         }
     }
 
-    /// String form: lexical form for literals, the IRI for IRIs.
-    pub fn string_form(&self, graph: &Graph) -> String {
+    /// String form: lexical form for literals, the IRI for IRIs. Borrowed
+    /// from the value or the graph wherever the text already exists there
+    /// (only computed numbers and blank-node labels are rendered), so
+    /// comparisons through it do not allocate.
+    pub fn string_form<'a>(&'a self, graph: &'a Graph) -> Cow<'a, str> {
         match self {
-            Value::Str(s) => s.clone(),
-            Value::Number(n) => format_number(*n),
-            Value::Bool(b) => b.to_string(),
+            Value::Str(s) => Cow::Borrowed(s),
+            Value::Number(n) => Cow::Owned(format_number(*n)),
+            Value::Bool(b) => Cow::Borrowed(if *b { "true" } else { "false" }),
             Value::Term(id) => match graph.term(*id) {
-                Term::Iri(iri) => iri.to_string(),
-                Term::BlankNode(b) => format!("_:{b}"),
-                Term::Literal(l) => l.lexical().to_owned(),
+                Term::Iri(iri) => Cow::Borrowed(iri),
+                Term::BlankNode(b) => Cow::Owned(format!("_:{b}")),
+                Term::Literal(l) => Cow::Borrowed(l.lexical()),
             },
         }
     }
@@ -59,10 +63,17 @@ impl Value {
     /// different terms but the same number, and `equals` must agree with
     /// [`Value::compare`] (which returns `Equal` for them) so `DISTINCT` /
     /// `GROUP BY` and `ORDER BY` see the same equivalence classes.
+    ///
+    /// Two *distinct IRI* terms are unequal on their ids alone: neither is
+    /// numeric, and the interner gives one id per IRI text, so their string
+    /// forms cannot coincide.
     pub fn equals(&self, other: &Value, graph: &Graph) -> bool {
         if let (Value::Term(a), Value::Term(b)) = (self, other) {
             if a == b {
                 return true;
+            }
+            if graph.term(*a).is_iri() && graph.term(*b).is_iri() {
+                return false;
             }
         }
         if let (Some(a), Some(b)) = (self.as_number(graph), other.as_number(graph)) {
@@ -182,7 +193,10 @@ impl Solutions {
                     .map(|(i, cell)| {
                         let s = cell.as_ref().map_or_else(
                             || "—".to_owned(),
-                            |v| prettify(graph, v).unwrap_or_else(|| v.string_form(graph)),
+                            |v| {
+                                prettify(graph, v)
+                                    .unwrap_or_else(|| v.string_form(graph).into_owned())
+                            },
                         );
                         widths[i] = widths[i].max(s.chars().count());
                         s

@@ -47,6 +47,7 @@ fn string(sols: &Solutions, g: &Graph, row: usize, col: &str) -> String {
     sols.value(row, col)
         .unwrap_or_else(|| panic!("row {row} col {col} unbound"))
         .string_form(g)
+        .into_owned()
 }
 
 #[test]
@@ -432,7 +433,10 @@ fn join_order_permutations_agree() {
             .iter()
             .map(|row| {
                 row.iter()
-                    .map(|v| v.as_ref().map_or_else(String::new, |v| v.string_form(&g)))
+                    .map(|v| {
+                        v.as_ref()
+                            .map_or_else(String::new, |v| v.string_form(&g).into_owned())
+                    })
                     .collect()
             })
             .collect();
@@ -567,10 +571,13 @@ fn explain_shows_plan_and_filters() {
     )
     .expect("parse");
     let plan = re2x_sparql::explain(&g, &q).expect("explain");
+    // a flat block runs on the columnar kernel, filter and all
+    let mut lines = plan.lines();
+    assert_eq!(lines.next(), Some("executor: columnar"), "{plan}");
     // the selective constant-bound pattern is evaluated first
-    let first = plan.lines().next().expect("non-empty");
+    let first = lines.next().expect("a first step");
     assert!(first.contains("http://ex/Syria"), "{plan}");
-    assert!(plan.contains("filter (?v > 100)"), "{plan}");
+    assert!(plan.contains("    select (?v > 100)"), "{plan}");
     assert!(plan.contains("group by"), "{plan}");
     assert!(plan.contains("sort"), "{plan}");
     // bound variables are starred on later steps
@@ -595,6 +602,7 @@ fn explain_plan_is_deterministic_golden() {
     .expect("parse");
     let plan = re2x_sparql::explain(&g, &q).expect("explain");
     let expected = concat!(
+        "executor: columnar\n",
         " 0. ?o <http://ex/dest> ?d   (cost estimate 1)\n",
         " 1. ?o* <http://ex/year> ?y   (cost estimate 0)\n",
         " 2. ?o* <http://ex/applicants> ?v   (cost estimate 0)\n",
@@ -671,12 +679,12 @@ fn index_only_distinct_agrees_with_general_evaluation() {
         let mut a: Vec<String> = run(&g, fast)
             .rows
             .iter()
-            .map(|r| r[0].as_ref().expect("bound").string_form(&g))
+            .map(|r| r[0].as_ref().expect("bound").string_form(&g).into_owned())
             .collect();
         let mut b: Vec<String> = run(&g, general)
             .rows
             .iter()
-            .map(|r| r[0].as_ref().expect("bound").string_form(&g))
+            .map(|r| r[0].as_ref().expect("bound").string_form(&g).into_owned())
             .collect();
         a.sort();
         b.sort();
@@ -870,6 +878,10 @@ fn explain_mentions_nested_blocks() {
     )
     .expect("parse");
     let plan = re2x_sparql::explain(&g, &q).expect("explain");
+    assert!(
+        plan.starts_with("executor: row: OPTIONAL/UNION child\n"),
+        "{plan}"
+    );
     assert!(plan.contains("OPTIONAL block"), "{plan}");
     assert!(plan.contains("UNION of 2 branch(es)"), "{plan}");
 }

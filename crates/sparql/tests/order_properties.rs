@@ -45,6 +45,7 @@ fn key_column(solutions: &Solutions, graph: &Graph) -> Vec<String> {
                 .value(row, "v")
                 .expect("key column bound")
                 .string_form(graph)
+                .into_owned()
         })
         .collect()
 }
@@ -145,7 +146,13 @@ fn order_by_ties_resolve_identically_for_numerically_equal_literals() {
         // the tie class lands contiguously between the two extremes,
         // regardless of insertion order
         let subjects: Vec<String> = (0..solutions.len())
-            .map(|row| solutions.value(row, "s").expect("bound").string_form(&g))
+            .map(|row| {
+                solutions
+                    .value(row, "s")
+                    .expect("bound")
+                    .string_form(&g)
+                    .into_owned()
+            })
             .collect();
         assert_eq!(subjects.first().map(String::as_str), Some("http://ex/low"));
         assert_eq!(subjects.last().map(String::as_str), Some("http://ex/high"));

@@ -127,13 +127,18 @@ else
     echo "sharding.json: present (python3 unavailable, structural check only)"
 fi
 
-echo "== plan differential suite (offline) =="
+echo "== plan + filter differential suites (offline) =="
 # Every PlanMode x ExecMode combination must produce identical solutions
-# across the figure datasets and the seeded random-query harness, the
-# sharded composition must stay identical with columnar shards, and a
+# across the figure datasets and the seeded random-query harness (FILTERed
+# shapes included, asserted via explain to run on the columnar kernel), the
+# sharded composition must stay identical with columnar shards, a
 # pushed-down LIMIT/OFFSET must return exactly that slice of the unlimited
-# answer (DISTINCT / ORDER BY / aggregate shapes not cut short).
+# answer (DISTINCT / ORDER BY / aggregate shapes not cut short), and
+# aggregates read off the batch must equal a fold over the rows bit for bit.
 cargo test -q --offline -p re2x-sparql --test plan_differential
+# The compiled filter evaluator (the only one WHERE filters run through)
+# must agree with the tree-walking eval_expr on seeded random expressions.
+cargo test -q --offline -p re2x-sparql --test filter_differential
 
 echo "== validation differential suite (offline) =="
 # Candidate validation over shared, capped observation sets must decide
@@ -283,16 +288,17 @@ cmp bench_results/watch.first.txt bench_results/watch.txt
 rm -f bench_results/watch.first.txt
 echo "watch: golden frames stable across runs"
 
-echo "== benchmark: own tests + one smoke workload (offline) =="
+echo "== benchmark: own tests + a smoke run of every workload (offline) =="
 # The benchmark package (benchmark/, BENCHMARK.json) is outside the
-# workspace: its tests cover the drivers' arithmetic and scripts, and one
-# smoke run of the workload this repo's synthesis path is measured by must
-# pass the benchmark's own output checks.
+# workspace: its tests cover the drivers' arithmetic and scripts, and a
+# smoke run of each workload must pass the benchmark's own output checks.
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
-smoke=$(bash benchmark/run.sh --workload synth_ambiguous --smoke | tail -n 1)
-case "$smoke" in
-    *'"correct": true'*) echo "benchmark smoke: synth_ambiguous correct" ;;
-    *) echo "benchmark smoke failed: $smoke" >&2; exit 1 ;;
-esac
+for workload in explore_star explore_mton synth_ambiguous serve_live; do
+    smoke=$(bash benchmark/run.sh --workload "$workload" --smoke | tail -n 1)
+    case "$smoke" in
+        *'"correct": true'*) echo "benchmark smoke: $workload correct" ;;
+        *) echo "benchmark smoke failed: $workload: $smoke" >&2; exit 1 ;;
+    esac
+done
 
 echo "verify: OK"

@@ -29,7 +29,7 @@ fn label_of(endpoint: &LocalEndpoint, value: Option<&Value>) -> String {
                 .map(|l| l.lexical().to_owned())
                 .unwrap_or_default()
         }
-        Some(v) => v.string_form(graph),
+        Some(v) => v.string_form(graph).into_owned(),
         None => String::new(),
     }
 }

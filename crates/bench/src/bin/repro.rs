@@ -332,8 +332,10 @@ fn main() {
         // Snapshot-vs-regeneration ladder: each rung regenerates Eurostat,
         // writes the dictionary-encoded snapshot, loads it back through the
         // cache, proves the loaded graph identical (digest + probe-query
-        // answers), and runs bootstrap + one ReOLAP synthesis end-to-end
-        // from the loaded graph. Full scale uses the paper-scale rungs.
+        // answers), and runs bootstrap, two ReOLAP syntheses and the
+        // interactive loop (execute, drill down, refine — derived vs
+        // executed) end-to-end from the loaded graph. Full scale uses the
+        // paper-scale rungs.
         let rungs: Vec<usize> = if args.scale_name == "smoke" {
             vec![100_000, 200_000, 400_000]
         } else {
@@ -356,6 +358,12 @@ fn main() {
         }
         if !report.all_identical() {
             eprintln!("scale: loaded snapshot diverged from the regenerated graph");
+            std::process::exit(1);
+        }
+        if !report.refined_identical() {
+            eprintln!(
+                "scale: a refinement answered from the parent's rows diverged from executing it"
+            );
             std::process::exit(1);
         }
     }

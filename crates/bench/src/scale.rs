@@ -10,7 +10,12 @@
 //! to a probe-query workload. It then bootstraps the schema and runs two
 //! ReOLAP syntheses on the *loaded* graph — a tuple validated by one `ASK`
 //! per candidate and one that takes the shared-observation-set path — so
-//! the rung's analytics run end-to-end from the snapshot.
+//! the rung's analytics run end-to-end from the snapshot. Last it walks the
+//! interactive loop on the loaded graph ([`LoopTimings`]): execute the
+//! chosen query (Orig.), drill down once (Dis.1), generate every
+//! refinement of Dis.1, and apply one Top-k and one Similarity refinement —
+//! which the session answers from Dis.1's rows — next to what executing the
+//! same refined query costs, with the two results compared byte for byte.
 //!
 //! Two claims are checked across the ladder:
 //!
@@ -27,8 +32,8 @@ use re2x_cube::{bootstrap, BootstrapConfig};
 use re2x_datagen::cache;
 use re2x_obs::Tracer;
 use re2x_rdf::graph_digest;
-use re2x_sparql::{parse_query, LocalEndpoint, Solutions, SparqlEndpoint};
-use re2xolap::{reolap, ReolapConfig};
+use re2x_sparql::{parse_query, to_tsv, LocalEndpoint, Solutions, SparqlEndpoint};
+use re2xolap::{reolap, RefineOp, Refinement, ReolapConfig, Session, SessionConfig};
 use std::fmt::Write as _;
 use std::path::Path;
 use std::time::{Duration, Instant};
@@ -67,6 +72,128 @@ pub struct ScaleRung {
     pub set_fetches: u64,
     /// … and how many of them came back over the cap.
     pub sets_truncated: u64,
+    /// The interactive loop on the loaded graph; `None` if a stage of it
+    /// failed or offered nothing.
+    pub exploration: Option<LoopTimings>,
+}
+
+/// One refinement applied to the drilled-down step: answered by the session
+/// from the rows it holds, and executed directly for comparison. Times are
+/// the minimum of three runs.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct RefinedTimings {
+    /// `Session::apply`, which derives the result from the parent's rows.
+    pub derived: Duration,
+    /// `endpoint.select` of the very same refined query.
+    pub executed: Duration,
+    /// Endpoint queries one `apply` issued (0 when derived; the most of the
+    /// three runs).
+    pub endpoint_queries: u64,
+    /// `true` if in every run the step was derived and both results
+    /// rendered to the same TSV bytes.
+    pub identical: bool,
+}
+
+/// Timings of the interactive loop on one rung, from the example tuple
+/// [`ASK_PATH_EXAMPLE`]: the first synthesized query (Orig.), its first
+/// drill-down (Dis.1), and the refinements of Dis.1.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct LoopTimings {
+    /// Executing the chosen query.
+    pub execute_orig: Duration,
+    /// Executing it after one Disaggregate.
+    pub execute_dis1: Duration,
+    /// Result rows of Dis.1 — what the refinements below work on.
+    pub dis1_rows: usize,
+    /// Generating the drill-downs of Orig.
+    pub gen_dis: Duration,
+    /// Generating the Top-k refinements of Dis.1.
+    pub gen_topk: Duration,
+    /// Generating its Percentile refinements.
+    pub gen_perc: Duration,
+    /// Generating its Similarity refinements.
+    pub gen_sim: Duration,
+    /// The first Top-k refinement of Dis.1, applied.
+    pub topk: RefinedTimings,
+    /// The first Similarity refinement of Dis.1, applied.
+    pub sim: RefinedTimings,
+}
+
+impl LoopTimings {
+    /// `true` if both applied refinements were derived and byte-identical
+    /// to their executed counterparts.
+    pub fn refined_identical(&self) -> bool {
+        self.topk.identical && self.sim.identical
+    }
+
+    /// Endpoint queries the two applied refinements issued between them.
+    pub fn derived_endpoint_queries(&self) -> u64 {
+        self.topk.endpoint_queries + self.sim.endpoint_queries
+    }
+}
+
+/// Walks the interactive loop once over `endpoint`; `None` if synthesis,
+/// an execution or a refinement stage fails or offers nothing.
+fn explore(
+    endpoint: &LocalEndpoint,
+    schema: &re2x_cube::VirtualSchemaGraph,
+) -> Option<LoopTimings> {
+    let mut session = Session::new(endpoint, schema, SessionConfig::default());
+    let chosen = session
+        .synthesize(&ASK_PATH_EXAMPLE)
+        .ok()?
+        .queries
+        .into_iter()
+        .next()?;
+    let execute_orig = session.choose(chosen).ok()?.cost.wall;
+    let generate = |session: &mut Session, op| {
+        let start = Instant::now();
+        let offers = session.refinements(op).ok()?;
+        Some((start.elapsed(), offers.into_iter().next()?))
+    };
+    let (gen_dis, drill_down) = generate(&mut session, RefineOp::Disaggregate)?;
+    let dis1 = session.apply(drill_down).ok()?;
+    let (execute_dis1, dis1_rows) = (dis1.cost.wall, dis1.solutions.len());
+    let (gen_topk, topk) = generate(&mut session, RefineOp::TopK)?;
+    let (gen_perc, _) = generate(&mut session, RefineOp::Percentile)?;
+    let (gen_sim, sim) = generate(&mut session, RefineOp::Similarity)?;
+
+    // Min of three runs, like the synthesis probes: a derived apply is a
+    // few milliseconds, where a single sample is mostly scheduler noise.
+    let refined = |session: &mut Session, offer: Refinement| {
+        let mut best = RefinedTimings {
+            derived: Duration::MAX,
+            executed: Duration::MAX,
+            endpoint_queries: 0,
+            identical: true,
+        };
+        for _ in 0..3 {
+            let step = session.apply(offer.clone()).ok()?;
+            let start = Instant::now();
+            let executed = endpoint.select(&step.query.query).ok()?;
+            best.executed = best.executed.min(start.elapsed());
+            best.derived = best.derived.min(step.cost.wall);
+            best.endpoint_queries = best.endpoint_queries.max(step.cost.endpoint_queries);
+            let graph = endpoint.graph();
+            best.identical &=
+                step.derived && to_tsv(&step.solutions, graph) == to_tsv(&executed, graph);
+            session.backtrack();
+        }
+        Some(best)
+    };
+    let topk = refined(&mut session, topk)?;
+    let sim = refined(&mut session, sim)?;
+    Some(LoopTimings {
+        execute_orig,
+        execute_dis1,
+        dis1_rows,
+        gen_dis,
+        gen_topk,
+        gen_perc,
+        gen_sim,
+        topk,
+        sim,
+    })
 }
 
 /// The `ASK`-walk probe: Germany is a destination and an origin country,
@@ -120,6 +247,17 @@ impl ScaleReport {
     /// `true` if every rung proved generated ≡ loaded.
     pub fn all_identical(&self) -> bool {
         !self.rows.is_empty() && self.rows.iter().all(|r| r.identical && r.cache_hit)
+    }
+
+    /// `true` if on every rung the applied refinements were answered from
+    /// the parent's rows, with no endpoint query, byte-identical to
+    /// executing them.
+    pub fn refined_identical(&self) -> bool {
+        !self.rows.is_empty()
+            && self.rows.iter().all(|r| {
+                r.exploration
+                    .is_some_and(|x| x.refined_identical() && x.derived_endpoint_queries() == 0)
+            })
     }
 
     /// Growth factor of a latency across the ladder, relative to the
@@ -178,6 +316,11 @@ impl ScaleReport {
             self.bootstrap_sublinear()
         );
         let _ = writeln!(out, "  \"reolap_sublinear\": {},", self.reolap_sublinear());
+        let _ = writeln!(
+            out,
+            "  \"all_refined_identical\": {},",
+            self.refined_identical()
+        );
         out.push_str("  \"rungs\": [\n");
         for (i, r) in self.rows.iter().enumerate() {
             let comma = if i + 1 < self.rows.len() { "," } else { "" };
@@ -188,7 +331,7 @@ impl ScaleReport {
                  \"load_speedup\": {:.2}, \"cache_hit\": {}, \"identical\": {}, \
                  \"bootstrap_us\": {}, \"members\": {}, \"reolap_us\": {}, \
                  \"reolap_sets_us\": {}, \"synthesized\": {}, \"set_fetches\": {}, \
-                 \"sets_truncated\": {}}}{comma}",
+                 \"sets_truncated\": {}, {}}}{comma}",
                 r.observations,
                 r.triples,
                 r.generate.as_micros(),
@@ -204,6 +347,7 @@ impl ScaleReport {
                 r.synthesized,
                 r.set_fetches,
                 r.sets_truncated,
+                loop_json(r.exploration.as_ref()),
             );
         }
         out.push_str("  ]\n");
@@ -251,8 +395,87 @@ impl ScaleReport {
             self.bootstrap_sublinear(),
             self.reolap_sublinear(),
         );
+        let _ = writeln!(out);
+        let _ = writeln!(
+            out,
+            "the loop on the loaded graph, ms — execute Orig. / Dis.1, generate per refine op, \
+             one refinement of Dis.1 derived from its rows vs executed:"
+        );
+        let _ = writeln!(
+            out,
+            "{:>12} {:>9} {:>9} {:>7} {:>8} {:>8} {:>8} {:>8} {:>9} {:>9} {:>9} {:>9} {:>9}",
+            "observations",
+            "Orig.",
+            "Dis.1",
+            "rows",
+            "gen dis",
+            "gen topk",
+            "gen perc",
+            "gen sim",
+            "topk der",
+            "topk exe",
+            "sim der",
+            "sim exe",
+            "identical"
+        );
+        for r in &self.rows {
+            let Some(x) = &r.exploration else {
+                let _ = writeln!(out, "{:>12} (the loop did not complete)", r.observations);
+                continue;
+            };
+            let _ = writeln!(
+                out,
+                "{:>12} {:>9.1} {:>9.1} {:>7} {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>9.3} {:>9.1} {:>9.3} {:>9.1} {:>9}",
+                r.observations,
+                ms(x.execute_orig),
+                ms(x.execute_dis1),
+                x.dis1_rows,
+                ms(x.gen_dis),
+                ms(x.gen_topk),
+                ms(x.gen_perc),
+                ms(x.gen_sim),
+                ms(x.topk.derived),
+                ms(x.topk.executed),
+                ms(x.sim.derived),
+                ms(x.sim.executed),
+                x.refined_identical(),
+            );
+        }
         out
     }
+}
+
+fn ms(d: Duration) -> f64 {
+    d.as_secs_f64() * 1e3
+}
+
+/// The loop columns of one rung as JSON members (no braces). The keys are
+/// always present so the schema is stable; a loop that did not complete
+/// reports zeros, `refined_identical: false` and no derived step.
+fn loop_json(exploration: Option<&LoopTimings>) -> String {
+    let x = exploration.copied().unwrap_or_default();
+    format!(
+        "\"loop_completed\": {}, \"execute_orig_ms\": {:.3}, \"execute_dis1_ms\": {:.3}, \
+         \"dis1_rows\": {}, \"gen_dis_ms\": {:.3}, \"gen_topk_ms\": {:.3}, \
+         \"gen_perc_ms\": {:.3}, \"gen_sim_ms\": {:.3}, \
+         \"topk_refined_derived_ms\": {:.3}, \"topk_refined_executed_ms\": {:.3}, \
+         \"sim_refined_derived_ms\": {:.3}, \"sim_refined_executed_ms\": {:.3}, \
+         \"refined_identical\": {}, \"derived_endpoint_queries\": {}",
+        exploration.is_some(),
+        ms(x.execute_orig),
+        ms(x.execute_dis1),
+        x.dis1_rows,
+        ms(x.gen_dis),
+        ms(x.gen_topk),
+        ms(x.gen_perc),
+        ms(x.gen_sim),
+        ms(x.topk.derived),
+        ms(x.topk.executed),
+        ms(x.sim.derived),
+        ms(x.sim.executed),
+        x.refined_identical(),
+        x.derived_endpoint_queries(),
+    )
 }
 
 /// The probe workload whose answers must be byte-identical between the
@@ -382,6 +605,12 @@ pub fn run(rungs: &[usize], seed: u64, snapshot_dir: &Path) -> ScaleReport {
         }
         let counter = |name: &str| counted.tracer.metrics().map_or(0, |m| m.counter(name));
 
+        eprintln!("scale rung: walking the interactive loop …");
+        let exploration = report
+            .as_ref()
+            .ok()
+            .and_then(|report| explore(&loaded_endpoint, &report.schema));
+
         rows.push(ScaleRung {
             observations,
             triples,
@@ -397,6 +626,7 @@ pub fn run(rungs: &[usize], seed: u64, snapshot_dir: &Path) -> ScaleReport {
             synthesized: reolap_time.is_some() && reolap_sets.is_some(),
             set_fetches: counter("reolap.validation.sets"),
             sets_truncated: counter("reolap.validation.sets_truncated"),
+            exploration,
         });
     }
     ScaleReport { seed, rows }

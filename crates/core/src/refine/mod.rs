@@ -15,7 +15,12 @@
 //!
 //! All refinements preserve the example-driven invariant: the refined
 //! query's results still contain tuples about the user's example.
+//!
+//! The last two restrict the current result, so the session answers them
+//! from the rows it already holds ([`derive`](derive::derive)) instead of
+//! executing the refined query.
 
+pub mod derive;
 pub mod disaggregate;
 pub mod similar;
 pub mod subset;

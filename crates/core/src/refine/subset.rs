@@ -153,10 +153,11 @@ pub fn percentile(
             continue;
         }
         values.sort_by(f64::total_cmp);
-        // interval bounds: [0, b1), [b1, b2), …, [b_last, 100]
-        let mut pcts: Vec<u8> = vec![0];
+        // interval bounds: [0, b1), [b1, b2), …, [b_last, 100]; the
+        // boundaries are caller-supplied, in any order and possibly repeated
+        let mut pcts: Vec<u8> = vec![0, 100];
         pcts.extend(boundaries.iter().copied().filter(|&b| b > 0 && b < 100));
-        pcts.push(100);
+        pcts.sort_unstable();
         pcts.dedup();
         let example_values: Vec<f64> = matching
             .iter()
@@ -349,6 +350,28 @@ mod tests {
         assert!(refinements[0]
             .explanation
             .contains("90th and 100th percentile"));
+    }
+
+    #[test]
+    fn percentile_boundaries_are_sorted_and_deduplicated() {
+        let (v, mut q, sols, g) = fixture();
+        // every row matches, so every non-empty interval is offered
+        q.example.clear();
+        let tidy = percentile(&v, &q, &sols, &g, &[25, 75]);
+        let messy = percentile(&v, &q, &sols, &g, &[75, 25, 25]);
+        assert_eq!(messy, tidy);
+        let intervals: Vec<(u8, u8)> = messy
+            .iter()
+            .map(|r| match &r.kind {
+                RefinementKind::Percentile {
+                    lower_pct,
+                    upper_pct,
+                    ..
+                } => (*lower_pct, *upper_pct),
+                other => panic!("unexpected {other:?}"),
+            })
+            .collect();
+        assert_eq!(intervals, vec![(0, 25), (25, 75), (75, 100)]);
     }
 
     #[test]

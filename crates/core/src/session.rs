@@ -9,6 +9,7 @@
 
 use crate::error::Re2xError;
 use crate::query_model::OlapQuery;
+use crate::refine::derive::derive;
 use crate::refine::{disaggregate, similar, subset, RefineOp, Refinement};
 use crate::reolap::{reolap, ReolapConfig, SynthesisOutcome};
 use re2x_cube::VirtualSchemaGraph;
@@ -120,15 +121,19 @@ pub struct StepCost {
     pub endpoint_busy: Duration,
 }
 
-/// One executed step of the exploration: a query and its results.
+/// One step of the exploration: a query and its results.
 #[derive(Debug, Clone)]
 pub struct Step {
-    /// The executed query.
+    /// The step's query.
     pub query: OlapQuery,
     /// Its result set.
     pub solutions: Solutions,
-    /// What executing it cost.
+    /// What producing it cost.
     pub cost: StepCost,
+    /// `true` when the result was picked out of the previous step's rows
+    /// ([`derive`]) rather than executed: no endpoint query was issued, and
+    /// the rows reflect the graph as the previous step saw it.
+    pub derived: bool,
 }
 
 /// Accumulated cost of one session phase across all its invocations.
@@ -238,12 +243,17 @@ impl<'a> Session<'a> {
     /// publishes the round on the tracer's metric surface, so live
     /// subscribers (the `re2x-tui` dashboard) see per-phase round counts
     /// and wall-time distributions even without a serving layer attached.
-    fn notify(&self, phase: SessionPhase, cost: StepCost) {
+    ///
+    /// A round answered without the endpoint (`derived`) carries a
+    /// `derived="true"` label, so a traced run can tell why its `SELECT`
+    /// count per round dropped.
+    fn notify(&self, phase: SessionPhase, cost: StepCost, derived: bool) {
         let tracer = &self.config.tracer;
         if tracer.is_enabled() {
-            let labels = [("phase", phase.as_str())];
-            tracer.counter_add(&re2x_obs::label("session.rounds", &labels), 1);
-            tracer.observe(&re2x_obs::label("session.round_wall", &labels), cost.wall);
+            let labels = [("phase", phase.as_str()), ("derived", "true")];
+            let labels = &labels[..if derived { 2 } else { 1 }];
+            tracer.counter_add(&re2x_obs::label("session.rounds", labels), 1);
+            tracer.observe(&re2x_obs::label("session.round_wall", labels), cost.wall);
         }
         if let Some(observer) = &self.config.observer {
             observer.on_phase(phase, cost);
@@ -259,7 +269,7 @@ impl<'a> Session<'a> {
         let outcome = reolap(self.endpoint, self.schema, example, &self.config.reolap)?;
         let cost = self.cost_end(begin);
         self.metrics.phases.synthesis.add(cost);
-        self.notify(SessionPhase::Synthesize, cost);
+        self.notify(SessionPhase::Synthesize, cost, false);
         self.metrics.interactions += 1;
         self.metrics.paths_offered += outcome.queries.len() as u64;
         Ok(outcome)
@@ -268,19 +278,45 @@ impl<'a> Session<'a> {
     /// Executes a chosen query and makes it the current step (Algorithm 2,
     /// line 5).
     pub fn choose(&mut self, query: OlapQuery) -> Result<&Step, Re2xError> {
+        self.advance(query, false)
+    }
+
+    /// Makes `query` the current step. A query that `refines` the current
+    /// step is answered from that step's rows when [`derive`] can prove it
+    /// a restriction of them; everything else goes to the endpoint.
+    fn advance(&mut self, query: OlapQuery, refines: bool) -> Result<&Step, Re2xError> {
         let tracer = self.config.tracer.clone();
-        let _span = tracer.span("session.execute");
+        let mut span = tracer.span("session.execute");
         let begin = self.cost_begin();
-        let solutions = self.endpoint.select(&query.query)?;
-        let cost = self.cost_end(begin);
+        let from_parent = self
+            .history
+            .last()
+            .filter(|_| refines)
+            .and_then(|parent| derive(parent, &query, self.endpoint.graph()));
+        let derived = from_parent.is_some();
+        let (solutions, cost) = match from_parent {
+            Some(solutions) => {
+                let cost = StepCost {
+                    wall: begin.0.elapsed(),
+                    ..StepCost::default()
+                };
+                (solutions, cost)
+            }
+            None => {
+                let solutions = self.endpoint.select(&query.query)?;
+                (solutions, self.cost_end(begin))
+            }
+        };
+        span.record("derived", derived);
         self.metrics.phases.execution.add(cost);
-        self.notify(SessionPhase::Execute, cost);
+        self.notify(SessionPhase::Execute, cost, derived);
         self.metrics.interactions += 1;
         self.metrics.tuples_accessible += solutions.len() as u64;
         self.history.push(Step {
             query,
             solutions,
             cost,
+            derived,
         });
         Ok(&self.history[self.history.len() - 1])
     }
@@ -327,17 +363,19 @@ impl<'a> Session<'a> {
         };
         let cost = self.cost_end(begin);
         self.metrics.phases.refinement.add(cost);
-        self.notify(SessionPhase::Refine, cost);
+        self.notify(SessionPhase::Refine, cost, false);
         self.metrics.interactions += 1;
         self.metrics.paths_offered += refinements.len() as u64;
         Ok(refinements)
     }
 
-    /// Executes every offered refinement's query, returning the result
-    /// sets in refinement order — a preview of what each exploration path
-    /// would show before committing to one with [`Session::apply`].
+    /// Every offered refinement's result set, in refinement order — a
+    /// preview of what each exploration path would show before committing
+    /// to one with [`Session::apply`]. Refinements that restrict the current
+    /// step's rows are answered from them ([`derive`]); only the others
+    /// reach the endpoint.
     ///
-    /// With `workers == 0` the queries run one after another; otherwise
+    /// With `workers == 0` those queries run one after another; otherwise
     /// they are submitted together through the poll-based async endpoint
     /// adapter and serviced by `workers` pool threads, overlapping their
     /// round-trips. Results are byte-identical either way (the async
@@ -350,36 +388,44 @@ impl<'a> Session<'a> {
         workers: usize,
     ) -> Result<Vec<Solutions>, Re2xError> {
         let tracer = self.config.tracer.clone();
-        let _span = tracer.span("session.preview");
+        let mut span = tracer.span("session.preview");
         let begin = self.cost_begin();
-        let solutions = if workers == 0 || refinements.len() < 2 {
-            refinements
-                .iter()
-                .map(|r| Ok(self.endpoint.select(&r.query.query)?))
-                .collect::<Result<Vec<Solutions>, Re2xError>>()?
+        let graph = self.endpoint.graph();
+        let mut previews: Vec<Option<Solutions>> = refinements
+            .iter()
+            .map(|r| derive(self.history.last()?, &r.query, graph))
+            .collect();
+        let pending: Vec<usize> = (0..previews.len())
+            .filter(|&i| previews[i].is_none())
+            .collect();
+        span.record("derived", previews.len() - pending.len());
+        if workers == 0 || pending.len() < 2 {
+            for &i in &pending {
+                previews[i] = Some(self.endpoint.select(&refinements[i].query.query)?);
+            }
         } else {
             let results = with_async_endpoint(self.endpoint, workers, |pool| {
-                let tickets: Vec<Ticket> = refinements
+                let tickets: Vec<Ticket> = pending
                     .iter()
-                    .map(|r| pool.submit_select(r.query.query.clone()))
+                    .map(|&i| pool.submit_select(refinements[i].query.query.clone()))
                     .collect();
                 pool.join_all(tickets)
             });
-            results
-                .into_iter()
-                .map(|r| Ok(r.and_then(AsyncResponse::into_select)?))
-                .collect::<Result<Vec<Solutions>, Re2xError>>()?
-        };
+            for (&i, result) in pending.iter().zip(results) {
+                previews[i] = Some(result.and_then(AsyncResponse::into_select)?);
+            }
+        }
         let cost = self.cost_end(begin);
         self.metrics.phases.execution.add(cost);
-        self.notify(SessionPhase::Preview, cost);
+        self.notify(SessionPhase::Preview, cost, false);
         self.metrics.interactions += 1;
-        Ok(solutions)
+        Ok(previews.into_iter().flatten().collect())
     }
 
-    /// Applies a refinement: executes its query and makes it current.
+    /// Applies a refinement: makes its query the current step, answered
+    /// from the current rows where [`derive`] allows and executed otherwise.
     pub fn apply(&mut self, refinement: Refinement) -> Result<&Step, Re2xError> {
-        self.choose(refinement.query)
+        self.advance(refinement.query, true)
     }
 
     /// Backtracks to the previous step. Returns `false` when already at the
@@ -556,6 +602,124 @@ mod tests {
         let step = session.current().expect("step");
         assert_eq!(step.cost.endpoint_queries, 1);
         assert!(step.cost.wall >= step.cost.endpoint_busy);
+    }
+
+    /// A session on the fixture, drilled down to (destination, origin).
+    fn drilled_down<'a>(
+        ep: &'a LocalEndpoint,
+        schema: &'a VirtualSchemaGraph,
+        config: SessionConfig,
+    ) -> Session<'a> {
+        let mut session = Session::new(ep, schema, config);
+        let outcome = session.synthesize(&["Germany"]).expect("synthesis");
+        session.choose(outcome.queries[0].clone()).expect("run");
+        let dis = session.refinements(RefineOp::Disaggregate).expect("dis");
+        let step = session
+            .apply(dis.into_iter().next().expect("one"))
+            .expect("run");
+        assert!(!step.derived, "a drill-down regroups");
+        session
+    }
+
+    #[test]
+    fn derived_apply_counts_as_a_round_but_not_as_an_endpoint_query() {
+        let (ep, schema) = fixture();
+        let mut session = drilled_down(&ep, &schema, SessionConfig::default());
+        let top = session.refinements(RefineOp::TopK).expect("topk").remove(0);
+        let executed = ep.select(&top.query.query).expect("runs");
+        let before = session.metrics();
+        let issued = ep.stats().total_queries();
+
+        let step = session.apply(top).expect("derives");
+        assert!(step.derived);
+        assert_eq!(step.solutions, executed);
+        assert_eq!(step.cost.endpoint_queries, 0);
+        assert_eq!(step.cost.endpoint_busy, Duration::ZERO);
+        assert_eq!(ep.stats().total_queries(), issued, "nothing reached it");
+
+        // the accounting a transcript reports is what executing gives
+        let after = session.metrics();
+        assert_eq!(after.interactions, before.interactions + 1);
+        assert_eq!(
+            after.tuples_accessible,
+            before.tuples_accessible + executed.len() as u64
+        );
+        let (was, is) = (before.phases.execution, after.phases.execution);
+        assert_eq!(is.invocations, was.invocations + 1);
+        assert_eq!(is.endpoint_queries, was.endpoint_queries);
+        assert_eq!(is.endpoint_busy, was.endpoint_busy);
+    }
+
+    #[test]
+    fn preview_sends_only_what_it_cannot_derive() {
+        let (ep, schema) = fixture();
+        for workers in [0, 2] {
+            let mut session = drilled_down(&ep, &schema, SessionConfig::default());
+            // drill-downs and dices interleaved: derivable and not
+            let dis = session.refinements(RefineOp::Disaggregate).expect("dis");
+            let tops = session.refinements(RefineOp::TopK).expect("topk");
+            let sims = session.refinements(RefineOp::Similarity).expect("sim");
+            assert!(!dis.is_empty() && !tops.is_empty() && !sims.is_empty());
+            let executing = dis.len() as u64;
+            let mut offers = tops;
+            offers.splice(1..1, dis);
+            offers.extend(sims);
+
+            let expected: Vec<Solutions> = offers
+                .iter()
+                .map(|r| ep.select(&r.query.query).expect("runs"))
+                .collect();
+            let issued = ep.stats().total_queries();
+            let phases = session.metrics().phases;
+            let previews = session.preview(&offers, workers).expect("preview");
+            assert_eq!(previews, expected, "workers={workers}: offer order");
+            assert_eq!(
+                ep.stats().total_queries() - issued,
+                executing,
+                "workers={workers}: only the drill-downs are executed"
+            );
+            let execution = session.metrics().phases.execution;
+            assert_eq!(execution.invocations, phases.execution.invocations + 1);
+            assert_eq!(
+                execution.endpoint_queries,
+                phases.execution.endpoint_queries + executing
+            );
+        }
+    }
+
+    #[test]
+    fn derived_rounds_are_labelled_on_the_tracer() {
+        let (ep, schema) = fixture();
+        let tracer = re2x_obs::Tracer::enabled();
+        let config = SessionConfig {
+            tracer: tracer.clone(),
+            ..SessionConfig::default()
+        };
+        let mut session = drilled_down(&ep, &schema, config);
+        let top = session.refinements(RefineOp::TopK).expect("topk").remove(0);
+        assert!(session.apply(top).expect("derives").derived);
+
+        let metrics = tracer.metrics().expect("enabled");
+        // the opening query and the drill-down executed, the dice did not
+        assert_eq!(metrics.counter("session.rounds{phase=\"execute\"}"), 2);
+        assert_eq!(
+            metrics.counter("session.rounds{phase=\"execute\",derived=\"true\"}"),
+            1
+        );
+        let derived_flags: Vec<String> = tracer
+            .events()
+            .iter()
+            .filter_map(|e| match e {
+                re2x_obs::TraceEvent::Exit { path, fields, .. } if path == "session.execute" => {
+                    fields
+                        .iter()
+                        .find(|(key, _)| key == "derived")
+                        .map(|(_, value)| value.clone())
+                }
+                _ => None,
+            })
+            .collect();
+        assert_eq!(derived_flags, ["false", "false", "true"]);
     }
 
     #[test]

@@ -59,13 +59,21 @@ pub fn to_markdown(session: &Session, graph: &Graph) -> String {
         out.push_str("```sparql\n");
         out.push_str(&step.query.sparql());
         out.push_str("\n```\n\n");
-        let _ = writeln!(
-            out,
-            "Cost: {} wall, {} endpoint query(ies), {} endpoint busy.\n",
-            fmt_duration(step.cost.wall),
-            step.cost.endpoint_queries,
-            fmt_duration(step.cost.endpoint_busy),
-        );
+        if step.derived {
+            let _ = writeln!(
+                out,
+                "Cost: {} wall, answered from the previous step's rows (no endpoint query).\n",
+                fmt_duration(step.cost.wall),
+            );
+        } else {
+            let _ = writeln!(
+                out,
+                "Cost: {} wall, {} endpoint query(ies), {} endpoint busy.\n",
+                fmt_duration(step.cost.wall),
+                step.cost.endpoint_queries,
+                fmt_duration(step.cost.endpoint_busy),
+            );
+        }
         let total = step.solutions.len();
         let _ = writeln!(out, "{total} result row(s):\n");
         let mut preview = step.solutions.clone();
@@ -129,6 +137,23 @@ mod tests {
         assert!(md.contains("| Refinement | 1 |"));
         assert_eq!(md.matches("Cost: ").count(), 2, "one cost line per step");
         assert!(md.contains("endpoint query(ies)"));
+        assert!(!md.contains("answered from the previous step's rows"));
+
+        // a dice of the current rows says where its result came from
+        let tops = session.refinements(RefineOp::TopK).expect("topk");
+        session
+            .apply(tops.into_iter().next().expect("one"))
+            .expect("runs");
+        let md = to_markdown(&session, endpoint.graph());
+        assert_eq!(md.matches("Cost: ").count(), 3);
+        assert_eq!(
+            md.matches("answered from the previous step's rows").count(),
+            1
+        );
+        assert!(
+            md.contains("HAVING"),
+            "the kept SPARQL still carries the dice"
+        );
     }
 
     #[test]

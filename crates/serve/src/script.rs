@@ -265,4 +265,100 @@ mod tests {
         );
         assert_eq!(t.to_text(), text, "rendering is deterministic");
     }
+
+    /// The transcript of a synthesize/refine script with every refinement
+    /// *executed*: the offer's query goes through [`Session::choose`], which
+    /// never answers from the rows the session holds.
+    fn executed_transcript(
+        endpoint: &dyn SparqlEndpoint,
+        schema: &VirtualSchemaGraph,
+        script: &SessionScript,
+    ) -> SessionTranscript {
+        let mut session = Session::new(endpoint, schema, SessionConfig::default());
+        let graph = endpoint.graph();
+        let mut rounds = Vec::new();
+        for round in &script.rounds {
+            let (op, query) = match round {
+                RoundOp::Synthesize { example, pick } => {
+                    let parts: Vec<&str> = example.iter().map(String::as_str).collect();
+                    let mut queries = session.synthesize(&parts).expect("synthesis").queries;
+                    let idx = pick % queries.len();
+                    (format!("synthesize[{idx}]"), queries.swap_remove(idx))
+                }
+                RoundOp::Refine { op, pick } => {
+                    let mut offers = session.refinements(*op).expect("offers");
+                    let idx = pick % offers.len();
+                    let label = format!("refine:{}[{idx}]", op_label(*op));
+                    (label, offers.swap_remove(idx).query)
+                }
+                other => panic!("not a synthesize/refine round: {other:?}"),
+            };
+            let step = session.choose(query).expect("runs");
+            assert!(!step.derived);
+            rounds.push(RoundRecord {
+                op,
+                digest: digest(&to_tsv(&step.solutions, graph)),
+            });
+        }
+        let metrics = session.finish();
+        SessionTranscript {
+            tenant: script.tenant.clone(),
+            rounds,
+            summary: TranscriptSummary {
+                interactions: metrics.interactions,
+                paths_offered: metrics.paths_offered,
+                tuples_accessible: metrics.tuples_accessible,
+            },
+        }
+    }
+
+    #[test]
+    fn answering_refinements_from_held_rows_leaves_the_transcript_unchanged() {
+        use re2x_cube::{bootstrap, BootstrapConfig};
+        use re2x_sparql::LocalEndpoint;
+
+        let mut dataset = re2x_datagen::running::generate();
+        let endpoint = LocalEndpoint::new(std::mem::take(&mut dataset.graph));
+        let schema = bootstrap(&endpoint, &BootstrapConfig::new(&dataset.observation_class))
+            .expect("bootstrap")
+            .schema;
+        let refine = |op, pick| RoundOp::Refine { op, pick };
+        use RefineOp::{Disaggregate, Percentile, Similarity, TopK};
+        for refines in [
+            vec![
+                refine(Disaggregate, 0),
+                refine(Similarity, 1),
+                refine(TopK, 0),
+            ],
+            vec![
+                refine(Disaggregate, 1),
+                refine(Percentile, 2),
+                refine(Similarity, 0),
+            ],
+            vec![
+                refine(TopK, 0),
+                refine(Disaggregate, 0),
+                refine(Percentile, 0),
+            ],
+        ] {
+            let mut rounds = vec![RoundOp::Synthesize {
+                example: vec!["Germany".to_owned(), "2014".to_owned()],
+                pick: 0,
+            }];
+            rounds.extend(refines);
+            let script = SessionScript {
+                tenant: "t0".to_owned(),
+                rounds,
+            };
+            let selects = || endpoint.stats().selects;
+            let start = selects();
+            let served = run_script(&endpoint, &schema, &script, &SessionConfig::default())
+                .expect("script runs");
+            let after_served = selects();
+            let executed = executed_transcript(&endpoint, &schema, &script);
+            assert_eq!(served.to_text(), executed.to_text());
+            // two of the three refinements restrict the rows already held
+            assert_eq!(after_served - start + 2, selects() - after_served);
+        }
+    }
 }

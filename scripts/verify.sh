@@ -140,6 +140,15 @@ cargo test -q --offline -p re2x-sparql --test plan_differential
 # must agree with the tree-walking eval_expr on seeded random expressions.
 cargo test -q --offline -p re2x-sparql --test filter_differential
 
+echo "== derivation differential suite (offline) =="
+# A Top-k / Percentile / Similarity refinement the session answers from
+# the parent step's rows must be the executed answer row for row and TSV
+# byte for byte — all four datasets, every order of refinements, bare /
+# caching / sharded endpoints, ties at the HAVING boundary, unbound
+# measures — and everything the structural rule does not cover must
+# still reach the endpoint.
+cargo test -q --offline -p re2xolap --test derivation_differential
+
 echo "== validation differential suite (offline) =="
 # Candidate validation over shared, capped observation sets must decide
 # exactly what the per-candidate ASK walk decides — all four datasets,
@@ -196,7 +205,10 @@ echo "== scale experiment: snapshot load vs regeneration ladder (offline) =="
 # ReOLAP on the slower of two probes per rung, one of which takes the
 # observation-set path over a member reached by a seventh to a half of all
 # observations (2 fetches, both over the cap: the check that the fetch cap
-# bounds work, not just output).
+# bounds work, not just output). Each rung then walks the interactive loop
+# on the loaded graph: the Top-k and the Similarity refinement it applies
+# to the drilled-down query must be answered from that step's rows — zero
+# endpoint queries — byte-identical to executing them.
 cargo run --release --offline -p re2x-bench --bin repro -- --out bench_results --scale smoke scale
 if command -v python3 >/dev/null 2>&1; then
     python3 - <<'EOF'
@@ -219,8 +231,16 @@ for r in rungs:
     assert r["synthesized"] is True, f"rung {r['observations']}: a ReOLAP probe found no query"
     assert int(r["set_fetches"]) == 2 and int(r["sets_truncated"]) == 2, \
         f"rung {r['observations']}: the set-path probe did not fetch two over-cap sets: {r}"
+    assert r["loop_completed"] is True and r["refined_identical"] is True, \
+        f"rung {r['observations']}: a derived refinement diverged from executing it: {r}"
+    assert int(r["derived_endpoint_queries"]) == 0, \
+        f"rung {r['observations']}: a derived refinement reached the endpoint: {r}"
+    for op in ("topk", "sim"):
+        assert 0.0 < float(r[f"{op}_refined_derived_ms"]) < float(r[f"{op}_refined_executed_ms"]), \
+            f"rung {r['observations']}: derived {op} is not cheaper than executing it: {r}"
+assert report["all_refined_identical"] is True
 print(f"scale.json: valid JSON; {len(rungs)} rungs, min load speedup {speedup:.2f}x, "
-      f"all identical, analytics sublinear")
+      f"all identical, analytics sublinear, refinements derived byte-identically")
 EOF
 else
     # no python3 in the environment: fall back to a structural spot-check
@@ -228,6 +248,11 @@ else
     grep -q '"bootstrap_sublinear": true' bench_results/scale.json
     grep -q '"reolap_sublinear": true' bench_results/scale.json
     grep -q '"sets_truncated": 2' bench_results/scale.json
+    grep -q '"all_refined_identical": true' bench_results/scale.json
+    test "$(grep -c '"refined_identical": true' bench_results/scale.json)" -ge 3
+    test "$(grep -c '"derived_endpoint_queries": 0' bench_results/scale.json)" -ge 3
+    # (`! grep` would be exempt from `set -e`)
+    if grep -q '"refined_identical": false' bench_results/scale.json; then exit 1; fi
     echo "scale.json: present (python3 unavailable, structural check only)"
 fi
 

@@ -16,6 +16,9 @@
 //! refinement of Dis.1, and apply one Top-k and one Similarity refinement —
 //! which the session answers from Dis.1's rows — next to what executing the
 //! same refined query costs, with the two results compared byte for byte.
+//! The rung ends with the serve situation, index cost only
+//! ([`write_beside_clone`]): one `Graph::clone` of the loaded graph, then
+//! one write to the source while that clone is alive.
 //!
 //! Two claims are checked across the ladder:
 //!
@@ -31,7 +34,8 @@
 use re2x_cube::{bootstrap, BootstrapConfig};
 use re2x_datagen::cache;
 use re2x_obs::Tracer;
-use re2x_rdf::graph_digest;
+use re2x_rdf::vocab::rdf;
+use re2x_rdf::{graph_digest, Graph};
 use re2x_sparql::{parse_query, to_tsv, LocalEndpoint, Solutions, SparqlEndpoint};
 use re2xolap::{reolap, RefineOp, Refinement, ReolapConfig, Session, SessionConfig};
 use std::fmt::Write as _;
@@ -75,6 +79,28 @@ pub struct ScaleRung {
     /// The interactive loop on the loaded graph; `None` if a stage of it
     /// failed or offered nothing.
     pub exploration: Option<LoopTimings>,
+    /// `Graph::clone` of the loaded graph and the first write beside that
+    /// clone ([`write_beside_clone`]); `None` if the write did not happen.
+    pub beside_clone: Option<(Duration, Duration)>,
+}
+
+/// What a tenant start and the first write after it cost on the loaded
+/// graph, index work only: one `Graph::clone`, then — the clone still
+/// alive, as a tenant's is — one new triple over already-interned ids,
+/// `<class> rdf:type <class>`, which joins the longest posting list the
+/// indexes hold (every observation's type triple). `None` if the
+/// vocabulary is missing, the triple exists or the clone saw the write.
+fn write_beside_clone(mut graph: Graph, observation_class: &str) -> Option<(Duration, Duration)> {
+    let class = graph.iri_id(observation_class)?;
+    let type_predicate = graph.iri_id(rdf::TYPE)?;
+    let start = Instant::now();
+    let tenant = graph.clone();
+    let clone = start.elapsed();
+    let start = Instant::now();
+    let inserted = graph.insert_ids(class, type_predicate, class);
+    let first_insert = start.elapsed();
+    (inserted && graph.len() == tenant.len() + 1 && graph.shares_base_with(&tenant))
+        .then_some((clone, first_insert))
 }
 
 /// One refinement applied to the drilled-down step: answered by the session
@@ -331,7 +357,7 @@ impl ScaleReport {
                  \"load_speedup\": {:.2}, \"cache_hit\": {}, \"identical\": {}, \
                  \"bootstrap_us\": {}, \"members\": {}, \"reolap_us\": {}, \
                  \"reolap_sets_us\": {}, \"synthesized\": {}, \"set_fetches\": {}, \
-                 \"sets_truncated\": {}, {}}}{comma}",
+                 \"sets_truncated\": {}, {}, {}}}{comma}",
                 r.observations,
                 r.triples,
                 r.generate.as_micros(),
@@ -348,6 +374,7 @@ impl ScaleReport {
                 r.set_fetches,
                 r.sets_truncated,
                 loop_json(r.exploration.as_ref()),
+                beside_clone_json(r.beside_clone),
             );
         }
         out.push_str("  ]\n");
@@ -441,6 +468,29 @@ impl ScaleReport {
                 x.refined_identical(),
             );
         }
+        let _ = writeln!(out);
+        let _ = writeln!(
+            out,
+            "cloning the loaded graph, then one write to it beside the live clone, ms:"
+        );
+        let _ = writeln!(
+            out,
+            "{:>12} {:>10} {:>14}",
+            "observations", "clone", "first insert"
+        );
+        for r in &self.rows {
+            let Some((clone, first_insert)) = r.beside_clone else {
+                let _ = writeln!(out, "{:>12} (the write did not happen)", r.observations);
+                continue;
+            };
+            let _ = writeln!(
+                out,
+                "{:>12} {:>10.4} {:>14.4}",
+                r.observations,
+                ms(clone),
+                ms(first_insert)
+            );
+        }
         out
     }
 }
@@ -475,6 +525,18 @@ fn loop_json(exploration: Option<&LoopTimings>) -> String {
         ms(x.sim.executed),
         x.refined_identical(),
         x.derived_endpoint_queries(),
+    )
+}
+
+/// The clone-and-write columns of one rung as JSON members; zeros and
+/// `wrote_beside_clone: false` if the write did not happen.
+fn beside_clone_json(timings: Option<(Duration, Duration)>) -> String {
+    let (clone, first_insert) = timings.unwrap_or_default();
+    format!(
+        "\"wrote_beside_clone\": {}, \"clone_ms\": {:.4}, \"first_insert_ids_ms\": {:.4}",
+        timings.is_some(),
+        ms(clone),
+        ms(first_insert),
     )
 }
 
@@ -611,6 +673,10 @@ pub fn run(rungs: &[usize], seed: u64, snapshot_dir: &Path) -> ScaleReport {
             .ok()
             .and_then(|report| explore(&loaded_endpoint, &report.schema));
 
+        eprintln!("scale rung: cloning the loaded graph and writing beside the clone …");
+        let beside_clone =
+            write_beside_clone(loaded_endpoint.into_graph(), &loaded.observation_class);
+
         rows.push(ScaleRung {
             observations,
             triples,
@@ -627,6 +693,7 @@ pub fn run(rungs: &[usize], seed: u64, snapshot_dir: &Path) -> ScaleReport {
             set_fetches: counter("reolap.validation.sets"),
             sets_truncated: counter("reolap.validation.sets_truncated"),
             exploration,
+            beside_clone,
         });
     }
     ScaleReport { seed, rows }

@@ -7,19 +7,22 @@
 //! SPARQL evaluator in `re2x-sparql` relies on for its selectivity
 //! estimates.
 //!
-//! Each index lives in one of two physical forms (see [`Index`]):
+//! Each index has one physical form (see [`Index`]): an immutable,
+//! `Arc`-shared **base** in compressed-sparse-row layout ([`FrozenIndex`])
+//! plus an **overlay** holding the whole current posting list of every
+//! `(outer, inner)` key touched since the base was built. A lookup probes
+//! the overlay (skipped while it is empty) and falls back to the base. A
+//! generated or parsed graph is an overlay over an empty base; a
+//! snapshot-loaded graph is a base with an empty overlay; a write copies
+//! one posting list, never the index, so [`Graph::clone`] costs three `Arc`
+//! bumps plus the overlay. [`Graph::compact`] folds the overlay into a
+//! fresh base.
 //!
-//! * **dynamic** — nested hash maps, grown triple-by-triple through
-//!   [`Graph::insert_ids`]; the form every generated or parsed graph has;
-//! * **frozen** — flat compressed-sparse-row arrays ([`FrozenIndex`]),
-//!   bulk-built by the snapshot loader in a handful of large allocations.
-//!   The first mutation thaws a frozen index back into nested maps.
-//!
-//! Two invariants beyond plain index coverage, holding in both forms:
+//! Two invariants beyond plain index coverage:
 //!
 //! * **Posting lists are sorted by [`TermId`].** Every posting list of the
-//!   three indexes is kept sorted (binary-search insertion in dynamic form,
-//!   sorted by construction in frozen form), so membership tests are
+//!   three indexes is kept sorted (binary-search insertion in the overlay,
+//!   sorted by construction in the base), so membership tests are
 //!   `O(log n)` and the slices returned by
 //!   [`Graph::objects`]/[`Graph::subjects`]/[`Graph::predicates_between`]
 //!   are sorted adjacency views the vectorized merge-join executor in
@@ -35,7 +38,8 @@ use crate::hash::FxHashMap;
 use crate::interner::{Interner, TermId};
 use crate::term::{Literal, Term};
 use crate::text::TextIndex;
-use std::borrow::Cow;
+use std::collections::hash_map::Entry;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// A triple of interned term ids.
@@ -49,23 +53,27 @@ pub struct Triple {
     pub o: TermId,
 }
 
-type TwoLevelIndex = FxHashMap<TermId, FxHashMap<TermId, Vec<TermId>>>;
+/// The overlay's inner level: inner key → whole current posting list.
+type InnerLists = FxHashMap<TermId, Vec<TermId>>;
 
-/// A two-level index in its bulk-loaded form: compressed sparse rows,
+/// A two-level index in its bulk-built form: compressed sparse rows,
 /// twice. Outer keys are strictly ascending; each owns a contiguous run of
 /// strictly ascending inner keys; each of those owns a contiguous, strictly
 /// ascending run of the concatenated posting array.
 ///
 /// The whole structure is five flat arrays — the snapshot loader fills
 /// them with large sequential writes instead of the one-hash-map-plus-one-
-/// `Vec` allocation *per key* the dynamic form costs, which is what makes
+/// `Vec` allocation *per key* the overlay costs, which is what makes
 /// loading a snapshot several times faster than re-running generation.
 /// Lookups binary-search the sorted key arrays instead of hashing.
+///
+/// Deliberately not `Clone`: a base is shared through its `Arc`, never
+/// copied.
 ///
 /// Offsets are `u32`, capping a snapshot-loadable graph at 2^32 − 1
 /// triples — far above the 90M-triple top rung of the scale experiment,
 /// and half the footprint of `usize` offsets at that scale.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default)]
 pub(crate) struct FrozenIndex {
     /// Outer keys, strictly ascending.
     pub(crate) outer_ids: Vec<TermId>,
@@ -83,107 +91,78 @@ pub(crate) struct FrozenIndex {
 impl FrozenIndex {
     /// Range of outer group `g` in the inner arrays.
     #[inline]
-    fn inner_range(&self, g: usize) -> (usize, usize) {
+    fn inner_range(&self, g: usize) -> Range<usize> {
         let start = if g == 0 {
             0
         } else {
             self.outer_ends[g - 1] as usize
         };
-        (start, self.outer_ends[g] as usize)
+        start..self.outer_ends[g] as usize
     }
 
-    /// Range of inner entry `k` in the posting array.
+    /// Range of outer key `a`'s run in the inner arrays; empty if `a` is
+    /// not an outer key.
     #[inline]
-    fn postings_range(&self, k: usize) -> (usize, usize) {
-        let start = if k == 0 {
+    fn group(&self, a: TermId) -> Range<usize> {
+        match self.outer_ids.binary_search(&a) {
+            Ok(g) => self.inner_range(g),
+            Err(_) => 0..0,
+        }
+    }
+
+    /// Start offset of inner entry `k`'s run in the posting array.
+    #[inline]
+    fn postings_start(&self, k: usize) -> usize {
+        if k == 0 {
             0
         } else {
             self.inner_ends[k - 1] as usize
-        };
-        (start, self.inner_ends[k] as usize)
+        }
+    }
+
+    /// The posting list of inner entry `k`.
+    #[inline]
+    fn postings_at(&self, k: usize) -> &[TermId] {
+        &self.postings[self.postings_start(k)..self.inner_ends[k] as usize]
+    }
+
+    /// The posting list under inner key `b` of the group spanning `run`,
+    /// or the empty slice.
+    #[inline]
+    fn get_in(&self, run: Range<usize>, b: TermId) -> &[TermId] {
+        match self.inner_ids[run.clone()].binary_search(&b) {
+            Ok(i) => self.postings_at(run.start + i),
+            Err(_) => &[],
+        }
     }
 
     /// The posting list under `(a, b)`, or the empty slice.
+    #[inline]
     fn get(&self, a: TermId, b: TermId) -> &[TermId] {
-        let Ok(g) = self.outer_ids.binary_search(&a) else {
-            return &[];
-        };
-        let (gs, ge) = self.inner_range(g);
-        let Ok(i) = self.inner_ids[gs..ge].binary_search(&b) else {
-            return &[];
-        };
-        let (ps, pe) = self.postings_range(gs + i);
-        &self.postings[ps..pe]
+        self.get_in(self.group(a), b)
     }
 
-    /// Total postings under outer key `a` — `O(log outer)`: the posting
-    /// runs of one group are contiguous, so the count is one subtraction.
-    fn outer_posting_count(&self, a: TermId) -> usize {
-        let Ok(g) = self.outer_ids.binary_search(&a) else {
-            return 0;
-        };
-        let (gs, ge) = self.inner_range(g);
-        if ge == gs {
+    /// Total postings of the group spanning `run` — the posting runs of
+    /// one group are contiguous, so the count is one subtraction.
+    fn posting_count(&self, run: Range<usize>) -> usize {
+        if run.is_empty() {
             return 0;
         }
-        let start = if gs == 0 {
-            0
+        self.inner_ends[run.end - 1] as usize - self.postings_start(run.start)
+    }
+
+    /// Appends one entry; callers push in strictly ascending `(a, b)`
+    /// order with `postings` strictly ascending and non-empty.
+    fn push(&mut self, a: TermId, b: TermId, postings: &[TermId]) {
+        self.postings.extend_from_slice(postings);
+        self.inner_ids.push(b);
+        self.inner_ends.push(self.postings.len() as u32);
+        if self.outer_ids.last() == Some(&a) {
+            self.outer_ends.pop();
         } else {
-            self.inner_ends[gs - 1] as usize
-        };
-        self.inner_ends[ge - 1] as usize - start
-    }
-
-    /// Rebuilds the nested-map form — the thaw path when a snapshot-loaded
-    /// graph is mutated. `O(index)`, paid once per index.
-    fn to_dynamic(&self) -> TwoLevelIndex {
-        let mut map =
-            TwoLevelIndex::with_capacity_and_hasher(self.outer_ids.len(), Default::default());
-        for (g, &a) in self.outer_ids.iter().enumerate() {
-            let (gs, ge) = self.inner_range(g);
-            let mut inner: FxHashMap<TermId, Vec<TermId>> =
-                FxHashMap::with_capacity_and_hasher(ge - gs, Default::default());
-            for k in gs..ge {
-                let (ps, pe) = self.postings_range(k);
-                inner.insert(self.inner_ids[k], self.postings[ps..pe].to_vec());
-            }
-            map.insert(a, inner);
+            self.outer_ids.push(a);
         }
-        map
-    }
-
-    /// Builds the frozen form from nested maps — the snapshot writer's path
-    /// for graphs that were grown dynamically. Sorts each key set once.
-    fn from_dynamic(map: &TwoLevelIndex) -> FrozenIndex {
-        let inner_total: usize = map.values().map(FxHashMap::len).sum();
-        let posting_total: usize = map.values().flat_map(|m| m.values()).map(Vec::len).sum();
-        let mut frozen = FrozenIndex {
-            outer_ids: Vec::with_capacity(map.len()),
-            outer_ends: Vec::with_capacity(map.len()),
-            inner_ids: Vec::with_capacity(inner_total),
-            inner_ends: Vec::with_capacity(inner_total),
-            postings: Vec::with_capacity(posting_total),
-        };
-        let mut outer: Vec<TermId> = map.keys().copied().collect();
-        outer.sort_unstable();
-        for a in outer {
-            let Some(inner) = map.get(&a) else {
-                continue;
-            };
-            let mut keys: Vec<TermId> = inner.keys().copied().collect();
-            keys.sort_unstable();
-            for b in keys {
-                let Some(postings) = inner.get(&b) else {
-                    continue;
-                };
-                frozen.postings.extend_from_slice(postings);
-                frozen.inner_ids.push(b);
-                frozen.inner_ends.push(frozen.postings.len() as u32);
-            }
-            frozen.outer_ids.push(a);
-            frozen.outer_ends.push(frozen.inner_ids.len() as u32);
-        }
-        frozen
+        self.outer_ends.push(self.inner_ids.len() as u32);
     }
 
     fn heap_bytes(&self) -> usize {
@@ -195,70 +174,121 @@ impl FrozenIndex {
     }
 }
 
-/// One of the graph's three indexes, in dynamic (nested maps) or frozen
-/// ([`FrozenIndex`]) form. Reads serve either form transparently; the
-/// first mutation [`Index::thaw`]s a frozen index back into maps.
+/// One of the graph's three indexes: an immutable shared base plus an
+/// overlay of the posting lists written since the base was built.
 ///
-/// Invariant: `frozen.is_some()` implies `dynamic` is empty — exactly one
-/// form holds data at any time.
+/// The overlay holds, for every `(outer, inner)` key touched by an insert
+/// or remove, that key's *whole* current posting list, so a lookup never
+/// merges: it returns the overlay's list if there is one and the base's
+/// otherwise. Invariants: an empty overlay list is a tombstone and exists
+/// only for keys the base holds (a key emptied without a base entry is
+/// dropped), and no inner map is empty — so `overlay.is_empty()` means
+/// "reads go straight to the base".
 #[derive(Debug, Default, Clone)]
 pub(crate) struct Index {
-    frozen: Option<FrozenIndex>,
-    dynamic: TwoLevelIndex,
+    base: Arc<FrozenIndex>,
+    overlay: FxHashMap<TermId, InnerLists>,
 }
 
 impl Index {
-    /// Wraps a bulk-built frozen index — the snapshot loader's constructor.
-    pub(crate) fn from_frozen(frozen: FrozenIndex) -> Index {
+    /// Wraps a bulk-built base — the snapshot loader's constructor.
+    pub(crate) fn from_base(base: FrozenIndex) -> Index {
         Index {
-            frozen: Some(frozen),
-            dynamic: TwoLevelIndex::default(),
+            base: Arc::new(base),
+            overlay: FxHashMap::default(),
         }
     }
 
     /// The posting list under `(a, b)`, or the empty slice.
+    #[inline]
     pub(crate) fn get(&self, a: TermId, b: TermId) -> &[TermId] {
-        if let Some(frozen) = &self.frozen {
-            return frozen.get(a, b);
+        if !self.overlay.is_empty() {
+            if let Some(list) = self.overlay.get(&a).and_then(|lists| lists.get(&b)) {
+                return list;
+            }
         }
-        self.dynamic
-            .get(&a)
-            .and_then(|m| m.get(&b))
-            .map_or(&[], Vec::as_slice)
+        self.base.get(a, b)
     }
 
-    /// `true` if any posting list exists under outer key `a`.
-    pub(crate) fn contains_outer(&self, a: TermId) -> bool {
-        if let Some(frozen) = &self.frozen {
-            return frozen.outer_ids.binary_search(&a).is_ok();
+    /// Adds `v` to the posting list under `(a, b)`, copying the base's
+    /// list into the overlay on first touch. `None` if `v` was already
+    /// there (nothing is copied then), else whether the list was empty.
+    pub(crate) fn insert(&mut self, a: TermId, b: TermId, v: TermId) -> Option<bool> {
+        let base = &self.base;
+        let lists = self.overlay.entry(a).or_default();
+        match lists.entry(b) {
+            Entry::Occupied(entry) => {
+                let list = entry.into_mut();
+                let slot = list.binary_search(&v).err()?;
+                list.insert(slot, v);
+                Some(list.len() == 1)
+            }
+            Entry::Vacant(entry) => {
+                let old = base.get(a, b);
+                let Err(slot) = old.binary_search(&v) else {
+                    if lists.is_empty() {
+                        self.overlay.remove(&a);
+                    }
+                    return None;
+                };
+                let mut list = Vec::with_capacity(old.len() + 1);
+                list.extend_from_slice(&old[..slot]);
+                list.push(v);
+                list.extend_from_slice(&old[slot..]);
+                entry.insert(list);
+                Some(old.is_empty())
+            }
         }
-        self.dynamic.contains_key(&a)
     }
 
-    /// The inner keys under outer key `a` (sorted in frozen form, hash
-    /// order in dynamic form — callers that need an order sort).
-    pub(crate) fn inner_keys(&self, a: TermId) -> Vec<TermId> {
-        if let Some(frozen) = &self.frozen {
-            let Ok(g) = frozen.outer_ids.binary_search(&a) else {
-                return Vec::new();
-            };
-            let (gs, ge) = frozen.inner_range(g);
-            return frozen.inner_ids[gs..ge].to_vec();
+    /// Removes `v` from the posting list under `(a, b)`. `None` if it was
+    /// not there (decided on the read path, so a missed remove copies
+    /// nothing), else whether the list is now empty.
+    pub(crate) fn remove(&mut self, a: TermId, b: TermId, v: TermId) -> Option<bool> {
+        let at = self.get(a, b).binary_search(&v).ok()?;
+        let old = self.base.get(a, b);
+        let lists = self.overlay.entry(a).or_default();
+        let list = lists.entry(b).or_insert_with(|| old.to_vec());
+        list.remove(at);
+        let emptied = list.is_empty();
+        // An emptied list stays as a tombstone only where it hides a base
+        // entry.
+        if emptied && old.is_empty() {
+            lists.remove(&b);
+            if lists.is_empty() {
+                self.overlay.remove(&a);
+            }
         }
-        self.dynamic
-            .get(&a)
-            .map(|m| m.keys().copied().collect())
-            .unwrap_or_default()
+        Some(emptied)
     }
 
-    /// Total postings under outer key `a`.
-    pub(crate) fn outer_posting_count(&self, a: TermId) -> usize {
-        if let Some(frozen) = &self.frozen {
-            return frozen.outer_posting_count(a);
+    /// Invokes `f` on every live `(inner key, postings)` pair of one outer
+    /// key until it returns `true`: the key's base run `run` in ascending
+    /// order with the lists of its overlay entry `over` substituted, then
+    /// the keys only `over` holds (hash order). Returns whether `f` stopped
+    /// it.
+    fn scan_group(
+        &self,
+        run: Range<usize>,
+        over: Option<&InnerLists>,
+        mut f: impl FnMut(TermId, &[TermId]) -> bool,
+    ) -> bool {
+        let base = &*self.base;
+        let Some(over) = over else {
+            return run
+                .into_iter()
+                .any(|k| f(base.inner_ids[k], base.postings_at(k)));
+        };
+        for k in run.clone() {
+            let b = base.inner_ids[k];
+            let list = over.get(&b).map_or(base.postings_at(k), Vec::as_slice);
+            if !list.is_empty() && f(b, list) {
+                return true;
+            }
         }
-        self.dynamic
-            .get(&a)
-            .map_or(0, |m| m.values().map(Vec::len).sum())
+        let in_base = &base.inner_ids[run];
+        over.iter()
+            .any(|(&b, list)| !list.is_empty() && in_base.binary_search(&b).is_err() && f(b, list))
     }
 
     /// Invokes `f` on every `(inner key, postings)` pair under `a` until it
@@ -266,29 +296,39 @@ impl Index {
     pub(crate) fn for_each_inner_until(
         &self,
         a: TermId,
-        mut f: impl FnMut(TermId, &[TermId]) -> bool,
+        f: impl FnMut(TermId, &[TermId]) -> bool,
     ) -> bool {
-        if let Some(frozen) = &self.frozen {
-            let Ok(g) = frozen.outer_ids.binary_search(&a) else {
-                return false;
-            };
-            let (gs, ge) = frozen.inner_range(g);
-            for k in gs..ge {
-                let (ps, pe) = frozen.postings_range(k);
-                if f(frozen.inner_ids[k], &frozen.postings[ps..pe]) {
-                    return true;
-                }
+        self.scan_group(self.base.group(a), self.overlay.get(&a), f)
+    }
+
+    /// `true` if any posting list exists under outer key `a`.
+    pub(crate) fn contains_outer(&self, a: TermId) -> bool {
+        self.for_each_inner_until(a, |_, _| true)
+    }
+
+    /// The inner keys under outer key `a` (base keys ascending, then the
+    /// overlay's own in hash order — callers that need an order sort).
+    pub(crate) fn inner_keys(&self, a: TermId) -> Vec<TermId> {
+        let mut keys = Vec::new();
+        self.for_each_inner_until(a, |b, _| {
+            keys.push(b);
+            false
+        });
+        keys
+    }
+
+    /// Total postings under outer key `a`: the base group's count, one
+    /// subtraction, corrected by each overlaid list under `a`.
+    pub(crate) fn outer_posting_count(&self, a: TermId) -> usize {
+        let run = self.base.group(a);
+        let mut count = self.base.posting_count(run.clone());
+        if let Some(over) = self.overlay.get(&a) {
+            for (&b, list) in over {
+                count += list.len();
+                count -= self.base.get_in(run.clone(), b).len();
             }
-            return false;
         }
-        if let Some(inner) = self.dynamic.get(&a) {
-            for (&b, postings) in inner {
-                if f(b, postings) {
-                    return true;
-                }
-            }
-        }
-        false
+        count
     }
 
     /// Invokes `f` on every `(outer, inner, postings)` entry until it
@@ -297,84 +337,117 @@ impl Index {
         &self,
         mut f: impl FnMut(TermId, TermId, &[TermId]) -> bool,
     ) -> bool {
-        if let Some(frozen) = &self.frozen {
-            for (g, &a) in frozen.outer_ids.iter().enumerate() {
-                let (gs, ge) = frozen.inner_range(g);
-                for k in gs..ge {
-                    let (ps, pe) = frozen.postings_range(k);
-                    if f(a, frozen.inner_ids[k], &frozen.postings[ps..pe]) {
-                        return true;
-                    }
-                }
-            }
-            return false;
-        }
-        for (&a, inner) in &self.dynamic {
-            for (&b, postings) in inner {
-                if f(a, b, postings) {
-                    return true;
-                }
+        let base = &*self.base;
+        for (g, &a) in base.outer_ids.iter().enumerate() {
+            let over = self.overlay.get(&a);
+            if self.scan_group(base.inner_range(g), over, |b, list| f(a, b, list)) {
+                return true;
             }
         }
-        false
+        self.overlay.iter().any(|(&a, over)| {
+            base.outer_ids.binary_search(&a).is_err()
+                && self.scan_group(0..0, Some(over), |b, list| f(a, b, list))
+        })
     }
 
     /// Invokes `f` on every `(outer, inner, postings)` entry in ascending
     /// `(outer, inner)` order — the canonical stream the snapshot writer
-    /// and content digest consume. Free on the frozen form (it *is* that
-    /// order); sorts the key sets on the dynamic form.
+    /// and content digest consume. Free over the base (it *is* that
+    /// order); the overlay's key sets are sorted and merged in.
     pub(crate) fn for_each_sorted(&self, mut f: impl FnMut(TermId, TermId, &[TermId])) {
-        if let Some(frozen) = &self.frozen {
-            for (g, &a) in frozen.outer_ids.iter().enumerate() {
-                let (gs, ge) = frozen.inner_range(g);
-                for k in gs..ge {
-                    let (ps, pe) = frozen.postings_range(k);
-                    f(a, frozen.inner_ids[k], &frozen.postings[ps..pe]);
-                }
+        let base = &*self.base;
+        let mut over: Vec<(TermId, &InnerLists)> =
+            self.overlay.iter().map(|(&a, lists)| (a, lists)).collect();
+        over.sort_unstable_by_key(|&(a, _)| a);
+        let mut over = over.into_iter().peekable();
+        for (g, &a) in base.outer_ids.iter().enumerate() {
+            while let Some((x, lists)) = over.next_if(|&(x, _)| x < a) {
+                self.sorted_group(x, 0..0, Some(lists), &mut f);
             }
-            return;
+            let lists = over.next_if(|&(x, _)| x == a).map(|(_, lists)| lists);
+            self.sorted_group(a, base.inner_range(g), lists, &mut f);
         }
-        let mut outer: Vec<TermId> = self.dynamic.keys().copied().collect();
-        outer.sort_unstable();
-        for a in outer {
-            let Some(inner) = self.dynamic.get(&a) else {
-                continue;
-            };
-            let mut keys: Vec<TermId> = inner.keys().copied().collect();
-            keys.sort_unstable();
-            for b in keys {
-                let Some(postings) = inner.get(&b) else {
-                    continue;
-                };
-                f(a, b, postings);
-            }
+        for (x, lists) in over {
+            self.sorted_group(x, 0..0, Some(lists), &mut f);
         }
     }
 
-    /// The frozen form — borrowed if the index already is frozen, built by
-    /// one sort pass otherwise. The snapshot writer's view.
-    pub(crate) fn freeze_view(&self) -> Cow<'_, FrozenIndex> {
-        if let Some(frozen) = &self.frozen {
-            Cow::Borrowed(frozen)
-        } else {
-            Cow::Owned(FrozenIndex::from_dynamic(&self.dynamic))
+    /// One group of [`Index::for_each_sorted`]: the base run and the
+    /// overlay's keys under `a` merged by inner key, the overlay winning.
+    fn sorted_group(
+        &self,
+        a: TermId,
+        run: Range<usize>,
+        over: Option<&InnerLists>,
+        f: &mut impl FnMut(TermId, TermId, &[TermId]),
+    ) {
+        let base = &*self.base;
+        let mut over: Vec<(TermId, &[TermId])> = over
+            .into_iter()
+            .flatten()
+            .map(|(&b, list)| (b, list.as_slice()))
+            .collect();
+        over.sort_unstable_by_key(|&(b, _)| b);
+        let mut over = over.into_iter().peekable();
+        let mut emit = |b: TermId, list: &[TermId]| {
+            if !list.is_empty() {
+                f(a, b, list);
+            }
+        };
+        for k in run {
+            let b = base.inner_ids[k];
+            while let Some((x, list)) = over.next_if(|&(x, _)| x < b) {
+                emit(x, list);
+            }
+            match over.next_if(|&(x, _)| x == b) {
+                Some((_, list)) => emit(b, list),
+                None => emit(b, base.postings_at(k)),
+            }
+        }
+        for (x, list) in over {
+            emit(x, list);
         }
     }
 
-    /// Mutable access to the nested-map form, converting a frozen index
-    /// first (`O(index)`, paid once — after that the index stays dynamic).
-    pub(crate) fn thaw(&mut self) -> &mut TwoLevelIndex {
-        if let Some(frozen) = self.frozen.take() {
-            self.dynamic = frozen.to_dynamic();
+    /// The whole index as one base — shared as-is while the overlay is
+    /// empty, built by one merging sweep otherwise. The snapshot writer's
+    /// view, and what [`Index::compact`] installs.
+    pub(crate) fn freeze_view(&self) -> Arc<FrozenIndex> {
+        if self.overlay.is_empty() {
+            return Arc::clone(&self.base);
         }
-        &mut self.dynamic
+        // Upper bounds (exact unless the overlay replaces base lists), so
+        // the sweep never reallocates; the slack is returned afterwards.
+        let lists = || self.overlay.values().flat_map(FxHashMap::values);
+        let outer = self.base.outer_ids.len() + self.overlay.len();
+        let inner = self.base.inner_ids.len() + lists().count();
+        let mut merged = FrozenIndex {
+            outer_ids: Vec::with_capacity(outer),
+            outer_ends: Vec::with_capacity(outer),
+            inner_ids: Vec::with_capacity(inner),
+            inner_ends: Vec::with_capacity(inner),
+            postings: Vec::with_capacity(
+                self.base.postings.len() + lists().map(Vec::len).sum::<usize>(),
+            ),
+        };
+        self.for_each_sorted(|a, b, list| merged.push(a, b, list));
+        merged.outer_ids.shrink_to_fit();
+        merged.outer_ends.shrink_to_fit();
+        merged.inner_ids.shrink_to_fit();
+        merged.inner_ends.shrink_to_fit();
+        merged.postings.shrink_to_fit();
+        Arc::new(merged)
+    }
+
+    /// Folds the overlay into a fresh base.
+    fn compact(&mut self) {
+        self.base = self.freeze_view();
+        self.overlay = FxHashMap::default();
     }
 
     fn heap_bytes(&self) -> usize {
-        if let Some(frozen) = &self.frozen {
-            return frozen.heap_bytes();
-        }
-        self.dynamic
+        let overlay: usize = self
+            .overlay
             .values()
             .map(|m| {
                 m.values()
@@ -382,7 +455,8 @@ impl Index {
                     .sum::<usize>()
                     + 16
             })
-            .sum()
+            .sum();
+        self.base.heap_bytes() + overlay
     }
 }
 
@@ -405,11 +479,14 @@ pub struct PredicateStats {
 /// An in-memory RDF graph with full index coverage and a full-text index
 /// over its literals.
 ///
-/// The term table and text index — by far the heaviest parts of a loaded
-/// graph — live behind copy-on-write handles: cloning a graph (or building
-/// shards via [`Graph::term_shell`]) shares them until a clone interns a
-/// new term or (un)indexes a literal, at which point only that clone pays
-/// for a deep copy.
+/// Cloning is cheap. The term table and text index live behind
+/// copy-on-write handles: a clone (or a shard built from
+/// [`Graph::term_shell`]) shares them until it interns a *new* term or
+/// (un)indexes a literal, at which point only that clone pays for a deep
+/// copy. The three indexes share their immutable base the same way and
+/// never un-share it: a write copies the one posting list it changes into
+/// the writer's overlay, so a clone costs the overlay (the lists written
+/// since the base was built), not the index.
 #[derive(Debug, Default, Clone)]
 pub struct Graph {
     pub(crate) interner: Arc<Interner>,
@@ -436,14 +513,17 @@ impl Graph {
     // ---- term management -------------------------------------------------
 
     /// Interns an arbitrary term.
+    ///
+    /// Only a term the table has not seen un-shares the copy-on-write term
+    /// table (and, for a literal, the text index) from this graph's clones.
     pub fn intern(&mut self, term: Term) -> TermId {
-        let fresh = self.interner.get(&term).is_none();
-        let is_literal_lexical = term.as_literal().map(|l| l.lexical().to_owned());
+        if let Some(id) = self.interner.get(&term) {
+            return id;
+        }
+        let lexical = term.as_literal().map(|l| l.lexical().to_owned());
         let id = Arc::make_mut(&mut self.interner).intern(term);
-        if fresh {
-            if let Some(lexical) = is_literal_lexical {
-                Arc::make_mut(&mut self.text).index_literal(id, &lexical);
-            }
+        if let Some(lexical) = lexical {
+            Arc::make_mut(&mut self.text).index_literal(id, &lexical);
         }
         id
     }
@@ -510,7 +590,7 @@ impl Graph {
         }
     }
 
-    /// Assembles a graph directly from pre-built frozen indexes — the
+    /// Assembles a graph directly from pre-built index bases — the
     /// snapshot loader's constructor, which bypasses per-triple insertion
     /// entirely. Callers are responsible for the index invariants (sorted
     /// runs, mirror agreement, exact `len` and statistics); the snapshot
@@ -526,9 +606,9 @@ impl Graph {
     ) -> Graph {
         Graph {
             interner,
-            spo: Index::from_frozen(spo),
-            pos: Index::from_frozen(pos),
-            osp: Index::from_frozen(osp),
+            spo: Index::from_base(spo),
+            pos: Index::from_base(pos),
+            osp: Index::from_base(osp),
             len,
             pred_stats,
             text,
@@ -540,26 +620,16 @@ impl Graph {
     /// Inserts a triple of already-interned ids. Returns `false` if it was
     /// already present. Posting lists stay sorted (binary-search
     /// insertion), and the per-predicate statistics are updated in place.
-    /// On a snapshot-loaded graph the first insert thaws the frozen indexes
-    /// back into their mutable form.
+    /// Each index copies at most the one posting list the triple joins
+    /// into its overlay; the shared base is never touched.
     pub fn insert_ids(&mut self, s: TermId, p: TermId, o: TermId) -> bool {
-        let objects = self.spo.thaw().entry(s).or_default().entry(p).or_default();
-        let fresh_subject = objects.is_empty();
-        let Err(slot) = objects.binary_search(&o) else {
+        let Some(fresh_subject) = self.spo.insert(s, p, o) else {
             return false;
         };
-        objects.insert(slot, o);
-        let by_object = self.pos.thaw().entry(p).or_default();
-        let fresh_pred_object = !by_object.contains_key(&o);
-        let subjects = by_object.entry(o).or_default();
-        if let Err(slot) = subjects.binary_search(&s) {
-            subjects.insert(slot, s);
-        }
+        // SPO lacked the triple, so the mirror indexes lack it too.
+        let fresh_pred_object = self.pos.insert(p, o, s).unwrap_or(false);
         let fresh_object = !self.osp.contains_outer(o);
-        let predicates = self.osp.thaw().entry(o).or_default().entry(s).or_default();
-        if let Err(slot) = predicates.binary_search(&p) {
-            predicates.insert(slot, p);
-        }
+        self.osp.insert(o, s, p);
         self.len += 1;
         let stats = self.pred_stats.entry(p).or_default();
         stats.triples += 1;
@@ -590,78 +660,27 @@ impl Graph {
         self.insert_ids(s, p, o)
     }
 
-    /// Removes a triple. Returns `false` if it was not present.
+    /// Removes a triple. Returns `false` if it was not present (a missed
+    /// remove copies nothing into the overlay).
     ///
     /// The per-predicate statistics shrink in lockstep (an add→remove→add
     /// cycle leaves them exact), and index entries emptied by the removal
-    /// are pruned so enumerations
+    /// are hidden so enumerations
     /// (`predicates_from`, `objects_of_predicate`, …) and the planner's
     /// cardinality estimates never see fully-deleted terms, and a literal
     /// object no longer used by any triple is dropped from the full-text
     /// index (it resurfaces if a triple re-adopts it, see
     /// [`Graph::insert_ids`]).
     pub fn remove_ids(&mut self, s: TermId, p: TermId, o: TermId) -> bool {
-        // Absent triples are rejected on the read path, so a missed remove
-        // never thaws a frozen index.
-        if !self.contains_ids(s, p, o) {
+        let Some(emptied_subject) = self.spo.remove(s, p, o) else {
             return false;
-        }
-        let mut emptied_subject = false;
-        {
-            let spo = self.spo.thaw();
-            let Some(by_p) = spo.get_mut(&s) else {
-                return false;
-            };
-            let Some(objects) = by_p.get_mut(&p) else {
-                return false;
-            };
-            let Ok(pos_o) = objects.binary_search(&o) else {
-                return false;
-            };
-            objects.remove(pos_o);
-            if objects.is_empty() {
-                emptied_subject = true;
-                by_p.remove(&p);
-                if by_p.is_empty() {
-                    spo.remove(&s);
-                }
-            }
-        }
-        // The SPO index held the triple, so the mirror indexes hold it too;
-        // the lookups below cannot miss. They are written as non-panicking
-        // if-lets all the same: a (hypothetically) desynced mirror degrades
-        // to a stale posting instead of poisoning every lock above us, and
-        // the index-agreement property suite would catch the desync.
-        let mut emptied_pred_object = false;
-        let pos = self.pos.thaw();
-        if let Some(by_o) = pos.get_mut(&p) {
-            if let Some(subjects) = by_o.get_mut(&o) {
-                if let Ok(i) = subjects.binary_search(&s) {
-                    subjects.remove(i);
-                }
-                if subjects.is_empty() {
-                    emptied_pred_object = true;
-                    by_o.remove(&o);
-                    if by_o.is_empty() {
-                        pos.remove(&p);
-                    }
-                }
-            }
-        }
-        let osp = self.osp.thaw();
-        if let Some(by_s) = osp.get_mut(&o) {
-            if let Some(predicates) = by_s.get_mut(&s) {
-                if let Ok(i) = predicates.binary_search(&p) {
-                    predicates.remove(i);
-                }
-                if predicates.is_empty() {
-                    by_s.remove(&s);
-                    if by_s.is_empty() {
-                        osp.remove(&o);
-                    }
-                }
-            }
-        }
+        };
+        // The SPO index held the triple, so the mirror indexes hold it too
+        // and these cannot miss. A (hypothetically) desynced mirror degrades
+        // to a stale posting instead of a panic poisoning every lock above
+        // us, and the index-agreement property suite would catch the desync.
+        let emptied_pred_object = self.pos.remove(p, o, s).unwrap_or(false);
+        self.osp.remove(o, s, p);
         self.len -= 1;
         if let Some(stats) = self.pred_stats.get_mut(&p) {
             stats.triples -= 1;
@@ -682,6 +701,34 @@ impl Graph {
             }
         }
         true
+    }
+
+    /// Folds every index's overlay into a fresh base of its own, so reads
+    /// stop probing the overlay and later clones are `Arc` bumps again.
+    /// Costs one merging sweep per index — `O(graph)`, which is why no
+    /// write triggers it: the caller who knows a write burst is over (a
+    /// bulk load, a partitioning pass) decides. Changes no answer, only
+    /// enumeration order (a base enumerates in ascending id order).
+    pub fn compact(&mut self) {
+        self.spo.compact();
+        self.pos.compact();
+        self.osp.compact();
+    }
+
+    /// `true` if both graphs read their three indexes from the same shared
+    /// base — i.e. one is a clone of the other (or of a common ancestor)
+    /// and neither has been [`Graph::compact`]ed since.
+    pub fn shares_base_with(&self, other: &Graph) -> bool {
+        Arc::ptr_eq(&self.spo.base, &other.spo.base)
+            && Arc::ptr_eq(&self.pos.base, &other.pos.base)
+            && Arc::ptr_eq(&self.osp.base, &other.osp.base)
+    }
+
+    /// `true` if both graphs still share one term table and one text
+    /// index — no write since the clone has interned a new term or
+    /// (un)indexed a literal.
+    pub fn shares_terms_with(&self, other: &Graph) -> bool {
+        Arc::ptr_eq(&self.interner, &other.interner) && Arc::ptr_eq(&self.text, &other.text)
     }
 
     // ---- lookup -----------------------------------------------------------
@@ -859,8 +906,8 @@ impl Graph {
 
     /// Every triple in ascending `(s, p, o)` order — the canonical stream
     /// the snapshot writer serializes and the content digest hashes. Free
-    /// on a frozen index; only the hash-map key sets need sorting on a
-    /// dynamic one (posting lists are sorted by invariant).
+    /// over the base; only the overlay's key sets need sorting (posting
+    /// lists are sorted by invariant).
     pub fn iter_sorted(&self) -> Vec<Triple> {
         let mut out = Vec::with_capacity(self.len);
         self.spo.for_each_sorted(|s, p, objects| {
@@ -882,6 +929,11 @@ impl Graph {
     }
 
     /// Approximate heap footprint in bytes (store + interner + text index).
+    ///
+    /// Everything behind an `Arc` — the index bases, the term table, the
+    /// text index — is counted in full by every graph that holds it, so
+    /// the figures of a graph and its clones do not add up to the
+    /// process's footprint.
     pub fn heap_bytes(&self) -> usize {
         self.spo.heap_bytes()
             + self.pos.heap_bytes()
@@ -907,14 +959,26 @@ mod tests {
         (g, obs, origin, syria, label, lit)
     }
 
-    /// The sample graph with every index round-tripped through the frozen
-    /// form — so each test body below exercises both physical forms.
-    fn frozen_copy(g: &Graph) -> Graph {
-        let mut frozen = g.clone();
-        frozen.spo = Index::from_frozen(g.spo.freeze_view().into_owned());
-        frozen.pos = Index::from_frozen(g.pos.freeze_view().into_owned());
-        frozen.osp = Index::from_frozen(g.osp.freeze_view().into_owned());
-        frozen
+    /// The three shapes one logical graph can take — overlay only (as
+    /// built), base only (compacted), and a base under an overlay holding
+    /// new keys, overlaid base lists and a tombstone — so each test body
+    /// below exercises all of them.
+    fn forms(g: &Graph) -> [Graph; 3] {
+        let mut base_only = g.clone();
+        base_only.compact();
+        let mut mixed = g.clone();
+        let late: Vec<Triple> = g.iter_sorted().into_iter().step_by(2).collect();
+        for t in &late {
+            assert!(mixed.remove_ids(t.s, t.p, t.o));
+        }
+        let ghost = mixed.intern_iri("http://ex/ghost");
+        assert!(mixed.insert_ids(ghost, ghost, ghost));
+        mixed.compact();
+        assert!(mixed.remove_ids(ghost, ghost, ghost));
+        for t in &late {
+            assert!(mixed.insert_ids(t.s, t.p, t.o));
+        }
+        [g.clone(), base_only, mixed]
     }
 
     #[test]
@@ -927,8 +991,8 @@ mod tests {
 
     #[test]
     fn all_eight_access_paths_agree() {
-        let (dynamic, obs, origin, syria, label, lit) = sample();
-        for g in [&dynamic, &frozen_copy(&dynamic)] {
+        let (built, obs, origin, syria, label, lit) = sample();
+        for g in &forms(&built) {
             let all = g.iter();
             assert_eq!(all.len(), 2);
             // fully bound
@@ -955,8 +1019,8 @@ mod tests {
 
     #[test]
     fn helper_accessors() {
-        let (dynamic, obs, origin, syria, label, lit) = sample();
-        for g in [&dynamic, &frozen_copy(&dynamic)] {
+        let (built, obs, origin, syria, label, lit) = sample();
+        for g in &forms(&built) {
             assert_eq!(g.objects(obs, origin), &[syria]);
             assert_eq!(g.subjects(label, lit), &[syria]);
             assert_eq!(g.predicates_between(obs, syria), &[origin]);
@@ -970,7 +1034,7 @@ mod tests {
     #[test]
     fn remove_updates_all_indexes() {
         let (g, obs, origin, syria, ..) = sample();
-        for mut g in [g.clone(), frozen_copy(&g)] {
+        for mut g in forms(&g) {
             assert!(g.remove_ids(obs, origin, syria));
             assert!(!g.remove_ids(obs, origin, syria));
             assert_eq!(g.len(), 1);
@@ -981,18 +1045,52 @@ mod tests {
     }
 
     #[test]
-    fn frozen_indexes_thaw_on_insert() {
-        let (dynamic, obs, origin, ..) = sample();
-        let mut g = frozen_copy(&dynamic);
-        let berlin = g.intern_iri("http://ex/Berlin");
-        assert!(g.insert_ids(obs, origin, berlin));
-        assert_eq!(g.len(), 3);
-        let mut objects = g.objects(obs, origin).to_vec();
-        objects.sort_unstable();
-        assert!(objects.contains(&berlin));
-        assert!(g.objects(obs, origin).windows(2).all(|w| w[0] < w[1]));
-        assert_eq!(g.subjects(origin, berlin), &[obs]);
-        assert_eq!(g.predicates_between(obs, berlin), &[origin]);
+    fn insert_overlays_one_list_and_leaves_the_base_shared() {
+        let (built, obs, origin, ..) = sample();
+        for source in forms(&built) {
+            let mut g = source.clone();
+            let berlin = g.intern_iri("http://ex/Berlin");
+            assert!(g.insert_ids(obs, origin, berlin));
+            assert!(g.shares_base_with(&source));
+            assert_eq!(g.len(), 3);
+            assert_eq!(source.len(), 2);
+            assert!(g.objects(obs, origin).contains(&berlin));
+            assert!(g.objects(obs, origin).windows(2).all(|w| w[0] < w[1]));
+            assert_eq!(g.subjects(origin, berlin), &[obs]);
+            assert_eq!(g.predicates_between(obs, berlin), &[origin]);
+            // the clone's write is invisible to its source
+            assert_eq!(source.objects(obs, origin).len(), 1);
+            assert_eq!(source.count_matching(Some(obs), None, None), 1);
+        }
+    }
+
+    #[test]
+    fn writes_over_known_terms_keep_the_term_table_shared() {
+        let (built, obs, origin, syria, label, lit) = sample();
+        for source in forms(&built) {
+            let mut g = source.clone();
+            // an existing triple, through the interning entry point
+            assert!(!g.insert(
+                Term::iri("http://ex/obs1"),
+                Term::iri("http://ex/countryOrigin"),
+                Term::iri("http://ex/Syria"),
+            ));
+            // a new triple whose terms (an indexed literal included) are known
+            assert!(g.insert(
+                Term::iri("http://ex/obs1"),
+                Term::iri("http://ex/hasLabel"),
+                Term::from(Literal::simple("Syria")),
+            ));
+            assert_eq!(g.objects(obs, label), &[lit]);
+            assert!(g.remove_ids(obs, origin, syria));
+            assert!(g.shares_terms_with(&source));
+            assert!(g.shares_base_with(&source));
+            // a fresh term un-shares the terms, never the base
+            g.intern_iri("http://ex/Berlin");
+            assert!(!g.shares_terms_with(&source));
+            assert!(g.shares_base_with(&source));
+            assert!(source.iri_id("http://ex/Berlin").is_none());
+        }
     }
 
     #[test]
@@ -1046,7 +1144,7 @@ mod tests {
     #[test]
     fn removal_prunes_empty_index_entries() {
         let (g, obs, origin, syria, label, lit) = sample();
-        for mut g in [g.clone(), frozen_copy(&g)] {
+        for mut g in forms(&g) {
             assert!(g.remove_ids(obs, origin, syria));
             // Enumerations over index keys must not report fully-deleted terms.
             assert!(g.predicates_from(obs).is_empty());
@@ -1164,11 +1262,11 @@ mod tests {
         assert!(g.objects(s, p).windows(2).all(|w| w[0] < w[1]));
     }
 
-    /// Freezing and thawing are mutually inverse: a frozen copy answers
-    /// every access path identically, and iter_sorted (the canonical
-    /// stream) is bit-for-bit the same.
+    /// Every form answers every access path identically, iter_sorted (the
+    /// canonical stream) is bit-for-bit the same, and a clone enumerates
+    /// each path in its source's order.
     #[test]
-    fn freeze_thaw_round_trip_preserves_every_view() {
+    fn every_form_preserves_every_view() {
         let mut g = Graph::new();
         let terms: Vec<TermId> = (0..30)
             .map(|i| g.intern_iri(format!("http://ex/t{i}")))
@@ -1179,34 +1277,37 @@ mod tests {
                 g.insert_ids(terms[i], terms[(i + j) % 7], terms[(i * j + 3) % 30]);
             }
         }
-        let frozen = frozen_copy(&g);
-        assert_eq!(g.iter_sorted(), frozen.iter_sorted());
-        for t in g.iter_sorted() {
-            assert_eq!(g.objects(t.s, t.p), frozen.objects(t.s, t.p));
-            assert_eq!(g.subjects(t.p, t.o), frozen.subjects(t.p, t.o));
-            assert_eq!(
-                g.predicates_between(t.s, t.o),
-                frozen.predicates_between(t.s, t.o)
-            );
-            for (s, p, o) in [
-                (Some(t.s), None, None),
-                (None, Some(t.p), None),
-                (None, None, Some(t.o)),
-            ] {
-                assert_eq!(g.count_matching(s, p, o), frozen.count_matching(s, p, o));
-                let mut a = g.matching(s, p, o);
-                let mut b = frozen.matching(s, p, o);
-                a.sort_unstable();
-                b.sort_unstable();
-                assert_eq!(a, b);
+        for other in forms(&g) {
+            assert_eq!(g.iter_sorted(), other.iter_sorted());
+            assert_eq!(other.iter(), other.clone().iter());
+            for t in g.iter_sorted() {
+                assert_eq!(g.objects(t.s, t.p), other.objects(t.s, t.p));
+                assert_eq!(g.subjects(t.p, t.o), other.subjects(t.p, t.o));
+                assert_eq!(
+                    g.predicates_between(t.s, t.o),
+                    other.predicates_between(t.s, t.o)
+                );
+                for (s, p, o) in [
+                    (Some(t.s), None, None),
+                    (None, Some(t.p), None),
+                    (None, None, Some(t.o)),
+                ] {
+                    assert_eq!(g.count_matching(s, p, o), other.count_matching(s, p, o));
+                    assert_eq!(other.matching(s, p, o), other.clone().matching(s, p, o));
+                    let mut a = g.matching(s, p, o);
+                    let mut b = other.matching(s, p, o);
+                    a.sort_unstable();
+                    b.sort_unstable();
+                    assert_eq!(a, b);
+                }
             }
+            // a write and its undo leave the canonical stream as it was
+            let mut touched = other.clone();
+            let extra = touched.intern_iri("http://ex/extra");
+            assert!(touched.insert_ids(extra, terms[0], terms[1]));
+            assert!(touched.remove_ids(extra, terms[0], terms[1]));
+            assert_eq!(g.iter_sorted(), touched.iter_sorted());
         }
-        // thaw back by mutating, then compare the canonical stream again
-        let mut thawed = frozen.clone();
-        let extra = thawed.intern_iri("http://ex/extra");
-        assert!(thawed.insert_ids(extra, terms[0], terms[1]));
-        assert!(thawed.remove_ids(extra, terms[0], terms[1]));
-        assert_eq!(g.iter_sorted(), thawed.iter_sorted());
     }
 
     #[test]

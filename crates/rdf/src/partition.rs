@@ -185,12 +185,10 @@ fn route(
 /// which is always correct (if pointless), so callers never need a special
 /// case for schema-less graphs.
 pub fn partition(graph: &Graph, observation_class: &str, shards: usize) -> Partitioned {
-    // Route fact triples and build the replicated base once; shards are then
-    // clones of the base plus their fact share. Inserting the replicated
-    // triples once and cloning the finished indexes is much cheaper than n
-    // single-triple insert passes (and the term table / text index — the
-    // expensive parts of a shard — are cloned exactly once per shard either
-    // way).
+    // Route fact triples and build the replicated part once, compacted into
+    // an index base: shards are then clones that share that base (and the
+    // term table and text index) through `Arc`s, each holding only its fact
+    // share in its overlay.
     let mut base = graph.term_shell();
     let mut fact_routes: Vec<(crate::graph::Triple, usize)> = Vec::new();
     let layout = route(
@@ -202,6 +200,7 @@ pub fn partition(graph: &Graph, observation_class: &str, shards: usize) -> Parti
             base.insert_ids(triple.s, triple.p, triple.o);
         },
     );
+    base.compact();
     let mut parts: Vec<Graph> = (1..shards).map(|_| base.clone()).collect();
     parts.push(base);
     for (triple, shard) in fact_routes {
@@ -260,13 +259,16 @@ mod tests {
         assert_eq!(parts.layout.fact_triples, 9);
         assert_eq!(parts.layout.replicated_triples, 5);
         assert_eq!(parts.layout.shard_fact_triples.iter().sum::<usize>(), 9);
-        // Every shard carries all replicated triples plus its fact share.
+        // Every shard carries all replicated triples — one shared copy —
+        // plus its fact share.
         for (i, shard) in parts.shards.iter().enumerate() {
             assert_eq!(
                 shard.len(),
                 5 + parts.layout.shard_fact_triples[i],
                 "shard {i}"
             );
+            assert!(shard.shares_base_with(&parts.shards[0]), "shard {i}");
+            assert!(shard.shares_terms_with(&g), "shard {i}");
         }
         // Union of shard fact triples = source fact triples, no loss.
         let total: usize = parts.shards.iter().map(Graph::len).sum();

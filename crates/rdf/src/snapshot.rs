@@ -554,9 +554,8 @@ impl Graph {
             encode_term(&mut dictionary, term);
         }
 
-        // the three indexes in frozen form — borrowed as-is from a
-        // snapshot-loaded graph, built by one sorting sweep over the nested
-        // maps of a dynamically grown one.
+        // the three indexes as one base each — the graph's own while its
+        // overlay is empty, built by one merging sweep otherwise.
         let spo = encode_index(&self.spo.freeze_view());
         let pos = encode_index(&self.pos.freeze_view());
         let osp = encode_index(&self.osp.freeze_view());
@@ -634,8 +633,8 @@ impl Graph {
     ///
     /// With `expected_key = Some(k)`, a snapshot stamped with a different
     /// key fails with [`RdfError::SnapshotKeyMismatch`] — stale cache
-    /// entries are rejected, never trusted. The three indexes come back in
-    /// their frozen form straight from the section arrays; the only
+    /// entries are rejected, never trusted. The three indexes come back as
+    /// `Arc`-shared bases straight from the section arrays; the only
     /// per-term work in the whole load is decoding the dictionary and
     /// re-hashing each term once for the interner's reverse map.
     pub fn load_snapshot(path: &Path, expected_key: Option<&str>) -> Result<Graph, RdfError> {

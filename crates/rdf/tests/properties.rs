@@ -5,9 +5,13 @@
 //! Run on the in-repo [`re2x_testkit`] harness: deterministic per-case
 //! seeds, `RE2X_TEST_CASES` budget, `RE2X_TEST_SEED` replay.
 
+mod common;
+
+use common::{assert_graphs_identical, tmp_path};
 use re2x_rdf::io::{parse_ntriples, to_ntriples};
-use re2x_rdf::{Graph, Literal, Term};
+use re2x_rdf::{Graph, Literal, PredicateStats, Term, TermId, Triple};
 use re2x_testkit::{check, TestRng};
+use std::collections::BTreeSet;
 
 // ---- generators -----------------------------------------------------------
 
@@ -182,6 +186,234 @@ fn predicate_stats_and_sortedness_survive_interleavings() {
                 .windows(2)
                 .all(|w| w[0] < w[1]));
         }
+    });
+}
+
+/// The small term universe of [`overlay_agrees_with_set_model`]: few
+/// enough terms that random writes keep hitting the same index keys.
+struct Universe {
+    subjects: Vec<TermId>,
+    predicates: Vec<TermId>,
+    /// Every subject (IRIs are objects too) plus a few literals.
+    objects: Vec<TermId>,
+}
+
+impl Universe {
+    fn random_triple(&self, rng: &mut TestRng) -> Triple {
+        Triple {
+            s: *rng.pick(&self.subjects),
+            p: *rng.pick(&self.predicates),
+            o: *rng.pick(&self.objects),
+        }
+    }
+}
+
+fn sorted(mut ids: Vec<TermId>) -> Vec<TermId> {
+    ids.sort_unstable();
+    ids
+}
+
+/// Every read the store offers, on every key of the universe, against the
+/// set model.
+fn assert_agrees_with_model(graph: &Graph, model: &BTreeSet<Triple>, universe: &Universe) {
+    fn distinct(
+        model: &BTreeSet<Triple>,
+        keep: impl Fn(&Triple) -> bool,
+        key: impl Fn(&Triple) -> TermId,
+    ) -> Vec<TermId> {
+        let set: BTreeSet<TermId> = model.iter().filter(|t| keep(t)).map(key).collect();
+        set.into_iter().collect()
+    }
+    let wild = |ids: &[TermId]| -> Vec<Option<TermId>> {
+        std::iter::once(None)
+            .chain(ids.iter().copied().map(Some))
+            .collect()
+    };
+    assert_eq!(graph.len(), model.len());
+    assert_eq!(
+        graph.iter_sorted(),
+        model.iter().copied().collect::<Vec<_>>()
+    );
+    // all eight access paths, materialized and counted
+    for &s in &wild(&universe.subjects) {
+        for &p in &wild(&universe.predicates) {
+            for &o in &wild(&universe.objects) {
+                let expected: Vec<Triple> = model
+                    .iter()
+                    .filter(|t| {
+                        s.is_none_or(|s| t.s == s)
+                            && p.is_none_or(|p| t.p == p)
+                            && o.is_none_or(|o| t.o == o)
+                    })
+                    .copied()
+                    .collect();
+                let mut found = graph.matching(s, p, o);
+                found.sort_unstable();
+                assert_eq!(found, expected, "pattern {s:?} {p:?} {o:?}");
+                assert_eq!(graph.count_matching(s, p, o), expected.len());
+            }
+        }
+    }
+    // posting lists are exactly the model's, in ascending id order
+    for &s in &universe.subjects {
+        for &p in &universe.predicates {
+            let objects = distinct(model, |t| t.s == s && t.p == p, |t| t.o);
+            assert_eq!(graph.objects(s, p), objects);
+        }
+        for &o in &universe.objects {
+            let predicates = distinct(model, |t| t.s == s && t.o == o, |t| t.p);
+            assert_eq!(graph.predicates_between(s, o), predicates);
+        }
+        let from = distinct(model, |t| t.s == s, |t| t.p);
+        assert_eq!(sorted(graph.predicates_from(s)), from);
+    }
+    for &o in &universe.objects {
+        let into = distinct(model, |t| t.o == o, |t| t.p);
+        assert_eq!(sorted(graph.predicates_into(o)), into);
+    }
+    // per-predicate enumerations and the incremental statistics
+    assert_eq!(graph.predicates(), distinct(model, |_| true, |t| t.p));
+    for &p in &universe.predicates {
+        for &o in &universe.objects {
+            let subjects = distinct(model, |t| t.p == p && t.o == o, |t| t.s);
+            assert_eq!(graph.subjects(p, o), subjects);
+        }
+        let objects = distinct(model, |t| t.p == p, |t| t.o);
+        assert_eq!(sorted(graph.objects_of_predicate(p)), objects);
+        let stats = PredicateStats {
+            triples: model.iter().filter(|t| t.p == p).count(),
+            distinct_subjects: distinct(model, |t| t.p == p, |t| t.s).len(),
+            distinct_objects: objects.len(),
+        };
+        assert_eq!(graph.predicate_stats(p), stats);
+        assert_eq!(graph.predicate_cardinality(p), stats.triples);
+    }
+}
+
+/// A snapshot-loaded graph (index base) and a clone of it, written
+/// independently, each agree with their own set model after every write:
+/// the overlay hides, replaces and extends base posting lists exactly,
+/// clones are isolated, `compact()` changes no answer, and what is
+/// snapshotted is what a from-scratch graph of the same triples holds.
+#[test]
+fn overlay_agrees_with_set_model() {
+    check("overlay_agrees_with_set_model", |rng| {
+        let mut built = Graph::new();
+        let subjects: Vec<TermId> = (0..rng.gen_range(2usize..6))
+            .map(|i| built.intern_iri(format!("http://ex/s{i}")))
+            .collect();
+        let predicates: Vec<TermId> = (0..rng.gen_range(1usize..4))
+            .map(|i| built.intern_iri(format!("http://ex/p{i}")))
+            .collect();
+        let mut objects = subjects.clone();
+        for i in 0..rng.gen_range(1usize..4) {
+            objects.push(built.intern_literal(Literal::simple(format!("label {i}"))));
+        }
+        let universe = Universe {
+            subjects,
+            predicates,
+            objects,
+        };
+        let mut model: BTreeSet<Triple> = BTreeSet::new();
+        for _ in 0..rng.gen_range(0usize..50) {
+            let t = universe.random_triple(rng);
+            assert_eq!(built.insert_ids(t.s, t.p, t.o), model.insert(t));
+        }
+        // objects that have ever been used: a literal among them that no
+        // triple uses any more has been dropped from the text index
+        let mut adopted: BTreeSet<TermId> = model.iter().map(|t| t.o).collect();
+
+        let path = tmp_path(&format!("overlay-{}", rng.next_u64()));
+        built.write_snapshot(&path, "prop/overlay").expect("write");
+        let mut graph = Graph::load_snapshot(&path, Some("prop/overlay")).expect("load");
+        assert_agrees_with_model(&graph, &model, &universe);
+
+        let steps = rng.gen_range(2usize..40);
+        let fork_at = rng.gen_range(0usize..steps);
+        let mut fork: Option<(Graph, BTreeSet<Triple>)> = None;
+        let mut drained: Vec<Triple> = Vec::new();
+        for step in 0..steps {
+            if step == fork_at {
+                fork = Some((graph.clone(), model.clone()));
+            }
+            // write to the fork or to the original, the other must not move
+            let on_fork = fork.is_some() && rng.gen_bool(0.5);
+            let (g, m) = match &mut fork {
+                Some((g, m)) if on_fork => (g, m),
+                _ => (&mut graph, &mut model),
+            };
+            match rng.pick_weighted(&[5, 3, 1, 1]) {
+                // insert (a duplicate now and then)
+                0 => {
+                    let t = universe.random_triple(rng);
+                    assert_eq!(g.insert_ids(t.s, t.p, t.o), m.insert(t));
+                    if !on_fork {
+                        adopted.insert(t.o);
+                    }
+                }
+                // remove (a miss now and then)
+                1 => {
+                    let t = universe.random_triple(rng);
+                    assert_eq!(g.remove_ids(t.s, t.p, t.o), m.remove(&t));
+                }
+                // empty one (s, p) key completely — a tombstone over a base key
+                2 => {
+                    let (s, p) = (
+                        *rng.pick(&universe.subjects),
+                        *rng.pick(&universe.predicates),
+                    );
+                    drained = m.iter().filter(|t| t.s == s && t.p == p).copied().collect();
+                    for t in &drained {
+                        assert!(g.remove_ids(t.s, t.p, t.o));
+                        m.remove(t);
+                    }
+                }
+                // re-add what was last drained (from either graph)
+                _ => {
+                    for t in &drained {
+                        assert_eq!(g.insert_ids(t.s, t.p, t.o), m.insert(*t));
+                        if !on_fork {
+                            adopted.insert(t.o);
+                        }
+                    }
+                }
+            }
+            assert_agrees_with_model(&graph, &model, &universe);
+            if let Some((fork_graph, fork_model)) = &fork {
+                assert_agrees_with_model(fork_graph, fork_model, &universe);
+                assert!(fork_graph.shares_base_with(&graph));
+            }
+        }
+
+        // compaction changes no answer
+        let mut compacted = graph.clone();
+        compacted.compact();
+        assert_agrees_with_model(&compacted, &model, &universe);
+        assert_graphs_identical(&graph, &compacted);
+
+        // the written graph's snapshot is a from-scratch graph's snapshot
+        let mut scratch = Graph::new();
+        for (_, term) in graph.interner().iter() {
+            scratch.intern(term.clone());
+        }
+        for t in &model {
+            assert!(scratch.insert_ids(t.s, t.p, t.o));
+        }
+        let (s0, p0) = (universe.subjects[0], universe.predicates[0]);
+        for &o in &adopted {
+            if !model.iter().any(|t| t.o == o) {
+                // adopt and orphan it, as the written graph has at some point
+                assert!(scratch.insert_ids(s0, p0, o));
+                assert!(scratch.remove_ids(s0, p0, o));
+            }
+        }
+        graph
+            .write_snapshot(&path, "prop/overlay")
+            .expect("rewrite");
+        let reloaded = Graph::load_snapshot(&path, Some("prop/overlay")).expect("reload");
+        let _ = std::fs::remove_file(&path);
+        assert_graphs_identical(&scratch, &reloaded);
+        assert_graphs_identical(&graph, &reloaded);
     });
 }
 

@@ -20,7 +20,8 @@
 //! - [`FlakyEndpoint`] — seeded fault injection (failures and latency
 //!   spikes) at the endpoint seam, for blast-radius testing.
 //! - [`Server`] / [`ServerBuilder`] — per-tenant decorator stacks over
-//!   copy-on-write graph clones, a bounded run-queue with non-blocking
+//!   copy-on-write graph clones (terms, text index and index bases shared
+//!   with the source graph), a bounded run-queue with non-blocking
 //!   typed admission, panic-isolated workers, graceful draining
 //!   shutdown, and per-tenant labelled metrics feeding the existing
 //!   `re2x-obs` Prometheus exposition.

@@ -4,8 +4,10 @@
 //! A [`Server`] hosts many concurrent scripted explorations over **one**
 //! shared graph snapshot. Tenants are registered up front; each gets its
 //! own endpoint decorator stack built over a copy-on-write clone of the
-//! snapshot (the interner and text index stay shared — a tenant costs a
-//! few `Arc` bumps, not a graph copy). Admission control is a bounded
+//! snapshot (the term table, the text index and the three index bases
+//! stay shared — a tenant costs a few `Arc` bumps plus the posting lists
+//! written since the graph was loaded or compacted, not a graph copy; the
+//! unit test below pins the sharing). Admission control is a bounded
 //! run-queue: [`Server::submit`] never blocks — it yields a [`Ticket`] or
 //! a typed [`ServeError::QueueFull`] / [`ServeError::ShuttingDown`].
 //! Worker threads drain the queue, driving each session through the same
@@ -473,5 +475,78 @@ fn service(inner: &Arc<Inner>, job: &Job) -> Result<SessionTranscript, ServeErro
         Ok(Ok(transcript)) => Ok(transcript),
         Ok(Err(e)) => Err(ServeError::Session(e)),
         Err(_) => Err(ServeError::WorkerPanicked),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::script::RoundOp;
+    use re2x_cube::{bootstrap, BootstrapConfig};
+    use re2x_rdf::Term;
+    use re2xolap::RefineOp;
+
+    /// Starting tenants copies no index: over a snapshot-loaded graph, and
+    /// over one that has been written to since, every tenant reads the
+    /// source's own index base — and answers as a serial replay over the
+    /// source does.
+    #[test]
+    fn tenants_share_the_source_graphs_index_base() {
+        let dataset = re2x_datagen::running::generate();
+        let path = std::env::temp_dir().join(format!("re2x-serve-{}.snap", std::process::id()));
+        dataset
+            .graph
+            .write_snapshot(&path, "serve/tenants")
+            .expect("write snapshot");
+        let loaded = Graph::load_snapshot(&path, Some("serve/tenants")).expect("load snapshot");
+        let _ = std::fs::remove_file(&path);
+        let endpoint = LocalEndpoint::new(loaded);
+        let config = BootstrapConfig::new(&dataset.observation_class);
+        let schema = bootstrap(&endpoint, &config).expect("bootstrap").schema;
+        let mut graph = endpoint.into_graph();
+        let specs = [
+            TenantSpec::new("bare"),
+            TenantSpec::new("cached").cached(16),
+            TenantSpec::new("traced").traced(),
+        ];
+        let check = |graph: &Graph| {
+            let mut builder = ServerBuilder::new().workers(2);
+            for spec in &specs {
+                builder = builder.tenant(spec.clone());
+            }
+            let server = builder.start(graph, &schema);
+            let oracle = LocalEndpoint::new(graph.clone());
+            for spec in &specs {
+                let stack = &server.inner.tenants[spec.id()];
+                assert!(stack.graph().shares_base_with(graph), "{}", spec.id());
+                assert_eq!(stack.graph().len(), graph.len());
+                let script = SessionScript {
+                    tenant: spec.id().to_owned(),
+                    rounds: vec![
+                        RoundOp::Synthesize {
+                            example: vec!["Germany".to_owned(), "2014".to_owned()],
+                            pick: 0,
+                        },
+                        RoundOp::Refine {
+                            op: RefineOp::Disaggregate,
+                            pick: 0,
+                        },
+                    ],
+                };
+                let served = server.run(script.clone()).expect("session completes");
+                let serial = run_script(&oracle, &schema, &script, &SessionConfig::default())
+                    .expect("serial replay");
+                assert_eq!(served.to_text(), serial.to_text(), "{}", spec.id());
+            }
+        };
+        check(&graph);
+        for i in 0..100 {
+            assert!(graph.insert(
+                Term::iri(format!("http://ex/late/s{i}")),
+                Term::iri("http://ex/late/p"),
+                Term::iri(format!("http://ex/late/o{}", i % 7)),
+            ));
+        }
+        check(&graph);
     }
 }

@@ -208,7 +208,9 @@ echo "== scale experiment: snapshot load vs regeneration ladder (offline) =="
 # bounds work, not just output). Each rung then walks the interactive loop
 # on the loaded graph: the Top-k and the Similarity refinement it applies
 # to the drilled-down query must be answered from that step's rows — zero
-# endpoint queries — byte-identical to executing them.
+# endpoint queries — byte-identical to executing them. Last, the loaded
+# graph is cloned and then written to beside the live clone: both must cost
+# milliseconds at most (an index copy or rebuild is hundreds here).
 cargo run --release --offline -p re2x-bench --bin repro -- --out bench_results --scale smoke scale
 if command -v python3 >/dev/null 2>&1; then
     python3 - <<'EOF'
@@ -238,6 +240,10 @@ for r in rungs:
     for op in ("topk", "sim"):
         assert 0.0 < float(r[f"{op}_refined_derived_ms"]) < float(r[f"{op}_refined_executed_ms"]), \
             f"rung {r['observations']}: derived {op} is not cheaper than executing it: {r}"
+    assert r["wrote_beside_clone"] is True, f"rung {r['observations']}: no write beside a clone"
+    for cost in ("clone_ms", "first_insert_ids_ms"):
+        assert float(r[cost]) < 5.0, \
+            f"rung {r['observations']}: {cost} = {r[cost]} — something copied the index"
 assert report["all_refined_identical"] is True
 print(f"scale.json: valid JSON; {len(rungs)} rungs, min load speedup {speedup:.2f}x, "
       f"all identical, analytics sublinear, refinements derived byte-identically")
@@ -253,6 +259,9 @@ else
     test "$(grep -c '"derived_endpoint_queries": 0' bench_results/scale.json)" -ge 3
     # (`! grep` would be exempt from `set -e`)
     if grep -q '"refined_identical": false' bench_results/scale.json; then exit 1; fi
+    # clone and first write beside it: under 5 ms on every rung
+    test "$(grep -c '"wrote_beside_clone": true' bench_results/scale.json)" -ge 3
+    test "$(grep -Ec '"clone_ms": [0-4]\.[0-9]+, "first_insert_ids_ms": [0-4]\.[0-9]+\}' bench_results/scale.json)" -ge 3
     echo "scale.json: present (python3 unavailable, structural check only)"
 fi
 

@@ -296,7 +296,9 @@ pub fn fig7(results: &[(&str, Vec<Fig7Series>)]) -> String {
 /// Scaling study (Section 5.3's claim, checked directly): synthesis time
 /// at several observation counts of the same schema. "Time complexity is
 /// independent of the actual number of observations" — the per-scale means
-/// should stay flat while the store grows.
+/// should stay flat while the store grows. The bootstrap crawl is timed
+/// beside it on the 1-to-N eurostat hierarchies and on the M-to-N dbpedia
+/// ones, whose member tables grow with the observations.
 pub fn scaling(seed: u64) -> String {
     use crate::env::{prepare, DatasetKind, Scales};
     let mut t = Table::new([
@@ -304,6 +306,8 @@ pub fn scaling(seed: u64) -> String {
         "triples",
         "avg synthesis time (2 Ex.)",
         "bootstrap time",
+        "dbpedia triples",
+        "dbpedia bootstrap time",
     ]);
     for scale in [2_000usize, 10_000, 40_000] {
         let scales = Scales {
@@ -327,11 +331,14 @@ pub fn scaling(seed: u64) -> String {
             let _ = reolap(&prepared.endpoint, &prepared.report.schema, &refs, &config);
             times.push(start.elapsed());
         }
+        let dbpedia = prepare(DatasetKind::Dbpedia, &scales, seed);
         t.row([
             scale.to_string(),
             prepared.endpoint.graph().len().to_string(),
             fmt_duration(mean(&times)),
             fmt_duration(prepared.report.elapsed),
+            dbpedia.endpoint.graph().len().to_string(),
+            fmt_duration(dbpedia.report.elapsed),
         ]);
     }
     t.render()

@@ -16,7 +16,7 @@
 //! The result is the [`VirtualSchemaGraph`]; everything downstream (query
 //! synthesis, refinements) navigates it instead of the triplestore.
 
-use crate::labels::{default_label_predicates, humanize, label_of, local_name};
+use crate::labels::{default_label_predicates, humanize, label_of_counted, local_name};
 use crate::patterns::{observation_type, path_to_member};
 use crate::vgraph::VirtualSchemaGraph;
 use re2x_obs::Tracer;
@@ -244,8 +244,7 @@ fn bootstrap_prelude(
         if config.is_excluded(&predicate) {
             continue;
         }
-        let label = label_of(endpoint, &predicate, &config.label_predicates);
-        queries += 1; // label lookup
+        let label = label_of_counted(endpoint, &predicate, &config.label_predicates, &mut queries);
         schema.add_measure(predicate, label);
     }
 
@@ -281,8 +280,7 @@ fn crawl_dimension(
     predicate: String,
 ) -> Result<DimensionCrawl, SparqlError> {
     let mut queries = 0u64;
-    let label = label_of(endpoint, &predicate, &config.label_predicates);
-    queries += 1;
+    let label = label_of_counted(endpoint, &predicate, &config.label_predicates, &mut queries);
     let mut levels = Vec::new();
     collect_levels(
         endpoint,
@@ -358,11 +356,10 @@ impl Slot {
     }
 }
 
-/// Asynchronous replica of [`label_of`]'s short-circuit chain: one label
-/// predicate is probed at a time and a hit (or a failed probe, which
-/// serial ignores too) moves the chain along, so the queries issued match
-/// the serial lookup exactly. Counted as one query in the per-dimension
-/// counter, like the serial `queries += 1` per lookup.
+/// Asynchronous replica of [`label_of_counted`]'s short-circuit chain: one
+/// label predicate is probed at a time and a hit (or a failed probe, which
+/// serial ignores too) moves the chain along, so the queries issued — and
+/// counted, one per probe submitted — match the serial lookup exactly.
 struct LabelChain {
     iri: String,
     next_pred: usize,
@@ -379,8 +376,7 @@ struct AsyncCrawl<'a> {
     /// Per-dimension span handles; submissions adopt their dimension's
     /// context so pool workers attribute queries like serial code would.
     handles: Vec<re2x_obs::SpanHandle>,
-    /// Per-dimension query counters (serial counter semantics: one per
-    /// label *lookup*, not per chain probe).
+    /// Per-dimension counters of the queries submitted.
     queries: Vec<u64>,
     /// Discovered levels per dimension, keyed by path.
     info: Vec<BTreeMap<Vec<String>, LevelInfo>>,
@@ -390,14 +386,15 @@ struct AsyncCrawl<'a> {
 }
 
 impl AsyncCrawl<'_> {
-    /// Submits under the dimension's adopted span context.
-    fn submit(&self, dim: usize, query: Query) -> Ticket {
+    /// Submits under the dimension's adopted span context, counting the
+    /// query against the dimension.
+    fn submit(&mut self, dim: usize, query: Query) -> Ticket {
+        self.queries[dim] += 1;
         let _context = self.tracer.adopt(&self.handles[dim]);
         self.pool.submit_select(query)
     }
 
     fn start_label(&mut self, dim: usize, iri: String) -> LabelChain {
-        self.queries[dim] += 1;
         let preds = &self.config.label_predicates;
         if preds.is_empty() {
             return LabelChain {
@@ -454,21 +451,18 @@ impl AsyncCrawl<'_> {
 
     /// Submits the member count for a new level path.
     fn start_count(&mut self, dim: usize, path: Vec<String>) -> CrawlTask {
-        self.queries[dim] += 1;
         let slot = Slot::Pending(self.submit(dim, count_members_query(self.config, &path)));
         CrawlTask::Count { dim, path, slot }
     }
 
     /// Fans out a non-empty level's attribute/label/roll-up queries.
     fn start_detail(&mut self, dim: usize, path: Vec<String>, member_count: usize) -> CrawlTask {
-        self.queries[dim] += 1;
         let attrs = Slot::Pending(self.submit(
             dim,
             member_predicates_query(self.config, &path, Func::IsLiteral),
         ));
         let label = self.start_label(dim, path.last().cloned().unwrap_or_default());
         let rollups = (path.len() < self.config.max_depth).then(|| {
-            self.queries[dim] += 1;
             Slot::Pending(self.submit(
                 dim,
                 member_predicates_query(self.config, &path, Func::IsIri),
@@ -842,12 +836,12 @@ fn collect_levels(
     }
     // literal-valued predicates on this level's members are its attributes
     let attributes = member_predicates(endpoint, config, &path, Func::IsLiteral, queries)?;
-    let label = label_of(
+    let label = label_of_counted(
         endpoint,
         path.last().map(String::as_str).unwrap_or_default(),
         &config.label_predicates,
+        queries,
     );
-    *queries += 1;
     levels.push(PendingLevel {
         path: path.clone(),
         member_count,
@@ -1108,6 +1102,43 @@ mod tests {
             schema.levels().len() as u64 + 1
         );
         assert!(refresh_report.endpoint_queries < report.endpoint_queries);
+    }
+
+    /// `endpoint_queries` is what the endpoint answered — label lookups
+    /// included, which try one predicate after another: the fixture's
+    /// `dest` / `refPeriod` dimensions and `inContinent` / `partner` /
+    /// `inYear` levels carry no label, so theirs take two queries each.
+    #[test]
+    fn endpoint_queries_counts_every_query_issued() {
+        type Bootstrap = fn(&LocalEndpoint, &BootstrapConfig) -> BootstrapReport;
+        let variants: [(&str, Bootstrap); 3] = [
+            ("serial", |ep, config| {
+                bootstrap(ep, config).expect("bootstrap")
+            }),
+            ("parallel", |ep, config| {
+                bootstrap_parallel(ep, config).expect("bootstrap")
+            }),
+            ("async", |ep, config| {
+                bootstrap_async(ep, config, 3).expect("bootstrap")
+            }),
+        ];
+        let config = BootstrapConfig::new("http://ex/Observation");
+        let mut counts = Vec::new();
+        for (name, run) in variants {
+            let ep = fixture();
+            let before = ep.stats().total_queries();
+            let report = run(&ep, &config);
+            let issued = ep.stats().total_queries() - before;
+            assert_eq!(report.endpoint_queries, issued, "{name}");
+            counts.push(issued);
+        }
+        assert_eq!(counts[0], counts[1]);
+        assert_eq!(counts[0], counts[2]);
+        // an unlabeled IRI costs one query per label predicate tried
+        let mut single = config.clone();
+        single.label_predicates.truncate(1);
+        let single = bootstrap(&fixture(), &single).expect("bootstrap");
+        assert!(counts[0] > single.endpoint_queries);
     }
 
     #[test]

@@ -67,7 +67,19 @@ pub fn label_query(iri: &str, predicate: &str) -> Query {
 /// Looks up a label for `iri` on the endpoint using the given label
 /// predicates, falling back to the humanized local name.
 pub fn label_of(endpoint: &dyn SparqlEndpoint, iri: &str, label_predicates: &[String]) -> String {
+    label_of_counted(endpoint, iri, label_predicates, &mut 0)
+}
+
+/// [`label_of`], adding to `queries` every query it issues: one per label
+/// predicate tried, up to and including the one that answers.
+pub fn label_of_counted(
+    endpoint: &dyn SparqlEndpoint,
+    iri: &str,
+    label_predicates: &[String],
+    queries: &mut u64,
+) -> String {
     for pred in label_predicates {
+        *queries += 1;
         if let Ok(solutions) = endpoint.select(&label_query(iri, pred)) {
             if let Some(value) = solutions.value(0, "l") {
                 return value.string_form(endpoint.graph()).into_owned();

@@ -72,12 +72,16 @@ pub fn evaluate_full(
         //
         // * single-pattern `COUNT` answered from `Graph::count_matching`
         //   without materializing a single row;
-        // * single-variable DISTINCT / COUNT(DISTINCT) shapes answered by
-        //   candidate enumeration + existence probes instead of a full join.
+        // * set queries (single-variable DISTINCT / COUNT(DISTINCT) over a
+        //   flat block) answered as a sorted id set: cut at an articulation
+        //   variable, or candidate enumeration + existence probes, or the
+        //   block's join deduplicated — ids ascending whichever runs.
         if let Some(solutions) = compiled.try_pattern_count(graph) {
             return Ok(solutions);
         }
-        if let Some(values) = compiled.try_distinct_probe(graph) {
+        if let Some(target) = compiled.set_target() {
+            let ids = compiled.distinct_values(graph, target)?;
+            let values = columnar::Batch::single_column(compiled.var_names.len(), target, ids);
             return compiled.project(graph, &values);
         }
     }
@@ -103,87 +107,21 @@ pub fn evaluate_ask(graph: &Graph, query: &Query) -> Result<bool, SparqlError> {
 /// Renders the evaluation plan of a query without executing it: which
 /// executor runs each block (`columnar`, or `row: <reason>`), the chosen
 /// join order with per-pattern index-cardinality estimates, and the step
-/// after which each filter selects (`select <expr>`).
+/// after which each filter selects (`select <expr>`). A set query prints
+/// its decomposition first — the cut variable, how the prefix is answered
+/// (`probe`, the executor's name, or a nested cut) and the suffix seeded
+/// on the cut variable — each part with the join order of its own block.
 pub fn explain(graph: &Graph, query: &Query) -> Result<String, SparqlError> {
     use std::fmt::Write as _;
     let compiled = Compiled::new(graph, query)?;
-    let prebound = vec![false; compiled.var_names.len()];
-    let order = compiled.plan_block(graph, &compiled.root, &prebound);
-    let filter_step = compiled.filter_schedule(&compiled.root, &order, &prebound);
-    let mut bound = prebound;
     let mut out = String::new();
     let _ = match compiled.row_reason(compiled.rows_wanted()) {
         None => writeln!(out, "executor: columnar"),
         Some(reason) => writeln!(out, "executor: row: {reason}"),
     };
-    let slot_name = |slot: Slot, bound: &[bool]| match slot {
-        Slot::Const(id) => graph.term(id).to_string(),
-        Slot::Absent => "<absent-constant>".to_owned(),
-        Slot::Var(v) => {
-            let name = &compiled.var_names[v];
-            let display = match name.strip_prefix('\u{1}') {
-                Some(internal) => format!("?_{internal}"),
-                None => format!("?{name}"),
-            };
-            if bound[v] {
-                format!("{display}*")
-            } else {
-                display
-            }
-        }
-    };
-    if order.is_empty() {
-        // a pattern-free block decides its variable-free filters up front
-        for (fi, filter) in compiled.root.filters.iter().enumerate() {
-            if filter_step[fi] == 0 {
-                let _ = writeln!(out, "    select {}", crate::pretty::expr(filter.expr));
-            }
-        }
-    }
-    for (step, &pi) in order.iter().enumerate() {
-        let p = compiled.root.patterns[pi];
-        let estimate = compiled.pattern_cost(graph, p, &bound);
-        let _ = writeln!(
-            out,
-            "{step:>2}. {} {} {}   (cost estimate {estimate})",
-            slot_name(p.s, &bound),
-            slot_name(p.p, &bound),
-            slot_name(p.o, &bound),
-        );
-        for slot in [p.s, p.p, p.o] {
-            if let Slot::Var(v) = slot {
-                bound[v] = true;
-            }
-        }
-        for (fi, filter) in compiled.root.filters.iter().enumerate() {
-            if filter_step[fi] == step {
-                let _ = writeln!(out, "    select {}", crate::pretty::expr(filter.expr));
-            }
-        }
-    }
-    for child in &compiled.root.children {
-        match child {
-            Child::Optional(inner) => {
-                let _ = writeln!(
-                    out,
-                    "then: left-join OPTIONAL block ({} pattern(s)), executor: row: OPTIONAL child",
-                    inner.patterns.len()
-                );
-            }
-            Child::Union(branches) => {
-                let _ = writeln!(
-                    out,
-                    "then: UNION of {} branch(es), executor: row: UNION child",
-                    branches.len()
-                );
-            }
-        }
-    }
-    // filters the pattern join never fully binds run after the children
-    for (fi, filter) in compiled.root.filters.iter().enumerate() {
-        if filter_step[fi] == usize::MAX {
-            let _ = writeln!(out, "then: select {}", crate::pretty::expr(filter.expr));
-        }
+    match compiled.set_target() {
+        Some(target) => compiled.explain_set(graph, target, "set query", "", &mut out),
+        None => compiled.explain_block(graph, None, "", &mut out),
     }
     if query.is_aggregate() {
         let _ = writeln!(out, "then: group by {:?} + aggregate", query.group_by);
@@ -273,6 +211,17 @@ struct FlatPattern {
 }
 
 impl FlatPattern {
+    /// The registry slots of the pattern's variables, in s, p, o order (a
+    /// repeated variable repeats).
+    fn vars(&self) -> impl Iterator<Item = usize> {
+        [self.s, self.p, self.o]
+            .into_iter()
+            .filter_map(|slot| match slot {
+                Slot::Var(v) => Some(v),
+                _ => None,
+            })
+    }
+
     /// The index lookup key of the pattern under `row`'s bindings (`None`
     /// positions are wildcards), or `None` when a constant is absent from
     /// the graph and nothing can match.
@@ -394,6 +343,7 @@ impl Iterator for DomainIter<'_> {
 /// A filter: its source expression (for [`explain`]), the compiled test
 /// every execution path evaluates it through, and the registry slots of
 /// its variables.
+#[derive(Clone)]
 struct CompiledFilter<'q> {
     expr: &'q Expr,
     test: CompiledExpr,
@@ -430,6 +380,19 @@ impl Found {
             Found::Batch(batch) => batch.len() == 0,
         }
     }
+
+    /// The values bound at `slot`, in row order.
+    fn column(&self, slot: usize) -> Vec<TermId> {
+        fn of<T: Table>(table: &T, slot: usize) -> Vec<TermId> {
+            (0..table.len())
+                .filter_map(|row| table.cell(row, slot))
+                .collect()
+        }
+        match self {
+            Found::Rows(rows) => of(rows, slot),
+            Found::Batch(batch) => of(batch, slot),
+        }
+    }
 }
 
 /// Binding rows as projection and the compiled expressions read them.
@@ -458,6 +421,26 @@ impl<T: Table> Bindings for RowOf<'_, T> {
     fn binding(&self, slot: usize) -> Option<TermId> {
         self.0.cell(self.1, slot)
     }
+}
+
+/// How a block answers a set query ([`Compiled::set_step`]).
+enum SetStep<'q> {
+    /// The block splits at an articulation variable.
+    Cut(Box<Cut<'q>>),
+    /// Candidate enumeration + existence probes ([`Compiled::probe`]).
+    Probe,
+    /// The block's join, target column deduplicated.
+    Join,
+}
+
+/// A block split at the articulation variable `var`: the distinct values
+/// `var` takes over `prefix` seed `suffix`, the part holding the target.
+/// Both are the compiled query restricted to their own patterns and
+/// filters, over the same variable registry.
+struct Cut<'q> {
+    var: usize,
+    prefix: Compiled<'q>,
+    suffix: Compiled<'q>,
 }
 
 struct Compiled<'q> {
@@ -599,26 +582,26 @@ impl<'q> Compiled<'q> {
         }
     }
 
+    /// The join order of one block's patterns under the query's
+    /// [`PlanMode`]: [`Compiled::greedy_order`], or the textual order.
+    fn plan_block(&self, graph: &Graph, block: &Block<'q>, prebound: &[bool]) -> Vec<usize> {
+        match self.mode {
+            PlanMode::Planned => self.greedy_order(graph, block, prebound),
+            PlanMode::InOrder => (0..block.patterns.len()).collect(),
+        }
+    }
+
     /// Greedy join order for one block's patterns: repeatedly pick the
     /// cheapest pattern given the variables bound so far (`prebound` marks
     /// variables the surrounding group already binds). Equal-cost
     /// candidates tie-break on the lower pattern index, so structurally
     /// identical queries always produce the same plan (`remaining` is kept
-    /// in ascending index order for exactly this reason). In
-    /// [`PlanMode::InOrder`], keeps the textual order.
-    fn plan_block(&self, graph: &Graph, block: &Block<'q>, prebound: &[bool]) -> Vec<usize> {
-        if self.mode == PlanMode::InOrder {
-            return (0..block.patterns.len()).collect();
-        }
+    /// in ascending index order for exactly this reason).
+    fn greedy_order(&self, graph: &Graph, block: &Block<'q>, prebound: &[bool]) -> Vec<usize> {
         let mut remaining: Vec<usize> = (0..block.patterns.len()).collect();
         let mut bound = prebound.to_vec();
         let mut order = Vec::with_capacity(remaining.len());
-        let shares_bound_var = |p: FlatPattern, bound: &[bool]| {
-            [p.s, p.p, p.o].iter().any(|slot| match slot {
-                Slot::Var(v) => bound[*v],
-                _ => false,
-            })
-        };
+        let shares_bound_var = |p: FlatPattern, bound: &[bool]| p.vars().any(|v| bound[v]);
         while !remaining.is_empty() {
             // Prefer patterns connected to the variables bound so far —
             // joining a disconnected pattern would build a cartesian
@@ -649,15 +632,7 @@ impl<'q> Compiled<'q> {
             };
             order.push(pick);
             remaining.retain(|&i| i != pick);
-            for slot in [
-                block.patterns[pick].s,
-                block.patterns[pick].p,
-                block.patterns[pick].o,
-            ] {
-                if let Slot::Var(v) = slot {
-                    bound[v] = true;
-                }
-            }
+            block.patterns[pick].vars().for_each(|v| bound[v] = true);
         }
         order
     }
@@ -704,21 +679,22 @@ impl<'q> Compiled<'q> {
     /// registry. With `first = Some(n)`, returns only the first `n` rows
     /// (`ASK` is `n = 1`, a pushed-down `LIMIT` its `offset + limit`).
     fn run_bgp(&self, graph: &Graph, first: Option<usize>) -> Result<Found, SparqlError> {
-        let seed = vec![None; self.var_names.len()];
+        let identity = columnar::Batch::seed(self.var_names.len());
+        let Some(want) = first else {
+            return self.run_seeded(graph, &identity);
+        };
         if self.row_reason(first).is_none() {
-            // flat block: sorted-ID merge joins over columnar batches with
-            // filters applied as selections, byte-identical to the row
-            // paths below. Under a row limit the kernel gives up once a
-            // batch outgrows it — the whole answer fits the limit far more
-            // often than not, and merge joins produce it at half the
-            // per-row cost of the search that bounds the rest.
-            let budget = first.unwrap_or(usize::MAX);
-            if let Some(mut batch) = columnar::run(self, graph, budget) {
-                batch.truncate(budget);
+            // Under a row limit the kernel gives up once a batch outgrows
+            // it — the whole answer fits the limit far more often than
+            // not, and merge joins produce it at half the per-row cost of
+            // the search that bounds the rest.
+            if let Some(mut batch) = columnar::run(self, graph, &identity, want) {
+                batch.truncate(want);
                 return Ok(Found::Batch(batch));
             }
         }
-        if let (Some(want), true) = (first, self.root.children.is_empty()) {
+        let seed = vec![None; self.var_names.len()];
+        if self.root.children.is_empty() {
             // First n rows of a flat group: depth-first with early
             // termination — the nth complete solution ends the search, so
             // existence probes and capped fetches never materialize the
@@ -726,10 +702,30 @@ impl<'q> Compiled<'q> {
             return Ok(Found::Rows(self.first_rows(graph, &seed, want)));
         }
         let mut rows = self.eval_block(graph, &self.root, vec![seed])?;
-        if let Some(want) = first {
-            rows.truncate(want);
-        }
+        rows.truncate(want);
         Ok(Found::Rows(rows))
+    }
+
+    /// Every solution of the root block that extends a row of `seed` (the
+    /// one-row identity batch: every solution), on the executor
+    /// [`Compiled::row_reason`] names: for a flat block sorted-ID merge
+    /// joins over columnar batches with filters applied as selections,
+    /// byte-identical to the row executor's answer.
+    fn run_seeded(&self, graph: &Graph, seed: &columnar::Batch) -> Result<Found, SparqlError> {
+        if self.row_reason(None).is_none() {
+            // without a row limit the kernel never gives up
+            if let Some(batch) = columnar::run(self, graph, seed, usize::MAX) {
+                return Ok(Found::Batch(batch));
+            }
+        }
+        let rows = (0..seed.len())
+            .map(|row| {
+                (0..self.var_names.len())
+                    .map(|slot| seed.cell(row, slot))
+                    .collect()
+            })
+            .collect();
+        Ok(Found::Rows(self.eval_block(graph, &self.root, rows)?))
     }
 
     /// Why the root block runs on the row executor when asked for its
@@ -748,8 +744,6 @@ impl<'q> Compiled<'q> {
             None
         }
     }
-
-    // ---- distinct-domain probing ------------------------------------------
 
     /// Fast path for `SELECT (COUNT(…) AS ?n)` over exactly one triple
     /// pattern with no filters: the answer is [`Graph::count_matching`] —
@@ -815,33 +809,23 @@ impl<'q> Compiled<'q> {
         })
     }
 
-    /// Fast path for `SELECT DISTINCT ?v` / `SELECT (COUNT(DISTINCT ?v) …)`
-    /// over a flat group: instead of materializing the full join and
-    /// deduplicating, enumerate candidate values for a variable from an
-    /// index key set (objects of a predicate, predicates leaving a subject,
-    /// …) and decide each candidate with an early-exit existence search.
-    ///
-    /// This is what keeps RE²xOLAP's bootstrap *schema-bound*: its member
-    /// counts and member-predicate discovery are exactly these shapes, and
-    /// probing answers them in time proportional to the schema (members ×
-    /// predicates), not the observation count — the paper's Virtuoso
-    /// endpoint gets the same effect from predicate-indexed DISTINCT
-    /// answering.
-    ///
-    /// Returns synthetic binding rows (one per distinct value, ascending by
-    /// term id) that flow through the ordinary [`Compiled::project`], so
-    /// output formatting, aggregation and DISTINCT semantics are shared
-    /// with the general path, or `None` when the shape is not eligible or
-    /// probing is not estimated to win.
-    fn try_distinct_probe(&self, graph: &Graph) -> Option<columnar::Batch> {
+    // ---- set queries --------------------------------------------------------
+
+    /// The variable a *set query* asks the distinct values of: the query
+    /// is `SELECT DISTINCT ?t` / `SELECT (COUNT(DISTINCT ?t) AS ?n)` over a
+    /// flat block whose patterns mention `?t`, with no other clause. Its
+    /// answer is a set of term ids, so it may be computed any way that
+    /// yields that set ([`Compiled::distinct_values`]); it is emitted ids
+    /// ascending.
+    fn set_target(&self) -> Option<usize> {
         let query = self.query;
-        if !query.group_by.is_empty()
+        if query.form != QueryForm::Select
+            || !query.group_by.is_empty()
             || query.having.is_some()
             || !query.order_by.is_empty()
             || query.limit.is_some()
             || query.offset.is_some()
             || !self.root.children.is_empty()
-            || self.root.patterns.is_empty()
             || query.select.len() != 1
         {
             return None;
@@ -856,22 +840,353 @@ impl<'q> Compiled<'q> {
             _ => return None,
         };
         let tv = self.slot(target)?;
-        let appears = self.root.patterns.iter().any(|p| {
-            [p.s, p.p, p.o]
-                .iter()
-                .any(|slot| matches!(slot, Slot::Var(v) if *v == tv))
-        });
-        if !appears {
-            return None;
-        }
+        let mentions = |p: &FlatPattern| p.vars().any(|v| v == tv);
+        self.root.patterns.iter().any(mentions).then_some(tv)
+    }
+
+    /// How the root block answers "the distinct values of `tv`" — the one
+    /// decision [`Compiled::distinct_values`] dispatches on and
+    /// [`explain`] prints. A block [`Compiled::articulation`] finds a cut
+    /// for is cut there, unless the target's own candidates are far fewer
+    /// than the values the cut variable can take; a block without one
+    /// weighs candidate probing against its join. Every comparison is the
+    /// probe's admission test over O(1) index statistics, and none reads
+    /// the [`PlanMode`] or [`ExecMode`] — the answer is the same sorted
+    /// set whichever step runs.
+    fn set_step(&self, graph: &Graph, tv: usize) -> SetStep<'q> {
         let row = vec![None; self.var_names.len()];
-        // Only probe when the join is genuinely more expensive than
-        // candidate enumeration; tiny graphs stay on the ordinary executor.
-        let scan = self.scan_cost(graph, &row)?;
-        let (_, estimate) = self.best_domain(graph, &self.root.patterns, &row)?;
-        if estimate.saturating_mul(PROBE_COST_FACTOR) >= scan {
-            return None;
+        let far_fewer =
+            |candidates: u64, than: u64| candidates.saturating_mul(PROBE_COST_FACTOR) < than;
+        let Some((var, in_suffix)) = self.articulation(graph, tv) else {
+            // Only probe when the join is genuinely more expensive than
+            // candidate enumeration; tiny graphs stay on the ordinary
+            // executor.
+            let scan = self.scan_cost(graph, &row);
+            return match (scan, self.best_domain(graph, &self.root.patterns, &row)) {
+                (Some(scan), Some((_, estimate))) if far_fewer(estimate, scan) => SetStep::Probe,
+                _ => SetStep::Join,
+            };
+        };
+        // The cut walks forward to the target through every value of the
+        // cut variable. When the target's own candidates are far fewer
+        // than those (`COUNT(DISTINCT ?m)` of a coarse level behind a fine
+        // one), deciding each from the far end is the cheaper way round.
+        if let (Some(candidates), Some(seeds)) = (self.key_set(graph, tv), self.key_set(graph, var))
+        {
+            if far_fewer(candidates, seeds) {
+                return SetStep::Probe;
+            }
         }
+        let root = &self.root;
+        let (pattern_side, filter_side) = in_suffix.split_at(root.patterns.len());
+        let part = |suffix: bool| Compiled {
+            var_names: self.var_names.clone(),
+            root: Block {
+                patterns: (root.patterns.iter().zip(pattern_side))
+                    .filter(|(_, &side)| side == suffix)
+                    .map(|(pattern, _)| *pattern)
+                    .collect(),
+                filters: (root.filters.iter().zip(filter_side))
+                    .filter(|(_, &side)| side == suffix)
+                    .map(|(filter, _)| filter.clone())
+                    .collect(),
+                children: Vec::new(),
+            },
+            ..*self
+        };
+        SetStep::Cut(Box::new(Cut {
+            var,
+            prefix: part(false),
+            suffix: part(true),
+        }))
+    }
+
+    /// The size of the smallest posting-key set that lists `v` as the
+    /// subject or object of a root pattern with a constant predicate — an
+    /// upper bound, from O(1) statistics, on the values `v` can take. A
+    /// predicate variable has none: "every predicate of the graph" says
+    /// nothing about the block, and most such candidates fail, slowly.
+    fn key_set(&self, graph: &Graph, v: usize) -> Option<u64> {
+        let sizes = self
+            .root
+            .patterns
+            .iter()
+            .filter_map(|p| match (p.s, p.p, p.o) {
+                (Slot::Const(s), Slot::Const(p), Slot::Var(o)) if o == v => {
+                    Some(graph.objects(s, p).len())
+                }
+                (Slot::Var(s), Slot::Const(p), Slot::Const(o)) if s == v => {
+                    Some(graph.subjects(p, o).len())
+                }
+                (Slot::Var(s), Slot::Const(p), Slot::Var(o)) if s == v || o == v => {
+                    let stats = graph.predicate_stats(p);
+                    Some(if o == v {
+                        stats.distinct_objects
+                    } else {
+                        stats.distinct_subjects
+                    })
+                }
+                _ => None,
+            });
+        sizes.min().map(|size| size as u64)
+    }
+
+    /// The articulation variable to cut the root block at when asked for
+    /// the distinct values of `tv`, with the side of every pattern and
+    /// then every filter (`true`: the suffix, the part holding `tv`).
+    ///
+    /// `?m ≠ ?t` qualifies when the patterns and filters connected to `?t`
+    /// through variables other than `?m` — the suffix `B` — leave a rest
+    /// `A` behind, so `A` and `B` share no variable but `?m`, and `?m`
+    /// occurs in a pattern on both sides. Then `?t` depends on `A` only
+    /// through the *set* of values `?m` takes there:
+    /// `answer = ⋃ B(m) for m ∈ DISTINCT ?m { A }`, and the join above
+    /// `?m` is never built. Two more conditions keep the cut to where it
+    /// does no more work than the join it replaces:
+    ///
+    /// * `A`'s patterns bind a variable besides `?m`. When they bind only
+    ///   `?m`, every solution of `A` is a different `?m`: cutting is the
+    ///   join itself and would only take the probe-or-join decision away
+    ///   from the block.
+    /// * The planner's join order runs every pattern of `A` before any of
+    ///   `B`. The cut then makes the join's own index lookups up to `?m`
+    ///   and, past it, one per distinct `?m` instead of one per solution
+    ///   of `A`. Where the planner would rather start inside `B` — `A` a
+    ///   dangling `?m ?r ?y` that only says `?m` has some edge — seeding
+    ///   `B` from `A` would enumerate every subject of the graph to answer
+    ///   a question about a handful.
+    ///
+    /// Among qualifying variables the cut nearest `?t` — fewest suffix
+    /// patterns — is taken, the lower registry slot on a tie; the prefix
+    /// is a set query again and finds the farther cuts itself.
+    fn articulation(&self, graph: &Graph, tv: usize) -> Option<(usize, Vec<bool>)> {
+        let root = &self.root;
+        // planned once, and only if some variable gets as far as needing it
+        let mut order: Option<Vec<usize>> = None;
+        let items: Vec<Vec<usize>> = root
+            .patterns
+            .iter()
+            .map(|p| p.vars().collect())
+            .chain(root.filters.iter().map(|f| f.vars.clone()))
+            .collect();
+        let patterns = root.patterns.len();
+        let mut best: Option<(usize, usize, Vec<bool>)> = None;
+        for m in (0..self.var_names.len()).filter(|&m| m != tv) {
+            // flood the items reachable from ?t without passing through ?m
+            let mut reached = vec![false; self.var_names.len()];
+            reached[tv] = true;
+            let mut in_suffix = vec![false; items.len()];
+            let mut grew = true;
+            while grew {
+                grew = false;
+                for (item, vars) in items.iter().enumerate() {
+                    if !in_suffix[item] && vars.iter().any(|&v| v != m && reached[v]) {
+                        in_suffix[item] = true;
+                        vars.iter().for_each(|&v| reached[v] = true);
+                        grew = true;
+                    }
+                }
+            }
+            // what the patterns of each side mention
+            let (mut size, mut suffix_has_m) = (0, false);
+            let (mut prefix_has_m, mut prefix_has_more) = (false, false);
+            for (vars, &suffix) in items[..patterns].iter().zip(&in_suffix) {
+                if suffix {
+                    size += 1;
+                    suffix_has_m |= vars.contains(&m);
+                } else {
+                    prefix_has_m |= vars.contains(&m);
+                    prefix_has_more |= vars.iter().any(|&v| v != m);
+                }
+            }
+            let nearer = best.as_ref().is_none_or(|(_, least, _)| size < *least);
+            if !(suffix_has_m && prefix_has_m && prefix_has_more && nearer) {
+                continue;
+            }
+            // the join would run every prefix pattern before any suffix one
+            let order = order.get_or_insert_with(|| {
+                self.greedy_order(graph, root, &vec![false; self.var_names.len()])
+            });
+            let mut rest = order.iter().skip_while(|&&pi| !in_suffix[pi]);
+            if rest.all(|&pi| in_suffix[pi]) {
+                best = Some((m, size, in_suffix));
+            }
+        }
+        best.map(|(m, _, in_suffix)| (m, in_suffix))
+    }
+
+    /// The distinct values `tv` takes over the root block's solutions, ids
+    /// ascending — the answer of a set query, and of the prefix of a cut
+    /// one. Cut: the prefix's values of the cut variable (this function
+    /// again, on the prefix) seed the executor, which runs only the
+    /// suffix. Otherwise the probe, or — not estimated to win, or out of
+    /// budget — the block's join.
+    fn distinct_values(&self, graph: &Graph, tv: usize) -> Result<Vec<TermId>, SparqlError> {
+        let nvars = self.var_names.len();
+        let found = match self.set_step(graph, tv) {
+            SetStep::Cut(cut) => {
+                let ids = cut.prefix.distinct_values(graph, cut.var)?;
+                let seed = columnar::Batch::single_column(nvars, cut.var, ids);
+                cut.suffix.run_seeded(graph, &seed)?
+            }
+            SetStep::Probe => match self.probe(graph, tv) {
+                Some(ids) => return Ok(ids),
+                None => self.run_seeded(graph, &columnar::Batch::seed(nvars))?,
+            },
+            SetStep::Join => self.run_seeded(graph, &columnar::Batch::seed(nvars))?,
+        };
+        let mut ids = found.column(tv);
+        ids.sort_unstable();
+        ids.dedup();
+        Ok(ids)
+    }
+
+    /// [`explain`]'s rendering of [`Compiled::set_step`], recursively.
+    fn explain_set(&self, graph: &Graph, tv: usize, role: &str, indent: &str, out: &mut String) {
+        use std::fmt::Write as _;
+        let name = |v: usize| self.display_name(v);
+        match self.set_step(graph, tv) {
+            SetStep::Cut(cut) => {
+                let (var, cut_at) = (cut.var, name(cut.var));
+                let _ = writeln!(
+                    out,
+                    "{indent}{role}: distinct {}, cut at {cut_at}",
+                    name(tv)
+                );
+                let inner = format!("{indent}  ");
+                cut.prefix.explain_set(graph, var, "prefix", &inner, out);
+                let _ = writeln!(out, "{inner}suffix seeded on {cut_at}");
+                let listing = format!("{inner}  ");
+                cut.suffix.explain_block(graph, Some(var), &listing, out);
+            }
+            step => {
+                let how = match (step, self.row_reason(None)) {
+                    (SetStep::Probe, _) => "probe".to_owned(),
+                    (_, None) => "columnar".to_owned(),
+                    (_, Some(reason)) => format!("row: {reason}"),
+                };
+                let _ = writeln!(out, "{indent}{role}: distinct {}, {how}", name(tv));
+                self.explain_block(graph, None, indent, out);
+            }
+        }
+    }
+
+    /// A variable as [`explain`] shows it (internal path variables as
+    /// `?_pathN`).
+    fn display_name(&self, v: usize) -> String {
+        let name = &self.var_names[v];
+        match name.strip_prefix('\u{1}') {
+            Some(internal) => format!("?_{internal}"),
+            None => format!("?{name}"),
+        }
+    }
+
+    /// [`explain`]'s listing of the root block, every line behind
+    /// `indent`: the join order with cost estimates (variables bound on
+    /// entry to a step starred — `seeded` from the start), each filter
+    /// under the step it selects after, then the children and the filters
+    /// only they can bind.
+    fn explain_block(&self, graph: &Graph, seeded: Option<usize>, indent: &str, out: &mut String) {
+        use std::fmt::Write as _;
+        let mut bound = vec![false; self.var_names.len()];
+        if let Some(v) = seeded {
+            bound[v] = true;
+        }
+        let order = self.plan_block(graph, &self.root, &bound);
+        let filter_step = self.filter_schedule(&self.root, &order, &bound);
+        let slot_name = |slot: Slot, bound: &[bool]| match slot {
+            Slot::Const(id) => graph.term(id).to_string(),
+            Slot::Absent => "<absent-constant>".to_owned(),
+            Slot::Var(v) if bound[v] => format!("{}*", self.display_name(v)),
+            Slot::Var(v) => self.display_name(v),
+        };
+        let select = |out: &mut String, lead: &str, filter: &CompiledFilter| {
+            let _ = writeln!(
+                out,
+                "{indent}{lead}select {}",
+                crate::pretty::expr(filter.expr)
+            );
+        };
+        if order.is_empty() {
+            // a pattern-free block decides its variable-free filters up front
+            for (fi, filter) in self.root.filters.iter().enumerate() {
+                if filter_step[fi] == 0 {
+                    select(out, "    ", filter);
+                }
+            }
+        }
+        for (step, &pi) in order.iter().enumerate() {
+            let p = self.root.patterns[pi];
+            let estimate = self.pattern_cost(graph, p, &bound);
+            let _ = writeln!(
+                out,
+                "{indent}{step:>2}. {} {} {}   (cost estimate {estimate})",
+                slot_name(p.s, &bound),
+                slot_name(p.p, &bound),
+                slot_name(p.o, &bound),
+            );
+            p.vars().for_each(|v| bound[v] = true);
+            for (fi, filter) in self.root.filters.iter().enumerate() {
+                if filter_step[fi] == step {
+                    select(out, "    ", filter);
+                }
+            }
+        }
+        for child in &self.root.children {
+            match child {
+                Child::Optional(inner) => {
+                    let _ = writeln!(
+                        out,
+                        "{indent}then: left-join OPTIONAL block ({} pattern(s)), executor: row: OPTIONAL child",
+                        inner.patterns.len()
+                    );
+                }
+                Child::Union(branches) => {
+                    let _ = writeln!(
+                        out,
+                        "{indent}then: UNION of {} branch(es), executor: row: UNION child",
+                        branches.len()
+                    );
+                }
+            }
+        }
+        // filters the pattern join never fully binds run after the children
+        for (fi, filter) in self.root.filters.iter().enumerate() {
+            if filter_step[fi] == usize::MAX {
+                select(out, "then: ", filter);
+            }
+        }
+    }
+
+    // ---- distinct-domain probing ------------------------------------------
+
+    /// Answers "the distinct values of `tv`" without the join: enumerate
+    /// candidate values for a variable from an index key set (objects of a
+    /// predicate, predicates leaving a subject, …) and decide each
+    /// candidate with an early-exit existence search.
+    ///
+    /// This costs *candidates × the search that decides one*, and the
+    /// search is not bounded by the schema: a candidate nothing supports is
+    /// refuted only after every value of the variables between it and the
+    /// rest of the block was tried. On 1-to-N data (`eurostat`: a member's
+    /// first observation confirms it) that is a handful of index lookups
+    /// per candidate, which keeps the bootstrap's member counts flat while
+    /// the observations grow — the effect the paper's Virtuoso endpoint
+    /// gets from predicate-indexed DISTINCT answering. On M-to-N data a
+    /// predicate-variable candidate (`?m ?q ?x` behind a level path) walks
+    /// every member of the level before failing: candidates × members,
+    /// where candidates is every predicate of the graph. Those shapes have
+    /// an articulation variable, so [`Compiled::set_step`] cuts them there
+    /// and the probe is left the blocks without one — among them the
+    /// prefix of a cut, where it still is what answers
+    /// `DISTINCT ?m { ?o a C . ?o <p> ?m }` from the members rather than
+    /// the observations — and the blocks whose target has far fewer
+    /// candidates of its own than the cut variable has values.
+    ///
+    /// Returns the values ascending by term id, or `None` when the step
+    /// budget ran out (the caller runs the join instead).
+    fn probe(&self, graph: &Graph, tv: usize) -> Option<Vec<TermId>> {
+        let row = vec![None; self.var_names.len()];
         let mut out: Vec<TermId> = Vec::new();
         let mut budget = PROBE_STEP_BUDGET;
         if !self.probe_distinct(graph, row, tv, &mut out, &mut budget) {
@@ -879,11 +1194,7 @@ impl<'q> Compiled<'q> {
         }
         out.sort_unstable();
         out.dedup();
-        Some(columnar::Batch::single_column(
-            self.var_names.len(),
-            tv,
-            out,
-        ))
+        Some(out)
     }
 
     /// Collects into `out` the distinct values `row[tv]` takes over every
@@ -1201,15 +1512,7 @@ impl<'q> Compiled<'q> {
             }
         }
         for (step, &pi) in order.iter().enumerate() {
-            for slot in [
-                block.patterns[pi].s,
-                block.patterns[pi].p,
-                block.patterns[pi].o,
-            ] {
-                if let Slot::Var(v) = slot {
-                    bound[v] = true;
-                }
-            }
+            block.patterns[pi].vars().for_each(|v| bound[v] = true);
             for (fi, filter) in block.filters.iter().enumerate() {
                 if schedule[fi] == usize::MAX && filter.vars.iter().all(|&v| bound[v]) {
                     schedule[fi] = step;

@@ -49,15 +49,19 @@ pub(super) fn eligible(compiled: &Compiled) -> bool {
 }
 
 /// Runs the root block's planned pattern chain and scheduled filters over
-/// columnar batches (same solutions, in the same order, as
-/// [`super::Compiled::eval_block`]) — or returns `None` as soon as a batch
-/// would outgrow `budget` rows, before materializing it. A caller that
-/// only wants the first `budget` rows then gets them from the depth-first
-/// search instead, so its work stays bounded however large the join is;
-/// `usize::MAX` never gives up.
-pub(super) fn run(compiled: &Compiled, graph: &Graph, budget: usize) -> Option<Batch> {
-    let nvars = compiled.var_names.len();
-    let prebound = vec![false; nvars];
+/// columnar batches, starting from `seed` (same solutions, in the same
+/// order, as [`super::Compiled::eval_block`] over `seed`'s rows) — or
+/// returns `None` as soon as a batch would outgrow `budget` rows, before
+/// materializing it. A caller that only wants the first `budget` rows then
+/// gets them from the depth-first search instead, so its work stays
+/// bounded however large the join is; `usize::MAX` never gives up.
+pub(super) fn run(
+    compiled: &Compiled,
+    graph: &Graph,
+    seed: &Batch,
+    budget: usize,
+) -> Option<Batch> {
+    let prebound: Vec<bool> = seed.cols.iter().map(Option::is_some).collect();
     let root = &compiled.root;
     let order = compiled.plan_block(graph, root, &prebound);
     let filter_step = compiled.filter_schedule(root, &order, &prebound);
@@ -68,7 +72,7 @@ pub(super) fn run(compiled: &Compiled, graph: &Graph, budget: usize) -> Option<B
             .map(|(f, _)| f)
             .collect()
     };
-    let mut batch = Batch::seed(nvars);
+    let mut batch = seed.clone();
     if order.is_empty() {
         // a pattern-free block decides its variable-free filters up front
         batch = select(graph, batch, &due(0));
@@ -104,6 +108,7 @@ fn select(graph: &Graph, batch: Batch, filters: &[&CompiledFilter]) -> Batch {
 /// A columnar batch of partial solutions: one dense column of interned
 /// term ids per *bound* variable (`None` for variables not yet bound by
 /// any pattern), all columns of identical length.
+#[derive(Clone)]
 pub(super) struct Batch {
     cols: Vec<Option<Vec<TermId>>>,
     len: usize,
@@ -122,7 +127,7 @@ impl Table for Batch {
 impl Batch {
     /// The seed batch: a single row binding nothing (the join identity,
     /// mirroring the row executor's all-`None` seed row).
-    fn seed(nvars: usize) -> Self {
+    pub(super) fn seed(nvars: usize) -> Self {
         Batch {
             cols: vec![None; nvars],
             len: 1,

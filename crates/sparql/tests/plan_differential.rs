@@ -678,8 +678,8 @@ fn property_limit_is_a_slice(dataset: &Dataset, name: &str) {
         let all = star.projected().join(" ");
         // (limited shape, unlimited oracle, whether the oracle's rows still
         // need first-seen deduplication). The unlimited `DISTINCT` form is
-        // no oracle for itself: it is answered by the sorted distinct-probe
-        // fast path, in a different (equally valid) order.
+        // no oracle for itself: it is a set query, answered ids ascending
+        // — a different (equally valid) order.
         let shapes = [
             (format!("SELECT {all} WHERE {{ {wher} }}"), None),
             // ?d0 repeats across observations: deduplication precedes the slice

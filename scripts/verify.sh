@@ -139,6 +139,13 @@ cargo test -q --offline -p re2x-sparql --test plan_differential
 # The compiled filter evaluator (the only one WHERE filters run through)
 # must agree with the tree-walking eval_expr on seeded random expressions.
 cargo test -q --offline -p re2x-sparql --test filter_differential
+# A set query (one DISTINCT / COUNT(DISTINCT) variable over a flat block)
+# must answer the row executor's unprojected rows as a set, ids ascending,
+# whether it is cut at an articulation variable, probed or joined — the
+# crawl's shapes over every bootstrapped level path of all four datasets,
+# seeded chains and stars, the 2x2 modes, 2 and 4 shards — and explain
+# must print the decomposition evaluation takes.
+cargo test -q --offline -p re2x-sparql --test set_query_differential
 
 echo "== derivation differential suite (offline) =="
 # A Top-k / Percentile / Similarity refinement the session answers from

@@ -16,9 +16,9 @@
 //! refinement of Dis.1, and apply one Top-k and one Similarity refinement —
 //! which the session answers from Dis.1's rows — next to what executing the
 //! same refined query costs, with the two results compared byte for byte.
-//! The rung ends with the serve situation, index cost only
-//! ([`write_beside_clone`]): one `Graph::clone` of the loaded graph, then
-//! one write to the source while that clone is alive.
+//! The rung ends with the serve situation ([`write_beside_clone`]): one
+//! `Graph::clone` of the loaded graph, then one triple written and one new
+//! literal interned into the source while that clone is alive.
 //!
 //! Two claims are checked across the ladder:
 //!
@@ -35,7 +35,7 @@ use re2x_cube::{bootstrap, BootstrapConfig};
 use re2x_datagen::cache;
 use re2x_obs::Tracer;
 use re2x_rdf::vocab::rdf;
-use re2x_rdf::{graph_digest, Graph};
+use re2x_rdf::{graph_digest, Graph, Literal, Term};
 use re2x_sparql::{parse_query, to_tsv, LocalEndpoint, Solutions, SparqlEndpoint};
 use re2xolap::{reolap, RefineOp, Refinement, ReolapConfig, Session, SessionConfig};
 use std::fmt::Write as _;
@@ -79,28 +79,58 @@ pub struct ScaleRung {
     /// The interactive loop on the loaded graph; `None` if a stage of it
     /// failed or offered nothing.
     pub exploration: Option<LoopTimings>,
-    /// `Graph::clone` of the loaded graph and the first write beside that
-    /// clone ([`write_beside_clone`]); `None` if the write did not happen.
-    pub beside_clone: Option<(Duration, Duration)>,
+    /// `Graph::clone` of the loaded graph and the first writes beside that
+    /// clone ([`write_beside_clone`]); `None` if a write did not happen.
+    pub beside_clone: Option<BesideClone>,
 }
 
-/// What a tenant start and the first write after it cost on the loaded
-/// graph, index work only: one `Graph::clone`, then — the clone still
-/// alive, as a tenant's is — one new triple over already-interned ids,
-/// `<class> rdf:type <class>`, which joins the longest posting list the
-/// indexes hold (every observation's type triple). `None` if the
-/// vocabulary is missing, the triple exists or the clone saw the write.
-fn write_beside_clone(mut graph: Graph, observation_class: &str) -> Option<(Duration, Duration)> {
+/// What [`write_beside_clone`] measured.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct BesideClone {
+    /// `Graph::clone` of the loaded graph.
+    pub clone: Duration,
+    /// The first `insert_ids` beside the clone.
+    pub first_insert: Duration,
+    /// Interning one new literal beside the clone. The text index copies
+    /// only the posting lists the literal joins, but the term table still
+    /// copies whole (ROADMAP item 2(c)), so this is reported, not gated.
+    pub first_fresh_literal: Duration,
+}
+
+/// What a tenant start and the first writes after it cost on the loaded
+/// graph: one `Graph::clone`, then — the clone still alive, as a tenant's
+/// is — one new triple over already-interned ids, `<class> rdf:type
+/// <class>`, which joins the longest posting list the indexes hold (every
+/// observation's type triple), and one new literal interned. `None` if the
+/// vocabulary is missing, the triple or literal exists or the clone saw a
+/// write.
+fn write_beside_clone(mut graph: Graph, observation_class: &str) -> Option<BesideClone> {
     let class = graph.iri_id(observation_class)?;
     let type_predicate = graph.iri_id(rdf::TYPE)?;
+    let lexical = "first fresh literal 2014";
+    let fresh = Term::from(Literal::simple(lexical));
     let start = Instant::now();
     let tenant = graph.clone();
     let clone = start.elapsed();
     let start = Instant::now();
     let inserted = graph.insert_ids(class, type_predicate, class);
     let first_insert = start.elapsed();
-    (inserted && graph.len() == tenant.len() + 1 && graph.shares_base_with(&tenant))
-        .then_some((clone, first_insert))
+    let indexes_shared = graph.shares_base_with(&tenant);
+    let known = graph.term_id(&fresh).is_some();
+    let start = Instant::now();
+    let literal = graph.intern(fresh);
+    let first_fresh_literal = start.elapsed();
+    let found = graph.literals_matching_exact(lexical) == [literal];
+    let seen = tenant.term_id(graph.term(literal)).is_some()
+        || !tenant.literals_matching_exact(lexical).is_empty();
+    let isolated = found && !known && !seen;
+    (inserted && graph.len() == tenant.len() + 1 && indexes_shared && isolated).then_some(
+        BesideClone {
+            clone,
+            first_insert,
+            first_fresh_literal,
+        },
+    )
 }
 
 /// One refinement applied to the drilled-down step: answered by the session
@@ -471,24 +501,25 @@ impl ScaleReport {
         let _ = writeln!(out);
         let _ = writeln!(
             out,
-            "cloning the loaded graph, then one write to it beside the live clone, ms:"
+            "cloning the loaded graph, then writes to it beside the live clone, ms:"
         );
         let _ = writeln!(
             out,
-            "{:>12} {:>10} {:>14}",
-            "observations", "clone", "first insert"
+            "{:>12} {:>10} {:>14} {:>14}",
+            "observations", "clone", "first insert", "fresh literal"
         );
         for r in &self.rows {
-            let Some((clone, first_insert)) = r.beside_clone else {
-                let _ = writeln!(out, "{:>12} (the write did not happen)", r.observations);
+            let Some(b) = r.beside_clone else {
+                let _ = writeln!(out, "{:>12} (the writes did not happen)", r.observations);
                 continue;
             };
             let _ = writeln!(
                 out,
-                "{:>12} {:>10.4} {:>14.4}",
+                "{:>12} {:>10.4} {:>14.4} {:>14.4}",
                 r.observations,
-                ms(clone),
-                ms(first_insert)
+                ms(b.clone),
+                ms(b.first_insert),
+                ms(b.first_fresh_literal)
             );
         }
         out
@@ -529,14 +560,16 @@ fn loop_json(exploration: Option<&LoopTimings>) -> String {
 }
 
 /// The clone-and-write columns of one rung as JSON members; zeros and
-/// `wrote_beside_clone: false` if the write did not happen.
-fn beside_clone_json(timings: Option<(Duration, Duration)>) -> String {
-    let (clone, first_insert) = timings.unwrap_or_default();
+/// `wrote_beside_clone: false` if the writes did not happen.
+fn beside_clone_json(timings: Option<BesideClone>) -> String {
+    let b = timings.unwrap_or_default();
     format!(
-        "\"wrote_beside_clone\": {}, \"clone_ms\": {:.4}, \"first_insert_ids_ms\": {:.4}",
+        "\"wrote_beside_clone\": {}, \"clone_ms\": {:.4}, \"first_insert_ids_ms\": {:.4}, \
+         \"first_fresh_literal_ms\": {:.4}",
         timings.is_some(),
-        ms(clone),
-        ms(first_insert),
+        ms(b.clone),
+        ms(b.first_insert),
+        ms(b.first_fresh_literal),
     )
 }
 

@@ -160,7 +160,8 @@ pub fn example_workload(
 }
 
 /// [`example_workload`] against an explicit graph — used when the
-/// dataset's graph has been moved into an endpoint.
+/// dataset's graph has been moved into an endpoint. Empty if the graph
+/// lacks `rdf:type`, the observation class or the label predicate.
 pub fn example_workload_on(
     graph: &Graph,
     dataset: &Dataset,
@@ -168,17 +169,15 @@ pub fn example_workload_on(
     count: usize,
     seed: u64,
 ) -> Vec<Vec<String>> {
-    let type_pred = graph
-        .iri_id(vocab::rdf::TYPE)
-        .expect("generated graphs type their observations");
-    let class = graph
-        .iri_id(&dataset.observation_class)
-        .expect("observation class interned");
+    let (Some(type_pred), Some(class), Some(label_pred)) = (
+        graph.iri_id(vocab::rdf::TYPE),
+        graph.iri_id(&dataset.observation_class),
+        graph.iri_id(&dataset.label_predicate),
+    ) else {
+        return Vec::new();
+    };
     let observations = graph.subjects(type_pred, class).to_vec();
     assert!(!observations.is_empty(), "dataset has no observations");
-    let label_pred = graph
-        .iri_id(&dataset.label_predicate)
-        .expect("label predicate interned");
     let dim_preds: Vec<TermId> = dataset
         .dimension_predicates
         .iter()

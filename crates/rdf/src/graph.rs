@@ -482,11 +482,12 @@ pub struct PredicateStats {
 /// Cloning is cheap. The term table and text index live behind
 /// copy-on-write handles: a clone (or a shard built from
 /// [`Graph::term_shell`]) shares them until it interns a *new* term or
-/// (un)indexes a literal, at which point only that clone pays for a deep
-/// copy. The three indexes share their immutable base the same way and
-/// never un-share it: a write copies the one posting list it changes into
-/// the writer's overlay, so a clone costs the overlay (the lists written
-/// since the base was built), not the index.
+/// (un)indexes a literal, at which point only that clone pays for a copy
+/// — of the whole term table, but of the text index only its overlay. The
+/// three indexes and the text index share their immutable base and never
+/// un-share it: a write copies the posting lists it changes into the
+/// writer's overlay, so a clone costs the overlay (the lists written since
+/// the base was built), not the index.
 #[derive(Debug, Default, Clone)]
 pub struct Graph {
     pub(crate) interner: Arc<Interner>,
@@ -515,15 +516,20 @@ impl Graph {
     /// Interns an arbitrary term.
     ///
     /// Only a term the table has not seen un-shares the copy-on-write term
-    /// table (and, for a literal, the text index) from this graph's clones.
+    /// table from this graph's clones — and, for a literal, the text
+    /// index's overlay, whose shared base stays shared: the literal copies
+    /// just the posting lists it joins. A full table yields
+    /// [`TermId::OVERFLOW`] and indexes nothing.
     pub fn intern(&mut self, term: Term) -> TermId {
         if let Some(id) = self.interner.get(&term) {
             return id;
         }
-        let lexical = term.as_literal().map(|l| l.lexical().to_owned());
-        let id = Arc::make_mut(&mut self.interner).intern(term);
-        if let Some(lexical) = lexical {
-            Arc::make_mut(&mut self.text).index_literal(id, &lexical);
+        let interner = Arc::make_mut(&mut self.interner);
+        let Ok(id) = interner.try_intern(term) else {
+            return TermId::OVERFLOW;
+        };
+        if let Some(literal) = interner.resolve(id).as_literal() {
+            Arc::make_mut(&mut self.text).index_literal(id, literal.lexical());
         }
         id
     }
@@ -602,7 +608,7 @@ impl Graph {
         osp: FrozenIndex,
         len: usize,
         pred_stats: FxHashMap<TermId, PredicateStats>,
-        text: Arc<TextIndex>,
+        text: TextIndex,
     ) -> Graph {
         Graph {
             interner,
@@ -611,7 +617,7 @@ impl Graph {
             osp: Index::from_base(osp),
             len,
             pred_stats,
-            text,
+            text: Arc::new(text),
         }
     }
 
@@ -638,14 +644,9 @@ impl Graph {
         if fresh_object {
             // A literal unindexed by a prior removal becomes searchable again
             // the moment a triple uses it as an object.
-            if let Some(lexical) = self
-                .interner
-                .resolve(o)
-                .as_literal()
-                .map(|l| l.lexical().to_owned())
-            {
-                if !self.text.is_indexed(o, &lexical) {
-                    Arc::make_mut(&mut self.text).index_literal(o, &lexical);
+            if let Some(literal) = self.interner.resolve(o).as_literal() {
+                if !self.text.is_indexed(o, literal.lexical()) {
+                    Arc::make_mut(&mut self.text).index_literal(o, literal.lexical());
                 }
             }
         }
@@ -691,25 +692,30 @@ impl Graph {
             }
         }
         if !self.osp.contains_outer(o) {
-            if let Some(lexical) = self
-                .interner
-                .resolve(o)
-                .as_literal()
-                .map(|l| l.lexical().to_owned())
-            {
-                Arc::make_mut(&mut self.text).unindex_literal(o, &lexical);
+            if let Some(literal) = self.interner.resolve(o).as_literal() {
+                Arc::make_mut(&mut self.text).unindex_literal(o, literal.lexical());
             }
         }
         true
     }
 
-    /// Folds every index's overlay into a fresh base of its own, so reads
-    /// stop probing the overlay and later clones are `Arc` bumps again.
-    /// Costs one merging sweep per index — `O(graph)`, which is why no
-    /// write triggers it: the caller who knows a write burst is over (a
-    /// bulk load, a partitioning pass) decides. Changes no answer, only
-    /// enumeration order (a base enumerates in ascending id order).
+    /// Folds every index's overlay — the text index's too — into a fresh
+    /// base of its own, so reads stop probing the overlay and later clones
+    /// are `Arc` bumps again. Costs one merging sweep per index —
+    /// `O(graph)`, which is why no write triggers it: the caller who knows
+    /// a write burst is over (a bulk load, a partitioning pass) decides.
+    /// Changes no answer, only enumeration order (a base enumerates in
+    /// ascending id order).
     pub fn compact(&mut self) {
+        self.compact_triples();
+        if self.text.has_overlay() {
+            self.text = Arc::new(TextIndex::from_base(self.text.freeze_view()));
+        }
+    }
+
+    /// [`Graph::compact`] for the three triple indexes only — the
+    /// partitioner's, whose shards keep sharing the source's text index.
+    pub(crate) fn compact_triples(&mut self) {
         self.spo.compact();
         self.pos.compact();
         self.osp.compact();

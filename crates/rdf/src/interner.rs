@@ -5,8 +5,9 @@
 //! [`crate::hash`]) and makes solution rows `Copy`.
 
 use crate::error::RdfError;
-use crate::hash::FxHashMap;
+use crate::hash::{FxBuildHasher, IdTable};
 use crate::term::Term;
+use std::hash::BuildHasher;
 
 /// The maximum number of distinct terms an interner can hold: every id up
 /// to `u32::MAX - 1` is addressable, and `u32::MAX` itself is reserved for
@@ -35,13 +36,17 @@ impl TermId {
 
 /// An append-only term table with O(1) lookup in both directions.
 ///
+/// The reverse direction is an id-only hash table over `terms`
+/// ([`IdTable`]): each term is stored once, and a lookup compares the
+/// query only with the terms whose hash tag it meets.
+///
 /// Numeric values of literals are parsed once at interning time and cached,
 /// so aggregation never re-parses lexical forms (a hot path in the paper's
 /// refinement experiments).
 #[derive(Debug, Default, Clone)]
 pub struct Interner {
     terms: Vec<Term>,
-    ids: FxHashMap<Term, TermId>,
+    ids: IdTable,
     /// Cached numeric interpretation, parallel to `terms`.
     numeric: Vec<Option<f64>>,
 }
@@ -63,40 +68,48 @@ impl Interner {
     /// Interns a term, returning a typed error instead of a sentinel when
     /// the table is full.
     pub fn try_intern(&mut self, term: Term) -> Result<TermId, RdfError> {
-        if let Some(&id) = self.ids.get(&term) {
-            return Ok(id);
-        }
+        let hash = hash_term(&term);
+        let slot = match self.probe(hash, &term) {
+            Ok(id) => return Ok(id),
+            Err(slot) => slot,
+        };
         if self.terms.len() >= TERM_CAPACITY {
             return Err(RdfError::TermCapacity);
         }
         let id = TermId(self.terms.len() as u32);
         let numeric = term.as_literal().and_then(|l| l.as_f64());
         self.numeric.push(numeric);
-        self.ids.insert(term.clone(), id);
         self.terms.push(term);
+        if self.ids.is_full_at(self.terms.len()) {
+            let terms = &self.terms;
+            self.ids = IdTable::rebuilt(terms.len(), |i| hash_term(&terms[i as usize]));
+        } else {
+            self.ids.fill(slot, hash, id.0);
+        }
         Ok(id)
     }
 
     /// Rebuilds an interner from a term table in interning order — the
     /// snapshot loader's bulk constructor. Ids are assigned positionally
-    /// (`terms[i]` ⇒ `TermId(i)`), the numeric cache is recomputed, and the
-    /// reverse map is re-hashed once per term; no other per-term work
-    /// happens. Returns `None` if the table contains a duplicate term or
-    /// more than `u32::MAX` entries (both impossible for a table produced
-    /// by a real interner, so they signal a corrupt snapshot).
+    /// (`terms[i]` ⇒ `TermId(i)`), the numeric cache is recomputed, and
+    /// each term is hashed once into the id table; no term is copied.
+    /// Returns `None` if the table contains a duplicate term or more than
+    /// `u32::MAX` entries (both impossible for a table produced by a real
+    /// interner, so they signal a corrupt snapshot).
     pub fn from_terms(terms: Vec<Term>) -> Option<Interner> {
         if terms.len() > TERM_CAPACITY {
             return None;
         }
-        let mut ids = FxHashMap::default();
-        ids.reserve(terms.len());
-        let mut numeric = Vec::with_capacity(terms.len());
-        for (i, term) in terms.iter().enumerate() {
-            numeric.push(term.as_literal().and_then(|l| l.as_f64()));
-            if ids.insert(term.clone(), TermId(i as u32)).is_some() {
-                return None;
-            }
+        let hashes: Vec<u64> = terms.iter().map(hash_term).collect();
+        let mut ids = IdTable::with_capacity(terms.len());
+        for (i, (term, &hash)) in terms.iter().zip(&hashes).enumerate() {
+            let slot = ids.probe(hash, |id| terms[id as usize] == *term).err()?;
+            ids.fill(slot, hash, i as u32);
         }
+        let numeric = terms
+            .iter()
+            .map(|t| t.as_literal().and_then(|l| l.as_f64()))
+            .collect();
         Some(Interner {
             terms,
             ids,
@@ -104,9 +117,18 @@ impl Interner {
         })
     }
 
+    /// The id of `term` (hashed as `hash`), or the empty slot it would
+    /// take.
+    #[inline]
+    fn probe(&self, hash: u64, term: &Term) -> Result<TermId, usize> {
+        self.ids
+            .probe(hash, |id| self.terms[id as usize] == *term)
+            .map(TermId)
+    }
+
     /// Looks up the id of a term without interning it.
     pub fn get(&self, term: &Term) -> Option<TermId> {
-        self.ids.get(term).copied()
+        self.probe(hash_term(term), term).ok()
     }
 
     /// Resolves an id back to its term. Panics on a foreign id.
@@ -169,8 +191,14 @@ impl Interner {
         term_bytes
             + self.terms.len() * std::mem::size_of::<Term>()
             + self.numeric.len() * std::mem::size_of::<Option<f64>>()
-            + self.ids.capacity() * (std::mem::size_of::<Term>() + std::mem::size_of::<TermId>())
+            + self.ids.heap_bytes()
     }
+}
+
+/// The hash the id table places a term by.
+#[inline]
+fn hash_term(term: &Term) -> u64 {
+    FxBuildHasher::default().hash_one(term)
 }
 
 #[cfg(test)]

@@ -187,8 +187,8 @@ fn route(
 pub fn partition(graph: &Graph, observation_class: &str, shards: usize) -> Partitioned {
     // Route fact triples and build the replicated part once, compacted into
     // an index base: shards are then clones that share that base (and the
-    // term table and text index) through `Arc`s, each holding only its fact
-    // share in its overlay.
+    // source's term table and text index, left as they are) through `Arc`s,
+    // each holding only its fact share in its overlay.
     let mut base = graph.term_shell();
     let mut fact_routes: Vec<(crate::graph::Triple, usize)> = Vec::new();
     let layout = route(
@@ -200,7 +200,7 @@ pub fn partition(graph: &Graph, observation_class: &str, shards: usize) -> Parti
             base.insert_ids(triple.s, triple.p, triple.o);
         },
     );
-    base.compact();
+    base.compact_triples();
     let mut parts: Vec<Graph> = (1..shards).map(|_| base.clone()).collect();
     parts.push(base);
     for (triple, shard) in fact_routes {

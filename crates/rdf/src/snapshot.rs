@@ -5,21 +5,23 @@
 //! [`TermId`] survives a round-trip unchanged), each of the three two-level
 //! indexes in its frozen compressed-sparse-row form (see
 //! `crate::graph::FrozenIndex`), the incrementally maintained
-//! [`PredicateStats`], and the exact membership of the full-text index.
-//! Loading is a handful of large sequential array reads — no string
-//! re-parsing, no per-triple hash-map or `Vec` allocation, no sorting: the
-//! writer already laid every index out in exactly the form the evaluator
-//! reads. That is what makes a snapshot load several times faster than
-//! regenerating the dataset it caches.
+//! [`PredicateStats`], and both tables of the full-text index (see
+//! `crate::text::FrozenTable`). Loading is a handful of large sequential
+//! array reads — no string re-parsing, no per-triple hash-map or `Vec`
+//! allocation, no sorting, no re-tokenising: the writer already laid every
+//! index out in exactly the form the evaluator reads. The one table
+//! rebuilt is the interner's id-only hash table (a slot array is as costly
+//! to check as to rebuild). That is what makes a snapshot load several
+//! times faster than regenerating the dataset it caches.
 //!
-//! ## File layout (version 2, all integers little-endian)
+//! ## File layout (version 3, all integers little-endian)
 //!
 //! ```text
 //! magic      8 bytes  "RE2XSNAP"
 //! version    u32
 //! key        u32 length + UTF-8 bytes   (dataset identity, checked on load)
 //! counts     4 × u64: terms, triples, predicates, indexed literals
-//! section ×6          dictionary, spo, pos, osp, stats, text membership
+//! section ×7          dictionary, spo, pos, osp, stats, text exact, text tokens
 //!   length   u64      payload bytes
 //!   payload  …
 //!   checksum u64      FNV-1a over 8-byte LE words of the payload
@@ -37,6 +39,17 @@
 //! postings   u32 × post    term ids, strictly ascending per inner run
 //! ```
 //!
+//! Each text section holds one string-keyed table (normalized form → the
+//! literals spelling it; token → the literals containing it):
+//!
+//! ```text
+//! counts     3 × u64: keys, key bytes, postings
+//! key ends   u32 × keys    exclusive end offsets into the key bytes
+//! id ends    u32 × keys    exclusive end offsets into the postings
+//! postings   u32 × post    term ids, strictly ascending per key
+//! key bytes  u8 × bytes    the keys, strictly ascending in byte order
+//! ```
+//!
 //! Every decode error is a typed [`RdfError`] — truncated files, foreign
 //! magic, unsupported versions, checksum mismatches and internally
 //! inconsistent payloads all fail loudly without panicking, so a corrupt
@@ -45,7 +58,16 @@
 //! runs, exact offsets, in-range ids, posting count equal to the header's
 //! triple count); agreement *between* the three indexes is a writer
 //! invariant guarded by the checksums, the round-trip property suite and
-//! the digest comparison in the scale experiment.
+//! the digest comparison in the scale experiment. The text sections are
+//! held to full agreement with the dictionary instead, because a wrong
+//! keyword hit would be silent: every exact posting is a literal listed
+//! once, under a key equal to its normalized lexical form (checked by a
+//! streaming, allocation-free tokeniser); every token posting is such a
+//! literal, the token a word of its key; and the token postings number
+//! exactly the distinct words summed over the indexed literals — so the
+//! token table is precisely the one the exact table implies, and a
+//! checksum-valid but inconsistent file is [`RdfError::SnapshotCorrupt`],
+//! never a wrong index. No string is re-hashed or allocated to check it.
 
 use crate::error::RdfError;
 use crate::graph::{FrozenIndex, Graph, PredicateStats};
@@ -53,7 +75,7 @@ use crate::hash::FxHashMap;
 use crate::interner::{Interner, TermId};
 use crate::partition::Partitioned;
 use crate::term::{Literal, Term};
-use crate::text::TextIndex;
+use crate::text::{normalizes_to, words, FrozenTable, FrozenText, TextIndex};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -62,14 +84,17 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"RE2XSNAP";
 /// Current format version; bump on any incompatible layout change.
 /// Version 2 replaced the delta-varint triple stream with the three frozen
 /// index sections, trading ~2× file size for a zero-allocation load path.
-pub const SNAPSHOT_VERSION: u32 = 2;
+/// Version 3 stores the text index's two tables in place of v2's list of
+/// indexed literals, so a load stops re-tokenising every literal.
+pub const SNAPSHOT_VERSION: u32 = 3;
 
 const SECTION_DICTIONARY: &str = "dictionary";
 const SECTION_SPO: &str = "spo";
 const SECTION_POS: &str = "pos";
 const SECTION_OSP: &str = "osp";
 const SECTION_STATS: &str = "stats";
-const SECTION_TEXT: &str = "text";
+const SECTION_TEXT_EXACT: &str = "text exact";
+const SECTION_TEXT_TOKENS: &str = "text tokens";
 
 // Term tags in the dictionary section.
 const TAG_IRI: u8 = 0;
@@ -366,10 +391,7 @@ fn decode_term(r: &mut Reader<'_>) -> Result<Term, RdfError> {
 }
 
 /// Serializes one frozen index as the fixed-width array layout above.
-fn encode_index(index: &FrozenIndex) -> Vec<u8> {
-    let mut out = Vec::with_capacity(
-        24 + 4 * (2 * index.outer_ids.len() + 2 * index.inner_ids.len() + index.postings.len()),
-    );
+fn encode_index(index: &FrozenIndex, out: &mut Vec<u8>) {
     for count in [
         index.outer_ids.len(),
         index.inner_ids.len(),
@@ -392,7 +414,6 @@ fn encode_index(index: &FrozenIndex) -> Vec<u8> {
     for id in &index.postings {
         out.extend_from_slice(&id.0.to_le_bytes());
     }
-    out
 }
 
 /// `true` if every element is strictly larger than its predecessor.
@@ -400,14 +421,19 @@ fn strictly_ascending(ids: &[TermId]) -> bool {
     ids.windows(2).all(|w| w[0] < w[1])
 }
 
+/// One little-endian `u32` from a 4-byte chunk.
+fn le_u32(chunk: &[u8]) -> u32 {
+    let mut bytes = [0u8; 4];
+    bytes.copy_from_slice(chunk);
+    u32::from_le_bytes(bytes)
+}
+
 /// Reads `n` term ids, each validated against the dictionary size.
 fn read_id_array(r: &mut Reader<'_>, n: usize, term_count: usize) -> Result<Vec<TermId>, RdfError> {
     let raw = r.take(n.checked_mul(4).ok_or_else(|| r.truncated())?)?;
     let mut out = Vec::with_capacity(n);
     for chunk in raw.chunks_exact(4) {
-        let mut bytes = [0u8; 4];
-        bytes.copy_from_slice(chunk);
-        let id = u32::from_le_bytes(bytes);
+        let id = le_u32(chunk);
         if (id as usize) >= term_count {
             return Err(r.corrupt(format!("term id {id} out of range ({term_count} terms)")));
         }
@@ -423,9 +449,7 @@ fn read_end_array(r: &mut Reader<'_>, n: usize, total: usize) -> Result<Vec<u32>
     let mut out = Vec::with_capacity(n);
     let mut prev = 0u32;
     for chunk in raw.chunks_exact(4) {
-        let mut bytes = [0u8; 4];
-        bytes.copy_from_slice(chunk);
-        let end = u32::from_le_bytes(bytes);
+        let end = le_u32(chunk);
         if end <= prev && !(out.is_empty() && end == 0 && total == 0) {
             return Err(r.corrupt("offsets are not strictly increasing"));
         }
@@ -439,6 +463,35 @@ fn read_end_array(r: &mut Reader<'_>, n: usize, total: usize) -> Result<Vec<u32>
     Ok(out)
 }
 
+/// Reads a section's three leading counts — each must fit a `u32` offset
+/// — and checks the payload is exactly `24 + Σ count × bytes_per` bytes
+/// before any array is allocated, so a corrupt count can never force a
+/// huge speculative allocation.
+fn read_counts(r: &mut Reader<'_>, bytes_per: [usize; 3]) -> Result<[usize; 3], RdfError> {
+    let mut counts = [0usize; 3];
+    for slot in &mut counts {
+        let raw = r.u64_le()?;
+        *slot = u32::try_from(raw)
+            .ok()
+            .map(|v| v as usize)
+            .ok_or_else(|| r.corrupt("count overflows u32"))?;
+    }
+    let expected = counts
+        .iter()
+        .zip(bytes_per)
+        .try_fold(24usize, |acc, (&n, per)| {
+            n.checked_mul(per).and_then(|b| acc.checked_add(b))
+        })
+        .ok_or_else(|| r.corrupt("counts overflow"))?;
+    if r.buf.len() != expected {
+        return Err(r.corrupt(format!(
+            "section holds {} bytes, its counts promise {expected}",
+            r.buf.len()
+        )));
+    }
+    Ok(counts)
+}
+
 /// Reads and fully validates one frozen-index section.
 fn read_index_section(
     body: &mut Reader<'_>,
@@ -447,35 +500,8 @@ fn read_index_section(
     triple_count: usize,
 ) -> Result<FrozenIndex, RdfError> {
     let mut r = read_section(body, section)?;
-    let mut counts = [0usize; 3];
-    for slot in &mut counts {
-        let raw = r.u64_le()?;
-        *slot = u32::try_from(raw)
-            .ok()
-            .map(|v| v as usize)
-            .ok_or_else(|| r.corrupt("index count overflows u32"))?;
-    }
-    let [outer_count, inner_count, posting_count] = counts;
-    // Exact payload size before any array allocation: a corrupt count can
-    // never force a huge speculative allocation.
-    let expected = [
-        outer_count,
-        outer_count,
-        inner_count,
-        inner_count,
-        posting_count,
-    ]
-    .iter()
-    .try_fold(24usize, |acc, &n| {
-        n.checked_mul(4).and_then(|b| acc.checked_add(b))
-    })
-    .ok_or_else(|| r.corrupt("index counts overflow"))?;
-    if r.buf.len() != expected {
-        return Err(r.corrupt(format!(
-            "index section holds {} bytes, its counts promise {expected}",
-            r.buf.len()
-        )));
-    }
+    // outer ids + ends, inner ids + ends, postings
+    let [outer_count, inner_count, posting_count] = read_counts(&mut r, [8, 8, 4])?;
     if posting_count != triple_count {
         return Err(r.corrupt(format!(
             "index covers {posting_count} postings, header promised {triple_count} triples"
@@ -512,11 +538,164 @@ fn read_index_section(
     })
 }
 
-/// Appends one framed section (length, payload, FNV-1a checksum).
-fn push_section(out: &mut Vec<u8>, payload: &[u8]) {
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(payload);
-    out.extend_from_slice(&section_checksum(payload).to_le_bytes());
+/// Bytes [`encode_table`] writes for `table`.
+fn table_len(table: &FrozenTable) -> usize {
+    24 + 8 * table.len() + 4 * table.ids.len() + table.key_bytes.len()
+}
+
+/// Serializes one text table as the layout above.
+fn encode_table(table: &FrozenTable, out: &mut Vec<u8>) {
+    for count in [table.len(), table.key_bytes.len(), table.ids.len()] {
+        out.extend_from_slice(&(count as u64).to_le_bytes());
+    }
+    for end in table.key_ends.iter().chain(&table.id_ends) {
+        out.extend_from_slice(&end.to_le_bytes());
+    }
+    for id in &table.ids {
+        out.extend_from_slice(&id.0.to_le_bytes());
+    }
+    out.extend_from_slice(&table.key_bytes);
+}
+
+/// Reads one text table, validated structurally: exact offsets, in-range
+/// ids, non-empty strictly ascending runs, strictly ascending keys.
+/// Agreement with the dictionary is [`validate_text`]'s.
+fn read_table_section(
+    body: &mut Reader<'_>,
+    section: &'static str,
+    term_count: usize,
+) -> Result<FrozenTable, RdfError> {
+    let mut r = read_section(body, section)?;
+    // key ends + id ends, key bytes, postings
+    let [key_count, byte_count, posting_count] = read_counts(&mut r, [8, 1, 4])?;
+    // Key ends only ascend: the first key may be empty (a zero-token
+    // literal's normalized form); strict key order rules out a second.
+    let key_ends: Vec<u32> = r.take(key_count * 4)?.chunks_exact(4).map(le_u32).collect();
+    if key_ends.windows(2).any(|w| w[0] > w[1])
+        || key_ends.last().map_or(0, |&e| e as usize) != byte_count
+    {
+        return Err(r.corrupt("key offsets do not ascend to the end of the key bytes"));
+    }
+    let id_ends = read_end_array(&mut r, key_count, posting_count)?;
+    let ids = read_id_array(&mut r, posting_count, term_count)?;
+    let key_bytes = r.take(byte_count)?.to_vec();
+    let table = FrozenTable {
+        key_bytes,
+        key_ends,
+        id_ends,
+        ids,
+    };
+    if (1..table.len()).any(|k| table.key(k - 1) >= table.key(k)) {
+        return Err(r.corrupt("keys are not strictly increasing"));
+    }
+    if (0..table.len()).any(|k| !strictly_ascending(table.ids_at(k))) {
+        return Err(r.corrupt("postings are not strictly increasing within a key"));
+    }
+    Ok(table)
+}
+
+/// Holds the two text tables to full agreement with the dictionary (the
+/// module docs' contract): every exact posting is a literal listed once,
+/// under its normalized form; every token posting is an indexed literal
+/// whose key has the token as a word; and the token postings number the
+/// distinct words summed over the indexed literals, so no (token, literal)
+/// pair is missing either.
+fn validate_text(text: &FrozenText, interner: &Interner, indexed: usize) -> Result<(), RdfError> {
+    let corrupt = |section: &str, message: String| RdfError::SnapshotCorrupt {
+        section: section.to_owned(),
+        message,
+    };
+    let exact = &text.exact;
+    if exact.ids.len() != indexed {
+        return Err(corrupt(
+            SECTION_TEXT_EXACT,
+            format!(
+                "table holds {} literals, header promised {indexed}",
+                exact.ids.len()
+            ),
+        ));
+    }
+    // The exact key each literal is indexed under, by term id.
+    const UNINDEXED: u32 = u32::MAX;
+    let mut key_of = vec![UNINDEXED; interner.len()];
+    let mut distinct: Vec<&[u8]> = Vec::new();
+    let mut word_postings = 0usize;
+    for k in 0..exact.len() {
+        let ids = exact.ids_at(k);
+        for &id in ids {
+            if std::mem::replace(&mut key_of[id.index()], k as u32) != UNINDEXED {
+                return Err(corrupt(
+                    SECTION_TEXT_EXACT,
+                    format!("literal {} is listed under two keys", id.0),
+                ));
+            }
+        }
+        distinct.clear();
+        distinct.extend(words(exact.key(k)));
+        distinct.sort_unstable();
+        distinct.dedup();
+        word_postings += distinct.len() * ids.len();
+    }
+    // In id order, so the term table is read front to back.
+    for (id, &k) in key_of.iter().enumerate() {
+        if k == UNINDEXED {
+            continue;
+        }
+        let Some(literal) = interner.resolve(TermId(id as u32)).as_literal() else {
+            return Err(corrupt(
+                SECTION_TEXT_EXACT,
+                format!("text id {id} is not a literal"),
+            ));
+        };
+        if !normalizes_to(exact.key(k as usize), literal.lexical()) {
+            return Err(corrupt(
+                SECTION_TEXT_EXACT,
+                format!("literal {id} is listed under a key it does not normalize to"),
+            ));
+        }
+    }
+    let tokens = &text.tokens;
+    for t in 0..tokens.len() {
+        let token = tokens.key(t);
+        for &id in tokens.ids_at(t) {
+            let k = key_of[id.index()];
+            if k == UNINDEXED {
+                return Err(corrupt(
+                    SECTION_TEXT_TOKENS,
+                    format!("term {} is not an indexed literal", id.0),
+                ));
+            }
+            if !words(exact.key(k as usize)).any(|w| w == token) {
+                return Err(corrupt(
+                    SECTION_TEXT_TOKENS,
+                    format!("a token is not a word of literal {}", id.0),
+                ));
+            }
+        }
+    }
+    if tokens.ids.len() != word_postings {
+        return Err(corrupt(
+            SECTION_TEXT_TOKENS,
+            format!(
+                "table holds {} postings, the indexed literals have {word_postings} distinct words",
+                tokens.ids.len()
+            ),
+        ));
+    }
+    Ok(())
+}
+
+/// Appends one framed section (length, payload, FNV-1a checksum), the
+/// payload written in place by `encode` — no section is ever a buffer of
+/// its own.
+fn push_section(out: &mut Vec<u8>, encode: impl FnOnce(&mut Vec<u8>)) {
+    let start = out.len();
+    out.extend_from_slice(&[0; 8]);
+    encode(out);
+    let len = (out.len() - start - 8) as u64;
+    out[start..start + 8].copy_from_slice(&len.to_le_bytes());
+    let checksum = section_checksum(&out[start + 8..]);
+    out.extend_from_slice(&checksum.to_le_bytes());
 }
 
 /// Reads one framed section, verifying its checksum.
@@ -542,65 +721,42 @@ impl Graph {
     /// in one call, so a crash mid-write leaves a truncated file the loader
     /// rejects with a typed error rather than a silently short graph.
     pub fn write_snapshot(&self, path: &Path, key: &str) -> Result<(), RdfError> {
+        let out = self.encode_snapshot(key)?;
+        if let Some(parent) = path.parent() {
+            if !parent.as_os_str().is_empty() {
+                std::fs::create_dir_all(parent).map_err(|e| io_err(parent, &e))?;
+            }
+        }
+        std::fs::write(path, &out).map_err(|e| io_err(path, &e))
+    }
+
+    /// The bytes [`Graph::write_snapshot`] writes.
+    fn encode_snapshot(&self, key: &str) -> Result<Vec<u8>, RdfError> {
         if u32::try_from(self.len()).is_err() {
             return Err(RdfError::Io(format!(
                 "graph holds {} triples; snapshot offsets are u32",
                 self.len()
             )));
         }
-        // dictionary: terms in interning order, so ids round-trip.
-        let mut dictionary = Vec::with_capacity(self.interner.len() * 24);
-        for (_, term) in self.interner.iter() {
-            encode_term(&mut dictionary, term);
-        }
+        // the text index's two tables, as one base — its own while the
+        // overlay is empty, built by one merge per table otherwise. Only
+        // the literals *currently* indexed are in it (removal orphans
+        // literals out of the index, and a snapshot preserves that state).
+        let text = self.text.freeze_view();
 
-        // the three indexes as one base each — the graph's own while its
-        // overlay is empty, built by one merging sweep otherwise.
-        let spo = encode_index(&self.spo.freeze_view());
-        let pos = encode_index(&self.pos.freeze_view());
-        let osp = encode_index(&self.osp.freeze_view());
-
-        // predicate statistics, sorted by predicate id.
-        let mut stats = Vec::with_capacity(self.pred_stats.len() * 8);
-        let mut preds: Vec<TermId> = self.pred_stats.keys().copied().collect();
-        preds.sort_unstable();
-        let mut prev_p = 0u64;
-        for p in &preds {
-            let st = self.pred_stats.get(p).copied().unwrap_or_default();
-            push_varint(&mut stats, u64::from(p.0) - prev_p);
-            prev_p = u64::from(p.0);
-            push_varint(&mut stats, st.triples as u64);
-            push_varint(&mut stats, st.distinct_subjects as u64);
-            push_varint(&mut stats, st.distinct_objects as u64);
-        }
-
-        // text-index membership: the literals *currently* indexed — not all
-        // literals, because removal orphans literals out of the index and a
-        // snapshot must preserve that exact state.
-        let mut indexed: Vec<TermId> = Vec::with_capacity(self.text.len());
-        for (id, term) in self.interner.iter() {
-            if let Some(lit) = term.as_literal() {
-                if self.text.is_indexed(id, lit.lexical()) {
-                    indexed.push(id);
-                }
-            }
-        }
-        let mut text = Vec::with_capacity(indexed.len() * 2);
-        let mut prev_t = 0u64;
-        for id in &indexed {
-            push_varint(&mut text, u64::from(id.0) - prev_t);
-            prev_t = u64::from(id.0);
-        }
-
+        // Every section is written in place, into a buffer reserved once
+        // at an upper bound of the file: a term encodes to fewer bytes
+        // than it occupies on the heap, an index section to at most five
+        // `u32`s per triple. Pages past the end are never touched, so the
+        // slack costs no memory; a wrong bound would only cost a copy.
         let mut out = Vec::with_capacity(
-            32 + key.len()
-                + dictionary.len()
-                + spo.len()
-                + pos.len()
-                + osp.len()
-                + stats.len()
-                + text.len()
-                + 96,
+            64 + key.len()
+                + self.interner.heap_bytes()
+                + 3 * (24 + 20 * self.len())
+                + 40 * self.pred_stats.len()
+                + table_len(&text.exact)
+                + table_len(&text.tokens)
+                + 7 * 16,
         );
         out.extend_from_slice(&SNAPSHOT_MAGIC);
         out.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
@@ -610,36 +766,57 @@ impl Graph {
             self.interner.len(),
             self.len(),
             self.pred_stats.len(),
-            indexed.len(),
+            text.exact.ids.len(),
         ] {
             out.extend_from_slice(&(count as u64).to_le_bytes());
         }
-        push_section(&mut out, &dictionary);
-        push_section(&mut out, &spo);
-        push_section(&mut out, &pos);
-        push_section(&mut out, &osp);
-        push_section(&mut out, &stats);
-        push_section(&mut out, &text);
-
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent).map_err(|e| io_err(parent, &e))?;
+        // dictionary: terms in interning order, so ids round-trip.
+        push_section(&mut out, |out| {
+            for (_, term) in self.interner.iter() {
+                encode_term(out, term);
             }
+        });
+        // the three indexes as one base each — the graph's own while its
+        // overlay is empty, built by one merging sweep otherwise.
+        for index in [&self.spo, &self.pos, &self.osp] {
+            push_section(&mut out, |out| encode_index(&index.freeze_view(), out));
         }
-        std::fs::write(path, &out).map_err(|e| io_err(path, &e))
+        // predicate statistics, sorted by predicate id.
+        push_section(&mut out, |out| {
+            let mut preds: Vec<TermId> = self.pred_stats.keys().copied().collect();
+            preds.sort_unstable();
+            let mut prev_p = 0u64;
+            for p in &preds {
+                let st = self.pred_stats.get(p).copied().unwrap_or_default();
+                push_varint(out, u64::from(p.0) - prev_p);
+                prev_p = u64::from(p.0);
+                push_varint(out, st.triples as u64);
+                push_varint(out, st.distinct_subjects as u64);
+                push_varint(out, st.distinct_objects as u64);
+            }
+        });
+        push_section(&mut out, |out| encode_table(&text.exact, out));
+        push_section(&mut out, |out| encode_table(&text.tokens, out));
+        Ok(out)
     }
 
     /// Loads a snapshot written by [`Graph::write_snapshot`].
     ///
     /// With `expected_key = Some(k)`, a snapshot stamped with a different
     /// key fails with [`RdfError::SnapshotKeyMismatch`] — stale cache
-    /// entries are rejected, never trusted. The three indexes come back as
-    /// `Arc`-shared bases straight from the section arrays; the only
-    /// per-term work in the whole load is decoding the dictionary and
-    /// re-hashing each term once for the interner's reverse map.
+    /// entries are rejected, never trusted. The three indexes and the text
+    /// index come back as `Arc`-shared bases straight from the section
+    /// arrays; the per-term work in the whole load is decoding the
+    /// dictionary, hashing each term once into the interner's id table,
+    /// and checking each indexed literal's normalized form.
     pub fn load_snapshot(path: &Path, expected_key: Option<&str>) -> Result<Graph, RdfError> {
         let buf = std::fs::read(path).map_err(|e| io_err(path, &e))?;
-        let header = parse_header(&buf)?;
+        Graph::decode_snapshot(&buf, expected_key)
+    }
+
+    /// The graph [`Graph::load_snapshot`] loads from these bytes.
+    fn decode_snapshot(buf: &[u8], expected_key: Option<&str>) -> Result<Graph, RdfError> {
+        let header = parse_header(buf)?;
         if let Some(expected) = expected_key {
             if header.key != expected {
                 return Err(RdfError::SnapshotKeyMismatch {
@@ -648,7 +825,7 @@ impl Graph {
                 });
             }
         }
-        let mut body = Reader::new(&buf, "header");
+        let mut body = Reader::new(buf, "header");
         body.pos = header.body_start;
 
         // dictionary → interner.
@@ -728,36 +905,12 @@ impl Graph {
             )));
         }
 
-        // text membership: rebuild the inverted index from the recorded ids
-        // (ascending, so postings are appended in sorted order too).
-        let mut tx = read_section(&mut body, SECTION_TEXT)?;
-        let mut text = TextIndex::new();
-        let mut prev_t = 0u64;
-        let mut first_t = true;
-        let mut indexed = 0usize;
-        while !tx.is_done() {
-            let delta = tx.varint()?;
-            if !first_t && delta == 0 {
-                return Err(tx.corrupt("text ids are not strictly increasing"));
-            }
-            first_t = false;
-            let raw = prev_t
-                .checked_add(delta)
-                .ok_or_else(|| tx.corrupt("text id overflow"))?;
-            prev_t = raw;
-            let id = tx.term_id(raw, term_count)?;
-            let Some(lit) = interner.resolve(id).as_literal() else {
-                return Err(tx.corrupt(format!("text id {} is not a literal", id.0)));
-            };
-            text.index_literal(id, lit.lexical());
-            indexed += 1;
-        }
-        if indexed != header.text_count {
-            return Err(tx.corrupt(format!(
-                "text section holds {indexed} literals, header promised {}",
-                header.text_count
-            )));
-        }
+        // the text index's base, straight from its two tables.
+        let text = FrozenText {
+            exact: read_table_section(&mut body, SECTION_TEXT_EXACT, term_count)?,
+            tokens: read_table_section(&mut body, SECTION_TEXT_TOKENS, term_count)?,
+        };
+        validate_text(&text, &interner, header.text_count)?;
 
         Ok(Graph::from_snapshot_parts(
             Arc::new(interner),
@@ -766,7 +919,7 @@ impl Graph {
             osp,
             header.triple_count,
             pred_stats,
-            Arc::new(text),
+            TextIndex::from_base(Arc::new(text)),
         ))
     }
 }
@@ -835,4 +988,270 @@ pub fn graph_digest(graph: &Graph) -> u64 {
         hash = fnv1a_fold(hash, &bytes);
     }
     hash
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Positions of the two text sections among the seven.
+    const EXACT: usize = 5;
+    const TOKENS: usize = 6;
+
+    /// A text table as editable `(key, postings)` entries.
+    type Entries = Vec<(Vec<u8>, Vec<TermId>)>;
+
+    fn entries(table: &FrozenTable) -> Entries {
+        (0..table.len())
+            .map(|k| (table.key(k).to_vec(), table.ids_at(k).to_vec()))
+            .collect()
+    }
+
+    /// The text section of `entries`, keys in the order given.
+    fn encoded(entries: &Entries) -> Vec<u8> {
+        let mut table = FrozenTable::default();
+        for (key, ids) in entries {
+            table.push(key, ids);
+        }
+        let mut out = Vec::new();
+        encode_table(&table, &mut out);
+        assert_eq!(out.len(), table_len(&table));
+        out
+    }
+
+    fn literal(g: &Graph, lexical: &str) -> TermId {
+        g.term_id(&Term::from(Literal::simple(lexical)))
+            .expect("interned")
+    }
+
+    /// Shared tokens, a zero-token literal (exact key `""`), a tagged and
+    /// a non-ASCII literal (`İ` lowercases to two chars), and a literal
+    /// orphaned out of the index by a removal.
+    fn sample() -> Graph {
+        let mut g = Graph::new();
+        let s = g.intern_iri("http://ex/s");
+        let p = g.intern_iri("http://ex/label");
+        for lexical in [
+            "Germany",
+            "October 2014",
+            "2014",
+            "—",
+            "İstanbul 2014",
+            "orphan 2014",
+        ] {
+            let o = g.intern_literal(Literal::simple(lexical));
+            g.insert_ids(s, p, o);
+        }
+        let o = g.intern_literal(Literal::tagged("Straße", "de"));
+        g.insert_ids(s, p, o);
+        assert!(g.remove_ids(s, p, literal(&g, "orphan 2014")));
+        g
+    }
+
+    /// `bytes` with section `n`'s payload replaced and re-framed (length
+    /// and checksum recomputed), so only the loader's own checks can
+    /// catch what the payload gets wrong.
+    fn with_section(bytes: &[u8], n: usize, payload: &[u8]) -> Vec<u8> {
+        let header = parse_header(bytes).expect("header");
+        let mut r = Reader::new(bytes, "test");
+        r.pos = header.body_start;
+        let mut out = bytes[..header.body_start].to_vec();
+        for i in 0..7 {
+            let len = r.u64_le().expect("length") as usize;
+            let old = r.take(len).expect("payload");
+            r.u64_le().expect("checksum");
+            let payload = if i == n { payload } else { old };
+            push_section(&mut out, |out| out.extend_from_slice(payload));
+        }
+        out
+    }
+
+    /// The sample's snapshot and its two text tables.
+    fn fixture() -> (Graph, Vec<u8>, Entries, Entries) {
+        let g = sample();
+        let bytes = g.encode_snapshot("k").expect("encode");
+        let text = g.text.freeze_view();
+        let (exact, tokens) = (entries(&text.exact), entries(&text.tokens));
+        (g, bytes, exact, tokens)
+    }
+
+    fn entry<'a>(entries: &'a mut Entries, key: &str) -> &'a mut Vec<TermId> {
+        let at = entries
+            .iter()
+            .position(|(k, _)| k == key.as_bytes())
+            .expect("key present");
+        &mut entries[at].1
+    }
+
+    /// Loading `bytes` with section `n` replaced by `entries` fails as
+    /// corrupt in that section, for the reason given.
+    fn assert_corrupt(bytes: &[u8], n: usize, entries: &Entries, reason: &str) {
+        let crafted = with_section(bytes, n, &encoded(entries));
+        let section = [SECTION_TEXT_EXACT, SECTION_TEXT_TOKENS][n - EXACT];
+        match Graph::decode_snapshot(&crafted, None).err() {
+            Some(RdfError::SnapshotCorrupt {
+                section: found,
+                message,
+            }) => {
+                assert_eq!(found, section, "{message}");
+                assert!(message.contains(reason), "{message:?} lacks {reason:?}");
+            }
+            other => panic!("expected {section} corrupt ({reason}), got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn text_sections_round_trip_the_index() {
+        let (g, bytes, exact, tokens) = fixture();
+        // re-framing the writer's own tables changes no byte
+        assert_eq!(with_section(&bytes, EXACT, &encoded(&exact)), bytes);
+        assert_eq!(with_section(&bytes, TOKENS, &encoded(&tokens)), bytes);
+        assert_eq!(exact[0], (Vec::new(), vec![literal(&g, "—")]));
+        let loaded = Graph::decode_snapshot(&bytes, Some("k")).expect("load");
+        assert_eq!(loaded.text_index().len(), 6);
+        for query in [
+            "germany",
+            "2014",
+            "",
+            "–",
+            "STRASSE",
+            "straße",
+            "İstanbul",
+            "istanbul",
+            "orphan",
+        ] {
+            assert_eq!(
+                loaded.literals_matching_exact(query),
+                g.literals_matching_exact(query)
+            );
+            assert_eq!(
+                loaded.literals_matching_keywords(query),
+                g.literals_matching_keywords(query)
+            );
+        }
+        assert_eq!(loaded.literals_matching_keywords("2014").len(), 3);
+    }
+
+    #[test]
+    fn a_v2_file_is_a_version_error() {
+        let (_, mut bytes, _, _) = fixture();
+        bytes[8..12].copy_from_slice(&2u32.to_le_bytes());
+        assert!(matches!(
+            Graph::decode_snapshot(&bytes, None),
+            Err(RdfError::SnapshotVersion {
+                found: 2,
+                supported: SNAPSHOT_VERSION
+            })
+        ));
+    }
+
+    #[test]
+    fn an_exact_key_its_literals_do_not_normalize_to_is_corrupt() {
+        let (_, bytes, exact, _) = fixture();
+        // `İ` lowercases to `i̇`, never to a plain `i`
+        for (from, to) in [
+            ("i\u{307}stanbul 2014", "istanbul 2014"),
+            ("germany", "germanz"),
+            ("straße", "strasse"),
+            ("", " "),
+            ("october 2014", "october  2014"),
+        ] {
+            let mut crafted = exact.clone();
+            let at = crafted
+                .iter()
+                .position(|(k, _)| k == from.as_bytes())
+                .expect("key present");
+            crafted[at].0 = to.as_bytes().to_vec();
+            crafted.sort();
+            assert_corrupt(&bytes, EXACT, &crafted, "does not normalize to");
+        }
+    }
+
+    #[test]
+    fn exact_postings_must_be_literals_listed_once() {
+        let (g, bytes, exact, _) = fixture();
+        let subject = g.iri_id("http://ex/s").expect("subject");
+        let mut crafted = exact.clone();
+        *entry(&mut crafted, "germany") = vec![subject];
+        assert_corrupt(&bytes, EXACT, &crafted, "is not a literal");
+        // twice, the total kept by dropping another literal
+        let mut crafted = exact.clone();
+        entry(&mut crafted, "germany").push(literal(&g, "2014"));
+        entry(&mut crafted, "germany").sort();
+        crafted.remove(0);
+        assert_corrupt(&bytes, EXACT, &crafted, "under two keys");
+        // fewer than the header's count
+        let mut crafted = exact.clone();
+        crafted.remove(0);
+        assert_corrupt(&bytes, EXACT, &crafted, "header promised");
+        // the orphaned literal is not indexed, and may not come back
+        let mut crafted = exact;
+        crafted.push((b"orphan 2014".to_vec(), vec![literal(&g, "orphan 2014")]));
+        crafted.sort();
+        assert_corrupt(&bytes, EXACT, &crafted, "header promised");
+    }
+
+    #[test]
+    fn token_postings_must_be_words_of_indexed_literals() {
+        let (g, bytes, _, tokens) = fixture();
+        let with = |key: &str, id: TermId| {
+            let mut crafted = tokens.clone();
+            match crafted.iter().position(|(k, _)| k == key.as_bytes()) {
+                Some(at) => {
+                    crafted[at].1.push(id);
+                    crafted[at].1.sort();
+                }
+                None => {
+                    crafted.push((key.as_bytes().to_vec(), vec![id]));
+                    crafted.sort();
+                }
+            }
+            crafted
+        };
+        let orphan = with("2014", literal(&g, "orphan 2014"));
+        assert_corrupt(&bytes, TOKENS, &orphan, "not an indexed literal");
+        let subject = with("2014", g.iri_id("http://ex/s").expect("subject"));
+        assert_corrupt(&bytes, TOKENS, &subject, "not an indexed literal");
+        for (token, lexical) in [
+            ("2014", "Germany"),
+            ("201", "2014"),
+            ("", "—"),
+            ("istanbul", "İstanbul 2014"),
+            ("october 2014", "October 2014"),
+        ] {
+            let crafted = with(token, literal(&g, lexical));
+            assert_corrupt(&bytes, TOKENS, &crafted, "not a word");
+        }
+        // a (token, literal) pair left out
+        let mut crafted = tokens.clone();
+        crafted.retain(|(k, _)| k != b"october");
+        assert_corrupt(&bytes, TOKENS, &crafted, "distinct words");
+        let mut crafted = tokens;
+        entry(&mut crafted, "2014").remove(0);
+        assert_corrupt(&bytes, TOKENS, &crafted, "distinct words");
+    }
+
+    #[test]
+    fn text_tables_must_be_sorted_and_in_range() {
+        let (_, bytes, exact, tokens) = fixture();
+        for (n, original) in [(EXACT, &exact), (TOKENS, &tokens)] {
+            let mut crafted = original.clone();
+            crafted.swap(1, 2);
+            assert_corrupt(&bytes, n, &crafted, "keys are not strictly increasing");
+            let mut crafted = original.clone();
+            crafted.insert(1, crafted[1].clone());
+            assert_corrupt(&bytes, n, &crafted, "keys are not strictly increasing");
+            let mut crafted = original.clone();
+            crafted[1].1.push(TermId(9_999));
+            assert_corrupt(&bytes, n, &crafted, "out of range");
+        }
+        let mut crafted = tokens;
+        entry(&mut crafted, "2014").reverse();
+        assert_corrupt(
+            &bytes,
+            TOKENS,
+            &crafted,
+            "postings are not strictly increasing",
+        );
+    }
 }

@@ -11,7 +11,7 @@ use common::{assert_graphs_identical, tmp_path};
 use re2x_rdf::io::{parse_ntriples, to_ntriples};
 use re2x_rdf::{Graph, Literal, PredicateStats, Term, TermId, Triple};
 use re2x_testkit::{check, TestRng};
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 // ---- generators -----------------------------------------------------------
 
@@ -414,6 +414,233 @@ fn overlay_agrees_with_set_model() {
         let _ = std::fs::remove_file(&path);
         assert_graphs_identical(&scratch, &reloaded);
         assert_graphs_identical(&graph, &reloaded);
+    });
+}
+
+/// Lexical forms of the text universe: shared tokens, a zero-token form,
+/// one normal form spelled two ways, non-ASCII words (`İ` lowercases to
+/// two chars).
+const LABELS: [&str; 9] = [
+    "Germany",
+    "germany 2014",
+    "October 2014",
+    "2014",
+    "—",
+    "North  America",
+    "NORTH america",
+    "İstanbul 2014",
+    "Straße õü",
+];
+
+/// One graph of [`text_overlay_agrees_with_model`] and its models.
+#[derive(Clone)]
+struct TextSide {
+    graph: Graph,
+    triples: BTreeSet<Triple>,
+    /// Every literal currently indexed, with its lexical form.
+    indexed: BTreeMap<TermId, String>,
+    /// Literals the side's triples may use: the universe's and its own.
+    literals: Vec<TermId>,
+    /// Terms only this side interned.
+    fresh: Vec<Term>,
+}
+
+impl TextSide {
+    fn intern_fresh(&mut self, literal: Literal) {
+        let lexical = literal.lexical().to_owned();
+        let term = Term::from(literal);
+        assert_eq!(self.graph.term_id(&term), None);
+        let id = self.graph.intern(term.clone());
+        self.indexed.insert(id, lexical);
+        self.literals.push(id);
+        self.fresh.push(term);
+    }
+
+    /// A literal is indexed from interning until no triple uses it, and
+    /// again once one does.
+    fn insert(&mut self, t: Triple) {
+        assert_eq!(self.graph.insert_ids(t.s, t.p, t.o), self.triples.insert(t));
+        let lexical = self
+            .graph
+            .term(t.o)
+            .as_literal()
+            .map(|l| l.lexical().to_owned());
+        self.indexed.extend(lexical.map(|l| (t.o, l)));
+    }
+
+    fn remove(&mut self, t: Triple) {
+        let removed = self.triples.remove(&t);
+        assert_eq!(self.graph.remove_ids(t.s, t.p, t.o), removed);
+        if removed && !self.triples.iter().any(|u| u.o == t.o) {
+            self.indexed.remove(&t.o);
+        }
+    }
+
+    /// Exact and all-token search for every query against the model, and
+    /// the term table's lookups: every term of the side round-trips, no
+    /// term only the other side interned is found.
+    fn assert_agrees(&self, queries: &[String], foreign: &[Term]) {
+        use re2x_rdf::text::{normalize, tokenize};
+        assert_eq!(self.graph.text_index().len(), self.indexed.len());
+        for query in queries {
+            let key = normalize(query);
+            let words = tokenize(query);
+            let exact: Vec<TermId> = self
+                .indexed
+                .iter()
+                .filter(|(_, l)| normalize(l) == key)
+                .map(|(&id, _)| id)
+                .collect();
+            let all: Vec<TermId> = self
+                .indexed
+                .iter()
+                .filter(|(_, l)| {
+                    let tokens = tokenize(l);
+                    !words.is_empty() && words.iter().all(|w| tokens.contains(w))
+                })
+                .map(|(&id, _)| id)
+                .collect();
+            assert_eq!(
+                self.graph.literals_matching_exact(query),
+                exact,
+                "exact {query:?}"
+            );
+            assert_eq!(
+                self.graph.literals_matching_keywords(query),
+                all,
+                "all tokens of {query:?}"
+            );
+        }
+        let interner = self.graph.interner();
+        for (id, term) in interner.iter() {
+            assert_eq!(interner.get(term), Some(id), "{term}");
+        }
+        for term in foreign {
+            assert_eq!(interner.get(term), None, "{term}");
+        }
+    }
+}
+
+/// The text index of a snapshot-loaded graph (base) and of a clone of it,
+/// written independently — triples adopting and orphaning literals, fresh
+/// literals interned — agrees with a `BTreeMap` model after every write:
+/// exact and all-token search for every key, token, a few absent keys
+/// and `""`; the clones are isolated (a fresh term or literal of one is
+/// invisible to the other), and `compact()` and a snapshot round trip
+/// change no answer.
+#[test]
+fn text_overlay_agrees_with_model() {
+    check("text_overlay_agrees_with_model", |rng| {
+        let mut graph = Graph::new();
+        let subjects: Vec<TermId> = (0..rng.gen_range(1usize..4))
+            .map(|i| graph.intern_iri(format!("http://ex/s{i}")))
+            .collect();
+        let predicate = graph.intern_iri("http://ex/label");
+        let mut literals: Vec<Literal> = LABELS.iter().map(|&l| Literal::simple(l)).collect();
+        literals.push(Literal::tagged("Straße õü", "de"));
+        literals.push(Literal::typed(
+            "2014",
+            "http://www.w3.org/2001/XMLSchema#gYear",
+        ));
+        let mut side = TextSide {
+            graph,
+            triples: BTreeSet::new(),
+            indexed: BTreeMap::new(),
+            literals: Vec::new(),
+            fresh: Vec::new(),
+        };
+        for literal in literals {
+            side.intern_fresh(literal);
+        }
+        side.fresh.clear();
+        let random_triple = |rng: &mut TestRng, side: &TextSide| Triple {
+            s: *rng.pick(&subjects),
+            p: predicate,
+            o: *rng.pick(&side.literals),
+        };
+        // some labels in use, some orphaned, before the snapshot
+        for _ in 0..rng.gen_range(0usize..12) {
+            let t = random_triple(rng, &side);
+            if rng.gen_bool(0.7) {
+                side.insert(t);
+            } else {
+                side.remove(t);
+            }
+        }
+        let mut queries: Vec<String> = LABELS.iter().map(|&l| l.to_owned()).collect();
+        queries.extend(LABELS.iter().flat_map(|l| re2x_rdf::text::tokenize(l)));
+        queries.extend(
+            [
+                "",
+                " – ",
+                "absent",
+                "2015",
+                "germany october",
+                "istanbul",
+                "i",
+            ]
+            .map(String::from),
+        );
+
+        let path = tmp_path(&format!("text-overlay-{}", rng.next_u64()));
+        side.graph
+            .write_snapshot(&path, "prop/text")
+            .expect("write");
+        side.graph = Graph::load_snapshot(&path, Some("prop/text")).expect("load");
+        side.assert_agrees(&queries, &[]);
+
+        let steps = rng.gen_range(2usize..30);
+        let fork_at = rng.gen_range(0usize..steps);
+        let mut fork: Option<TextSide> = None;
+        for n in 0..steps {
+            if n == fork_at {
+                side.fresh.clear();
+                fork = Some(side.clone());
+            }
+            let on_fork = fork.is_some() && rng.gen_bool(0.5);
+            let target = match &mut fork {
+                Some(fork) if on_fork => fork,
+                _ => &mut side,
+            };
+            match rng.pick_weighted(&[4, 3, 2]) {
+                0 => {
+                    let t = random_triple(rng, target);
+                    target.insert(t);
+                }
+                1 => {
+                    let t = random_triple(rng, target);
+                    target.remove(t);
+                }
+                // a fresh literal (unique per step): new words, or a
+                // universe label's key under a new term
+                _ => {
+                    let label = *rng.pick(&LABELS);
+                    let literal = match rng.pick_weighted(&[2, 1, 1]) {
+                        0 => Literal::simple(format!("{label} fresh{n}")),
+                        1 => Literal::tagged(label, format!("x{n}")),
+                        _ => Literal::simple(format!("Ünïcode {n} —")),
+                    };
+                    queries.push(literal.lexical().to_owned());
+                    target.intern_fresh(literal);
+                }
+            }
+            let no_terms: &[Term] = &[];
+            let fork_fresh = fork.as_ref().map_or(no_terms, |f| &f.fresh);
+            side.assert_agrees(&queries, fork_fresh);
+            if let Some(fork) = &fork {
+                fork.assert_agrees(&queries, &side.fresh);
+            }
+        }
+
+        let mut compacted = side.clone();
+        compacted.graph.compact();
+        compacted.assert_agrees(&queries, &[]);
+        side.graph
+            .write_snapshot(&path, "prop/text")
+            .expect("rewrite");
+        side.graph = Graph::load_snapshot(&path, Some("prop/text")).expect("reload");
+        let _ = std::fs::remove_file(&path);
+        side.assert_agrees(&queries, &[]);
     });
 }
 

@@ -5,6 +5,10 @@
 use re2x_rdf::{peek_snapshot_key, Graph, Literal, RdfError, Term, SNAPSHOT_VERSION};
 use re2x_testkit::check;
 
+/// Twenty labelled subjects sharing the token "value", plus what gives
+/// every text section content: a zero-token literal (exact key `""`), a
+/// tagged literal, non-ASCII words (`İ` lowercases to two chars) and a
+/// literal orphaned out of the index by a removal.
 fn sample_graph() -> Graph {
     let mut g = Graph::new();
     for i in 0..20 {
@@ -14,6 +18,25 @@ fn sample_graph() -> Graph {
             Term::from(Literal::simple(format!("value {i}"))),
         );
     }
+    for object in [
+        Literal::simple("—"),
+        Literal::tagged("Straße value", "de"),
+        Literal::simple("İstanbul – ÀÉÎ"),
+        Literal::simple("orphan value"),
+    ] {
+        g.insert(
+            Term::iri("http://ex/s0"),
+            Term::iri("http://ex/label"),
+            Term::from(object),
+        );
+    }
+    let (s, p, o) = (
+        g.iri_id("http://ex/s0").expect("subject"),
+        g.iri_id("http://ex/label").expect("predicate"),
+        g.term_id(&Term::from(Literal::simple("orphan value")))
+            .expect("literal"),
+    );
+    assert!(g.remove_ids(s, p, o));
     g
 }
 
@@ -35,7 +58,28 @@ fn clean_snapshot_loads_and_peeks() {
     let (path, _) = write_sample("clean");
     assert_eq!(peek_snapshot_key(&path).expect("peek"), "fixture/key");
     let loaded = Graph::load_snapshot(&path, Some("fixture/key")).expect("load");
-    assert_eq!(loaded.len(), sample_graph().len());
+    let sample = sample_graph();
+    assert_eq!(loaded.len(), sample.len());
+    for query in [
+        "value",
+        "value 3",
+        "",
+        "—",
+        "STRASSE",
+        "straße value",
+        "İstanbul",
+        "orphan",
+    ] {
+        assert_eq!(
+            loaded.literals_matching_exact(query),
+            sample.literals_matching_exact(query)
+        );
+        assert_eq!(
+            loaded.literals_matching_keywords(query),
+            sample.literals_matching_keywords(query)
+        );
+    }
+    assert_eq!(loaded.literals_matching_keywords("value").len(), 21);
     // loading without a key expectation also works
     assert!(Graph::load_snapshot(&path, None).is_ok());
     let _ = std::fs::remove_file(&path);

@@ -65,5 +65,5 @@ pub use snapshot::{
     graph_digest, load_shard_snapshot, peek_snapshot_key, shard_snapshot_key, SNAPSHOT_MAGIC,
     SNAPSHOT_VERSION,
 };
-pub use term::{Literal, Term};
+pub use term::{write_quoted, Literal, Term};
 pub use text::TextIndex;

@@ -1,6 +1,6 @@
 //! The RDF term model: IRIs, blank nodes, and literals.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// An RDF literal: a lexical form with an optional datatype IRI or language
 /// tag (mutually exclusive per the RDF 1.1 specification; a language-tagged
@@ -165,27 +165,44 @@ impl From<Literal> for Term {
     }
 }
 
+/// Writes `text` as a quoted N-Triples string (`"`, `\`, LF, CR and TAB
+/// escaped; no language tag or datatype). Each run of bytes that needs no
+/// escape is one `write_str`.
+pub fn write_quoted(text: &str, out: &mut impl fmt::Write) -> fmt::Result {
+    out.write_char('"')?;
+    let mut run = 0;
+    for (i, byte) in text.bytes().enumerate() {
+        let escaped = match byte {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            _ => continue,
+        };
+        // the escaped bytes are ASCII, so `i` is a char boundary
+        out.write_str(&text[run..i])?;
+        out.write_str(escaped)?;
+        run = i + 1;
+    }
+    out.write_str(&text[run..])?;
+    out.write_char('"')
+}
+
 impl fmt::Display for Literal {
     /// N-Triples-compatible rendering.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "\"")?;
-        for c in self.lexical.chars() {
-            match c {
-                '"' => write!(f, "\\\"")?,
-                '\\' => write!(f, "\\\\")?,
-                '\n' => write!(f, "\\n")?,
-                '\r' => write!(f, "\\r")?,
-                '\t' => write!(f, "\\t")?,
-                other => write!(f, "{other}")?,
-            }
-        }
-        write!(f, "\"")?;
+        write_quoted(&self.lexical, f)?;
         if let Some(lang) = &self.language {
-            write!(f, "@{lang}")?;
+            f.write_char('@')?;
+            f.write_str(lang)
         } else if let Some(dt) = &self.datatype {
-            write!(f, "^^<{dt}>")?;
+            f.write_str("^^<")?;
+            f.write_str(dt)?;
+            f.write_char('>')
+        } else {
+            Ok(())
         }
-        Ok(())
     }
 }
 
@@ -193,9 +210,16 @@ impl fmt::Display for Term {
     /// N-Triples-compatible rendering.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Term::Iri(iri) => write!(f, "<{iri}>"),
-            Term::BlankNode(label) => write!(f, "_:{label}"),
-            Term::Literal(lit) => write!(f, "{lit}"),
+            Term::Iri(iri) => {
+                f.write_char('<')?;
+                f.write_str(iri)?;
+                f.write_char('>')
+            }
+            Term::BlankNode(label) => {
+                f.write_str("_:")?;
+                f.write_str(label)
+            }
+            Term::Literal(lit) => lit.fmt(f),
         }
     }
 }
@@ -250,6 +274,63 @@ mod tests {
         assert_eq!(
             Term::from(Literal::integer(7)).to_string(),
             format!("\"7\"^^<{}>", xsd::INTEGER)
+        );
+    }
+
+    /// The per-`char` rendering `Display` used before it wrote unescaped
+    /// runs whole: the byte-identity oracle.
+    fn per_char_display(lit: &Literal) -> String {
+        let mut out = String::from("\"");
+        for c in lit.lexical().chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                other => out.push(other),
+            }
+        }
+        out.push('"');
+        if let Some(lang) = lit.language() {
+            out.push_str(&format!("@{lang}"));
+        } else if let Some(dt) = lit.datatype() {
+            out.push_str(&format!("^^<{dt}>"));
+        }
+        out
+    }
+
+    #[test]
+    fn display_escapes_runs_byte_identically() {
+        let texts = [
+            "",
+            "plain",
+            "\"",
+            "\\",
+            "a\"b\\c\nd\re\tf",
+            "\"\"\\\\\n\n",
+            "ends with tab\t",
+            "Zürich — 北京 \"quoted\" 😀",
+            "\u{7f}\u{0}\u{1b}",
+        ];
+        for text in texts {
+            let literals = [
+                Literal::simple(text),
+                Literal::tagged(text, "de-CH"),
+                Literal::typed(text, xsd::STRING),
+            ];
+            for lit in literals {
+                assert_eq!(lit.to_string(), per_char_display(&lit), "{text:?}");
+                assert_eq!(Term::from(lit.clone()).to_string(), lit.to_string());
+            }
+            let mut quoted = String::new();
+            write_quoted(text, &mut quoted).expect("writing into a String");
+            assert_eq!(quoted, per_char_display(&Literal::simple(text)));
+        }
+        assert_eq!(
+            Literal::tagged("a\tb", "EN").to_string(),
+            "\"a\\tb\"@en",
+            "tag lowercased after the escaped lexical form"
         );
     }
 

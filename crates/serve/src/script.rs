@@ -5,14 +5,16 @@
 //! that the server's workers and a bare serial [`re2xolap::Session`] drive
 //! through *the same* [`run_script`] code path. Each executed round is
 //! digested into a [`RoundRecord`] (an FNV-1a hash of the result set's TSV
-//! rendering, no timing), so a [`SessionTranscript`] produced under
-//! concurrency is byte-identical to the serial replay of the same script —
-//! the correctness oracle of the concurrency property suite.
+//! rendering, no timing; the TSV is streamed into the hash, never built),
+//! so a [`SessionTranscript`] produced under concurrency is byte-identical
+//! to the serial replay of the same script — the correctness oracle of the
+//! concurrency property suite.
 
 use re2x_cube::VirtualSchemaGraph;
-use re2x_sparql::{to_tsv, SparqlEndpoint};
+use re2x_rdf::Graph;
+use re2x_sparql::{write_tsv, Solutions, SparqlEndpoint};
 use re2xolap::{Re2xError, RefineOp, Session, SessionConfig};
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 use std::time::Duration;
 
 /// One scripted round of an exploration session.
@@ -111,14 +113,47 @@ impl SessionTranscript {
     }
 }
 
-/// FNV-1a 64-bit over the rendered result set.
-fn digest(text: &str) -> String {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in text.bytes() {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+/// FNV-1a 64-bit as a [`fmt::Write`] sink: a result set is hashed as its
+/// TSV is written, byte for byte what hashing the rendered text gives.
+struct Fnv1a(u64);
+
+impl Fnv1a {
+    fn new() -> Fnv1a {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
     }
-    format!("{hash:016x}")
+
+    fn finish(&self) -> String {
+        format!("{:016x}", self.0)
+    }
+}
+
+impl fmt::Write for Fnv1a {
+    fn write_str(&mut self, text: &str) -> fmt::Result {
+        for byte in text.bytes() {
+            self.0 ^= u64::from(byte);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        Ok(())
+    }
+}
+
+/// A round's digest: FNV-1a over its result set's TSV (hashing never
+/// fails, so the writer's result is `Ok`).
+fn result_digest(solutions: &Solutions, graph: &Graph) -> String {
+    let mut hash = Fnv1a::new();
+    let _ = write_tsv(solutions, graph, &mut hash);
+    hash.finish()
+}
+
+/// A preview round's digest: FNV-1a over each preview's TSV followed by
+/// `'\n'`.
+fn preview_digest(previews: &[Solutions], graph: &Graph) -> String {
+    let mut hash = Fnv1a::new();
+    for preview in previews {
+        let _ = write_tsv(preview, graph, &mut hash);
+        let _ = hash.write_char('\n');
+    }
+    hash.finish()
 }
 
 fn op_label(op: RefineOp) -> &'static str {
@@ -162,7 +197,7 @@ pub fn run_script(
                     let step = session.choose(queries.swap_remove(idx))?;
                     RoundRecord {
                         op: format!("synthesize[{idx}]"),
-                        digest: digest(&to_tsv(&step.solutions, graph)),
+                        digest: result_digest(&step.solutions, graph),
                     }
                 }
             }
@@ -179,21 +214,16 @@ pub fn run_script(
                     let step = session.apply(offers.swap_remove(idx))?;
                     RoundRecord {
                         op: format!("refine:{}[{idx}]", op_label(*op)),
-                        digest: digest(&to_tsv(&step.solutions, graph)),
+                        digest: result_digest(&step.solutions, graph),
                     }
                 }
             }
             RoundOp::Preview { op } => {
                 let offers = session.refinements(*op)?;
                 let previews = session.preview(&offers, 0)?;
-                let mut all = String::new();
-                for p in &previews {
-                    all.push_str(&to_tsv(p, graph));
-                    all.push('\n');
-                }
                 RoundRecord {
                     op: format!("preview:{}", op_label(*op)),
-                    digest: digest(&all),
+                    digest: preview_digest(&previews, graph),
                 }
             }
             RoundOp::Think { millis } => {
@@ -230,11 +260,23 @@ pub fn run_script(
 mod tests {
     use super::*;
 
+    fn fnv(text: &str) -> String {
+        let mut hash = Fnv1a::new();
+        let _ = hash.write_str(text);
+        hash.finish()
+    }
+
     #[test]
     fn digests_are_stable_and_sensitive() {
-        assert_eq!(digest(""), "cbf29ce484222325");
-        assert_eq!(digest("abc"), digest("abc"));
-        assert_ne!(digest("abc"), digest("abd"));
+        assert_eq!(fnv(""), "cbf29ce484222325");
+        assert_eq!(fnv("abc"), fnv("abc"));
+        assert_ne!(fnv("abc"), fnv("abd"));
+        // hashing is a stream: chunking does not change the digest
+        let mut chunked = Fnv1a::new();
+        for chunk in ["a", "", "bc"] {
+            let _ = chunked.write_str(chunk);
+        }
+        assert_eq!(chunked.finish(), fnv("abc"));
     }
 
     #[test]
@@ -297,7 +339,7 @@ mod tests {
             assert!(!step.derived);
             rounds.push(RoundRecord {
                 op,
-                digest: digest(&to_tsv(&step.solutions, graph)),
+                digest: result_digest(&step.solutions, graph),
             });
         }
         let metrics = session.finish();

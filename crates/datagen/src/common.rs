@@ -9,7 +9,7 @@
 //! `observations ≥ max base-pool size`.
 
 use crate::prng::StdRng;
-use re2x_rdf::{vocab, Graph, Literal, Term, TermId};
+use re2x_rdf::{vocab, Graph, Literal, TermId, Triple};
 
 /// A generated dataset plus the metadata the experiment workloads need.
 #[derive(Debug)]
@@ -45,6 +45,56 @@ pub struct ExpectedShape {
     pub members: usize,
 }
 
+/// A generated graph under construction: terms are interned into the
+/// graph as they are met, triples are queued and bulk-inserted once, by
+/// [`Builder::finish`] ([`Graph::extend_ids`]: one sorted sweep per index
+/// instead of one posting-list insertion per triple and index).
+#[derive(Debug, Default)]
+pub struct Builder {
+    graph: Graph,
+    triples: Vec<Triple>,
+}
+
+impl Builder {
+    /// An empty graph, nothing queued.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Interns an IRI.
+    pub fn intern_iri(&mut self, iri: impl Into<String>) -> TermId {
+        self.graph.intern_iri(iri)
+    }
+
+    /// Interns a literal.
+    pub fn intern_literal(&mut self, literal: Literal) -> TermId {
+        self.graph.intern_literal(literal)
+    }
+
+    /// Queues a triple of interned ids; duplicates are dropped by
+    /// [`Builder::finish`].
+    pub fn add(&mut self, s: TermId, p: TermId, o: TermId) {
+        self.triples.push(Triple { s, p, o });
+    }
+
+    /// The graph with every queued triple inserted.
+    pub fn finish(self) -> Graph {
+        let mut graph = self.graph;
+        graph.extend_ids(self.triples);
+        graph
+    }
+}
+
+impl From<Graph> for Builder {
+    /// Continues building an existing graph.
+    fn from(graph: Graph) -> Self {
+        Builder {
+            graph,
+            triples: Vec::new(),
+        }
+    }
+}
+
 /// A pool of generated members of one hierarchy level.
 #[derive(Debug, Clone)]
 pub struct MemberPool {
@@ -69,7 +119,7 @@ impl MemberPool {
 /// Creates `count` members under `namespace` with IRIs
 /// `<ns>member/<local>/<i>`, labelled by `labeler(i)`.
 pub fn make_members(
-    graph: &mut Graph,
+    graph: &mut Builder,
     namespace: &str,
     local: &str,
     count: usize,
@@ -82,7 +132,7 @@ pub fn make_members(
         let id = graph.intern_iri(format!("{namespace}member/{local}/{i}"));
         let label = labeler(i);
         let lit = graph.intern_literal(Literal::simple(label.clone()));
-        graph.insert_ids(id, label_pred, lit);
+        graph.add(id, label_pred, lit);
         ids.push(id);
         labels.push(label);
     }
@@ -95,7 +145,7 @@ pub fn make_members(
 /// member gets an additional random parent, producing the M-to-N hierarchy
 /// steps that characterize the DBpedia dataset.
 pub fn link_rollup(
-    graph: &mut Graph,
+    graph: &mut Builder,
     fine: &MemberPool,
     coarse: &MemberPool,
     predicate: &str,
@@ -104,11 +154,11 @@ pub fn link_rollup(
     let pred = graph.intern_iri(predicate);
     let mut rng = extra_parents;
     for (i, &member) in fine.ids.iter().enumerate() {
-        graph.insert_ids(member, pred, coarse.ids[i % coarse.len()]);
+        graph.add(member, pred, coarse.ids[i % coarse.len()]);
         if let Some(rng) = rng.as_deref_mut() {
             if i % 3 == 0 {
                 let other = rng.gen_range(0..coarse.len());
-                graph.insert_ids(member, pred, coarse.ids[other]);
+                graph.add(member, pred, coarse.ids[other]);
             }
         }
     }
@@ -116,13 +166,12 @@ pub fn link_rollup(
 
 /// Declares a predicate IRI with a human-readable label, returning the IRI
 /// string.
-pub fn declare_predicate(graph: &mut Graph, namespace: &str, local: &str, label: &str) -> String {
+pub fn declare_predicate(graph: &mut Builder, namespace: &str, local: &str, label: &str) -> String {
     let iri = format!("{namespace}{local}");
-    graph.insert(
-        Term::iri(iri.clone()),
-        Term::iri(vocab::rdfs::LABEL),
-        Term::from(Literal::simple(label)),
-    );
+    let s = graph.intern_iri(iri.clone());
+    let p = graph.intern_iri(vocab::rdfs::LABEL);
+    let o = graph.intern_literal(Literal::simple(label));
+    graph.add(s, p, o);
     iri
 }
 
@@ -256,27 +305,33 @@ mod tests {
 
     #[test]
     fn members_are_labelled_and_deduplicated() {
-        let mut g = Graph::new();
-        let pool = make_members(&mut g, "http://d/", "country", 3, |i| {
+        let mut b = Builder::new();
+        let pool = make_members(&mut b, "http://d/", "country", 3, |i| {
             format!("Country {i}")
         });
         assert_eq!(pool.len(), 3);
         assert_eq!(pool.labels[2], "Country 2");
+        let g = b.finish();
         assert_eq!(g.len(), 3, "one label triple per member");
-        // same call again: members already interned, labels deduplicated
-        let again = make_members(&mut g, "http://d/", "country", 3, |i| {
-            format!("Country {i}")
-        });
-        assert_eq!(again.ids, pool.ids);
-        assert_eq!(g.len(), 3);
+        // same call again: members already interned, labels deduplicated —
+        // against the built graph and within one queue
+        let mut b = Builder::from(g);
+        for _ in 0..2 {
+            let again = make_members(&mut b, "http://d/", "country", 3, |i| {
+                format!("Country {i}")
+            });
+            assert_eq!(again.ids, pool.ids);
+        }
+        assert_eq!(b.finish().len(), 3);
     }
 
     #[test]
     fn rollup_is_surjective_round_robin() {
-        let mut g = Graph::new();
-        let fine = make_members(&mut g, "http://d/", "c", 10, |i| format!("C{i}"));
-        let coarse = make_members(&mut g, "http://d/", "r", 3, |i| format!("R{i}"));
-        link_rollup(&mut g, &fine, &coarse, "http://d/inRegion", None);
+        let mut b = Builder::new();
+        let fine = make_members(&mut b, "http://d/", "c", 10, |i| format!("C{i}"));
+        let coarse = make_members(&mut b, "http://d/", "r", 3, |i| format!("R{i}"));
+        link_rollup(&mut b, &fine, &coarse, "http://d/inRegion", None);
+        let g = b.finish();
         let pred = g.iri_id("http://d/inRegion").expect("pred");
         for &r in &coarse.ids {
             assert!(!g.subjects(pred, r).is_empty(), "every region reached");
@@ -288,11 +343,12 @@ mod tests {
 
     #[test]
     fn extra_parents_create_m_to_n() {
-        let mut g = Graph::new();
-        let fine = make_members(&mut g, "http://d/", "g", 30, |i| format!("G{i}"));
-        let coarse = make_members(&mut g, "http://d/", "s", 5, |i| format!("S{i}"));
+        let mut b = Builder::new();
+        let fine = make_members(&mut b, "http://d/", "g", 30, |i| format!("G{i}"));
+        let coarse = make_members(&mut b, "http://d/", "s", 5, |i| format!("S{i}"));
         let mut r = rng(7);
-        link_rollup(&mut g, &fine, &coarse, "http://d/origin", Some(&mut r));
+        link_rollup(&mut b, &fine, &coarse, "http://d/origin", Some(&mut r));
+        let g = b.finish();
         let pred = g.iri_id("http://d/origin").expect("pred");
         let multi = fine
             .ids

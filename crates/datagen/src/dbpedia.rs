@@ -25,7 +25,7 @@
 //! * `director`(2000) → nationality(120); → movement(60) → period(10)
 
 use crate::common::{
-    declare_predicate, link_rollup, make_members, pick_member, rng, Dataset, ExpectedShape,
+    declare_predicate, link_rollup, make_members, pick_member, rng, Builder, Dataset, ExpectedShape,
 };
 use re2x_rdf::{vocab, Graph, Literal};
 
@@ -72,7 +72,7 @@ pub const FULL_SHAPE_OBSERVATIONS: usize = ARTISTS;
 /// `observations ≥ FULL_SHAPE_OBSERVATIONS`; the structure (23 levels,
 /// M-to-N, shared pools) holds at any scale.
 pub fn generate(observations: usize, seed: u64) -> Dataset {
-    let mut graph = Graph::new();
+    let mut graph = Builder::new();
     let mut rng = rng(seed);
 
     let p_genre = declare_predicate(&mut graph, NS, "genre", "Genre");
@@ -264,41 +264,41 @@ pub fn generate(observations: usize, seed: u64) -> Dataset {
     let p_measure_id = graph.intern_iri(&p_measure);
     for j in 0..observations {
         let obs = graph.intern_iri(format!("{NS}song/{j}"));
-        graph.insert_ids(obs, type_id, class_id);
+        graph.add(obs, type_id, class_id);
         // genre is multi-valued: 1–3 genres per song
         let first_genre = pick_member(j, GENRES, &mut rng);
-        graph.insert_ids(obs, p_genre_id, genres.ids[first_genre]);
+        graph.add(obs, p_genre_id, genres.ids[first_genre]);
         for _ in 0..rng.gen_range(0..3) {
             let extra = rng.gen_range(0..GENRES);
-            graph.insert_ids(obs, p_genre_id, genres.ids[extra]);
+            graph.add(obs, p_genre_id, genres.ids[extra]);
         }
-        graph.insert_ids(
+        graph.add(
             obs,
             p_artist_id,
             artists.ids[pick_member(j, ARTISTS, &mut rng)],
         );
-        graph.insert_ids(
+        graph.add(
             obs,
             p_label_id,
             labels.ids[pick_member(j, LABELS, &mut rng)],
         );
-        graph.insert_ids(
+        graph.add(
             obs,
             p_instrument_id,
             instruments.ids[pick_member(j, INSTRUMENTS, &mut rng)],
         );
-        graph.insert_ids(
+        graph.add(
             obs,
             p_director_id,
             directors.ids[pick_member(j, DIRECTORS, &mut rng)],
         );
         let value = graph.intern_literal(Literal::integer(rng.gen_range(1i64..1_000_000)));
-        graph.insert_ids(obs, p_measure_id, value);
+        graph.add(obs, p_measure_id, value);
     }
 
     let _declared = (class_iri, rollup_preds);
     Dataset {
-        graph,
+        graph: graph.finish(),
         ..describe(observations)
     }
 }

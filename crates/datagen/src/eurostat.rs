@@ -15,7 +15,7 @@
 //! 3 + (171+7+23) + (32+2+5) + (120+10) = 373.
 
 use crate::common::{
-    declare_predicate, make_members, pick_member, rng, Dataset, ExpectedShape, MemberPool,
+    declare_predicate, make_members, pick_member, rng, Builder, Dataset, ExpectedShape, MemberPool,
 };
 use re2x_rdf::{vocab, Graph, Literal};
 
@@ -133,7 +133,7 @@ fn country_label(i: usize, dest_rank: Option<usize>) -> String {
 /// Generates the dataset at the given observation scale. Member counts are
 /// exact whenever `observations ≥ 171` (the largest base pool).
 pub fn generate(observations: usize, seed: u64) -> Dataset {
-    let mut graph = Graph::new();
+    let mut graph = Builder::new();
     let mut rng = rng(seed);
 
     // predicates
@@ -172,12 +172,12 @@ pub fn generate(observations: usize, seed: u64) -> Dataset {
         let p_continent_id = graph.intern_iri(&p_continent);
         for (i, &c) in countries.ids.iter().enumerate() {
             let region = i % REGIONS;
-            graph.insert_ids(c, p_region_id, regions.ids[region]);
-            graph.insert_ids(c, p_continent_id, continents.ids[region % 7]);
+            graph.add(c, p_region_id, regions.ids[region]);
+            graph.add(c, p_continent_id, continents.ids[region % 7]);
         }
         let p_year_id = graph.intern_iri(&p_year);
         for (i, &m) in months.ids.iter().enumerate() {
-            graph.insert_ids(m, p_year_id, years.ids[i / 12]);
+            graph.add(m, p_year_id, years.ids[i / 12]);
         }
     }
 
@@ -192,30 +192,30 @@ pub fn generate(observations: usize, seed: u64) -> Dataset {
     let p_measure_id = graph.intern_iri(&p_measure);
     for j in 0..observations {
         let obs = graph.intern_iri(format!("{NS}obs/{j}"));
-        graph.insert_ids(obs, type_id, class_id);
-        graph.insert_ids(obs, p_sex_id, sexes.ids[pick_member(j, 3, &mut rng)]);
-        graph.insert_ids(
+        graph.add(obs, type_id, class_id);
+        graph.add(obs, p_sex_id, sexes.ids[pick_member(j, 3, &mut rng)]);
+        graph.add(
             obs,
             p_citizen_id,
             countries.ids[pick_member(j, COUNTRIES, &mut rng)],
         );
-        graph.insert_ids(
+        graph.add(
             obs,
             p_geo_id,
             countries.ids[dest[pick_member(j, dest.len(), &mut rng)]],
         );
-        graph.insert_ids(
+        graph.add(
             obs,
             p_period_id,
             months.ids[pick_member(j, MONTHS, &mut rng)],
         );
         let value = graph.intern_literal(Literal::integer(rng.gen_range(1i64..3000)));
-        graph.insert_ids(obs, p_measure_id, value);
+        graph.add(obs, p_measure_id, value);
     }
 
     let _unused: &MemberPool = &sexes;
     Dataset {
-        graph,
+        graph: graph.finish(),
         ..describe(observations)
     }
 }

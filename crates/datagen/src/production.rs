@@ -17,7 +17,7 @@
 //! 43 + (160+11) + (6153+24) + 5 + 30 + 8 + 10 = 6 444.
 
 use crate::common::{
-    declare_predicate, link_rollup, make_members, pick_member, rng, Dataset, ExpectedShape,
+    declare_predicate, link_rollup, make_members, pick_member, rng, Builder, Dataset, ExpectedShape,
 };
 use re2x_rdf::{vocab, Graph, Literal};
 
@@ -61,7 +61,7 @@ const UNIT_NAMES: [&str; UNITS] = [
 /// Generates the dataset. Member counts are exact whenever
 /// `observations ≥ 6153` (the product pool).
 pub fn generate(observations: usize, seed: u64) -> Dataset {
-    let mut graph = Graph::new();
+    let mut graph = Builder::new();
     let mut rng = rng(seed);
 
     let p_area = declare_predicate(&mut graph, NS, "area", "Reference Area");
@@ -117,17 +117,17 @@ pub fn generate(observations: usize, seed: u64) -> Dataset {
     let p_measure_id = graph.intern_iri(&p_measure);
     for j in 0..observations {
         let obs = graph.intern_iri(format!("{NS}obs/{j}"));
-        graph.insert_ids(obs, type_id, class_id);
+        graph.add(obs, type_id, class_id);
         for (pred, pool) in dims {
             let member = pool.ids[pick_member(j, pool.len(), &mut rng)];
-            graph.insert_ids(obs, pred, member);
+            graph.add(obs, pred, member);
         }
         let value = graph.intern_literal(Literal::double(rng.gen_range(0.1..100_000.0)));
-        graph.insert_ids(obs, p_measure_id, value);
+        graph.add(obs, p_measure_id, value);
     }
 
     Dataset {
-        graph,
+        graph: graph.finish(),
         ..describe(observations)
     }
 }

@@ -4,8 +4,8 @@
 //! yields SUM(Num Applicants) of 8 030 for Germany, 5 011 for France,
 //! 1 220 for Italy and 120 for Austria.
 
-use crate::common::{declare_predicate, Dataset, ExpectedShape};
-use re2x_rdf::{vocab, Graph, Literal, Term};
+use crate::common::{declare_predicate, Builder, Dataset, ExpectedShape};
+use re2x_rdf::{vocab, Graph, Literal};
 
 const NS: &str = "http://data.example.org/asylum/";
 
@@ -50,7 +50,7 @@ const CONTINENT_OF: [(&str, &str); 4] = [
 
 /// Builds the running-example dataset (Figure 1 / Table 2).
 pub fn generate() -> Dataset {
-    let mut graph = Graph::new();
+    let mut graph = Builder::new();
 
     let p_dest = declare_predicate(
         &mut graph,
@@ -67,10 +67,10 @@ pub fn generate() -> Dataset {
     let p_measure = declare_predicate(&mut graph, NS, "numApplicants", "Num Applicants");
 
     let label = graph.intern_iri(vocab::rdfs::LABEL);
-    let member = |graph: &mut Graph, local: &str, name: &str| {
+    let member = |graph: &mut Builder, local: &str, name: &str| {
         let id = graph.intern_iri(format!("{NS}member/{local}"));
         let lit = graph.intern_literal(Literal::simple(name));
-        graph.insert_ids(id, label, lit);
+        graph.add(id, label, lit);
         id
     };
 
@@ -79,7 +79,7 @@ pub fn generate() -> Dataset {
     for (country, continent) in CONTINENT_OF {
         let c = member(&mut graph, &format!("country/{country}"), country);
         let k = member(&mut graph, &format!("continent/{continent}"), continent);
-        graph.insert_ids(c, continent_pred, k);
+        graph.add(c, continent_pred, k);
     }
     for dest in ["Germany", "France", "Italy", "Austria"] {
         member(&mut graph, &format!("country/{dest}"), dest);
@@ -92,7 +92,7 @@ pub fn generate() -> Dataset {
             &format!("month/October{year}"),
             &format!("October {year}"),
         );
-        graph.insert_ids(m, year_pred, y);
+        graph.add(m, year_pred, y);
     }
     for sex in ["Male", "Female"] {
         member(&mut graph, &format!("sex/{sex}"), sex);
@@ -116,10 +116,10 @@ pub fn generate() -> Dataset {
     let measure_id = graph.intern_iri(&p_measure);
 
     let mut observations = 0usize;
-    let mut add_flows = |graph: &mut Graph, flows: &[(&str, &str, i64)], year: &str| {
+    let mut add_flows = |graph: &mut Builder, flows: &[(&str, &str, i64)], year: &str| {
         for (i, (dest, origin, value)) in flows.iter().enumerate() {
             let obs = graph.intern_iri(format!("{NS}obs/{year}/{i}"));
-            graph.insert_ids(obs, type_id, class_id);
+            graph.add(obs, type_id, class_id);
             // interning is idempotent: these members were declared above,
             // so each call returns the existing id
             let dest_m = graph.intern_iri(format!("{NS}member/country/{dest}"));
@@ -130,13 +130,13 @@ pub fn generate() -> Dataset {
                 "{NS}member/age/{}",
                 ["0-17", "18-34", "35-64", "65+"][i % 4]
             ));
-            graph.insert_ids(obs, dest_id, dest_m);
-            graph.insert_ids(obs, origin_id, origin_m);
-            graph.insert_ids(obs, period_id, month_m);
-            graph.insert_ids(obs, sex_id, sex_m);
-            graph.insert_ids(obs, age_id, age_m);
+            graph.add(obs, dest_id, dest_m);
+            graph.add(obs, origin_id, origin_m);
+            graph.add(obs, period_id, month_m);
+            graph.add(obs, sex_id, sex_m);
+            graph.add(obs, age_id, age_m);
             let v = graph.intern_literal(Literal::integer(*value));
-            graph.insert_ids(obs, measure_id, v);
+            graph.add(obs, measure_id, v);
             observations += 1;
         }
     };
@@ -144,15 +144,12 @@ pub fn generate() -> Dataset {
     add_flows(&mut graph, &FLOWS_2013, "2013");
 
     // a label on the observation class itself, as real QB data has
-    graph.insert(
-        Term::iri(class_iri.clone()),
-        Term::iri(vocab::rdfs::LABEL),
-        Term::from(Literal::simple("Observation")),
-    );
+    let class_label = graph.intern_literal(Literal::simple("Observation"));
+    graph.add(class_id, label, class_label);
 
     debug_assert_eq!(observations, FLOWS_2014.len() + FLOWS_2013.len());
     Dataset {
-        graph,
+        graph: graph.finish(),
         ..describe()
     }
 }

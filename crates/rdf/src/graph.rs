@@ -11,12 +11,16 @@
 //! `Arc`-shared **base** in compressed-sparse-row layout ([`FrozenIndex`])
 //! plus an **overlay** holding the whole current posting list of every
 //! `(outer, inner)` key touched since the base was built. A lookup probes
-//! the overlay (skipped while it is empty) and falls back to the base. A
-//! generated or parsed graph is an overlay over an empty base; a
-//! snapshot-loaded graph is a base with an empty overlay; a write copies
-//! one posting list, never the index, so [`Graph::clone`] costs three `Arc`
-//! bumps plus the overlay. [`Graph::compact`] folds the overlay into a
-//! fresh base.
+//! the overlay (skipped while it is empty) and falls back to the base.
+//! Bulk-built graphs are bases; only live writes create an overlay. A
+//! generated, parsed or partitioned graph is built by
+//! [`Graph::extend_ids`] — one sort and one sequential sweep per index,
+//! exactly "[`Graph::insert_ids`] on each triple, then [`Graph::compact`]"
+//! — and a snapshot-loaded graph is read straight into its bases. A live
+//! write ([`Graph::insert_ids`] / [`Graph::remove_ids`]) copies one posting
+//! list into the overlay, never the index, so [`Graph::clone`] costs three
+//! `Arc` bumps plus the overlay. [`Graph::compact`] folds the overlay into
+//! a fresh base.
 //!
 //! Two invariants beyond plain index coverage:
 //!
@@ -29,7 +33,8 @@
 //!   `re2x-sparql` intersects directly.
 //! * **Per-predicate statistics are incremental.** Triple counts and
 //!   distinct-subject counts per predicate are maintained in the
-//!   insert/remove paths (and restored verbatim by the snapshot loader), so
+//!   insert/remove paths (counted by [`Graph::extend_ids`]' sweeps and
+//!   restored verbatim by the snapshot loader), so
 //!   the query planner's cardinality estimates
 //!   ([`Graph::predicate_cardinality`], [`Graph::predicate_stats`]) are
 //!   `O(1)` lookups instead of index walks.
@@ -165,6 +170,36 @@ impl FrozenIndex {
         self.outer_ends.push(self.inner_ids.len() as u32);
     }
 
+    /// Builds a base from `triples` sorted ascending by `key` (outer, inner,
+    /// posting) without duplicates — one counting pass sizes the arrays
+    /// exactly, one sweep [`FrozenIndex::push`]es each `(outer, inner)` run.
+    /// `on_key` sees every such key once, with the triples of its run.
+    fn from_sorted(
+        triples: &[Triple],
+        key: impl Fn(&Triple) -> [TermId; 3],
+        mut on_key: impl FnMut(TermId, TermId, &[Triple]),
+    ) -> FrozenIndex {
+        let same_inner = |x: &Triple, y: &Triple| key(x)[..2] == key(y)[..2];
+        let inner = triples.chunk_by(same_inner).count();
+        let outer = triples.chunk_by(|x, y| key(x)[0] == key(y)[0]).count();
+        let mut base = FrozenIndex {
+            outer_ids: Vec::with_capacity(outer),
+            outer_ends: Vec::with_capacity(outer),
+            inner_ids: Vec::with_capacity(inner),
+            inner_ends: Vec::with_capacity(inner),
+            postings: Vec::with_capacity(triples.len()),
+        };
+        let mut run = Vec::new();
+        for group in triples.chunk_by(same_inner) {
+            let [a, b, _] = key(&group[0]);
+            run.clear();
+            run.extend(group.iter().map(|t| key(t)[2]));
+            base.push(a, b, &run);
+            on_key(a, b, group);
+        }
+        base
+    }
+
     fn heap_bytes(&self) -> usize {
         self.outer_ids.capacity() * std::mem::size_of::<TermId>()
             + self.outer_ends.capacity() * std::mem::size_of::<u32>()
@@ -191,7 +226,8 @@ pub(crate) struct Index {
 }
 
 impl Index {
-    /// Wraps a bulk-built base — the snapshot loader's constructor.
+    /// Wraps a bulk-built base — the snapshot loader's and
+    /// [`Graph::extend_ids`]' constructor.
     pub(crate) fn from_base(base: FrozenIndex) -> Index {
         Index {
             base: Arc::new(base),
@@ -661,6 +697,80 @@ impl Graph {
         self.insert_ids(s, p, o)
     }
 
+    /// Inserts a batch of already-interned triples — exactly
+    /// [`Graph::insert_ids`] on each triple, then [`Graph::compact`] —
+    /// and returns the number that were new. The bulk constructor behind
+    /// the generators, the parsers and the partitioner.
+    ///
+    /// Instead of one posting-list insertion per triple and index, the
+    /// batch (merged with the graph's current triples, if any) is sorted
+    /// and deduplicated once, and each index base is written by one sweep
+    /// over it in that index's order: SPO (which also counts triples and
+    /// distinct subjects per predicate), POS (distinct objects) and OSP
+    /// (where an object no triple used before gets `insert_ids`' literal
+    /// re-index check). The text overlay is folded last, so the result is
+    /// all bases — the form a snapshot-loaded graph has.
+    pub fn extend_ids(&mut self, mut triples: Vec<Triple>) -> usize {
+        if triples.is_empty() {
+            self.compact();
+            return 0;
+        }
+        let old_len = self.len;
+        triples.reserve(old_len);
+        self.spo.for_each_sorted(|s, p, objects| {
+            triples.extend(objects.iter().map(|&o| Triple { s, p, o }));
+        });
+        triples.sort_unstable();
+        triples.dedup();
+
+        let mut stats: FxHashMap<TermId, PredicateStats> = FxHashMap::default();
+        let spo = FrozenIndex::from_sorted(
+            &triples,
+            |t| [t.s, t.p, t.o],
+            |_, p, run| {
+                let st = stats.entry(p).or_default();
+                st.triples += run.len();
+                st.distinct_subjects += 1;
+            },
+        );
+        triples.sort_unstable_by_key(|t| (t.p, t.o, t.s));
+        let pos = FrozenIndex::from_sorted(
+            &triples,
+            |t| [t.p, t.o, t.s],
+            |p, _, _| stats.entry(p).or_default().distinct_objects += 1,
+        );
+        triples.sort_unstable_by_key(|t| (t.o, t.s, t.p));
+        let (mut last_object, mut fresh_literals) = (None, Vec::new());
+        let osp = FrozenIndex::from_sorted(
+            &triples,
+            |t| [t.o, t.s, t.p],
+            |o, _, _| {
+                let seen = last_object.replace(o) == Some(o);
+                if seen || (old_len > 0 && self.osp.contains_outer(o)) {
+                    return;
+                }
+                if let Some(literal) = self.interner.resolve(o).as_literal() {
+                    if !self.text.is_indexed(o, literal.lexical()) {
+                        fresh_literals.push((o, literal));
+                    }
+                }
+            },
+        );
+        // A literal unindexed by a prior removal becomes searchable again
+        // once a triple uses it as an object (see `insert_ids`).
+        for (o, literal) in fresh_literals {
+            Arc::make_mut(&mut self.text).index_literal(o, literal.lexical());
+        }
+
+        self.len = triples.len();
+        self.spo = Index::from_base(spo);
+        self.pos = Index::from_base(pos);
+        self.osp = Index::from_base(osp);
+        self.pred_stats = stats;
+        self.compact_text();
+        self.len - old_len
+    }
+
     /// Removes a triple. Returns `false` if it was not present (a missed
     /// remove copies nothing into the overlay).
     ///
@@ -707,18 +817,18 @@ impl Graph {
     /// Changes no answer, only enumeration order (a base enumerates in
     /// ascending id order).
     pub fn compact(&mut self) {
-        self.compact_triples();
-        if self.text.has_overlay() {
-            self.text = Arc::new(TextIndex::from_base(self.text.freeze_view()));
-        }
-    }
-
-    /// [`Graph::compact`] for the three triple indexes only — the
-    /// partitioner's, whose shards keep sharing the source's text index.
-    pub(crate) fn compact_triples(&mut self) {
         self.spo.compact();
         self.pos.compact();
         self.osp.compact();
+        self.compact_text();
+    }
+
+    /// Folds the text index's overlay into a fresh base; a text index
+    /// without one stays shared.
+    fn compact_text(&mut self) {
+        if self.text.has_overlay() {
+            self.text = Arc::new(TextIndex::from_base(self.text.freeze_view()));
+        }
     }
 
     /// `true` if both graphs read their three indexes from the same shared

@@ -7,13 +7,14 @@
 //! blank-node property lists are rejected with a clear error.
 
 use crate::error::RdfError;
-use crate::graph::Graph;
+use crate::graph::{Graph, Triple};
 use crate::hash::FxHashMap;
 use crate::term::{Literal, Term};
 use crate::vocab;
 
 /// Parses N-Triples input into `graph`, returning the number of (distinct)
-/// triples inserted.
+/// triples inserted. All or nothing: on a syntax error `graph` is left
+/// unchanged.
 pub fn parse_ntriples(input: &str, graph: &mut Graph) -> Result<usize, RdfError> {
     // N-Triples is a syntactic subset of Turtle without prefixes.
     let mut parser = TurtleParser::new(input, false);
@@ -21,7 +22,8 @@ pub fn parse_ntriples(input: &str, graph: &mut Graph) -> Result<usize, RdfError>
 }
 
 /// Parses Turtle input into `graph`, returning the number of (distinct)
-/// triples inserted.
+/// triples inserted. All or nothing: on a syntax error `graph` is left
+/// unchanged.
 pub fn parse_turtle(input: &str, graph: &mut Graph) -> Result<usize, RdfError> {
     let mut parser = TurtleParser::new(input, true);
     parser.parse_into(graph)
@@ -119,18 +121,26 @@ impl<'a> TurtleParser<'a> {
         }
     }
 
+    /// Parses the whole input, interning into a clone of `graph` and
+    /// collecting id triples, and bulk-inserts them with
+    /// [`Graph::extend_ids`] only once every statement parsed — so an
+    /// error leaves `graph` exactly as it was, term table included.
     fn parse_into(&mut self, graph: &mut Graph) -> Result<usize, RdfError> {
-        let mut inserted = 0;
+        let mut parsed = graph.clone();
+        let mut triples = Vec::new();
         loop {
             self.skip_ws_and_comments();
             if self.peek().is_none() {
-                return Ok(inserted);
+                break;
             }
             if self.allow_turtle && self.try_parse_directive()? {
                 continue;
             }
-            inserted += self.parse_statement(graph)?;
+            self.parse_statement(&mut parsed, &mut triples)?;
         }
+        let inserted = parsed.extend_ids(triples);
+        *graph = parsed;
+        Ok(inserted)
     }
 
     /// Parses `@prefix p: <iri> .` / `PREFIX p: <iri>` / `@base`. Returns
@@ -205,12 +215,15 @@ impl<'a> TurtleParser<'a> {
         Ok(label)
     }
 
-    /// One `subject predicateObjectList .` statement. Returns the number of
-    /// distinct triples inserted.
-    fn parse_statement(&mut self, graph: &mut Graph) -> Result<usize, RdfError> {
+    /// One `subject predicateObjectList .` statement: interns its terms
+    /// and appends its triples to `triples`.
+    fn parse_statement(
+        &mut self,
+        graph: &mut Graph,
+        triples: &mut Vec<Triple>,
+    ) -> Result<(), RdfError> {
         let subject = self.parse_term(TermPosition::Subject)?;
         let s = graph.intern(subject);
-        let mut inserted = 0;
         loop {
             self.skip_ws_and_comments();
             let predicate = self.parse_predicate()?;
@@ -219,9 +232,7 @@ impl<'a> TurtleParser<'a> {
                 self.skip_ws_and_comments();
                 let object = self.parse_term(TermPosition::Object)?;
                 let o = graph.intern(object);
-                if graph.insert_ids(s, p, o) {
-                    inserted += 1;
-                }
+                triples.push(Triple { s, p, o });
                 self.skip_ws_and_comments();
                 match self.peek() {
                     Some(b',') if self.allow_turtle => {
@@ -243,8 +254,7 @@ impl<'a> TurtleParser<'a> {
             }
         }
         self.skip_ws_and_comments();
-        self.eat(b'.')?;
-        Ok(inserted)
+        self.eat(b'.')
     }
 
     fn parse_predicate(&mut self) -> Result<Term, RdfError> {
@@ -646,6 +656,63 @@ ex:obs1 a ex:Observation ;
         match err {
             RdfError::Syntax { line, .. } => assert_eq!(line, 2),
             other => panic!("unexpected error {other:?}"),
+        }
+    }
+
+    /// A document whose third statement is malformed leaves the graph it
+    /// was parsed into exactly as it was — empty or not — in both syntaxes.
+    #[test]
+    fn a_syntax_error_inserts_nothing() {
+        let ntriples = "\
+<http://ex/a> <http://ex/p> \"Alpha\" .
+<http://ex/b> <http://ex/p> <http://ex/a> .
+<http://ex/c> <http://ex/p> .
+<http://ex/d> <http://ex/p> <http://ex/a> .
+";
+        let turtle = "\
+@prefix ex: <http://ex/> .
+ex:a ex:p \"Alpha\" .
+ex:b ex:p ex:a ; ex:q ex:c .
+ex:c ex:p [ ex:q ex:d ] .
+ex:d ex:p ex:a .
+";
+        let mut loaded = Graph::new();
+        parse_ntriples(
+            "<http://ex/x> <http://ex/p> \"Xi\" .\n<http://ex/y> <http://ex/p> <http://ex/x> .",
+            &mut loaded,
+        )
+        .expect("parse");
+        let mut written = loaded.clone();
+        let z = written.intern_iri("http://ex/z");
+        assert!(written.insert_ids(z, z, z));
+        for before in [Graph::new(), loaded, written] {
+            for (parse, input) in [
+                (parse_ntriples as fn(&str, &mut Graph) -> _, ntriples),
+                (parse_turtle, turtle),
+            ] {
+                let mut g = before.clone();
+                let err = parse(input, &mut g).unwrap_err();
+                assert!(matches!(err, RdfError::Syntax { line: 3 | 4, .. }), "{err}");
+                assert_eq!(g.len(), before.len());
+                assert_eq!(g.iter_sorted(), before.iter_sorted());
+                assert_eq!(g.predicates(), before.predicates());
+                for p in before.predicates() {
+                    assert_eq!(g.predicate_stats(p), before.predicate_stats(p));
+                }
+                assert_eq!(g.interner().len(), before.interner().len());
+                assert!(g.iri_id("http://ex/a").is_none());
+                assert!(g.literals_matching_exact("alpha").is_empty());
+                assert!(g.shares_base_with(&before) && g.shares_terms_with(&before));
+                // the same document without its bad statement goes in whole
+                let fixed: String = input
+                    .lines()
+                    .filter(|l| !l.starts_with("<http://ex/c>") && !l.starts_with("ex:c"))
+                    .map(|l| format!("{l}\n"))
+                    .collect();
+                let added = parse(&fixed, &mut g).expect("parse");
+                assert_eq!(added, if input == turtle { 4 } else { 3 });
+                assert_eq!(g.len(), before.len() + added);
+            }
         }
     }
 

@@ -185,22 +185,21 @@ fn route(
 /// which is always correct (if pointless), so callers never need a special
 /// case for schema-less graphs.
 pub fn partition(graph: &Graph, observation_class: &str, shards: usize) -> Partitioned {
-    // Route fact triples and build the replicated part once, compacted into
-    // an index base: shards are then clones that share that base (and the
-    // source's term table and text index, left as they are) through `Arc`s,
-    // each holding only its fact share in its overlay.
-    let mut base = graph.term_shell();
+    // Route fact triples and bulk-build the replicated part once as an index
+    // base: shards are then clones that share that base (and the source's
+    // term table, and its text index unless that had an overlay to fold)
+    // through `Arc`s, each holding only its fact share in its overlay.
     let mut fact_routes: Vec<(crate::graph::Triple, usize)> = Vec::new();
+    let mut replicated = Vec::new();
     let layout = route(
         graph,
         observation_class,
         shards,
         |triple, shard| fact_routes.push((triple, shard)),
-        |triple| {
-            base.insert_ids(triple.s, triple.p, triple.o);
-        },
+        |triple| replicated.push(triple),
     );
-    base.compact_triples();
+    let mut base = graph.term_shell();
+    base.extend_ids(replicated);
     let mut parts: Vec<Graph> = (1..shards).map(|_| base.clone()).collect();
     parts.push(base);
     for (triple, shard) in fact_routes {

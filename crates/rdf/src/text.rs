@@ -12,9 +12,12 @@
 //! → ids) plus an **overlay** holding the whole current posting list of
 //! every key written since the base was built. A lookup returns the
 //! overlay's list if there is one (an empty list is a tombstone) and the
-//! base's otherwise. A snapshot-loaded index is a base under an empty
-//! overlay, a generated one an overlay over an empty base; a write copies
-//! the posting lists it touches, never the index.
+//! base's otherwise. Bulk-built indexes are bases; only live writes create
+//! an overlay: interning a literal writes to the overlay, and a snapshot
+//! load, [`crate::Graph::extend_ids`] (behind every generated, parsed or
+//! partitioned graph) and [`crate::Graph::compact`] leave a base under an
+//! empty overlay. A write copies the posting lists it touches, never the
+//! index.
 
 use crate::hash::{FxHasher, IdTable};
 use crate::interner::TermId;

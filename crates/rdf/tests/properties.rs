@@ -417,6 +417,133 @@ fn overlay_agrees_with_set_model() {
     });
 }
 
+/// A few random inserts and removes; removing every use of a literal
+/// unindexes it.
+fn random_writes(graph: &mut Graph, universe: &Universe, rng: &mut TestRng) {
+    for _ in 0..rng.gen_range(0usize..10) {
+        let t = universe.random_triple(rng);
+        if rng.gen_bool(0.5) {
+            graph.insert_ids(t.s, t.p, t.o);
+        } else {
+            graph.remove_ids(t.s, t.p, t.o);
+        }
+    }
+}
+
+/// `extend_ids` is exactly "`insert_ids` on each triple, then `compact()`"
+/// — on an empty graph, on a snapshot-loaded graph carrying overlay writes
+/// (removals orphaning literals the batch may re-adopt), and on a live
+/// clone taken mid-way through such writes, with batches holding
+/// duplicates and already-present triples. The bulk-built graph equals the
+/// per-triple oracle on every access path, the statistics of every
+/// predicate, text search, the returned count and the snapshot bytes; it
+/// is all bases; and the graph the clone was taken from does not move.
+#[test]
+fn extend_ids_is_insert_ids_then_compact() {
+    check("extend_ids_is_insert_ids_then_compact", |rng| {
+        let mut built = Graph::new();
+        let subjects: Vec<TermId> = (0..rng.gen_range(1usize..6))
+            .map(|i| built.intern_iri(format!("http://ex/s{i}")))
+            .collect();
+        let predicates: Vec<TermId> = (0..rng.gen_range(1usize..4))
+            .map(|i| built.intern_iri(format!("http://ex/p{i}")))
+            .collect();
+        let mut objects = subjects.clone();
+        for i in 0..rng.gen_range(1usize..5) {
+            let label = LABELS[i % LABELS.len()];
+            objects.push(built.intern_literal(Literal::simple(format!("{label} {i}"))));
+        }
+        let universe = Universe {
+            subjects,
+            predicates,
+            objects,
+        };
+        let path = tmp_path(&format!("extend-{}", rng.next_u64()));
+
+        // the graph the batch goes into: empty, loaded + overlay, or a
+        // clone of that whose source writes on
+        let mut start = built.clone();
+        let mut source: Option<(Graph, Vec<Triple>)> = None;
+        let shape = rng.pick_weighted(&[1, 1, 1]);
+        if shape > 0 {
+            for _ in 0..rng.gen_range(0usize..30) {
+                let t = universe.random_triple(rng);
+                built.insert_ids(t.s, t.p, t.o);
+            }
+            built.write_snapshot(&path, "prop/extend").expect("write");
+            start = Graph::load_snapshot(&path, Some("prop/extend")).expect("load");
+            random_writes(&mut start, &universe, rng);
+            if shape == 2 {
+                let mut fork = start.clone();
+                random_writes(&mut fork, &universe, rng);
+                random_writes(&mut start, &universe, rng);
+                let source_graph = std::mem::replace(&mut start, fork);
+                let triples = source_graph.iter_sorted();
+                source = Some((source_graph, triples));
+            }
+        }
+
+        // a batch with duplicates and (when there are any) present triples
+        let present = start.iter_sorted();
+        let mut batch: Vec<Triple> = Vec::new();
+        for _ in 0..rng.gen_range(0usize..40) {
+            let t = match rng.pick_weighted(&[4, 1, 1]) {
+                1 if !batch.is_empty() => *rng.pick(&batch),
+                2 if !present.is_empty() => *rng.pick(&present),
+                _ => universe.random_triple(rng),
+            };
+            batch.push(t);
+        }
+
+        let mut oracle = start.clone();
+        let new = batch
+            .iter()
+            .filter(|t| oracle.insert_ids(t.s, t.p, t.o))
+            .count();
+        oracle.compact();
+        let mut bulk = start.clone();
+        assert_eq!(bulk.extend_ids(batch), new);
+        assert_graphs_identical(&bulk, &oracle);
+        for &p in &universe.predicates {
+            assert_eq!(bulk.predicate_stats(p), oracle.predicate_stats(p));
+        }
+        for &o in &universe.objects {
+            if let Some(literal) = bulk.term(o).as_literal() {
+                for word in re2x_rdf::text::tokenize(literal.lexical()) {
+                    assert_eq!(
+                        bulk.literals_matching_keywords(&word),
+                        oracle.literals_matching_keywords(&word),
+                        "{word:?}"
+                    );
+                }
+            }
+        }
+        // all bases: a live write to a clone leaves the base shared
+        let mut written = bulk.clone();
+        let t = universe.random_triple(rng);
+        written.insert_ids(t.s, t.p, t.o);
+        assert!(written.shares_base_with(&bulk));
+
+        let other = tmp_path(&format!("extend-oracle-{}", rng.next_u64()));
+        bulk.write_snapshot(&path, "prop/extend")
+            .expect("write bulk");
+        oracle
+            .write_snapshot(&other, "prop/extend")
+            .expect("write oracle");
+        let (a, b) = (std::fs::read(&path), std::fs::read(&other));
+        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_file(&other);
+        assert!(
+            a.expect("read bulk") == b.expect("read oracle"),
+            "snapshot bytes differ"
+        );
+
+        if let Some((source, triples)) = &source {
+            assert_eq!(&source.iter_sorted(), triples);
+        }
+    });
+}
+
 /// Lexical forms of the text universe: shared tokens, a zero-token form,
 /// one normal form spelled two ways, non-ASCII words (`İ` lowercases to
 /// two chars).

@@ -333,9 +333,7 @@ impl ShardedEndpoint {
                         }
                     }
                     SelectItem::Agg { func, .. } => {
-                        if *func == AggFunc::CountDistinct {
-                            return None;
-                        }
+                        MergeFunc::of(*func)?;
                     }
                 }
             }
@@ -379,12 +377,8 @@ impl ShardedEndpoint {
     fn decompose_aggregate(&self, query: &Query, items: Vec<SelectItem>) -> Option<ScatterPlan> {
         // Distinct original aggregates from the projection and HAVING.
         let mut aggs: Vec<(AggFunc, Expr)> = Vec::new();
-        let mut push_agg = |func: AggFunc, expr: &Expr| -> Option<usize> {
-            if func == AggFunc::CountDistinct {
-                return None; // not partial-mergeable
-            }
-            Some(position_or_push(&mut aggs, (func, expr.clone())))
-        };
+        let mut push_agg =
+            |func: AggFunc, expr: &Expr| position_or_push(&mut aggs, (func, expr.clone()));
         let mut outputs = Vec::with_capacity(items.len());
         for item in &items {
             match item {
@@ -393,7 +387,7 @@ impl ShardedEndpoint {
                     outputs.push(OutputCol::Key(key));
                 }
                 SelectItem::Agg { func, expr, .. } => {
-                    outputs.push(OutputCol::Agg(push_agg(*func, expr)?));
+                    outputs.push(OutputCol::Agg(push_agg(*func, expr)));
                 }
             }
         }
@@ -401,34 +395,38 @@ impl ShardedEndpoint {
             let mut nodes = Vec::new();
             collect_aggregates(having, &mut nodes);
             for (func, expr) in nodes {
-                push_agg(func, &expr)?;
+                push_agg(func, &expr);
             }
         }
 
         // Rewrite to shard-local partials: AVG becomes SUM + COUNT_NUMERIC,
-        // everything else merges as itself.
+        // everything else merges as itself; an aggregate without a merge
+        // (COUNT(DISTINCT) — not partial-mergeable) refuses the scatter.
         let mut partials: Vec<(AggFunc, Expr)> = Vec::new();
         let recipes: Vec<AggRecipe> = aggs
             .iter()
-            .map(|(func, expr)| match func {
-                AggFunc::Avg => AggRecipe {
-                    func: *func,
-                    partial_a: position_or_push(&mut partials, (AggFunc::Sum, expr.clone())),
-                    partial_b: position_or_push(
-                        &mut partials,
-                        (AggFunc::CountNumeric, expr.clone()),
-                    ),
-                },
-                _ => {
-                    let a = position_or_push(&mut partials, (*func, expr.clone()));
-                    AggRecipe {
-                        func: *func,
-                        partial_a: a,
-                        partial_b: a,
+            .map(|(func, expr)| {
+                let merge = MergeFunc::of(*func)?;
+                Some(match merge {
+                    MergeFunc::Avg => AggRecipe {
+                        merge,
+                        partial_a: position_or_push(&mut partials, (AggFunc::Sum, expr.clone())),
+                        partial_b: position_or_push(
+                            &mut partials,
+                            (AggFunc::CountNumeric, expr.clone()),
+                        ),
+                    },
+                    _ => {
+                        let a = position_or_push(&mut partials, (*func, expr.clone()));
+                        AggRecipe {
+                            merge,
+                            partial_a: a,
+                            partial_b: a,
+                        }
                     }
-                }
+                })
             })
-            .collect();
+            .collect::<Option<_>>()?;
 
         let shard_select: Vec<SelectItem> = query
             .group_by
@@ -628,9 +626,41 @@ enum OutputCol {
     Agg(usize),
 }
 
+/// How a partial-mergeable aggregate recombines across shards. Chosen
+/// when the scatter is planned ([`MergeFunc::of`]), so an aggregate
+/// without a merge never reaches the gather: its query takes the replica.
+#[derive(Clone, Copy)]
+enum MergeFunc {
+    /// Sum of the partial sums; unbound if every partial is.
+    Sum,
+    /// Sum of the partial counts (`COUNT` and `COUNT_NUMERIC` alike).
+    Count,
+    /// Least partial minimum.
+    Min,
+    /// Greatest partial maximum.
+    Max,
+    /// Sum of the partial sums over the sum of the partial numeric counts.
+    Avg,
+}
+
+impl MergeFunc {
+    /// The merge of `func`'s shard partials; `None` for `COUNT(DISTINCT)`,
+    /// whose per-shard counts do not add up to the distinct count.
+    fn of(func: AggFunc) -> Option<MergeFunc> {
+        match func {
+            AggFunc::Sum => Some(MergeFunc::Sum),
+            AggFunc::Count | AggFunc::CountNumeric => Some(MergeFunc::Count),
+            AggFunc::Min => Some(MergeFunc::Min),
+            AggFunc::Max => Some(MergeFunc::Max),
+            AggFunc::Avg => Some(MergeFunc::Avg),
+            AggFunc::CountDistinct => None,
+        }
+    }
+}
+
 /// How one original aggregate recombines from shard partial columns.
 struct AggRecipe {
-    func: AggFunc,
+    merge: MergeFunc,
     /// Index into the partial columns (after the key columns).
     partial_a: usize,
     /// Second partial (COUNT_NUMERIC) for AVG; equals `partial_a` otherwise.
@@ -796,8 +826,8 @@ fn merge_one_aggregate(recipe: &AggRecipe, partial_rows: &[Vec<Option<Value>>]) 
             _ => None,
         }
     };
-    match recipe.func {
-        AggFunc::Sum => {
+    match recipe.merge {
+        MergeFunc::Sum => {
             let mut total = 0.0;
             let mut any = false;
             for row in partial_rows {
@@ -808,24 +838,24 @@ fn merge_one_aggregate(recipe: &AggRecipe, partial_rows: &[Vec<Option<Value>>]) 
             }
             any.then_some(Value::Number(total))
         }
-        AggFunc::Count | AggFunc::CountNumeric => {
+        MergeFunc::Count => {
             let total: f64 = partial_rows
                 .iter()
                 .filter_map(|row| number(row, recipe.partial_a))
                 .sum();
             Some(Value::Number(total))
         }
-        AggFunc::Min => partial_rows
+        MergeFunc::Min => partial_rows
             .iter()
             .filter_map(|row| number(row, recipe.partial_a))
             .reduce(f64::min)
             .map(Value::Number),
-        AggFunc::Max => partial_rows
+        MergeFunc::Max => partial_rows
             .iter()
             .filter_map(|row| number(row, recipe.partial_a))
             .reduce(f64::max)
             .map(Value::Number),
-        AggFunc::Avg => {
+        MergeFunc::Avg => {
             let sum: f64 = partial_rows
                 .iter()
                 .filter_map(|row| number(row, recipe.partial_a))
@@ -836,7 +866,6 @@ fn merge_one_aggregate(recipe: &AggRecipe, partial_rows: &[Vec<Option<Value>>]) 
                 .sum();
             (count > 0.0).then_some(Value::Number(sum / count))
         }
-        AggFunc::CountDistinct => unreachable!("COUNT(DISTINCT) never scatters"),
     }
 }
 

@@ -216,9 +216,21 @@ cargo test -q --offline -p re2x-rdf --test snapshot_roundtrip
 cargo test -q --offline -p re2x-rdf --test snapshot_corruption
 cargo test -q --offline -p re2x-datagen --test snapshot_datasets
 
+echo "== bulk build: extend_ids oracle suites (offline) =="
+# Graph::extend_ids must be exactly insert_ids per triple then compact()
+# (every access path, statistics, text search, returned count, snapshot
+# bytes; on empty, loaded-plus-overlay and mid-way-cloned graphs), every
+# generator's snapshot must equal a per-triple replay of its triples,
+# and a parse that fails must leave the graph untouched.
+cargo test -q --offline -p re2x-rdf --test properties extend_ids_is_insert_ids_then_compact
+cargo test -q --offline -p re2x-datagen --test bulk_build
+cargo test -q --offline -p re2x-rdf --lib a_syntax_error_inserts_nothing
+
 echo "== scale experiment: snapshot load vs regeneration ladder (offline) =="
 # The smoke ladder (100k/200k/400k observations): snapshot load must beat
-# regeneration >= 5x on every rung, every loaded graph must prove
+# regeneration >= 3x on every rung (MIN_LOAD_SPEEDUP in scale.rs: 5x until
+# generation bulk-built its indexes and got ~2x faster; the ladder now
+# reads 4.2-6.6x), every loaded graph must prove
 # digest- and probe-identical to the generated one, and bootstrap/ReOLAP
 # latency must stay schema-bound (sublinear) as the data grows 4x — for
 # ReOLAP on the slower of two probes per rung, one of which takes the
@@ -231,7 +243,8 @@ echo "== scale experiment: snapshot load vs regeneration ladder (offline) =="
 # graph is cloned and then written to beside the live clone: both must cost
 # milliseconds at most (an index copy or rebuild is hundreds here). A fresh
 # literal interned beside the clone is reported (`first_fresh_literal_ms`),
-# not gated: the term table still copies whole.
+# not gated: the term table still copies whole, now into memory the
+# bulk-built generation no longer left free (5-17 -> 6-56 ms).
 cargo run --release --offline -p re2x-bench --bin repro -- --out bench_results --scale smoke scale
 if command -v python3 >/dev/null 2>&1; then
     python3 - <<'EOF'
@@ -241,7 +254,7 @@ with open("bench_results/scale.json") as f:
 rungs = report["rungs"]
 assert len(rungs) >= 3, f"expected >= 3 ladder rungs, got {len(rungs)}"
 speedup = float(report["min_load_speedup"])
-assert speedup >= 5.0, f"min load speedup must be >= 5x, got {speedup:.2f}x"
+assert speedup >= 3.0, f"min load speedup must be >= 3x, got {speedup:.2f}x"
 assert report["all_identical"] is True, "a loaded snapshot diverged from the regenerated graph"
 assert report["bootstrap_sublinear"] is True, "bootstrap latency grew superlinearly"
 assert report["reolap_sublinear"] is True, "reolap latency grew superlinearly"
@@ -249,7 +262,7 @@ obs = [int(r["observations"]) for r in rungs]
 assert obs == sorted(obs) and len(set(obs)) == len(obs), f"rungs must ascend: {obs}"
 for r in rungs:
     assert r["cache_hit"] is True and r["identical"] is True
-    assert float(r["load_speedup"]) >= 5.0, \
+    assert float(r["load_speedup"]) >= 3.0, \
         f"rung {r['observations']}: load speedup {r['load_speedup']}"
     assert r["synthesized"] is True, f"rung {r['observations']}: a ReOLAP probe found no query"
     assert int(r["set_fetches"]) == 2 and int(r["sets_truncated"]) == 2, \

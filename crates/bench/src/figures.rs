@@ -15,6 +15,7 @@ use re2xolap::{
     refine::subset::DEFAULT_PERCENTILES, reolap, OlapQuery, RefineOp, ReolapConfig, Session,
     SessionConfig,
 };
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 /// Input sizes used by the Figure 7–9 experiments.
@@ -296,15 +297,20 @@ pub fn fig7(results: &[(&str, Vec<Fig7Series>)]) -> String {
 /// Scaling study (Section 5.3's claim, checked directly): synthesis time
 /// at several observation counts of the same schema. "Time complexity is
 /// independent of the actual number of observations" — the per-scale means
-/// should stay flat while the store grows. The bootstrap crawl is timed
-/// beside it on the 1-to-N eurostat hierarchies and on the M-to-N dbpedia
-/// ones, whose member tables grow with the observations.
+/// should stay flat while the store grows. Beside the mean, synthesis's
+/// queries are timed by shape ([`ShapeTimer`]): the `ASK`s (validation and
+/// member-level checks) and the `SELECT DISTINCT ?p { ?x ?p <member> }` of
+/// member matching, per call. The bootstrap crawl is timed beside it on the
+/// 1-to-N eurostat hierarchies and on the M-to-N dbpedia ones, whose member
+/// tables grow with the observations.
 pub fn scaling(seed: u64) -> String {
     use crate::env::{prepare, DatasetKind, Scales};
     let mut t = Table::new([
         "observations",
         "triples",
         "avg synthesis time (2 Ex.)",
+        "ASK per call (calls/synthesis, share)",
+        "predicates_into per call",
         "bootstrap time",
         "dbpedia triples",
         "dbpedia bootstrap time",
@@ -324,24 +330,124 @@ pub fn scaling(seed: u64) -> String {
             seed,
         );
         let config = ReolapConfig::default();
+        let endpoint = ShapeTimer::new(&prepared.endpoint);
         let mut times = Vec::new();
         for tuple in &workload {
             let refs: Vec<&str> = tuple.iter().map(String::as_str).collect();
             let start = Instant::now();
-            let _ = reolap(&prepared.endpoint, &prepared.report.schema, &refs, &config);
+            let _ = reolap(&endpoint, &prepared.report.schema, &refs, &config);
             times.push(start.elapsed());
         }
+        let (ask, asks) = endpoint.spent(Shape::Ask);
+        let (into, intos) = endpoint.spent(Shape::PredicatesInto);
+        let total: Duration = times.iter().sum();
         let dbpedia = prepare(DatasetKind::Dbpedia, &scales, seed);
         t.row([
             scale.to_string(),
             prepared.endpoint.graph().len().to_string(),
             fmt_duration(mean(&times)),
+            format!(
+                "{} ({:.1}, {:.0} %)",
+                fmt_duration(ask / asks.max(1)),
+                f64::from(asks) / times.len().max(1) as f64,
+                100.0 * ask.as_secs_f64() / total.as_secs_f64().max(f64::MIN_POSITIVE)
+            ),
+            fmt_duration(into / intos.max(1)),
             fmt_duration(prepared.report.elapsed),
             dbpedia.endpoint.graph().len().to_string(),
             fmt_duration(dbpedia.report.elapsed),
         ]);
     }
     t.render()
+}
+
+/// The query shapes [`ShapeTimer`] times apart.
+#[derive(Debug, Clone, Copy)]
+enum Shape {
+    /// Every `ASK`: interpretation validation and member-level checks.
+    Ask,
+    /// `SELECT DISTINCT ?p { ?x ?p <member> }`, answered by
+    /// `Graph::predicates_into`.
+    PredicatesInto,
+    /// Every other `SELECT`.
+    Other,
+}
+
+/// An endpoint decorator that times every query by its [`Shape`].
+struct ShapeTimer<'a> {
+    inner: &'a dyn SparqlEndpoint,
+    /// Per shape: nanoseconds spent and calls (statistics only).
+    nanos: [AtomicU64; 3],
+    calls: [AtomicU32; 3],
+}
+
+impl<'a> ShapeTimer<'a> {
+    fn new(inner: &'a dyn SparqlEndpoint) -> Self {
+        ShapeTimer {
+            inner,
+            nanos: Default::default(),
+            calls: Default::default(),
+        }
+    }
+
+    fn timed<T>(&self, shape: Shape, run: impl FnOnce() -> T) -> T {
+        let start = Instant::now();
+        let out = run();
+        let nanos = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        self.nanos[shape as usize].fetch_add(nanos, Ordering::Relaxed);
+        self.calls[shape as usize].fetch_add(1, Ordering::Relaxed);
+        out
+    }
+
+    /// Time spent in and calls of one shape.
+    fn spent(&self, shape: Shape) -> (Duration, u32) {
+        let nanos = self.nanos[shape as usize].load(Ordering::Relaxed);
+        let calls = self.calls[shape as usize].load(Ordering::Relaxed);
+        (Duration::from_nanos(nanos), calls)
+    }
+}
+
+fn select_shape(query: &re2x_sparql::Query) -> Shape {
+    use re2x_sparql::{PatternElement, Predicate, TermPattern};
+    match query.wher.as_slice() {
+        [PatternElement::Triple(t)]
+            if query.distinct
+                && matches!(t.predicate, Predicate::Var(_))
+                && matches!(t.object, TermPattern::Iri(_)) =>
+        {
+            Shape::PredicatesInto
+        }
+        _ => Shape::Other,
+    }
+}
+
+impl SparqlEndpoint for ShapeTimer<'_> {
+    fn select(
+        &self,
+        query: &re2x_sparql::Query,
+    ) -> Result<re2x_sparql::Solutions, re2x_sparql::SparqlError> {
+        self.timed(select_shape(query), || self.inner.select(query))
+    }
+
+    fn ask(&self, query: &re2x_sparql::Query) -> Result<bool, re2x_sparql::SparqlError> {
+        self.timed(Shape::Ask, || self.inner.ask(query))
+    }
+
+    fn keyword_search(&self, keyword: &str, exact: bool) -> Vec<re2x_rdf::TermId> {
+        self.inner.keyword_search(keyword, exact)
+    }
+
+    fn graph(&self) -> &re2x_rdf::Graph {
+        self.inner.graph()
+    }
+
+    fn stats(&self) -> re2x_sparql::EndpointStats {
+        self.inner.stats()
+    }
+
+    fn reset_stats(&self) {
+        self.inner.reset_stats()
+    }
 }
 
 // ---------------------------------------------------------------------------

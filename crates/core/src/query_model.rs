@@ -7,7 +7,7 @@
 //! metadata alongside the executable query.
 
 use re2x_cube::{LevelId, MeasureId, VirtualSchemaGraph};
-use re2x_rdf::Graph;
+use re2x_rdf::{Graph, TermId};
 use re2x_sparql::{query_to_sparql, AggFunc, Query, Solutions, Value};
 
 /// A projected grouping column bound to a hierarchy level.
@@ -109,29 +109,37 @@ impl OlapQuery {
     /// `true` if `row` of `solutions` matches the user example: for some
     /// constraint tuple, every constrained column holds the example member.
     pub fn row_matches_example(&self, solutions: &Solutions, row: usize, graph: &Graph) -> bool {
-        let constraint_sets = self.example_constraints(solutions);
-        if constraint_sets.is_empty() {
-            // no example column survives in this query: every row trivially
-            // relates to the example (paper: refinements must keep *some*
-            // tuple about the example; with no shared column the example
-            // imposes no restriction)
-            return true;
-        }
-        constraint_sets.iter().any(|constraints| {
-            constraints.iter().all(|(col, member_iri)| {
-                match solutions.rows[row].get(*col).and_then(Option::as_ref) {
-                    Some(Value::Term(id)) => graph.term(*id).as_iri() == Some(member_iri.as_str()),
-                    _ => false,
-                }
-            })
-        })
+        let row = solutions.rows.get(row).map_or(&[][..], Vec::as_slice);
+        self.resolve_example(solutions, graph).matches(row)
     }
 
     /// Indexes of the rows matching the example.
     pub fn matching_rows(&self, solutions: &Solutions, graph: &Graph) -> Vec<usize> {
+        let example = self.resolve_example(solutions, graph);
         (0..solutions.len())
-            .filter(|&r| self.row_matches_example(solutions, r, graph))
+            .filter(|&r| example.matches(&solutions.rows[r]))
             .collect()
+    }
+
+    /// [`example_constraints`](Self::example_constraints) with every member
+    /// IRI resolved to its term id, once per call, so rows are matched by
+    /// comparing ids.
+    fn resolve_example(&self, solutions: &Solutions, graph: &Graph) -> ResolvedExample {
+        let constraint_sets = self.example_constraints(solutions);
+        ResolvedExample {
+            constrained: !constraint_sets.is_empty(),
+            // a member absent from the graph is in no row: its tuple matches
+            // nothing, and drops out
+            tuples: constraint_sets
+                .into_iter()
+                .filter_map(|constraints| {
+                    constraints
+                        .into_iter()
+                        .map(|(col, iri)| Some((col, graph.iri_id(&iri)?)))
+                        .collect()
+                })
+                .collect(),
+        }
     }
 
     /// Human-readable display of a grouping column.
@@ -143,6 +151,136 @@ impl OlapQuery {
         } else {
             format!("{} / {}", dim.label, node.label)
         }
+    }
+}
+
+/// The example resolved against one result's columns.
+struct ResolvedExample {
+    /// `false` when no example column survives in the result: the example
+    /// then imposes no restriction (paper: refinements must keep *some*
+    /// tuple about the example; with no shared column every row relates to
+    /// it).
+    constrained: bool,
+    /// Per satisfiable example tuple, the `(column, member id)` pairs that
+    /// must all hold.
+    tuples: Vec<Vec<(usize, TermId)>>,
+}
+
+impl ResolvedExample {
+    fn matches(&self, row: &[Option<Value>]) -> bool {
+        !self.constrained
+            || self.tuples.iter().any(|constraints| {
+                constraints.iter().all(
+                    |&(col, id)| matches!(row.get(col), Some(Some(Value::Term(t))) if *t == id),
+                )
+            })
+    }
+}
+
+/// A step's rows read once into dense arrays at id / `f64` level: what the
+/// Top-k, Percentile and Similarity kernels read instead of re-keying
+/// `Solutions` rows.
+pub(crate) struct StepView {
+    /// Per measure column of the query, in order: every row's value (`None`
+    /// when unbound or not numeric); `None` for a column the result lacks.
+    pub measures: Vec<Option<Vec<Option<f64>>>>,
+    /// Per row: does it match the example ([`OlapQuery::matching_rows`])?
+    pub matches: Vec<bool>,
+    /// The grouping cells; `None` when a grouping column is missing from the
+    /// result.
+    pub groups: Option<GroupCells>,
+}
+
+/// Grouping cells, row-major, `width` per row: first the *example
+/// dimensions'* (grouping columns whose level an example binding names), then
+/// the *context dimensions'*, each in grouping-column order. A cell is `None`
+/// unless it holds a term.
+pub(crate) struct GroupCells {
+    pub cells: Vec<Option<TermId>>,
+    pub width: usize,
+    /// Leading example-dimension cells per row.
+    pub example_width: usize,
+    /// The example's member per example dimension (the first binding at its
+    /// level); `None` when one of them is absent from the graph.
+    pub example_key: Option<Vec<Option<TermId>>>,
+}
+
+impl StepView {
+    /// Reads the rows in one pass.
+    pub(crate) fn new(query: &OlapQuery, solutions: &Solutions, graph: &Graph) -> Self {
+        let rows = solutions.len();
+        let measure_cols: Vec<Option<usize>> = query
+            .measure_columns
+            .iter()
+            .map(|column| solutions.column(&column.alias))
+            .collect();
+        let mut measures: Vec<Option<Vec<Option<f64>>>> = measure_cols
+            .iter()
+            .map(|col| col.map(|_| Vec::with_capacity(rows)))
+            .collect();
+        let example = query.resolve_example(solutions, graph);
+        let mut matches = Vec::with_capacity(rows);
+        let mut groups = GroupCells::layout(query, solutions, graph);
+        for row in &solutions.rows {
+            for (values, col) in measures.iter_mut().zip(&measure_cols) {
+                if let (Some(values), Some(col)) = (values, col) {
+                    let cell = row.get(*col).and_then(Option::as_ref);
+                    values.push(cell.and_then(|v| v.as_number(graph)));
+                }
+            }
+            matches.push(example.matches(row));
+            if let Some((groups, order)) = &mut groups {
+                groups
+                    .cells
+                    .extend(order.iter().map(|&col| match row.get(col) {
+                        Some(Some(Value::Term(id))) => Some(*id),
+                        _ => None,
+                    }));
+            }
+        }
+        StepView {
+            measures,
+            matches,
+            groups: groups.map(|(groups, _)| groups),
+        }
+    }
+}
+
+impl GroupCells {
+    /// The cells' layout, with no cells yet, and the result column of each
+    /// cell in a row.
+    fn layout(
+        query: &OlapQuery,
+        solutions: &Solutions,
+        graph: &Graph,
+    ) -> Option<(Self, Vec<usize>)> {
+        let mut order = Vec::with_capacity(query.group_columns.len());
+        let mut context = Vec::new();
+        let mut example_key = Some(Vec::new());
+        for gc in &query.group_columns {
+            let col = solutions.column(&gc.var)?;
+            match query.bindings().find(|b| b.level == gc.level) {
+                Some(binding) => {
+                    order.push(col);
+                    let id = graph.iri_id(&binding.member_iri);
+                    if let (Some(key), Some(id)) = (&mut example_key, id) {
+                        key.push(Some(id));
+                    } else {
+                        example_key = None;
+                    }
+                }
+                None => context.push(col),
+            }
+        }
+        let example_width = order.len();
+        order.extend(context);
+        let groups = GroupCells {
+            cells: Vec::with_capacity(solutions.len() * order.len()),
+            width: order.len(),
+            example_width,
+            example_key,
+        };
+        Some((groups, order))
     }
 }
 
@@ -282,6 +420,109 @@ mod tests {
         assert!(!q.row_matches_example(&solutions, 1, &graph));
         assert_eq!(q.matching_rows(&solutions, &graph), vec![0]);
         let _ = v;
+    }
+
+    /// The per-row form matching had: every row re-derives the constraints
+    /// and compares IRI strings.
+    fn matches_by_iri(q: &OlapQuery, solutions: &Solutions, row: usize, graph: &Graph) -> bool {
+        let constraint_sets = q.example_constraints(solutions);
+        constraint_sets.is_empty()
+            || constraint_sets.iter().any(|constraints| {
+                constraints.iter().all(|(col, member_iri)| {
+                    match solutions.rows[row].get(*col).and_then(Option::as_ref) {
+                        Some(Value::Term(id)) => {
+                            graph.term(*id).as_iri() == Some(member_iri.as_str())
+                        }
+                        _ => false,
+                    }
+                })
+            })
+    }
+
+    #[test]
+    fn matching_by_id_equals_matching_by_iri() {
+        let (mut v, country, continent, _) = schema();
+        let year_dim = v.add_dimension("http://ex/year", "Year");
+        let year = v.add_level(year_dim, vec!["http://ex/year".into()], 2, vec![], "Year");
+        let mut graph = Graph::new();
+        let [germany, france, europe, y1, y2] = ["Germany", "France", "Europe", "2013", "2014"]
+            .map(|m| Some(Value::Term(graph.intern_iri(format!("http://ex/{m}")))));
+        let label = Some(Value::Term(
+            graph.intern_literal(re2x_rdf::Literal::simple("http://ex/Germany")),
+        ));
+        let rows = [
+            [germany.clone(), y1.clone(), europe.clone()],
+            [germany.clone(), y2.clone(), None],
+            [france.clone(), y1.clone(), europe.clone()],
+            [france, y2.clone(), None],
+            [label, y1.clone(), europe],
+            [None, y2.clone(), Some(Value::Number(1.0))],
+            [germany, Some(Value::Str("http://ex/2014".into())), None],
+        ];
+        let solutions = Solutions {
+            vars: vec!["origin".into(), "year".into(), "origin_in_continent".into()],
+            rows: rows.into_iter().map(Vec::from).collect(),
+        };
+        let binding = |iri: &str, level| ExampleBinding {
+            keyword: iri.into(),
+            member_iri: format!("http://ex/{iri}"),
+            label: iri.into(),
+            level,
+        };
+        let examples = [
+            // two tuples, one of them two members wide
+            vec![
+                vec![binding("Germany", country), binding("2014", year)],
+                vec![binding("France", country)],
+            ],
+            // a member the graph does not hold, alone and beside real ones
+            vec![vec![binding("Atlantis", country)]],
+            vec![
+                vec![binding("Atlantis", country), binding("2013", year)],
+                vec![binding("Europe", continent)],
+            ],
+            // a binding at a level the result does not group by
+            vec![
+                vec![binding("2014", year)],
+                vec![binding("Mars", LevelId(99))],
+            ],
+            vec![],
+        ];
+        for example in examples {
+            for group_columns in [
+                vec![("origin", country), ("year", year)],
+                vec![
+                    ("origin", country),
+                    ("year", year),
+                    ("origin_in_continent", continent),
+                ],
+                vec![("year", year)],
+            ] {
+                let q = OlapQuery {
+                    query: Query::select_all(vec![]),
+                    group_columns: group_columns
+                        .iter()
+                        .map(|&(var, level)| GroupColumn {
+                            var: var.into(),
+                            level,
+                        })
+                        .collect(),
+                    measure_columns: vec![],
+                    example: example.clone(),
+                    description: String::new(),
+                };
+                let expected: Vec<usize> = (0..solutions.len())
+                    .filter(|&r| matches_by_iri(&q, &solutions, r, &graph))
+                    .collect();
+                assert_eq!(q.matching_rows(&solutions, &graph), expected, "{example:?}");
+                for r in 0..solutions.len() {
+                    assert_eq!(
+                        q.row_matches_example(&solutions, r, &graph),
+                        expected.contains(&r)
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -16,13 +16,23 @@
 //! value (smallest absolute difference), which matches the paper's informal
 //! description "the k countries most similar to Germany based on the values
 //! of the measure at the current aggregation level".
+//!
+//! The kernel reads one dense view of the step ([`StepView`]: grouping
+//! cells as term ids, measure columns as `f64`s), interns item and feature
+//! keys to `u32` indexes and keeps every item's vector as a sparse list of
+//! entries ([`Profiles`]), so a call allocates per distinct key, never per
+//! row. Sums — an entry's over its rows, a norm's over an item's entries, a
+//! dot product's over the shorter vector's — run in first-seen order, a
+//! function of the rows alone.
 
-use crate::query_model::{MeasureColumn, OlapQuery};
+use crate::query_model::{GroupCells, MeasureColumn, OlapQuery, StepView};
 use crate::refine::{Refinement, RefinementKind};
 use re2x_cube::VirtualSchemaGraph;
 use re2x_rdf::hash::FxHashMap;
 use re2x_rdf::{Graph, TermId};
-use re2x_sparql::{CmpOp, Expr, PatternElement, Solutions, Value};
+use re2x_sparql::{CmpOp, Expr, PatternElement, Solutions};
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 
 /// One similarity refinement per measure column, each keeping the `k`
 /// most similar example-dimension combinations (plus the example's own).
@@ -33,165 +43,243 @@ pub fn similarity(
     graph: &Graph,
     k: usize,
 ) -> Vec<Refinement> {
-    let Some(split) = split_columns(query, solutions, graph) else {
+    let view = StepView::new(query, solutions, graph);
+    let Some(groups) = view.groups.as_ref().filter(|g| g.example_width > 0) else {
         return Vec::new();
     };
-    let measure_cols: Vec<Option<usize>> = query
-        .measure_columns
-        .iter()
-        .map(|column| solutions.column(&column.alias))
-        .collect();
-    let profiles = Profiles::build(solutions, graph, &split, &measure_cols);
+    let Some(example_key) = &groups.example_key else {
+        return Vec::new();
+    };
+    let Some(profiles) = Profiles::build(groups, example_key, &view.measures) else {
+        return Vec::new();
+    };
     query
         .measure_columns
         .iter()
-        .enumerate()
-        .filter(|&(m, _)| measure_cols[m].is_some())
-        .filter_map(|(m, column)| {
-            similarity_for_measure(schema, query, graph, k, &split, column, &profiles, m)
+        .zip(&profiles.sums)
+        .filter_map(|(column, sums)| {
+            let scored = rank(&profiles, sums.as_deref()?, k);
+            refinement(schema, query, graph, column, &profiles, &scored)
         })
         .collect()
 }
 
-struct ColumnSplit {
-    /// (solutions column index, grouping-column position) of example dims.
-    example_cols: Vec<usize>,
-    /// solutions column indexes of context dims.
-    context_cols: Vec<usize>,
-    /// the example's member combination, as term ids.
-    example_key: Vec<TermId>,
-}
-
-fn split_columns(query: &OlapQuery, solutions: &Solutions, graph: &Graph) -> Option<ColumnSplit> {
-    let mut example_cols = Vec::new();
-    let mut example_key = Vec::new();
-    let mut context_cols = Vec::new();
-    for gc in &query.group_columns {
-        let col = solutions.column(&gc.var)?;
-        // which example member (if any) is bound to this level?
-        let binding = query.bindings().find(|b| b.level == gc.level);
-        match binding {
-            Some(b) => {
-                let id = graph.iri_id(&b.member_iri)?;
-                example_cols.push(col);
-                example_key.push(id);
-            }
-            None => context_cols.push(col),
-        }
-    }
-    if example_cols.is_empty() {
-        return None;
-    }
-    Some(ColumnSplit {
-        example_cols,
-        context_cols,
-        example_key,
-    })
-}
-
-type FeatureKey = Vec<Option<TermId>>;
+/// No entry: a feature the example does not have.
+const NONE: u32 = u32::MAX;
 
 /// Every item's sparse feature vector, for every measure column, from one
-/// pass over the solutions: item key (example-dimension member combination)
-/// → feature key (context-dimension member combination) → entry of `sums`,
-/// which keeps one running sum per measure column. Vectors stay sparse
-/// throughout: cosine over hash maps instead of densifying to
-/// |feature space| entries per item, which would be quadratic in the result
-/// size (similarity is the paper's most expensive refinement — Fig. 9a —
-/// and DBpedia's M-to-N results are huge).
-struct Profiles {
-    items: FxHashMap<Vec<TermId>, FxHashMap<FeatureKey, usize>>,
-    sums: Vec<f64>,
-    measures: usize,
+/// pass over the grouping cells. An *item* is an example-dimension member
+/// combination, a *feature* a context-dimension one; both are interned to
+/// dense indexes through maps keyed by slices of the cells (no per-row
+/// allocation), and each distinct (item, feature) pair is an *entry* with
+/// one running sum per measure. Vectors stay sparse, CSR-style — item `i`'s
+/// `(feature, entry)` pairs are `entries[starts[i]..starts[i + 1]]`, in
+/// first-seen order — instead of densifying to |feature space| values per
+/// item, which would be quadratic in the result size (similarity is the
+/// paper's most expensive refinement — Fig. 9a — and DBpedia's M-to-N
+/// results are huge).
+struct Profiles<'a> {
+    /// Item index → item key.
+    keys: Vec<&'a [Option<TermId>]>,
+    starts: Vec<usize>,
+    entries: Vec<(u32, u32)>,
+    /// No context dimensions: each item is one entry.
+    scalar: bool,
+    /// The example's item.
+    example: u32,
+    /// The example item's vector, scattered over the features.
+    example_at: Scatter,
+    /// Number of distinct features (1 when there are no context dimensions).
+    features: usize,
+    /// Per measure column (`None` for a column the result lacks): every
+    /// entry's sum, in row order.
+    sums: Vec<Option<Vec<f64>>>,
 }
 
-impl Profiles {
+impl<'a> Profiles<'a> {
+    /// `None` when the example's combination is in no row.
     fn build(
-        solutions: &Solutions,
-        graph: &Graph,
-        split: &ColumnSplit,
-        measure_cols: &[Option<usize>],
-    ) -> Self {
-        let mut profiles = Profiles {
-            items: FxHashMap::default(),
-            sums: Vec::new(),
-            measures: measure_cols.len(),
-        };
-        let term = |cell: &Option<Value>| match cell {
-            Some(Value::Term(id)) => Some(*id),
-            _ => None,
-        };
-        let mut entries = 0;
-        for row in &solutions.rows {
-            let key: Option<Vec<TermId>> =
-                split.example_cols.iter().map(|&c| term(&row[c])).collect();
-            let Some(key) = key else { continue };
-            let features: FeatureKey = split.context_cols.iter().map(|&c| term(&row[c])).collect();
-            let entry = *profiles
-                .items
-                .entry(key)
-                .or_default()
-                .entry(features)
-                .or_insert(entries);
-            if entry == entries {
-                entries += 1;
-                profiles.sums.resize(entries * profiles.measures, 0.0);
+        groups: &'a GroupCells,
+        example_key: &[Option<TermId>],
+        measures: &[Option<Vec<Option<f64>>>],
+    ) -> Option<Self> {
+        let example_width = groups.example_width;
+        let rows = groups.cells.len() / groups.width;
+        let mut index: FxHashMap<&[Option<TermId>], u32> =
+            FxHashMap::with_capacity_and_hasher(rows, Default::default());
+        let mut keys = Vec::with_capacity(rows);
+        let mut features: FxHashMap<&[Option<TermId>], u32> = FxHashMap::default();
+        let scalar = example_width == groups.width;
+        let mut pairs: FxHashMap<(u32, u32), u32> =
+            FxHashMap::with_capacity_and_hasher(if scalar { 0 } else { rows }, Default::default());
+        // per entry: (item, feature); per row: its entry, or NONE
+        let mut entry_of: Vec<(u32, u32)> = Vec::with_capacity(rows);
+        let mut row_entry: Vec<u32> = Vec::with_capacity(rows);
+        for row in groups.cells.chunks_exact(groups.width) {
+            let (key, context) = row.split_at(example_width);
+            if key.contains(&None) {
+                row_entry.push(NONE);
+                continue;
             }
-            let sums = &mut profiles.sums[entry * profiles.measures..];
-            for (sum, col) in sums.iter_mut().zip(measure_cols) {
-                let cell = col.and_then(|c| row[c].as_ref());
-                *sum += cell.and_then(|v| v.as_number(graph)).unwrap_or(0.0);
+            let fresh = keys.len() as u32;
+            let item = *index.entry(key).or_insert(fresh);
+            if item == fresh {
+                keys.push(key);
             }
+            let entry = if context.is_empty() {
+                // at the example's granularity every item is one entry
+                if item == fresh {
+                    entry_of.push((item, 0));
+                }
+                item
+            } else {
+                let fresh = features.len() as u32;
+                let feature = *features.entry(context).or_insert(fresh);
+                let fresh = entry_of.len() as u32;
+                let entry = *pairs.entry((item, feature)).or_insert(fresh);
+                if entry == fresh {
+                    entry_of.push((item, feature));
+                }
+                entry
+            };
+            row_entry.push(entry);
         }
-        profiles
+        let example = *index.get(example_key)?;
+
+        // CSR by a counting sort of the entries on their item: stable, so
+        // each item's entries stay in first-seen order
+        let mut starts = vec![0usize; keys.len() + 1];
+        for &(item, _) in &entry_of {
+            starts[item as usize + 1] += 1;
+        }
+        for i in 0..keys.len() {
+            starts[i + 1] += starts[i];
+        }
+        let mut fill = starts.clone();
+        let mut entries = vec![(0, 0); entry_of.len()];
+        for (entry, &(item, feature)) in entry_of.iter().enumerate() {
+            entries[fill[item as usize]] = (feature, entry as u32);
+            fill[item as usize] += 1;
+        }
+
+        let sums = measures
+            .iter()
+            .map(|values| {
+                let values = values.as_ref()?;
+                let mut sums = vec![0.0; entry_of.len()];
+                for (&entry, value) in row_entry.iter().zip(values) {
+                    // an unbound or non-numeric cell counts as 0, and adding
+                    // 0.0 to a sum that started at 0.0 changes nothing
+                    if let (Some(sum), Some(value)) = (sums.get_mut(entry as usize), value) {
+                        *sum += value;
+                    }
+                }
+                Some(sums)
+            })
+            .collect();
+        let features = features.len().max(1);
+        let mut example_at = Scatter(vec![NONE; features]);
+        example_at.fill(&entries[starts[example as usize]..starts[example as usize + 1]]);
+        Some(Profiles {
+            keys,
+            starts,
+            entries,
+            scalar,
+            example,
+            example_at,
+            features,
+            sums,
+        })
+    }
+
+    /// Item `item`'s `(feature, entry)` pairs, in first-seen order.
+    fn item(&self, item: u32) -> &[(u32, u32)] {
+        let item = item as usize;
+        &self.entries[self.starts[item]..self.starts[item + 1]]
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn similarity_for_measure(
+/// The `k` items most similar to the example by one measure's entry sums,
+/// best first: cosine against the example's vector or, with no context
+/// dimensions, closeness of the value. The rank is a total order (ties fall
+/// to the key), so a heap of the `k` best so far — its worst on top, which
+/// rejects most items in one comparison — gives what sorting all would.
+fn rank<'a>(profiles: &Profiles<'a>, sums: &[f64], k: usize) -> Vec<Ranked<'a>> {
+    if k == 0 {
+        return Vec::new();
+    }
+    let value = |entry: u32| sums[entry as usize];
+    let example = profiles.item(profiles.example);
+    let example_norm = norm(example, value);
+    let mut scratch = Scatter(vec![NONE; profiles.features]);
+    let mut kept: BinaryHeap<Ranked> = BinaryHeap::with_capacity(k.min(profiles.keys.len()));
+    for (item, &key) in profiles.keys.iter().enumerate() {
+        if item as u32 == profiles.example {
+            continue;
+        }
+        let entries = profiles.item(item as u32);
+        let score = if profiles.scalar {
+            scalar_similarity(example, entries, value)
+        } else {
+            let example = (example, &profiles.example_at, example_norm);
+            cosine(example, entries, &mut scratch, value)
+        };
+        let ranked = Ranked { score, key };
+        if kept.len() < k {
+            kept.push(ranked);
+        } else if kept.peek().is_some_and(|worst| ranked < *worst) {
+            kept.pop();
+            kept.push(ranked);
+        }
+    }
+    kept.into_sorted_vec()
+}
+
+/// An item's place in the ranking: a higher score first, ties to the
+/// smaller key ("less" is better).
+struct Ranked<'a> {
+    score: f64,
+    key: &'a [Option<TermId>],
+}
+
+impl Ord for Ranked<'_> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        other
+            .score
+            .total_cmp(&self.score)
+            .then_with(|| self.key.cmp(other.key))
+    }
+}
+
+impl PartialOrd for Ranked<'_> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Ranked<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Ranked<'_> {}
+
+/// The refinement keeping the example's and the `scored` member
+/// combinations: a `FILTER` pinning the example dimensions to them.
+fn refinement(
     schema: &VirtualSchemaGraph,
     query: &OlapQuery,
     graph: &Graph,
-    k: usize,
-    split: &ColumnSplit,
     column: &MeasureColumn,
     profiles: &Profiles,
-    measure: usize,
+    scored: &[Ranked],
 ) -> Option<Refinement> {
-    let value = |entry: &usize| profiles.sums[entry * profiles.measures + measure];
-    let scalar_mode = split.context_cols.is_empty();
-    let example_features = profiles.items.get(&split.example_key)?;
-
-    // score every other item against the example's sparse vector and keep
-    // the k best: the rank is a total order (ties fall to the key), so
-    // selecting k and sorting only those gives what sorting all would
-    let mut scored: Vec<(&Vec<TermId>, f64)> = profiles
-        .items
-        .iter()
-        .filter(|(key, _)| **key != split.example_key)
-        .map(|(key, features)| {
-            let score = if scalar_mode {
-                scalar_similarity(example_features, features, value)
-            } else {
-                sparse_cosine(example_features, features, value)
-            };
-            (key, score)
-        })
-        .collect();
-    let by_rank = |a: &(&Vec<TermId>, f64), b: &(&Vec<TermId>, f64)| {
-        b.1.total_cmp(&a.1).then_with(|| a.0.cmp(b.0))
-    };
-    if k < scored.len() {
-        scored.select_nth_unstable_by(k, by_rank);
-        scored.truncate(k);
-    }
-    scored.sort_by(by_rank);
     if scored.is_empty() {
         return None;
     }
-
-    // refinement: FILTER pinning the example dims to example ∪ top-k combos
-    let kept = std::iter::once(&split.example_key).chain(scored.iter().map(|(key, _)| *key));
+    let example = profiles.keys[profiles.example as usize];
+    let kept = std::iter::once(example).chain(scored.iter().map(|ranked| ranked.key));
     let vars: Vec<&str> = query
         .group_columns
         .iter()
@@ -202,7 +290,7 @@ fn similarity_for_measure(
     for combo in kept {
         let conjuncts: Vec<Expr> = vars
             .iter()
-            .zip(combo)
+            .zip(combo.iter().flatten())
             .filter_map(|(var, id)| {
                 graph
                     .term(*id)
@@ -242,40 +330,76 @@ fn similarity_for_measure(
     })
 }
 
-/// Cosine similarity over sparse feature maps (missing features are 0, so
-/// only the key intersection contributes to the dot product); `value`
-/// reads a map entry's feature value.
-fn sparse_cosine<V>(
-    a: &FxHashMap<FeatureKey, V>,
-    b: &FxHashMap<FeatureKey, V>,
-    value: impl Fn(&V) -> f64,
+/// A sparse vector scattered over the feature space: feature → entry, or
+/// [`NONE`].
+struct Scatter(Vec<u32>);
+
+impl Scatter {
+    fn fill(&mut self, vector: &[(u32, u32)]) {
+        for &(feature, entry) in vector {
+            self.0[feature as usize] = entry;
+        }
+    }
+
+    fn clear(&mut self, vector: &[(u32, u32)]) {
+        for &(feature, _) in vector {
+            self.0[feature as usize] = NONE;
+        }
+    }
+
+    fn get(&self, feature: u32) -> Option<u32> {
+        Some(self.0[feature as usize]).filter(|&entry| entry != NONE)
+    }
+}
+
+/// Cosine similarity of `item`'s vector with the example's, given as its
+/// entries, their scatter and its norm; 0 when either vector is all zeros.
+/// `scratch` is all [`NONE`] before and after.
+fn cosine(
+    (example, example_at, example_norm): (&[(u32, u32)], &Scatter, f64),
+    item: &[(u32, u32)],
+    scratch: &mut Scatter,
+    value: impl Fn(u32) -> f64,
 ) -> f64 {
-    let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-    let dot: f64 = small
-        .iter()
-        .filter_map(|(k, x)| large.get(k).map(|y| value(x) * value(y)))
-        .sum();
-    let norm = |v: &FxHashMap<FeatureKey, V>| -> f64 {
-        v.values().map(|x| value(x) * value(x)).sum::<f64>().sqrt()
+    // the shorter vector leads — the example when they are as long — as
+    // the sparse form iterated it
+    let dot = if example.len() <= item.len() {
+        scratch.fill(item);
+        let dot = dot(example, scratch, &value);
+        scratch.clear(item);
+        dot
+    } else {
+        dot(item, example_at, &value)
     };
-    let (na, nb) = (norm(a), norm(b));
-    if na == 0.0 || nb == 0.0 {
+    let item_norm = norm(item, &value);
+    if example_norm == 0.0 || item_norm == 0.0 {
         return 0.0;
     }
-    dot / (na * nb)
+    dot / (example_norm * item_norm)
+}
+
+/// Σ `small[f]` · `large[f]` over the features both have (missing features
+/// are 0), in `small`'s order, its value multiplied first.
+fn dot(small: &[(u32, u32)], large: &Scatter, value: impl Fn(u32) -> f64) -> f64 {
+    let products = small
+        .iter()
+        .filter_map(|&(feature, entry)| Some(value(entry) * value(large.get(feature)?)));
+    products.sum::<f64>()
+}
+
+/// Euclidean norm of a sparse vector; `value` reads an entry's value.
+fn norm(vector: &[(u32, u32)], value: impl Fn(u32) -> f64) -> f64 {
+    let squares = vector.iter().map(|&(_, entry)| value(entry) * value(entry));
+    squares.sum::<f64>().sqrt()
 }
 
 /// With no context dimensions every vector is one-dimensional and cosine
 /// degenerates to ±1; closeness of the measure values is used instead
 /// ("the k countries most similar … based on the values of the measure at
 /// the current aggregation level").
-fn scalar_similarity<V>(
-    a: &FxHashMap<FeatureKey, V>,
-    b: &FxHashMap<FeatureKey, V>,
-    value: impl Fn(&V) -> f64,
-) -> f64 {
-    let x = a.values().next().map_or(0.0, &value);
-    let y = b.values().next().map_or(0.0, &value);
+fn scalar_similarity(a: &[(u32, u32)], b: &[(u32, u32)], value: impl Fn(u32) -> f64) -> f64 {
+    let x = a.first().map_or(0.0, |&(_, entry)| value(entry));
+    let y = b.first().map_or(0.0, |&(_, entry)| value(entry));
     -(x - y).abs()
 }
 
@@ -283,7 +407,7 @@ fn scalar_similarity<V>(
 mod tests {
     use super::*;
     use crate::query_model::{ExampleBinding, GroupColumn};
-    use re2x_sparql::{AggFunc, Query};
+    use re2x_sparql::{AggFunc, Query, Value};
 
     /// Reproduces Figure 5 of the paper: ⟨dest, origin⟩ example dims with
     /// Year as the context dimension.
@@ -431,39 +555,58 @@ mod tests {
         assert!(similarity(&v, &q, &sols, &g, 2).is_empty());
     }
 
-    fn sparse(entries: &[(u32, f64)]) -> FxHashMap<FeatureKey, f64> {
-        entries
-            .iter()
-            .map(|&(k, v)| (vec![Some(re2x_rdf::TermId(k))], v))
-            .collect()
+    /// Two sparse vectors given as `(feature, value)` pairs, laid out the
+    /// way [`Profiles`] lays them out: `a` is the example.
+    fn pair_score(
+        a: &[(u32, f64)],
+        b: &[(u32, f64)],
+        score: impl Fn(&[(u32, u32)], &[(u32, u32)], &dyn Fn(u32) -> f64) -> f64,
+    ) -> f64 {
+        let sums: Vec<f64> = a.iter().chain(b).map(|&(_, v)| v).collect();
+        let entries = |vector: &[(u32, f64)], first: usize| -> Vec<(u32, u32)> {
+            let ids = first as u32..;
+            vector.iter().zip(ids).map(|(&(f, _), e)| (f, e)).collect()
+        };
+        let (va, vb) = (entries(a, 0), entries(b, a.len()));
+        score(&va, &vb, &|entry| sums[entry as usize])
+    }
+
+    fn scalar(a: &[(u32, f64)], b: &[(u32, f64)]) -> f64 {
+        pair_score(a, b, |a, b, value| scalar_similarity(a, b, value))
+    }
+
+    fn sparse_cosine(a: &[(u32, f64)], b: &[(u32, f64)]) -> f64 {
+        pair_score(a, b, |a, b, value| {
+            let mut a_at = Scatter(vec![NONE; 4]);
+            a_at.fill(a);
+            let mut scratch = Scatter(vec![NONE; 4]);
+            cosine((a, &a_at, norm(a, value)), b, &mut scratch, value)
+        })
     }
 
     #[test]
     fn one_dimensional_fallback_prefers_closest_values() {
-        let five = sparse(&[(0, 5.0)]);
-        let six = sparse(&[(0, 6.0)]);
-        let fifty = sparse(&[(0, 50.0)]);
-        let scalar = |a, b| scalar_similarity(a, b, |&x| x);
+        let (five, six, fifty) = ([(0, 5.0)], [(0, 6.0)], [(0, 50.0)]);
         assert!(scalar(&five, &six) > scalar(&five, &fifty));
-        assert_eq!(scalar(&sparse(&[]), &sparse(&[])), 0.0);
+        assert_eq!(scalar(&[], &[]), 0.0);
     }
 
     #[test]
     fn cosine_properties() {
-        let sparse_cosine = |a, b| sparse_cosine(a, b, |&x| x);
-        let a = sparse(&[(0, 1.0), (1, 2.0)]);
-        let proportional = sparse(&[(0, 2.0), (1, 4.0)]);
+        let a = [(0, 1.0), (1, 2.0)];
+        let proportional = [(0, 2.0), (1, 4.0)];
         assert!((sparse_cosine(&a, &proportional) - 1.0).abs() < 1e-12);
-        let orthogonal_a = sparse(&[(0, 1.0)]);
-        let orthogonal_b = sparse(&[(1, 1.0)]);
+        let orthogonal_a = [(0, 1.0)];
+        let orthogonal_b = [(1, 1.0)];
         assert!(sparse_cosine(&orthogonal_a, &orthogonal_b).abs() < 1e-12);
-        let zero = sparse(&[(0, 0.0), (1, 0.0)]);
-        let ones = sparse(&[(0, 1.0), (1, 1.0)]);
+        let zero = [(0, 0.0), (1, 0.0)];
+        let ones = [(0, 1.0), (1, 1.0)];
         assert_eq!(sparse_cosine(&zero, &ones), 0.0);
-        // sparse == dense semantics: missing keys are zeros
-        let partial = sparse(&[(0, 3.0)]);
-        let full = sparse(&[(0, 3.0), (1, 4.0)]);
+        // sparse == dense semantics: missing keys are zeros, either way round
+        let partial = [(0, 3.0)];
+        let full = [(0, 3.0), (1, 4.0)];
         let expected = 9.0 / (3.0 * 5.0);
         assert!((sparse_cosine(&partial, &full) - expected).abs() < 1e-12);
+        assert!((sparse_cosine(&full, &partial) - expected).abs() < 1e-12);
     }
 }

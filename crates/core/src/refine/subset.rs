@@ -6,7 +6,7 @@
 //! clause reproduces the chosen threshold, so the refinement is a plain
 //! SPARQL query the user can keep, re-run, or refine further.
 
-use crate::query_model::{measure_value_var, MeasureColumn, OlapQuery};
+use crate::query_model::{measure_value_var, MeasureColumn, OlapQuery, StepView};
 use crate::refine::{Refinement, RefinementKind};
 use re2x_cube::VirtualSchemaGraph;
 use re2x_rdf::Graph;
@@ -25,51 +25,42 @@ pub fn topk(
     graph: &Graph,
 ) -> Vec<Refinement> {
     let mut out = Vec::new();
-    let matching = query.matching_rows(solutions, graph);
-    if matching.is_empty() {
+    let view = StepView::new(query, solutions, graph);
+    if !view.matches.contains(&true) {
         return out;
     }
-    for column in &query.measure_columns {
-        let Some(col) = solutions.column(&column.alias) else {
+    for (column, values) in query.measure_columns.iter().zip(&view.measures) {
+        let Some(values) = values else {
             continue;
         };
+        // rows ordered by the measure, ascending, ties in row order; the
+        // descending order is this one reversed
+        let mut ascending: Vec<(u64, u32)> = values
+            .iter()
+            .zip(0..)
+            .filter_map(|(v, r)| Some((order_key((*v)?), r)))
+            .collect();
+        ascending.sort_unstable();
+        let n = ascending.len();
         for order in [Order::Desc, Order::Asc] {
-            // rows ordered by the measure
-            let mut ordered: Vec<(usize, f64)> = solutions
-                .rows
-                .iter()
-                .enumerate()
-                .filter_map(|(r, row)| {
-                    row[col]
-                        .as_ref()
-                        .and_then(|v| v.as_number(graph))
-                        .map(|n| (r, n))
-                })
-                .collect();
-            ordered.sort_by(|a, b| a.1.total_cmp(&b.1));
-            if order == Order::Desc {
-                ordered.reverse();
-            }
+            let at = |i: usize| {
+                let (key, row) = match order {
+                    Order::Desc => ascending[n - 1 - i],
+                    Order::Asc => ascending[i],
+                };
+                (row as usize, from_order_key(key))
+            };
             // walk until an example row whose successor is not an example
             // row; the successor's value is the exclusive threshold. The
             // cut additionally needs a *strict* value gap — with a tie at
             // the boundary the strict HAVING comparison would drop the
-            // example row itself.
-            let mut found: Option<(usize, f64)> = None; // (k, threshold)
-            for i in 0..ordered.len() {
-                if !matching.contains(&ordered[i].0) {
-                    continue;
-                }
-                let Some(&(next_row, next_value)) = ordered.get(i + 1) else {
-                    // the example row is the last one: the whole set is the
-                    // top-k already, nothing to cut
-                    break;
-                };
-                if !matching.contains(&next_row) && next_value != ordered[i].1 {
-                    found = Some((i + 1, next_value));
-                    break;
-                }
-            }
+            // example row itself. An example row that is the last one
+            // leaves nothing to cut: the whole set is the top-k already.
+            let found = (0..n.saturating_sub(1)).find_map(|i| {
+                let ((row, value), (next_row, next_value)) = (at(i), at(i + 1));
+                let cut = view.matches[row] && !view.matches[next_row] && next_value != value;
+                cut.then_some((i + 1, next_value))
+            });
             let Some((k, threshold)) = found else {
                 continue;
             };
@@ -136,41 +127,35 @@ pub fn percentile(
     boundaries: &[u8],
 ) -> Vec<Refinement> {
     let mut out = Vec::new();
-    let matching = query.matching_rows(solutions, graph);
-    if matching.is_empty() {
+    let view = StepView::new(query, solutions, graph);
+    if !view.matches.contains(&true) {
         return out;
     }
-    for column in &query.measure_columns {
-        let Some(col) = solutions.column(&column.alias) else {
+    for (column, values) in query.measure_columns.iter().zip(&view.measures) {
+        let Some(values) = values else {
             continue;
         };
-        let mut values: Vec<f64> = solutions
-            .rows
-            .iter()
-            .filter_map(|row| row[col].as_ref().and_then(|v| v.as_number(graph)))
-            .collect();
-        if values.is_empty() {
+        let mut keys: Vec<u64> = values.iter().flatten().map(|&v| order_key(v)).collect();
+        if keys.is_empty() {
             continue;
         }
-        values.sort_by(f64::total_cmp);
+        keys.sort_unstable();
+        let sorted: Vec<f64> = keys.into_iter().map(from_order_key).collect();
         // interval bounds: [0, b1), [b1, b2), …, [b_last, 100]; the
         // boundaries are caller-supplied, in any order and possibly repeated
         let mut pcts: Vec<u8> = vec![0, 100];
         pcts.extend(boundaries.iter().copied().filter(|&b| b > 0 && b < 100));
         pcts.sort_unstable();
         pcts.dedup();
-        let example_values: Vec<f64> = matching
+        let example_values: Vec<f64> = values
             .iter()
-            .filter_map(|&r| {
-                solutions.rows[r][col]
-                    .as_ref()
-                    .and_then(|v| v.as_number(graph))
-            })
+            .zip(&view.matches)
+            .filter_map(|(&v, &matches)| v.filter(|_| matches))
             .collect();
         for w in pcts.windows(2) {
             let (lo_pct, hi_pct) = (w[0], w[1]);
-            let lo = percentile_value(&values, lo_pct);
-            let hi = percentile_value(&values, hi_pct);
+            let lo = percentile_value(&sorted, lo_pct);
+            let hi = percentile_value(&sorted, hi_pct);
             let inclusive_top = hi_pct == 100;
             let inside = |v: f64| v >= lo && if inclusive_top { v <= hi } else { v < hi };
             if !example_values.iter().any(|&v| inside(v)) {
@@ -182,6 +167,25 @@ pub fn percentile(
         }
     }
     out
+}
+
+/// `x`'s bits, mapped so that their unsigned order is [`f64::total_cmp`]'s.
+fn order_key(x: f64) -> u64 {
+    let bits = x.to_bits();
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    }
+}
+
+/// The inverse of [`order_key`].
+fn from_order_key(key: u64) -> f64 {
+    f64::from_bits(if key >> 63 == 1 {
+        key & !(1 << 63)
+    } else {
+        !key
+    })
 }
 
 /// Nearest-rank percentile of a sorted slice.
@@ -372,6 +376,31 @@ mod tests {
             })
             .collect();
         assert_eq!(intervals, vec![(0, 25), (25, 75), (75, 100)]);
+    }
+
+    #[test]
+    fn order_keys_sort_like_total_cmp_and_round_trip() {
+        let mut values = vec![
+            1.5,
+            -0.0,
+            0.0,
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            -2.0,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+            1e300,
+        ];
+        for &v in &values {
+            assert_eq!(from_order_key(order_key(v)).to_bits(), v.to_bits());
+        }
+        let mut by_key = values.clone();
+        by_key.sort_unstable_by_key(|&v| order_key(v));
+        values.sort_by(f64::total_cmp);
+        let bits = |vs: &[f64]| vs.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&by_key), bits(&values));
     }
 
     #[test]

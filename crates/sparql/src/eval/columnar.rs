@@ -238,13 +238,12 @@ fn semijoin(graph: &Graph, batch: &Batch, s: RSlot, p: RSlot, o: RSlot) -> Batch
     if let Some((v, list)) = single {
         let col = batch.cols[v].as_deref().unwrap_or(&[]);
         if col.is_sorted() {
-            // merge intersection: one forward pass over both sorted sides
+            // merge intersection, galloping through the list: a short
+            // column over a long posting list skips most of it
             let mut j = 0usize;
             for &id in col {
-                while j < list.len() && list[j] < id {
-                    j += 1;
-                }
-                keep.push(j < list.len() && list[j] == id);
+                j += gallop(&list[j..], id);
+                keep.push(list.get(j) == Some(&id));
             }
         } else {
             for &id in col {
@@ -257,6 +256,20 @@ fn semijoin(graph: &Graph, batch: &Batch, s: RSlot, p: RSlot, o: RSlot) -> Batch
         }
     }
     gather(batch, &keep_to_sel(&keep), Vec::new())
+}
+
+/// How many leading entries of the sorted `list` are below `id`: probes 1,
+/// 2, 4, … entries ahead until one is not, then binary-searches the last
+/// stride — O(log distance) instead of a walk over the distance.
+fn gallop(list: &[TermId], id: TermId) -> usize {
+    let mut below = 0; // list[..below] < id
+    let mut step = 1;
+    while step <= list.len() && list[step - 1] < id {
+        below = step;
+        step *= 2;
+    }
+    let end = step.min(list.len());
+    below + list[below..end].partition_point(|&x| x < id)
 }
 
 fn keep_to_sel(keep: &[bool]) -> Vec<usize> {
@@ -375,5 +388,71 @@ fn gather(batch: &Batch, sel: &[usize], new_cols: Vec<(usize, Vec<TermId>)>) -> 
     Batch {
         cols,
         len: sel.len(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use re2x_testkit::{check, TestRng};
+
+    /// The membership a one-entry-at-a-time merge computes.
+    fn linear_merge(col: &[TermId], list: &[TermId]) -> Vec<bool> {
+        let mut j = 0usize;
+        col.iter()
+            .map(|&id| {
+                while j < list.len() && list[j] < id {
+                    j += 1;
+                }
+                j < list.len() && list[j] == id
+            })
+            .collect()
+    }
+
+    fn galloping_merge(col: &[TermId], list: &[TermId]) -> Vec<bool> {
+        let mut j = 0usize;
+        col.iter()
+            .map(|&id| {
+                j += gallop(&list[j..], id);
+                list.get(j) == Some(&id)
+            })
+            .collect()
+    }
+
+    fn sorted_ids(rng: &mut TestRng, len: usize, lo: u32, hi: u32, distinct: bool) -> Vec<TermId> {
+        let mut ids: Vec<TermId> = (0..len).map(|_| TermId(rng.gen_range(lo..hi))).collect();
+        ids.sort_unstable();
+        if distinct {
+            ids.dedup();
+        }
+        ids
+    }
+
+    #[test]
+    fn gallop_equals_the_linear_merge() {
+        check(
+            "columnar_gallop_equals_linear_merge",
+            |rng: &mut TestRng| {
+                // posting lists are distinct ids; a sorted column may repeat
+                let list_len = *rng.pick(&[0usize, 1, 2, 7, 64, 500]);
+                let list = sorted_ids(rng, list_len, 100, 1_000, true);
+                let col_len = *rng.pick(&[0usize, 1, 3, 20, 130]);
+                // the column within the list's range, across it, or wholly
+                // below or above it
+                let (lo, hi) = *rng.pick(&[(100, 1_000), (0, 1_100), (0, 100), (1_000, 2_000)]);
+                let col = sorted_ids(rng, col_len, lo, hi, false);
+                assert_eq!(galloping_merge(&col, &list), linear_merge(&col, &list));
+            },
+        );
+    }
+
+    #[test]
+    fn gallop_counts_the_entries_below() {
+        let list: Vec<TermId> = [2, 4, 6, 8, 10].map(TermId).to_vec();
+        for id in 0..12 {
+            let below = list.iter().filter(|&&x| x < TermId(id)).count();
+            assert_eq!(gallop(&list, TermId(id)), below, "{id}");
+        }
+        assert_eq!(gallop(&[], TermId(3)), 0);
     }
 }

@@ -168,6 +168,18 @@ echo "== derivation differential suite (offline) =="
 # still reach the endpoint.
 cargo test -q --offline -p re2xolap --test derivation_differential
 
+echo "== refinement kernel differential suite (offline) =="
+# The dense Top-k / Percentile / Similarity kernels must offer exactly
+# what the per-row kernels they replaced (kept verbatim in the test as the
+# oracle) offer — every offer list compared with no tolerance, at every
+# step of seeded session chains on all four datasets and on seeded and
+# hand-built tables (duplicate keys, unbound cells, NaN / +-inf / +-0
+# measures, a zero-norm example, k >= items, absent examples).
+cargo test -q --offline -p re2xolap --test refine_differential
+# The columnar semijoin gallops through a posting list: it must equal the
+# one-entry-at-a-time merge on random sorted lists, empty ones included.
+cargo test -q --offline -p re2x-sparql --lib gallop
+
 echo "== validation differential suite (offline) =="
 # Candidate validation over shared, capped observation sets must decide
 # exactly what the per-candidate ASK walk decides — all four datasets,

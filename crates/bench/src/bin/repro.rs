@@ -430,7 +430,7 @@ fn main() {
             &args.out,
             "fig6",
             "Figure 6: dataset sizes and bootstrap time",
-            &figures::fig6(&prepared),
+            &figures::fig6(&prepared, args.seed),
         );
     }
 

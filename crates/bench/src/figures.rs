@@ -156,28 +156,102 @@ pub fn table3(prepared: &[PreparedDataset]) -> String {
     t.render()
 }
 
-/// Figure 6: (a) observations, (b) triples, (c) bootstrap time.
-pub fn fig6(prepared: &[PreparedDataset]) -> String {
-    let mut t = Table::new([
+/// Figure 6: (a) observations, (b) triples, (c) bootstrap time — beside
+/// it the crawl's time by query class ([`crawl_classes`]) — then the same
+/// classes at the dataset sizes the benchmark's workloads load.
+pub fn fig6(prepared: &[PreparedDataset], seed: u64) -> String {
+    use crate::env::{prepare, DatasetKind, Scales};
+    let mut header = vec![
         "",
         "# Observations (a)",
         "# Triples (b)",
         "Bootstrap time (c)",
-        "Bootstrap queries",
-        "Generation time",
-    ]);
+    ];
+    header.extend(CRAWL_CLASSES.map(|(_, name)| name));
+    header.extend(["Bootstrap queries", "Generation time"]);
+    let mut t = Table::new(header);
     for p in prepared {
-        t.row([
+        let mut row = vec![
             p.kind.name().to_owned(),
             p.report.schema.observation_count.to_string(),
             p.endpoint.graph().len().to_string(),
             fmt_duration(p.report.elapsed),
+        ];
+        row.extend(crawl_classes(&p.endpoint, &p.dataset.observation_class));
+        row.extend([
             p.report.endpoint_queries.to_string(),
             fmt_duration(p.generation_time),
         ]);
+        t.row(row);
     }
-    t.render()
+    let mut header = vec!["benchmark dataset", "# Triples", "Bootstrap time"];
+    header.extend(CRAWL_CLASSES.map(|(_, name)| name));
+    let mut sizes = Table::new(header);
+    for (kind, observations) in [
+        (DatasetKind::Eurostat, 6_000),
+        (DatasetKind::Eurostat, 100_000),
+        (DatasetKind::Production, 8_000),
+        (DatasetKind::Dbpedia, 4_000),
+        (DatasetKind::Dbpedia, 16_000),
+    ] {
+        let scales = Scales {
+            eurostat: observations,
+            production: observations,
+            dbpedia: observations,
+        };
+        let p = prepare(kind, &scales, seed);
+        let mut row = vec![
+            format!("{}-{}k", p.kind.name(), observations / 1_000),
+            p.endpoint.graph().len().to_string(),
+            fmt_duration(p.report.elapsed),
+        ];
+        row.extend(crawl_classes(&p.endpoint, &p.dataset.observation_class));
+        sizes.row(row);
+    }
+    format!(
+        "{}\nBy query class at the benchmark's dataset sizes:\n{}",
+        t.render(),
+        sizes.render()
+    )
 }
+
+/// The crawl's query classes [`crawl_classes`] reports, with their column
+/// names.
+const CRAWL_CLASSES: [(Shape, &str); 4] = [
+    (Shape::ObservationPredicates, "observation predicates"),
+    (Shape::MemberCounts, "member counts"),
+    (Shape::MemberPredicates, "member predicates"),
+    (Shape::Labels, "labels"),
+];
+
+/// Bootstraps served by `endpoint` re-run through a [`ShapeTimer`]: per
+/// crawl class the median over [`CRAWL_RUNS`] bootstraps of the time one
+/// spends there, with the calls it makes (`"1.2 ms (2)"`).
+fn crawl_classes(endpoint: &dyn SparqlEndpoint, class: &str) -> Vec<String> {
+    let mut spent: Vec<Vec<Duration>> = vec![Vec::new(); CRAWL_CLASSES.len()];
+    let mut calls = [0u32; CRAWL_CLASSES.len()];
+    for _ in 0..CRAWL_RUNS {
+        let timer = ShapeTimer::new(endpoint);
+        bootstrap(&timer, &BootstrapConfig::new(class.to_owned()))
+            .expect("bootstrap succeeds on generated data");
+        for (i, (shape, _)) in CRAWL_CLASSES.iter().enumerate() {
+            let (time, n) = timer.spent(*shape);
+            spent[i].push(time);
+            calls[i] = n;
+        }
+    }
+    spent
+        .iter_mut()
+        .zip(calls)
+        .map(|(times, n)| {
+            times.sort_unstable();
+            format!("{} ({n})", fmt_duration(times[times.len() / 2]))
+        })
+        .collect()
+}
+
+/// Bootstraps [`crawl_classes`] takes the median of.
+const CRAWL_RUNS: usize = 5;
 
 // ---------------------------------------------------------------------------
 // Figure 7
@@ -361,7 +435,8 @@ pub fn scaling(seed: u64) -> String {
     t.render()
 }
 
-/// The query shapes [`ShapeTimer`] times apart.
+/// The query shapes [`ShapeTimer`] times apart: synthesis's two, and the
+/// bootstrap crawl's classes.
 #[derive(Debug, Clone, Copy)]
 enum Shape {
     /// Every `ASK`: interpretation validation and member-level checks.
@@ -369,16 +444,29 @@ enum Shape {
     /// `SELECT DISTINCT ?p { ?x ?p <member> }`, answered by
     /// `Graph::predicates_into`.
     PredicatesInto,
+    /// Measure and dimension discovery: `SELECT DISTINCT ?p { ?o a C .
+    /// ?o ?p ?x . FILTER(…) }`.
+    ObservationPredicates,
+    /// A level's `COUNT(DISTINCT ?m)` behind its path.
+    MemberCounts,
+    /// A level's attribute and roll-up discovery: `SELECT DISTINCT ?q
+    /// { … ?m ?q ?x . FILTER(…) }`.
+    MemberPredicates,
+    /// `SELECT * { <iri> <label predicate> ?l }`.
+    Labels,
     /// Every other `SELECT`.
     Other,
 }
+
+/// Number of [`Shape`]s.
+const SHAPES: usize = Shape::Other as usize + 1;
 
 /// An endpoint decorator that times every query by its [`Shape`].
 struct ShapeTimer<'a> {
     inner: &'a dyn SparqlEndpoint,
     /// Per shape: nanoseconds spent and calls (statistics only).
-    nanos: [AtomicU64; 3],
-    calls: [AtomicU32; 3],
+    nanos: [AtomicU64; SHAPES],
+    calls: [AtomicU32; SHAPES],
 }
 
 impl<'a> ShapeTimer<'a> {
@@ -408,14 +496,49 @@ impl<'a> ShapeTimer<'a> {
 }
 
 fn select_shape(query: &re2x_sparql::Query) -> Shape {
-    use re2x_sparql::{PatternElement, Predicate, TermPattern};
-    match query.wher.as_slice() {
-        [PatternElement::Triple(t)]
+    use re2x_sparql::{PatternElement, Predicate, SelectItem, TermPattern};
+    let triples: Vec<_> = query
+        .wher
+        .iter()
+        .filter_map(|element| match element {
+            PatternElement::Triple(t) => Some(t),
+            _ => None,
+        })
+        .collect();
+    match (triples.as_slice(), query.select.as_slice()) {
+        ([t], _)
             if query.distinct
                 && matches!(t.predicate, Predicate::Var(_))
                 && matches!(t.object, TermPattern::Iri(_)) =>
         {
             Shape::PredicatesInto
+        }
+        ([t], [])
+            if matches!(t.subject, TermPattern::Iri(_))
+                && matches!(t.predicate, Predicate::Path(_)) =>
+        {
+            Shape::Labels
+        }
+        (
+            _,
+            [SelectItem::Agg {
+                func: AggFunc::CountDistinct,
+                ..
+            }],
+        ) => Shape::MemberCounts,
+        (_, [SelectItem::Var(target)]) if query.distinct => {
+            // the pattern whose predicate is the target: behind a path
+            // (its subject some pattern's object) it asks about members
+            let arm = triples
+                .iter()
+                .find(|t| matches!(&t.predicate, Predicate::Var(v) if v == target));
+            match arm {
+                Some(arm) if triples.iter().any(|t| t.object == arm.subject) => {
+                    Shape::MemberPredicates
+                }
+                Some(_) => Shape::ObservationPredicates,
+                None => Shape::Other,
+            }
         }
         _ => Shape::Other,
     }

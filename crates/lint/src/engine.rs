@@ -1,5 +1,5 @@
-//! Workspace walk, rule dispatch, suppression handling, baseline
-//! matching, and the lock-graph assembly.
+//! Workspace walk, rule dispatch, suppression handling, and the
+//! lock-graph assembly.
 
 use crate::findings::Finding;
 use crate::rules::dataflow::{self, DataflowContext};
@@ -21,7 +21,7 @@ const SEAM_ONLY: &[&str] = &["core", "cube"];
 /// rules too: they assert, print, and block by design.
 const DATAFLOW_SKIP: &[&str] = &["bench", "testkit"];
 
-/// The result of linting a set of files (before baseline application).
+/// The result of linting a set of files.
 #[derive(Debug, Default)]
 pub struct LintResult {
     /// Findings that survived `lint:allow` suppression.
@@ -187,64 +187,13 @@ fn walk_rs(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), String> {
     Ok(())
 }
 
-/// The outcome of matching findings against a checked-in baseline.
-#[derive(Debug, Default)]
-pub struct BaselineOutcome {
-    /// Findings not covered by the baseline — these fail the gate.
-    pub new_findings: Vec<Finding>,
-    /// Number of findings absorbed by baseline entries.
-    pub matched: usize,
-    /// Baseline entries that no longer match any finding — the baseline
-    /// must shrink when violations are fixed, so these also fail the gate.
-    pub stale: Vec<String>,
-}
-
-/// Matches findings against baseline lines (multiset semantics: one
-/// baseline line absorbs exactly one finding with the same key).
-pub fn apply_baseline(findings: Vec<Finding>, baseline_lines: &[String]) -> BaselineOutcome {
-    let mut budget: Vec<(String, usize)> = Vec::new();
-    for line in baseline_lines {
-        let line = line.trim_end_matches(['\r', '\n']);
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        match budget.iter_mut().find(|(k, _)| k == line) {
-            Some((_, n)) => *n += 1,
-            None => budget.push((line.to_owned(), 1)),
-        }
-    }
-    let mut outcome = BaselineOutcome::default();
-    for finding in findings {
-        let key = finding.baseline_key();
-        match budget.iter_mut().find(|(k, n)| *k == key && *n > 0) {
-            Some((_, n)) => {
-                *n -= 1;
-                outcome.matched += 1;
-            }
-            None => outcome.new_findings.push(finding),
-        }
-    }
-    for (key, n) in budget {
-        for _ in 0..n {
-            outcome.stale.push(key.clone());
-        }
-    }
-    outcome.stale.sort();
-    outcome
-}
-
 /// Renders the machine-readable report the binary prints for
 /// `--format json`. Every string field is routed through the shared
 /// [`crate::findings::json_escape`] escaper, so snippets containing
 /// quotes or backslashes (`.expect("non-empty")`) stay parseable.
-pub fn report_to_json(outcome: &BaselineOutcome, result: &LintResult) -> String {
+pub fn report_to_json(result: &LintResult) -> String {
     use crate::findings::{finding_to_json, json_escape};
-    let findings_json: Vec<String> = outcome.new_findings.iter().map(finding_to_json).collect();
-    let stale_json: Vec<String> = outcome
-        .stale
-        .iter()
-        .map(|s| format!("\"{}\"", json_escape(s)))
-        .collect();
+    let findings_json: Vec<String> = result.findings.iter().map(finding_to_json).collect();
     let edge_json = |e: &LockEdge| {
         format!(
             "{{\"from\":\"{}\",\"to\":\"{}\",\"file\":\"{}\",\"line\":{}}}",
@@ -262,32 +211,11 @@ pub fn report_to_json(outcome: &BaselineOutcome, result: &LintResult) -> String 
         .map(|r| format!("\"{}\"", json_escape(&r.name)))
         .collect();
     format!(
-        "{{\"findings\":[{}],\"stale_baseline\":[{}],\"baseline_matched\":{},\"suppressed\":{},\"locks\":[{}],\"lock_edges\":[{}],\"declared_edges\":[{}]}}",
+        "{{\"findings\":[{}],\"suppressed\":{},\"locks\":[{}],\"lock_edges\":[{}],\"declared_edges\":[{}]}}",
         findings_json.join(","),
-        stale_json.join(","),
-        outcome.matched,
         result.suppressed,
         locks_json.join(","),
         edges_json.join(","),
         declared_json.join(",")
     )
-}
-
-/// Renders findings as baseline lines, sorted by rule, then path, then
-/// snippet — byte-identical output for identical findings regardless of
-/// discovery order, so `--write-baseline` diffs are reviewable.
-pub fn to_baseline(findings: &[Finding]) -> String {
-    let mut ordered: Vec<&Finding> = findings.iter().collect();
-    ordered.sort_by(|a, b| (a.rule, &a.file, &a.snippet).cmp(&(b.rule, &b.file, &b.snippet)));
-    let lines: Vec<String> = ordered.iter().map(|f| f.baseline_key()).collect();
-    let mut out = String::from(
-        "# re2x-lint suppression baseline: pre-existing findings accepted as debt.\n\
-         # The gate fails on any finding not listed here AND on stale entries,\n\
-         # so this file can only shrink. Regenerate with: re2x-lint --write-baseline\n",
-    );
-    for line in lines {
-        out.push_str(&line);
-        out.push('\n');
-    }
-    out
 }

@@ -15,15 +15,6 @@ pub struct Finding {
     pub message: String,
 }
 
-impl Finding {
-    /// The baseline key: rule, file, and normalized snippet — deliberately
-    /// line-number-free so unrelated edits above a baselined site don't
-    /// invalidate the baseline.
-    pub fn baseline_key(&self) -> String {
-        format!("{}\t{}\t{}", self.rule, self.file, self.snippet)
-    }
-}
-
 /// Escapes a string for inclusion in a JSON string literal.
 pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
@@ -87,13 +78,5 @@ mod tests {
         assert!(j.starts_with('{') && j.ends_with('}'));
         assert!(j.contains("\"rule\":\"panic-freedom\""));
         assert!(j.contains("\"line\":3"));
-    }
-
-    #[test]
-    fn baseline_key_has_no_line() {
-        let mut f = sample();
-        let k1 = f.baseline_key();
-        f.line = 99;
-        assert_eq!(f.baseline_key(), k1);
     }
 }

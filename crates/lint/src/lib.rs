@@ -4,8 +4,8 @@
 //! source: a comment/string/raw-string-aware Rust tokenizer ([`lexer`]),
 //! a brace-tree/scope layer with guard-liveness tracking ([`scope`]), a
 //! rule engine reporting structured findings ([`findings::Finding`]) as
-//! human text and JSON, a checked-in suppression baseline, and
-//! `// lint:allow(rule, reason)` escape hatches ([`source`]).
+//! human text and JSON, and `// lint:allow(rule, reason)` escape hatches
+//! ([`source`]).
 //!
 //! The shipped rules (see `DESIGN.md` § Enforced invariants):
 //!
@@ -28,8 +28,8 @@
 //! behavior fails CI with both lock names and the acquiring call sites.
 //!
 //! The binary (`cargo run -p re2x-lint`) walks `crates/*/src`, applies
-//! the rules, and exits nonzero on any finding outside the baseline —
-//! `scripts/verify.sh` runs it as a standing gate.
+//! the rules, and exits nonzero on any finding — `scripts/verify.sh` runs
+//! it as a standing gate.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -41,9 +41,7 @@ pub mod rules;
 pub mod scope;
 pub mod source;
 
-pub use engine::{
-    apply_baseline, collect_files, lint_files, report_to_json, to_baseline, LintResult,
-};
+pub use engine::{collect_files, lint_files, report_to_json, LintResult};
 pub use findings::{finding_to_json, finding_to_text, json_escape, Finding};
 pub use lexer::{tokenize, Token, TokenKind};
 pub use scope::{Block, GuardTracker, LiveGuard, ScopeTree};

@@ -1,16 +1,15 @@
-//! The `re2x-lint` binary: lints the workspace and gates on the baseline.
+//! The `re2x-lint` binary: lints the workspace and gates on its findings.
 //!
 //! ```text
-//! re2x-lint [--root DIR] [--format text|json] [--baseline FILE]
-//!           [--write-baseline] [--no-baseline]
+//! re2x-lint [--root DIR] [--format text|json]
 //! ```
 //!
-//! Exit codes: 0 clean (every finding baselined or allowed), 1 findings
-//! outside the baseline or stale baseline entries, 2 usage/IO error.
+//! Exit codes: 0 clean (every finding allowed), 1 findings, 2 usage/IO
+//! error.
 
 // lint:allow-file(no-debug-output, rendering findings to the terminal is this binary's job)
 
-use re2x_lint::engine::{apply_baseline, collect_files, lint_files, report_to_json, to_baseline};
+use re2x_lint::engine::{collect_files, lint_files, report_to_json};
 use re2x_lint::findings::finding_to_text;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -18,9 +17,6 @@ use std::process::ExitCode;
 struct Options {
     root: Option<PathBuf>,
     format: Format,
-    baseline: Option<PathBuf>,
-    write_baseline: bool,
-    no_baseline: bool,
 }
 
 #[derive(PartialEq)]
@@ -33,9 +29,6 @@ fn parse_args() -> Result<Options, String> {
     let mut opts = Options {
         root: None,
         format: Format::Text,
-        baseline: None,
-        write_baseline: false,
-        no_baseline: false,
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -52,11 +45,6 @@ fn parse_args() -> Result<Options, String> {
                     other => return Err(format!("unknown format {other:?}")),
                 };
             }
-            "--baseline" => {
-                opts.baseline = Some(PathBuf::from(args.next().ok_or("--baseline needs a file")?));
-            }
-            "--write-baseline" => opts.write_baseline = true,
-            "--no-baseline" => opts.no_baseline = true,
             other => return Err(format!("unknown argument {other:?}")),
         }
     }
@@ -86,56 +74,25 @@ fn run() -> Result<ExitCode, String> {
     let files = collect_files(&root)?;
     let result = lint_files(&files);
 
-    let baseline_path = opts
-        .baseline
-        .clone()
-        .unwrap_or_else(|| root.join("lint-baseline.txt"));
-
-    if opts.write_baseline {
-        std::fs::write(&baseline_path, to_baseline(&result.findings))
-            .map_err(|e| format!("cannot write {}: {e}", baseline_path.display()))?;
-        eprintln!(
-            "re2x-lint: wrote {} entries to {}",
-            result.findings.len(),
-            baseline_path.display()
-        );
-        return Ok(ExitCode::SUCCESS);
-    }
-
-    let baseline_lines: Vec<String> = if opts.no_baseline {
-        Vec::new()
-    } else {
-        match std::fs::read_to_string(&baseline_path) {
-            Ok(text) => text.lines().map(str::to_owned).collect(),
-            Err(_) => Vec::new(), // absent baseline == empty baseline
-        }
-    };
-    let outcome = apply_baseline(result.findings.clone(), &baseline_lines);
-
     match opts.format {
         Format::Json => {
-            println!("{}", report_to_json(&outcome, &result));
+            println!("{}", report_to_json(&result));
         }
         Format::Text => {
-            for finding in &outcome.new_findings {
+            for finding in &result.findings {
                 println!("{}", finding_to_text(finding));
             }
-            for stale in &outcome.stale {
-                println!("stale baseline entry (violation fixed? prune it): {stale}");
-            }
             println!(
-                "re2x-lint: {} finding(s), {} baselined, {} allowed, {} stale baseline entr(ies); {} registered lock(s), {} nesting edge(s)",
-                outcome.new_findings.len(),
-                outcome.matched,
+                "re2x-lint: {} finding(s), {} allowed; {} registered lock(s), {} nesting edge(s)",
+                result.findings.len(),
                 result.suppressed,
-                outcome.stale.len(),
                 result.registrations.len(),
                 result.edges.len()
             );
         }
     }
 
-    if outcome.new_findings.is_empty() && outcome.stale.is_empty() {
+    if result.findings.is_empty() {
         Ok(ExitCode::SUCCESS)
     } else {
         Ok(ExitCode::FAILURE)

@@ -1,8 +1,7 @@
 //! Output-format regressions: the JSON report must stay valid JSON even
-//! when snippets carry quotes/backslashes, and `--write-baseline` must be
-//! deterministic and round-trip to a clean run.
+//! when snippets carry quotes/backslashes.
 
-use re2x_lint::engine::{apply_baseline, lint_files, report_to_json, to_baseline};
+use re2x_lint::engine::{lint_files, report_to_json};
 use re2x_lint::SourceFile;
 use std::io::Write;
 use std::process::{Command, Stdio};
@@ -22,8 +21,7 @@ fn json_report_survives_quotes_and_backslashes() {
         !result.findings.is_empty(),
         "the fixture must produce a finding whose snippet needs escaping"
     );
-    let outcome = apply_baseline(result.findings.clone(), &[]);
-    let json = report_to_json(&outcome, &result);
+    let json = report_to_json(&result);
     assert!(
         json.contains("\\\\") && json.contains("\\\""),
         "escapes present in the payload: {json}"
@@ -48,43 +46,4 @@ fn json_report_survives_quotes_and_backslashes() {
         .expect("feed json.tool");
     let status = child.wait().expect("json.tool exits");
     assert!(status.success(), "python3 -m json.tool rejected: {json}");
-}
-
-#[test]
-fn baseline_is_deterministic_and_round_trips() {
-    // Same files, both lint orders: the written baseline is identical.
-    let forward = lint_files(&[
-        hostile_file("crates/fx/src/one.rs"),
-        hostile_file("crates/fx/src/two.rs"),
-    ]);
-    let backward = lint_files(&[
-        hostile_file("crates/fx/src/two.rs"),
-        hostile_file("crates/fx/src/one.rs"),
-    ]);
-    assert!(!forward.findings.is_empty());
-    let text = to_baseline(&forward.findings);
-    assert_eq!(
-        text,
-        to_baseline(&backward.findings),
-        "baseline output must not depend on file order"
-    );
-    let entries: Vec<&str> = text
-        .lines()
-        .filter(|l| !l.starts_with('#') && !l.is_empty())
-        .collect();
-    let mut sorted = entries.clone();
-    sorted.sort_unstable();
-    assert_eq!(entries, sorted, "entries are written sorted");
-
-    // Round trip: applying the baseline we just wrote yields a clean run
-    // with nothing stale.
-    let lines: Vec<String> = text.lines().map(str::to_owned).collect();
-    let outcome = apply_baseline(forward.findings.clone(), &lines);
-    assert!(
-        outcome.new_findings.is_empty(),
-        "{:?}",
-        outcome.new_findings
-    );
-    assert!(outcome.stale.is_empty(), "{:?}", outcome.stale);
-    assert_eq!(outcome.matched, forward.findings.len());
 }

@@ -896,6 +896,26 @@ impl Graph {
         preds
     }
 
+    /// Invokes `f` on every `(object, subjects)` run of predicate `p` — the
+    /// POS posting lists under `p`, base and overlay — until it returns
+    /// `true`. Runs arrive ascending by object for the base, then the
+    /// objects only the overlay holds. Returns whether `f` stopped it.
+    pub fn object_runs_until(&self, p: TermId, f: impl FnMut(TermId, &[TermId]) -> bool) -> bool {
+        self.pos.for_each_inner_until(p, f)
+    }
+
+    /// Invokes `f` on every `(predicate, objects)` run of subject `s` — the
+    /// SPO posting lists under `s`, base and overlay — until it returns
+    /// `true`, in the order of [`Graph::object_runs_until`]. Returns
+    /// whether `f` stopped it.
+    pub fn predicate_runs_until(
+        &self,
+        s: TermId,
+        f: impl FnMut(TermId, &[TermId]) -> bool,
+    ) -> bool {
+        self.spo.for_each_inner_until(s, f)
+    }
+
     /// Every predicate currently used by at least one triple, sorted by id
     /// (the key set of the incremental statistics, so `O(predicates)`).
     pub fn predicates(&self) -> Vec<TermId> {

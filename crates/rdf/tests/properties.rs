@@ -266,6 +266,18 @@ fn assert_agrees_with_model(graph: &Graph, model: &BTreeSet<Triple>, universe: &
         }
         let from = distinct(model, |t| t.s == s, |t| t.p);
         assert_eq!(sorted(graph.predicates_from(s)), from);
+        // the subject's SPO runs: one per predicate, each its object list
+        let mut runs: Vec<(TermId, Vec<TermId>)> = Vec::new();
+        graph.predicate_runs_until(s, |p, objects| {
+            runs.push((p, objects.to_vec()));
+            false
+        });
+        runs.sort_unstable();
+        let expected: Vec<(TermId, Vec<TermId>)> = from
+            .iter()
+            .map(|&p| (p, distinct(model, |t| t.s == s && t.p == p, |t| t.o)))
+            .collect();
+        assert_eq!(runs, expected);
     }
     for &o in &universe.objects {
         let into = distinct(model, |t| t.o == o, |t| t.p);
@@ -280,6 +292,28 @@ fn assert_agrees_with_model(graph: &Graph, model: &BTreeSet<Triple>, universe: &
         }
         let objects = distinct(model, |t| t.p == p, |t| t.o);
         assert_eq!(sorted(graph.objects_of_predicate(p)), objects);
+        // the predicate's POS runs: one per object, each its subject list,
+        // and a `true` stops the walk at the first run
+        let mut runs: Vec<(TermId, Vec<TermId>)> = Vec::new();
+        graph.object_runs_until(p, |o, subjects| {
+            runs.push((o, subjects.to_vec()));
+            false
+        });
+        runs.sort_unstable();
+        let expected: Vec<(TermId, Vec<TermId>)> = objects
+            .iter()
+            .map(|&o| (o, distinct(model, |t| t.p == p && t.o == o, |t| t.s)))
+            .collect();
+        assert_eq!(runs, expected);
+        let mut seen = 0;
+        let stopped = graph.object_runs_until(p, |_, _| {
+            seen += 1;
+            true
+        });
+        assert_eq!(
+            (stopped, seen),
+            (!objects.is_empty(), usize::from(!objects.is_empty()))
+        );
         let stats = PredicateStats {
             triples: model.iter().filter(|t| t.p == p).count(),
             distinct_subjects: distinct(model, |t| t.p == p, |t| t.s).len(),

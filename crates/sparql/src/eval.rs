@@ -427,6 +427,8 @@ impl<T: Table> Bindings for RowOf<'_, T> {
 enum SetStep<'q> {
     /// The block splits at an articulation variable.
     Cut(Box<Cut<'q>>),
+    /// The predicates a set of subjects carries ([`Facet::values`]).
+    Facet(Box<Facet<'q>>),
     /// Candidate enumeration + existence probes ([`Compiled::probe`]).
     Probe,
     /// The block's join, target column deduplicated.
@@ -441,6 +443,116 @@ struct Cut<'q> {
     var: usize,
     prefix: Compiled<'q>,
     suffix: Compiled<'q>,
+}
+
+/// A block `R(?s) . ?s ?p ?x . F(?x)` asked for the distinct `?p`: the
+/// predicates some seed — a distinct `?s` of `R` — carries with an object
+/// every filter of `F` keeps. `seeds` is the compiled query restricted to
+/// `R`'s patterns and filters, `arm` to the one pattern and `F`; both keep
+/// the variable registry ([`Compiled::facet`]).
+struct Facet<'q> {
+    subject: usize,
+    object: usize,
+    seeds: Compiled<'q>,
+    arm: Compiled<'q>,
+}
+
+/// One variable's binding — what a filter over that variable alone reads.
+struct Only(usize, TermId);
+
+impl Bindings for Only {
+    fn binding(&self, slot: usize) -> Option<TermId> {
+        (slot == self.0).then_some(self.1)
+    }
+}
+
+impl Facet<'_> {
+    /// `(p, o)` when the seeds are exactly the POS posting list under that
+    /// key — one pattern `?s <p> <o>`, no filter — which
+    /// [`Facet::values`] borrows instead of copying.
+    fn posting_list(&self) -> Option<(TermId, TermId)> {
+        let root = &self.seeds.root;
+        match (root.patterns.as_slice(), root.filters.is_empty()) {
+            (
+                [FlatPattern {
+                    s: Slot::Var(_),
+                    p: Slot::Const(p),
+                    o: Slot::Const(o),
+                }],
+                true,
+            ) => Some((*p, *o)),
+            _ => None,
+        }
+    }
+
+    /// The answer, ids ascending. Each predicate of the graph is decided
+    /// the cheaper way its O(1) statistics allow. One with no more triples
+    /// than there are seeds is decided from its own POS runs: the filters
+    /// once per object, then a seed among that object's subjects, up to
+    /// the first witness — so a predicate the seeds do not carry (labels,
+    /// hometowns, …) costs its own triples, never a walk of the seeds. The
+    /// others are looked for along the seeds' SPO runs, which skip every
+    /// predicate already decided and end once none is left undecided;
+    /// before that, one with no more distinct objects than there are seeds
+    /// is refuted outright if the filters keep none of them (`rdf:type`
+    /// under `isNumeric`, which every seed carries and none satisfies).
+    fn values(&self, graph: &Graph) -> Result<Vec<TermId>, SparqlError> {
+        let distinct;
+        let seeds: &[TermId] = match self.posting_list() {
+            Some((p, o)) => graph.subjects(p, o),
+            None => {
+                distinct = self.seeds.distinct_values(graph, self.subject)?;
+                &distinct
+            }
+        };
+        let filters = &self.arm.root.filters;
+        let keeps = |x: TermId| {
+            let row = Only(self.object, x);
+            filters.iter().all(|f| f.test.keeps(graph, &row))
+        };
+        let mut found = Vec::new();
+        let mut undecided = Vec::new();
+        for p in graph.predicates() {
+            let stats = graph.predicate_stats(p);
+            if stats.triples <= seeds.len() {
+                let witness = |o, subjects: &[TermId]| keeps(o) && intersects(subjects, seeds);
+                if graph.object_runs_until(p, witness) {
+                    found.push(p);
+                }
+            } else if stats.distinct_objects > seeds.len()
+                || graph.object_runs_until(p, |o, _| keeps(o))
+            {
+                undecided.push(p);
+            }
+        }
+        for &s in seeds {
+            if undecided.is_empty() {
+                break;
+            }
+            graph.predicate_runs_until(s, |p, objects| {
+                if let Ok(at) = undecided.binary_search(&p) {
+                    if objects.iter().any(|&o| keeps(o)) {
+                        undecided.remove(at);
+                        found.push(p);
+                    }
+                }
+                undecided.is_empty()
+            });
+        }
+        found.sort_unstable();
+        Ok(found)
+    }
+}
+
+/// Whether two ascending id lists share an id: the shorter one walked,
+/// the longer galloped through.
+fn intersects(a: &[TermId], b: &[TermId]) -> bool {
+    let (short, long) = if a.len() <= b.len() { (a, b) } else { (b, a) };
+    let mut at = 0;
+    short.iter().any(|&id| {
+        at += columnar::gallop(&long[at..], id);
+        long.get(at) == Some(&id)
+    })
 }
 
 struct Compiled<'q> {
@@ -846,7 +958,8 @@ impl<'q> Compiled<'q> {
 
     /// How the root block answers "the distinct values of `tv`" — the one
     /// decision [`Compiled::distinct_values`] dispatches on and
-    /// [`explain`] prints. A block [`Compiled::articulation`] finds a cut
+    /// [`explain`] prints. A block of the [`Compiled::facet`] shape is
+    /// answered as one. A block [`Compiled::articulation`] finds a cut
     /// for is cut there, unless the target's own candidates are far fewer
     /// than the values the cut variable can take; a block without one
     /// weighs candidate probing against its join. Every comparison is the
@@ -854,6 +967,9 @@ impl<'q> Compiled<'q> {
     /// the [`PlanMode`] or [`ExecMode`] — the answer is the same sorted
     /// set whichever step runs.
     fn set_step(&self, graph: &Graph, tv: usize) -> SetStep<'q> {
+        if let Some(facet) = self.facet(tv) {
+            return SetStep::Facet(Box::new(facet));
+        }
         let row = vec![None; self.var_names.len()];
         let far_fewer =
             |candidates: u64, than: u64| candidates.saturating_mul(PROBE_COST_FACTOR) < than;
@@ -877,28 +993,86 @@ impl<'q> Compiled<'q> {
                 return SetStep::Probe;
             }
         }
-        let root = &self.root;
-        let (pattern_side, filter_side) = in_suffix.split_at(root.patterns.len());
-        let part = |suffix: bool| Compiled {
-            var_names: self.var_names.clone(),
-            root: Block {
-                patterns: (root.patterns.iter().zip(pattern_side))
-                    .filter(|(_, &side)| side == suffix)
-                    .map(|(pattern, _)| *pattern)
-                    .collect(),
-                filters: (root.filters.iter().zip(filter_side))
-                    .filter(|(_, &side)| side == suffix)
-                    .map(|(filter, _)| filter.clone())
-                    .collect(),
-                children: Vec::new(),
-            },
-            ..*self
+        let (pattern_side, filter_side) = in_suffix.split_at(self.root.patterns.len());
+        let part = |suffix: bool| {
+            self.restricted(
+                |pi| pattern_side[pi] == suffix,
+                |fi| filter_side[fi] == suffix,
+            )
         };
         SetStep::Cut(Box::new(Cut {
             var,
             prefix: part(false),
             suffix: part(true),
         }))
+    }
+
+    /// The query restricted to the root patterns and filters (by index)
+    /// the two tests keep, over the same variable registry.
+    fn restricted(
+        &self,
+        pattern: impl Fn(usize) -> bool,
+        filter: impl Fn(usize) -> bool,
+    ) -> Compiled<'q> {
+        let root = &self.root;
+        Compiled {
+            var_names: self.var_names.clone(),
+            root: Block {
+                patterns: (0..root.patterns.len())
+                    .filter(|&pi| pattern(pi))
+                    .map(|pi| root.patterns[pi])
+                    .collect(),
+                filters: (0..root.filters.len())
+                    .filter(|&fi| filter(fi))
+                    .map(|fi| root.filters[fi].clone())
+                    .collect(),
+                children: Vec::new(),
+            },
+            ..*self
+        }
+    }
+
+    /// The block as a [`Facet`] when asked for the distinct `tv`, or `None`
+    /// unless its shape is exactly that: `tv` is the predicate of one
+    /// pattern `?s ?p ?x` of three distinct variables, `?x` occurs in no
+    /// other pattern and only in filters that mention it alone, and every
+    /// other pattern and filter mentions no variable but `?s` (some
+    /// pattern does). No articulation variable exists there — the rest
+    /// binds only `?s` — and without the facet the block is probed, one
+    /// candidate predicate of the graph at a time.
+    fn facet(&self, tv: usize) -> Option<Facet<'q>> {
+        let root = &self.root;
+        let mut arms = (0..root.patterns.len()).filter(|&pi| root.patterns[pi].p == Slot::Var(tv));
+        let (arm, None) = (arms.next()?, arms.next()) else {
+            return None;
+        };
+        let (Slot::Var(subject), Slot::Var(object)) = (root.patterns[arm].s, root.patterns[arm].o)
+        else {
+            return None;
+        };
+        if subject == object || subject == tv || object == tv {
+            return None;
+        }
+        let rest = (0..root.patterns.len()).filter(|&pi| pi != arm);
+        let rest_vars = || rest.clone().flat_map(|pi| root.patterns[pi].vars());
+        if !rest_vars().all(|v| v == subject) || rest_vars().next().is_none() {
+            return None;
+        }
+        let on_object = |fi: usize| {
+            let vars = &root.filters[fi].vars;
+            !vars.is_empty() && vars.iter().all(|&v| v == object)
+        };
+        if !(0..root.filters.len())
+            .all(|fi| on_object(fi) || root.filters[fi].vars.iter().all(|&v| v == subject))
+        {
+            return None;
+        }
+        Some(Facet {
+            subject,
+            object,
+            seeds: self.restricted(|pi| pi != arm, |fi| !on_object(fi)),
+            arm: self.restricted(|pi| pi == arm, on_object),
+        })
     }
 
     /// The size of the smallest posting-key set that lists `v` as the
@@ -1019,8 +1193,8 @@ impl<'q> Compiled<'q> {
     /// ascending — the answer of a set query, and of the prefix of a cut
     /// one. Cut: the prefix's values of the cut variable (this function
     /// again, on the prefix) seed the executor, which runs only the
-    /// suffix. Otherwise the probe, or — not estimated to win, or out of
-    /// budget — the block's join.
+    /// suffix. Facet: [`Facet::values`]. Otherwise the probe, or — not
+    /// estimated to win, or out of budget — the block's join.
     fn distinct_values(&self, graph: &Graph, tv: usize) -> Result<Vec<TermId>, SparqlError> {
         let nvars = self.var_names.len();
         let found = match self.set_step(graph, tv) {
@@ -1029,6 +1203,7 @@ impl<'q> Compiled<'q> {
                 let seed = columnar::Batch::single_column(nvars, cut.var, ids);
                 cut.suffix.run_seeded(graph, &seed)?
             }
+            SetStep::Facet(facet) => return facet.values(graph),
             SetStep::Probe => match self.probe(graph, tv) {
                 Some(ids) => return Ok(ids),
                 None => self.run_seeded(graph, &columnar::Batch::seed(nvars))?,
@@ -1058,6 +1233,30 @@ impl<'q> Compiled<'q> {
                 let _ = writeln!(out, "{inner}suffix seeded on {cut_at}");
                 let listing = format!("{inner}  ");
                 cut.suffix.explain_block(graph, Some(var), &listing, out);
+            }
+            SetStep::Facet(facet) => {
+                let (subject, seeds) = (facet.subject, name(facet.subject));
+                let _ = writeln!(
+                    out,
+                    "{indent}{role}: distinct {}, predicates of {seeds}",
+                    name(tv)
+                );
+                let inner = format!("{indent}  ");
+                if facet.posting_list().is_some() {
+                    let _ = writeln!(out, "{inner}seeds: distinct {seeds}, posting list");
+                    facet.seeds.explain_block(graph, None, &inner, out);
+                } else {
+                    facet
+                        .seeds
+                        .explain_set(graph, subject, "seeds", &inner, out);
+                }
+                let _ = writeln!(
+                    out,
+                    "{inner}each {} from its postings or the seeds' runs",
+                    name(tv)
+                );
+                let listing = format!("{inner}  ");
+                facet.arm.explain_block(graph, Some(subject), &listing, out);
             }
             step => {
                 let how = match (step, self.row_reason(None)) {
@@ -1176,9 +1375,11 @@ impl<'q> Compiled<'q> {
     /// predicate-variable candidate (`?m ?q ?x` behind a level path) walks
     /// every member of the level before failing: candidates × members,
     /// where candidates is every predicate of the graph. Those shapes have
-    /// an articulation variable, so [`Compiled::set_step`] cuts them there
-    /// and the probe is left the blocks without one — among them the
-    /// prefix of a cut, where it still is what answers
+    /// an articulation variable, so [`Compiled::set_step`] cuts them there;
+    /// the one without — the observations' own predicates, `?o ?p ?x`
+    /// behind `?o a C` — is a [`Facet`], decided per predicate from
+    /// postings. The probe is left the other blocks without a cut — among
+    /// them the prefix of a cut, where it still is what answers
     /// `DISTINCT ?m { ?o a C . ?o <p> ?m }` from the members rather than
     /// the observations — and the blocks whose target has far fewer
     /// candidates of its own than the cut variable has values.
@@ -1262,12 +1463,12 @@ impl<'q> Compiled<'q> {
 
     /// Three-valued existence probe: does some solution extend `row`?
     /// `None` means the step budget ran out and the whole fast path must
-    /// be abandoned. Bound filters prune eagerly, and large residual scans
-    /// recurse through the cheapest candidate domain — so filter variables
-    /// (e.g. the `?x` of the bootstrap's `FILTER(isNumeric(?x))` predicate
-    /// discovery) get bound from small index key sets and decided by the
-    /// filter in O(1), instead of being enumerated by an O(N) scan that
-    /// rejects every binding one by one.
+    /// be abandoned. Bound filters prune eagerly, and a large residual scan
+    /// recurses through the cheapest candidate domain instead of running —
+    /// so a member `m` of `DISTINCT ?m { ?o a C . ?o <p> ?m }` (the prefix
+    /// of a cut) binds `?o` from the posting list of `(<p>, m)` and is
+    /// confirmed by the first of those observations that is a `C`, instead
+    /// of by a scan of every `C` for one that reaches `m`.
     fn probe_exists(
         &self,
         graph: &Graph,

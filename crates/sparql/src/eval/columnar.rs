@@ -261,7 +261,7 @@ fn semijoin(graph: &Graph, batch: &Batch, s: RSlot, p: RSlot, o: RSlot) -> Batch
 /// How many leading entries of the sorted `list` are below `id`: probes 1,
 /// 2, 4, … entries ahead until one is not, then binary-searches the last
 /// stride — O(log distance) instead of a walk over the distance.
-fn gallop(list: &[TermId], id: TermId) -> usize {
+pub(super) fn gallop(list: &[TermId], id: TermId) -> usize {
     let mut below = 0; // list[..below] < id
     let mut step = 1;
     while step <= list.len() && list[step - 1] < id {

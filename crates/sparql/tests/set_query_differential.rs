@@ -2,7 +2,9 @@
 //! `SELECT (COUNT(DISTINCT ?t) AS ?n)` over a flat block — however the
 //! engine answers them: cut at an articulation variable (the prefix's
 //! distinct values of the cut variable seed the suffix), candidate probing,
-//! or the block's join deduplicated.
+//! the predicates a seed set carries, decided per predicate from its own
+//! postings or from the seeds' runs (the facet step), or the block's join
+//! deduplicated.
 //!
 //! The oracle is the same block under `SELECT ?t` (not a set query, so it
 //! reaches the ordinary executor) on [`ExecMode::Row`], folded to a set
@@ -10,14 +12,16 @@
 //! ascending, byte-identical across [`PlanMode`] × [`ExecMode`] and under
 //! [`ShardedEndpoint`] composition — over the bootstrap crawl's own shapes
 //! on every level path of the bootstrapped schema of all four datasets,
-//! and over a seeded generator of chain and star blocks. Over the crawl's
-//! shapes `explain` is asserted to show each of the three answers taken,
-//! so the comparison is not one path against itself.
+//! over a seeded generator of chain and star blocks, and over a seeded
+//! generator of facet blocks on graphs with live-written predicates sized
+//! around their seed count. Over the crawl's shapes `explain` is asserted
+//! to show each answer taken, so the comparison is not one path against
+//! itself.
 
 use re2x_cube::{bootstrap, BootstrapConfig};
 use re2x_datagen::common::Dataset;
 use re2x_datagen::{dbpedia, eurostat, production, running};
-use re2x_rdf::TermId;
+use re2x_rdf::{Graph, Literal, Term, TermId};
 use re2x_sparql::{
     evaluate_full, explain, parse_query, reference_solutions, ExecMode, LocalEndpoint, PlanMode,
     Query, Route, ShardedEndpoint, Solutions, SparqlEndpoint, Value,
@@ -66,6 +70,7 @@ impl World {
 struct Coverage {
     cut: usize,
     nested: usize,
+    facet: usize,
     probe: usize,
     join: usize,
 }
@@ -74,6 +79,7 @@ impl Coverage {
     fn record(&mut self, plan: &str) {
         self.cut += usize::from(plan.contains(", cut at "));
         self.nested += usize::from(plan.matches(", cut at ").count() > 1);
+        self.facet += usize::from(plan.contains(", predicates of "));
         self.probe += usize::from(plan.contains(", probe\n"));
         self.join += usize::from(plan.contains(", columnar\n"));
     }
@@ -166,9 +172,16 @@ fn assert_crawl_shapes(dataset: Dataset) -> Coverage {
         .schema;
     assert!(!schema.levels().is_empty(), "{}", world.dataset.name);
     let mut coverage = Coverage::default();
+    // measure and dimension discovery, both decided per predicate
     for kind in ["isIRI", "isNumeric"] {
         let block = format!("?o a <{class}> . ?o ?p ?x . FILTER({kind}(?x))");
-        coverage.record(&assert_set_query(&world, &block, "p"));
+        let plan = assert_set_query(&world, &block, "p");
+        assert!(
+            plan.contains("set query: distinct ?p, predicates of ?o\n"),
+            "{}: {block}:\n{plan}",
+            world.dataset.name
+        );
+        coverage.record(&plan);
     }
     for level in schema.levels() {
         let path: Vec<String> = level.path.iter().map(|p| format!("<{p}>")).collect();
@@ -179,8 +192,10 @@ fn assert_crawl_shapes(dataset: Dataset) -> Coverage {
             coverage.record(&assert_set_query(&world, &block, "q"));
         }
     }
-    // every level has member predicates to find, and they sit behind ?m
+    // every level has member predicates to find, and they sit behind ?m:
+    // cut there, never decided as the predicates of a seed set
     assert!(coverage.cut >= 2 * schema.levels().len());
+    assert_eq!(coverage.facet, 2, "{}", world.dataset.name);
     coverage
 }
 
@@ -404,6 +419,196 @@ fn property_set_queries_agree_on_production() {
     property_set_queries_agree(production::generate(300, 41), "set_query_production", 64);
 }
 
+// ---- predicate discovery: the facet step ------------------------------------------
+
+/// A copy of `dataset`'s metadata over `graph`.
+fn with_graph(dataset: &Dataset, graph: Graph) -> Dataset {
+    Dataset {
+        name: dataset.name.clone(),
+        graph,
+        observation_class: dataset.observation_class.clone(),
+        observations: dataset.observations,
+        dimension_predicates: dataset.dimension_predicates.clone(),
+        rollup_predicates: dataset.rollup_predicates.clone(),
+        label_predicate: dataset.label_predicate.clone(),
+        expected: dataset.expected,
+    }
+}
+
+/// An object of a random kind — IRI (fresh or a member), blank node,
+/// string, integer or decimal literal — distinct per `i` except for the
+/// members.
+fn mixed_object(rng: &mut TestRng, harness: &Harness, i: usize) -> Term {
+    match rng.pick_weighted(&[3, 1, 1, 3, 2, 2]) {
+        0 => Term::iri(format!("http://fresh.example/o{i}")),
+        1 => {
+            let member = rng.pick(&harness.members);
+            Term::iri(member.trim_start_matches('<').trim_end_matches('>'))
+        }
+        2 => Term::blank(format!("b{i}")),
+        3 => Term::Literal(Literal::simple(format!("v{i}"))),
+        4 => Term::Literal(Literal::integer(i as i64)),
+        _ => Term::Literal(Literal::decimal(i as f64 + 0.5)),
+    }
+}
+
+/// A random facet block — seeds `R(?o)` of one pattern (the observation
+/// class, or one member of a dimension), of several, with a filter on
+/// `?o`, or with none at all; then `?o ?p ?x` under zero, one or two
+/// filters on `?x` — over a live-written clone of the harness graph. The
+/// writes add predicates sized against the block's seed count `n`:
+/// exactly `n` triples and `n + 1` (the two sides of the per-predicate
+/// choice), each on a random mix of seeds and other subjects or on no
+/// seed at all, plus predicates no seed carries, with `≤ n` triples and
+/// with more, and one with more than `n` triples over three objects (its
+/// objects few enough to refute it by the filters alone); objects of
+/// every kind; and labels and removals on seeds, so the overlay shadows
+/// base runs of both indexes.
+fn facet_case(rng: &mut TestRng, harness: &Harness) -> (World, String) {
+    let dataset = &harness.world.dataset;
+    let class = &dataset.observation_class;
+    let dim0 = &dataset.dimension_predicates[0];
+    let member = rng.pick(&harness.members).clone();
+    let mut seeds = match rng.pick_weighted(&[4, 2, 2, 2, 1]) {
+        0 => format!("?o a <{class}>"),
+        1 => format!("?o <{dim0}> {member}"),
+        2 => format!("?o a <{class}> . ?o <{dim0}> {member}"),
+        3 => format!("?o a <{class}> . FILTER(?o != {member})"),
+        // two members of one dimension: usually no seed at all
+        _ => format!(
+            "?o <{dim0}> {member} . ?o <{dim0}> {}",
+            rng.pick(&harness.members)
+        ),
+    };
+    if rng.gen_bool(0.2) {
+        seeds = format!("FILTER(isIRI(?o)) . {seeds}");
+    }
+    let mut graph = dataset.graph.clone();
+    // the seeds, by the row executor over the graph before any write (the
+    // writes below touch neither the class nor the dimension)
+    let oracle = parse_query(&format!("SELECT ?o WHERE {{ {seeds} }}")).expect("parses");
+    let seed_ids: BTreeSet<TermId> =
+        ids(&evaluate_full(&graph, &oracle, PlanMode::Planned, ExecMode::Row).expect("seeds"))
+            .into_iter()
+            .collect();
+    let seed_ids: Vec<TermId> = seed_ids.into_iter().collect();
+    let n = seed_ids.len();
+    let strangers: Vec<Term> = (0..4)
+        .map(|i| Term::iri(format!("http://fresh.example/s{i}")))
+        .collect();
+    let mut object = 0usize;
+    let mut write =
+        |graph: &mut Graph, rng: &mut TestRng, name: &str, count: usize, seeded: f64| {
+            let predicate = Term::iri(format!("http://fresh.example/{name}"));
+            let mut written = 0;
+            while written < count {
+                let subject = if !seed_ids.is_empty() && rng.gen_bool(seeded) {
+                    graph.term(*rng.pick(&seed_ids)).clone()
+                } else {
+                    rng.pick(&strangers).clone()
+                };
+                object += 1;
+                let o = mixed_object(rng, harness, object);
+                written += usize::from(graph.insert(subject, predicate.clone(), o));
+            }
+            let id = graph.iri_id(&format!("http://fresh.example/{name}"));
+            assert_eq!(id.map_or(0, |p| graph.predicate_cardinality(p)), count);
+        };
+    let seeded = *rng.pick(&[0.0, 0.02, 0.5]);
+    write(&mut graph, rng, "equal", n, seeded);
+    let seeded = *rng.pick(&[0.0, 0.02, 0.5]);
+    write(&mut graph, rng, "over", n + 1, seeded);
+    let few = rng.gen_range(1usize..4).min(n);
+    write(&mut graph, rng, "stray", few, 0.0);
+    let many = n + rng.gen_range(1usize..4);
+    write(&mut graph, rng, "wide", many, 0.0);
+    let shared = Term::iri("http://fresh.example/shared");
+    let pool: Vec<Term> = (0..3)
+        .map(|i| mixed_object(rng, harness, 1_000_000 + i))
+        .collect();
+    let mut written = 0;
+    while written < n + 1 {
+        let subject = match seed_ids.is_empty() || rng.gen_bool(0.5) {
+            true => rng.pick(&strangers).clone(),
+            false => graph.term(*rng.pick(&seed_ids)).clone(),
+        };
+        let object = rng.pick(&pool).clone();
+        written += usize::from(graph.insert(subject, shared.clone(), object));
+    }
+    if !seed_ids.is_empty() && rng.gen_bool(0.5) {
+        // an IRI label on a seed: the label predicate's runs in the overlay
+        let seed = graph.term(*rng.pick(&seed_ids)).clone();
+        let label = Term::iri(dataset.label_predicate.clone());
+        graph.insert(seed, label, Term::iri("http://fresh.example/label"));
+    }
+    if !seed_ids.is_empty() && rng.gen_bool(0.5) {
+        // a removal on a seed: tombstones and shortened lists in both
+        let seed = *rng.pick(&seed_ids);
+        let type_id = graph.iri_id(RDF_TYPE);
+        let dims: Vec<Option<TermId>> = dataset
+            .dimension_predicates
+            .iter()
+            .map(|d| graph.iri_id(d))
+            .collect();
+        let removable: Vec<_> = graph
+            .matching(Some(seed), None, None)
+            .into_iter()
+            .filter(|t| Some(t.p) != type_id && !dims.contains(&Some(t.p)))
+            .collect();
+        if !removable.is_empty() {
+            let t = *rng.pick(&removable);
+            assert!(graph.remove_ids(t.s, t.p, t.o));
+        }
+    }
+    const ON_OBJECT: [&str; 6] = [
+        "FILTER(isIRI(?x))",
+        "FILTER(isLiteral(?x))",
+        "FILTER(isNumeric(?x))",
+        "FILTER(isNumeric(?x) && ?x > 3)",
+        "FILTER(!isIRI(?x) && !isLiteral(?x))",
+        "FILTER(?x != <http://fresh.example/label>)",
+    ];
+    let mut filters: Vec<&str> = Vec::new();
+    for _ in 0..rng.pick_weighted(&[2, 4, 1]) {
+        filters.push(*rng.pick(&ON_OBJECT));
+    }
+    let mut parts = vec![seeds, "?o ?p ?x".to_owned()];
+    for filter in filters {
+        parts.insert(rng.gen_range(0..parts.len() + 1), filter.to_owned());
+    }
+    let world = World::new(with_graph(dataset, graph));
+    (world, parts.join(" . "))
+}
+
+fn property_facet_queries_agree(dataset: Dataset, name: &str, cases: u32) {
+    let harness = Harness::new(dataset);
+    re2x_testkit::check_n(name, cases, |rng| {
+        let (world, block) = facet_case(rng, &harness);
+        let plan = assert_set_query(&world, &block, "p");
+        assert!(
+            plan.contains("set query: distinct ?p, predicates of ?o\n"),
+            "{block}:\n{plan}"
+        );
+    });
+}
+
+#[test]
+fn property_facet_queries_agree_on_eurostat() {
+    property_facet_queries_agree(eurostat::generate(400, 53), "facet_eurostat", 32);
+}
+
+#[test]
+fn property_facet_queries_agree_on_dbpedia() {
+    // fewer cases: every case re-partitions a written copy of a graph the
+    // dimension tables dwarf, ~10 s in a debug build
+    property_facet_queries_agree(dbpedia::generate(200, 59), "facet_dbpedia", 4);
+}
+
+#[test]
+fn property_facet_queries_agree_on_production() {
+    property_facet_queries_agree(production::generate(300, 61), "facet_production", 32);
+}
+
 // ---- shapes the rule refuses ------------------------------------------------------
 
 /// Anything but one `DISTINCT` / `COUNT(DISTINCT)` variable over a flat
@@ -455,7 +660,8 @@ fn other_shapes_reach_the_ordinary_executor() {
 /// Golden plans: the roll-up discovery query of a two-step dbpedia level
 /// (cut at the member, its prefix cut again inside the path and answered
 /// by the executor there, each suffix seeded), and the dimension discovery
-/// query, which has no articulation variable to cut at.
+/// query, which has no articulation variable to cut at and is answered
+/// per predicate from the observations' posting list.
 #[test]
 fn explain_prints_the_decomposition() {
     let dataset = dbpedia::generate(600, 13);
@@ -489,10 +695,12 @@ set query: distinct ?q, cut at ?m
     let plan = explain(graph, &dimensions.expect("parses")).expect("explains");
     let expected = format!(
         "executor: columnar
-set query: distinct ?p, probe
- 0. ?o <{RDF_TYPE}> <{ns}CreativeWork>   (cost estimate 37)
- 1. ?o* ?p ?x   (cost estimate 81686)
-    select isIRI(?x)
+set query: distinct ?p, predicates of ?o
+  seeds: distinct ?o, posting list
+   0. ?o <{RDF_TYPE}> <{ns}CreativeWork>   (cost estimate 37)
+  each ?p from its postings or the seeds' runs
+     0. ?o* ?p ?x   (cost estimate 81686)
+        select isIRI(?x)
 "
     );
     assert_eq!(plan, expected);

@@ -4,14 +4,14 @@
 //! construction, the current query plus one `HAVING` conjunct over its own
 //! aggregate columns (Top-k, Percentile) or one `FILTER` over its grouping
 //! columns (Similarity). Their result is therefore a subset of the rows the
-//! current step already shows, and [`derive`] picks that subset out instead
+//! current step already shows, and [`derive()`] picks that subset out instead
 //! of sending the refined query back through plan → scan → join →
 //! aggregate. The emitted SPARQL is untouched: the refinement stays a plain
 //! query the user can keep and re-run.
 //!
 //! # The structural rule
 //!
-//! [`derive`] answers only when it can check, on the two queries alone, that
+//! [`derive()`] answers only when it can check, on the two queries alone, that
 //! the child is such a restriction of the parent; anything else is `None`
 //! and the caller executes the query:
 //!

@@ -267,7 +267,7 @@ pub fn validate_candidates(
 ///
 /// No `DISTINCT`: an M-to-N path reaches a member several times per
 /// observation, but deduplicating here after a plain join measured 7×
-/// cheaper than the endpoint's distinct-probe plan for this shape. Ids are
+/// cheaper than a `SELECT DISTINCT` of this shape. Ids are
 /// only ever compared with each other, so any endpoint stack answering
 /// from one id space (local, cached, sharded replica) yields the same
 /// verdicts.

@@ -131,7 +131,7 @@ pub struct Step {
     /// What producing it cost.
     pub cost: StepCost,
     /// `true` when the result was picked out of the previous step's rows
-    /// ([`derive`]) rather than executed: no endpoint query was issued, and
+    /// ([`derive()`]) rather than executed: no endpoint query was issued, and
     /// the rows reflect the graph as the previous step saw it.
     pub derived: bool,
 }
@@ -282,7 +282,7 @@ impl<'a> Session<'a> {
     }
 
     /// Makes `query` the current step. A query that `refines` the current
-    /// step is answered from that step's rows when [`derive`] can prove it
+    /// step is answered from that step's rows when [`derive()`] can prove it
     /// a restriction of them; everything else goes to the endpoint.
     fn advance(&mut self, query: OlapQuery, refines: bool) -> Result<&Step, Re2xError> {
         let tracer = self.config.tracer.clone();
@@ -372,7 +372,7 @@ impl<'a> Session<'a> {
     /// Every offered refinement's result set, in refinement order — a
     /// preview of what each exploration path would show before committing
     /// to one with [`Session::apply`]. Refinements that restrict the current
-    /// step's rows are answered from them ([`derive`]); only the others
+    /// step's rows are answered from them ([`derive()`]); only the others
     /// reach the endpoint.
     ///
     /// With `workers == 0` those queries run one after another; otherwise
@@ -423,7 +423,7 @@ impl<'a> Session<'a> {
     }
 
     /// Applies a refinement: makes its query the current step, answered
-    /// from the current rows where [`derive`] allows and executed otherwise.
+    /// from the current rows where [`derive()`] allows and executed otherwise.
     pub fn apply(&mut self, refinement: Refinement) -> Result<&Step, Re2xError> {
         self.advance(refinement.query, true)
     }

@@ -7,6 +7,7 @@
 //! observations run in time proportional to the matching observations
 //! rather than the full store.
 
+mod chain;
 mod columnar;
 
 use crate::ast::*;
@@ -61,29 +62,12 @@ pub fn evaluate_full(
     mode: PlanMode,
     exec: ExecMode,
 ) -> Result<Solutions, SparqlError> {
-    if let Some(solutions) = try_index_only_distinct(graph, query) {
-        return Ok(solutions);
-    }
     let compiled = Compiled::with_modes(graph, query, mode, exec)?;
-    if query.form == QueryForm::Select {
-        // Index-statistic fast paths, applied identically in every
-        // PlanMode × ExecMode combination so the cross-mode byte-identity
-        // guarantee holds:
-        //
-        // * single-pattern `COUNT` answered from `Graph::count_matching`
-        //   without materializing a single row;
-        // * set queries (single-variable DISTINCT / COUNT(DISTINCT) over a
-        //   flat block) answered as a sorted id set: cut at an articulation
-        //   variable, or candidate enumeration + existence probes, or the
-        //   block's join deduplicated — ids ascending whichever runs.
-        if let Some(solutions) = compiled.try_pattern_count(graph) {
-            return Ok(solutions);
-        }
-        if let Some(target) = compiled.set_target() {
-            let ids = compiled.distinct_values(graph, target)?;
-            let values = columnar::Batch::single_column(compiled.var_names.len(), target, ids);
-            return compiled.project(graph, &values);
-        }
+    // A set query is answered from its chain of nodes in every PlanMode ×
+    // ExecMode combination, as the same ids ascending, so the cross-mode
+    // byte-identity guarantee holds.
+    if let Some(set) = compiled.set_query() {
+        return compiled.set_answer(graph, set);
     }
     let found = compiled.run_bgp(graph, compiled.rows_wanted())?;
     match query.form {
@@ -108,9 +92,9 @@ pub fn evaluate_ask(graph: &Graph, query: &Query) -> Result<bool, SparqlError> {
 /// executor runs each block (`columnar`, or `row: <reason>`), the chosen
 /// join order with per-pattern index-cardinality estimates, and the step
 /// after which each filter selects (`select <expr>`). A set query prints
-/// its decomposition first — the cut variable, how the prefix is answered
-/// (`probe`, the executor's name, or a nested cut) and the suffix seeded
-/// on the cut variable — each part with the join order of its own block.
+/// its chain of nodes instead — for each node the values it answers, the
+/// variable the previous node's values seed, and the access it takes,
+/// over the listing of its part of the block.
 pub fn explain(graph: &Graph, query: &Query) -> Result<String, SparqlError> {
     use std::fmt::Write as _;
     let compiled = Compiled::new(graph, query)?;
@@ -119,8 +103,8 @@ pub fn explain(graph: &Graph, query: &Query) -> Result<String, SparqlError> {
         None => writeln!(out, "executor: columnar"),
         Some(reason) => writeln!(out, "executor: row: {reason}"),
     };
-    match compiled.set_target() {
-        Some(target) => compiled.explain_set(graph, target, "set query", "", &mut out),
+    match compiled.set_query() {
+        Some(set) => compiled.explain_chain(graph, set, &mut out),
         None => compiled.explain_block(graph, None, "", &mut out),
     }
     if query.is_aggregate() {
@@ -133,62 +117,6 @@ pub fn explain(graph: &Graph, query: &Query) -> Result<String, SparqlError> {
         let _ = writeln!(out, "then: sort");
     }
     Ok(out)
-}
-
-/// Index-only answering of `SELECT DISTINCT ?x WHERE { <one pattern> }`
-/// shapes whose answer is a key set of one of the store's indexes — the
-/// schema-discovery probes RE²xOLAP issues per interaction ("which
-/// predicates arrive at this member?") stay O(distinct answers) instead of
-/// O(triples), exactly as predicate-indexed stores answer them.
-fn try_index_only_distinct(graph: &Graph, query: &Query) -> Option<Solutions> {
-    if query.form != QueryForm::Select
-        || !query.distinct
-        || query.select.len() != 1
-        || !query.group_by.is_empty()
-        || query.having.is_some()
-        || !query.order_by.is_empty()
-        || query.limit.is_some()
-        || query.offset.is_some()
-        || query.wher.len() != 1
-    {
-        return None;
-    }
-    let SelectItem::Var(projected) = &query.select[0] else {
-        return None;
-    };
-    let PatternElement::Triple(t) = &query.wher[0] else {
-        return None;
-    };
-    let ids = match (&t.subject, &t.predicate, &t.object) {
-        // DISTINCT ?p WHERE { ?x ?p <o> }  → OSP key union (predicates into o)
-        (TermPattern::Var(s), Predicate::Var(p), TermPattern::Iri(o))
-            if p == projected && s != p =>
-        {
-            graph.predicates_into(graph.iri_id(o)?)
-        }
-        // DISTINCT ?p WHERE { <s> ?p ?x } → SPO keys (predicates from s)
-        (TermPattern::Iri(s), Predicate::Var(p), TermPattern::Var(o))
-            if p == projected && o != p =>
-        {
-            graph.predicates_from(graph.iri_id(s)?)
-        }
-        // DISTINCT ?o WHERE { ?x <p> ?o } → POS keys (objects of p)
-        (TermPattern::Var(s), Predicate::Path(path), TermPattern::Var(o))
-            if o == projected && s != o && path.len() == 1 =>
-        {
-            let mut objects = graph.objects_of_predicate(graph.iri_id(&path[0])?);
-            objects.sort_unstable();
-            objects
-        }
-        _ => return None,
-    };
-    Some(Solutions {
-        vars: vec![projected.clone()],
-        rows: ids
-            .into_iter()
-            .map(|id| vec![Some(Value::Term(id))])
-            .collect(),
-    })
 }
 
 /// A term slot of a flattened triple pattern.
@@ -220,6 +148,13 @@ impl FlatPattern {
                 Slot::Var(v) => Some(v),
                 _ => None,
             })
+    }
+
+    /// Whether a variable occurs twice in the pattern — a constraint on
+    /// matches beyond what any index key says.
+    fn repeats(&self) -> bool {
+        let vars: Vec<usize> = self.vars().collect();
+        (1..vars.len()).any(|i| vars[..i].contains(&vars[i]))
     }
 
     /// The index lookup key of the pattern under `row`'s bindings (`None`
@@ -271,71 +206,6 @@ impl Bound {
     fn unbind(&self, row: &mut [Option<TermId>]) {
         for &v in &self.vars[..self.len] {
             row[v] = None;
-        }
-    }
-}
-
-/// Candidate-enumeration guard: probing must be estimated at least this
-/// many times cheaper than the best single-pattern scan before it is
-/// preferred over the ordinary join.
-const PROBE_COST_FACTOR: u64 = 8;
-
-/// Upper bound on recursive probe steps before the fast path abandons the
-/// query back to the ordinary executor (a deterministic escape hatch for
-/// adversarial shapes whose estimates mislead).
-const PROBE_STEP_BUDGET: u64 = 1 << 20;
-
-/// Residual scan size below which an existence probe stops recursing into
-/// candidate domains and just runs the seeded depth-first search — at this
-/// size the search is cheaper than any further estimation.
-const PROBE_SEEDED_THRESHOLD: u64 = 64;
-
-/// An enumerable candidate domain for one unbound variable, chosen by
-/// [`Compiled::best_domain`] from O(1) index statistics and materialized
-/// lazily by [`Compiled::materialize_domain`].
-#[derive(Debug, Clone, Copy)]
-enum DomainSource {
-    /// Objects of `(s, p, ?v)` — a posting-list slice.
-    ObjectsBetween(usize, TermId, TermId),
-    /// All distinct objects of predicate `p` — `(?s, p, ?v)`.
-    ObjectsOfPredicate(usize, TermId),
-    /// Subjects of `(?v, p, o)` — a posting-list slice.
-    SubjectsBetween(usize, TermId, TermId),
-    /// Predicates linking `(s, ?v, o)`.
-    PredicatesBetween(usize, TermId, TermId),
-    /// Predicates leaving subject `s` — `(s, ?v, ?o)`.
-    PredicatesFrom(usize, TermId),
-    /// Predicates arriving at object `o` — `(?s, ?v, o)`.
-    PredicatesInto(usize, TermId),
-    /// Every predicate in the graph — `(?s, ?v, ?o)`.
-    AllPredicates(usize),
-}
-
-/// A candidate domain being consumed: index-backed slices stream with no
-/// setup cost, derived domains (key scans) arrive materialized.
-enum DomainIter<'g> {
-    Slice(std::slice::Iter<'g, TermId>),
-    Owned(std::vec::IntoIter<TermId>),
-}
-
-impl DomainIter<'_> {
-    /// Work already spent producing this domain: zero for index-backed
-    /// slices, the materialized length for derived domains.
-    fn setup_cost(&self) -> u64 {
-        match self {
-            DomainIter::Slice(_) => 0,
-            DomainIter::Owned(it) => it.len() as u64,
-        }
-    }
-}
-
-impl Iterator for DomainIter<'_> {
-    type Item = TermId;
-
-    fn next(&mut self) -> Option<TermId> {
-        match self {
-            DomainIter::Slice(it) => it.next().copied(),
-            DomainIter::Owned(it) => it.next(),
         }
     }
 }
@@ -423,136 +293,15 @@ impl<T: Table> Bindings for RowOf<'_, T> {
     }
 }
 
-/// How a block answers a set query ([`Compiled::set_step`]).
-enum SetStep<'q> {
-    /// The block splits at an articulation variable.
-    Cut(Box<Cut<'q>>),
-    /// The predicates a set of subjects carries ([`Facet::values`]).
-    Facet(Box<Facet<'q>>),
-    /// Candidate enumeration + existence probes ([`Compiled::probe`]).
-    Probe,
-    /// The block's join, target column deduplicated.
-    Join,
-}
-
-/// A block split at the articulation variable `var`: the distinct values
-/// `var` takes over `prefix` seed `suffix`, the part holding the target.
-/// Both are the compiled query restricted to their own patterns and
-/// filters, over the same variable registry.
-struct Cut<'q> {
-    var: usize,
-    prefix: Compiled<'q>,
-    suffix: Compiled<'q>,
-}
-
-/// A block `R(?s) . ?s ?p ?x . F(?x)` asked for the distinct `?p`: the
-/// predicates some seed — a distinct `?s` of `R` — carries with an object
-/// every filter of `F` keeps. `seeds` is the compiled query restricted to
-/// `R`'s patterns and filters, `arm` to the one pattern and `F`; both keep
-/// the variable registry ([`Compiled::facet`]).
-struct Facet<'q> {
-    subject: usize,
-    object: usize,
-    seeds: Compiled<'q>,
-    arm: Compiled<'q>,
-}
-
-/// One variable's binding — what a filter over that variable alone reads.
-struct Only(usize, TermId);
-
-impl Bindings for Only {
-    fn binding(&self, slot: usize) -> Option<TermId> {
-        (slot == self.0).then_some(self.1)
-    }
-}
-
-impl Facet<'_> {
-    /// `(p, o)` when the seeds are exactly the POS posting list under that
-    /// key — one pattern `?s <p> <o>`, no filter — which
-    /// [`Facet::values`] borrows instead of copying.
-    fn posting_list(&self) -> Option<(TermId, TermId)> {
-        let root = &self.seeds.root;
-        match (root.patterns.as_slice(), root.filters.is_empty()) {
-            (
-                [FlatPattern {
-                    s: Slot::Var(_),
-                    p: Slot::Const(p),
-                    o: Slot::Const(o),
-                }],
-                true,
-            ) => Some((*p, *o)),
-            _ => None,
-        }
-    }
-
-    /// The answer, ids ascending. Each predicate of the graph is decided
-    /// the cheaper way its O(1) statistics allow. One with no more triples
-    /// than there are seeds is decided from its own POS runs: the filters
-    /// once per object, then a seed among that object's subjects, up to
-    /// the first witness — so a predicate the seeds do not carry (labels,
-    /// hometowns, …) costs its own triples, never a walk of the seeds. The
-    /// others are looked for along the seeds' SPO runs, which skip every
-    /// predicate already decided and end once none is left undecided;
-    /// before that, one with no more distinct objects than there are seeds
-    /// is refuted outright if the filters keep none of them (`rdf:type`
-    /// under `isNumeric`, which every seed carries and none satisfies).
-    fn values(&self, graph: &Graph) -> Result<Vec<TermId>, SparqlError> {
-        let distinct;
-        let seeds: &[TermId] = match self.posting_list() {
-            Some((p, o)) => graph.subjects(p, o),
-            None => {
-                distinct = self.seeds.distinct_values(graph, self.subject)?;
-                &distinct
-            }
-        };
-        let filters = &self.arm.root.filters;
-        let keeps = |x: TermId| {
-            let row = Only(self.object, x);
-            filters.iter().all(|f| f.test.keeps(graph, &row))
-        };
-        let mut found = Vec::new();
-        let mut undecided = Vec::new();
-        for p in graph.predicates() {
-            let stats = graph.predicate_stats(p);
-            if stats.triples <= seeds.len() {
-                let witness = |o, subjects: &[TermId]| keeps(o) && intersects(subjects, seeds);
-                if graph.object_runs_until(p, witness) {
-                    found.push(p);
-                }
-            } else if stats.distinct_objects > seeds.len()
-                || graph.object_runs_until(p, |o, _| keeps(o))
-            {
-                undecided.push(p);
-            }
-        }
-        for &s in seeds {
-            if undecided.is_empty() {
-                break;
-            }
-            graph.predicate_runs_until(s, |p, objects| {
-                if let Ok(at) = undecided.binary_search(&p) {
-                    if objects.iter().any(|&o| keeps(o)) {
-                        undecided.remove(at);
-                        found.push(p);
-                    }
-                }
-                undecided.is_empty()
-            });
-        }
-        found.sort_unstable();
-        Ok(found)
-    }
-}
-
-/// Whether two ascending id lists share an id: the shorter one walked,
-/// the longer galloped through.
-fn intersects(a: &[TermId], b: &[TermId]) -> bool {
-    let (short, long) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-    let mut at = 0;
-    short.iter().any(|&id| {
-        at += columnar::gallop(&long[at..], id);
-        long.get(at) == Some(&id)
-    })
+/// What a set query ([`Compiled::set_query`]) asks of its block.
+#[derive(Clone, Copy)]
+enum SetQuery {
+    /// The distinct values of a variable: `SELECT DISTINCT ?t` or
+    /// `SELECT (COUNT(DISTINCT ?t) AS ?n)`.
+    Values(usize),
+    /// How many triples the block's one pattern matches: `SELECT
+    /// (COUNT(…) AS ?n)`.
+    Count,
 }
 
 struct Compiled<'q> {
@@ -857,417 +606,85 @@ impl<'q> Compiled<'q> {
         }
     }
 
-    /// Fast path for `SELECT (COUNT(…) AS ?n)` over exactly one triple
-    /// pattern with no filters: the answer is [`Graph::count_matching`] —
-    /// an O(1) index statistic — so e.g. the bootstrap's observation-count
-    /// query never materializes its N rows. The output matches the general
-    /// path exactly, including the implicit single group that yields one
-    /// `COUNT = 0` row for an empty match.
-    fn try_pattern_count(&self, graph: &Graph) -> Option<Solutions> {
-        let query = self.query;
-        if !query.group_by.is_empty()
-            || query.having.is_some()
-            || !query.order_by.is_empty()
-            || query.limit.is_some()
-            || query.offset.is_some()
-            || !self.root.children.is_empty()
-            || !self.root.filters.is_empty()
-            || self.root.patterns.len() != 1
-            || query.select.len() != 1
-        {
-            return None;
-        }
-        let SelectItem::Agg {
-            func: AggFunc::Count,
-            expr,
-            alias,
-        } = &query.select[0]
-        else {
-            return None;
-        };
-        let pattern = &self.root.patterns[0];
-        let slots = [pattern.s, pattern.p, pattern.o];
-        // A variable repeated inside the pattern constrains matches beyond
-        // what the index counts can see.
-        for (i, a) in slots.iter().enumerate() {
-            if matches!(a, Slot::Var(_)) && slots[i + 1..].contains(a) {
-                return None;
-            }
-        }
-        match expr {
-            // COUNT(1): counts every row.
-            Expr::Number(_) => {}
-            // COUNT(?v): only when the pattern binds ?v in every row.
-            Expr::Var(v) => {
-                let tv = self.slot(v)?;
-                if !slots.iter().any(|s| matches!(s, Slot::Var(x) if *x == tv)) {
-                    return None;
-                }
-            }
-            _ => return None,
-        }
-        let resolve = |slot: Slot| match slot {
-            Slot::Const(id) => Ok(Some(id)),
-            Slot::Var(_) => Ok(None),
-            Slot::Absent => Err(()),
-        };
-        let count = match (resolve(pattern.s), resolve(pattern.p), resolve(pattern.o)) {
-            (Ok(s), Ok(p), Ok(o)) => graph.count_matching(s, p, o),
-            _ => 0, // an absent constant matches nothing
-        };
-        Some(Solutions {
-            vars: vec![alias.clone()],
-            rows: vec![vec![Some(Value::Number(count as f64))]],
-        })
-    }
-
     // ---- set queries --------------------------------------------------------
 
-    /// The variable a *set query* asks the distinct values of: the query
-    /// is `SELECT DISTINCT ?t` / `SELECT (COUNT(DISTINCT ?t) AS ?n)` over a
-    /// flat block whose patterns mention `?t`, with no other clause. Its
-    /// answer is a set of term ids, so it may be computed any way that
-    /// yields that set ([`Compiled::distinct_values`]); it is emitted ids
+    /// What the query asks if it is a *set query*, with no clause but its
+    /// one projection: `SELECT DISTINCT ?t` / `SELECT (COUNT(DISTINCT ?t)
+    /// AS ?n)` over a flat block whose patterns mention `?t`, or `SELECT
+    /// (COUNT(…) AS ?n)` over one pattern with no filter and no repeated
+    /// variable — counting every row (`COUNT(1)`) or a variable of the
+    /// pattern. The answer is a set of term ids, or a number, so it may be
+    /// computed any way that yields it ([`Compiled::chain`]); ids come out
     /// ascending.
-    fn set_target(&self) -> Option<usize> {
-        let query = self.query;
+    fn set_query(&self) -> Option<SetQuery> {
+        let (query, root) = (self.query, &self.root);
         if query.form != QueryForm::Select
             || !query.group_by.is_empty()
             || query.having.is_some()
             || !query.order_by.is_empty()
             || query.limit.is_some()
             || query.offset.is_some()
-            || !self.root.children.is_empty()
+            || !root.children.is_empty()
             || query.select.len() != 1
         {
             return None;
         }
-        let target = match &query.select[0] {
-            SelectItem::Var(v) if query.distinct => v,
+        let mentioned = |name: &str| {
+            let v = self.slot(name)?;
+            let mut vars = root.patterns.iter().flat_map(FlatPattern::vars);
+            vars.any(|x| x == v).then_some(v)
+        };
+        match &query.select[0] {
+            SelectItem::Var(v) if query.distinct => mentioned(v).map(SetQuery::Values),
             SelectItem::Agg {
                 func: AggFunc::CountDistinct,
                 expr: Expr::Var(v),
                 ..
-            } => v,
-            _ => return None,
-        };
-        let tv = self.slot(target)?;
-        let mentions = |p: &FlatPattern| p.vars().any(|v| v == tv);
-        self.root.patterns.iter().any(mentions).then_some(tv)
-    }
-
-    /// How the root block answers "the distinct values of `tv`" — the one
-    /// decision [`Compiled::distinct_values`] dispatches on and
-    /// [`explain`] prints. A block of the [`Compiled::facet`] shape is
-    /// answered as one. A block [`Compiled::articulation`] finds a cut
-    /// for is cut there, unless the target's own candidates are far fewer
-    /// than the values the cut variable can take; a block without one
-    /// weighs candidate probing against its join. Every comparison is the
-    /// probe's admission test over O(1) index statistics, and none reads
-    /// the [`PlanMode`] or [`ExecMode`] — the answer is the same sorted
-    /// set whichever step runs.
-    fn set_step(&self, graph: &Graph, tv: usize) -> SetStep<'q> {
-        if let Some(facet) = self.facet(tv) {
-            return SetStep::Facet(Box::new(facet));
-        }
-        let row = vec![None; self.var_names.len()];
-        let far_fewer =
-            |candidates: u64, than: u64| candidates.saturating_mul(PROBE_COST_FACTOR) < than;
-        let Some((var, in_suffix)) = self.articulation(graph, tv) else {
-            // Only probe when the join is genuinely more expensive than
-            // candidate enumeration; tiny graphs stay on the ordinary
-            // executor.
-            let scan = self.scan_cost(graph, &row);
-            return match (scan, self.best_domain(graph, &self.root.patterns, &row)) {
-                (Some(scan), Some((_, estimate))) if far_fewer(estimate, scan) => SetStep::Probe,
-                _ => SetStep::Join,
-            };
-        };
-        // The cut walks forward to the target through every value of the
-        // cut variable. When the target's own candidates are far fewer
-        // than those (`COUNT(DISTINCT ?m)` of a coarse level behind a fine
-        // one), deciding each from the far end is the cheaper way round.
-        if let (Some(candidates), Some(seeds)) = (self.key_set(graph, tv), self.key_set(graph, var))
-        {
-            if far_fewer(candidates, seeds) {
-                return SetStep::Probe;
-            }
-        }
-        let (pattern_side, filter_side) = in_suffix.split_at(self.root.patterns.len());
-        let part = |suffix: bool| {
-            self.restricted(
-                |pi| pattern_side[pi] == suffix,
-                |fi| filter_side[fi] == suffix,
-            )
-        };
-        SetStep::Cut(Box::new(Cut {
-            var,
-            prefix: part(false),
-            suffix: part(true),
-        }))
-    }
-
-    /// The query restricted to the root patterns and filters (by index)
-    /// the two tests keep, over the same variable registry.
-    fn restricted(
-        &self,
-        pattern: impl Fn(usize) -> bool,
-        filter: impl Fn(usize) -> bool,
-    ) -> Compiled<'q> {
-        let root = &self.root;
-        Compiled {
-            var_names: self.var_names.clone(),
-            root: Block {
-                patterns: (0..root.patterns.len())
-                    .filter(|&pi| pattern(pi))
-                    .map(|pi| root.patterns[pi])
-                    .collect(),
-                filters: (0..root.filters.len())
-                    .filter(|&fi| filter(fi))
-                    .map(|fi| root.filters[fi].clone())
-                    .collect(),
-                children: Vec::new(),
-            },
-            ..*self
-        }
-    }
-
-    /// The block as a [`Facet`] when asked for the distinct `tv`, or `None`
-    /// unless its shape is exactly that: `tv` is the predicate of one
-    /// pattern `?s ?p ?x` of three distinct variables, `?x` occurs in no
-    /// other pattern and only in filters that mention it alone, and every
-    /// other pattern and filter mentions no variable but `?s` (some
-    /// pattern does). No articulation variable exists there — the rest
-    /// binds only `?s` — and without the facet the block is probed, one
-    /// candidate predicate of the graph at a time.
-    fn facet(&self, tv: usize) -> Option<Facet<'q>> {
-        let root = &self.root;
-        let mut arms = (0..root.patterns.len()).filter(|&pi| root.patterns[pi].p == Slot::Var(tv));
-        let (arm, None) = (arms.next()?, arms.next()) else {
-            return None;
-        };
-        let (Slot::Var(subject), Slot::Var(object)) = (root.patterns[arm].s, root.patterns[arm].o)
-        else {
-            return None;
-        };
-        if subject == object || subject == tv || object == tv {
-            return None;
-        }
-        let rest = (0..root.patterns.len()).filter(|&pi| pi != arm);
-        let rest_vars = || rest.clone().flat_map(|pi| root.patterns[pi].vars());
-        if !rest_vars().all(|v| v == subject) || rest_vars().next().is_none() {
-            return None;
-        }
-        let on_object = |fi: usize| {
-            let vars = &root.filters[fi].vars;
-            !vars.is_empty() && vars.iter().all(|&v| v == object)
-        };
-        if !(0..root.filters.len())
-            .all(|fi| on_object(fi) || root.filters[fi].vars.iter().all(|&v| v == subject))
-        {
-            return None;
-        }
-        Some(Facet {
-            subject,
-            object,
-            seeds: self.restricted(|pi| pi != arm, |fi| !on_object(fi)),
-            arm: self.restricted(|pi| pi == arm, on_object),
-        })
-    }
-
-    /// The size of the smallest posting-key set that lists `v` as the
-    /// subject or object of a root pattern with a constant predicate — an
-    /// upper bound, from O(1) statistics, on the values `v` can take. A
-    /// predicate variable has none: "every predicate of the graph" says
-    /// nothing about the block, and most such candidates fail, slowly.
-    fn key_set(&self, graph: &Graph, v: usize) -> Option<u64> {
-        let sizes = self
-            .root
-            .patterns
-            .iter()
-            .filter_map(|p| match (p.s, p.p, p.o) {
-                (Slot::Const(s), Slot::Const(p), Slot::Var(o)) if o == v => {
-                    Some(graph.objects(s, p).len())
-                }
-                (Slot::Var(s), Slot::Const(p), Slot::Const(o)) if s == v => {
-                    Some(graph.subjects(p, o).len())
-                }
-                (Slot::Var(s), Slot::Const(p), Slot::Var(o)) if s == v || o == v => {
-                    let stats = graph.predicate_stats(p);
-                    Some(if o == v {
-                        stats.distinct_objects
-                    } else {
-                        stats.distinct_subjects
-                    })
-                }
-                _ => None,
-            });
-        sizes.min().map(|size| size as u64)
-    }
-
-    /// The articulation variable to cut the root block at when asked for
-    /// the distinct values of `tv`, with the side of every pattern and
-    /// then every filter (`true`: the suffix, the part holding `tv`).
-    ///
-    /// `?m ≠ ?t` qualifies when the patterns and filters connected to `?t`
-    /// through variables other than `?m` — the suffix `B` — leave a rest
-    /// `A` behind, so `A` and `B` share no variable but `?m`, and `?m`
-    /// occurs in a pattern on both sides. Then `?t` depends on `A` only
-    /// through the *set* of values `?m` takes there:
-    /// `answer = ⋃ B(m) for m ∈ DISTINCT ?m { A }`, and the join above
-    /// `?m` is never built. Two more conditions keep the cut to where it
-    /// does no more work than the join it replaces:
-    ///
-    /// * `A`'s patterns bind a variable besides `?m`. When they bind only
-    ///   `?m`, every solution of `A` is a different `?m`: cutting is the
-    ///   join itself and would only take the probe-or-join decision away
-    ///   from the block.
-    /// * The planner's join order runs every pattern of `A` before any of
-    ///   `B`. The cut then makes the join's own index lookups up to `?m`
-    ///   and, past it, one per distinct `?m` instead of one per solution
-    ///   of `A`. Where the planner would rather start inside `B` — `A` a
-    ///   dangling `?m ?r ?y` that only says `?m` has some edge — seeding
-    ///   `B` from `A` would enumerate every subject of the graph to answer
-    ///   a question about a handful.
-    ///
-    /// Among qualifying variables the cut nearest `?t` — fewest suffix
-    /// patterns — is taken, the lower registry slot on a tie; the prefix
-    /// is a set query again and finds the farther cuts itself.
-    fn articulation(&self, graph: &Graph, tv: usize) -> Option<(usize, Vec<bool>)> {
-        let root = &self.root;
-        // planned once, and only if some variable gets as far as needing it
-        let mut order: Option<Vec<usize>> = None;
-        let items: Vec<Vec<usize>> = root
-            .patterns
-            .iter()
-            .map(|p| p.vars().collect())
-            .chain(root.filters.iter().map(|f| f.vars.clone()))
-            .collect();
-        let patterns = root.patterns.len();
-        let mut best: Option<(usize, usize, Vec<bool>)> = None;
-        for m in (0..self.var_names.len()).filter(|&m| m != tv) {
-            // flood the items reachable from ?t without passing through ?m
-            let mut reached = vec![false; self.var_names.len()];
-            reached[tv] = true;
-            let mut in_suffix = vec![false; items.len()];
-            let mut grew = true;
-            while grew {
-                grew = false;
-                for (item, vars) in items.iter().enumerate() {
-                    if !in_suffix[item] && vars.iter().any(|&v| v != m && reached[v]) {
-                        in_suffix[item] = true;
-                        vars.iter().for_each(|&v| reached[v] = true);
-                        grew = true;
-                    }
-                }
-            }
-            // what the patterns of each side mention
-            let (mut size, mut suffix_has_m) = (0, false);
-            let (mut prefix_has_m, mut prefix_has_more) = (false, false);
-            for (vars, &suffix) in items[..patterns].iter().zip(&in_suffix) {
-                if suffix {
-                    size += 1;
-                    suffix_has_m |= vars.contains(&m);
-                } else {
-                    prefix_has_m |= vars.contains(&m);
-                    prefix_has_more |= vars.iter().any(|&v| v != m);
-                }
-            }
-            let nearer = best.as_ref().is_none_or(|(_, least, _)| size < *least);
-            if !(suffix_has_m && prefix_has_m && prefix_has_more && nearer) {
-                continue;
-            }
-            // the join would run every prefix pattern before any suffix one
-            let order = order.get_or_insert_with(|| {
-                self.greedy_order(graph, root, &vec![false; self.var_names.len()])
-            });
-            let mut rest = order.iter().skip_while(|&&pi| !in_suffix[pi]);
-            if rest.all(|&pi| in_suffix[pi]) {
-                best = Some((m, size, in_suffix));
-            }
-        }
-        best.map(|(m, _, in_suffix)| (m, in_suffix))
-    }
-
-    /// The distinct values `tv` takes over the root block's solutions, ids
-    /// ascending — the answer of a set query, and of the prefix of a cut
-    /// one. Cut: the prefix's values of the cut variable (this function
-    /// again, on the prefix) seed the executor, which runs only the
-    /// suffix. Facet: [`Facet::values`]. Otherwise the probe, or — not
-    /// estimated to win, or out of budget — the block's join.
-    fn distinct_values(&self, graph: &Graph, tv: usize) -> Result<Vec<TermId>, SparqlError> {
-        let nvars = self.var_names.len();
-        let found = match self.set_step(graph, tv) {
-            SetStep::Cut(cut) => {
-                let ids = cut.prefix.distinct_values(graph, cut.var)?;
-                let seed = columnar::Batch::single_column(nvars, cut.var, ids);
-                cut.suffix.run_seeded(graph, &seed)?
-            }
-            SetStep::Facet(facet) => return facet.values(graph),
-            SetStep::Probe => match self.probe(graph, tv) {
-                Some(ids) => return Ok(ids),
-                None => self.run_seeded(graph, &columnar::Batch::seed(nvars))?,
-            },
-            SetStep::Join => self.run_seeded(graph, &columnar::Batch::seed(nvars))?,
-        };
-        let mut ids = found.column(tv);
-        ids.sort_unstable();
-        ids.dedup();
-        Ok(ids)
-    }
-
-    /// [`explain`]'s rendering of [`Compiled::set_step`], recursively.
-    fn explain_set(&self, graph: &Graph, tv: usize, role: &str, indent: &str, out: &mut String) {
-        use std::fmt::Write as _;
-        let name = |v: usize| self.display_name(v);
-        match self.set_step(graph, tv) {
-            SetStep::Cut(cut) => {
-                let (var, cut_at) = (cut.var, name(cut.var));
-                let _ = writeln!(
-                    out,
-                    "{indent}{role}: distinct {}, cut at {cut_at}",
-                    name(tv)
-                );
-                let inner = format!("{indent}  ");
-                cut.prefix.explain_set(graph, var, "prefix", &inner, out);
-                let _ = writeln!(out, "{inner}suffix seeded on {cut_at}");
-                let listing = format!("{inner}  ");
-                cut.suffix.explain_block(graph, Some(var), &listing, out);
-            }
-            SetStep::Facet(facet) => {
-                let (subject, seeds) = (facet.subject, name(facet.subject));
-                let _ = writeln!(
-                    out,
-                    "{indent}{role}: distinct {}, predicates of {seeds}",
-                    name(tv)
-                );
-                let inner = format!("{indent}  ");
-                if facet.posting_list().is_some() {
-                    let _ = writeln!(out, "{inner}seeds: distinct {seeds}, posting list");
-                    facet.seeds.explain_block(graph, None, &inner, out);
-                } else {
-                    facet
-                        .seeds
-                        .explain_set(graph, subject, "seeds", &inner, out);
-                }
-                let _ = writeln!(
-                    out,
-                    "{inner}each {} from its postings or the seeds' runs",
-                    name(tv)
-                );
-                let listing = format!("{inner}  ");
-                facet.arm.explain_block(graph, Some(subject), &listing, out);
-            }
-            step => {
-                let how = match (step, self.row_reason(None)) {
-                    (SetStep::Probe, _) => "probe".to_owned(),
-                    (_, None) => "columnar".to_owned(),
-                    (_, Some(reason)) => format!("row: {reason}"),
+            } => mentioned(v).map(SetQuery::Values),
+            SelectItem::Agg {
+                func: AggFunc::Count,
+                expr,
+                ..
+            } => {
+                let [pattern] = root.patterns.as_slice() else {
+                    return None;
                 };
-                let _ = writeln!(out, "{indent}{role}: distinct {}, {how}", name(tv));
-                self.explain_block(graph, None, indent, out);
+                let counted = match expr {
+                    Expr::Number(_) => true,
+                    Expr::Var(v) => mentioned(v).is_some(),
+                    _ => false,
+                };
+                (root.filters.is_empty() && !pattern.repeats() && counted)
+                    .then_some(SetQuery::Count)
             }
+            _ => None,
         }
+    }
+
+    /// The answer of the set query `set`: one row per value, ids
+    /// ascending, or the number of values — or, for [`SetQuery::Count`],
+    /// [`Graph::count_matching`] of the pattern, an O(1) index statistic.
+    fn set_answer(&self, graph: &Graph, set: SetQuery) -> Result<Solutions, SparqlError> {
+        let item = &self.query.select[0];
+        let number = |n: usize| vec![vec![Some(Value::Number(n as f64))]];
+        let rows = match (set, item) {
+            (SetQuery::Values(tv), SelectItem::Var(_)) => (self.distinct_values(graph, tv)?)
+                .into_iter()
+                .map(|id| vec![Some(Value::Term(id))])
+                .collect(),
+            (SetQuery::Values(tv), _) => number(self.distinct_values(graph, tv)?.len()),
+            (SetQuery::Count, _) => {
+                let unbound = vec![None; self.var_names.len()];
+                number(match self.root.patterns[0].resolve(&unbound) {
+                    Some([s, p, o]) => graph.count_matching(s, p, o),
+                    None => 0, // an absent constant matches nothing
+                })
+            }
+        };
+        Ok(Solutions {
+            vars: vec![item.name().to_owned()],
+            rows,
+        })
     }
 
     /// A variable as [`explain`] shows it (internal path variables as
@@ -1357,181 +774,6 @@ impl<'q> Compiled<'q> {
         }
     }
 
-    // ---- distinct-domain probing ------------------------------------------
-
-    /// Answers "the distinct values of `tv`" without the join: enumerate
-    /// candidate values for a variable from an index key set (objects of a
-    /// predicate, predicates leaving a subject, …) and decide each
-    /// candidate with an early-exit existence search.
-    ///
-    /// This costs *candidates × the search that decides one*, and the
-    /// search is not bounded by the schema: a candidate nothing supports is
-    /// refuted only after every value of the variables between it and the
-    /// rest of the block was tried. On 1-to-N data (`eurostat`: a member's
-    /// first observation confirms it) that is a handful of index lookups
-    /// per candidate, which keeps the bootstrap's member counts flat while
-    /// the observations grow — the effect the paper's Virtuoso endpoint
-    /// gets from predicate-indexed DISTINCT answering. On M-to-N data a
-    /// predicate-variable candidate (`?m ?q ?x` behind a level path) walks
-    /// every member of the level before failing: candidates × members,
-    /// where candidates is every predicate of the graph. Those shapes have
-    /// an articulation variable, so [`Compiled::set_step`] cuts them there;
-    /// the one without — the observations' own predicates, `?o ?p ?x`
-    /// behind `?o a C` — is a [`Facet`], decided per predicate from
-    /// postings. The probe is left the other blocks without a cut — among
-    /// them the prefix of a cut, where it still is what answers
-    /// `DISTINCT ?m { ?o a C . ?o <p> ?m }` from the members rather than
-    /// the observations — and the blocks whose target has far fewer
-    /// candidates of its own than the cut variable has values.
-    ///
-    /// Returns the values ascending by term id, or `None` when the step
-    /// budget ran out (the caller runs the join instead).
-    fn probe(&self, graph: &Graph, tv: usize) -> Option<Vec<TermId>> {
-        let row = vec![None; self.var_names.len()];
-        let mut out: Vec<TermId> = Vec::new();
-        let mut budget = PROBE_STEP_BUDGET;
-        if !self.probe_distinct(graph, row, tv, &mut out, &mut budget) {
-            return None;
-        }
-        out.sort_unstable();
-        out.dedup();
-        Some(out)
-    }
-
-    /// Collects into `out` the distinct values `row[tv]` takes over every
-    /// solution extending `row`. Returns `false` to abandon the fast path
-    /// entirely (budget exhausted); the caller then falls back to the
-    /// ordinary executor, so abandonment only costs time, never answers.
-    fn probe_distinct(
-        &self,
-        graph: &Graph,
-        row: Vec<Option<TermId>>,
-        tv: usize,
-        out: &mut Vec<TermId>,
-        budget: &mut u64,
-    ) -> bool {
-        if *budget == 0 {
-            return false;
-        }
-        *budget -= 1;
-        // A decidable filter that already fails means nothing extends this
-        // row — prune before any scan.
-        if !self.bound_filters_pass(graph, &row) {
-            return true;
-        }
-        if let Some(value) = row[tv] {
-            // Target bound: one existence probe decides it.
-            return match self.probe_exists(graph, row, budget) {
-                Some(true) => {
-                    out.push(value);
-                    true
-                }
-                Some(false) => true,
-                None => false,
-            };
-        }
-        let Some(scan) = self.scan_cost(graph, &row) else {
-            return true; // some pattern cannot match: no solutions here
-        };
-        let candidate = self.best_domain(graph, &self.root.patterns, &row);
-        match candidate {
-            Some((source, estimate)) if estimate.saturating_mul(PROBE_COST_FACTOR) < scan => {
-                let (var, domain) = self.stream_domain(graph, source);
-                for c in domain {
-                    let mut next = row.clone();
-                    next[var] = Some(c);
-                    if !self.probe_distinct(graph, next, tv, out, budget) {
-                        return false;
-                    }
-                }
-                true
-            }
-            _ => {
-                // No cheap domain left: run the residual join normally from
-                // the seeded row and harvest the target column.
-                let Ok(rows) = self.eval_block(graph, &self.root, vec![row]) else {
-                    return false;
-                };
-                out.extend(
-                    rows.into_iter()
-                        .filter_map(|r| r.get(tv).copied().flatten()),
-                );
-                true
-            }
-        }
-    }
-
-    /// Three-valued existence probe: does some solution extend `row`?
-    /// `None` means the step budget ran out and the whole fast path must
-    /// be abandoned. Bound filters prune eagerly, and a large residual scan
-    /// recurses through the cheapest candidate domain instead of running —
-    /// so a member `m` of `DISTINCT ?m { ?o a C . ?o <p> ?m }` (the prefix
-    /// of a cut) binds `?o` from the posting list of `(<p>, m)` and is
-    /// confirmed by the first of those observations that is a `C`, instead
-    /// of by a scan of every `C` for one that reaches `m`.
-    fn probe_exists(
-        &self,
-        graph: &Graph,
-        row: Vec<Option<TermId>>,
-        budget: &mut u64,
-    ) -> Option<bool> {
-        if *budget == 0 {
-            return None;
-        }
-        *budget -= 1;
-        if !self.bound_filters_pass(graph, &row) {
-            return Some(false);
-        }
-        let Some(scan) = self.scan_cost(graph, &row) else {
-            return Some(false); // some pattern provably matches nothing
-        };
-        if scan <= PROBE_SEEDED_THRESHOLD {
-            return Some(self.seeded_exists(graph, &row));
-        }
-        match self.best_domain(graph, &self.root.patterns, &row) {
-            Some((source, estimate)) if estimate.saturating_mul(PROBE_COST_FACTOR) < scan => {
-                // Candidates are charged as they are *tried* (each nested
-                // probe costs a step), not by the domain's length: an
-                // existence probe that succeeds on an early candidate of a
-                // million-entry posting run must stay O(1), or bootstrap's
-                // member probes degrade to linear scans at scale. Derived
-                // domains still pay the materialization they already did,
-                // so an adversarial cascade of them hits the budget.
-                let (var, domain) = self.stream_domain(graph, source);
-                *budget = budget.saturating_sub(domain.setup_cost());
-                for c in domain {
-                    let mut next = row.clone();
-                    next[var] = Some(c);
-                    match self.probe_exists(graph, next, budget) {
-                        Some(true) => return Some(true),
-                        Some(false) => {}
-                        None => return None,
-                    }
-                }
-                Some(false)
-            }
-            _ => Some(self.seeded_exists(graph, &row)),
-        }
-    }
-
-    /// `false` if some filter whose variables are all bound in `row`
-    /// rejects it — then no solution can extend `row` and the whole
-    /// subtree is pruned. Evaluation errors reject, per SPARQL filter
-    /// semantics; filters with unbound variables are not yet decidable and
-    /// pass (they are enforced later, at the search/join leaves).
-    fn bound_filters_pass(&self, graph: &Graph, row: &[Option<TermId>]) -> bool {
-        self.root.filters.iter().all(|f| {
-            let decidable = f.vars.iter().all(|&v| row.binding(v).is_some());
-            !decidable || f.test.keeps(graph, row)
-        })
-    }
-
-    /// `true` if some solution extends `row` — the `n = 1` case of
-    /// [`Compiled::first_rows`].
-    fn seeded_exists(&self, graph: &Graph, row: &[Option<TermId>]) -> bool {
-        !self.first_rows(graph, row, 1).is_empty()
-    }
-
     /// The first `want` solutions of the (flat) root block extending
     /// `seed`, planned for the seeded bindings with the standard filter
     /// schedule — exactly the prefix [`Compiled::eval_block`] and the
@@ -1556,148 +798,6 @@ impl<'q> Compiled<'q> {
         };
         search.descend(0, &mut seed.to_vec());
         search.out
-    }
-
-    /// The most expensive scan any single pattern forces under the current
-    /// bindings — the probe-vs-join decision heuristic: a join over these
-    /// patterns has to enumerate *some* pattern's matches unrestricted, and
-    /// intermediate results are typically on the order of the largest one.
-    /// `None` when some pattern provably matches nothing (no solutions).
-    fn scan_cost(&self, graph: &Graph, row: &[Option<TermId>]) -> Option<u64> {
-        let mut max = 0u64;
-        for p in &self.root.patterns {
-            let resolve = |slot: Slot| -> Result<Option<TermId>, ()> {
-                match slot {
-                    Slot::Const(id) => Ok(Some(id)),
-                    Slot::Absent => Err(()),
-                    Slot::Var(v) => Ok(row.get(v).copied().flatten()),
-                }
-            };
-            let (Ok(s), Ok(pp), Ok(o)) = (resolve(p.s), resolve(p.p), resolve(p.o)) else {
-                return None; // an absent constant: the block is empty
-            };
-            let count = graph.count_matching(s, pp, o) as u64;
-            if count == 0 {
-                return None;
-            }
-            max = max.max(count);
-        }
-        Some(max)
-    }
-
-    /// The cheapest enumerable candidate domain for any still-unbound
-    /// variable: `(source, estimated size)`. Estimates are O(1) index
-    /// statistics; nothing is materialized until a domain is chosen.
-    fn best_domain(
-        &self,
-        graph: &Graph,
-        patterns: &[FlatPattern],
-        row: &[Option<TermId>],
-    ) -> Option<(DomainSource, u64)> {
-        let resolve = |slot: Slot| -> Option<TermId> {
-            match slot {
-                Slot::Const(id) => Some(id),
-                Slot::Var(v) => row.get(v).copied().flatten(),
-                Slot::Absent => None,
-            }
-        };
-        let unbound = |slot: Slot| -> Option<usize> {
-            match slot {
-                Slot::Var(v) if row.get(v).copied().flatten().is_none() => Some(v),
-                _ => None,
-            }
-        };
-        let mut best: Option<(DomainSource, u64)> = None;
-        let mut consider = |source: DomainSource, estimate: u64| {
-            if best.is_none_or(|(_, b)| estimate < b) {
-                best = Some((source, estimate));
-            }
-        };
-        for p in patterns {
-            let (s, pp, o) = (resolve(p.s), resolve(p.p), resolve(p.o));
-            if let Some(v) = unbound(p.o) {
-                match (s, pp) {
-                    (Some(s), Some(pid)) => {
-                        consider(
-                            DomainSource::ObjectsBetween(v, s, pid),
-                            graph.objects(s, pid).len() as u64,
-                        );
-                    }
-                    (None, Some(pid)) => {
-                        consider(
-                            DomainSource::ObjectsOfPredicate(v, pid),
-                            graph.predicate_stats(pid).distinct_objects as u64,
-                        );
-                    }
-                    _ => {}
-                }
-            }
-            if let Some(v) = unbound(p.s) {
-                if let (Some(pid), Some(o)) = (pp, o) {
-                    consider(
-                        DomainSource::SubjectsBetween(v, pid, o),
-                        graph.subjects(pid, o).len() as u64,
-                    );
-                }
-            }
-            if let Some(v) = unbound(p.p) {
-                match (s, o) {
-                    (Some(s), Some(o)) => consider(
-                        DomainSource::PredicatesBetween(v, s, o),
-                        graph.predicates_between(s, o).len() as u64,
-                    ),
-                    (Some(s), None) => consider(
-                        DomainSource::PredicatesFrom(v, s),
-                        // upper bound: triples leaving s
-                        graph.count_matching(Some(s), None, None) as u64,
-                    ),
-                    (None, Some(o)) => consider(
-                        DomainSource::PredicatesInto(v, o),
-                        // upper bound: triples arriving at o (the distinct
-                        // count is not tracked; this stays conservative)
-                        graph.count_matching(None, None, Some(o)) as u64,
-                    ),
-                    (None, None) => consider(
-                        DomainSource::AllPredicates(v),
-                        graph.predicates().len() as u64,
-                    ),
-                }
-            }
-        }
-        best
-    }
-
-    /// Opens a chosen candidate domain for consumption: `(variable,
-    /// candidates)`. Every domain is a superset of the values its variable
-    /// can take in the pattern it came from, which is all probing soundness
-    /// needs. Index-backed domains (posting runs) stream straight off the
-    /// index — opening one costs nothing, so an existence probe that hits
-    /// on an early candidate never pays for the run's length.
-    fn stream_domain<'g>(&self, graph: &'g Graph, source: DomainSource) -> (usize, DomainIter<'g>) {
-        match source {
-            DomainSource::ObjectsBetween(v, s, p) => {
-                (v, DomainIter::Slice(graph.objects(s, p).iter()))
-            }
-            DomainSource::ObjectsOfPredicate(v, p) => (
-                v,
-                DomainIter::Owned(graph.objects_of_predicate(p).into_iter()),
-            ),
-            DomainSource::SubjectsBetween(v, p, o) => {
-                (v, DomainIter::Slice(graph.subjects(p, o).iter()))
-            }
-            DomainSource::PredicatesBetween(v, s, o) => {
-                (v, DomainIter::Slice(graph.predicates_between(s, o).iter()))
-            }
-            DomainSource::PredicatesFrom(v, s) => {
-                (v, DomainIter::Owned(graph.predicates_from(s).into_iter()))
-            }
-            DomainSource::PredicatesInto(v, o) => {
-                (v, DomainIter::Owned(graph.predicates_into(o).into_iter()))
-            }
-            DomainSource::AllPredicates(v) => {
-                (v, DomainIter::Owned(graph.predicates().into_iter()))
-            }
-        }
     }
 
     /// The step at which each of a block's filters applies during its

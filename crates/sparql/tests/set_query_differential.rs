@@ -1,10 +1,9 @@
 //! Differential proof for *set queries* — `SELECT DISTINCT ?t` /
-//! `SELECT (COUNT(DISTINCT ?t) AS ?n)` over a flat block — however the
-//! engine answers them: cut at an articulation variable (the prefix's
-//! distinct values of the cut variable seed the suffix), candidate probing,
-//! the predicates a seed set carries, decided per predicate from its own
-//! postings or from the seeds' runs (the facet step), or the block's join
-//! deduplicated.
+//! `SELECT (COUNT(DISTINCT ?t) AS ?n)` over a flat block, and `SELECT
+//! (COUNT(…) AS ?n)` over one pattern — however the chain of nodes the
+//! engine plans for them reads each node: an index read (a posting list
+//! or an index's key set), forward along the seeds' runs, backward from
+//! the candidates' postings, per candidate predicate, or the part's join.
 //!
 //! The oracle is the same block under `SELECT ?t` (not a set query, so it
 //! reaches the ordinary executor) on [`ExecMode::Row`], folded to a set
@@ -12,11 +11,12 @@
 //! ascending, byte-identical across [`PlanMode`] × [`ExecMode`] and under
 //! [`ShardedEndpoint`] composition — over the bootstrap crawl's own shapes
 //! on every level path of the bootstrapped schema of all four datasets,
-//! over a seeded generator of chain and star blocks, and over a seeded
-//! generator of facet blocks on graphs with live-written predicates sized
-//! around their seed count. Over the crawl's shapes `explain` is asserted
-//! to show each answer taken, so the comparison is not one path against
-//! itself.
+//! over the one-pattern shapes the indexes list, over candidates that
+//! live writes leave without a witness, over a seeded generator
+//! of chain, star and one-pattern blocks, and over a seeded generator of
+//! predicate-discovery blocks on graphs with live-written predicates sized
+//! around their seed count. `explain` is asserted to show the access each
+//! node takes, so the comparison is not one path against itself.
 
 use re2x_cube::{bootstrap, BootstrapConfig};
 use re2x_datagen::common::Dataset;
@@ -65,24 +65,49 @@ impl World {
     }
 }
 
-/// Which answers `explain` reported over a run.
+/// How many nodes of each seeded access `explain` reported over a run,
+/// and the longest chain.
 #[derive(Default)]
 struct Coverage {
-    cut: usize,
-    nested: usize,
-    facet: usize,
-    probe: usize,
+    forward: usize,
+    backward: usize,
+    per_candidate: usize,
     join: usize,
+    longest: usize,
 }
 
 impl Coverage {
     fn record(&mut self, plan: &str) {
-        self.cut += usize::from(plan.contains(", cut at "));
-        self.nested += usize::from(plan.matches(", cut at ").count() > 1);
-        self.facet += usize::from(plan.contains(", predicates of "));
-        self.probe += usize::from(plan.contains(", probe\n"));
-        self.join += usize::from(plan.contains(", columnar\n"));
+        let nodes: Vec<&str> = plan
+            .lines()
+            .filter(|line| line.starts_with("  node "))
+            .map(last_access)
+            .collect();
+        for access in &nodes {
+            match *access {
+                "forward" => self.forward += 1,
+                "backward" => self.backward += 1,
+                "per candidate" => self.per_candidate += 1,
+                "join" => self.join += 1,
+                read if read.starts_with("index read") => {}
+                other => panic!("unknown access {other:?} in\n{plan}"),
+            }
+        }
+        self.longest = self.longest.max(nodes.len());
     }
+}
+
+/// The access a node line of `explain` names (its text after the last
+/// `, `).
+fn last_access(line: &str) -> &str {
+    line.rsplit(", ").next().unwrap_or_default()
+}
+
+/// The access of the last node of a set query's plan — the node that
+/// answers the target.
+fn target_access(plan: &str) -> &str {
+    let mut nodes = plan.lines().filter(|line| line.starts_with("  node "));
+    nodes.next_back().map(last_access).unwrap_or_default()
 }
 
 /// The ids of a one-column answer, in answer order.
@@ -163,54 +188,73 @@ fn assert_set_query(world: &World, block: &str, target: &str) -> String {
 
 /// Member count, attribute predicates and roll-up predicates of every
 /// level path bootstrap discovers — the queries `re2x-cube` issues, as
-/// text.
-fn assert_crawl_shapes(dataset: Dataset) -> Coverage {
+/// text — each starting from the observation class's posting list: the
+/// observations' predicates are decided per candidate, a level's
+/// predicates forward from its members (the suffix of a cut at `?m`),
+/// the members themselves forward or backward, and nothing is joined.
+fn assert_crawl_shapes(dataset: Dataset) -> (Coverage, usize) {
     let world = World::new(dataset);
+    let name = world.dataset.name.clone();
     let class = &world.dataset.observation_class;
     let schema = bootstrap(&world.local, &BootstrapConfig::new(class.clone()))
         .expect("bootstraps")
         .schema;
-    assert!(!schema.levels().is_empty(), "{}", world.dataset.name);
+    assert!(!schema.levels().is_empty(), "{name}");
     let mut coverage = Coverage::default();
+    let mut record = |plan: &str, block: &str| {
+        assert!(
+            plan.contains("\n  node 0: distinct ?o, index read subjects\n"),
+            "{name}: {block}:\n{plan}"
+        );
+        coverage.record(plan);
+    };
     // measure and dimension discovery, both decided per predicate
     for kind in ["isIRI", "isNumeric"] {
         let block = format!("?o a <{class}> . ?o ?p ?x . FILTER({kind}(?x))");
         let plan = assert_set_query(&world, &block, "p");
-        assert!(
-            plan.contains("set query: distinct ?p, predicates of ?o\n"),
-            "{}: {block}:\n{plan}",
-            world.dataset.name
+        assert_eq!(
+            target_access(&plan),
+            "per candidate",
+            "{name}: {block}:\n{plan}"
         );
-        coverage.record(&plan);
+        record(&plan, &block);
     }
     for level in schema.levels() {
         let path: Vec<String> = level.path.iter().map(|p| format!("<{p}>")).collect();
         let members = format!("?o a <{class}> . ?o {} ?m", path.join(" / "));
-        coverage.record(&assert_set_query(&world, &members, "m"));
+        let plan = assert_set_query(&world, &members, "m");
+        assert_ne!(target_access(&plan), "join", "{name}: {members}:\n{plan}");
+        record(&plan, &members);
         for kind in ["isLiteral", "isIRI"] {
+            // the predicates behind ?m: the suffix of a cut there, so the
+            // seeds' runs are walked forward
             let block = format!("{members} . ?m ?q ?x . FILTER({kind}(?x))");
-            coverage.record(&assert_set_query(&world, &block, "q"));
+            let plan = assert_set_query(&world, &block, "q");
+            assert_eq!(target_access(&plan), "forward", "{name}: {block}:\n{plan}");
+            record(&plan, &block);
         }
     }
-    // every level has member predicates to find, and they sit behind ?m:
-    // cut there, never decided as the predicates of a seed set
-    assert!(coverage.cut >= 2 * schema.levels().len());
-    assert_eq!(coverage.facet, 2, "{}", world.dataset.name);
-    coverage
+    assert_eq!(coverage.per_candidate, 2, "{}", world.dataset.name);
+    assert_eq!(coverage.join, 0, "{}", world.dataset.name);
+    (coverage, schema.levels().len())
 }
 
 #[test]
 fn crawl_shapes_on_the_running_example() {
-    let coverage = assert_crawl_shapes(running::generate());
-    // too small for any probe to be estimated to win
-    assert!(coverage.join > 0, "no block was joined");
+    let (coverage, levels) = assert_crawl_shapes(running::generate());
+    // beside the member predicates, some member set is too large a share
+    // of the class to decide backward, and is walked forward
+    assert!(
+        coverage.forward > 2 * levels,
+        "no member set was walked forward"
+    );
 }
 
 #[test]
 fn crawl_shapes_on_eurostat() {
-    let coverage = assert_crawl_shapes(eurostat::generate(2_000, 7));
-    // 1-to-N: the prefix of a cut is answered from the members
-    assert!(coverage.probe > 0, "no block was probed");
+    let (coverage, _) = assert_crawl_shapes(eurostat::generate(2_000, 7));
+    // 1-to-N: the members are decided from their own postings
+    assert!(coverage.backward > 0, "no node was decided backward");
 }
 
 #[test]
@@ -220,8 +264,127 @@ fn crawl_shapes_on_production() {
 
 #[test]
 fn crawl_shapes_on_dbpedia() {
-    let coverage = assert_crawl_shapes(dbpedia::generate(600, 13));
-    assert!(coverage.nested > 0, "no prefix was cut again");
+    let (coverage, _) = assert_crawl_shapes(dbpedia::generate(600, 13));
+    // a two-step level's predicates: the class, two arms and the target
+    assert!(coverage.longest >= 4, "no chain was cut twice");
+}
+
+// ---- one-pattern shapes: index reads ---------------------------------------------
+
+/// Asserts `SELECT (COUNT(?{var}) AS ?n)` and `SELECT (COUNT(1) AS ?n)`
+/// over `block` equal the number of rows the row executor finds, in
+/// every mode and under composition; returns the plan `explain` printed.
+fn assert_count(world: &World, block: &str, var: &str) -> String {
+    let graph = &world.dataset.graph;
+    let name = &world.dataset.name;
+    let rows = parse_query(&format!("SELECT ?{var} WHERE {{ {block} }}")).expect("parses");
+    let rows = evaluate_full(graph, &rows, PlanMode::Planned, ExecMode::Row).expect("oracle");
+    let counted = |alias: &str| Solutions {
+        vars: vec![alias.to_owned()],
+        rows: vec![vec![Some(Value::Number(rows.rows.len() as f64))]],
+    };
+    let mut plans = Vec::new();
+    for what in [format!("?{var}"), "1".to_owned()] {
+        let text = format!("SELECT (COUNT({what}) AS ?n) WHERE {{ {block} }}");
+        let query = parse_query(&text).expect("parses");
+        plans.push(explain(graph, &query).expect("explains"));
+        for (mode, exec) in COMBOS {
+            let got = evaluate_full(graph, &query, mode, exec).expect("evaluates");
+            assert_eq!(got, counted("n"), "{name} {mode:?}/{exec:?}: {text}");
+        }
+        for sharded in &world.sharded {
+            let reference = match sharded.route(&query) {
+                Route::Scatter => reference_solutions(&world.local, &query),
+                Route::Replica => world.local.select(&query),
+            };
+            assert_eq!(sharded.select(&query), reference, "{name}: {text}");
+        }
+    }
+    assert_eq!(plans[0], plans[1], "{name}: {block}");
+    plans.swap_remove(0)
+}
+
+/// A set query over one pattern whose answer an index lists is that
+/// index read — the predicates arriving at a member (`member_levels` asks
+/// it for every keyword hit), leaving a subject, the objects of a
+/// predicate, a posting list — and `explain` names it; so is
+/// `COUNT` over one pattern. An absent constant reads nothing; a variable
+/// repeated inside the pattern constrains it beyond any index key, so the
+/// pattern is joined. Every answer equals the row executor's.
+#[test]
+fn one_pattern_shapes_are_index_reads() {
+    let datasets = [
+        running::generate(),
+        eurostat::generate(400, 43),
+        production::generate(300, 41),
+        dbpedia::generate(200, 37),
+    ];
+    for dataset in datasets {
+        let world = World::new(dataset);
+        let graph = &world.dataset.graph;
+        let name = world.dataset.name.clone();
+        let class = world.dataset.observation_class.clone();
+        let dim = world.dataset.dimension_predicates[0].clone();
+        let type_id = graph.iri_id(RDF_TYPE).expect("typed");
+        let class_id = graph.iri_id(&class).expect("a class");
+        let observation = graph.term(graph.subjects(type_id, class_id)[0]).to_string();
+        let dim_id = graph.iri_id(&dim).expect("a dimension");
+        let member = graph
+            .term(graph.objects_of_predicate(dim_id)[0])
+            .to_string();
+        let absent = "<http://absent.example/o>";
+        let reads = [
+            (format!("?x ?p {member}"), "p", "index read predicates_into"),
+            (
+                format!("{observation} ?p ?x"),
+                "p",
+                "index read predicates_from",
+            ),
+            (
+                format!("?x <{dim}> ?o"),
+                "o",
+                "index read objects_of_predicate",
+            ),
+            (format!("?o a <{class}>"), "o", "index read subjects"),
+            (
+                format!("{observation} <{dim}> ?m"),
+                "m",
+                "index read objects",
+            ),
+            (
+                format!("{observation} ?p {member}"),
+                "p",
+                "index read predicates_between",
+            ),
+            (
+                format!("?x ?p {absent}"),
+                "p",
+                "index read: nothing (absent constant)",
+            ),
+            (format!("?x <{dim}> ?x"), "x", "join"),
+            ("?x ?p ?x".to_owned(), "p", "join"),
+        ];
+        for (block, target, access) in reads {
+            let plan = assert_set_query(&world, &block, target);
+            assert_eq!(target_access(&plan), access, "{name}: {block}:\n{plan}");
+        }
+        let counts = [
+            (format!("?o a <{class}>"), "o", true),
+            (format!("?x ?p {member}"), "p", true),
+            (format!("?x <{dim}> ?o"), "x", true),
+            (format!("?x ?p {absent}"), "x", true),
+            (format!("?x <{dim}> ?x"), "x", false),
+            (format!("?o a <{class}> . ?o <{dim}> ?m"), "m", false),
+        ];
+        for (block, var, read) in counts {
+            let plan = assert_count(&world, &block, var);
+            assert_eq!(
+                plan.contains("\n  node 0: count, index read count_matching\n"),
+                read,
+                "{name}: {block}:\n{plan}"
+            );
+        }
+    }
 }
 
 // ---- seeded chains and stars ------------------------------------------------------
@@ -268,17 +431,31 @@ impl Harness {
     }
 }
 
-/// A random connected block and a target variable in it: a chain
-/// `?o <path> ?m` off the observations (paths of one to three predicates),
-/// a tail behind `?m` (a predicate variable, a label, a repeated
-/// variable), optionally a star arm on `?o`, filters on the prefix side,
-/// on the suffix side, on the cut variable and across the cut, an absent
-/// constant, a pattern connected to nothing — in shuffled textual order.
+/// A random connected block and a target variable in it: one pattern, or
+/// a chain `?o <path> ?m` off the observations (paths of one to three
+/// predicates), a tail behind `?m` (a predicate variable, a label, a
+/// repeated variable), optionally a star arm on `?o`, filters on the
+/// prefix side, on the suffix side, on the cut variable and across the
+/// cut, an absent constant, a pattern connected to nothing — in shuffled
+/// textual order.
 /// The target is any variable of the block, so it sits next to the cut,
 /// far behind it, or in front of every candidate.
 fn random_block(rng: &mut TestRng, harness: &Harness) -> (String, String) {
     let dataset = &harness.world.dataset;
     let dims = &dataset.dimension_predicates;
+    if rng.gen_bool(0.15) {
+        // one pattern: an index read, or — no index keyed that way, a
+        // variable repeated — its join
+        let member = rng.pick(&harness.members);
+        let (block, vars) = match rng.pick_weighted(&[2, 2, 2, 1, 1]) {
+            0 => (format!("?x ?q {member}"), ["x", "q"]),
+            1 => (format!("{member} ?q ?x"), ["q", "x"]),
+            2 => (format!("?o <{}> ?m", rng.pick(dims)), ["o", "m"]),
+            3 => (format!("?m <{}> ?l", dataset.label_predicate), ["m", "l"]),
+            _ => ("?m ?q ?m".to_owned(), ["m", "q"]),
+        };
+        return (block, (*rng.pick(&vars)).to_owned());
+    }
     let mut patterns: Vec<String> = Vec::new();
     let mut filters: Vec<String> = Vec::new();
     let mut vars: Vec<&str> = vec!["o", "m"];
@@ -586,7 +763,7 @@ fn property_facet_queries_agree(dataset: Dataset, name: &str, cases: u32) {
         let (world, block) = facet_case(rng, &harness);
         let plan = assert_set_query(&world, &block, "p");
         assert!(
-            plan.contains("set query: distinct ?p, predicates of ?o\n"),
+            plan.contains("\n  node 1: distinct ?p seeded on ?o, per candidate\n"),
             "{block}:\n{plan}"
         );
     });
@@ -609,11 +786,73 @@ fn property_facet_queries_agree_on_production() {
     property_facet_queries_agree(production::generate(300, 61), "facet_production", 32);
 }
 
+// ---- candidates without a witness -------------------------------------------------
+
+/// A node decided backward keeps a candidate only on a witness among its
+/// seeds, however many subjects the candidate has. Live writes add a
+/// predicate `apart` of three objects — one that forty strangers reach,
+/// one that the same strangers, an observation and a member reach, one
+/// that a single stranger reaches — and a member only two strangers reach
+/// (`lonely`), itself reaching a fourth object: asked of the observations
+/// and of the members behind them, the objects are decided backward, the
+/// second time asking the arm before about each subject in turn.
+#[test]
+fn backward_nodes_need_a_witness() {
+    let dataset = eurostat::generate(400, 43);
+    let class = dataset.observation_class.clone();
+    let mut graph = dataset.graph.clone();
+    // the dimension with the most members: far more than `apart`'s objects
+    let members = |d: &&String| {
+        graph
+            .iri_id(d)
+            .map(|p| graph.predicate_stats(p).distinct_objects)
+    };
+    let dim = dataset
+        .dimension_predicates
+        .iter()
+        .max_by_key(members)
+        .expect("a dimension")
+        .clone();
+    let (type_id, class_id) = (graph.iri_id(RDF_TYPE), graph.iri_id(&class));
+    let observation = graph.subjects(type_id.expect("typed"), class_id.expect("a class"))[0];
+    let observation = graph.term(observation).clone();
+    let dim_id = graph.iri_id(&dim).expect("a dimension");
+    let member = graph.term(graph.objects_of_predicate(dim_id)[0]).clone();
+    let fresh = |name: &str| Term::iri(format!("http://fresh.example/{name}"));
+    let strangers: Vec<Term> = (0..40).map(|i| fresh(&format!("s{i}"))).collect();
+    let (apart, lonely) = (fresh("apart"), fresh("lonely"));
+    for stranger in &strangers {
+        graph.insert(stranger.clone(), apart.clone(), fresh("strangers"));
+        graph.insert(stranger.clone(), apart.clone(), fresh("shared"));
+        graph.insert(lonely.clone(), apart.clone(), fresh("lonely-only"));
+    }
+    graph.insert(observation.clone(), apart.clone(), fresh("shared"));
+    graph.insert(member, apart.clone(), fresh("shared"));
+    graph.insert(strangers[0].clone(), apart.clone(), fresh("one"));
+    for stranger in &strangers[..2] {
+        graph.insert(stranger.clone(), Term::iri(dim.clone()), lonely.clone());
+    }
+    let world = World::new(with_graph(&dataset, graph));
+    let apart = "<http://fresh.example/apart>";
+    let blocks = [
+        format!("?o a <{class}> . ?o {apart} ?x"),
+        format!("?o a <{class}> . ?o <{dim}> ?m . ?m {apart} ?x"),
+    ];
+    for block in &blocks {
+        let plan = assert_set_query(&world, block, "x");
+        assert_eq!(target_access(&plan), "backward", "{block}:\n{plan}");
+        if block.contains("?m") {
+            assert!(plan.contains(" seeded on ?o, backward\n"), "{plan}");
+        }
+    }
+}
+
 // ---- shapes the rule refuses ------------------------------------------------------
 
 /// Anything but one `DISTINCT` / `COUNT(DISTINCT)` variable over a flat
-/// block with no other clause is no set query: it reaches the ordinary
-/// executor, whose answer keeps its row order and its LIMIT.
+/// block, or a `COUNT` over one pattern, with no other clause is no set
+/// query: it reaches the ordinary executor, whose answer keeps its row
+/// order and its LIMIT.
 #[test]
 fn other_shapes_reach_the_ordinary_executor() {
     let dataset = eurostat::generate(400, 43);
@@ -649,59 +888,77 @@ fn other_shapes_reach_the_ordinary_executor() {
     // … and the same block under one DISTINCT variable is one
     let query = parse_query(&format!("SELECT DISTINCT ?q WHERE {{ {block} }}")).expect("parses");
     let plan = explain(graph, &query).expect("explains");
-    assert!(
-        plan.contains("\nset query: distinct ?q, cut at ?m\n"),
-        "{plan}"
-    );
+    assert!(plan.contains("\nset query: distinct ?q\n"), "{plan}");
+    assert_eq!(target_access(&plan), "forward", "{plan}");
+    assert!(plan.contains(" seeded on ?m, forward\n"), "{plan}");
 }
 
 // ---- what explain shows ------------------------------------------------------------
 
 /// Golden plans: the roll-up discovery query of a two-step dbpedia level
-/// (cut at the member, its prefix cut again inside the path and answered
-/// by the executor there, each suffix seeded), and the dimension discovery
-/// query, which has no articulation variable to cut at and is answered
-/// per predicate from the observations' posting list.
+/// (the class's posting list, each arm of the path walked forward from the
+/// values before it, the member predicates forward from the members), the
+/// dimension discovery query (each predicate decided on its own against
+/// the class's posting list), and the member count of a coarse level (its
+/// few decades decided backward, asking the arm before about only the
+/// artists a decade names).
 #[test]
 fn explain_prints_the_decomposition() {
     let dataset = dbpedia::generate(600, 13);
     let graph = &dataset.graph;
     let ns = "http://data.example.org/dbpedia/";
-    let rollups = parse_query(&format!(
+    let plan_of = |text: String| explain(graph, &parse_query(&text).expect("parses"));
+    let plan = plan_of(format!(
         "SELECT DISTINCT ?q WHERE {{
             ?o a <{ns}CreativeWork> . ?o <{ns}artist> / <{ns}associatedAct> ?m .
             ?m ?q ?x . FILTER(isIRI(?x))
          }}"
     ));
-    let plan = explain(graph, &rollups.expect("parses")).expect("explains");
     let expected = format!(
         "executor: columnar
-set query: distinct ?q, cut at ?m
-  prefix: distinct ?m, cut at ?_path1
-    prefix: distinct ?_path1, columnar
+set query: distinct ?q
+  node 0: distinct ?o, index read subjects
      0. ?o <{RDF_TYPE}> <{ns}CreativeWork>   (cost estimate 37)
-     1. ?o* <{ns}artist> ?_path1   (cost estimate 37)
-    suffix seeded on ?_path1
-       0. ?_path1* <{ns}associatedAct> ?m   (cost estimate 3980)
-  suffix seeded on ?m
+  node 1: distinct ?_path1 seeded on ?o, forward
+     0. ?o* <{ns}artist> ?_path1   (cost estimate 37)
+  node 2: distinct ?m seeded on ?_path1, forward
+     0. ?_path1* <{ns}associatedAct> ?m   (cost estimate 3980)
+  node 3: distinct ?q seeded on ?m, forward
      0. ?m* ?q ?x   (cost estimate 81686)
         select isIRI(?x)
 "
     );
-    assert_eq!(plan, expected);
-    let dimensions = parse_query(&format!(
+    assert_eq!(plan.expect("explains"), expected);
+    let plan = plan_of(format!(
         "SELECT DISTINCT ?p WHERE {{ ?o a <{ns}CreativeWork> . ?o ?p ?x . FILTER(isIRI(?x)) }}"
     ));
-    let plan = explain(graph, &dimensions.expect("parses")).expect("explains");
     let expected = format!(
         "executor: columnar
-set query: distinct ?p, predicates of ?o
-  seeds: distinct ?o, posting list
-   0. ?o <{RDF_TYPE}> <{ns}CreativeWork>   (cost estimate 37)
-  each ?p from its postings or the seeds' runs
+set query: distinct ?p
+  node 0: distinct ?o, index read subjects
+     0. ?o <{RDF_TYPE}> <{ns}CreativeWork>   (cost estimate 37)
+  node 1: distinct ?p seeded on ?o, per candidate
      0. ?o* ?p ?x   (cost estimate 81686)
         select isIRI(?x)
 "
     );
-    assert_eq!(plan, expected);
+    assert_eq!(plan.expect("explains"), expected);
+    let plan = plan_of(format!(
+        "SELECT (COUNT(DISTINCT ?m) AS ?n) WHERE {{
+            ?o a <{ns}CreativeWork> . ?o <{ns}artist> / <{ns}activeDecade> ?m
+         }}"
+    ));
+    let expected = format!(
+        "executor: columnar
+set query: distinct ?m
+  node 0: distinct ?o, index read subjects
+     0. ?o <{RDF_TYPE}> <{ns}CreativeWork>   (cost estimate 37)
+  node 1: distinct ?_path1 seeded on ?o, backward
+     0. ?o* <{ns}artist> ?_path1   (cost estimate 37)
+  node 2: distinct ?m seeded on ?_path1, backward
+     0. ?_path1* <{ns}activeDecade> ?m   (cost estimate 3980)
+then: group by [] + aggregate
+"
+    );
+    assert_eq!(plan.expect("explains"), expected);
 }

@@ -8,7 +8,7 @@
 //! shard skew when sharded.
 //!
 //! The design rule that makes it testable: **rendering is a pure
-//! function** [`render`]`(&DashboardState) -> Frame`. The state is a fold
+//! function** [`render()`]`(&DashboardState) -> Frame`. The state is a fold
 //! over [`re2x_obs::BusEvent`]s ([`DashboardState::apply`]); the frame's
 //! clock is the largest event timestamp, never `Instant::now` — the
 //! `no-wallclock` lint enforces this crate-wide. Golden tests pin frames

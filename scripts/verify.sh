@@ -27,6 +27,12 @@ cargo build --offline -p re2x-bench --benches --features bench-criterion
 echo "== clippy (all targets, warnings are errors) =="
 cargo clippy --offline --all-targets -- -D warnings
 
+echo "== rustdoc: no broken intra-doc links =="
+# Every intra-doc link must resolve to exactly one item (a name that is
+# both a function and a module or macro is written `name()`).
+RUSTDOCFLAGS="-D rustdoc::broken-intra-doc-links" \
+    cargo doc --offline --workspace --no-deps --document-private-items --keep-going
+
 echo "== static analysis (re2x-lint, zero findings) =="
 # The workspace lints itself: zero findings (a site is fixed or carries a
 # `lint:allow` with its reason). The JSON output must parse and agree with
@@ -137,15 +143,18 @@ cargo test -q --offline -p re2x-sparql --test plan_differential
 # The compiled filter evaluator (the only one WHERE filters run through)
 # must agree with the tree-walking eval_expr on seeded random expressions.
 cargo test -q --offline -p re2x-sparql --test filter_differential
-# A set query (one DISTINCT / COUNT(DISTINCT) variable over a flat block)
-# must answer the row executor's unprojected rows as a set, ids ascending,
-# whether it is cut at an articulation variable, answered per predicate
-# (the facet step), probed or joined — the crawl's shapes over every
-# bootstrapped level path of all four datasets, seeded chains and stars,
-# seeded facet blocks on live-written graphs (property_facet_queries_agree:
-# predicates sized at and one past the seed count, carried by no seed,
-# objects of every kind), the 2x2 modes, 2 and 4 shards — and explain must
-# print the decomposition evaluation takes.
+# A set query (one DISTINCT / COUNT(DISTINCT) variable over a flat block,
+# or COUNT over one pattern) is a chain of nodes, each read by an index
+# read, forward along its seeds' runs, backward from its candidates'
+# postings, per candidate predicate, or a join: it must answer the row
+# executor's unprojected rows as a set, ids ascending — the crawl's shapes
+# over every bootstrapped level path of all four datasets, the one-pattern
+# shapes the indexes list (absent constants and repeated variables
+# included), seeded chains, stars and one-pattern blocks, seeded
+# predicate-discovery blocks on live-written graphs
+# (property_facet_queries_agree: predicates sized at and one past the seed
+# count, carried by no seed, objects of every kind), the 2x2 modes, 2 and
+# 4 shards — and explain must print the access each node takes.
 cargo test -q --offline -p re2x-sparql --test set_query_differential
 
 echo "== result serialization differential suites (offline) =="

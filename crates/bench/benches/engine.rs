@@ -1,12 +1,12 @@
 //! Micro-benchmarks of the SPARQL engine on a Figure 2-shaped star schema:
-//! parsing, planning+execution of aggregation queries, filters, and the
-//! greedy vs. in-order planner. (Moved here from `crates/sparql` so bench
-//! deps stay out of library crates.)
+//! parsing, planning+execution of aggregation queries, filters, and
+//! `ASK`. (Moved here from `crates/sparql` so bench deps stay out of
+//! library crates.)
 
 use re2x_bench::micro::Group;
 use re2x_datagen::prng::StdRng;
 use re2x_rdf::{Graph, Literal};
-use re2x_sparql::{evaluate, evaluate_with, parse_query, PlanMode};
+use re2x_sparql::{evaluate, parse_query};
 
 const OBS: usize = 20_000;
 
@@ -55,9 +55,6 @@ fn main() {
     let fig2 = parse_query(FIG2).expect("parses");
     group.bench("fig2_aggregation_20k_obs", || {
         evaluate(&g, &fig2).expect("runs")
-    });
-    group.bench("fig2_aggregation_inorder_plan", || {
-        evaluate_with(&g, &fig2, PlanMode::InOrder).expect("runs")
     });
 
     let selective = parse_query(

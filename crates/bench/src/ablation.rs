@@ -8,15 +8,15 @@
 //!    guarantees non-empty results costs endpoint round-trips.
 //! 3. **Full-text index vs. literal scan** — keyword resolution through the
 //!    inverted index versus scanning every literal.
-//! 4. **Greedy vs. in-order join planning** — substrate-level; affects the
-//!    Figure 8a shapes.
+//! 4. **Endpoint latency** — bootstrap time under injected per-query
+//!    latency: the store's speed, not the crawl, dominates (§7.1).
 
 use crate::env::PreparedDataset;
 use crate::report::{fmt_duration, mean, Table};
 use re2x_cube::patterns;
 use re2x_datagen::example_workload_on;
 use re2x_rdf::text::normalize;
-use re2x_sparql::{evaluate_with, parse_query, PlanMode, Query, SparqlEndpoint};
+use re2x_sparql::{Query, SparqlEndpoint};
 use re2xolap::{reolap, ReolapConfig};
 use std::time::{Duration, Instant};
 
@@ -290,43 +290,6 @@ pub fn ablation_endpoint_latency(prepared: &PreparedDataset) -> String {
             format!("{latency_ms} ms"),
             fmt_duration(report.elapsed),
             report.endpoint_queries.to_string(),
-        ]);
-    }
-    t.render()
-}
-
-/// Ablation 4: greedy vs. in-order join planning on a Figure 2-shaped
-/// analytical query.
-pub fn ablation_planner(prepared: &PreparedDataset) -> String {
-    let schema = &prepared.report.schema;
-    // build the most selective star query the schema offers: group by the
-    // first two base levels, aggregate the first measure
-    let mut levels = schema.base_levels();
-    let l1 = levels.next().expect("≥1 level");
-    let l2 = levels.next().unwrap_or(l1);
-    let measure = &schema.measures()[0];
-    let text = format!(
-        "SELECT ?a ?b (SUM(?v) AS ?t) WHERE {{ ?o <{}> <{}> . ?o <{}> ?a . ?o <{}> ?b . ?o <{}> ?v }} GROUP BY ?a ?b",
-        re2x_rdf::vocab::rdf::TYPE,
-        schema.observation_class,
-        l1.path[0],
-        l2.path[0],
-        measure.predicate,
-    );
-    let query = parse_query(&text).expect("static query parses");
-    let graph = prepared.endpoint.graph();
-    let mut t = Table::new(["planner", "execution time", "rows"]);
-    for (name, mode) in [
-        ("planned (default)", PlanMode::Planned),
-        ("in-order", PlanMode::InOrder),
-    ] {
-        let start = Instant::now();
-        let solutions = evaluate_with(graph, &query, mode).expect("query runs");
-        let elapsed: Duration = start.elapsed();
-        t.row([
-            name.to_owned(),
-            fmt_duration(elapsed),
-            solutions.len().to_string(),
         ]);
     }
     t.render()

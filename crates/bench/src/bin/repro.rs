@@ -7,7 +7,7 @@
 //!
 //! experiments: table1 table2 table3 fig6 fig7 fig8 fig8c fig9 fig10
 //!              ablations scaling latency trace sharding serve watch
-//!              plan scale (default: all except `scale`, whose paper-scale
+//!              scale (default: all except `scale`, whose paper-scale
 //!              ladder only runs when named explicitly)
 //! ```
 //!
@@ -36,7 +36,7 @@ struct Args {
     watch: re2x_bench::watch::WatchConfig,
 }
 
-const ALL: [&str; 18] = [
+const ALL: [&str; 17] = [
     "table1",
     "table2",
     "table3",
@@ -53,7 +53,6 @@ const ALL: [&str; 18] = [
     "sharding",
     "serve",
     "watch",
-    "plan",
     "scale",
 ];
 
@@ -299,35 +298,6 @@ fn main() {
         }
     }
 
-    if wants("plan") {
-        // Planner + executor ablation on the dbpedia M-to-N dataset: each
-        // workload query's textual order opens with a disconnected
-        // hierarchy pattern, so the naive in-order baseline pays a
-        // cartesian blowup the greedy planner avoids; columnar-vs-row is
-        // measured under the planned order. All four configurations must
-        // produce identical solutions.
-        let observations = if args.scale_name == "smoke" {
-            600
-        } else {
-            1_500
-        };
-        eprintln!("running planner ablation on {observations} dbpedia observations …");
-        let report = re2x_bench::plan::run(observations, args.seed);
-        emit(
-            &args.out,
-            "plan",
-            "Plan: greedy planning + vectorized execution vs naive baselines (dbpedia M-to-N)",
-            &report.summary(),
-        );
-        let _ = std::fs::create_dir_all(&args.out);
-        let json_path = args.out.join("plan.json");
-        if let Err(e) = std::fs::write(&json_path, report.to_json()) {
-            eprintln!("could not write {}: {e}", json_path.display());
-        } else {
-            println!("wrote {}", json_path.display());
-        }
-    }
-
     if wants("scale") {
         // Snapshot-vs-regeneration ladder: each rung regenerates Eurostat,
         // writes the dictionary-encoded snapshot, loads it back through the
@@ -506,9 +476,7 @@ fn main() {
         body.push_str(&ablation::ablation_validate(eurostat, args.seed));
         body.push_str("\nA3 — full-text index vs literal scan:\n\n");
         body.push_str(&ablation::ablation_text_index(eurostat, args.seed));
-        body.push_str("\nA4 — greedy vs in-order join planning:\n\n");
-        body.push_str(&ablation::ablation_planner(eurostat));
-        body.push_str("\nA5 — endpoint latency dominates bootstrap (§7.1):\n\n");
+        body.push_str("\nA4 — endpoint latency dominates bootstrap (§7.1):\n\n");
         body.push_str(&ablation::ablation_endpoint_latency(eurostat));
         emit(
             &args.out,

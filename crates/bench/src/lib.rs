@@ -17,7 +17,6 @@ pub mod ablation;
 pub mod env;
 pub mod figures;
 pub mod micro;
-pub mod plan;
 pub mod report;
 pub mod scale;
 pub mod serve;

@@ -28,6 +28,7 @@ use re2x_sparql::{
     TriplePattern, Value,
 };
 use std::collections::{HashMap, HashSet};
+use std::ops::Range;
 use std::time::{Duration, Instant};
 
 /// Configuration of the synthesis phase.
@@ -337,7 +338,8 @@ fn intersects(lists: &mut [&[TermId]]) -> bool {
 
 /// Algorithm 1 generalized to multiple example tuples (footnote 3 of the
 /// paper): every tuple must be explained by the same per-position level,
-/// and every tuple must be validated.
+/// and every tuple must be validated — by some combination of its members
+/// at those levels.
 pub fn reolap_multi(
     endpoint: &dyn SparqlEndpoint,
     schema: &VirtualSchemaGraph,
@@ -406,43 +408,55 @@ pub fn reolap_multi(
         });
     }
 
-    // Enumerate every combo's per-tuple bindings first (pure CPU): each
-    // tuple contributes one binding per position at the combo's level.
-    // One flat candidate list, `examples.len()` consecutive tuples per combo.
-    let mut tuples: Vec<Vec<&ExampleBinding>> = Vec::new();
+    // Enumerate every combo's candidates first (pure CPU): per tuple, every
+    // combination of its hits at the combo's levels — a keyword naming two
+    // members of one level is explained by either. One flat candidate
+    // list; `spans` holds each (combo, tuple)'s range of it, combo-major.
+    let mut candidates: Vec<Vec<&ExampleBinding>> = Vec::new();
+    let mut spans: Vec<Range<usize>> = Vec::new();
     let mut indices = vec![0usize; arity];
     loop {
-        let combo: Option<Vec<Vec<&ExampleBinding>>> = all
-            .iter()
-            .map(|row| {
-                row.iter()
-                    .zip(indices.iter().zip(&position_levels))
-                    .map(|(hits, (&i, levels))| {
-                        hits.iter()
-                            .map(|m| &m.binding)
-                            .find(|binding| binding.level == levels[i])
-                    })
-                    .collect()
-            })
-            .collect();
-        // the levels were intersected across tuples, so every tuple has a
-        // hit at every chosen level and no combo is ever dropped here
-        tuples.extend(combo.into_iter().flatten());
+        for row in &all {
+            // the levels were intersected across tuples, so every tuple has
+            // a hit at every chosen level and no list is empty
+            let at_level: Vec<Vec<&ExampleBinding>> = row
+                .iter()
+                .zip(indices.iter().zip(&position_levels))
+                .map(|(hits, (&i, levels))| {
+                    let bindings = hits.iter().map(|m| &m.binding);
+                    bindings.filter(|b| b.level == levels[i]).collect()
+                })
+                .collect();
+            let start = candidates.len();
+            let mut members = vec![0usize; arity];
+            loop {
+                candidates.push(at_level.iter().zip(&members).map(|(b, &j)| b[j]).collect());
+                if !next_combination(&mut members, |p| at_level[p].len()) {
+                    break;
+                }
+            }
+            spans.push(start..candidates.len());
+        }
         if !next_combination(&mut indices, |p| position_levels[p].len()) {
             break;
         }
     }
 
-    // Every tuple must validate independently; a combo is valid iff all
-    // its tuples are.
-    let verdicts = validate_candidates(endpoint, schema, &tuples, config)?;
-    let queries = tuples
+    // A tuple holds at a combo iff one of its candidates validates
+    // (footnote 3); a combo is valid iff all its tuples hold, and its query
+    // carries each tuple's first valid candidate.
+    let verdicts = validate_candidates(endpoint, schema, &candidates, config)?;
+    let queries = spans
         .chunks(examples.len())
-        .zip(verdicts.chunks(examples.len()))
-        .filter(|(_, verdicts)| verdicts.iter().all(|&valid| valid))
-        .map(|(combo, _)| {
-            let combo: Vec<Vec<ExampleBinding>> = combo.iter().map(|t| owned(t)).collect();
-            get_query_tuples(schema, &combo, &config.aggregates)
+        .filter_map(|combo| {
+            let tuples: Option<Vec<Vec<ExampleBinding>>> = combo
+                .iter()
+                .map(|span| {
+                    let valid = span.clone().find(|&c| verdicts[c]);
+                    valid.map(|c| owned(&candidates[c]))
+                })
+                .collect();
+            tuples.map(|tuples| get_query_tuples(schema, &tuples, &config.aggregates))
         })
         .collect();
     Ok(SynthesisOutcome {

@@ -7,7 +7,7 @@
 //! built to hit each branch (sets, truncated sets, plain `ASK`), and
 //! behind a [`ShardedEndpoint`].
 
-use re2x_cube::{bootstrap, BootstrapConfig, VirtualSchemaGraph};
+use re2x_cube::{bootstrap, BootstrapConfig, LevelId, VirtualSchemaGraph};
 use re2x_datagen::common::Dataset;
 use re2x_obs::Tracer;
 use re2x_rdf::io::parse_turtle;
@@ -18,7 +18,7 @@ use re2xolap::reolap::{
     get_query_tuples, reolap, reolap_multi, validate_candidates, validate_interpretation,
     ReolapConfig,
 };
-use re2xolap::{get_query, ExampleBinding, MatchMode, OlapQuery, Re2xError};
+use re2xolap::{get_query, matches, ExampleBinding, MatchMode, OlapQuery, Re2xError};
 use std::cell::Cell;
 
 /// How many validations took each branch, from the tracer's counters.
@@ -415,8 +415,49 @@ fn unambiguous_tuples_keep_the_ask_walk() {
     }
 }
 
+/// The first combination of `tuple`'s matches at `levels` (lowest position
+/// varying fastest) whose `ASK` holds: what explains the tuple there.
+fn first_valid(
+    endpoint: &dyn SparqlEndpoint,
+    schema: &VirtualSchemaGraph,
+    tuple: &[String],
+    levels: &[LevelId],
+    mode: MatchMode,
+) -> Option<Vec<ExampleBinding>> {
+    let hits: Vec<Vec<ExampleBinding>> = tuple
+        .iter()
+        .zip(levels)
+        .map(|(keyword, &level)| {
+            let hits = matches(endpoint, schema, keyword, mode).expect("matches");
+            let bindings = hits.into_iter().map(|m| m.binding);
+            bindings.filter(|b| b.level == level).collect()
+        })
+        .collect();
+    let mut at = vec![0; hits.len()];
+    loop {
+        let bindings: Vec<ExampleBinding> =
+            hits.iter().zip(&at).map(|(h, &i)| h[i].clone()).collect();
+        if validate_interpretation(endpoint, schema, &bindings).expect("ask") {
+            return Some(bindings);
+        }
+        let mut position = 0;
+        loop {
+            if position == at.len() {
+                return None;
+            }
+            at[position] += 1;
+            if at[position] < hits[position].len() {
+                break;
+            }
+            at[position] = 0;
+            position += 1;
+        }
+    }
+}
+
 /// `reolap_multi` validates every (combo, tuple) pair through the same
-/// routine: its queries equal the walk that ASKs each tuple of each combo.
+/// routine: its queries equal the walk that ASKs each combination of each
+/// tuple's members at each combo's levels.
 #[test]
 fn multi_tuple_synthesis_matches_the_oracle() {
     let (endpoint, schema, dataset) = local(re2x_datagen::eurostat::generate(2000, 7));
@@ -481,14 +522,18 @@ fn multi_tuple_synthesis_matches_the_oracle() {
         let combos = reolap_multi(&endpoint, &schema, &examples, &unvalidated)
             .expect("synthesis")
             .queries;
+        // a combo holds iff every tuple has a valid member combination at
+        // its levels, and carries each tuple's first
         let expected: Vec<OlapQuery> = combos
             .iter()
-            .filter(|combo| {
-                combo.example.iter().all(|bindings| {
-                    validate_interpretation(&endpoint, &schema, bindings).expect("ask")
-                })
+            .filter_map(|combo| {
+                let levels: Vec<LevelId> = combo.example[0].iter().map(|b| b.level).collect();
+                let tuples: Option<Vec<Vec<ExampleBinding>>> = examples
+                    .iter()
+                    .map(|tuple| first_valid(&endpoint, &schema, tuple, &levels, mode))
+                    .collect();
+                tuples.map(|tuples| get_query_tuples(&schema, &tuples, &unvalidated.aggregates))
             })
-            .map(|combo| get_query_tuples(&schema, &combo.example, &unvalidated.aggregates))
             .collect();
 
         let tracer = Tracer::enabled();
@@ -505,6 +550,63 @@ fn multi_tuple_synthesis_matches_the_oracle() {
         assert!(!expect_sets || expected.len() < combos.len());
         assert_eq!(branches(&tracer).sets > 0, expect_sets, "{examples:?}");
     }
+}
+
+/// A keyword naming two members of one level: "Springfield" is the
+/// destination of o1 (as A, from France) and of o2 (as B, from Germany).
+/// A tuple is explained at a level combo iff *some* combination of its
+/// members at those levels validates (footnote 3), so ⟨Springfield,
+/// Germany⟩ holds at (destination, origin) through B — for `reolap_multi`
+/// as for `reolap` — and so does ⟨Springfield, France⟩ through A beside
+/// it.
+#[test]
+fn multi_tuple_synthesis_tries_every_member_of_a_level() {
+    let turtle = "@prefix ex: <http://ex/> .\n\
+         @prefix rdfs: <http://www.w3.org/2000/01/rdf-schema#> .\n\
+         ex:SpringfieldA rdfs:label \"Springfield\" .\n\
+         ex:SpringfieldB rdfs:label \"Springfield\" .\n\
+         ex:France rdfs:label \"France\" .\n\
+         ex:Germany rdfs:label \"Germany\" .\n\
+         ex:o1 a ex:Obs ; ex:dest ex:SpringfieldA ; ex:origin ex:France ; ex:n 1 .\n\
+         ex:o2 a ex:Obs ; ex:dest ex:SpringfieldB ; ex:origin ex:Germany ; ex:n 2 .\n";
+    let mut graph = Graph::new();
+    parse_turtle(turtle, &mut graph).expect("fixture parses");
+    let endpoint = LocalEndpoint::new(graph);
+    let schema = bootstrap(&endpoint, &BootstrapConfig::new("http://ex/Obs"))
+        .expect("bootstrap")
+        .schema;
+    let config = ReolapConfig::default();
+    let single = reolap(&endpoint, &schema, &["Springfield", "Germany"], &config)
+        .expect("synthesis")
+        .queries;
+    assert_eq!(single.len(), 1, "{:?}", sparql(&single));
+    let tuple = |kws: [&str; 2]| kws.map(str::to_owned).to_vec();
+    let multi = |examples: &[Vec<String>]| {
+        reolap_multi(&endpoint, &schema, examples, &config)
+            .expect("synthesis")
+            .queries
+    };
+    let one = multi(&[tuple(["Springfield", "Germany"])]);
+    assert_eq!(sparql(&one), sparql(&single));
+    assert_eq!(one[0].example, single[0].example);
+    let two = multi(&[
+        tuple(["Springfield", "Germany"]),
+        tuple(["Springfield", "France"]),
+    ]);
+    assert_eq!(two.len(), 1, "{:?}", sparql(&two));
+    // each tuple carries the members that explain it
+    let members: Vec<Vec<&str>> = two[0]
+        .example
+        .iter()
+        .map(|tuple| tuple.iter().map(|b| b.member_iri.as_str()).collect())
+        .collect();
+    assert_eq!(
+        members,
+        [
+            ["http://ex/SpringfieldB", "http://ex/Germany"],
+            ["http://ex/SpringfieldA", "http://ex/France"],
+        ]
+    );
 }
 
 /// Behind a sharded endpoint the capped fetch is an unordered `LIMIT` and

@@ -31,8 +31,9 @@ const GRAPH_QUERY_METHODS: &[&str] = &[
     "literals_matching_keywords",
 ];
 
-/// Free functions of the local evaluator (matched as `name(`).
-const EVAL_FUNCTIONS: &[&str] = &["evaluate", "evaluate_ask"];
+/// Free functions of the local evaluator (matched as `name(`), the
+/// reference oracle among them.
+const EVAL_FUNCTIONS: &[&str] = &["evaluate", "evaluate_ask", "evaluate_reference"];
 
 /// Runs the rule over one file (the engine restricts it to core/cube).
 pub fn check(file: &SourceFile) -> Vec<Finding> {

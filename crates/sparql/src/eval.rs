@@ -6,6 +6,13 @@
 //! the classic heuristic that makes star-shaped OLAP patterns over
 //! observations run in time proportional to the matching observations
 //! rather than the full store.
+//!
+//! [`evaluate`] answers every query one way: a set query from its chain of
+//! nodes (`chain`), a flat block on the columnar kernel (`columnar`), its
+//! first rows by a depth-first search, and a block with OPTIONAL / UNION
+//! children one binding row at a time. [`evaluate_reference`] takes only
+//! the last of these routes, for every query: it is the oracle the others
+//! are tested against.
 
 mod chain;
 mod columnar;
@@ -17,69 +24,27 @@ use crate::value::{Solutions, Value};
 use re2x_rdf::hash::{FxHashMap, FxHashSet};
 use re2x_rdf::{Graph, Term, TermId};
 
-/// Join-order planning strategy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PlanMode {
-    /// Greedy selectivity-based ordering from index statistics (the
-    /// default).
-    #[default]
-    Planned,
-    /// Evaluate patterns in textual order (the ablation baseline).
-    InOrder,
-}
-
-/// Physical execution strategy for flat basic graph patterns.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecMode {
-    /// Sorted-ID merge joins over columnar batches of interned term ids,
-    /// filters applied to the batch as selections (the default). Falls
-    /// back to [`ExecMode::Row`] automatically for the shapes the columnar
-    /// kernel does not cover: blocks with OPTIONAL/UNION children.
-    #[default]
-    Columnar,
-    /// Binding-at-a-time row extension (the reference executor).
-    Row,
-}
-
 /// Evaluates a query against a graph.
 pub fn evaluate(graph: &Graph, query: &Query) -> Result<Solutions, SparqlError> {
-    evaluate_full(graph, query, PlanMode::Planned, ExecMode::Columnar)
-}
-
-/// Evaluates a query with an explicit planning strategy.
-pub fn evaluate_with(
-    graph: &Graph,
-    query: &Query,
-    mode: PlanMode,
-) -> Result<Solutions, SparqlError> {
-    evaluate_full(graph, query, mode, ExecMode::Columnar)
-}
-
-/// Evaluates a query with explicit planning and execution strategies.
-pub fn evaluate_full(
-    graph: &Graph,
-    query: &Query,
-    mode: PlanMode,
-    exec: ExecMode,
-) -> Result<Solutions, SparqlError> {
-    let compiled = Compiled::with_modes(graph, query, mode, exec)?;
-    // A set query is answered from its chain of nodes in every PlanMode ×
-    // ExecMode combination, as the same ids ascending, so the cross-mode
-    // byte-identity guarantee holds.
+    let compiled = Compiled::new(graph, query)?;
     if let Some(set) = compiled.set_query() {
         return compiled.set_answer(graph, set);
     }
     let found = compiled.run_bgp(graph, compiled.rows_wanted())?;
-    match query.form {
-        QueryForm::Ask => Ok(Solutions {
-            vars: vec!["ask".to_owned()],
-            rows: vec![vec![Some(Value::Bool(!found.is_empty()))]],
-        }),
-        QueryForm::Select => match &found {
-            Found::Rows(rows) => compiled.project(graph, rows),
-            Found::Batch(batch) => compiled.project(graph, batch),
-        },
-    }
+    compiled.answer(graph, &found)
+}
+
+/// Evaluates a query the plain way, as the reference [`evaluate`] is held
+/// to: the planned pattern order, extended one binding row at a time, then
+/// projected. It skips the set-query chain, the columnar kernel and the
+/// first-rows search, so it checks all three: its answer is [`evaluate`]'s
+/// row for row — but for a set query, whose values [`evaluate`] returns
+/// ids ascending, and this in first-seen order.
+pub fn evaluate_reference(graph: &Graph, query: &Query) -> Result<Solutions, SparqlError> {
+    let compiled = Compiled::new(graph, query)?;
+    let seed = vec![None; compiled.var_names.len()];
+    let rows = compiled.eval_block(graph, &compiled.root, vec![seed])?;
+    compiled.answer(graph, &Found::Rows(rows))
 }
 
 /// Evaluates an `ASK` query (or any query, testing for non-emptiness).
@@ -310,21 +275,10 @@ struct Compiled<'q> {
     var_names: Vec<String>,
     root: Block<'q>,
     query: &'q Query,
-    mode: PlanMode,
-    exec: ExecMode,
 }
 
 impl<'q> Compiled<'q> {
     fn new(graph: &Graph, query: &'q Query) -> Result<Self, SparqlError> {
-        Compiled::with_modes(graph, query, PlanMode::Planned, ExecMode::Columnar)
-    }
-
-    fn with_modes(
-        graph: &Graph,
-        query: &'q Query,
-        mode: PlanMode,
-        exec: ExecMode,
-    ) -> Result<Self, SparqlError> {
         let mut c = Compiled {
             var_names: Vec::new(),
             root: Block {
@@ -333,8 +287,6 @@ impl<'q> Compiled<'q> {
                 children: Vec::new(),
             },
             query,
-            mode,
-            exec,
         };
         let mut internal = 0usize;
         c.root = c.compile_elements(graph, &query.wher, &mut internal)?;
@@ -443,22 +395,14 @@ impl<'q> Compiled<'q> {
         }
     }
 
-    /// The join order of one block's patterns under the query's
-    /// [`PlanMode`]: [`Compiled::greedy_order`], or the textual order.
+    /// The join order of one block's patterns, chosen greedily: repeatedly
+    /// pick the cheapest pattern given the variables bound so far
+    /// (`prebound` marks variables the surrounding group already binds).
+    /// Equal-cost candidates tie-break on the lower pattern index, so
+    /// structurally identical queries always produce the same plan
+    /// (`remaining` is kept in ascending index order for exactly this
+    /// reason).
     fn plan_block(&self, graph: &Graph, block: &Block<'q>, prebound: &[bool]) -> Vec<usize> {
-        match self.mode {
-            PlanMode::Planned => self.greedy_order(graph, block, prebound),
-            PlanMode::InOrder => (0..block.patterns.len()).collect(),
-        }
-    }
-
-    /// Greedy join order for one block's patterns: repeatedly pick the
-    /// cheapest pattern given the variables bound so far (`prebound` marks
-    /// variables the surrounding group already binds). Equal-cost
-    /// candidates tie-break on the lower pattern index, so structurally
-    /// identical queries always produce the same plan (`remaining` is kept
-    /// in ascending index order for exactly this reason).
-    fn greedy_order(&self, graph: &Graph, block: &Block<'q>, prebound: &[bool]) -> Vec<usize> {
         let mut remaining: Vec<usize> = (0..block.patterns.len()).collect();
         let mut bound = prebound.to_vec();
         let mut order = Vec::with_capacity(remaining.len());
@@ -519,6 +463,21 @@ impl<'q> Compiled<'q> {
         // Each run-time-bound position divides the expected fan-out; the
         // +1 keeps fully-scanned patterns strictly more expensive.
         (base + 1) >> (2 * fixed).min(20)
+    }
+
+    /// The query's answer from its WHERE block's bindings: `ASK`'s one
+    /// boolean, or `SELECT`'s projection.
+    fn answer(&self, graph: &Graph, found: &Found) -> Result<Solutions, SparqlError> {
+        match self.query.form {
+            QueryForm::Ask => Ok(Solutions {
+                vars: vec!["ask".to_owned()],
+                rows: vec![vec![Some(Value::Bool(!found.is_empty()))]],
+            }),
+            QueryForm::Select => match found {
+                Found::Rows(rows) => self.project(graph, rows),
+                Found::Batch(batch) => self.project(graph, batch),
+            },
+        }
     }
 
     /// The number of binding rows after which evaluation may stop (`None`:
@@ -594,9 +553,7 @@ impl<'q> Compiled<'q> {
     /// kernel runs it. [`Compiled::run_bgp`] dispatches on this and
     /// [`explain`] prints it, so the two cannot disagree.
     fn row_reason(&self, first: Option<usize>) -> Option<&'static str> {
-        if self.exec == ExecMode::Row {
-            Some("ExecMode::Row")
-        } else if !columnar::eligible(self) {
+        if !columnar::eligible(self) {
             Some("OPTIONAL/UNION child")
         } else if first == Some(1) {
             // found by the search without building any batch

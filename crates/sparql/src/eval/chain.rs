@@ -346,8 +346,7 @@ impl<'q> Compiled<'q> {
     /// holding `tv`, seeded on the distinct values `?m` takes over the rest
     /// — whose chain comes first. A block with no cut is one node: an index
     /// read if it is one pattern, unfiltered, that an index lists, else its
-    /// join. Every choice is made from O(1) index statistics, and none reads
-    /// the [`PlanMode`](super::PlanMode) or [`ExecMode`](super::ExecMode).
+    /// join. Every choice is made from O(1) index statistics.
     fn chain(&self, graph: &Graph, tv: usize) -> Vec<Node<'q>> {
         let Some((m, in_suffix)) = self.articulation(graph, tv) else {
             return vec![Node {
@@ -582,7 +581,7 @@ impl<'q> Compiled<'q> {
             }
             // the join would run every prefix pattern before any suffix one
             let order = order.get_or_insert_with(|| {
-                self.greedy_order(graph, root, &vec![false; self.var_names.len()])
+                self.plan_block(graph, root, &vec![false; self.var_names.len()])
             });
             let mut rest = order.iter().skip_while(|&&pi| !in_suffix[pi]);
             let (pattern_side, filter_side) = in_suffix.split_at(patterns);

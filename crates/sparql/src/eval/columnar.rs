@@ -1,14 +1,14 @@
 //! Vectorized BGP execution: sorted-ID merge joins over columnar batches.
 //!
-//! The row executor ([`super::Compiled::eval_block`]) extends bindings one
-//! row at a time, probing the store's hash indexes per row. For flat
-//! blocks — patterns and FILTERs, no OPTIONAL/UNION children, i.e. the
-//! shape of every OLAP star query RE²xOLAP generates and of every
-//! refinement of one — this module evaluates the planned pattern chain
-//! over a [`Batch`] instead: a struct-of-arrays layout with one dense
-//! `Vec<TermId>` column per bound variable. The batch is also what
-//! projection and aggregation read ([`super::Table`]); no row is ever
-//! materialized.
+//! The row executor ([`super::Compiled::eval_block`], which
+//! [`super::evaluate_reference`] runs) extends bindings one row at a time,
+//! probing the store's indexes per row. For flat blocks — patterns and
+//! FILTERs, no OPTIONAL/UNION children, i.e. the shape of every OLAP star
+//! query RE²xOLAP generates and of every refinement of one — this module
+//! evaluates the planned pattern chain over a [`Batch`] instead: a
+//! struct-of-arrays layout with one dense `Vec<TermId>` column per bound
+//! variable. The batch is also what projection and aggregation read
+//! ([`super::Table`]); no row is ever materialized.
 //!
 //! Per pattern, the kernel picks one of three strategies:
 //!
@@ -35,8 +35,9 @@
 //! [`crate::expr::CompiledExpr`]), evaluated per batch row into a
 //! selection the columns are gathered through. So the produced rows are
 //! *byte-identical* to [`super::Compiled::eval_block`] — the differential
-//! suites (`tests/plan_differential.rs`) hold this across datasets, plan
-//! modes, and `ShardedEndpoint` composition.
+//! suite (`tests/plan_differential.rs`) holds [`super::evaluate`] to
+//! [`super::evaluate_reference`] across datasets, seeded random queries
+//! and `ShardedEndpoint` composition.
 
 use super::{Compiled, CompiledFilter, FlatPattern, RowOf, Slot, Table};
 use re2x_rdf::{Graph, TermId};

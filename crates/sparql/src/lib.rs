@@ -70,7 +70,7 @@ pub use async_endpoint::{
 pub use caching::CachingEndpoint;
 pub use endpoint::{EndpointStats, LatencyHistogram, LocalEndpoint, SparqlEndpoint};
 pub use error::SparqlError;
-pub use eval::{evaluate, evaluate_ask, evaluate_full, evaluate_with, explain, ExecMode, PlanMode};
+pub use eval::{evaluate, evaluate_ask, evaluate_reference, explain};
 pub use parser::parse_query;
 pub use pretty::query_to_sparql;
 pub use results_io::{to_csv, to_tsv, write_csv, write_tsv};

@@ -884,4 +884,19 @@ fn explain_mentions_nested_blocks() {
     );
     assert!(plan.contains("OPTIONAL block"), "{plan}");
     assert!(plan.contains("UNION of 2 branch(es)"), "{plan}");
+    // one row of a flat block is found by the search, no batch built
+    for text in [
+        "ASK { ?o <http://ex/origin> ?c . ?c <http://ex/inContinent> ?k }",
+        "SELECT ?o WHERE { ?o <http://ex/origin> ?c } LIMIT 1",
+    ] {
+        let plan = re2x_sparql::explain(&g, &parse_query(text).expect("parse")).expect("explain");
+        assert!(
+            plan.starts_with("executor: row: single-row search\n"),
+            "{text}:\n{plan}"
+        );
+    }
+    // two rows are the kernel's
+    let q = parse_query("SELECT ?o WHERE { ?o <http://ex/origin> ?c } LIMIT 2").expect("parse");
+    let plan = re2x_sparql::explain(&g, &q).expect("explain");
+    assert!(plan.starts_with("executor: columnar\n"), "{plan}");
 }

@@ -12,14 +12,7 @@
 
 use re2x_rdf::{vocab, Graph, Literal, Term};
 use re2x_sparql::{evaluate, parse_query, Solutions};
-use re2x_testkit::{check, TestRng};
-
-fn shuffle<T>(rng: &mut TestRng, items: &mut [T]) {
-    for i in (1..items.len()).rev() {
-        let j = rng.gen_range(0usize..i + 1);
-        items.swap(i, j);
-    }
-}
+use re2x_testkit::check;
 
 /// Builds a graph inserting one `<eN> <http://ex/val> "lexical"^^xsd:double`
 /// observation per entry, in the given order.
@@ -73,7 +66,7 @@ fn order_by_is_deterministic_under_shuffled_input_with_nan_keys() {
         assert_eq!(reference.len(), entries.len());
 
         let mut shuffled = entries.clone();
-        shuffle(rng, &mut shuffled);
+        rng.shuffle(&mut shuffled);
         let shuffled_graph = graph_from(&shuffled);
         let sorted = evaluate(&shuffled_graph, &query).expect("evaluate");
 
@@ -129,7 +122,7 @@ fn order_by_ties_resolve_identically_for_numerically_equal_literals() {
             .collect();
         entries.push(("http://ex/low".to_owned(), ("1", vocab::xsd::INTEGER)));
         entries.push(("http://ex/high".to_owned(), ("9", vocab::xsd::INTEGER)));
-        shuffle(rng, &mut entries);
+        rng.shuffle(&mut entries);
 
         let mut g = Graph::new();
         for (iri, (lexical, datatype)) in &entries {

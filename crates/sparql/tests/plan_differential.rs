@@ -1,9 +1,11 @@
-//! Differential proof that the vectorized columnar executor and the
-//! greedy planner preserve exact semantics: across all four figure
-//! datasets and a seeded random-query harness, every combination of
-//! [`PlanMode`] × [`ExecMode`] yields identical solutions, and the
-//! [`ShardedEndpoint`] composition (whose shards now run the columnar
-//! kernel by default) stays identical to the canonical reference.
+//! Differential proof that the product evaluator keeps the semantics of
+//! the reference one: across all four figure datasets and a seeded
+//! random-query harness, [`evaluate`] — the greedy planner, the columnar
+//! kernel, the first-rows search — answers exactly what
+//! [`evaluate_reference`] answers, extending one binding row at a time
+//! along the same plan, and the [`ShardedEndpoint`] composition (whose
+//! shards run the columnar kernel) stays identical to the canonical
+//! reference.
 //!
 //! FILTERed blocks run on the columnar kernel too (filters compiled once,
 //! applied to the batch as selections at their scheduled step), and
@@ -17,30 +19,38 @@
 //!
 //! Two identity strengths apply:
 //!
-//! * **Row vs. columnar, same plan** — byte identity with no ordering
-//!   caveat: the columnar kernel enumerates index matches in exactly the
-//!   row executor's order, so even unordered queries must produce the
-//!   same row sequence.
-//! * **Planned vs. in-order** — the join order legitimately changes the
-//!   row sequence, so queries pin a total order (`ORDER BY` over every
-//!   projected variable / every group key); measures are integer-valued
-//!   on the datasets used here, so aggregate sums are exact in f64 and
-//!   reassociation cannot introduce drift.
+//! * **Product vs. reference** — byte identity with no ordering caveat:
+//!   the columnar kernel enumerates index matches in exactly the row
+//!   executor's order, so even unordered queries must produce the same row
+//!   sequence.
+//! * **One query, its patterns permuted in the text** — the planner breaks
+//!   cost ties by pattern position, so a permutation may change the join
+//!   order and with it the row sequence; these queries pin a total order
+//!   (`ORDER BY` over every projected variable / every group key), and
+//!   measures are integer-valued on the datasets used here, so aggregate
+//!   sums are exact in f64 and reassociation cannot introduce drift.
+//!
+//! The planner itself never joins a pattern that shares no variable with
+//! the ones before it while one that does is left: on a workload whose
+//! text opens with a hierarchy pattern apart from the observation star,
+//! `explain`'s join order is checked to be connected step by step.
 
 use re2x_datagen::common::Dataset;
 use re2x_datagen::{dbpedia, eurostat, production, running};
 use re2x_rdf::Graph;
 use re2x_sparql::{
-    evaluate, evaluate_full, explain, parse_query, reference_solutions, ExecMode, LocalEndpoint,
-    PlanMode, Route, ShardedEndpoint, Solutions, SparqlEndpoint, Value,
+    evaluate, evaluate_reference, explain, parse_query, reference_solutions, LocalEndpoint, Query,
+    Route, ShardedEndpoint, Solutions, SparqlEndpoint, SparqlError, Value,
 };
 use re2x_testkit::TestRng;
 
-const COMBOS: [(PlanMode, ExecMode); 4] = [
-    (PlanMode::Planned, ExecMode::Columnar),
-    (PlanMode::Planned, ExecMode::Row),
-    (PlanMode::InOrder, ExecMode::Columnar),
-    (PlanMode::InOrder, ExecMode::Row),
+/// An evaluator's signature.
+type Evaluator = fn(&Graph, &Query) -> Result<Solutions, SparqlError>;
+
+/// Both evaluators, for the checks each must pass on its own.
+const EVALUATORS: [(&str, Evaluator); 2] = [
+    ("evaluate", evaluate),
+    ("evaluate_reference", evaluate_reference),
 ];
 
 /// The (per-dataset) measure predicate — the one Dataset field the
@@ -198,15 +208,16 @@ fn workload(dataset: &Dataset) -> Vec<String> {
     ]
 }
 
-/// Row-vs-columnar byte identity under the *same* plan, for every query of
-/// the figure workload — including unordered queries, whose row sequence
-/// the columnar kernel must reproduce exactly.
+/// Product-vs-reference byte identity for every query of the figure
+/// workload — including unordered queries, whose row sequence the columnar
+/// kernel must reproduce exactly.
 fn assert_exec_identity(dataset: &Dataset) {
     let graph = &dataset.graph;
     for text in workload(dataset) {
         let query = parse_query(&text).expect("workload query parses");
-        // the comparison below must not be row executor against itself:
-        // every flat shape really runs on the kernel, filters included
+        // the comparison below must not be the row executor against
+        // itself: every flat shape really runs on the kernel, filters
+        // included
         let plan = explain(graph, &query).expect("explains");
         let flat = !["OPTIONAL", "UNION", "ASK"]
             .iter()
@@ -223,19 +234,13 @@ fn assert_exec_identity(dataset: &Dataset) {
             "{}: filters missing from the plan of {text}:\n{plan}",
             dataset.name
         );
-        for mode in [PlanMode::Planned, PlanMode::InOrder] {
-            let row = evaluate_full(graph, &query, mode, ExecMode::Row);
-            let col = evaluate_full(graph, &query, mode, ExecMode::Columnar);
-            assert_eq!(
-                row, col,
-                "{} {mode:?}: row/columnar diverge on {text}",
-                dataset.name
-            );
-            if text.contains("?up = ") {
-                // the member combinations were read off the data
-                let kept = col.expect("evaluates").len();
-                assert!(kept > 0, "{}: Similarity filter kept nothing", dataset.name);
-            }
+        let want = evaluate_reference(graph, &query);
+        let got = evaluate(graph, &query);
+        assert_eq!(got, want, "{}: diverges on {text}", dataset.name);
+        if text.contains("?up = ") {
+            // the member combinations were read off the data
+            let kept = got.expect("evaluates").len();
+            assert!(kept > 0, "{}: Similarity filter kept nothing", dataset.name);
         }
     }
 }
@@ -345,7 +350,7 @@ fn folded(graph: &Graph, rows: &Solutions) -> Vec<Vec<Option<Value>>> {
 /// Aggregation reads the kernel's batch directly, all aggregates in one
 /// pass. On the float-measure dataset: groups come out in first-seen
 /// order and every SUM/AVG carries exactly the bits of a left-to-right
-/// fold over the group's rows, under both executors and for filtered and
+/// fold over the group's rows, under both evaluators and for filtered and
 /// non-numeric inputs alike.
 #[test]
 fn aggregates_off_the_batch_equal_a_fold_over_the_rows() {
@@ -366,11 +371,11 @@ fn aggregates_off_the_batch_equal_a_fold_over_the_rows() {
         let plain = parse_query(&format!("SELECT ?d ?m WHERE {{ {block} }}")).expect("parse");
         let grouped = format!("SELECT ?d {aggregates} WHERE {{ {block} }} GROUP BY ?d");
         let grouped = parse_query(&grouped).expect("parse");
-        for exec in [ExecMode::Columnar, ExecMode::Row] {
-            let rows = evaluate_full(graph, &plain, PlanMode::Planned, exec).expect("evaluates");
+        for (name, eval) in EVALUATORS {
+            let rows = eval(graph, &plain).expect("evaluates");
             assert!(!rows.is_empty(), "vacuous: {block}");
-            let got = evaluate_full(graph, &grouped, PlanMode::Planned, exec).expect("evaluates");
-            assert_eq!(got.rows, folded(graph, &rows), "{exec:?}: {block}");
+            let got = eval(graph, &grouped).expect("evaluates");
+            assert_eq!(got.rows, folded(graph, &rows), "{name}: {block}");
         }
     }
     let labels = evaluate(
@@ -397,24 +402,20 @@ fn empty_match_keeps_the_implicit_group() {
     let dataset = production::generate(100, 19);
     let measure = measure_predicate(&dataset);
     let block = format!("?o <{measure}> ?m . FILTER(?m < 0 && ?m > 0)");
-    for (mode, exec) in COMBOS {
+    for (name, eval) in EVALUATORS {
         let run = |text: String| {
             let query = parse_query(&text).expect("parse");
-            evaluate_full(&dataset.graph, &query, mode, exec).expect("evaluates")
+            eval(&dataset.graph, &query).expect("evaluates")
         };
         let implicit = run(format!(
             "SELECT (COUNT(?m) AS ?n) (SUM(?m) AS ?sum) (AVG(?m) AS ?avg) WHERE {{ {block} }}"
         ));
         let zero = Some(Value::Number(0.0));
-        assert_eq!(
-            implicit.rows,
-            vec![vec![zero, None, None]],
-            "{mode:?}/{exec:?}"
-        );
+        assert_eq!(implicit.rows, vec![vec![zero, None, None]], "{name}");
         let grouped = run(format!(
             "SELECT ?o (COUNT(?m) AS ?n) WHERE {{ {block} }} GROUP BY ?o"
         ));
-        assert!(grouped.is_empty(), "{mode:?}/{exec:?}");
+        assert!(grouped.is_empty(), "{name}");
     }
 }
 
@@ -453,7 +454,7 @@ impl<'d> Harness<'d> {
 /// path (`?up`) and a label hop off `?d0` (`?l0`) — in shuffled textual
 /// order.
 struct Star {
-    wher: String,
+    patterns: Vec<String>,
     /// The dimension behind `?d{i}`, by index into the dataset's list.
     dims: Vec<usize>,
     uses_measure: bool,
@@ -462,6 +463,18 @@ struct Star {
 }
 
 impl Star {
+    /// The patterns, in their textual order, as one group.
+    fn wher(&self) -> String {
+        self.patterns.join(" . ")
+    }
+
+    /// The same patterns in another random textual order.
+    fn permuted(&self, rng: &mut TestRng) -> String {
+        let mut patterns = self.patterns.clone();
+        rng.shuffle(&mut patterns);
+        patterns.join(" . ")
+    }
+
     /// The variables that group the star's observations.
     fn grouping(&self) -> Vec<String> {
         let mut grouping: Vec<String> = (0..self.dims.len()).map(|i| format!("?d{i}")).collect();
@@ -513,29 +526,16 @@ fn random_star(rng: &mut TestRng, harness: &Harness) -> Star {
         let (dim, rollup) = harness.coarse;
         wher.push(format!("?o <{dim}> / <{rollup}> ?up"));
     }
-    // random textual order (Fisher–Yates) — all star patterns share ?o,
-    // so even the naive in-order executor stays bounded by the index size
-    for i in (1..wher.len()).rev() {
-        let j = rng.gen_range(0..(i + 1) as u32) as usize;
-        wher.swap(i, j);
-    }
     let has_label = rng.gen_bool(0.4);
     if has_label {
-        // a second hop off the first dimension: chain join. Inserted after
-        // the pattern binding ?d0 so the in-order baseline never starts
-        // from a disconnected pattern (which would build a cartesian
-        // product of the whole label index against the star — the planner
-        // avoids that, and `repro plan` measures it on a bounded dataset,
-        // but a 64-case property suite cannot afford it).
-        let bind = wher
-            .iter()
-            .position(|w| w.contains("?d0"))
-            .map_or(0, |i| i + 1);
-        let at = bind + rng.gen_range(0..(wher.len() - bind + 1) as u32) as usize;
-        wher.insert(at, format!("?d0 <{}> ?l0", dataset.label_predicate));
+        // a second hop off the first dimension: chain join
+        wher.push(format!("?d0 <{}> ?l0", dataset.label_predicate));
     }
+    // random textual order, a disconnected pattern first included: the
+    // planner joins along shared variables whatever the text's order
+    rng.shuffle(&mut wher);
     Star {
-        wher: wher.join(" . "),
+        patterns: wher,
         dims,
         uses_measure,
         has_path,
@@ -593,18 +593,19 @@ fn random_filter(rng: &mut TestRng, harness: &Harness, star: &Star) -> String {
 /// The star's WHERE block, under a random filter four times out of ten.
 fn random_block(rng: &mut TestRng, harness: &Harness, star: &Star) -> String {
     if rng.gen_bool(0.4) {
-        format!("{} . {}", star.wher, random_filter(rng, harness, star))
+        format!("{} . {}", star.wher(), random_filter(rng, harness, star))
     } else {
-        star.wher.clone()
+        star.wher()
     }
 }
 
 /// A random flat block whose output order is pinned: `ORDER BY` over every
-/// projected variable (and group keys for aggregates), so all four
-/// plan × executor combinations must agree byte-for-byte. The textual
-/// pattern order is shuffled — including disconnected-first orders — to
-/// exercise the planner's connectivity preference and tie-breaking.
-fn random_pinned_query(rng: &mut TestRng, harness: &Harness) -> String {
+/// projected variable (and group keys for aggregates), so the query with
+/// its patterns in any textual order must answer byte-for-byte the same.
+/// The textual pattern order is shuffled — including disconnected-first
+/// orders — to exercise the planner's connectivity preference and
+/// tie-breaking. Returns the query and its star.
+fn random_pinned_query(rng: &mut TestRng, harness: &Harness) -> (String, Star) {
     let star = random_star(rng, harness);
     let wher = random_block(rng, harness, &star);
     if star.uses_measure && rng.gen_bool(0.6) {
@@ -612,11 +613,12 @@ fn random_pinned_query(rng: &mut TestRng, harness: &Harness) -> String {
         let aggs: Vec<String> = (0..rng.gen_range(1..4usize))
             .map(|i| format!("({}(?m) AS ?agg{i})", rng.pick(&funcs)))
             .collect();
-        format!(
+        let text = format!(
             "SELECT {gv} {aggs} WHERE {{ {wher} }} GROUP BY {gv} ORDER BY {gv}",
             gv = star.grouping().join(" "),
             aggs = aggs.join(" "),
-        )
+        );
+        (text, star)
     } else {
         let mut text = format!(
             "SELECT {p} WHERE {{ {wher} }} ORDER BY {p}",
@@ -625,43 +627,135 @@ fn random_pinned_query(rng: &mut TestRng, harness: &Harness) -> String {
         if rng.gen_bool(0.3) {
             text.push_str(&format!(" LIMIT {}", rng.gen_range(1..30u32)));
         }
-        text
+        (text, star)
     }
 }
 
-fn property_all_combos_agree(dataset: &Dataset, name: &str) {
+/// A random pinned query: [`evaluate`] answers it as the reference does,
+/// in each of two textual orders of its patterns, and the same in both.
+fn property_pinned_queries_agree(dataset: &Dataset, name: &str) {
     let graph = &dataset.graph;
     let harness = Harness::new(dataset);
     re2x_testkit::check(name, |rng| {
-        let text = random_pinned_query(rng, &harness);
+        let (text, star) = random_pinned_query(rng, &harness);
         let query = parse_query(&text).expect("generated query parses");
         let plan = explain(graph, &query).expect("explains");
         assert!(plan.starts_with("executor: columnar\n"), "{text}:\n{plan}");
-        let baseline = evaluate_full(graph, &query, PlanMode::Planned, ExecMode::Columnar);
-        for (mode, exec) in COMBOS {
-            let got = evaluate_full(graph, &query, mode, exec);
-            assert_eq!(got, baseline, "{mode:?}/{exec:?} diverges on {text}");
-        }
+        let got = evaluate(graph, &query);
+        assert_eq!(got, evaluate_reference(graph, &query), "diverges on {text}");
+        let permuted = text.replacen(&star.wher(), &star.permuted(rng), 1);
+        let query = parse_query(&permuted).expect("permuted query parses");
+        let permuted_got = evaluate(graph, &query);
+        let want = evaluate_reference(graph, &query);
+        assert_eq!(permuted_got, want, "diverges on {permuted}");
+        assert_eq!(
+            permuted_got, got,
+            "{text}\nanswers differently permuted as\n{permuted}"
+        );
     });
 }
 
 #[test]
-fn property_plan_and_exec_modes_agree_on_eurostat() {
-    property_all_combos_agree(&eurostat::generate(400, 99), "plan_differential_eurostat");
+fn property_pinned_queries_agree_on_eurostat() {
+    property_pinned_queries_agree(&eurostat::generate(400, 99), "plan_differential_eurostat");
 }
 
 #[test]
-fn property_plan_and_exec_modes_agree_on_dbpedia() {
+fn property_pinned_queries_agree_on_dbpedia() {
     // The M-to-N genre/stylisticOrigin links make join-order mistakes
     // expensive and multi-valued fan-out common: the adversarial case for
     // both the planner and the columnar kernel.
-    property_all_combos_agree(&dbpedia::generate(250, 101), "plan_differential_dbpedia");
+    property_pinned_queries_agree(&dbpedia::generate(250, 101), "plan_differential_dbpedia");
+}
+
+// ---- the planner joins along shared variables ---------------------------------
+
+/// Queries over the dbpedia M-to-N dataset whose text walks a genre
+/// hierarchy before the observation star, with a step in textual order
+/// that shares no variable with the patterns before it — a cartesian
+/// product of the hierarchy against the facts for an evaluator that
+/// followed the text.
+fn hierarchy_first_workload() -> Vec<String> {
+    const NS: &str = "http://data.example.org/dbpedia/";
+    vec![
+        // M-to-N: songs carry 1–3 genres, genres several stylistic origins
+        format!(
+            "SELECT ?g ?so (SUM(?v) AS ?total) WHERE {{
+                ?g <{NS}stylisticOrigin> ?so .
+                ?o <{NS}playCount> ?v .
+                ?o <{NS}genre> ?g
+             }} GROUP BY ?g ?so ORDER BY ?g ?so"
+        ),
+        // a two-hop hierarchy walk around the star
+        format!(
+            "SELECT ?so ?e (COUNT(?o) AS ?n) WHERE {{
+                ?so <{NS}era> ?e .
+                ?o a <{NS}CreativeWork> .
+                ?g <{NS}stylisticOrigin> ?so .
+                ?o <{NS}genre> ?g
+             }} GROUP BY ?so ?e ORDER BY ?so ?e"
+        ),
+        // a row listing with the same disconnected opening
+        format!(
+            "SELECT ?o ?g ?p WHERE {{
+                ?g <{NS}parentGenre> ?p .
+                ?o a <{NS}CreativeWork> .
+                ?o <{NS}genre> ?g
+             }} ORDER BY ?o ?g ?p LIMIT 500"
+        ),
+    ]
+}
+
+/// The variables of one step of `explain`'s join order (`?x*` when the
+/// step finds `?x` bound).
+fn step_variables(line: &str) -> Vec<&str> {
+    let pattern = line.split("   (cost estimate").next().unwrap_or_default();
+    let words = pattern.split_whitespace().filter(|w| w.starts_with('?'));
+    words.map(|w| w.trim_end_matches('*')).collect()
+}
+
+/// `true` if some pattern after the first shares no variable with the
+/// patterns before it.
+fn has_cartesian_step(steps: &[Vec<&str>]) -> bool {
+    (1..steps.len()).any(|i| {
+        let joined = |v: &&str| steps[..i].iter().any(|earlier| earlier.contains(v));
+        !steps[i].iter().any(joined)
+    })
+}
+
+#[test]
+fn the_planner_never_takes_a_cartesian_step() {
+    let dataset = dbpedia::generate(600, 7);
+    let graph = &dataset.graph;
+    for text in hierarchy_first_workload() {
+        let query = parse_query(&text).expect("workload query parses");
+        let textual: Vec<Vec<&str>> = text
+            .split_once('{')
+            .and_then(|(_, rest)| rest.rsplit_once('}'))
+            .expect("a WHERE block")
+            .0
+            .split(" .")
+            .map(step_variables)
+            .collect();
+        assert!(has_cartesian_step(&textual), "not adversarial: {text}");
+        let plan = explain(graph, &query).expect("explains");
+        let steps: Vec<Vec<&str>> = plan
+            .lines()
+            .filter(|line| line.contains("(cost estimate"))
+            .map(step_variables)
+            .collect();
+        assert_eq!(steps.len(), textual.len(), "{plan}");
+        assert!(!has_cartesian_step(&steps), "{text}:\n{plan}");
+        let got = evaluate(graph, &query).expect("evaluates");
+        assert!(!got.is_empty(), "vacuous: {text}");
+        assert_eq!(Ok(got), evaluate_reference(graph, &query), "{text}");
+    }
 }
 
 // ---- LIMIT pushdown ---------------------------------------------------------
 
 /// `… LIMIT n [OFFSET k]` must return exactly rows `k..k+n` of the
-/// unlimited answer in every plan × executor combination. For the plain
+/// unlimited answer, under both evaluators. For the plain
 /// shape the evaluator stops the join after `k+n` binding rows (the
 /// depth-first "first n rows" search `ASK` is the `n = 1` case of), so the
 /// pushed-down answer has to be the exact prefix the full evaluation
@@ -706,8 +800,8 @@ fn property_limit_is_a_slice(dataset: &Dataset, name: &str) {
             let oracle = undeduplicated.as_ref().unwrap_or(&base);
             let oracle = parse_query(oracle).expect("generated query parses");
             let limited = parse_query(&text).expect("generated query parses");
-            for (mode, exec) in COMBOS {
-                let mut want = evaluate_full(graph, &oracle, mode, exec).expect("evaluates");
+            for (name, eval) in EVALUATORS {
+                let mut want = eval(graph, &oracle).expect("evaluates");
                 if undeduplicated.is_some() {
                     let mut seen = Vec::new();
                     want.rows.retain(|row| {
@@ -721,8 +815,8 @@ fn property_limit_is_a_slice(dataset: &Dataset, name: &str) {
                 let skip = offset.unwrap_or(0).min(want.rows.len());
                 want.rows.drain(..skip);
                 want.rows.truncate(limit);
-                let got = evaluate_full(graph, &limited, mode, exec).expect("evaluates");
-                assert_eq!(got, want, "{mode:?}/{exec:?}: not a slice: {text}");
+                let got = eval(graph, &limited).expect("evaluates");
+                assert_eq!(got, want, "{name}: not a slice: {text}");
             }
         }
     });

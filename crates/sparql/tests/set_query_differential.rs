@@ -5,10 +5,11 @@
 //! or an index's key set), forward along the seeds' runs, backward from
 //! the candidates' postings, per candidate predicate, or the part's join.
 //!
-//! The oracle is the same block under `SELECT ?t` (not a set query, so it
-//! reaches the ordinary executor) on [`ExecMode::Row`], folded to a set
-//! here. Against it, every set query must return the same *set*, ids
-//! ascending, byte-identical across [`PlanMode`] × [`ExecMode`] and under
+//! The oracle is the same query under [`evaluate_reference`], which never
+//! takes the chain: it extends the block's bindings one row at a time and
+//! deduplicates them in first-seen order, folded to a set here. Against
+//! it, [`evaluate`] must return the same *set*, ids ascending — and the
+//! same ids with the block's patterns in another textual order, and under
 //! [`ShardedEndpoint`] composition — over the bootstrap crawl's own shapes
 //! on every level path of the bootstrapped schema of all four datasets,
 //! over the one-pattern shapes the indexes list, over candidates that
@@ -23,20 +24,13 @@ use re2x_datagen::common::Dataset;
 use re2x_datagen::{dbpedia, eurostat, production, running};
 use re2x_rdf::{Graph, Literal, Term, TermId};
 use re2x_sparql::{
-    evaluate_full, explain, parse_query, reference_solutions, ExecMode, LocalEndpoint, PlanMode,
-    Query, Route, ShardedEndpoint, Solutions, SparqlEndpoint, Value,
+    evaluate, evaluate_reference, explain, parse_query, reference_solutions, LocalEndpoint, Query,
+    Route, ShardedEndpoint, Solutions, SparqlEndpoint, Value,
 };
 use re2x_testkit::TestRng;
 use std::collections::BTreeSet;
 
 const RDF_TYPE: &str = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type";
-
-const COMBOS: [(PlanMode, ExecMode); 4] = [
-    (PlanMode::Planned, ExecMode::Columnar),
-    (PlanMode::Planned, ExecMode::Row),
-    (PlanMode::InOrder, ExecMode::Columnar),
-    (PlanMode::InOrder, ExecMode::Row),
-];
 
 /// A dataset behind every endpoint the comparison needs.
 struct World {
@@ -131,19 +125,12 @@ fn assert_set_query(world: &World, block: &str, target: &str) -> String {
     let parse = |text: &str| -> Query {
         parse_query(text).unwrap_or_else(|e| panic!("{name}: {text}: {e}"))
     };
-    // the oracle: every binding of the target, by the row executor
-    let rows = parse(&format!("SELECT ?{target} WHERE {{ {block} }}"));
-    assert!(
-        !explain(graph, &rows)
-            .expect("explains")
-            .contains("set query"),
-        "{name}: the oracle must not be a set query: {block}"
-    );
-    let rows = evaluate_full(graph, &rows, PlanMode::Planned, ExecMode::Row).expect("oracle");
-    let want: BTreeSet<TermId> = ids(&rows).into_iter().collect();
+    let distinct = parse(&format!("SELECT DISTINCT ?{target} WHERE {{ {block} }}"));
+    // the oracle: every value of the target, by the row executor
+    let want = evaluate_reference(graph, &distinct).expect("oracle");
+    let want: BTreeSet<TermId> = ids(&want).into_iter().collect();
     let want: Vec<TermId> = want.into_iter().collect();
 
-    let distinct = parse(&format!("SELECT DISTINCT ?{target} WHERE {{ {block} }}"));
     let plan = explain(graph, &distinct).expect("explains");
     assert!(plan.contains("\nset query: "), "{name}: {block}:\n{plan}");
     let count = parse(&format!(
@@ -153,18 +140,18 @@ fn assert_set_query(world: &World, block: &str, target: &str) -> String {
         vars: vec!["n".to_owned()],
         rows: vec![vec![Some(Value::Number(want.len() as f64))]],
     };
-    for (mode, exec) in COMBOS {
-        let got = evaluate_full(graph, &distinct, mode, exec).expect("evaluates");
-        // equal to the oracle as a set *and* ascending: `want` is both
+    let got = evaluate(graph, &distinct).expect("evaluates");
+    // equal to the oracle as a set *and* ascending: `want` is both
+    assert_eq!(
+        ids(&got),
+        want,
+        "{name}: DISTINCT ?{target} {{ {block} }}\n{plan}"
+    );
+    for eval in [evaluate, evaluate_reference] {
         assert_eq!(
-            ids(&got),
-            want,
-            "{name} {mode:?}/{exec:?}: DISTINCT ?{target} {{ {block} }}\n{plan}"
-        );
-        let got = evaluate_full(graph, &count, mode, exec).expect("evaluates");
-        assert_eq!(
-            got, counted,
-            "{name} {mode:?}/{exec:?}: COUNT(DISTINCT ?{target}) {{ {block} }}\n{plan}"
+            eval(graph, &count).expect("evaluates"),
+            counted,
+            "{name}: COUNT(DISTINCT ?{target}) {{ {block} }}\n{plan}"
         );
     }
     for sharded in &world.sharded {
@@ -272,13 +259,14 @@ fn crawl_shapes_on_dbpedia() {
 // ---- one-pattern shapes: index reads ---------------------------------------------
 
 /// Asserts `SELECT (COUNT(?{var}) AS ?n)` and `SELECT (COUNT(1) AS ?n)`
-/// over `block` equal the number of rows the row executor finds, in
-/// every mode and under composition; returns the plan `explain` printed.
+/// over `block` equal the number of rows the row executor finds, under
+/// both evaluators and under composition; returns the plan `explain`
+/// printed.
 fn assert_count(world: &World, block: &str, var: &str) -> String {
     let graph = &world.dataset.graph;
     let name = &world.dataset.name;
     let rows = parse_query(&format!("SELECT ?{var} WHERE {{ {block} }}")).expect("parses");
-    let rows = evaluate_full(graph, &rows, PlanMode::Planned, ExecMode::Row).expect("oracle");
+    let rows = evaluate_reference(graph, &rows).expect("oracle");
     let counted = |alias: &str| Solutions {
         vars: vec![alias.to_owned()],
         rows: vec![vec![Some(Value::Number(rows.rows.len() as f64))]],
@@ -288,9 +276,9 @@ fn assert_count(world: &World, block: &str, var: &str) -> String {
         let text = format!("SELECT (COUNT({what}) AS ?n) WHERE {{ {block} }}");
         let query = parse_query(&text).expect("parses");
         plans.push(explain(graph, &query).expect("explains"));
-        for (mode, exec) in COMBOS {
-            let got = evaluate_full(graph, &query, mode, exec).expect("evaluates");
-            assert_eq!(got, counted("n"), "{name} {mode:?}/{exec:?}: {text}");
+        for eval in [evaluate, evaluate_reference] {
+            let got = eval(graph, &query).expect("evaluates");
+            assert_eq!(got, counted("n"), "{name}: {text}");
         }
         for sharded in &world.sharded {
             let reference = match sharded.route(&query) {
@@ -437,10 +425,10 @@ impl Harness {
 /// repeated variable), optionally a star arm on `?o`, filters on the
 /// prefix side, on the suffix side, on the cut variable and across the
 /// cut, an absent constant, a pattern connected to nothing — in shuffled
-/// textual order.
+/// textual order, as the block's parts.
 /// The target is any variable of the block, so it sits next to the cut,
 /// far behind it, or in front of every candidate.
-fn random_block(rng: &mut TestRng, harness: &Harness) -> (String, String) {
+fn random_block(rng: &mut TestRng, harness: &Harness) -> (Vec<String>, String) {
     let dataset = &harness.world.dataset;
     let dims = &dataset.dimension_predicates;
     if rng.gen_bool(0.15) {
@@ -454,7 +442,7 @@ fn random_block(rng: &mut TestRng, harness: &Harness) -> (String, String) {
             3 => (format!("?m <{}> ?l", dataset.label_predicate), ["m", "l"]),
             _ => ("?m ?q ?m".to_owned(), ["m", "q"]),
         };
-        return (block, (*rng.pick(&vars)).to_owned());
+        return (vec![block], (*rng.pick(&vars)).to_owned());
     }
     let mut patterns: Vec<String> = Vec::new();
     let mut filters: Vec<String> = Vec::new();
@@ -533,49 +521,43 @@ fn random_block(rng: &mut TestRng, harness: &Harness) -> (String, String) {
         };
         patterns.push(absent.to_owned());
     }
-    // A random textual order that starts at the observations and in which
-    // every pattern shares a variable with an earlier one: the in-order
-    // plans then walk the block along its joins, as the oracle's plan
-    // does, instead of multiplying unrelated scans.
-    let variables = |pattern: &str| -> Vec<String> {
-        let words = pattern.split_whitespace();
-        words
-            .filter(|w| w.starts_with('?'))
-            .map(str::to_owned)
-            .collect()
-    };
-    let mut parts: Vec<String> = Vec::new();
-    let mut bound: Vec<String> = Vec::new();
-    while !patterns.is_empty() {
-        let connected: Vec<usize> = (0..patterns.len())
-            .filter(|&i| match bound.is_empty() {
-                // start from the observations, through a constant predicate
-                true => patterns[i].starts_with("?o ") && !patterns[i].starts_with("?o ?p"),
-                false => variables(&patterns[i]).iter().any(|v| bound.contains(v)),
-            })
-            .collect();
-        let next = patterns.remove(*rng.pick(&connected));
-        bound.extend(variables(&next));
-        parts.push(next);
-    }
     if rng.gen_bool(0.15) {
         // connected to nothing; one solution, so a product with it stays
         // the size of the other side
         let member = rng.pick(&harness.members);
-        filters.push(format!("{member} <{}> ?alone", dataset.label_predicate));
+        patterns.push(format!("{member} <{}> ?alone", dataset.label_predicate));
     }
-    for filter in filters {
-        parts.insert(rng.gen_range(0..parts.len() + 1), filter);
-    }
+    let mut parts = patterns;
+    parts.extend(filters);
+    rng.shuffle(&mut parts);
     let target = (*rng.pick(&vars)).to_owned();
-    (parts.join(" . "), target)
+    (parts, target)
 }
 
+/// A random block's set queries agree with the oracle, and answer the same
+/// with the block's parts in another textual order: the planner reads the
+/// text only to break cost ties.
 fn property_set_queries_agree(dataset: Dataset, name: &str, cases: u32) {
     let harness = Harness::new(dataset);
+    let graph = &harness.world.dataset.graph;
     re2x_testkit::check_n(name, cases, |rng| {
-        let (block, target) = random_block(rng, &harness);
+        let (mut parts, target) = random_block(rng, &harness);
+        let block = parts.join(" . ");
         assert_set_query(&harness.world, &block, &target);
+        rng.shuffle(&mut parts);
+        let permuted = parts.join(" . ");
+        for shape in ["DISTINCT ?{t}", "(COUNT(DISTINCT ?{t}) AS ?n)"] {
+            let select = shape.replace("{t}", &target);
+            let answer = |block: &str| {
+                let text = format!("SELECT {select} WHERE {{ {block} }}");
+                evaluate(graph, &parse_query(&text).expect("parses")).expect("evaluates")
+            };
+            assert_eq!(
+                answer(&permuted),
+                answer(&block),
+                "{block}\npermuted: {permuted}"
+            );
+        }
     });
 }
 
@@ -586,8 +568,8 @@ fn property_set_queries_agree_on_eurostat() {
 
 #[test]
 fn property_set_queries_agree_on_dbpedia() {
-    // fewer cases: the dimension tables dwarf the observations, and a
-    // probe that loses on them spends a second per mode in a debug build
+    // fewer cases: the dimension tables dwarf the observations, which
+    // makes each case slow in a debug build
     property_set_queries_agree(dbpedia::generate(200, 37), "set_query_dbpedia", 16);
 }
 
@@ -664,10 +646,9 @@ fn facet_case(rng: &mut TestRng, harness: &Harness) -> (World, String) {
     // the seeds, by the row executor over the graph before any write (the
     // writes below touch neither the class nor the dimension)
     let oracle = parse_query(&format!("SELECT ?o WHERE {{ {seeds} }}")).expect("parses");
-    let seed_ids: BTreeSet<TermId> =
-        ids(&evaluate_full(&graph, &oracle, PlanMode::Planned, ExecMode::Row).expect("seeds"))
-            .into_iter()
-            .collect();
+    let seed_ids: BTreeSet<TermId> = ids(&evaluate_reference(&graph, &oracle).expect("seeds"))
+        .into_iter()
+        .collect();
     let seed_ids: Vec<TermId> = seed_ids.into_iter().collect();
     let n = seed_ids.len();
     let strangers: Vec<Term> = (0..4)
@@ -875,10 +856,9 @@ fn other_shapes_reach_the_ordinary_executor() {
         let query = parse_query(&text).expect("parses");
         let plan = explain(graph, &query).expect("explains");
         assert!(!plan.contains("set query"), "{text}:\n{plan}");
-        let row = evaluate_full(graph, &query, PlanMode::Planned, ExecMode::Row);
-        let columnar = evaluate_full(graph, &query, PlanMode::Planned, ExecMode::Columnar);
-        assert_eq!(row, columnar, "{text}");
-        let rows = row.expect("evaluates").rows;
+        let reference = evaluate_reference(graph, &query);
+        assert_eq!(evaluate(graph, &query), reference, "{text}");
+        let rows = reference.expect("evaluates").rows;
         if text.contains("LIMIT 2") {
             assert_eq!(rows.len(), 2, "{text}");
         } else {

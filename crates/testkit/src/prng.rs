@@ -90,6 +90,15 @@ impl TestRng {
         &items[self.gen_range(0..items.len())]
     }
 
+    /// Shuffles a slice in place, every order equally likely
+    /// (Fisher–Yates).
+    pub fn shuffle<T>(&mut self, items: &mut [T]) {
+        for i in (1..items.len()).rev() {
+            let j = self.gen_range(0..i + 1);
+            items.swap(i, j);
+        }
+    }
+
     /// Picks an index with probability proportional to its weight — the
     /// harness's analogue of a frequency-weighted choice combinator.
     ///

@@ -22,7 +22,7 @@ use crate::query_model::{
 };
 use re2x_cube::{patterns, LevelId, VirtualSchemaGraph};
 use re2x_obs::Tracer;
-use re2x_rdf::TermId;
+use re2x_rdf::{gallop, TermId};
 use re2x_sparql::{
     AggFunc, Expr, PatternElement, Query, QueryForm, SelectItem, SparqlEndpoint, TermPattern,
     TriplePattern, Value,
@@ -324,7 +324,7 @@ fn intersects(lists: &mut [&[TermId]]) -> bool {
     };
     'ids: for id in smallest.iter() {
         for list in rest.iter_mut() {
-            *list = &list[list.partition_point(|other| other < id)..];
+            *list = &list[gallop(list, *id)..];
             match list.first() {
                 None => return false,
                 Some(other) if other != id => continue 'ids,

@@ -20,7 +20,9 @@
 //! write ([`Graph::insert_ids`] / [`Graph::remove_ids`]) copies one posting
 //! list into the overlay, never the index, so [`Graph::clone`] costs three
 //! `Arc` bumps plus the overlay. [`Graph::compact`] folds the overlay into
-//! a fresh base.
+//! a fresh base. A [`Cursor`] serves a sequence of lookups in one index —
+//! the columnar executor's star walk — keeping the last outer key's group
+//! and galloping forward over ascending outer keys.
 //!
 //! Two invariants beyond plain index coverage:
 //!
@@ -238,12 +240,33 @@ impl Index {
     /// The posting list under `(a, b)`, or the empty slice.
     #[inline]
     pub(crate) fn get(&self, a: TermId, b: TermId) -> &[TermId] {
-        if !self.overlay.is_empty() {
-            if let Some(list) = self.overlay.get(&a).and_then(|lists| lists.get(&b)) {
-                return list;
-            }
+        self.get_in(self.overlaid(a), self.base.group(a), b)
+    }
+
+    /// Outer key `a`'s overlay entry, not hashed for while the overlay is
+    /// empty.
+    #[inline]
+    fn overlaid(&self, a: TermId) -> Option<&InnerLists> {
+        if self.overlay.is_empty() {
+            return None;
         }
-        self.base.get(a, b)
+        self.overlay.get(&a)
+    }
+
+    /// The posting list under inner key `b` of one outer key, given its
+    /// overlay entry `over` and its base group `run`: the overlay's list if
+    /// it has one (a tombstone included), else the base's.
+    #[inline]
+    fn get_in<'i>(
+        &'i self,
+        over: Option<&'i InnerLists>,
+        run: Range<usize>,
+        b: TermId,
+    ) -> &'i [TermId] {
+        match over.and_then(|lists| lists.get(&b)) {
+            Some(list) => list,
+            None => self.base.get_in(run, b),
+        }
     }
 
     /// Adds `v` to the posting list under `(a, b)`, copying the base's
@@ -493,6 +516,98 @@ impl Index {
             })
             .sum();
         self.base.heap_bytes() + overlay
+    }
+}
+
+/// How many leading entries of the ascending `list` are below `id`: probes
+/// 1, 2, 4, … entries ahead until one is not, then binary-searches the last
+/// stride — O(log distance) instead of a walk over the distance. Walking a
+/// sorted sequence of ids through `list` this way, each search starting
+/// where the last one ended, is a merge that skips what it does not need.
+pub fn gallop(list: &[TermId], id: TermId) -> usize {
+    let mut below = 0; // list[..below] < id
+    let mut step = 1;
+    while step <= list.len() && list[step - 1] < id {
+        below = step;
+        step *= 2;
+    }
+    let end = step.min(list.len());
+    below + list[below..end].partition_point(|&x| x < id)
+}
+
+/// A read cursor over one of the graph's indexes, for a sequence of
+/// lookups — [`Graph::objects_cursor`], [`Graph::subjects_cursor`] and
+/// [`Graph::predicates_cursor`] name the index and the order of the two
+/// keys [`Cursor::get`] takes.
+///
+/// Every lookup answers what the graph's plain lookup answers (overlay
+/// first, then the base), but the cursor keeps the last outer key's group:
+/// a lookup under the same outer key searches only that group's inner keys,
+/// one under a greater outer key gallops forward from the last group, and
+/// one under a smaller outer key binary-searches from the start. A lookup
+/// repeating the last `(outer, inner)` key returns the last list again. A
+/// walk over ascending outer keys — the subjects of an observation star,
+/// say, with several inner keys per subject — thus costs one forward merge
+/// over the outer keys, never a search over all of them per lookup.
+#[derive(Debug)]
+pub struct Cursor<'g> {
+    index: &'g Index,
+    /// The last outer key looked up.
+    outer: Option<TermId>,
+    /// Where `outer` is (or would be inserted) among the base's outer keys.
+    at: usize,
+    /// `outer`'s group in the base's inner arrays (empty if it has none).
+    run: Range<usize>,
+    /// `outer`'s overlay entry.
+    over: Option<&'g InnerLists>,
+    /// The last inner key looked up under `outer`, and its list.
+    last: Option<(TermId, &'g [TermId])>,
+}
+
+impl<'g> Cursor<'g> {
+    fn new(index: &'g Index) -> Self {
+        Cursor {
+            index,
+            outer: None,
+            at: 0,
+            run: 0..0,
+            over: None,
+            last: None,
+        }
+    }
+
+    /// The posting list under outer key `a` and inner key `b`, sorted by
+    /// id, or the empty slice.
+    #[inline]
+    pub fn get(&mut self, a: TermId, b: TermId) -> &'g [TermId] {
+        if self.outer != Some(a) {
+            self.seek(a);
+        }
+        if let Some((last, list)) = self.last {
+            if last == b {
+                return list;
+            }
+        }
+        let list = self.index.get_in(self.over, self.run.clone(), b);
+        self.last = Some((b, list));
+        list
+    }
+
+    /// Moves to outer key `a`'s group.
+    fn seek(&mut self, a: TermId) {
+        let index = self.index;
+        let keys = &index.base.outer_ids;
+        self.at = match self.outer {
+            Some(last) if last < a => self.at + gallop(&keys[self.at..], a),
+            _ => keys.partition_point(|&k| k < a),
+        };
+        self.run = match keys.get(self.at) {
+            Some(&k) if k == a => index.base.inner_range(self.at),
+            _ => 0..0,
+        };
+        self.over = index.overlaid(a);
+        self.outer = Some(a);
+        self.last = None;
     }
 }
 
@@ -879,6 +994,22 @@ impl Graph {
         self.osp.get(o, s)
     }
 
+    /// A [`Cursor`] answering [`Graph::objects`]: `get(s, p)`.
+    pub fn objects_cursor(&self) -> Cursor<'_> {
+        Cursor::new(&self.spo)
+    }
+
+    /// A [`Cursor`] answering [`Graph::subjects`]: `get(p, o)`.
+    pub fn subjects_cursor(&self) -> Cursor<'_> {
+        Cursor::new(&self.pos)
+    }
+
+    /// A [`Cursor`] answering [`Graph::predicates_between`]: `get(o, s)`,
+    /// the object first.
+    pub fn predicates_cursor(&self) -> Cursor<'_> {
+        Cursor::new(&self.osp)
+    }
+
     /// Distinct predicates leaving `s`.
     pub fn predicates_from(&self, s: TermId) -> Vec<TermId> {
         self.spo.inner_keys(s)
@@ -1082,6 +1213,7 @@ impl Graph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use re2x_testkit::{check, TestRng};
 
     fn sample() -> (Graph, TermId, TermId, TermId, TermId, TermId) {
         let mut g = Graph::new();
@@ -1115,6 +1247,63 @@ mod tests {
             assert!(mixed.insert_ids(t.s, t.p, t.o));
         }
         [g.clone(), base_only, mixed]
+    }
+
+    /// The membership a one-entry-at-a-time merge computes.
+    fn linear_merge(col: &[TermId], list: &[TermId]) -> Vec<bool> {
+        let mut j = 0usize;
+        col.iter()
+            .map(|&id| {
+                while j < list.len() && list[j] < id {
+                    j += 1;
+                }
+                j < list.len() && list[j] == id
+            })
+            .collect()
+    }
+
+    fn galloping_merge(col: &[TermId], list: &[TermId]) -> Vec<bool> {
+        let mut j = 0usize;
+        col.iter()
+            .map(|&id| {
+                j += gallop(&list[j..], id);
+                list.get(j) == Some(&id)
+            })
+            .collect()
+    }
+
+    fn sorted_ids(rng: &mut TestRng, len: usize, lo: u32, hi: u32, distinct: bool) -> Vec<TermId> {
+        let mut ids: Vec<TermId> = (0..len).map(|_| TermId(rng.gen_range(lo..hi))).collect();
+        ids.sort_unstable();
+        if distinct {
+            ids.dedup();
+        }
+        ids
+    }
+
+    #[test]
+    fn gallop_equals_the_linear_merge() {
+        check("gallop_equals_linear_merge", |rng: &mut TestRng| {
+            // posting lists are distinct ids; a sorted column may repeat
+            let list_len = *rng.pick(&[0usize, 1, 2, 7, 64, 500]);
+            let list = sorted_ids(rng, list_len, 100, 1_000, true);
+            let col_len = *rng.pick(&[0usize, 1, 3, 20, 130]);
+            // the column within the list's range, across it, or wholly
+            // below or above it
+            let (lo, hi) = *rng.pick(&[(100, 1_000), (0, 1_100), (0, 100), (1_000, 2_000)]);
+            let col = sorted_ids(rng, col_len, lo, hi, false);
+            assert_eq!(galloping_merge(&col, &list), linear_merge(&col, &list));
+        });
+    }
+
+    #[test]
+    fn gallop_counts_the_entries_below() {
+        let list: Vec<TermId> = [2, 4, 6, 8, 10].map(TermId).to_vec();
+        for id in 0..12 {
+            let below = list.iter().filter(|&&x| x < TermId(id)).count();
+            assert_eq!(gallop(&list, TermId(id)), below, "{id}");
+        }
+        assert_eq!(gallop(&[], TermId(3)), 0);
     }
 
     #[test]

@@ -55,7 +55,7 @@ pub mod text;
 pub mod vocab;
 
 pub use error::RdfError;
-pub use graph::{Graph, PredicateStats, Triple};
+pub use graph::{gallop, Cursor, Graph, PredicateStats, Triple};
 pub use interner::{Interner, TermId, TERM_CAPACITY};
 pub use partition::{
     partition, partition_layout, partition_observations, PartitionLayout, Partitioned,

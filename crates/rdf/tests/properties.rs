@@ -283,6 +283,37 @@ fn assert_agrees_with_model(graph: &Graph, model: &BTreeSet<Triple>, universe: &
         let into = distinct(model, |t| t.o == o, |t| t.p);
         assert_eq!(sorted(graph.predicates_into(o)), into);
     }
+    // a cursor answers what the plain lookup answers, walked over every
+    // key pair ascending (outer keys no triple has included), descending,
+    // and each pair twice running
+    let walk = |outer: &[TermId], inner: &[TermId]| -> Vec<(TermId, TermId)> {
+        let pairs = outer
+            .iter()
+            .flat_map(|&a| inner.iter().map(move |&b| (a, b)));
+        let mut pairs: Vec<(TermId, TermId)> = pairs.collect();
+        pairs.sort_unstable();
+        let mut walk = pairs.clone();
+        walk.extend(pairs.iter().rev());
+        walk.extend(pairs.iter().flat_map(|&pair| [pair, pair]));
+        walk
+    };
+    let mut cursor = graph.objects_cursor();
+    for (s, p) in walk(&universe.objects, &universe.predicates) {
+        assert_eq!(cursor.get(s, p), graph.objects(s, p), "objects {s:?} {p:?}");
+    }
+    let mut cursor = graph.subjects_cursor();
+    for (p, o) in walk(&universe.predicates, &universe.objects) {
+        assert_eq!(
+            cursor.get(p, o),
+            graph.subjects(p, o),
+            "subjects {p:?} {o:?}"
+        );
+    }
+    let mut cursor = graph.predicates_cursor();
+    for (o, s) in walk(&universe.objects, &universe.subjects) {
+        let between = graph.predicates_between(s, o);
+        assert_eq!(cursor.get(o, s), between, "predicates {s:?} {o:?}");
+    }
     // per-predicate enumerations and the incremental statistics
     assert_eq!(graph.predicates(), distinct(model, |_| true, |t| t.p));
     for &p in &universe.predicates {

@@ -55,8 +55,10 @@ pub fn evaluate_ask(graph: &Graph, query: &Query) -> Result<bool, SparqlError> {
 
 /// Renders the evaluation plan of a query without executing it: which
 /// executor runs each block (`columnar`, or `row: <reason>`), the chosen
-/// join order with per-pattern index-cardinality estimates, and the step
-/// after which each filter selects (`select <expr>`). A set query prints
+/// join order with per-pattern index-cardinality estimates, each run of
+/// two or more steps the columnar kernel joins in one star walk (`star walk
+/// on ?o: steps 1–4`, above the run's first step), and the step after
+/// which each filter selects (`select <expr>`). A set query prints
 /// its chain of nodes instead — for each node the values it answers, the
 /// variable the previous node's values seed, and the access it takes,
 /// over the listing of its part of the block.
@@ -64,13 +66,14 @@ pub fn explain(graph: &Graph, query: &Query) -> Result<String, SparqlError> {
     use std::fmt::Write as _;
     let compiled = Compiled::new(graph, query)?;
     let mut out = String::new();
-    let _ = match compiled.row_reason(compiled.rows_wanted()) {
+    let reason = compiled.row_reason(compiled.rows_wanted());
+    let _ = match reason {
         None => writeln!(out, "executor: columnar"),
         Some(reason) => writeln!(out, "executor: row: {reason}"),
     };
     match compiled.set_query() {
         Some(set) => compiled.explain_chain(graph, set, &mut out),
-        None => compiled.explain_block(graph, None, "", &mut out),
+        None => compiled.explain_block(graph, None, reason.is_none(), "", &mut out),
     }
     if query.is_aggregate() {
         let _ = writeln!(out, "then: group by {:?} + aggregate", query.group_by);
@@ -656,10 +659,19 @@ impl<'q> Compiled<'q> {
 
     /// [`explain`]'s listing of the root block, every line behind
     /// `indent`: the join order with cost estimates (variables bound on
-    /// entry to a step starred — `seeded` from the start), each filter
-    /// under the step it selects after, then the children and the filters
-    /// only they can bind.
-    fn explain_block(&self, graph: &Graph, seeded: Option<usize>, indent: &str, out: &mut String) {
+    /// entry to a step starred — `seeded` from the start), above each run
+    /// of two or more arms the star walk joining it when the columnar
+    /// kernel runs the block (`walks`), each filter under the step it
+    /// selects after, then the children and the filters only they can
+    /// bind.
+    fn explain_block(
+        &self,
+        graph: &Graph,
+        seeded: Option<usize>,
+        walks: bool,
+        indent: &str,
+        out: &mut String,
+    ) {
         use std::fmt::Write as _;
         let mut bound = vec![false; self.var_names.len()];
         if let Some(v) = seeded {
@@ -667,6 +679,12 @@ impl<'q> Compiled<'q> {
         }
         let order = self.plan_block(graph, &self.root, &bound);
         let filter_step = self.filter_schedule(&self.root, &order, &bound);
+        let mut runs = if walks {
+            columnar::star_runs(&self.root, &order, &filter_step, &bound)
+        } else {
+            Vec::new()
+        };
+        runs.retain(|run| run.steps.len() > 1);
         let slot_name = |slot: Slot, bound: &[bool]| match slot {
             Slot::Const(id) => graph.term(id).to_string(),
             Slot::Absent => "<absent-constant>".to_owned(),
@@ -689,6 +707,10 @@ impl<'q> Compiled<'q> {
             }
         }
         for (step, &pi) in order.iter().enumerate() {
+            if let Some(run) = runs.iter().find(|run| run.steps.start == step) {
+                let (on, last) = (self.display_name(run.on), run.steps.end - 1);
+                let _ = writeln!(out, "{indent}star walk on {on}: steps {step}–{last}");
+            }
             let p = self.root.patterns[pi];
             let estimate = self.pattern_cost(graph, p, &bound);
             let _ = writeln!(

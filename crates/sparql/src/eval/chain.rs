@@ -11,7 +11,7 @@
 use super::{columnar, Block, Compiled, FlatPattern, SetQuery, Slot, SparqlError};
 use crate::expr::Bindings;
 use re2x_rdf::hash::FxHashMap;
-use re2x_rdf::{Graph, TermId};
+use re2x_rdf::{gallop, Graph, TermId};
 use std::borrow::Cow;
 
 /// How many times fewer a node's candidates must be than its seeds before
@@ -310,7 +310,7 @@ fn intersects(a: &[TermId], b: &[TermId]) -> bool {
     let (short, long) = if a.len() <= b.len() { (a, b) } else { (b, a) };
     let mut at = 0;
     short.iter().any(|&id| {
-        at += columnar::gallop(&long[at..], id);
+        at += gallop(&long[at..], id);
         long.get(at) == Some(&id)
     })
 }
@@ -609,7 +609,7 @@ impl<'q> Compiled<'q> {
                 out,
                 "set query: count\n  node 0: count, index read count_matching"
             );
-            return self.explain_block(graph, None, "    ", out);
+            return self.explain_block(graph, None, false, "    ", out);
         };
         let _ = writeln!(out, "set query: distinct {}", self.display_name(tv));
         for (i, node) in self.chain(graph, tv).iter().enumerate() {
@@ -623,7 +623,9 @@ impl<'q> Compiled<'q> {
                 self.display_name(node.target),
                 node.access.name()
             );
-            node.part.explain_block(graph, node.seed, "    ", out);
+            let walks = matches!(node.access, Access::Forward | Access::Join);
+            node.part
+                .explain_block(graph, node.seed, walks, "    ", out);
         }
     }
 }

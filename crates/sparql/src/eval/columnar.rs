@@ -10,19 +10,29 @@
 //! variable. The batch is also what projection and aggregation read
 //! ([`super::Table`]); no row is ever materialized.
 //!
-//! Per pattern, the kernel picks one of three strategies:
+//! The planned order is walked in three forms:
 //!
 //! 1. **Semijoin** (no new variable): every position resolves to a
 //!    constant or an already-bound column, so the pattern only filters the
-//!    batch. With one variable position the sorted posting list is
-//!    intersected against the column — a two-pointer *merge intersection*
-//!    when the column itself is sorted, per-row binary search otherwise.
-//! 2. **Extend** (exactly one new variable): the matching posting list
-//!    (`objects`/`subjects`/`predicates_between` — sorted by id, an
-//!    invariant `re2x-rdf` maintains on insert) is appended wholesale with
-//!    `extend_from_slice`, and survivor columns are gathered once per
-//!    batch rather than cloned per row. When the two resolved positions
-//!    are constants the list is fetched once for the whole batch.
+//!    batch — and hands it on untouched when it drops no row. With one
+//!    variable position the sorted posting list is intersected against the
+//!    column: a galloping merge ([`re2x_rdf::gallop`]) when the column
+//!    itself is sorted, per-row binary search otherwise.
+//! 2. **Star walk** (one new variable per step): a run of consecutive arms
+//!    `?v <p> ?x` on one bound column `?v`, each `?x` fresh and distinct,
+//!    no filter due inside ([`star_runs`]), becomes one step. Per row it
+//!    makes one SPO group lookup for the row's `?v` and one inner lookup
+//!    per arm, through a [`re2x_rdf::Cursor`]: the cursor keeps the last
+//!    subject's group and gallops forward over ascending subjects, so a
+//!    walk over the sorted observations of a star never restarts a search
+//!    over all subjects. The row's matches — sorted posting lists, an
+//!    invariant `re2x-rdf` maintains — are emitted as the nested product
+//!    the separate steps would produce (the last arm varies fastest), and
+//!    the batch's columns are gathered once for the whole run. A one-arm
+//!    run is the same code. The other one-fresh-variable shapes (a reverse
+//!    arm `?x <p> ?v`, a variable predicate, a constant subject) append
+//!    each row's posting list the same way, read through a cursor too, so
+//!    a repeated key returns the last list.
 //! 3. **Fallback** (several new variables, or a variable repeated within
 //!    the pattern): per-row enumeration through the same
 //!    [`re2x_rdf::Graph::for_each_matching_until`] walk the row executor
@@ -36,11 +46,12 @@
 //! selection the columns are gathered through. So the produced rows are
 //! *byte-identical* to [`super::Compiled::eval_block`] — the differential
 //! suite (`tests/plan_differential.rs`) holds [`super::evaluate`] to
-//! [`super::evaluate_reference`] across datasets, seeded random queries
-//! and `ShardedEndpoint` composition.
+//! [`super::evaluate_reference`] across datasets, live-written graphs,
+//! seeded random queries and `ShardedEndpoint` composition.
 
-use super::{Compiled, CompiledFilter, FlatPattern, RowOf, Slot, Table};
-use re2x_rdf::{Graph, TermId};
+use super::{Block, Compiled, CompiledFilter, FlatPattern, RowOf, Slot, Table};
+use re2x_rdf::{gallop, Graph, TermId};
+use std::ops::Range;
 
 /// Whether the compiled query's WHERE tree is a shape the columnar kernel
 /// covers: a single flat block. Blocks with OPTIONAL/UNION children stay
@@ -49,13 +60,64 @@ pub(super) fn eligible(compiled: &Compiled) -> bool {
     compiled.root.children.is_empty()
 }
 
+/// A run of the planned order the kernel joins in one star walk.
+pub(super) struct StarRun {
+    /// The bound variable `?v` every arm starts from.
+    pub(super) on: usize,
+    /// The run's positions in the planned order.
+    pub(super) steps: Range<usize>,
+    /// Each arm's predicate and fresh variable `?x`, in step order.
+    arms: Vec<(TermId, usize)>,
+}
+
+/// The star runs of a block's planned `order`, ascending — the one
+/// decision [`run`] executes and [`super::explain`] prints. A run is a
+/// maximal sequence of consecutive steps, each an arm `?v <p> ?x` on the
+/// same variable `?v` bound before the run (by `prebound` or an earlier
+/// step) with `?x` bound by nothing before it — so the `?x`s are distinct
+/// — and no filter due (by `filter_step`) after any step but the run's
+/// last. A single arm is a run of one.
+pub(super) fn star_runs(
+    block: &Block,
+    order: &[usize],
+    filter_step: &[usize],
+    prebound: &[bool],
+) -> Vec<StarRun> {
+    let mut bound = prebound.to_vec();
+    let mut runs: Vec<StarRun> = Vec::new();
+    for (step, &pi) in order.iter().enumerate() {
+        let pattern = block.patterns[pi];
+        if let (Slot::Var(on), Slot::Const(p), Slot::Var(x)) = (pattern.s, pattern.p, pattern.o) {
+            if bound[on] && !bound[x] {
+                match runs.last_mut() {
+                    Some(run)
+                        if run.on == on
+                            && run.steps.end == step
+                            && !filter_step.contains(&(step - 1)) =>
+                    {
+                        run.steps.end += 1;
+                        run.arms.push((p, x));
+                    }
+                    _ => runs.push(StarRun {
+                        on,
+                        steps: step..step + 1,
+                        arms: vec![(p, x)],
+                    }),
+                }
+            }
+        }
+        pattern.vars().for_each(|v| bound[v] = true);
+    }
+    runs
+}
+
 /// Runs the root block's planned pattern chain and scheduled filters over
 /// columnar batches, starting from `seed` (same solutions, in the same
 /// order, as [`super::Compiled::eval_block`] over `seed`'s rows) — or
-/// returns `None` as soon as a batch would outgrow `budget` rows, before
-/// materializing it. A caller that only wants the first `budget` rows then
-/// gets them from the depth-first search instead, so its work stays
-/// bounded however large the join is; `usize::MAX` never gives up.
+/// returns `None` as soon as a step's batch would outgrow `budget` rows,
+/// before materializing it. A caller that only wants the first `budget`
+/// rows then gets them from the depth-first search instead, so its work
+/// stays bounded however large the join is; `usize::MAX` never gives up.
 pub(super) fn run(
     compiled: &Compiled,
     graph: &Graph,
@@ -78,12 +140,25 @@ pub(super) fn run(
         // a pattern-free block decides its variable-free filters up front
         batch = select(graph, batch, &due(0));
     }
-    for (step, &pi) in order.iter().enumerate() {
-        batch = extend(graph, &batch, root.patterns[pi], budget)?;
-        batch = select(graph, batch, &due(step));
+    let runs = star_runs(root, &order, &filter_step, &prebound);
+    let mut runs = runs.iter().peekable();
+    let mut step = 0;
+    while step < order.len() {
+        let last = match runs.next_if(|run| run.steps.start == step) {
+            Some(run) => {
+                batch = star(graph, &batch, run.on, &run.arms, budget)?;
+                run.steps.end - 1
+            }
+            None => {
+                batch = extend(graph, batch, root.patterns[order[step]], budget)?;
+                step
+            }
+        };
+        batch = select(graph, batch, &due(last));
         if batch.len == 0 {
             return Some(batch);
         }
+        step = last + 1;
     }
     // filters naming a variable no pattern binds
     Some(select(graph, batch, &due(usize::MAX)))
@@ -100,10 +175,16 @@ fn select(graph: &Graph, batch: Batch, filters: &[&CompiledFilter]) -> Batch {
             filters.iter().all(|f| f.test.keeps(graph, &row))
         })
         .collect();
+    keep(batch, &sel)
+}
+
+/// The rows `sel` selects, ascending: the batch itself if that is all of
+/// them.
+fn keep(batch: Batch, sel: &[usize]) -> Batch {
     if sel.len() == batch.len {
         return batch;
     }
-    gather(&batch, &sel, Vec::new())
+    gather(&batch, sel, Vec::new())
 }
 
 /// A columnar batch of partial solutions: one dense column of interned
@@ -181,13 +262,13 @@ fn resolve(slot: Slot, batch: &Batch) -> RSlot {
     }
 }
 
-/// Joins one pattern into the batch; `None` if the result would exceed
-/// `budget` rows.
-fn extend(graph: &Graph, batch: &Batch, pattern: FlatPattern, budget: usize) -> Option<Batch> {
+/// Joins one pattern that is not an arm of a star run into the batch;
+/// `None` if the result would exceed `budget` rows.
+fn extend(graph: &Graph, batch: Batch, pattern: FlatPattern, budget: usize) -> Option<Batch> {
     let nvars = batch.cols.len();
-    let s = resolve(pattern.s, batch);
-    let p = resolve(pattern.p, batch);
-    let o = resolve(pattern.o, batch);
+    let s = resolve(pattern.s, &batch);
+    let p = resolve(pattern.p, &batch);
+    let o = resolve(pattern.o, &batch);
     if [s, p, o].contains(&RSlot::Absent) {
         return Some(Batch::empty(nvars));
     }
@@ -205,8 +286,8 @@ fn extend(graph: &Graph, batch: &Batch, pattern: FlatPattern, budget: usize) -> 
     };
     match (news.len(), repeated_new) {
         (0, _) => Some(semijoin(graph, batch, s, p, o)), // only ever shrinks
-        (1, false) => extend_one(graph, batch, s, p, o, budget),
-        _ => fallback(graph, batch, pattern, budget),
+        (1, false) => extend_one(graph, &batch, s, p, o, budget),
+        _ => fallback(graph, &batch, pattern, budget),
     }
 }
 
@@ -224,8 +305,7 @@ fn at(batch: &Batch, slot: RSlot, i: usize) -> TermId {
 }
 
 /// No new variable: the pattern is a pure filter over existing rows.
-fn semijoin(graph: &Graph, batch: &Batch, s: RSlot, p: RSlot, o: RSlot) -> Batch {
-    let mut keep: Vec<bool> = Vec::with_capacity(batch.len);
+fn semijoin(graph: &Graph, batch: Batch, s: RSlot, p: RSlot, o: RSlot) -> Batch {
     // one variable position against two constants: intersect the sorted
     // posting list with the column directly
     let single = match (s, p, o) {
@@ -236,52 +316,91 @@ fn semijoin(graph: &Graph, batch: &Batch, s: RSlot, p: RSlot, o: RSlot) -> Batch
         }
         _ => None,
     };
+    let mut sel: Vec<usize> = Vec::with_capacity(batch.len);
     if let Some((v, list)) = single {
         let col = batch.cols[v].as_deref().unwrap_or(&[]);
         if col.is_sorted() {
             // merge intersection, galloping through the list: a short
             // column over a long posting list skips most of it
             let mut j = 0usize;
-            for &id in col {
+            for (i, &id) in col.iter().enumerate() {
                 j += gallop(&list[j..], id);
-                keep.push(list.get(j) == Some(&id));
+                if list.get(j) == Some(&id) {
+                    sel.push(i);
+                }
             }
         } else {
-            for &id in col {
-                keep.push(list.binary_search(&id).is_ok());
-            }
+            sel.extend((0..col.len()).filter(|&i| list.binary_search(&col[i]).is_ok()));
         }
     } else {
-        for i in 0..batch.len {
-            keep.push(graph.contains_ids(at(batch, s, i), at(batch, p, i), at(batch, o, i)));
+        let mut cursor = graph.objects_cursor();
+        sel.extend((0..batch.len).filter(|&i| {
+            let objects = cursor.get(at(&batch, s, i), at(&batch, p, i));
+            objects.binary_search(&at(&batch, o, i)).is_ok()
+        }));
+    }
+    keep(batch, &sel)
+}
+
+/// Joins a star run's arms `?v <p> ?x` — `?v` the column `on`, `arms` each
+/// arm's predicate and fresh variable — into the batch: per row, one SPO
+/// group lookup and one inner lookup per arm, the row's matches emitted as
+/// their nested product (the last arm varies fastest, as the arms joined
+/// one at a time produce them), every column gathered once. `None` if the
+/// result would exceed `budget` rows.
+fn star(
+    graph: &Graph,
+    batch: &Batch,
+    on: usize,
+    arms: &[(TermId, usize)],
+    budget: usize,
+) -> Option<Batch> {
+    let subjects = batch.cols[on].as_deref().unwrap_or(&[]);
+    let mut cursor = graph.objects_cursor();
+    let mut lists: Vec<&[TermId]> = vec![&[]; arms.len()];
+    let mut sel: Vec<usize> = Vec::new();
+    let mut new_cols: Vec<Vec<TermId>> = vec![Vec::new(); arms.len()];
+    'rows: for (i, &s) in subjects.iter().enumerate() {
+        let mut rows = 1usize;
+        for (list, &(p, _)) in lists.iter_mut().zip(arms) {
+            *list = cursor.get(s, p);
+            rows = rows.saturating_mul(list.len());
+            if rows == 0 {
+                continue 'rows;
+            }
+        }
+        if rows > budget - sel.len() {
+            return None;
+        }
+        if rows == 1 {
+            // every arm single-valued, as a star's arms mostly are
+            sel.push(i);
+            for (col, list) in new_cols.iter_mut().zip(&lists) {
+                col.push(list[0]);
+            }
+            continue;
+        }
+        sel.extend(std::iter::repeat_n(i, rows));
+        // arm k's list is tiled `rows / (repeat · len)` times, each id
+        // repeated once per combination of the arms after it
+        let mut repeat = rows;
+        for (col, list) in new_cols.iter_mut().zip(&lists) {
+            repeat /= list.len();
+            for _ in 0..rows / (repeat * list.len()) {
+                for &x in *list {
+                    col.extend(std::iter::repeat_n(x, repeat));
+                }
+            }
         }
     }
-    gather(batch, &keep_to_sel(&keep), Vec::new())
+    let fresh = arms.iter().map(|&(_, x)| x).zip(new_cols).collect();
+    Some(gather(batch, &sel, fresh))
 }
 
-/// How many leading entries of the sorted `list` are below `id`: probes 1,
-/// 2, 4, … entries ahead until one is not, then binary-searches the last
-/// stride — O(log distance) instead of a walk over the distance.
-pub(super) fn gallop(list: &[TermId], id: TermId) -> usize {
-    let mut below = 0; // list[..below] < id
-    let mut step = 1;
-    while step <= list.len() && list[step - 1] < id {
-        below = step;
-        step *= 2;
-    }
-    let end = step.min(list.len());
-    below + list[below..end].partition_point(|&x| x < id)
-}
-
-fn keep_to_sel(keep: &[bool]) -> Vec<usize> {
-    keep.iter()
-        .enumerate()
-        .filter_map(|(i, &k)| k.then_some(i))
-        .collect()
-}
-
-/// Exactly one fresh variable: append each row's sorted match list in one
-/// `extend_from_slice`, recording the source row per output row.
+/// Exactly one fresh variable, in a shape no star run covers: append each
+/// row's sorted match list, read through a cursor over the index that
+/// lists the fresh position, in one `extend_from_slice`, recording the
+/// source row per output row.
 fn extend_one(
     graph: &Graph,
     batch: &Batch,
@@ -290,21 +409,19 @@ fn extend_one(
     o: RSlot,
     budget: usize,
 ) -> Option<Batch> {
-    // which position holds the fresh variable (New in at most one slot)
-    let new_var = match (s, p, o) {
-        (_, _, RSlot::New(v)) | (RSlot::New(v), _, _) | (_, RSlot::New(v), _) => v,
+    // the fresh variable (New in exactly one slot), the cursor listing it
+    // and the two resolved positions in that index's key order
+    let (new_var, mut cursor, a, b) = match (s, p, o) {
+        (_, _, RSlot::New(v)) => (v, graph.objects_cursor(), s, p),
+        (RSlot::New(v), _, _) => (v, graph.subjects_cursor(), p, o),
+        (_, RSlot::New(v), _) => (v, graph.predicates_cursor(), o, s),
         // extend() dispatches here only with exactly one New slot
         _ => return Some(gather(batch, &[], Vec::new())),
     };
     let mut sel: Vec<usize> = Vec::new();
     let mut new_col: Vec<TermId> = Vec::new();
     for i in 0..batch.len {
-        let list: &[TermId] = match (s, p, o) {
-            (_, _, RSlot::New(_)) => graph.objects(at(batch, s, i), at(batch, p, i)),
-            (RSlot::New(_), _, _) => graph.subjects(at(batch, p, i), at(batch, o, i)),
-            (_, RSlot::New(_), _) => graph.predicates_between(at(batch, s, i), at(batch, o, i)),
-            _ => &[],
-        };
+        let list = cursor.get(at(batch, a, i), at(batch, b, i));
         if list.is_empty() {
             continue;
         }
@@ -389,71 +506,5 @@ fn gather(batch: &Batch, sel: &[usize], new_cols: Vec<(usize, Vec<TermId>)>) -> 
     Batch {
         cols,
         len: sel.len(),
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use re2x_testkit::{check, TestRng};
-
-    /// The membership a one-entry-at-a-time merge computes.
-    fn linear_merge(col: &[TermId], list: &[TermId]) -> Vec<bool> {
-        let mut j = 0usize;
-        col.iter()
-            .map(|&id| {
-                while j < list.len() && list[j] < id {
-                    j += 1;
-                }
-                j < list.len() && list[j] == id
-            })
-            .collect()
-    }
-
-    fn galloping_merge(col: &[TermId], list: &[TermId]) -> Vec<bool> {
-        let mut j = 0usize;
-        col.iter()
-            .map(|&id| {
-                j += gallop(&list[j..], id);
-                list.get(j) == Some(&id)
-            })
-            .collect()
-    }
-
-    fn sorted_ids(rng: &mut TestRng, len: usize, lo: u32, hi: u32, distinct: bool) -> Vec<TermId> {
-        let mut ids: Vec<TermId> = (0..len).map(|_| TermId(rng.gen_range(lo..hi))).collect();
-        ids.sort_unstable();
-        if distinct {
-            ids.dedup();
-        }
-        ids
-    }
-
-    #[test]
-    fn gallop_equals_the_linear_merge() {
-        check(
-            "columnar_gallop_equals_linear_merge",
-            |rng: &mut TestRng| {
-                // posting lists are distinct ids; a sorted column may repeat
-                let list_len = *rng.pick(&[0usize, 1, 2, 7, 64, 500]);
-                let list = sorted_ids(rng, list_len, 100, 1_000, true);
-                let col_len = *rng.pick(&[0usize, 1, 3, 20, 130]);
-                // the column within the list's range, across it, or wholly
-                // below or above it
-                let (lo, hi) = *rng.pick(&[(100, 1_000), (0, 1_100), (0, 100), (1_000, 2_000)]);
-                let col = sorted_ids(rng, col_len, lo, hi, false);
-                assert_eq!(galloping_merge(&col, &list), linear_merge(&col, &list));
-            },
-        );
-    }
-
-    #[test]
-    fn gallop_counts_the_entries_below() {
-        let list: Vec<TermId> = [2, 4, 6, 8, 10].map(TermId).to_vec();
-        for id in 0..12 {
-            let below = list.iter().filter(|&&x| x < TermId(id)).count();
-            assert_eq!(gallop(&list, TermId(id)), below, "{id}");
-        }
-        assert_eq!(gallop(&[], TermId(3)), 0);
     }
 }

@@ -588,7 +588,8 @@ fn explain_shows_plan_and_filters() {
 /// plan for structurally identical queries is pinned byte-for-byte. All
 /// three predicates below have five triples each (identical cost
 /// estimates), so any instability in the greedy selection would reorder
-/// the steps and fail this test.
+/// the steps and fail this test. The two arms after the first step are
+/// one star walk.
 #[test]
 fn explain_plan_is_deterministic_golden() {
     let g = asylum_graph();
@@ -604,6 +605,7 @@ fn explain_plan_is_deterministic_golden() {
     let expected = concat!(
         "executor: columnar\n",
         " 0. ?o <http://ex/dest> ?d   (cost estimate 1)\n",
+        "star walk on ?o: steps 1–2\n",
         " 1. ?o* <http://ex/year> ?y   (cost estimate 0)\n",
         " 2. ?o* <http://ex/applicants> ?v   (cost estimate 0)\n",
     );

@@ -30,6 +30,17 @@
 //!   measures are integer-valued on the datasets used here, so aggregate
 //!   sums are exact in f64 and reassociation cannot introduce drift.
 //!
+//! The columnar kernel joins each run of consecutive arms `?v <p> ?x` on
+//! one bound column in one star walk over a galloping SPO cursor, which
+//! reads a live write's overlay before the bulk-built base: so the
+//! workload, the seeded harnesses and the walk's edges run on live-written
+//! graphs too (observations only the overlay holds, a second value on an
+//! arm, a tombstone on a subject the walk visits), `explain` is checked to
+//! print a star walk exactly where the plan has one, and the walk's edges
+//! — multi-valued arms, an arm matching nothing for some rows, a filter
+//! splitting a run, unsorted and repeated subjects, a `LIMIT` inside the
+//! walk — are queried one by one.
+//!
 //! The planner itself never joins a pattern that shares no variable with
 //! the ones before it while one that does is left: on a workload whose
 //! text opens with a hierarchy pattern apart from the observation star,
@@ -37,7 +48,7 @@
 
 use re2x_datagen::common::Dataset;
 use re2x_datagen::{dbpedia, eurostat, production, running};
-use re2x_rdf::Graph;
+use re2x_rdf::{vocab, Graph, TermId};
 use re2x_sparql::{
     evaluate, evaluate_reference, explain, parse_query, reference_solutions, LocalEndpoint, Query,
     Route, ShardedEndpoint, Solutions, SparqlEndpoint, SparqlError, Value,
@@ -267,6 +278,63 @@ fn dbpedia_row_and_columnar_are_byte_identical() {
     assert_exec_identity(&dbpedia::generate(300, 13));
 }
 
+/// `dataset` after live writes on its bulk-built graph, left in the
+/// overlay the star walk's cursor reads first: copies of every 50th
+/// observation under fresh IRIs (subjects only the overlay has), a second
+/// member on the first dimension arm of every 40th, and every 30th
+/// stripped of its last dimension — a tombstone over the base's posting
+/// list, on a subject inside the walk.
+fn live_written(mut dataset: Dataset) -> Dataset {
+    let graph = &mut dataset.graph;
+    let id = |graph: &Graph, iri: &str| graph.iri_id(iri).expect("an IRI of the dataset");
+    let class = id(graph, &dataset.observation_class);
+    let rdf_type = id(graph, vocab::rdf::TYPE);
+    let dims = &dataset.dimension_predicates;
+    let (first, last) = (id(graph, &dims[0]), id(graph, &dims[dims.len() - 1]));
+    let observations = graph.subjects(rdf_type, class).to_vec();
+    for (i, &o) in observations.iter().step_by(50).enumerate() {
+        let fresh = graph.intern_iri(format!("http://live.example.org/observation/{i}"));
+        let mut copied: Vec<(TermId, TermId)> = Vec::new();
+        graph.predicate_runs_until(o, |p, objects| {
+            copied.extend(objects.iter().map(|&x| (p, x)));
+            false
+        });
+        for (p, x) in copied {
+            assert!(graph.insert_ids(fresh, p, x));
+        }
+    }
+    let members = graph.objects_of_predicate(first);
+    for &o in observations.iter().skip(3).step_by(40) {
+        let other = members.iter().find(|&&m| !graph.contains_ids(o, first, m));
+        assert!(graph.insert_ids(o, first, *other.expect("a second member")));
+    }
+    for &o in observations.iter().skip(7).step_by(30) {
+        for x in graph.objects(o, last).to_vec() {
+            assert!(graph.remove_ids(o, last, x));
+        }
+    }
+    dataset
+}
+
+/// The workload and the seeded pinned-query and `LIMIT` harnesses on a
+/// live-written graph: the kernel's cursor reads the overlay as the row
+/// executor's plain lookups do.
+#[test]
+fn eurostat_live_written_graph_answers_as_the_reference() {
+    let dataset = live_written(eurostat::generate(400, 7));
+    assert_exec_identity(&dataset);
+    property_pinned_queries_agree(&dataset, "plan_differential_live_eurostat");
+    property_limit_is_a_slice(&dataset, "limit_slice_live_eurostat");
+}
+
+#[test]
+fn dbpedia_live_written_graph_answers_as_the_reference() {
+    let dataset = live_written(dbpedia::generate(300, 13));
+    assert_exec_identity(&dataset);
+    property_pinned_queries_agree(&dataset, "plan_differential_live_dbpedia");
+    property_limit_is_a_slice(&dataset, "limit_slice_live_dbpedia");
+}
+
 /// The sharded composition answers identically whichever executor the
 /// shards run: scatter-routed queries against the canonical reference,
 /// replica-routed ones against plain local evaluation.
@@ -450,14 +518,16 @@ impl<'d> Harness<'d> {
 }
 
 /// A random star over `?o` — one to three dimension patterns (`?d0`…), the
-/// measure (`?m`) most of the time, sometimes the class probe, a roll-up
-/// path (`?up`) and a label hop off `?d0` (`?l0`) — in shuffled textual
-/// order.
+/// measure (`?m`) most of the time, sometimes the class probe, a second
+/// arm on `?d0`'s dimension (`?t0`: multi-valued on dbpedia, so a row of
+/// the star walk yields a product), a roll-up path (`?up`) and a label hop
+/// off `?d0` (`?l0`) — in shuffled textual order.
 struct Star {
     patterns: Vec<String>,
     /// The dimension behind `?d{i}`, by index into the dataset's list.
     dims: Vec<usize>,
     uses_measure: bool,
+    has_twin: bool,
     has_path: bool,
     has_label: bool,
 }
@@ -491,6 +561,9 @@ impl Star {
         if self.uses_measure {
             projected.push("?m".to_owned());
         }
+        if self.has_twin {
+            projected.push("?t0".to_owned());
+        }
         if self.has_label {
             projected.push("?l0".to_owned());
         }
@@ -521,6 +594,11 @@ fn random_star(rng: &mut TestRng, harness: &Harness) -> Star {
     if rng.gen_bool(0.4) {
         wher.push(format!("?o a <{}>", dataset.observation_class));
     }
+    let has_twin = rng.gen_bool(0.3);
+    if has_twin {
+        let dim = &dataset.dimension_predicates[dims[0]];
+        wher.push(format!("?o <{dim}> ?t0"));
+    }
     let has_path = rng.gen_bool(0.3);
     if has_path {
         let (dim, rollup) = harness.coarse;
@@ -538,6 +616,7 @@ fn random_star(rng: &mut TestRng, harness: &Harness) -> Star {
         patterns: wher,
         dims,
         uses_measure,
+        has_twin,
         has_path,
         has_label,
     }
@@ -641,6 +720,11 @@ fn property_pinned_queries_agree(dataset: &Dataset, name: &str) {
         let query = parse_query(&text).expect("generated query parses");
         let plan = explain(graph, &query).expect("explains");
         assert!(plan.starts_with("executor: columnar\n"), "{text}:\n{plan}");
+        let printed: Vec<&str> = plan
+            .lines()
+            .filter(|line| line.starts_with("star walk"))
+            .collect();
+        assert_eq!(printed, star_walks(&plan), "{text}:\n{plan}");
         let got = evaluate(graph, &query);
         assert_eq!(got, evaluate_reference(graph, &query), "diverges on {text}");
         let permuted = text.replacen(&star.wher(), &star.permuted(rng), 1);
@@ -752,6 +836,240 @@ fn the_planner_never_takes_a_cartesian_step() {
     }
 }
 
+// ---- the star walk ----------------------------------------------------------
+
+/// The star walks `plan` must print, as `explain` words them: one for each
+/// maximal run of two or more consecutive steps that are each an arm
+/// `?v* <p> ?x` (`?v` bound on entry, `?x` not) on the same `?v`, with no
+/// filter selecting between two of them.
+fn star_walks(plan: &str) -> Vec<String> {
+    let mut walks = Vec::new();
+    // the open run: its variable, first and last step
+    let mut run: Option<(&str, usize, usize)> = None;
+    let mut close = |run: &mut Option<(&str, usize, usize)>| {
+        if let Some((on, first, last)) = run.take() {
+            if last > first {
+                walks.push(format!("star walk on {on}: steps {first}–{last}"));
+            }
+        }
+    };
+    for line in plan.lines() {
+        let step = line.trim_start().split_once(". ");
+        let Some((step, pattern)) = step.and_then(|(n, rest)| Some((n.parse().ok()?, rest))) else {
+            if line.contains("select ") {
+                close(&mut run);
+            }
+            continue;
+        };
+        let pattern = pattern
+            .split("   (cost estimate")
+            .next()
+            .unwrap_or_default();
+        let arm = match pattern.split_whitespace().collect::<Vec<_>>()[..] {
+            [v, p, x] if v.starts_with('?') && p.starts_with('<') && x.starts_with('?') => {
+                (v.ends_with('*') && !x.ends_with('*')).then(|| v.trim_end_matches('*'))
+            }
+            _ => None,
+        };
+        match (arm, &mut run) {
+            (Some(on), Some((open, _, last))) if *open == on && *last + 1 == step => *last = step,
+            (Some(on), _) => {
+                close(&mut run);
+                run = Some((on, step, step));
+            }
+            (None, _) => close(&mut run),
+        }
+    }
+    close(&mut run);
+    walks
+}
+
+const EUROSTAT: &str = "http://data.example.org/eurostat/";
+const DBPEDIA: &str = "http://data.example.org/dbpedia/";
+const QB_OBSERVATION: &str = "http://purl.org/linked-data/cube#Observation";
+
+/// `explain` names each star walk above the run's first step — and a
+/// filter due after the first arm splits the run.
+#[test]
+fn explain_prints_each_star_walk() {
+    let dataset = eurostat::generate(400, 7);
+    let plan = |text: String| {
+        let query = parse_query(&text).expect("parses");
+        let plan = explain(&dataset.graph, &query).expect("explains");
+        plan.replace(EUROSTAT, "eg:")
+    };
+    let star = format!(
+        "?o a <{QB_OBSERVATION}> . ?o <{EUROSTAT}sex> ?a .
+         ?o <{EUROSTAT}refPeriod> ?b . ?o <{EUROSTAT}numApplicants> ?m"
+    );
+    let type_step = format!(
+        " 0. ?o <{}> <{QB_OBSERVATION}>   (cost estimate 25)",
+        vocab::rdf::TYPE
+    );
+    assert_eq!(
+        plan(format!("SELECT ?o ?a ?b ?m WHERE {{ {star} }}")),
+        format!(
+            "executor: columnar
+{type_step}
+star walk on ?o: steps 1–3
+ 1. ?o* <eg:sex> ?a   (cost estimate 25)
+ 2. ?o* <eg:refPeriod> ?b   (cost estimate 25)
+ 3. ?o* <eg:numApplicants> ?m   (cost estimate 25)
+"
+        )
+    );
+    let member = format!("<{EUROSTAT}member/sex/0>");
+    assert_eq!(
+        plan(format!(
+            "SELECT ?o ?a ?b ?m WHERE {{ {star} . FILTER(?a = {member}) }}"
+        )),
+        format!(
+            "executor: columnar
+{type_step}
+ 1. ?o* <eg:sex> ?a   (cost estimate 25)
+    select (?a = <eg:member/sex/0>)
+star walk on ?o: steps 2–3
+ 2. ?o* <eg:refPeriod> ?b   (cost estimate 25)
+ 3. ?o* <eg:numApplicants> ?m   (cost estimate 25)
+"
+        )
+    );
+}
+
+/// The ids a column of `solutions` holds, row by row.
+fn ids(solutions: &Solutions, var: &str) -> Vec<TermId> {
+    let name = var.trim_start_matches('?');
+    let at = solutions
+        .vars
+        .iter()
+        .position(|v| v == name)
+        .expect("projected");
+    let cell = |row: &Vec<Option<Value>>| match row[at] {
+        Some(Value::Term(id)) => id,
+        ref other => panic!("{var}: {other:?}"),
+    };
+    solutions.rows.iter().map(cell).collect()
+}
+
+/// The star walk's edges, each on the generated graph and on its
+/// live-written form, byte for byte against the reference — each query
+/// checked to take the walk it is here for, and its answer to have the
+/// edge:
+///
+/// * multi-valued arms (dbpedia's M-to-N genres, twice on one song): a row
+///   yields the product of its arms' lists, the last arm fastest;
+/// * an arm matching nothing for some rows (the live-written tombstones);
+/// * a filter due between two arms, which splits the run;
+/// * a walk over subjects unsorted (observations reached back from a
+///   hierarchy hop) and repeated (members reached from observations).
+#[test]
+fn star_walk_edges_match_the_reference() {
+    let plain = [eurostat::generate(400, 7), dbpedia::generate(300, 13)];
+    let live = [
+        live_written(eurostat::generate(400, 7)),
+        live_written(dbpedia::generate(300, 13)),
+    ];
+    let (e, d) = (EUROSTAT, DBPEDIA);
+    let star = format!(
+        "?o a <{QB_OBSERVATION}> . ?o <{e}sex> ?a .
+         ?o <{e}refPeriod> ?b . ?o <{e}numApplicants> ?m"
+    );
+    let observations = |graph: &Graph| {
+        let rdf_type = graph.iri_id(vocab::rdf::TYPE).expect("typed");
+        let class = graph.iri_id(QB_OBSERVATION).expect("observations");
+        graph.subjects(rdf_type, class).len()
+    };
+    // some subject comes back after another one: unsorted, repeated
+    let revisits = |col: Vec<TermId>| (1..col.len()).any(|j| col[..j - 1].contains(&col[j]));
+    type Edge = Box<dyn Fn(&Graph, &Solutions, bool) -> bool>;
+    // (dataset, query, the walk the plan takes on the generated and on the
+    // live-written graph, the edge its answer has)
+    let cases: [(usize, String, [&str; 2], Edge); 6] = [
+        (
+            1,
+            format!(
+                "SELECT ?o ?m ?g ?h WHERE {{ ?o a <{d}CreativeWork> . ?o <{d}genre> ?g .
+                 ?o <{d}genre> ?h . ?o <{d}playCount> ?m }}"
+            ),
+            ["star walk on ?o: steps 1–3"; 2],
+            Box::new(|_, got, _| {
+                let songs = ids(got, "?o");
+                songs.windows(2).any(|w| w[0] == w[1])
+            }),
+        ),
+        (
+            0,
+            format!("SELECT ?o ?a ?b ?m WHERE {{ {star} }}"),
+            ["star walk on ?o: steps 1–3"; 2],
+            Box::new(move |graph, got, live| {
+                let mut seen = ids(got, "?o");
+                seen.dedup();
+                !live || seen.len() < observations(graph)
+            }),
+        ),
+        (
+            0,
+            // the live writes reorder the arms; the filter splits both plans
+            format!("SELECT ?o ?a ?b ?m WHERE {{ {star} . FILTER(?b = <{e}member/month/0>) }}"),
+            ["star walk on ?o: steps 1–2", "star walk on ?o: steps 2–3"],
+            Box::new(move |graph, got, _| !got.is_empty() && got.len() < observations(graph)),
+        ),
+        (
+            0,
+            format!(
+                "SELECT ?o ?up ?a ?m WHERE {{ ?o <{e}citizen> / <{e}inContinent> ?up .
+                 ?o <{e}sex> ?a . ?o <{e}numApplicants> ?m }}"
+            ),
+            ["star walk on ?o: steps 2–3"; 2],
+            Box::new(|_, got, _| !ids(got, "?o").is_sorted()),
+        ),
+        (
+            0,
+            format!(
+                "SELECT ?o ?d ?up ?l WHERE {{ ?o a <{QB_OBSERVATION}> . ?o <{e}citizen> ?d .
+                 ?d <{e}inContinent> ?up . ?d <{}> ?l }}",
+                vocab::rdfs::LABEL
+            ),
+            ["star walk on ?d: steps 2–3"; 2],
+            Box::new(move |_, got, _| revisits(ids(got, "?d"))),
+        ),
+        (
+            1,
+            format!(
+                "SELECT ?o ?g ?p ?so WHERE {{ ?o a <{d}CreativeWork> . ?o <{d}genre> ?g .
+                 ?g <{d}stylisticOrigin> ?so . ?g <{d}parentGenre> ?p }}"
+            ),
+            ["star walk on ?g: steps 2–3"; 2],
+            Box::new(move |_, got, _| revisits(ids(got, "?g"))),
+        ),
+    ];
+    for (dataset, text, walks, edge) in &cases {
+        let query = parse_query(text).expect("parses");
+        for (graph, live) in [
+            (&plain[*dataset].graph, false),
+            (&live[*dataset].graph, true),
+        ] {
+            let plan = explain(graph, &query).expect("explains");
+            let walk = walks[usize::from(live)];
+            assert!(plan.lines().any(|line| line == walk), "{text}:\n{plan}");
+            let got = evaluate(graph, &query).expect("evaluates");
+            assert_eq!(
+                Ok(&got),
+                evaluate_reference(graph, &query).as_ref(),
+                "{text}"
+            );
+            assert!(edge(graph, &got, live), "vacuous (live: {live}): {text}");
+            // a row budget crossed inside the walk, mid-row included
+            for limit in [2, 3, got.len() / 2, got.len() - 1] {
+                let limited = parse_query(&format!("{text} LIMIT {limit}")).expect("parses");
+                let mut want = got.clone();
+                want.rows.truncate(limit);
+                assert_eq!(evaluate(graph, &limited), Ok(want), "{text} LIMIT {limit}");
+            }
+        }
+    }
+}
+
 // ---- LIMIT pushdown ---------------------------------------------------------
 
 /// `… LIMIT n [OFFSET k]` must return exactly rows `k..k+n` of the
@@ -761,7 +1079,8 @@ fn the_planner_never_takes_a_cartesian_step() {
 /// pushed-down answer has to be the exact prefix the full evaluation
 /// returns; the `DISTINCT`, `ORDER BY` and aggregate shapes transform rows
 /// between the join and the slice and would fail this if they were cut
-/// short too.
+/// short too. The limit mostly falls inside a star walk's output — within
+/// one row's product when the star's twin arm is multi-valued.
 fn property_limit_is_a_slice(dataset: &Dataset, name: &str) {
     let graph = &dataset.graph;
     let harness = Harness::new(dataset);

@@ -143,7 +143,13 @@ echo "== plan + filter differential suites (offline) =="
 # identical with columnar shards; a pushed-down LIMIT/OFFSET must return
 # exactly that slice of the unlimited answer (DISTINCT / ORDER BY /
 # aggregate shapes not cut short); and aggregates read off the batch must
-# equal a fold over the rows bit for bit.
+# equal a fold over the rows bit for bit. The same comparisons run on
+# live-written graphs (overlay-only subjects, a second arm value, a
+# tombstone on a walked subject), which the star walk's cursor reads
+# overlay first; explain must print a star walk exactly where the plan has
+# two or more consecutive arms on one column, and the walk's edges
+# (multi-valued arms, empty arms, a filter splitting a run, unsorted and
+# repeated subjects, a LIMIT crossed inside a run) are queried one by one.
 cargo test -q --offline -p re2x-sparql --test plan_differential
 # The compiled filter evaluator (the only one WHERE filters run through)
 # must agree with the tree-walking eval_expr on seeded random expressions.
@@ -193,9 +199,10 @@ echo "== refinement kernel differential suite (offline) =="
 # hand-built tables (duplicate keys, unbound cells, NaN / +-inf / +-0
 # measures, a zero-norm example, k >= items, absent examples).
 cargo test -q --offline -p re2xolap --test refine_differential
-# The columnar semijoin gallops through a posting list: it must equal the
-# one-entry-at-a-time merge on random sorted lists, empty ones included.
-cargo test -q --offline -p re2x-sparql --lib gallop
+# The galloping search (the columnar semijoin's merge, the star walk's
+# cursor, both intersects) must equal the one-entry-at-a-time merge on
+# random sorted lists, empty ones included.
+cargo test -q --offline -p re2x-rdf --lib gallop
 
 echo "== validation differential suite (offline) =="
 # Candidate validation over shared, capped observation sets must decide

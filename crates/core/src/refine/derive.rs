@@ -57,7 +57,7 @@
 use crate::query_model::OlapQuery;
 use crate::session::Step;
 use re2x_rdf::{Graph, TermId};
-use re2x_sparql::expr::{eval_expr, Bindings, CompiledExpr, EvalContext};
+use re2x_sparql::expr::{eval_expr, implied_ids, Bindings, CompiledExpr, EvalContext};
 use re2x_sparql::{AggFunc, Expr, PatternElement, Query, QueryForm, SelectItem, Solutions, Value};
 
 /// The result of `child` as the order-preserving subset of `parent`'s rows,
@@ -104,10 +104,20 @@ pub fn derive(parent: &Step, child: &OlapQuery, graph: &Graph) -> Option<Solutio
         })
     };
     let mut filters = Vec::with_capacity(added.len());
+    // (column, ids): a key column's cell must be one of the ids for the
+    // filters to keep the row
+    let mut members: Vec<(usize, Vec<TermId>)> = Vec::new();
     for element in added {
         match element {
             PatternElement::Filter(expr) if !expr.has_aggregate() => {
                 filters.push(CompiledExpr::compile(expr, graph, &mut slot_of));
+                for key in &c.group_by {
+                    if let (Some(column), Some(ids)) =
+                        (cells.key_column(key), implied_ids(expr, key, graph))
+                    {
+                        members.push((column, ids));
+                    }
+                }
             }
             _ => return None,
         }
@@ -132,7 +142,13 @@ pub fn derive(parent: &Step, child: &OlapQuery, graph: &Graph) -> Option<Solutio
         .rows
         .iter()
         .filter(|row| {
-            filters.iter().all(|f| f.keeps(graph, &KeyCells(row)))
+            members.iter().all(|(column, ids)| {
+                KeyCells(row).binding(*column).is_some_and(|id| {
+                    // the set holds every IRI the filter can keep, but a
+                    // literal spelling one only while the text index does
+                    ids.binary_search(&id).is_ok() || !graph.term(id).is_iri()
+                })
+            }) && filters.iter().all(|f| f.keeps(graph, &KeyCells(row)))
                 && extra.is_none_or(|e| {
                     eval_expr(e, &cells, row.as_slice()).and_then(|v| v.as_bool()) == Some(true)
                 })

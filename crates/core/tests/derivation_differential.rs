@@ -386,6 +386,77 @@ fn filters_over_group_keys_derive() {
     }
 }
 
+/// Similarity filters the id pre-check must not get wrong: a member IRI
+/// absent from the graph, a variable missing from some disjuncts (so it
+/// implies no member set), `IN`, on a step grouped by destination and
+/// origin.
+#[test]
+fn similarity_filters_with_absent_members_and_partial_disjuncts_derive() {
+    let (graph, schema) = ties_fixture();
+    for stack_name in STACKS {
+        let endpoint = stack(stack_name, &graph, "http://ex/Obs");
+        let endpoint = endpoint.as_ref();
+        let mut session = open_by_destination(endpoint, &schema, "France");
+        let dis = session.refinements(RefineOp::Disaggregate).expect("offers");
+        let by_origin = dis.into_iter().next().expect("origin can be added");
+        session.apply(by_origin).expect("runs");
+        let keys = &session.current().expect("a step").query.query.group_by;
+        let origin = keys
+            .iter()
+            .find(|k| *k != "dest")
+            .expect("a second key")
+            .clone();
+        let is = |var: &str, name: &str| {
+            Expr::cmp(
+                Expr::var(var),
+                CmpOp::Eq,
+                Expr::Iri(format!("http://ex/{name}")),
+            )
+        };
+        let and = |a: Expr, b: Expr| Expr::And(Box::new(a), Box::new(b));
+        let or = |a: Expr, b: Expr| Expr::Or(Box::new(a), Box::new(b));
+        let o = origin.as_str();
+        for (filter, rows) in [
+            // ?dest is missing from the second disjunct
+            (
+                or(and(is("dest", "France"), is(o, "Syria")), is(o, "China")),
+                6,
+            ),
+            // a member the graph does not hold
+            (
+                or(
+                    and(is("dest", "Atlantis"), is(o, "Syria")),
+                    and(is("dest", "Germany"), is(o, "China")),
+                ),
+                1,
+            ),
+            (or(is("dest", "Atlantis"), is(o, "Atlantis")), 0),
+            (
+                and(
+                    Expr::In(
+                        Box::new(Expr::var("dest")),
+                        vec![
+                            Expr::Iri("http://ex/Germany".to_owned()),
+                            Expr::Iri("http://ex/Atlantis".to_owned()),
+                        ],
+                    ),
+                    or(is(o, "Syria"), is("dest", "Sweden")),
+                ),
+                1,
+            ),
+        ] {
+            let child = hand_built(&session, |q| {
+                q.query.wher.push(PatternElement::Filter(filter.clone()));
+            });
+            let step = session.apply(child).expect("runs");
+            assert!(step.derived, "{stack_name}: {filter:?}");
+            assert_eq!(step.solutions.len(), rows, "{stack_name}: {filter:?}");
+            assert_step_is_the_executed_answer(endpoint, step, stack_name);
+            assert!(session.backtrack());
+        }
+    }
+}
+
 /// What the structural rule does not cover is executed — and still right.
 #[test]
 fn refusals_execute_through_the_endpoint() {

@@ -24,6 +24,15 @@ use crate::value::{Solutions, Value};
 use re2x_rdf::hash::{FxHashMap, FxHashSet};
 use re2x_rdf::{Graph, Term, TermId};
 
+/// How many times fewer one side of a join must be than the other before
+/// the evaluator starts from it instead of walking the other's runs — one
+/// O(1) rule for two decisions: a set query's node decides its candidates
+/// one by one when they are this many times fewer than its seeds (a
+/// candidate costs a gallop through its postings, a seed one SPO run), and
+/// the columnar kernel reaches back from a filter's members when they are
+/// this many times fewer than the objects of their arm's predicate.
+const FAR_FEWER: u64 = 8;
+
 /// Evaluates a query against a graph.
 pub fn evaluate(graph: &Graph, query: &Query) -> Result<Solutions, SparqlError> {
     let compiled = Compiled::new(graph, query)?;
@@ -57,8 +66,10 @@ pub fn evaluate_ask(graph: &Graph, query: &Query) -> Result<bool, SparqlError> {
 /// executor runs each block (`columnar`, or `row: <reason>`), the chosen
 /// join order with per-pattern index-cardinality estimates, each run of
 /// two or more steps the columnar kernel joins in one star walk (`star walk
-/// on ?o: steps 1–4`, above the run's first step), and the step after
-/// which each filter selects (`select <expr>`). A set query prints
+/// on ?o: steps 1–4`, above the run's first step), each reach the kernel
+/// cuts a hub's column to (`reach ?o: 143 ids from ?up ∈ 4 members`, above
+/// the step binding the hub), and the step after which each filter
+/// selects (`select <expr>`). A set query prints
 /// its chain of nodes instead — for each node the values it answers, the
 /// variable the previous node's values seed, and the access it takes,
 /// over the listing of its part of the block.
@@ -659,11 +670,11 @@ impl<'q> Compiled<'q> {
 
     /// [`explain`]'s listing of the root block, every line behind
     /// `indent`: the join order with cost estimates (variables bound on
-    /// entry to a step starred — `seeded` from the start), above each run
-    /// of two or more arms the star walk joining it when the columnar
-    /// kernel runs the block (`walks`), each filter under the step it
-    /// selects after, then the children and the filters only they can
-    /// bind.
+    /// entry to a step starred — `seeded` from the start), when the
+    /// columnar kernel runs the block (`walks`) above each run of two or
+    /// more arms the star walk joining it and above the step binding a hub
+    /// its reach, each filter under the step it selects after, then the
+    /// children and the filters only they can bind.
     fn explain_block(
         &self,
         graph: &Graph,
@@ -677,13 +688,16 @@ impl<'q> Compiled<'q> {
         if let Some(v) = seeded {
             bound[v] = true;
         }
-        let order = self.plan_block(graph, &self.root, &bound);
-        let filter_step = self.filter_schedule(&self.root, &order, &bound);
-        let mut runs = if walks {
-            columnar::star_runs(&self.root, &order, &filter_step, &bound)
-        } else {
-            Vec::new()
-        };
+        let columnar::Schedule {
+            order,
+            filter_step,
+            mut reaches,
+            mut runs,
+        } = columnar::schedule(self, graph, &bound);
+        if !walks {
+            reaches.clear();
+            runs.clear();
+        }
         runs.retain(|run| run.steps.len() > 1);
         let slot_name = |slot: Slot, bound: &[bool]| match slot {
             Slot::Const(id) => graph.term(id).to_string(),
@@ -707,6 +721,18 @@ impl<'q> Compiled<'q> {
             }
         }
         for (step, &pi) in order.iter().enumerate() {
+            for reach in reaches.iter().filter(|reach| reach.step == step) {
+                let from: Vec<String> = (reach.from.iter())
+                    .map(|&(v, members)| format!("{} ∈ {members} members", self.display_name(v)))
+                    .collect();
+                let _ = writeln!(
+                    out,
+                    "{indent}reach {}: {} ids from {}",
+                    self.display_name(reach.hub),
+                    reach.ids.len(),
+                    from.join(", ")
+                );
+            }
             if let Some(run) = runs.iter().find(|run| run.steps.start == step) {
                 let (on, last) = (self.display_name(run.on), run.steps.end - 1);
                 let _ = writeln!(out, "{indent}star walk on {on}: steps {step}–{last}");

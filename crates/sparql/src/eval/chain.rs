@@ -8,16 +8,11 @@
 //! ([`Access`]), and a part that is no single arm is joined. The answer is
 //! the last node's values, ids ascending, whichever way each node ran.
 
-use super::{columnar, Block, Compiled, FlatPattern, SetQuery, Slot, SparqlError};
+use super::{columnar, Block, Compiled, FlatPattern, SetQuery, Slot, SparqlError, FAR_FEWER};
 use crate::expr::Bindings;
 use re2x_rdf::hash::FxHashMap;
 use re2x_rdf::{gallop, Graph, TermId};
 use std::borrow::Cow;
-
-/// How many times fewer a node's candidates must be than its seeds before
-/// it decides them one by one instead of walking the seeds' runs: a
-/// candidate costs a gallop through its postings, a seed one SPO run.
-const FAR_FEWER: u64 = 8;
 
 /// One node of a set query's chain ([`Compiled::chain`]): the distinct
 /// values of `target` over `part` among the solutions that bind `seed` to

@@ -10,7 +10,7 @@
 //! variable. The batch is also what projection and aggregation read
 //! ([`super::Table`]); no row is ever materialized.
 //!
-//! The planned order is walked in three forms:
+//! The planned order is walked in three join forms, and cut by a fourth:
 //!
 //! 1. **Semijoin** (no new variable): every position resolves to a
 //!    constant or an already-bound column, so the pattern only filters the
@@ -20,9 +20,9 @@
 //!    itself is sorted, per-row binary search otherwise.
 //! 2. **Star walk** (one new variable per step): a run of consecutive arms
 //!    `?v <p> ?x` on one bound column `?v`, each `?x` fresh and distinct,
-//!    no filter due inside ([`star_runs`]), becomes one step. Per row it
-//!    makes one SPO group lookup for the row's `?v` and one inner lookup
-//!    per arm, through a [`re2x_rdf::Cursor`]: the cursor keeps the last
+//!    no filter or reach due inside ([`star_runs`]), becomes one step. Per
+//!    row it makes one SPO group lookup for the row's `?v` and one inner
+//!    lookup per arm, through a [`re2x_rdf::Cursor`]: the cursor keeps the last
 //!    subject's group and gallops forward over ascending subjects, so a
 //!    walk over the sorted observations of a star never restarts a search
 //!    over all subjects. The row's matches — sorted posting lists, an
@@ -37,19 +37,27 @@
 //!    the pattern): per-row enumeration through the same
 //!    [`re2x_rdf::Graph::for_each_matching_until`] walk the row executor
 //!    uses.
+//! 4. **Reach** (no pattern): right after the step that first binds a hub
+//!    variable — the observation `?o` a Similarity filter's grouping
+//!    variables hang off — its column is cut to the hub's reach
+//!    ([`reaches`]): the subjects the filter's member sets lead back to
+//!    along the variables' arms, by the semijoin's galloping merge. The
+//!    filter still runs where it is scheduled.
 //!
-//! All three enumerate matches in exactly the index order the row
+//! The join forms enumerate matches in exactly the index order the row
 //! executor sees, and a FILTER — applied after the step that binds the
 //! last of its variables, the row executor's own schedule — only removes
 //! rows: it is a pure function of the ids in its variables' columns (see
 //! [`crate::expr::CompiledExpr`]), evaluated per batch row into a
-//! selection the columns are gathered through. So the produced rows are
+//! selection the columns are gathered through; a reach only removes rows
+//! the filter would remove later. So the produced rows are
 //! *byte-identical* to [`super::Compiled::eval_block`] — the differential
 //! suite (`tests/plan_differential.rs`) holds [`super::evaluate`] to
 //! [`super::evaluate_reference`] across datasets, live-written graphs,
 //! seeded random queries and `ShardedEndpoint` composition.
 
-use super::{Block, Compiled, CompiledFilter, FlatPattern, RowOf, Slot, Table};
+use super::{Block, Compiled, CompiledFilter, FlatPattern, RowOf, Slot, Table, FAR_FEWER};
+use crate::expr::implied_ids;
 use re2x_rdf::{gallop, Graph, TermId};
 use std::ops::Range;
 
@@ -58,6 +66,135 @@ use std::ops::Range;
 /// on the row executor.
 pub(super) fn eligible(compiled: &Compiled) -> bool {
     compiled.root.children.is_empty()
+}
+
+/// How the kernel runs the root block from a seed binding `prebound` — the
+/// one decision [`run`] executes and [`super::explain`] prints: the planned
+/// order, the step after which each filter selects, the reaches and the
+/// star runs.
+pub(super) struct Schedule {
+    pub(super) order: Vec<usize>,
+    pub(super) filter_step: Vec<usize>,
+    pub(super) reaches: Vec<Reach>,
+    pub(super) runs: Vec<StarRun>,
+}
+
+/// Decides the [`Schedule`] of the root block.
+pub(super) fn schedule(compiled: &Compiled, graph: &Graph, prebound: &[bool]) -> Schedule {
+    let root = &compiled.root;
+    let order = compiled.plan_block(graph, root, prebound);
+    let filter_step = compiled.filter_schedule(root, &order, prebound);
+    let reaches = reaches(compiled, graph, &order, prebound);
+    let runs = star_runs(root, &order, &filter_step, &reaches, prebound);
+    Schedule {
+        order,
+        filter_step,
+        reaches,
+        runs,
+    }
+}
+
+/// The ids a filter's member sets let a hub variable take ([`reaches`]).
+pub(super) struct Reach {
+    /// The hub: the variable the admitted variables' arms lead back to.
+    pub(super) hub: usize,
+    /// The step that first binds the hub; the reach applies right after it.
+    pub(super) step: usize,
+    /// The ids the hub may take, ascending.
+    pub(super) ids: Vec<TermId>,
+    /// Each admitted variable and the size of its member set.
+    pub(super) from: Vec<(usize, usize)>,
+}
+
+/// The reaches of the root block's planned `order`, by step. A filter
+/// variable `?v` with an implied member set `S` ([`implied_ids`]) is
+/// followed back along its arms `?x <p> ?y` to its hub ([`arms_to_hub`]).
+/// Every solution the filter keeps binds `?v` into `S` and matches each
+/// arm, so it binds the hub to an id reached from `S` by
+/// [`Graph::subjects`], arm by arm — the reach the hub's column may be cut
+/// to. (`S` holds a literal spelling a member only while the text index
+/// lists it, which it does for every object of a triple, as `?v` is.) A
+/// variable is admitted only when `S` is [`FAR_FEWER`] times fewer
+/// than the objects of its own arm's predicate (an O(1) statistic), and
+/// the reaches of admitted variables on one hub intersect. A hub the seed
+/// binds gets none.
+fn reaches(compiled: &Compiled, graph: &Graph, order: &[usize], prebound: &[bool]) -> Vec<Reach> {
+    let block = &compiled.root;
+    let mut reaches: Vec<Reach> = Vec::new();
+    if block.filters.is_empty() {
+        return reaches;
+    }
+    for filter in &block.filters {
+        for &v in &filter.vars {
+            let Some((hub, arms)) = arms_to_hub(block, v).filter(|&(hub, _)| !prebound[hub]) else {
+                continue;
+            };
+            let Some(mut ids) = implied_ids(filter.expr, &compiled.var_names[v], graph) else {
+                continue;
+            };
+            let members = ids.len();
+            let domain = graph.predicate_stats(arms[0]).distinct_objects;
+            if (members as u64).saturating_mul(FAR_FEWER) >= domain as u64 {
+                continue;
+            }
+            let binds_hub = |&pi: &usize| block.patterns[pi].vars().any(|x| x == hub);
+            let Some(step) = order.iter().position(binds_hub) else {
+                continue;
+            };
+            for &p in &arms {
+                let back = ids.iter().flat_map(|&id| graph.subjects(p, id));
+                ids = back.copied().collect();
+                ids.sort_unstable();
+                ids.dedup();
+            }
+            match reaches.iter_mut().find(|reach| reach.hub == hub) {
+                Some(reach) => {
+                    reach.ids.retain(|id| ids.binary_search(id).is_ok());
+                    reach.from.push((v, members));
+                }
+                None => reaches.push(Reach {
+                    hub,
+                    step,
+                    ids,
+                    from: vec![(v, members)],
+                }),
+            }
+        }
+    }
+    reaches.sort_by_key(|reach| reach.step);
+    reaches
+}
+
+/// The hub of `v` and the predicates of the arms `?x <p> ?y` leading back
+/// to it, `v`'s own arm first — `None` when no arm with a constant
+/// predicate ends in `v`. Walking back from `v` along the arm into each
+/// variable, the hub is the first subject some pattern besides that arm
+/// mentions, unless the one such pattern is the arm into it (a link of a
+/// property path, walked through).
+fn arms_to_hub(block: &Block, v: usize) -> Option<(usize, Vec<TermId>)> {
+    let arm_into = |w: usize| {
+        let mut patterns = block.patterns.iter().enumerate();
+        patterns.find_map(|(i, pattern)| match (pattern.s, pattern.p, pattern.o) {
+            (Slot::Var(x), Slot::Const(p), Slot::Var(o)) if o == w && x != w => Some((i, x, p)),
+            _ => None,
+        })
+    };
+    let (mut at, mut x, p) = arm_into(v)?;
+    let mut arms = vec![p];
+    while arms.len() < block.patterns.len() {
+        let mut others = (block.patterns.iter().enumerate())
+            .filter(|&(i, pattern)| i != at && pattern.vars().any(|y| y == x));
+        let link = match (others.next(), others.next()) {
+            (Some((i, _)), None) => arm_into(x).filter(|&(j, ..)| j == i),
+            _ => None,
+        };
+        let Some((j, y, p)) = link else {
+            break;
+        };
+        arms.push(p);
+        (at, x) = (j, y);
+    }
+    Some((x, arms))
 }
 
 /// A run of the planned order the kernel joins in one star walk.
@@ -70,30 +207,30 @@ pub(super) struct StarRun {
     arms: Vec<(TermId, usize)>,
 }
 
-/// The star runs of a block's planned `order`, ascending — the one
-/// decision [`run`] executes and [`super::explain`] prints. A run is a
+/// The star runs of a block's planned `order`, ascending. A run is a
 /// maximal sequence of consecutive steps, each an arm `?v <p> ?x` on the
 /// same variable `?v` bound before the run (by `prebound` or an earlier
 /// step) with `?x` bound by nothing before it — so the `?x`s are distinct
-/// — and no filter due (by `filter_step`) after any step but the run's
-/// last. A single arm is a run of one.
-pub(super) fn star_runs(
+/// — and no filter (by `filter_step`) or reach due after any step but the
+/// run's last. A single arm is a run of one.
+fn star_runs(
     block: &Block,
     order: &[usize],
     filter_step: &[usize],
+    reaches: &[Reach],
     prebound: &[bool],
 ) -> Vec<StarRun> {
     let mut bound = prebound.to_vec();
     let mut runs: Vec<StarRun> = Vec::new();
+    let selects_after =
+        |step: usize| filter_step.contains(&step) || reaches.iter().any(|reach| reach.step == step);
     for (step, &pi) in order.iter().enumerate() {
         let pattern = block.patterns[pi];
         if let (Slot::Var(on), Slot::Const(p), Slot::Var(x)) = (pattern.s, pattern.p, pattern.o) {
             if bound[on] && !bound[x] {
                 match runs.last_mut() {
                     Some(run)
-                        if run.on == on
-                            && run.steps.end == step
-                            && !filter_step.contains(&(step - 1)) =>
+                        if run.on == on && run.steps.end == step && !selects_after(step - 1) =>
                     {
                         run.steps.end += 1;
                         run.arms.push((p, x));
@@ -126,8 +263,12 @@ pub(super) fn run(
 ) -> Option<Batch> {
     let prebound: Vec<bool> = seed.cols.iter().map(Option::is_some).collect();
     let root = &compiled.root;
-    let order = compiled.plan_block(graph, root, &prebound);
-    let filter_step = compiled.filter_schedule(root, &order, &prebound);
+    let Schedule {
+        order,
+        filter_step,
+        reaches,
+        runs,
+    } = schedule(compiled, graph, &prebound);
     let due = |at: usize| -> Vec<&CompiledFilter> {
         let scheduled = root.filters.iter().zip(&filter_step);
         scheduled
@@ -140,7 +281,6 @@ pub(super) fn run(
         // a pattern-free block decides its variable-free filters up front
         batch = select(graph, batch, &due(0));
     }
-    let runs = star_runs(root, &order, &filter_step, &prebound);
     let mut runs = runs.iter().peekable();
     let mut step = 0;
     while step < order.len() {
@@ -154,6 +294,9 @@ pub(super) fn run(
                 step
             }
         };
+        for reach in reaches.iter().filter(|reach| reach.step == last) {
+            batch = restrict(batch, reach.hub, &reach.ids);
+        }
         batch = select(graph, batch, &due(last));
         if batch.len == 0 {
             return Some(batch);
@@ -316,28 +459,35 @@ fn semijoin(graph: &Graph, batch: Batch, s: RSlot, p: RSlot, o: RSlot) -> Batch 
         }
         _ => None,
     };
-    let mut sel: Vec<usize> = Vec::with_capacity(batch.len);
     if let Some((v, list)) = single {
-        let col = batch.cols[v].as_deref().unwrap_or(&[]);
-        if col.is_sorted() {
-            // merge intersection, galloping through the list: a short
-            // column over a long posting list skips most of it
-            let mut j = 0usize;
-            for (i, &id) in col.iter().enumerate() {
-                j += gallop(&list[j..], id);
-                if list.get(j) == Some(&id) {
-                    sel.push(i);
-                }
+        return restrict(batch, v, list);
+    }
+    let mut cursor = graph.objects_cursor();
+    let mut sel: Vec<usize> = Vec::with_capacity(batch.len);
+    sel.extend((0..batch.len).filter(|&i| {
+        let objects = cursor.get(at(&batch, s, i), at(&batch, p, i));
+        objects.binary_search(&at(&batch, o, i)).is_ok()
+    }));
+    keep(batch, &sel)
+}
+
+/// The rows whose `v` is in the ascending `list`, in order: a merge
+/// intersection galloping through the list when the column is sorted — a
+/// short column over a long posting list skips most of it — and a binary
+/// search per row otherwise.
+fn restrict(batch: Batch, v: usize, list: &[TermId]) -> Batch {
+    let col = batch.cols[v].as_deref().unwrap_or(&[]);
+    let mut sel: Vec<usize> = Vec::with_capacity(col.len());
+    if col.is_sorted() {
+        let mut j = 0usize;
+        for (i, &id) in col.iter().enumerate() {
+            j += gallop(&list[j..], id);
+            if list.get(j) == Some(&id) {
+                sel.push(i);
             }
-        } else {
-            sel.extend((0..col.len()).filter(|&i| list.binary_search(&col[i]).is_ok()));
         }
     } else {
-        let mut cursor = graph.objects_cursor();
-        sel.extend((0..batch.len).filter(|&i| {
-            let objects = cursor.get(at(&batch, s, i), at(&batch, p, i));
-            objects.binary_search(&at(&batch, o, i)).is_ok()
-        }));
+        sel.extend((0..col.len()).filter(|&i| list.binary_search(&col[i]).is_ok()));
     }
     keep(batch, &sel)
 }

@@ -177,6 +177,77 @@ fn literal_constant(graph: &Graph, l: &Literal) -> Value {
     }
 }
 
+/// The term ids a row must bind `var` to for `expr` to be true, ascending —
+/// `None` when `expr` implies no such set. A `FILTER` over `expr` keeps a
+/// row only if the row binds `var` to one of them, so the set may drop
+/// rows before the filter runs: the columnar kernel's reach and the
+/// derivation's id pre-check both read it.
+///
+/// * `?var = <iri>` (either way round): the ids `=` holds for — the
+///   IRI's own and those of literals spelling it;
+/// * `?var IN (<iri>, …)`: the union of those;
+/// * `a && b`: the intersection of whichever sides imply a set;
+/// * `a || b`: the union, only when both sides imply a set;
+/// * anything else implies nothing — a literal constant too, since `=`
+///   compares literals by value, not by id.
+pub fn implied_ids(expr: &Expr, var: &str, graph: &Graph) -> Option<Vec<TermId>> {
+    let is_var = |e: &Expr| matches!(e, Expr::Var(v) if v == var);
+    let mut ids = match expr {
+        Expr::Cmp(a, CmpOp::Eq, b) => match (&**a, &**b) {
+            (v, Expr::Iri(iri)) | (Expr::Iri(iri), v) if is_var(v) => iri_matches(graph, iri)?,
+            _ => return None,
+        },
+        Expr::In(needle, items) if is_var(needle) => {
+            let mut ids = Vec::new();
+            for item in items {
+                let Expr::Iri(iri) = item else {
+                    return None;
+                };
+                ids.extend(iri_matches(graph, iri)?);
+            }
+            ids
+        }
+        Expr::And(a, b) => {
+            return match (implied_ids(a, var, graph), implied_ids(b, var, graph)) {
+                (Some(mut a), Some(b)) => {
+                    a.retain(|id| b.binary_search(id).is_ok());
+                    Some(a)
+                }
+                (one, other) => one.or(other),
+            };
+        }
+        Expr::Or(a, b) => {
+            let mut ids = implied_ids(a, var, graph)?;
+            ids.extend(implied_ids(b, var, graph)?);
+            ids
+        }
+        _ => return None,
+    };
+    ids.sort_unstable();
+    ids.dedup();
+    Some(ids)
+}
+
+/// The ids `?v = <iri>` holds for: the IRI's own, when the graph interns
+/// it, and every literal spelling it — [`Value::equals`] compares an IRI
+/// with any other term by string form, and no number is an IRI. The
+/// literals come from the text index, which holds every literal the graph
+/// interns until no triple has it as an object any more. `None` for text a
+/// blank node's string form (`_:label`) could take.
+fn iri_matches(graph: &Graph, iri: &str) -> Option<Vec<TermId>> {
+    if iri.starts_with("_:") {
+        return None;
+    }
+    let spelled = graph.text_index().search_exact(iri).iter().copied();
+    let spelled = spelled.filter(|&id| {
+        graph
+            .term(id)
+            .as_literal()
+            .is_some_and(|l| l.lexical() == iri)
+    });
+    Some(graph.iri_id(iri).into_iter().chain(spelled).collect())
+}
+
 /// One solution's variable bindings, addressed by registry slot — what a
 /// [`CompiledExpr`] reads its variables from. Implemented for binding rows
 /// (`[Option<TermId>]`) here and for one row of a columnar batch by the
@@ -600,6 +671,128 @@ mod tests {
         assert!(is(Func::IsNumeric, "n"));
         assert!(!is(Func::IsNumeric, "label"));
         assert!(!is(Func::IsNumeric, "iri"));
+    }
+
+    /// A graph interning two IRIs, a literal spelling the first and a
+    /// literal no IRI spells; `is(v, iri)` builds `?v = <iri>`.
+    fn implied_graph() -> (Graph, [TermId; 3]) {
+        let mut graph = Graph::new();
+        let a = graph.intern_iri("http://ex/a");
+        let b = graph.intern_iri("http://ex/b");
+        let spelled = graph.intern_literal(Literal::simple("http://ex/a"));
+        graph.intern_literal(Literal::simple("http ex b"));
+        (graph, [a, b, spelled])
+    }
+
+    fn is(var: &str, iri: &str) -> Expr {
+        Expr::cmp(
+            Expr::var(var),
+            CmpOp::Eq,
+            Expr::Iri(format!("http://ex/{iri}")),
+        )
+    }
+
+    fn and(a: Expr, b: Expr) -> Expr {
+        Expr::And(Box::new(a), Box::new(b))
+    }
+
+    fn or(a: Expr, b: Expr) -> Expr {
+        Expr::Or(Box::new(a), Box::new(b))
+    }
+
+    #[test]
+    fn implied_by_an_equality_either_way_round() {
+        let (graph, [_, b, _]) = implied_graph();
+        assert_eq!(implied_ids(&is("v", "b"), "v", &graph), Some(vec![b]));
+        let flipped = Expr::cmp(Expr::Iri("http://ex/b".into()), CmpOp::Eq, Expr::var("v"));
+        assert_eq!(implied_ids(&flipped, "v", &graph), Some(vec![b]));
+        // another variable, another comparison: nothing
+        assert_eq!(implied_ids(&is("w", "b"), "v", &graph), None);
+        let ne = Expr::cmp(Expr::var("v"), CmpOp::Ne, Expr::Iri("http://ex/b".into()));
+        assert_eq!(implied_ids(&ne, "v", &graph), None);
+        assert_eq!(
+            implied_ids(&Expr::Not(Box::new(is("v", "b"))), "v", &graph),
+            None
+        );
+    }
+
+    #[test]
+    fn implied_ids_include_literals_spelling_the_iri() {
+        // `=` compares an IRI with a literal by string form
+        let (graph, [a, _, spelled]) = implied_graph();
+        let mut want = vec![a, spelled];
+        want.sort_unstable();
+        assert_eq!(implied_ids(&is("v", "a"), "v", &graph), Some(want));
+        // an IRI the graph does not intern contributes no id …
+        assert_eq!(implied_ids(&is("v", "absent"), "v", &graph), Some(vec![]));
+        // … and text a blank node's label could take implies nothing
+        let blank = Expr::cmp(Expr::var("v"), CmpOp::Eq, Expr::Iri("_:b0".into()));
+        assert_eq!(implied_ids(&blank, "v", &graph), None);
+    }
+
+    #[test]
+    fn implied_by_in_only_over_iris() {
+        let (graph, [a, b, spelled]) = implied_graph();
+        let iri = |name: &str| Expr::Iri(format!("http://ex/{name}"));
+        let list = Expr::In(Box::new(Expr::var("v")), vec![iri("b"), iri("a"), iri("b")]);
+        let mut want = vec![a, b, spelled];
+        want.sort_unstable();
+        assert_eq!(implied_ids(&list, "v", &graph), Some(want));
+        let empty = Expr::In(Box::new(Expr::var("v")), vec![]);
+        assert_eq!(implied_ids(&empty, "v", &graph), Some(vec![]));
+        // a literal in the list compares by value: nothing
+        let mixed = Expr::In(
+            Box::new(Expr::var("v")),
+            vec![iri("b"), Expr::Literal(Literal::simple("x"))],
+        );
+        assert_eq!(implied_ids(&mixed, "v", &graph), None);
+        let needle = Expr::In(Box::new(Expr::var("w")), vec![iri("b")]);
+        assert_eq!(implied_ids(&needle, "v", &graph), None);
+    }
+
+    #[test]
+    fn implied_literal_constants_imply_nothing() {
+        let (graph, _) = implied_graph();
+        let literal = Literal::simple("http://ex/a");
+        let e = Expr::cmp(Expr::var("v"), CmpOp::Eq, Expr::Literal(literal));
+        assert_eq!(implied_ids(&e, "v", &graph), None);
+        let e = Expr::cmp(Expr::var("v"), CmpOp::Eq, Expr::Number(1.0));
+        assert_eq!(implied_ids(&e, "v", &graph), None);
+    }
+
+    #[test]
+    fn implied_conjunction_intersects_whichever_sides_imply() {
+        let (graph, [_, b, _]) = implied_graph();
+        let both = and(or(is("v", "a"), is("v", "b")), is("v", "b"));
+        assert_eq!(implied_ids(&both, "v", &graph), Some(vec![b]));
+        assert_eq!(
+            implied_ids(&and(is("v", "a"), is("v", "b")), "v", &graph),
+            Some(vec![])
+        );
+        // one side over another variable: the other side's set
+        let one = and(is("w", "a"), is("v", "b"));
+        assert_eq!(implied_ids(&one, "v", &graph), Some(vec![b]));
+        assert_eq!(
+            implied_ids(&and(is("w", "a"), is("w", "b")), "v", &graph),
+            None
+        );
+    }
+
+    #[test]
+    fn implied_disjunction_unions_only_when_both_sides_imply() {
+        let (graph, [a, b, spelled]) = implied_graph();
+        let mut want = vec![a, b, spelled];
+        want.sort_unstable();
+        let dnf = or(
+            and(is("v", "a"), is("w", "b")),
+            and(is("w", "a"), is("v", "b")),
+        );
+        assert_eq!(implied_ids(&dnf, "v", &graph), Some(want));
+        // a disjunct without ?v lets any value through
+        let open = or(is("v", "a"), is("w", "b"));
+        assert_eq!(implied_ids(&open, "v", &graph), None);
+        let absent = or(is("v", "absent"), is("v", "b"));
+        assert_eq!(implied_ids(&absent, "v", &graph), Some(vec![b]));
     }
 
     #[test]

@@ -11,12 +11,15 @@
 //! constants the graph does not intern, numerically equal but distinct
 //! literals, an IRI against a literal spelling it (where the id-level
 //! equality shortcut must not fire), `IN`, and arithmetic that divides by
-//! zero.
+//! zero. The same expressions check the member sets a filter implies
+//! ([`implied_ids`], which the columnar kernel and derivation prune by):
+//! whenever the compiled filter keeps a row, the row binds every implied
+//! variable to an id of its set.
 
 use re2x_datagen::{dbpedia, eurostat, production, running};
 use re2x_rdf::vocab::xsd;
 use re2x_rdf::{Graph, Literal, Term, TermId};
-use re2x_sparql::expr::{eval_expr, CompiledExpr, EvalContext};
+use re2x_sparql::expr::{eval_expr, implied_ids, CompiledExpr, EvalContext};
 use re2x_sparql::{AggFunc, ArithOp, CmpOp, Expr, Func, Value};
 use re2x_testkit::TestRng;
 
@@ -54,6 +57,8 @@ struct Pool {
     iris: Vec<String>,
     /// Literal constants: interned and not, numeric and not.
     literals: Vec<Literal>,
+    /// An IRI, a literal spelling it and a blank node.
+    spelling: [TermId; 3],
 }
 
 fn pool(mut graph: Graph) -> Pool {
@@ -88,9 +93,12 @@ fn pool(mut graph: Graph) -> Pool {
     }
     // an IRI, a literal spelling it, and a blank node
     let spelled = "http://ex.org/filter-differential/spelled";
-    terms.push(graph.intern_iri(spelled));
-    terms.push(graph.intern_literal(Literal::simple(spelled)));
-    terms.push(graph.intern(Term::blank("b0")));
+    let spelling = [
+        graph.intern_iri(spelled),
+        graph.intern_literal(Literal::simple(spelled)),
+        graph.intern(Term::blank("b0")),
+    ];
+    terms.extend(spelling);
     iris.push(spelled.to_owned());
     literals.push(Literal::simple(spelled));
     // constants the graph does not intern
@@ -103,6 +111,7 @@ fn pool(mut graph: Graph) -> Pool {
         terms,
         iris,
         literals,
+        spelling,
     }
 }
 
@@ -184,6 +193,17 @@ fn random_dnf(rng: &mut TestRng, pool: &Pool) -> Expr {
     })
 }
 
+/// A filter expression: the Similarity DNF one time in five, a random
+/// expression otherwise.
+fn random_filter(rng: &mut TestRng, pool: &Pool) -> Expr {
+    if rng.gen_bool(0.2) {
+        random_dnf(rng, pool)
+    } else {
+        let depth = rng.gen_range(1..5u32);
+        random_expr(rng, pool, depth)
+    }
+}
+
 /// `NaN != NaN` must not fail the comparison of two evaluators that both
 /// computed it.
 fn same(a: &Option<Value>, b: &Option<Value>) -> bool {
@@ -197,12 +217,7 @@ fn property_compiled_agrees_with_oracle(graph: Graph, name: &str) {
     let pool = pool(graph);
     let graph = &pool.graph;
     re2x_testkit::check(name, |rng| {
-        let expr = if rng.gen_bool(0.2) {
-            random_dnf(rng, &pool)
-        } else {
-            let depth = rng.gen_range(1..5u32);
-            random_expr(rng, &pool, depth)
-        };
+        let expr = random_filter(rng, &pool);
         let mut slot_of = |name: &str| VARS.iter().position(|v| *v == name).expect("known var");
         let compiled = CompiledExpr::compile(&expr, graph, &mut slot_of);
         for _ in 0..24 {
@@ -226,6 +241,50 @@ fn property_compiled_agrees_with_oracle(graph: Graph, name: &str) {
     });
 }
 
+/// The member sets a filter implies ([`implied_ids`]), over the same
+/// expressions: whenever the compiled filter keeps a row, the row binds
+/// every implied variable to an id of its set. Half the rows are drawn as
+/// above, half aimed at the implied sets and at the terms spelling an IRI,
+/// so that some are kept.
+fn property_implied_ids_hold_on_kept_rows(graph: Graph, name: &str) {
+    let pool = pool(graph);
+    let graph = &pool.graph;
+    let kept = std::cell::Cell::new(0usize);
+    re2x_testkit::check(name, |rng| {
+        let expr = random_filter(rng, &pool);
+        let mut slot_of = |name: &str| VARS.iter().position(|v| *v == name).expect("known var");
+        let compiled = CompiledExpr::compile(&expr, graph, &mut slot_of);
+        let implied: Vec<(usize, Vec<TermId>)> = (VARS.iter().enumerate())
+            .filter_map(|(slot, var)| Some((slot, implied_ids(&expr, var, graph)?)))
+            .collect();
+        for round in 0..24 {
+            let aimed = round % 2 == 1;
+            let mut row: Vec<Option<TermId>> = (0..3)
+                .map(|slot| match implied.iter().find(|(s, _)| *s == slot) {
+                    Some((_, ids)) if aimed && !ids.is_empty() && rng.gen_bool(0.7) => {
+                        Some(*rng.pick(ids))
+                    }
+                    Some(_) if aimed => Some(*rng.pick(&pool.spelling)),
+                    _ => rng.gen_bool(0.8).then(|| *rng.pick(&pool.terms)),
+                })
+                .collect();
+            row.push(None); // ?u
+            if !compiled.keeps(graph, row.as_slice()) {
+                continue;
+            }
+            kept.set(kept.get() + usize::from(!implied.is_empty()));
+            let text = re2x_sparql::pretty::expr(&expr);
+            for (slot, ids) in &implied {
+                let bound = row[*slot].is_some_and(|id| ids.binary_search(&id).is_ok());
+                assert!(bound, "{text} keeps {row:?} outside {ids:?}");
+            }
+        }
+    });
+    if std::env::var("RE2X_TEST_SEED").is_err() {
+        assert!(kept.get() > 0, "{name}: no kept row had an implied set");
+    }
+}
+
 #[test]
 fn compiled_filters_agree_with_the_oracle_on_running_example() {
     property_compiled_agrees_with_oracle(running::generate().graph, "filter_diff_running");
@@ -247,6 +306,14 @@ fn compiled_filters_agree_with_the_oracle_on_production() {
 #[test]
 fn compiled_filters_agree_with_the_oracle_on_dbpedia() {
     property_compiled_agrees_with_oracle(dbpedia::generate(150, 7).graph, "filter_diff_dbpedia");
+}
+
+#[test]
+fn implied_ids_hold_on_every_kept_row() {
+    property_implied_ids_hold_on_kept_rows(running::generate().graph, "implied_running");
+    property_implied_ids_hold_on_kept_rows(eurostat::generate(200, 3).graph, "implied_eurostat");
+    property_implied_ids_hold_on_kept_rows(production::generate(200, 5).graph, "implied_production");
+    property_implied_ids_hold_on_kept_rows(dbpedia::generate(150, 7).graph, "implied_dbpedia");
 }
 
 /// Malformed calls (constructible only through the AST, never the parser)

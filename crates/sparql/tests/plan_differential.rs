@@ -41,6 +41,15 @@
 //! splitting a run, unsorted and repeated subjects, a `LIMIT` inside the
 //! walk — are queried one by one.
 //!
+//! A Similarity filter's member sets cut the observations' column right
+//! after the step binding it (the kernel's reach), so the reach's edges —
+//! a member behind a property path, `IN`, an absent IRI, a variable
+//! missing from one disjunct, member sets on both sides of the admission
+//! line, two variables intersecting, M-to-N arms, live-written graphs, a
+//! `LIMIT` — are queried one by one, and a seeded harness puts a random
+//! Similarity filter on every star and checks that `explain` prints a
+//! reach exactly where the admission rule allows one.
+//!
 //! The planner itself never joins a pattern that shares no variable with
 //! the ones before it while one that does is left: on a workload whose
 //! text opens with a hierarchy pattern apart from the observation star,
@@ -936,6 +945,37 @@ star walk on ?o: steps 2–3
     );
 }
 
+/// `explain` names a reach above the step binding its hub: a month is one
+/// of 120 objects of refPeriod, so the filter's one member is admitted, and
+/// the observations' column is cut to the 4 it reaches right after the
+/// class step — while a sex, one of 3, is not (the golden plan above).
+#[test]
+fn explain_prints_a_reach_above_the_step_binding_its_hub() {
+    let dataset = eurostat::generate(400, 7);
+    let text = format!(
+        "SELECT ?o ?a ?b ?m WHERE {{ ?o a <{QB_OBSERVATION}> . ?o <{EUROSTAT}sex> ?a .
+         ?o <{EUROSTAT}refPeriod> ?b . ?o <{EUROSTAT}numApplicants> ?m .
+         FILTER(?b = <{EUROSTAT}member/month/0>) }}"
+    );
+    let query = parse_query(&text).expect("parses");
+    let plan = explain(&dataset.graph, &query).expect("explains");
+    assert_eq!(
+        plan.replace(EUROSTAT, "eg:"),
+        format!(
+            "executor: columnar
+reach ?o: 4 ids from ?b ∈ 1 members
+ 0. ?o <{}> <{QB_OBSERVATION}>   (cost estimate 25)
+star walk on ?o: steps 1–2
+ 1. ?o* <eg:sex> ?a   (cost estimate 25)
+ 2. ?o* <eg:refPeriod> ?b   (cost estimate 25)
+    select (?b = <eg:member/month/0>)
+ 3. ?o* <eg:numApplicants> ?m   (cost estimate 25)
+",
+            vocab::rdf::TYPE
+        )
+    );
+}
+
 /// The ids a column of `solutions` holds, row by row.
 fn ids(solutions: &Solutions, var: &str) -> Vec<TermId> {
     let name = var.trim_start_matches('?');
@@ -1068,6 +1108,297 @@ fn star_walk_edges_match_the_reference() {
             }
         }
     }
+}
+
+// ---- the reach ----------------------------------------------------------------
+
+/// `true` if `plan` prints exactly one reach, on `?o`, from `from` (`?v ∈
+/// n members, …`) — or none, when `from` is `None`.
+fn reaches_from(plan: &str, from: Option<&str>) -> bool {
+    let reaches: Vec<&str> = (plan.lines())
+        .filter(|line| line.starts_with("reach "))
+        .collect();
+    match (reaches.as_slice(), from) {
+        ([], None) => true,
+        ([line], Some(from)) => {
+            line.starts_with("reach ?o: ") && line.ends_with(&format!(" ids from {from}"))
+        }
+        _ => false,
+    }
+}
+
+/// The members an `IN` list or a disjunction names when its filter sits
+/// right at the line where a member set stops being admitted: the first
+/// `n` objects of `predicate`, with `n · 8` just reaching its distinct
+/// objects (`at_line`) or one member short of it.
+fn members_at_the_line(graph: &Graph, predicate: &str, at_line: bool) -> Vec<String> {
+    let p = graph.iri_id(predicate).expect("a predicate of the dataset");
+    let domain = graph.predicate_stats(p).distinct_objects;
+    let n = domain.div_ceil(8) - usize::from(!at_line);
+    let objects = graph.objects_of_predicate(p);
+    objects[..n]
+        .iter()
+        .map(|&o| graph.term(o).to_string())
+        .collect()
+}
+
+/// The reach's edges on a eurostat graph: (query, the `from` of the reach
+/// `explain` must print, or `None` for no reach). Every query keeps rows.
+fn eurostat_reach_cases(graph: &Graph) -> Vec<(String, Option<String>)> {
+    let e = EUROSTAT;
+    let star = format!("?o a <{QB_OBSERVATION}> . ?o <{e}citizen> ?c . ?o <{e}numApplicants> ?m");
+    let citizens = constants(graph, "?c", &format!("?o <{e}citizen> ?c"));
+    let (c0, c1, c2) = (&citizens[0][0], &citizens[1][0], &citizens[2][0]);
+    // two member combinations, one variable behind a property path
+    let rolled_up = format!("?o <{e}geo> / <{e}inRegion> ?up . ?o <{e}citizen> ?b");
+    let combinations = constants(graph, "?up ?b", &rolled_up);
+    let kept: Vec<&Vec<String>> = combinations.iter().step_by(7).take(2).collect();
+    let distinct = |at: usize| {
+        let mut members: Vec<&String> = kept.iter().map(|c| &c[at]).collect();
+        members.sort();
+        members.dedup();
+        members.len()
+    };
+    let similarity = dnf(&["?up", "?b"], &kept);
+    let month = |i: usize| format!("<{e}member/month/{i}>");
+    let absent = format!("<{e}member/country/absent>");
+    let citizen = format!("{e}citizen");
+    let at_line = members_at_the_line(graph, &citizen, true);
+    let below = members_at_the_line(graph, &citizen, false);
+    let members = |n: usize| format!("?c ∈ {n} members");
+    vec![
+        (
+            format!(
+                "SELECT ?up ?b (SUM(?m) AS ?sum) (COUNT(?m) AS ?n)
+                 WHERE {{ {rolled_up} . ?o <{e}numApplicants> ?m . {similarity} }}
+                 GROUP BY ?up ?b"
+            ),
+            Some(format!(
+                "?up ∈ {} members, ?b ∈ {} members",
+                distinct(0),
+                distinct(1)
+            )),
+        ),
+        (
+            format!("SELECT ?o ?up ?b WHERE {{ {rolled_up} . {similarity} }}"),
+            Some(format!(
+                "?up ∈ {} members, ?b ∈ {} members",
+                distinct(0),
+                distinct(1)
+            )),
+        ),
+        (
+            format!("SELECT ?o ?c ?m WHERE {{ {star} . FILTER(?c IN ({c0}, {c1}, {c2})) }}"),
+            Some(members(3)),
+        ),
+        // an IRI the graph does not hold contributes no id
+        (
+            format!("SELECT ?o ?c ?m WHERE {{ {star} . FILTER(?c = {absent} || {c1} = ?c) }}"),
+            Some(members(1)),
+        ),
+        // ?c is missing from a disjunct: only ?t reaches
+        (
+            format!(
+                "SELECT ?o ?c ?t WHERE {{ {star} . ?o <{e}refPeriod> ?t .
+                 FILTER((?c = {c0} && ?t = {}) || ?t = {}) }}",
+                month(0),
+                month(1)
+            ),
+            Some("?t ∈ 2 members".to_owned()),
+        ),
+        (
+            format!(
+                "SELECT ?o ?c ?t WHERE {{ {star} . ?o <{e}refPeriod> ?t .
+                 FILTER(?c = {c0} || ?t = {}) }}",
+                month(1)
+            ),
+            None,
+        ),
+        // right at the FAR_FEWER line, and one member below it
+        (
+            format!(
+                "SELECT ?o ?c ?m WHERE {{ {star} . FILTER(?c IN ({})) }}",
+                at_line.join(", ")
+            ),
+            None,
+        ),
+        (
+            format!(
+                "SELECT ?o ?c ?m WHERE {{ {star} . FILTER(?c IN ({})) }}",
+                below.join(", ")
+            ),
+            Some(members(below.len())),
+        ),
+    ]
+}
+
+/// The reach's edges on a dbpedia graph: M-to-N arms — a song's several
+/// genres, a genre's several stylistic origins — behind both admitted
+/// variables of a Similarity filter, which intersect on `?o`.
+fn dbpedia_reach_cases(graph: &Graph) -> Vec<(String, Option<String>)> {
+    let d = DBPEDIA;
+    let rolled_up = format!("?o <{d}genre> / <{d}stylisticOrigin> ?up . ?o <{d}artist> ?b");
+    let combinations = constants(graph, "?up ?b", &rolled_up);
+    let kept: Vec<&Vec<String>> = combinations.iter().step_by(11).take(4).collect();
+    let similarity = dnf(&["?up", "?b"], &kept);
+    let from = "?up ∈ 4 members, ?b ∈ 4 members".to_owned();
+    vec![
+        (
+            format!(
+                "SELECT ?o ?up ?b ?m WHERE {{ {rolled_up} . ?o <{d}playCount> ?m . {similarity} }}"
+            ),
+            Some(from.clone()),
+        ),
+        (
+            format!(
+                "SELECT ?up ?b (MAX(?m) AS ?max) (AVG(?m) AS ?avg)
+                 WHERE {{ {rolled_up} . ?o <{d}playCount> ?m . {similarity} }} GROUP BY ?up ?b"
+            ),
+            Some(from),
+        ),
+    ]
+}
+
+/// Each reach edge, on the generated graph and on its live-written form,
+/// byte for byte against the reference: `explain` prints the reach the
+/// case expects (or none), the answer keeps rows, and a `LIMIT` — which
+/// the kernel runs under a row budget — cuts it to a prefix.
+#[test]
+fn reach_edges_match_the_reference() {
+    let datasets = [
+        eurostat::generate(400, 7),
+        live_written(eurostat::generate(400, 7)),
+        dbpedia::generate(300, 13),
+        live_written(dbpedia::generate(300, 13)),
+    ];
+    for (i, dataset) in datasets.iter().enumerate() {
+        let graph = &dataset.graph;
+        let cases = if i < 2 {
+            eurostat_reach_cases(graph)
+        } else {
+            dbpedia_reach_cases(graph)
+        };
+        for (text, from) in cases {
+            let query = parse_query(&text).expect("parses");
+            let plan = explain(graph, &query).expect("explains");
+            assert!(
+                reaches_from(&plan, from.as_deref()),
+                "{from:?}: {text}:\n{plan}"
+            );
+            let got = evaluate(graph, &query).expect("evaluates");
+            assert_eq!(
+                Ok(&got),
+                evaluate_reference(graph, &query).as_ref(),
+                "{text}"
+            );
+            assert!(!got.is_empty(), "vacuous: {text}");
+            if text.contains("GROUP BY") {
+                continue;
+            }
+            for limit in [1, got.len() / 2, got.len() - 1] {
+                let limited = parse_query(&format!("{text} LIMIT {limit}")).expect("parses");
+                let mut want = got.clone();
+                want.rows.truncate(limit);
+                assert_eq!(evaluate(graph, &limited), Ok(want), "{text} LIMIT {limit}");
+            }
+        }
+    }
+}
+
+/// A random pinned query whose star always carries a Similarity filter — a
+/// disjunction of one to eight member combinations over one or two of its
+/// grouping variables, so the member sets fall on both sides of the
+/// `FAR_FEWER` line: [`evaluate`] answers it as the reference does in two
+/// textual orders, and `explain` prints a reach on `?o` exactly when some
+/// variable's member set is 8 times fewer than its arm predicate's objects,
+/// from exactly those variables.
+fn property_reach_queries_agree(dataset: &Dataset, name: &str) {
+    let graph = &dataset.graph;
+    let harness = Harness::new(dataset);
+    re2x_testkit::check(name, |rng| {
+        let star = random_star(rng, &harness);
+        // each grouping variable, its members and the predicate of its arm
+        let mut vars: Vec<(String, &Vec<String>, &String)> = star
+            .dims
+            .iter()
+            .enumerate()
+            .map(|(i, &d)| {
+                let predicate = &dataset.dimension_predicates[d];
+                (format!("?d{i}"), &harness.members[d], predicate)
+            })
+            .collect();
+        if star.has_path {
+            vars.push(("?up".to_owned(), &harness.coarse_members, harness.coarse.1));
+        }
+        while vars.len() > 2 || (vars.len() == 2 && rng.gen_bool(0.3)) {
+            vars.remove(rng.gen_range(0..vars.len()));
+        }
+        let combinations: Vec<Vec<String>> = (0..rng.gen_range(1..9usize))
+            .map(|_| vars.iter().map(|(_, m, _)| rng.pick(m).clone()).collect())
+            .collect();
+        let names: Vec<&str> = vars.iter().map(|(name, ..)| name.as_str()).collect();
+        let filter = dnf(&names, &combinations.iter().collect::<Vec<_>>());
+        let admitted: Vec<String> = vars
+            .iter()
+            .enumerate()
+            .filter_map(|(k, (name, _, predicate))| {
+                let mut members: Vec<&String> = combinations.iter().map(|c| &c[k]).collect();
+                members.sort();
+                members.dedup();
+                let p = graph.iri_id(predicate).expect("a predicate of the dataset");
+                let domain = graph.predicate_stats(p).distinct_objects;
+                (members.len() * 8 < domain).then(|| format!("{name} ∈ {} members", members.len()))
+            })
+            .collect();
+        let from = (!admitted.is_empty()).then(|| admitted.join(", "));
+        let all = star.projected().join(" ");
+        let text = format!(
+            "SELECT {all} WHERE {{ {} . {filter} }} ORDER BY {all}",
+            star.wher()
+        );
+        let query = parse_query(&text).expect("generated query parses");
+        let plan = explain(graph, &query).expect("explains");
+        assert!(
+            reaches_from(&plan, from.as_deref()),
+            "{from:?}: {text}:\n{plan}"
+        );
+        let got = evaluate(graph, &query);
+        assert_eq!(got, evaluate_reference(graph, &query), "diverges on {text}");
+        let permuted = text.replacen(&star.wher(), &star.permuted(rng), 1);
+        let query = parse_query(&permuted).expect("permuted query parses");
+        let permuted_got = evaluate(graph, &query);
+        assert_eq!(
+            permuted_got,
+            evaluate_reference(graph, &query),
+            "diverges on {permuted}"
+        );
+        assert_eq!(
+            permuted_got, got,
+            "{text}\nanswers differently permuted as\n{permuted}"
+        );
+    });
+}
+
+#[test]
+fn property_reach_queries_agree_on_eurostat() {
+    property_reach_queries_agree(&eurostat::generate(400, 99), "reach_eurostat");
+}
+
+#[test]
+fn property_reach_queries_agree_on_dbpedia() {
+    property_reach_queries_agree(&dbpedia::generate(250, 101), "reach_dbpedia");
+}
+
+#[test]
+fn property_reach_queries_agree_on_live_written_graphs() {
+    property_reach_queries_agree(
+        &live_written(eurostat::generate(400, 7)),
+        "reach_live_eurostat",
+    );
+    property_reach_queries_agree(
+        &live_written(dbpedia::generate(300, 13)),
+        "reach_live_dbpedia",
+    );
 }
 
 // ---- LIMIT pushdown ---------------------------------------------------------

@@ -150,10 +150,21 @@ echo "== plan + filter differential suites (offline) =="
 # two or more consecutive arms on one column, and the walk's edges
 # (multi-valued arms, empty arms, a filter splitting a run, unsorted and
 # repeated subjects, a LIMIT crossed inside a run) are queried one by one.
+# A FILTER's implied member sets cut the hub's column right after the step
+# binding it (the reach): the reach's edges (a member behind a property
+# path, IN, an absent IRI, a variable missing from one disjunct, member
+# sets at and below the FAR_FEWER line, two admitted variables
+# intersecting on ?o, dbpedia's M-to-N arms, live-written graphs, a
+# pushed-down LIMIT) must answer as the reference, and on seeded stars
+# under a random Similarity filter explain must print a reach exactly
+# when the rule admits one.
 cargo test -q --offline -p re2x-sparql --test plan_differential
 # The compiled filter evaluator (the only one WHERE filters run through)
-# must agree with the tree-walking eval_expr on seeded random expressions.
+# must agree with the tree-walking eval_expr on seeded random expressions,
+# and every row it keeps must bind each implied variable to an id of the
+# set implied_ids computes; the rules of that analysis have unit tests.
 cargo test -q --offline -p re2x-sparql --test filter_differential
+cargo test -q --offline -p re2x-sparql --lib implied
 # A set query (one DISTINCT / COUNT(DISTINCT) variable over a flat block,
 # or COUNT over one pattern) is a chain of nodes, each read by an index
 # read, forward along its seeds' runs, backward from its candidates'
@@ -244,7 +255,11 @@ echo "== scale experiment: snapshot load vs regeneration ladder (offline) =="
 # bounds work, not just output). Each rung then walks the interactive loop
 # on the loaded graph: the Top-k and the Similarity refinement it applies
 # to the drilled-down query must be answered from that step's rows — zero
-# endpoint queries — byte-identical to executing them. Last, the loaded
+# endpoint queries — byte-identical to executing them, and cheaper. The
+# executed Similarity query walks only the observations its members reach
+# (the kernel's reach), so derivation stays cheaper only because it too
+# rejects a row on its key ids (one binary search per keyed column) before
+# evaluating the filter's disjunction. Last, the loaded
 # graph is cloned and then written to beside the live clone: both must cost
 # milliseconds at most (an index copy or rebuild is hundreds here). A fresh
 # literal interned beside the clone is reported (`first_fresh_literal_ms`),

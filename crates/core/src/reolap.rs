@@ -22,12 +22,12 @@ use crate::query_model::{
 };
 use re2x_cube::{patterns, LevelId, VirtualSchemaGraph};
 use re2x_obs::Tracer;
+use re2x_rdf::hash::{FxHashMap, FxHashSet};
 use re2x_rdf::{gallop, TermId};
 use re2x_sparql::{
     AggFunc, Expr, PatternElement, Query, QueryForm, SelectItem, SparqlEndpoint, TermPattern,
     TriplePattern, Value,
 };
-use std::collections::{HashMap, HashSet};
 use std::ops::Range;
 use std::time::{Duration, Instant};
 
@@ -46,9 +46,11 @@ pub struct ReolapConfig {
     /// Upper bound on interpretation combinations before giving up with
     /// [`Re2xError::TooManyInterpretations`].
     pub max_interpretations: usize,
-    /// Tracer receiving per-phase spans (`reolap`, `reolap.match` per
-    /// keyword, `reolap.observations` per fetched observation set,
-    /// `reolap.validate` per candidate). Disabled by default.
+    /// Tracer receiving per-phase spans under `reolap`: `reolap.match` per
+    /// keyword, `reolap.enumerate` once (candidate enumeration),
+    /// `reolap.observations` per fetched observation set, `reolap.validate`
+    /// per candidate and `reolap.build` once (the valid candidates'
+    /// queries). Disabled by default.
     pub tracer: Tracer,
 }
 
@@ -138,8 +140,9 @@ pub fn reolap(
     // is pure CPU — no endpoint traffic — so it runs to completion first;
     // validation, the only query-issuing step, then sees the full candidate
     // list and can share work across it (see [`validate_candidates`]).
+    let enumerate = config.tracer.span("reolap.enumerate");
     let mut candidates: Vec<Vec<&ExampleBinding>> = Vec::new();
-    let mut seen: HashSet<Vec<(LevelId, &str)>> = HashSet::new();
+    let mut seen: FxHashSet<Vec<(LevelId, &str)>> = FxHashSet::default();
     let mut indices = vec![0usize; per_component.len()];
     loop {
         let bindings: Vec<&ExampleBinding> = indices
@@ -160,13 +163,19 @@ pub fn reolap(
             break;
         }
     }
+    drop(enumerate);
 
     let verdicts = validate_candidates(endpoint, schema, &candidates, config)?;
+    let _build = config.tracer.span("reolap.build");
+    let mut parts = None;
     let queries: Vec<OlapQuery> = candidates
         .iter()
         .zip(&verdicts)
         .filter(|&(_, &valid)| valid)
-        .map(|(bindings, _)| get_query(schema, &owned(bindings), &config.aggregates))
+        .map(|(bindings, _)| {
+            let parts = parts.get_or_insert_with(|| QueryParts::new(schema, &config.aggregates));
+            parts.build(vec![owned(bindings)])
+        })
         .collect();
     Ok(SynthesisOutcome {
         queries,
@@ -211,7 +220,7 @@ pub fn validate_candidates(
     // distinct interpretations in first-seen order; per candidate, the
     // slots of its bindings
     let mut interpretations: Vec<&ExampleBinding> = Vec::new();
-    let mut slot_of: HashMap<(LevelId, &str), usize> = HashMap::new();
+    let mut slot_of: FxHashMap<(LevelId, &str), usize> = FxHashMap::default();
     let slots: Vec<Vec<usize>> = candidates
         .iter()
         .map(|bindings| {
@@ -285,13 +294,17 @@ fn observation_set(
     query.select = vec![SelectItem::Var("o".to_owned())];
     query.limit = Some(OBSERVATION_SET_CAP + 1);
 
-    let mut fetch = tracer.span_with(
-        "reolap.observations",
-        &[
-            ("level", &schema.level(binding.level).path.join("/")),
-            ("member", &binding.member_iri),
-        ],
-    );
+    let mut fetch = if tracer.is_enabled() {
+        tracer.span_with(
+            "reolap.observations",
+            &[
+                ("level", &schema.level(binding.level).path.join("/")),
+                ("member", &binding.member_iri),
+            ],
+        )
+    } else {
+        tracer.span("reolap.observations")
+    };
     let solutions = endpoint.select(&query)?;
     let truncated = solutions.rows.len() > OBSERVATION_SET_CAP;
     fetch.record("rows", solutions.rows.len());
@@ -385,6 +398,7 @@ pub fn reolap_multi(
     }
 
     // per-position levels consistent across every tuple
+    let enumerate = config.tracer.span("reolap.enumerate");
     let mut position_levels: Vec<Vec<LevelId>> = Vec::with_capacity(arity);
     for position in 0..arity {
         let mut levels: Vec<LevelId> = all[0][position].iter().map(|m| m.binding.level).collect();
@@ -443,11 +457,14 @@ pub fn reolap_multi(
             break;
         }
     }
+    drop(enumerate);
 
     // A tuple holds at a combo iff one of its candidates validates
     // (footnote 3); a combo is valid iff all its tuples hold, and its query
     // carries each tuple's first valid candidate.
     let verdicts = validate_candidates(endpoint, schema, &candidates, config)?;
+    let _build = config.tracer.span("reolap.build");
+    let mut parts = None;
     let queries = spans
         .chunks(examples.len())
         .filter_map(|combo| {
@@ -458,7 +475,11 @@ pub fn reolap_multi(
                     valid.map(|c| owned(&candidates[c]))
                 })
                 .collect();
-            tuples.map(|tuples| get_query_tuples(schema, &tuples, &config.aggregates))
+            tuples.map(|tuples| {
+                let parts =
+                    parts.get_or_insert_with(|| QueryParts::new(schema, &config.aggregates));
+                parts.build(tuples)
+            })
         })
         .collect();
     Ok(SynthesisOutcome {
@@ -509,7 +530,7 @@ pub fn get_query(
     bindings: &[ExampleBinding],
     aggregates: &[AggFunc],
 ) -> OlapQuery {
-    get_query_tuples(schema, &[bindings.to_vec()], aggregates)
+    QueryParts::new(schema, aggregates).build(vec![bindings.to_vec()])
 }
 
 /// [`get_query`] for multiple example tuples: one query whose grouping
@@ -519,106 +540,157 @@ pub fn get_query_tuples(
     tuples: &[Vec<ExampleBinding>],
     aggregates: &[AggFunc],
 ) -> OlapQuery {
-    // distinct levels in first-mention order
-    let mut levels: Vec<LevelId> = Vec::new();
-    for b in tuples.iter().flatten() {
-        if !levels.contains(&b.level) {
-            levels.push(b.level);
+    QueryParts::new(schema, aggregates).build(tuples.to_vec())
+}
+
+/// The parts of `GetQuery`'s output that do not depend on the candidate,
+/// made once per synthesis: a candidate is assembled by cloning them, so
+/// only its group-by list, the "matching …" tail of its description and
+/// its example are written per candidate. The description is templated
+/// from the schema annotations (Section 5.1, "Presenting Query
+/// Interpretations").
+struct QueryParts<'a> {
+    schema: &'a VirtualSchemaGraph,
+    /// `?o a <observation class>`.
+    observation: PatternElement,
+    /// `?o <measure> ?m<i>` per measure.
+    measure_arms: Vec<PatternElement>,
+    /// Every measure aggregated with every function, in projection order.
+    aggregate_items: Vec<SelectItem>,
+    measure_columns: Vec<MeasureColumn>,
+    /// `Return MAX(…), … and SUM(…) grouped by `.
+    returns: String,
+    /// Per level, by [`LevelId::index`]: filled the first time a candidate
+    /// groups by it.
+    levels: Vec<Option<LevelParts>>,
+}
+
+/// One level's grouping parts.
+struct LevelParts {
+    var: String,
+    /// `?o <p1>/<p2>/… ?var`.
+    arm: PatternElement,
+    /// The level's display, quoted, as the description names it.
+    display: String,
+}
+
+impl<'a> QueryParts<'a> {
+    fn new(schema: &'a VirtualSchemaGraph, aggregates: &[AggFunc]) -> Self {
+        let columns = schema.measures().len() * aggregates.len();
+        let mut measure_arms = Vec::with_capacity(schema.measures().len());
+        let mut aggregate_items = Vec::with_capacity(columns);
+        let mut measure_columns = Vec::with_capacity(columns);
+        let mut returns = String::from("Return ");
+        for (mi, measure) in schema.measures().iter().enumerate() {
+            let value_var = format!("m{mi}");
+            measure_arms.push(PatternElement::Triple(TriplePattern::new(
+                TermPattern::Var("o".to_owned()),
+                measure.predicate.clone(),
+                TermPattern::Var(value_var.clone()),
+            )));
+            for &agg in aggregates {
+                returns.push_str(list_separator(measure_columns.len(), columns));
+                returns.push_str(&format!("{}({})", agg.keyword(), measure.label));
+                let alias = measure_alias(schema, measure.id, agg);
+                aggregate_items.push(SelectItem::Agg {
+                    func: agg,
+                    expr: Expr::var(value_var.clone()),
+                    alias: alias.clone(),
+                });
+                measure_columns.push(MeasureColumn {
+                    alias,
+                    measure: measure.id,
+                    agg,
+                });
+            }
+        }
+        returns.push_str(" grouped by ");
+        QueryParts {
+            schema,
+            observation: patterns::observation_type("o", &schema.observation_class),
+            measure_arms,
+            aggregate_items,
+            measure_columns,
+            returns,
+            levels: schema.levels().iter().map(|_| None).collect(),
         }
     }
 
-    let mut wher = vec![patterns::observation_type("o", &schema.observation_class)];
-    let mut group_columns = Vec::with_capacity(levels.len());
-    for &level in &levels {
-        let var = level_var_name(schema, level);
-        wher.push(patterns::path_to_member(
-            "o",
-            &schema.level(level).path,
-            &var,
-        ));
-        group_columns.push(GroupColumn { var, level });
+    fn level(&mut self, level: LevelId) -> &LevelParts {
+        let schema = self.schema;
+        self.levels[level.index()].get_or_insert_with(|| {
+            let var = level_var_name(schema, level);
+            LevelParts {
+                arm: patterns::path_to_member("o", &schema.level(level).path, &var),
+                display: format!("\"{}\"", OlapQuery::level_display(schema, level)),
+                var,
+            }
+        })
     }
 
-    let mut select: Vec<SelectItem> = group_columns
-        .iter()
-        .map(|c| SelectItem::Var(c.var.clone()))
-        .collect();
-    let mut measure_columns = Vec::new();
-    for (mi, measure) in schema.measures().iter().enumerate() {
-        let value_var = format!("m{mi}");
-        wher.push(PatternElement::Triple(TriplePattern::new(
-            TermPattern::Var("o".to_owned()),
-            measure.predicate.clone(),
-            TermPattern::Var(value_var.clone()),
-        )));
-        for &agg in aggregates {
-            let alias = measure_alias(schema, measure.id, agg);
-            select.push(SelectItem::Agg {
-                func: agg,
-                expr: Expr::var(value_var.clone()),
-                alias: alias.clone(),
+    /// The query for one candidate: grouping at the distinct levels of
+    /// `example`'s bindings in first-mention order.
+    fn build(&mut self, example: Vec<Vec<ExampleBinding>>) -> OlapQuery {
+        let mut levels: Vec<LevelId> = Vec::new();
+        for b in example.iter().flatten() {
+            if !levels.contains(&b.level) {
+                levels.push(b.level);
+            }
+        }
+
+        let mut wher = Vec::with_capacity(1 + levels.len() + self.measure_arms.len());
+        wher.push(self.observation.clone());
+        let mut group_columns = Vec::with_capacity(levels.len());
+        let mut description = self.returns.clone();
+        for (i, &level) in levels.iter().enumerate() {
+            let parts = self.level(level);
+            wher.push(parts.arm.clone());
+            group_columns.push(GroupColumn {
+                var: parts.var.clone(),
+                level,
             });
-            measure_columns.push(MeasureColumn {
-                alias,
-                measure: measure.id,
-                agg,
-            });
+            description.push_str(list_separator(i, levels.len()));
+            description.push_str(&parts.display);
+        }
+        wher.extend_from_slice(&self.measure_arms);
+        // the example's labels in binding order, a run of one label once
+        let mut labels = example.iter().flatten().map(|b| b.label.as_str());
+        if let Some(mut previous) = labels.next() {
+            description.push_str(" (matching ");
+            description.push_str(previous);
+            for label in labels {
+                if label != previous {
+                    description.push_str(", ");
+                    description.push_str(label);
+                    previous = label;
+                }
+            }
+            description.push(')');
+        }
+
+        let mut select = Vec::with_capacity(group_columns.len() + self.aggregate_items.len());
+        select.extend(group_columns.iter().map(|c| SelectItem::Var(c.var.clone())));
+        select.extend_from_slice(&self.aggregate_items);
+        let mut query = Query::select_all(wher);
+        query.select = select;
+        query.group_by = group_columns.iter().map(|c| c.var.clone()).collect();
+        OlapQuery {
+            query,
+            group_columns,
+            measure_columns: self.measure_columns.clone(),
+            example,
+            description,
         }
     }
-
-    let mut query = Query::select_all(wher);
-    query.select = select;
-    query.group_by = group_columns.iter().map(|c| c.var.clone()).collect();
-
-    let flattened: Vec<ExampleBinding> = tuples.iter().flatten().cloned().collect();
-    let description = describe(schema, &group_columns, &measure_columns, &flattened);
-    OlapQuery {
-        query,
-        group_columns,
-        measure_columns,
-        example: tuples.to_vec(),
-        description,
-    }
 }
 
-/// Natural-language description of a query, templated from the schema
-/// annotations (Section 5.1, "Presenting Query Interpretations").
-pub fn describe(
-    schema: &VirtualSchemaGraph,
-    group_columns: &[GroupColumn],
-    measure_columns: &[MeasureColumn],
-    bindings: &[ExampleBinding],
-) -> String {
-    let aggs: Vec<String> = measure_columns
-        .iter()
-        .map(|m| format!("{}({})", m.agg.keyword(), schema.measure(m.measure).label))
-        .collect();
-    let groups: Vec<String> = group_columns
-        .iter()
-        .map(|c| format!("\"{}\"", OlapQuery::level_display(schema, c.level)))
-        .collect();
-    let mut matched: Vec<String> = bindings.iter().map(|b| b.label.clone()).collect();
-    matched.dedup();
-    let mut text = format!(
-        "Return {} grouped by {}",
-        join_natural(&aggs),
-        join_natural(&groups)
-    );
-    if !matched.is_empty() {
-        text.push_str(&format!(" (matching {})", matched.join(", ")));
-    }
-    text
-}
-
-fn join_natural(items: &[String]) -> String {
-    match items.len() {
-        0 => String::new(),
-        1 => items[0].clone(),
-        _ => format!(
-            "{} and {}",
-            items[..items.len() - 1].join(", "),
-            items[items.len() - 1]
-        ),
+/// What precedes item `i` of `n` in an English list: `a`, `a and b`,
+/// `a, b and c`.
+fn list_separator(i: usize, n: usize) -> &'static str {
+    match i {
+        0 => "",
+        _ if i + 1 == n => " and ",
+        _ => ", ",
     }
 }
 
@@ -851,14 +923,71 @@ mod tests {
         assert!(!intersects(&mut []));
     }
 
+    /// A builder's query for a candidate equals a fresh builder's, whatever
+    /// it built before: the per-level entries an earlier candidate filled
+    /// serve every later one, in any order.
     #[test]
-    fn join_natural_formats() {
-        assert_eq!(join_natural(&[]), "");
-        assert_eq!(join_natural(&["a".into()]), "a");
-        assert_eq!(join_natural(&["a".into(), "b".into()]), "a and b");
-        assert_eq!(
-            join_natural(&["a".into(), "b".into(), "c".into()]),
-            "a, b and c"
-        );
+    fn shared_parts_build_what_a_fresh_builder_builds() {
+        let datasets = [
+            ("eurostat", re2x_datagen::eurostat::generate(300, 7)),
+            ("dbpedia", re2x_datagen::dbpedia::generate(300, 13)),
+        ];
+        for (name, dataset) in datasets {
+            let endpoint = LocalEndpoint::new(dataset.graph);
+            let config = BootstrapConfig::new(&dataset.observation_class);
+            let schema = bootstrap(&endpoint, &config).expect("bootstrap").schema;
+            let levels: Vec<LevelId> = schema.levels().iter().map(|l| l.id).collect();
+            re2x_testkit::check_n(&format!("query_parts_{name}"), 16, |rng| {
+                let aggregates: Vec<AggFunc> = AggFunc::ALL
+                    .into_iter()
+                    .filter(|_| rng.gen_bool(0.6))
+                    .collect();
+                // few members and labels, so tuples repeat levels and labels
+                let mut binding = || {
+                    let member = rng.gen_range(0..3usize);
+                    ExampleBinding {
+                        keyword: format!("k{member}"),
+                        member_iri: format!("http://ex/m{member}"),
+                        label: format!("M{member}"),
+                        level: *rng.pick(&levels),
+                    }
+                };
+                let mut candidates: Vec<Vec<Vec<ExampleBinding>>> = Vec::new();
+                for _ in 0..12 {
+                    let (tuples, arity) = (1 + candidates.len() % 2, 1 + candidates.len() % 3);
+                    let example = (0..tuples)
+                        .map(|_| (0..arity).map(|_| binding()).collect())
+                        .collect();
+                    candidates.push(example);
+                }
+                let fresh: Vec<OlapQuery> = candidates
+                    .iter()
+                    .map(|example| get_query_tuples(&schema, example, &aggregates))
+                    .collect();
+                let mut order: Vec<usize> = (0..candidates.len()).collect();
+                for _ in 0..2 {
+                    let mut parts = QueryParts::new(&schema, &aggregates);
+                    for &c in &order {
+                        let built = parts.build(candidates[c].clone());
+                        assert_eq!(built, fresh[c], "{name}: candidate {c} after {order:?}");
+                    }
+                    rng.shuffle(&mut order);
+                }
+            });
+        }
+    }
+
+    #[test]
+    fn lists_read_as_english() {
+        let list = |items: &[&str]| -> String {
+            let n = items.len();
+            let each = items.iter().enumerate();
+            each.map(|(i, item)| format!("{}{item}", list_separator(i, n)))
+                .collect()
+        };
+        assert_eq!(list(&[]), "");
+        assert_eq!(list(&["a"]), "a");
+        assert_eq!(list(&["a", "b"]), "a and b");
+        assert_eq!(list(&["a", "b", "c"]), "a, b and c");
     }
 }

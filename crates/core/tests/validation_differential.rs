@@ -5,14 +5,16 @@
 //! [`validate_interpretation`] oracle, and the synthesized queries equal
 //! the oracle walk's byte for byte — on all four datasets, on fixtures
 //! built to hit each branch (sets, truncated sets, plain `ASK`), and
-//! behind a [`ShardedEndpoint`].
+//! behind a [`ShardedEndpoint`]. A golden digest pins the SPARQL text and
+//! description of every candidate built for fixed dbpedia and eurostat
+//! tuples.
 
 use re2x_cube::{bootstrap, BootstrapConfig, LevelId, VirtualSchemaGraph};
 use re2x_datagen::common::Dataset;
 use re2x_obs::Tracer;
 use re2x_rdf::io::parse_turtle;
 use re2x_rdf::Graph;
-use re2x_sparql::{LocalEndpoint, ShardedEndpoint, SparqlEndpoint};
+use re2x_sparql::{AggFunc, LocalEndpoint, ShardedEndpoint, SparqlEndpoint};
 use re2x_testkit::{check_n, TestRng};
 use re2xolap::reolap::{
     get_query_tuples, reolap, reolap_multi, validate_candidates, validate_interpretation,
@@ -655,4 +657,84 @@ fn sharded_endpoints_validate_identically() {
             );
         }
     }
+}
+
+/// FNV-1a over each query's SPARQL text and description, in order.
+fn text_digest(queries: &[OlapQuery]) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for query in queries {
+        let text = format!("{}\n{}\n", query.sparql(), query.description);
+        for byte in text.bytes() {
+            hash = (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    hash
+}
+
+/// Every query `reolap` and `reolap_multi` build for fixed keyword tuples
+/// anchored at observations of `dataset` — unvalidated (one per candidate)
+/// and validated, under the default and a non-default aggregate list —
+/// as (query count, digest of their text).
+fn built_queries_digest(dataset: Dataset) -> (usize, u64) {
+    let (endpoint, schema, dataset) = local(dataset);
+    let mut tuples = Vec::new();
+    for (size, seed) in [(2, 5), (3, 6)] {
+        let anchored =
+            re2x_datagen::common::example_workload_on(endpoint.graph(), &dataset, size, 4, seed);
+        // every other tuple typed as the ambiguous last tokens
+        tuples.extend(anchored.into_iter().enumerate().map(|(i, tuple)| {
+            let typed = tuple.iter().map(|label| match i % 2 {
+                0 => last_token(label).to_owned(),
+                _ => label.clone(),
+            });
+            typed.collect::<Vec<String>>()
+        }));
+    }
+    let mut queries = Vec::new();
+    for (validate, aggregates) in [
+        (false, AggFunc::NUMERIC.to_vec()),
+        (true, AggFunc::NUMERIC.to_vec()),
+        (true, vec![AggFunc::Count, AggFunc::Sum]),
+    ] {
+        let config = ReolapConfig {
+            mode: MatchMode::Keyword,
+            validate,
+            aggregates,
+            ..Default::default()
+        };
+        for tuple in &tuples {
+            let example: Vec<&str> = tuple.iter().map(String::as_str).collect();
+            match reolap(&endpoint, &schema, &example, &config) {
+                Ok(outcome) => queries.extend(outcome.queries),
+                Err(Re2xError::NoMatch { .. } | Re2xError::TooManyInterpretations { .. }) => {}
+                Err(other) => panic!("{example:?}: {other:?}"),
+            }
+        }
+        // tuples of one size, two at a time
+        for pair in tuples.chunks(2) {
+            match reolap_multi(&endpoint, &schema, pair, &config) {
+                Ok(outcome) => queries.extend(outcome.queries),
+                Err(Re2xError::NoMatch { .. } | Re2xError::TooManyInterpretations { .. }) => {}
+                Err(other) => panic!("{pair:?}: {other:?}"),
+            }
+        }
+    }
+    (queries.len(), text_digest(&queries))
+}
+
+/// The SPARQL text and description of every candidate, byte for byte as
+/// synthesis built them before candidates were assembled from shared
+/// per-call parts.
+#[test]
+fn built_candidates_match_the_golden_digest() {
+    assert_eq!(
+        built_queries_digest(re2x_datagen::dbpedia::generate(600, 13)),
+        (1254, 0x7eb8_a55d_88d8_12b2),
+        "dbpedia"
+    );
+    assert_eq!(
+        built_queries_digest(re2x_datagen::eurostat::generate(500, 7)),
+        (174, 0x7f72_dc73_1b11_11f6),
+        "eurostat"
+    );
 }

@@ -312,7 +312,10 @@ fn compiled_filters_agree_with_the_oracle_on_dbpedia() {
 fn implied_ids_hold_on_every_kept_row() {
     property_implied_ids_hold_on_kept_rows(running::generate().graph, "implied_running");
     property_implied_ids_hold_on_kept_rows(eurostat::generate(200, 3).graph, "implied_eurostat");
-    property_implied_ids_hold_on_kept_rows(production::generate(200, 5).graph, "implied_production");
+    property_implied_ids_hold_on_kept_rows(
+        production::generate(200, 5).graph,
+        "implied_production",
+    );
     property_implied_ids_hold_on_kept_rows(dbpedia::generate(150, 7).graph, "implied_dbpedia");
 }
 

@@ -221,6 +221,12 @@ echo "== validation differential suite (offline) =="
 # sets over the cap, multi-tuple examples (a tuple holds at a level combo
 # through any combination of its members there), sharded endpoints.
 cargo test -q --offline -p re2xolap --test validation_differential
+# Every candidate is assembled from per-call shared parts (reolap's
+# QueryParts): the SPARQL text and description of every candidate built
+# for fixed dbpedia and eurostat tuples must hash to the golden digest,
+# and a builder must build what a fresh one builds whatever came before.
+cargo test -q --offline -p re2xolap --test validation_differential built_candidates_match_the_golden_digest
+cargo test -q --offline -p re2xolap --lib shared_parts_build_what_a_fresh_builder_builds
 
 echo "== snapshot suites: round-trip / corruption / dataset cache (offline) =="
 # write_snapshot -> load_snapshot must be the identity on graphs (incl.

@@ -8,7 +8,7 @@
 use re2x_cube::{bootstrap, bootstrap_parallel, BootstrapConfig};
 use re2x_obs::{events_to_jsonl, TraceEvent, Tracer};
 use re2x_sparql::{CachingEndpoint, LocalEndpoint, SparqlEndpoint, TracingEndpoint};
-use re2xolap::{RefineOp, Session, SessionConfig};
+use re2xolap::{reolap, reolap_multi, RefineOp, ReolapConfig, Session, SessionConfig};
 use std::collections::HashMap;
 use std::time::Duration;
 
@@ -221,6 +221,46 @@ fn set_path_validation_reconciles_and_names_its_branch() {
         assert!(field("rows").is_some_and(|rows| rows.parse::<usize>().is_ok_and(|n| n > 0)));
         assert_eq!(field("truncated"), Some("false"));
     }
+}
+
+/// Every synthesis opens one `reolap.enumerate` and one `reolap.build`
+/// under its `reolap` span, beside the per-keyword, per-set and
+/// per-candidate spans — for one example tuple and for several.
+#[test]
+fn every_synthesis_enumerates_and_builds_once() {
+    let tracer = Tracer::enabled();
+    let dataset = re2x_datagen::eurostat::generate(400, 3);
+    let endpoint = LocalEndpoint::new(dataset.graph);
+    let config = BootstrapConfig::new(&dataset.observation_class);
+    let schema = bootstrap(&endpoint, &config).expect("bootstrap").schema;
+    let config = ReolapConfig {
+        tracer: tracer.clone(),
+        ..ReolapConfig::default()
+    };
+    // set-path and ASK-path validation, then two tuples no level combo
+    // explains: its phases run once all the same
+    for example in [["Germany", "Germany"], ["Germany", "France"]] {
+        let outcome = reolap(&endpoint, &schema, &example, &config).expect("synthesis");
+        assert!(!outcome.queries.is_empty(), "{example:?}");
+    }
+    let tuples =
+        [["Germany", "France"], ["France", "Germany"]].map(|t| t.map(str::to_owned).to_vec());
+    reolap_multi(&endpoint, &schema, &tuples, &config).expect("synthesis");
+
+    let events = tracer.take_events();
+    let entered = |wanted: &str| {
+        let paths = events.iter().filter_map(|e| match e {
+            TraceEvent::Enter { path, .. } => Some(path),
+            _ => None,
+        });
+        paths.filter(|path| *path == wanted).count()
+    };
+    assert_eq!(entered("reolap"), 3);
+    assert_eq!(entered("reolap/reolap.enumerate"), 3);
+    assert_eq!(entered("reolap/reolap.build"), 3);
+    assert!(entered("reolap/reolap.match") >= 6);
+    assert!(entered("reolap/reolap.observations") > 0);
+    assert!(entered("reolap/reolap.validate") > 0);
 }
 
 #[test]

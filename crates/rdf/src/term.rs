@@ -1,6 +1,6 @@
 //! The RDF term model: IRIs, blank nodes, and literals.
 
-use std::fmt::{self, Write as _};
+use std::fmt;
 
 /// An RDF literal: a lexical form with an optional datatype IRI or language
 /// tag (mutually exclusive per the RDF 1.1 specification; a language-tagged
@@ -189,38 +189,55 @@ pub fn write_quoted(text: &str, out: &mut impl fmt::Write) -> fmt::Result {
     out.write_char('"')
 }
 
-impl fmt::Display for Literal {
-    /// N-Triples-compatible rendering.
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write_quoted(&self.lexical, f)?;
+impl Literal {
+    /// Writes the N-Triples-compatible rendering into any sink — what
+    /// `Display` writes, without a `Formatter` in between.
+    pub(crate) fn write_nt(&self, out: &mut impl fmt::Write) -> fmt::Result {
+        write_quoted(&self.lexical, out)?;
         if let Some(lang) = &self.language {
-            f.write_char('@')?;
-            f.write_str(lang)
+            out.write_char('@')?;
+            out.write_str(lang)
         } else if let Some(dt) = &self.datatype {
-            f.write_str("^^<")?;
-            f.write_str(dt)?;
-            f.write_char('>')
+            out.write_str("^^<")?;
+            out.write_str(dt)?;
+            out.write_char('>')
         } else {
             Ok(())
         }
     }
 }
 
-impl fmt::Display for Term {
-    /// N-Triples-compatible rendering.
+impl fmt::Display for Literal {
+    /// N-Triples-compatible rendering (`write_nt`).
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.write_nt(f)
+    }
+}
+
+impl Term {
+    /// Writes the N-Triples-compatible rendering into any sink — what
+    /// `Display` writes, without a `Formatter` in between: `<iri>`,
+    /// `_:label` or the quoted literal.
+    pub fn write_nt(&self, out: &mut impl fmt::Write) -> fmt::Result {
         match self {
             Term::Iri(iri) => {
-                f.write_char('<')?;
-                f.write_str(iri)?;
-                f.write_char('>')
+                out.write_char('<')?;
+                out.write_str(iri)?;
+                out.write_char('>')
             }
             Term::BlankNode(label) => {
-                f.write_str("_:")?;
-                f.write_str(label)
+                out.write_str("_:")?;
+                out.write_str(label)
             }
-            Term::Literal(lit) => lit.fmt(f),
+            Term::Literal(lit) => lit.write_nt(out),
         }
+    }
+}
+
+impl fmt::Display for Term {
+    /// N-Triples-compatible rendering ([`Term::write_nt`]).
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.write_nt(f)
     }
 }
 

@@ -11,6 +11,7 @@
 //! concurrency property suite.
 
 use re2x_cube::VirtualSchemaGraph;
+use re2x_obs::{SpanGuard, Tracer};
 use re2x_rdf::Graph;
 use re2x_sparql::{write_tsv, Solutions, SparqlEndpoint};
 use re2xolap::{Re2xError, RefineOp, Session, SessionConfig};
@@ -156,6 +157,13 @@ fn preview_digest(previews: &[Solutions], graph: &Graph) -> String {
     hash.finish()
 }
 
+/// The `serve.digest` span of one digested round, annotated with the
+/// round's kind (`synthesize`, `refine` or `preview`); inert when the
+/// tracer is disabled.
+fn digest_span<'t>(tracer: &'t Tracer, round: &str) -> SpanGuard<'t> {
+    tracer.span_with("serve.digest", &[("round", round)])
+}
+
 fn op_label(op: RefineOp) -> &'static str {
     match op {
         RefineOp::Disaggregate => "dis",
@@ -171,7 +179,8 @@ fn op_label(op: RefineOp) -> &'static str {
 /// the two comparable. Rounds that find nothing to act on (no candidates,
 /// no refinements, nothing to backtrack) record a symbolic digest instead
 /// of failing, so scripts survive sparse corners of the data; endpoint and
-/// engine errors propagate as typed [`Re2xError`]s.
+/// engine errors propagate as typed [`Re2xError`]s. Each digested round
+/// opens one `serve.digest` span on `config.tracer`.
 pub fn run_script(
     endpoint: &dyn SparqlEndpoint,
     schema: &VirtualSchemaGraph,
@@ -195,6 +204,7 @@ pub fn run_script(
                     let idx = pick % outcome.queries.len();
                     let mut queries = outcome.queries;
                     let step = session.choose(queries.swap_remove(idx))?;
+                    let _span = digest_span(&config.tracer, "synthesize");
                     RoundRecord {
                         op: format!("synthesize[{idx}]"),
                         digest: result_digest(&step.solutions, graph),
@@ -212,6 +222,7 @@ pub fn run_script(
                     let idx = pick % offers.len();
                     let mut offers = offers;
                     let step = session.apply(offers.swap_remove(idx))?;
+                    let _span = digest_span(&config.tracer, "refine");
                     RoundRecord {
                         op: format!("refine:{}[{idx}]", op_label(*op)),
                         digest: result_digest(&step.solutions, graph),
@@ -221,6 +232,7 @@ pub fn run_script(
             RoundOp::Preview { op } => {
                 let offers = session.refinements(*op)?;
                 let previews = session.preview(&offers, 0)?;
+                let _span = digest_span(&config.tracer, "preview");
                 RoundRecord {
                     op: format!("preview:{}", op_label(*op)),
                     digest: preview_digest(&previews, graph),

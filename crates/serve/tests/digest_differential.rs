@@ -192,3 +192,61 @@ fn streamed_digests_equal_rendered_ones_on_every_dataset() {
         assert!(previewed > 0, "{name}: no preview round ran");
     }
 }
+
+/// FNV-1a over every round of `transcript`: its op, its digest, a newline.
+fn fold_rounds(hash: &mut u64, transcript: &re2x_serve::SessionTranscript) {
+    for round in &transcript.rounds {
+        for byte in round.op.bytes().chain([b'\t']) {
+            *hash = (*hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        for byte in round.digest.bytes().chain([b'\n']) {
+            *hash = (*hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+}
+
+/// The oracle above renders through `to_tsv`, which shares the number
+/// rule with the streamed digest, so it cannot see a number render
+/// differently. This test can: fixed scripts over three datasets run
+/// through `run_script`, and one FNV-1a over all their rounds' digests
+/// equals the value captured when numbers still rendered through
+/// `format!("{n}")` (commit be55954).
+#[test]
+fn transcripts_match_the_parent_golden() {
+    let runs = [
+        (production::generate(1000, 21), "0001461442bd4641"),
+        (dbpedia::generate(600, 22), "c28ade5c16a36326"),
+        (eurostat::generate(500, 23), "8fe6e99677590113"),
+    ];
+    let mut found = Vec::new();
+    for (mut dataset, golden) in runs {
+        let examples = example_workload(&dataset, 2, 8, 24);
+        let endpoint = LocalEndpoint::new(std::mem::take(&mut dataset.graph));
+        let schema = bootstrap(&endpoint, &BootstrapConfig::new(&dataset.observation_class))
+            .expect("bootstrap")
+            .schema;
+        let mut rng = TestRng::seed_from_u64(0x0090_1de2);
+        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut executed = 0;
+        for _ in 0..16 {
+            let script = gen_script(&mut rng, &examples);
+            let transcript = run_script(&endpoint, &schema, &script, &SessionConfig::default())
+                .expect("script runs");
+            executed += transcript
+                .rounds
+                .iter()
+                .filter(|r| r.op.ends_with(']'))
+                .count();
+            fold_rounds(&mut hash, &transcript);
+        }
+        assert!(
+            executed > 16,
+            "{}: {executed} rounds executed",
+            dataset.name
+        );
+        found.push((dataset.name.clone(), format!("{hash:016x}"), golden));
+    }
+    for (name, hash, golden) in &found {
+        assert_eq!(hash, golden, "{name}: {found:?}");
+    }
+}

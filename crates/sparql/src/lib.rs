@@ -53,6 +53,7 @@ pub mod endpoint;
 pub mod error;
 pub mod eval;
 pub mod expr;
+mod number;
 pub mod parser;
 pub mod pretty;
 pub mod results_io;

@@ -4,7 +4,8 @@
 //! aggregate tables. One writer per format streams into any [`fmt::Write`]
 //! sink, no `String` per cell or row: a round digest hashes the TSV stream.
 
-use crate::value::{write_number, Solutions, Value};
+use crate::number::NumberText;
+use crate::value::{Solutions, Value};
 use re2x_rdf::{write_quoted, Graph};
 use std::fmt::{self, Write};
 
@@ -33,8 +34,14 @@ pub fn write_tsv(solutions: &Solutions, graph: &Graph, out: &mut impl Write) -> 
 }
 
 /// A header line, then one line per row (unbound cells empty; numbers bare).
+///
+/// A number cell bit-identical to the number cell before it (a group's
+/// MIN, MAX, AVG and SUM over one observation are one value) is written
+/// again from the previous rendering instead of being rendered again.
 fn write_table(results: &Solutions, graph: &Graph, out: &mut impl Write, tsv: bool) -> fmt::Result {
     let (sep, line_end) = if tsv { ('\t', "\n") } else { (',', "\r\n") };
+    let mut number = NumberText::new();
+    let mut rendered: Option<u64> = None;
     for (i, var) in results.vars.iter().enumerate() {
         if i > 0 {
             out.write_char(sep)?;
@@ -52,10 +59,16 @@ fn write_table(results: &Solutions, graph: &Graph, out: &mut impl Write, tsv: bo
             }
             match value {
                 None => {}
-                Some(Value::Number(n)) => write_number(*n, out)?,
+                Some(Value::Number(n)) => match rendered == Some(n.to_bits()) {
+                    true => out.write_str(number.as_str())?,
+                    false => {
+                        rendered = Some(n.to_bits());
+                        out.write_str(number.render(*n))?;
+                    }
+                },
                 Some(Value::Bool(b)) => out.write_str(if *b { "true" } else { "false" })?,
                 Some(value) if !tsv => csv_field(&value.string_form(graph), out)?,
-                Some(Value::Term(id)) => write!(out, "{}", graph.term(*id))?,
+                Some(Value::Term(id)) => graph.term(*id).write_nt(out)?,
                 Some(Value::Str(s)) => write_quoted(s, out)?,
             }
         }

@@ -1,9 +1,10 @@
 //! Runtime values and the solution-sequence representation.
 
+use crate::number::NumberText;
 use re2x_rdf::{Graph, Term, TermId};
 use std::borrow::Cow;
 use std::cmp::Ordering;
-use std::fmt::{self, Write as _};
+use std::fmt::Write as _;
 
 /// A runtime value: either a graph term or a value computed by an
 /// expression/aggregate.
@@ -116,23 +117,13 @@ pub fn total_compare_numeric(a: f64, b: f64) -> Ordering {
     }
 }
 
-/// Renders a computed number the way SPARQL result serializations do:
-/// integral values without a fractional part.
+/// Renders a computed number the way SPARQL result serializations do —
+/// the one number rule of TSV / CSV, string forms, pretty printing and
+/// round digests: integral values below 1e15 without a fractional part,
+/// every other value as `{}` renders an `f64` (shortest round-trip digits,
+/// no exponent). The output never contains a comma, quote, tab or newline.
 pub fn format_number(n: f64) -> String {
-    let mut out = String::new();
-    let _ = write_number(n, &mut out); // lint:allow(discarded-result, a String sink cannot fail)
-    out
-}
-
-/// Writes a computed number in [`format_number`]'s form — the one number
-/// rule of result serializations, string forms and pretty printing. The
-/// output never contains a comma, quote, tab or newline.
-pub(crate) fn write_number(n: f64, out: &mut impl fmt::Write) -> fmt::Result {
-    if n.fract() == 0.0 && n.abs() < 1e15 {
-        write!(out, "{}", n as i64)
-    } else {
-        write!(out, "{n}")
-    }
+    NumberText::new().render(n).to_owned()
 }
 
 /// A solution sequence: named columns plus rows of optional values.
@@ -352,9 +343,9 @@ mod tests {
         assert_eq!(format_number(1e15), "1000000000000000");
         assert_eq!(format_number(f64::NAN), "NaN");
         assert_eq!(format_number(f64::NEG_INFINITY), "-inf");
-        let mut streamed = String::from("x=");
-        write_number(0.1 + 0.2, &mut streamed).expect("a String sink");
-        assert_eq!(streamed, "x=0.30000000000000004");
+        assert_eq!(format_number(0.1 + 0.2), "0.30000000000000004");
+        assert_eq!(format_number(1e21), "1000000000000000000000");
+        assert_eq!(format_number(-1.5e-7), "-0.00000015");
     }
 
     #[test]

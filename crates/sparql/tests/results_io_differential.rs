@@ -4,11 +4,11 @@
 //! The oracle below is that serializer kept verbatim — a `String` per cell,
 //! a joined `String` per row, the number rule re-rendered through
 //! `format!`, and literals escaped one `char` at a time — so a change to
-//! any writer (`write_tsv`, `write_csv`, `write_number`, the literal
-//! `Display`) that moves a single byte fails here. It is compared on the
-//! answers of real queries over all four datasets (every triple, grouped
-//! aggregates), on seeded random solution sequences drawn from each
-//! dataset's terms, and on hand-picked edge cells.
+//! any writer (`write_tsv`, `write_csv`, the number rule, `Term::write_nt`)
+//! that moves a single byte fails here. It is compared on the answers of
+//! real queries over all four datasets (every triple, grouped aggregates),
+//! on seeded random solution sequences drawn from each dataset's terms, and
+//! on hand-picked edge cells; the number rule alone on 2 620 278 values.
 
 use re2x_datagen::common::Dataset;
 use re2x_datagen::{dbpedia, eurostat, production, running};
@@ -317,6 +317,37 @@ fn edge_cells_serialize_identically() {
         rows: vec![cells.clone(), cells],
     };
     assert_identical(&wide, &g, "all edge cells in one row");
+    // a number cell equal to the number cell before it is written from the
+    // previous rendering: runs across cells, unbound and term cells and
+    // rows, values equal as numbers but not as bits, and neighbours one
+    // ulp apart
+    let number = |n: f64| Some(Value::Number(n));
+    let repeats = Solutions {
+        vars: vec!["a".into(), "b".into(), "c".into(), "d".into()],
+        rows: vec![
+            vec![number(2.5), number(2.5), None, number(2.5)],
+            vec![
+                number(2.5),
+                Some(Value::Term(terms[0])),
+                number(2.5),
+                number(-0.0),
+            ],
+            vec![number(0.0), number(0.0), number(-0.0), number(f64::NAN)],
+            vec![
+                number(-f64::NAN),
+                number(1e300),
+                number(1e300),
+                number(0.1 + 0.2),
+            ],
+            vec![
+                number(0.3),
+                number(0.1 + 0.2),
+                number(2.5),
+                number(2.5f64.next_up()),
+            ],
+        ],
+    };
+    assert_identical(&repeats, &g, "repeated number cells");
     let empty_row = Solutions {
         vars: vec![],
         rows: vec![vec![], vec![]],
@@ -325,13 +356,82 @@ fn edge_cells_serialize_identically() {
     assert_identical(&Solutions::default(), &g, "no columns, no rows");
 }
 
+/// Every value the number differential compares with the `format!`
+/// oracle: the edge numbers; 10^6 seeded random bit patterns; every power
+/// of two from 2^-1074 to 2^1023; every `1e±k` and `5e±k`; each of those
+/// with its neighbours one ulp up and down; the subnormal bounds,
+/// `MIN_POSITIVE` and `MAX`; 1e15 (the integral rule's bound) and 2^53,
+/// one ulp and one unit either side; an exact tie of two shortest
+/// candidates; and 10^5 workload-like averages (integral sums over small
+/// counts, scaled by 100 and 1/100). All of them also negated.
+fn number_differential_values() -> Vec<f64> {
+    let mut values = EDGE_NUMBERS.to_vec();
+    let mut rng = TestRng::seed_from_u64(0x6e75_6d62_6572);
+    values.extend((0..1_000_000).map(|_| f64::from_bits(rng.next_u64())));
+    let mut families: Vec<f64> = (-1074..=1023).map(|k| 2f64.powi(k)).collect();
+    for k in -324..=308 {
+        for mantissa in [1, 5] {
+            families.push(
+                format!("{mantissa}e{k}")
+                    .parse()
+                    .expect("a decimal literal"),
+            );
+        }
+    }
+    let smallest_subnormal = f64::from_bits(1);
+    let largest_subnormal = f64::from_bits((1 << 52) - 1);
+    families.extend([
+        smallest_subnormal,
+        largest_subnormal,
+        f64::MIN_POSITIVE,
+        f64::MAX,
+        1e15,
+        1e15 - 1.0,
+        1e15 + 1.0,
+        9_007_199_254_740_992.0,
+        9_007_199_254_740_991.0,
+        9_007_199_254_740_994.0,
+    ]);
+    for value in families {
+        values.extend([value, value.next_up(), value.next_down()]);
+    }
+    // 1658206780088562.25 lies halfway between …62.2 and …62.3: `{}` (and
+    // so the rule) prints …62.3, where rounding half to even prints …62.2
+    values.push(f64::from_bits(0x4317_9085_685d_83c9));
+    for _ in 0..100_000 {
+        let sum = rng.gen_range(0..100_000_000u64) as f64;
+        let count = rng.gen_range(1..5_000u64) as f64;
+        values.extend([sum / count, sum / count * 100.0, sum / count / 100.0]);
+    }
+    let negated: Vec<f64> = values.iter().map(|v| -v).collect();
+    values.extend(negated);
+    values
+}
+
+/// The number rule against the `format!` oracle on
+/// [`number_differential_values`]: 2 620 278 values, 0 may differ.
 #[test]
 fn format_number_matches_the_oracle() {
-    for n in EDGE_NUMBERS {
-        assert_eq!(
-            re2x_sparql::value::format_number(n),
-            oracle::format_number(n),
-            "{n:?}"
-        );
-    }
+    let values = number_differential_values();
+    assert_eq!(values.len(), 2_620_278);
+    let mismatches: Vec<String> = values
+        .iter()
+        .filter_map(|&n| {
+            let (ours, oracle) = (
+                re2x_sparql::value::format_number(n),
+                oracle::format_number(n),
+            );
+            (ours != oracle).then(|| format!("{:#018x}: {ours} vs {oracle}", n.to_bits()))
+        })
+        .collect();
+    assert!(
+        mismatches.is_empty(),
+        "{} of {} numbers differ, first: {:?}",
+        mismatches.len(),
+        values.len(),
+        &mismatches[..mismatches.len().min(8)]
+    );
+    // the tie renders as `{}` renders it
+    let tie = f64::from_bits(0x4317_9085_685d_83c9);
+    assert_eq!(re2x_sparql::value::format_number(tie), "1658206780088562.3");
 }

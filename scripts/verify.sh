@@ -188,10 +188,20 @@ echo "== result serialization differential suites (offline) =="
 # sequences, and edge cells (NaN, ±inf, -0.0, 1e15, escapes, blank nodes,
 # tagged and typed literals).
 cargo test -q --offline -p re2x-sparql --test results_io_differential
+# The number rule (in-repo shortest digits, ties rounded up, positional
+# layout) must render 2 620 278 numbers exactly as format!("{n}") does:
+# 10^6 seeded random bit patterns, every power of two, every 1e±k / 5e±k,
+# their ulp neighbours, the integral rule's bound, 2^53 and a tie that
+# round-half-even would get wrong.
+cargo test -q --offline -p re2x-sparql --test results_io_differential format_number_matches_the_oracle
 # Every transcript digest run_script streams (synthesize, refine and
 # preview rounds, all four datasets) must equal FNV-1a over the rendered
 # to_tsv text, the definition the digest keeps.
 cargo test -q --offline -p re2x-serve --test digest_differential
+# to_tsv shares the number rule with the stream, so fixed scripts'
+# transcripts on three datasets are also pinned to values captured while
+# numbers rendered through format!.
+cargo test -q --offline -p re2x-serve --test digest_differential transcripts_match_the_parent_golden
 
 echo "== derivation differential suite (offline) =="
 # A Top-k / Percentile / Similarity refinement the session answers from

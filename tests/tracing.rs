@@ -263,6 +263,75 @@ fn every_synthesis_enumerates_and_builds_once() {
     assert!(entered("reolap/reolap.validate") > 0);
 }
 
+/// `run_script` opens one `serve.digest` span per digested round, named
+/// by the round's kind: a synthesize or refine round that executed a
+/// query, and every preview round. Rounds that digest nothing (backtrack,
+/// think) open none, and a disabled tracer changes no digest.
+#[test]
+fn every_digested_round_opens_one_digest_span() {
+    use re2x_serve::{run_script, RoundOp, SessionScript};
+    let mut dataset = re2x_datagen::running::generate();
+    let endpoint = LocalEndpoint::new(std::mem::take(&mut dataset.graph));
+    let config = BootstrapConfig::new(&dataset.observation_class);
+    let schema = bootstrap(&endpoint, &config).expect("bootstrap").schema;
+    let refine = |op, pick| RoundOp::Refine { op, pick };
+    let preview = |op| RoundOp::Preview { op };
+    let script = SessionScript {
+        tenant: "t0".to_owned(),
+        rounds: vec![
+            RoundOp::Synthesize {
+                example: vec!["Germany".to_owned(), "2014".to_owned()],
+                pick: 0,
+            },
+            refine(RefineOp::Disaggregate, 0),
+            preview(RefineOp::TopK),
+            refine(RefineOp::TopK, 1),
+            RoundOp::Think { millis: 0 },
+            RoundOp::Backtrack,
+            preview(RefineOp::Similarity),
+            refine(RefineOp::Similarity, 0),
+        ],
+    };
+    let tracer = Tracer::enabled();
+    let session = SessionConfig {
+        tracer: tracer.clone(),
+        ..SessionConfig::default()
+    };
+    let traced = run_script(&endpoint, &schema, &script, &session).expect("script runs");
+    let untraced =
+        run_script(&endpoint, &schema, &script, &SessionConfig::default()).expect("script runs");
+    assert_eq!(traced, untraced);
+
+    let events = tracer.take_events();
+    let spans = |kind: &str| {
+        let digests = events.iter().filter(|e| match e {
+            TraceEvent::Enter { path, fields, .. } => {
+                path == "serve.digest" && fields == &[("round".to_owned(), kind.to_owned())]
+            }
+            _ => false,
+        });
+        digests.count()
+    };
+    let digested = |prefix: &str| {
+        let rounds = traced.rounds.iter();
+        rounds
+            .filter(|r| r.op.starts_with(prefix) && (prefix == "preview:" || r.op.ends_with(']')))
+            .count()
+    };
+    assert_eq!(spans("synthesize"), digested("synthesize"));
+    assert_eq!(spans("refine"), digested("refine:"));
+    assert_eq!(spans("preview"), digested("preview:"));
+    assert_eq!((digested("synthesize"), digested("preview:")), (1, 2));
+    assert!(digested("refine:") >= 2, "{traced:?}");
+    let all = events
+        .iter()
+        .filter(|e| matches!(e, TraceEvent::Enter { name, .. } if name == "serve.digest"));
+    assert_eq!(
+        all.count(),
+        digested("synthesize") + digested("refine:") + 2
+    );
+}
+
 #[test]
 fn cache_outcomes_attribute_per_phase() {
     let tracer = Tracer::enabled();

@@ -12,10 +12,10 @@
 
 use crate::query_model::ExampleBinding;
 use re2x_cube::{patterns, LevelId, VirtualSchemaGraph};
+use re2x_rdf::hash::FxHashSet;
 use re2x_sparql::{
     PatternElement, Query, SparqlEndpoint, SparqlError, TermPattern, TriplePattern, Value,
 };
-use std::collections::HashSet;
 
 /// How keywords are matched against member attributes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -52,7 +52,7 @@ pub fn matches(
     let mut out = Vec::new();
     // (member, attribute predicate, label, level) already emitted — all
     // borrowed from the graph, so deduplication clones nothing
-    let mut seen: HashSet<(&str, &str, &str, LevelId)> = HashSet::new();
+    let mut seen: FxHashSet<(&str, &str, &str, LevelId)> = FxHashSet::default();
     for literal in literals {
         let Some(literal_term) = graph.term(literal).as_literal() else {
             continue;

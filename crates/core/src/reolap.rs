@@ -26,7 +26,7 @@ use re2x_rdf::hash::{FxHashMap, FxHashSet};
 use re2x_rdf::{gallop, TermId};
 use re2x_sparql::{
     AggFunc, Expr, PatternElement, Query, QueryForm, SelectItem, SparqlEndpoint, TermPattern,
-    TriplePattern, Value,
+    TriplePattern,
 };
 use std::ops::Range;
 use std::time::{Duration, Instant};
@@ -184,10 +184,12 @@ pub fn reolap(
     })
 }
 
-/// Most observation ids fetched per interpretation by the set path of
-/// [`validate_candidates`]: 16 KiB of ids, ≲ 0.5 ms for a set that fits
-/// (2–3 ms for one that does not, on a 400k-observation store). A set that
-/// comes back larger is *unknown*, not truncated-and-used.
+/// Most rows fetched per interpretation by the set path of
+/// [`validate_candidates`] — rows, not distinct observations. On the
+/// `synth_ambiguous` store (dbpedia-16000, 450k triples) a set that fits
+/// takes 3–4 µs at the median and ≈ 0.14 ms at its largest (3 822 rows),
+/// and a fetch stopped at the cap ≈ 0.2 ms (release, 2-core Xeon VM). A
+/// set that comes back larger is *unknown*, not truncated-and-used.
 const OBSERVATION_SET_CAP: usize = 4096;
 
 /// Validates each candidate — does some observation reach all its members
@@ -276,13 +278,12 @@ pub fn validate_candidates(
 /// [`OBSERVATION_SET_CAP`] rows come back (or a row is not a term).
 ///
 /// No `DISTINCT`: an M-to-N path reaches a member several times per
-/// observation, and the ids of a plain join are deduplicated here. That
-/// once measured 7× cheaper than a `SELECT DISTINCT` of this shape; since
-/// the set-query chain operator a re-measurement put the two within ~10 %
-/// of each other on `synth_ambiguous`. Ids are
-/// only ever compared with each other, so any endpoint stack answering
-/// from one id space (local, cached, sharded replica) yields the same
-/// verdicts.
+/// observation, and the ids of a plain join are deduplicated here. Over
+/// the set fetches of `synth_ambiguous`, a `SELECT DISTINCT ?o` (a set
+/// query) costs 1.7–2.0× this fetch read through
+/// [`SparqlEndpoint::select_ids`] and deduplicated here. Ids are only ever
+/// compared with each other, so any endpoint stack answering from one id
+/// space (local, cached, sharded replica) yields the same verdicts.
 fn observation_set(
     endpoint: &dyn SparqlEndpoint,
     schema: &VirtualSchemaGraph,
@@ -305,23 +306,17 @@ fn observation_set(
     } else {
         tracer.span("reolap.observations")
     };
-    let solutions = endpoint.select(&query)?;
-    let truncated = solutions.rows.len() > OBSERVATION_SET_CAP;
-    fetch.record("rows", solutions.rows.len());
+    // one id per row: the cap counts rows, not distinct observations
+    let ids = endpoint.select_ids(&query)?;
+    let rows = ids.as_ref().map_or(0, Vec::len);
+    let truncated = rows > OBSERVATION_SET_CAP;
+    fetch.record("rows", rows);
     fetch.record("truncated", truncated);
     tracer.counter_add("reolap.validation.sets", 1);
     if truncated {
         tracer.counter_add("reolap.validation.sets_truncated", 1);
         return Ok(None);
     }
-    let ids: Option<Vec<TermId>> = solutions
-        .rows
-        .iter()
-        .map(|row| match row.first() {
-            Some(Some(Value::Term(id))) => Some(*id),
-            _ => None,
-        })
-        .collect();
     Ok(ids.map(|mut ids| {
         ids.sort_unstable();
         ids.dedup();

@@ -393,6 +393,72 @@ fn a_set_over_the_cap_falls_back_to_ask() {
     assert_eq!(checked.verdicts.iter().filter(|&&valid| valid).count(), 4);
 }
 
+/// The cap counts rows, not observations: an M-to-N level path that
+/// reaches its member twice from every one of 2 100 observations returns
+/// 4 200 rows, so the set is unknown and its candidates fall back to their
+/// `ASK` — though only 2 100 distinct ids would fit the cap.
+#[test]
+fn the_cap_counts_rows_not_distinct_observations() {
+    const OBSERVATIONS: usize = 2100; // ≤ the cap, twice over it in rows
+    let mut turtle = String::from(
+        "@prefix ex: <http://ex/> .\n\
+         @prefix rdfs: <http://www.w3.org/2000/01/rdf-schema#> .\n\
+         ex:Germany rdfs:label \"Germany\" .\n\
+         ex:France rdfs:label \"France\" .\n\
+         ex:tA ex:group ex:Germany .\n\
+         ex:tB ex:group ex:Germany .\n\
+         ex:tC ex:group ex:France .\n\
+         ex:s1 a ex:Obs ; ex:dest ex:France ; ex:origin ex:Germany ; ex:tag ex:tC ; ex:n 1 .\n",
+    );
+    for i in 0..OBSERVATIONS {
+        turtle.push_str(&format!(
+            "ex:o{i} a ex:Obs ; ex:dest ex:Germany ; ex:origin ex:France ; ex:tag ex:tA , ex:tB ; ex:n 1 .\n"
+        ));
+    }
+    let mut graph = Graph::new();
+    parse_turtle(&turtle, &mut graph).expect("fixture parses");
+    let endpoint = LocalEndpoint::new(graph);
+    let schema = bootstrap(&endpoint, &BootstrapConfig::new("http://ex/Obs"))
+        .expect("bootstrap")
+        .schema;
+    let fetched = endpoint
+        .select_ids(
+            &re2x_sparql::parse_query(
+                "SELECT ?o WHERE { ?o a <http://ex/Obs> . \
+                 ?o <http://ex/tag> / <http://ex/group> <http://ex/Germany> }",
+            )
+            .expect("parses"),
+        )
+        .expect("select")
+        .expect("ids");
+    let mut distinct = fetched.clone();
+    distinct.sort_unstable();
+    distinct.dedup();
+    assert_eq!(
+        (fetched.len(), distinct.len()),
+        (2 * OBSERVATIONS, OBSERVATIONS)
+    );
+
+    // Germany and France are each a destination, an origin and a tag
+    // group: 9 candidates over 6 interpretations
+    let checked = assert_differential(&endpoint, &schema, &["Germany", "France"], MatchMode::Exact)
+        .expect("synthesis");
+    assert_eq!(checked.verdicts.len(), 9);
+    // ⟨group Germany⟩ is over the cap in rows; the 3 candidates binding it
+    // are decided by their own ASK
+    assert_eq!(
+        checked.taken,
+        Branches {
+            sets: 6,
+            truncated: 1,
+            asks: 3
+        }
+    );
+    // the o-pairs ⟨dest Germany, origin France⟩ and ⟨group Germany, origin
+    // France⟩, and s1's ⟨origin Germany⟩ with dest France or group France
+    assert_eq!(checked.verdicts.iter().filter(|&&valid| valid).count(), 4);
+}
+
 /// Unambiguous tuples have no more candidates than interpretations and
 /// keep the one-`ASK`-per-candidate walk.
 #[test]

@@ -32,7 +32,7 @@ pub struct DataflowContext<'a> {
 
 /// `SparqlEndpoint` trait methods: a query round-trip under a guard
 /// serializes the whole endpoint behind this lock.
-const ENDPOINT_METHODS: &[&str] = &["select", "ask", "keyword_search"];
+const ENDPOINT_METHODS: &[&str] = &["select", "select_ids", "ask", "keyword_search"];
 /// Event-bus publication: takes the bus locks, nesting them under ours.
 const PUBLISH_METHODS: &[&str] = &["publish", "publish_with"];
 /// Blocking I/O methods.

@@ -18,9 +18,9 @@
 
 use crate::ast::Query;
 use crate::error::SparqlError;
-use crate::eval::{evaluate, evaluate_ask};
+use crate::eval::{evaluate, evaluate_ask, evaluate_ids, Selected};
 use crate::parser::parse_query;
-use crate::value::Solutions;
+use crate::value::{Solutions, Value};
 use re2x_obs::lock_or_recover;
 use re2x_rdf::{Graph, TermId};
 use std::sync::Mutex;
@@ -120,6 +120,17 @@ pub trait SparqlEndpoint: Send + Sync {
         None
     }
 
+    /// Answers a `SELECT` query with the first column of its rows as term
+    /// ids, in row order — `None` if some row's first cell is not a
+    /// [`Value::Term`]. By default exactly that mapping over
+    /// [`SparqlEndpoint::select`], so a decorator sees, caches, charges and
+    /// counts a `select`; [`LocalEndpoint`] reads the ids of a plain one-
+    /// variable `SELECT` without building its rows, accounted as the
+    /// `select` it answers.
+    fn select_ids(&self, query: &Query) -> Result<Option<Vec<TermId>>, SparqlError> {
+        Ok(first_column_ids(&self.select(query)?))
+    }
+
     /// Parses and answers a `SELECT` query given as text.
     fn select_text(&self, text: &str) -> Result<Solutions, SparqlError> {
         self.select(&parse_query(text)?)
@@ -131,6 +142,19 @@ pub trait SparqlEndpoint: Send + Sync {
     }
 }
 
+/// The first cell of every row as a term id, `None` if some row's is not
+/// a [`Value::Term`]: what [`SparqlEndpoint::select_ids`] answers.
+fn first_column_ids(solutions: &Solutions) -> Option<Vec<TermId>> {
+    solutions
+        .rows
+        .iter()
+        .map(|row| match row.first() {
+            Some(Some(Value::Term(id))) => Some(*id),
+            _ => None,
+        })
+        .collect()
+}
+
 /// Delegates every [`SparqlEndpoint`] method to the pointee, so decorator
 /// stacks can be composed *dynamically* — per tenant, from configuration —
 /// as `Box<dyn SparqlEndpoint>` layers instead of a statically known
@@ -140,6 +164,9 @@ macro_rules! delegate_endpoint {
         impl<E: SparqlEndpoint + ?Sized> SparqlEndpoint for $ptr {
             fn select(&self, query: &Query) -> Result<Solutions, SparqlError> {
                 (**self).select(query)
+            }
+            fn select_ids(&self, query: &Query) -> Result<Option<Vec<TermId>>, SparqlError> {
+                (**self).select_ids(query)
             }
             fn ask(&self, query: &Query) -> Result<bool, SparqlError> {
                 (**self).ask(query)
@@ -224,16 +251,20 @@ impl LocalEndpoint {
             std::thread::sleep(latency);
         }
     }
-}
 
-impl SparqlEndpoint for LocalEndpoint {
-    fn select(&self, query: &Query) -> Result<Solutions, SparqlError> {
+    /// Answers one `SELECT` through `run`, which returns the answer and
+    /// its row count: the injected latencies paid and the query accounted
+    /// the same way whatever form the answer takes.
+    fn timed_select<T>(
+        &self,
+        run: impl FnOnce(&Graph) -> Result<(T, usize), SparqlError>,
+    ) -> Result<T, SparqlError> {
         let start = Instant::now();
         self.pay_latency();
-        let result = evaluate(&self.graph, query);
-        if let (Some(per_row), Ok(solutions)) = (self.row_latency, &result) {
-            if !solutions.is_empty() {
-                std::thread::sleep(per_row * solutions.len() as u32);
+        let result = run(&self.graph);
+        if let (Some(per_row), Ok((_, rows))) = (self.row_latency, &result) {
+            if *rows > 0 {
+                std::thread::sleep(per_row * *rows as u32);
             }
         }
         let elapsed = start.elapsed();
@@ -241,10 +272,32 @@ impl SparqlEndpoint for LocalEndpoint {
         stats.selects += 1;
         stats.busy += elapsed;
         stats.latency.record(elapsed);
-        if let Ok(solutions) = &result {
-            stats.rows_returned += solutions.len() as u64;
+        if let Ok((_, rows)) = &result {
+            stats.rows_returned += *rows as u64;
         }
-        result
+        result.map(|(answer, _)| answer)
+    }
+}
+
+impl SparqlEndpoint for LocalEndpoint {
+    fn select(&self, query: &Query) -> Result<Solutions, SparqlError> {
+        self.timed_select(|graph| {
+            let solutions = evaluate(graph, query)?;
+            let rows = solutions.len();
+            Ok((solutions, rows))
+        })
+    }
+
+    fn select_ids(&self, query: &Query) -> Result<Option<Vec<TermId>>, SparqlError> {
+        self.timed_select(|graph| {
+            Ok(match evaluate_ids(graph, query)? {
+                Selected::Ids(ids) => {
+                    let rows = ids.len();
+                    (Some(ids), rows)
+                }
+                Selected::Rows(solutions) => (first_column_ids(&solutions), solutions.len()),
+            })
+        })
     }
 
     fn ask(&self, query: &Query) -> Result<bool, SparqlError> {
@@ -319,6 +372,46 @@ mod tests {
         assert_eq!(stats.selects, 1);
         assert_eq!(stats.rows_returned, 2);
         assert_eq!(stats.total_queries(), 1);
+    }
+
+    /// A plain `SELECT` of one variable its patterns bind is read as ids;
+    /// every other shape is evaluated as rows.
+    #[test]
+    fn only_plain_single_variable_selects_are_read_as_ids() {
+        let ep = endpoint();
+        let by_ids = |text: &str| {
+            let query = parse_query(text).expect("parses");
+            match evaluate_ids(ep.graph(), &query).expect("evaluates") {
+                Selected::Ids(ids) => Some(ids.len()),
+                Selected::Rows(_) => None,
+            }
+        };
+        let block = "?o <http://ex/dest> ?d . ?o <http://ex/value> ?v";
+        assert_eq!(by_ids(&format!("SELECT ?o WHERE {{ {block} }}")), Some(2));
+        assert_eq!(
+            by_ids(&format!("SELECT ?d WHERE {{ {block} }} LIMIT 1")),
+            Some(1)
+        );
+        assert_eq!(
+            by_ids(&format!("SELECT ?v WHERE {{ {block} }} OFFSET 1")),
+            Some(1)
+        );
+        for row_path in [
+            format!("SELECT DISTINCT ?o WHERE {{ {block} }}"),
+            format!("SELECT ?o WHERE {{ {block} }} ORDER BY ?o"),
+            format!("SELECT (COUNT(?o) AS ?n) WHERE {{ {block} }}"),
+            format!("SELECT ?d WHERE {{ {block} }} GROUP BY ?d"),
+            format!("SELECT ?o ?d WHERE {{ {block} }}"),
+            format!("SELECT * WHERE {{ {block} }}"),
+            format!("SELECT ?x WHERE {{ {block} }}"),
+            "SELECT ?o WHERE { ?o <http://ex/dest> ?d OPTIONAL { ?o <http://ex/value> ?v } }"
+                .into(),
+            "SELECT ?o WHERE { { ?o <http://ex/dest> ?d } UNION { ?o <http://ex/value> ?v } }"
+                .into(),
+            format!("ASK {{ {block} }}"),
+        ] {
+            assert_eq!(by_ids(&row_path), None, "{row_path}");
+        }
     }
 
     #[test]

@@ -35,12 +35,35 @@ const FAR_FEWER: u64 = 8;
 
 /// Evaluates a query against a graph.
 pub fn evaluate(graph: &Graph, query: &Query) -> Result<Solutions, SparqlError> {
+    Compiled::new(graph, query)?.solutions(graph)
+}
+
+/// A `SELECT`'s answer as [`evaluate_ids`] gives it.
+pub(crate) enum Selected {
+    /// The one projected column's ids, row for row.
+    Ids(Vec<TermId>),
+    /// [`evaluate`]'s answer, for every shape the id path does not admit.
+    Rows(Solutions),
+}
+
+/// Evaluates a query as [`evaluate`] does, reading the answer of a plain
+/// `SELECT ?v` — one variable, no aggregate, `DISTINCT`, `ORDER BY` or
+/// `HAVING`, over a flat block whose patterns mention `?v` — straight off
+/// the WHERE block's bindings: the same `LIMIT` pushdown, the same rows in
+/// the same order, but as ids, without building a row. Every other shape
+/// comes back as [`evaluate`]'s solutions.
+pub(crate) fn evaluate_ids(graph: &Graph, query: &Query) -> Result<Selected, SparqlError> {
     let compiled = Compiled::new(graph, query)?;
-    if let Some(set) = compiled.set_query() {
-        return compiled.set_answer(graph, set);
-    }
-    let found = compiled.run_bgp(graph, compiled.rows_wanted())?;
-    compiled.answer(graph, &found)
+    let Some(slot) = compiled.id_column() else {
+        return compiled.solutions(graph).map(Selected::Rows);
+    };
+    // every row of a flat block binds each variable of its patterns, and a
+    // `LIMIT` stops the block at `OFFSET + LIMIT` rows
+    let mut ids = compiled
+        .run_bgp(graph, compiled.rows_wanted())?
+        .into_column(slot);
+    ids.drain(..query.offset.unwrap_or(0).min(ids.len()));
+    Ok(Selected::Ids(ids))
 }
 
 /// Evaluates a query the plain way, as the reference [`evaluate`] is held
@@ -230,16 +253,12 @@ impl Found {
         }
     }
 
-    /// The values bound at `slot`, in row order.
-    fn column(&self, slot: usize) -> Vec<TermId> {
-        fn of<T: Table>(table: &T, slot: usize) -> Vec<TermId> {
-            (0..table.len())
-                .filter_map(|row| table.cell(row, slot))
-                .collect()
-        }
+    /// The values bound at `slot`, in row order (a batch's column moves
+    /// out as it is).
+    fn into_column(self, slot: usize) -> Vec<TermId> {
         match self {
-            Found::Rows(rows) => of(rows, slot),
-            Found::Batch(batch) => of(batch, slot),
+            Found::Rows(rows) => rows.iter().filter_map(|row| row.binding(slot)).collect(),
+            Found::Batch(batch) => batch.into_column(slot),
         }
     }
 }
@@ -479,6 +498,16 @@ impl<'q> Compiled<'q> {
         (base + 1) >> (2 * fixed).min(20)
     }
 
+    /// The query's answer, as [`evaluate`] gives it: a set query's from its
+    /// chain, any other from its WHERE block's bindings.
+    fn solutions(&self, graph: &Graph) -> Result<Solutions, SparqlError> {
+        if let Some(set) = self.set_query() {
+            return self.set_answer(graph, set);
+        }
+        let found = self.run_bgp(graph, self.rows_wanted())?;
+        self.answer(graph, &found)
+    }
+
     /// The query's answer from its WHERE block's bindings: `ASK`'s one
     /// boolean, or `SELECT`'s projection.
     fn answer(&self, graph: &Graph, found: &Found) -> Result<Solutions, SparqlError> {
@@ -600,18 +629,13 @@ impl<'q> Compiled<'q> {
         {
             return None;
         }
-        let mentioned = |name: &str| {
-            let v = self.slot(name)?;
-            let mut vars = root.patterns.iter().flat_map(FlatPattern::vars);
-            vars.any(|x| x == v).then_some(v)
-        };
         match &query.select[0] {
-            SelectItem::Var(v) if query.distinct => mentioned(v).map(SetQuery::Values),
+            SelectItem::Var(v) if query.distinct => self.mentioned(v).map(SetQuery::Values),
             SelectItem::Agg {
                 func: AggFunc::CountDistinct,
                 expr: Expr::Var(v),
                 ..
-            } => mentioned(v).map(SetQuery::Values),
+            } => self.mentioned(v).map(SetQuery::Values),
             SelectItem::Agg {
                 func: AggFunc::Count,
                 expr,
@@ -622,7 +646,7 @@ impl<'q> Compiled<'q> {
                 };
                 let counted = match expr {
                     Expr::Number(_) => true,
-                    Expr::Var(v) => mentioned(v).is_some(),
+                    Expr::Var(v) => self.mentioned(v).is_some(),
                     _ => false,
                 };
                 (root.filters.is_empty() && !pattern.repeats() && counted)
@@ -630,6 +654,34 @@ impl<'q> Compiled<'q> {
             }
             _ => None,
         }
+    }
+
+    /// The registry slot of a variable the root block's patterns mention.
+    fn mentioned(&self, name: &str) -> Option<usize> {
+        let v = self.slot(name)?;
+        let mut vars = self.root.patterns.iter().flat_map(FlatPattern::vars);
+        vars.any(|x| x == v).then_some(v)
+    }
+
+    /// The slot [`evaluate_ids`] reads the answer from: the projected
+    /// variable of a `SELECT ?v` whose every binding row is one output row
+    /// (no aggregate, `DISTINCT`, `ORDER BY` or `HAVING`) binding `?v` (a
+    /// flat block whose patterns mention it).
+    fn id_column(&self) -> Option<usize> {
+        let query = self.query;
+        let [SelectItem::Var(v)] = query.select.as_slice() else {
+            return None;
+        };
+        let plain = query.form == QueryForm::Select
+            && !query.distinct
+            && !query.is_aggregate()
+            && query.having.is_none()
+            && query.order_by.is_empty()
+            && self.root.children.is_empty();
+        if !plain {
+            return None;
+        }
+        self.mentioned(v)
     }
 
     /// The answer of the set query `set`: one row per value, ids

@@ -207,7 +207,7 @@ impl<'g> ChainRun<'_, '_, 'g> {
                     }
                     None => columnar::Batch::seed(nvars),
                 };
-                let mut ids = node.part.run_seeded(graph, &seed)?.column(node.target);
+                let mut ids = node.part.run_seeded(graph, &seed)?.into_column(node.target);
                 ids.sort_unstable();
                 ids.dedup();
                 Cow::Owned(ids)

@@ -374,6 +374,15 @@ impl Batch {
         batch
     }
 
+    /// The column bound at `slot` (empty if the slot is unbound).
+    pub(super) fn into_column(self, slot: usize) -> Vec<TermId> {
+        self.cols
+            .into_iter()
+            .nth(slot)
+            .flatten()
+            .unwrap_or_default()
+    }
+
     /// Drops every row after the first `len`.
     pub(super) fn truncate(&mut self, len: usize) {
         self.len = self.len.min(len);

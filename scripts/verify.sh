@@ -237,6 +237,22 @@ cargo test -q --offline -p re2xolap --test validation_differential
 # and a builder must build what a fresh one builds whatever came before.
 cargo test -q --offline -p re2xolap --test validation_differential built_candidates_match_the_golden_digest
 cargo test -q --offline -p re2xolap --lib shared_parts_build_what_a_fresh_builder_builds
+# The observation-set cap counts rows, not distinct observations: an
+# M-to-N set of 4 200 rows over 2 100 observations is unknown, and its
+# candidates are decided by their own ASK.
+cargo test -q --offline -p re2xolap --test validation_differential the_cap_counts_rows_not_distinct_observations
+
+echo "== select_ids seam differential suite (offline) =="
+# select_ids must answer the first column of select's rows as term ids
+# (None when a cell is not a term) and add exactly select's statistics, on
+# every stack: local (plain, with latency), & / Box / Arc, caching (miss,
+# then hit), tracing, 2 and 4 shards — ReOLAP's observation-set fetch on
+# every level of all four datasets, LIMIT / OFFSET slices, the shapes that
+# take the row path (DISTINCT, ORDER BY, aggregates, OPTIONAL, UNION, two
+# columns), literals, unbound and absent variables, an invalid query. The
+# pointer layers must reach the pointee's own select_ids.
+cargo test -q --offline -p re2x-sparql --test select_ids_differential
+cargo test -q --offline -p re2x-sparql --lib only_plain_single_variable_selects_are_read_as_ids
 
 echo "== snapshot suites: round-trip / corruption / dataset cache (offline) =="
 # write_snapshot -> load_snapshot must be the identity on graphs (incl.

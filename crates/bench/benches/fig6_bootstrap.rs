@@ -1,12 +1,10 @@
 //! Figure 6c: system-bootstrap (Virtual Schema Graph construction) time
 //! per dataset. The paper attributes bootstrap cost to schema complexity
 //! and endpoint speed, not to observation count — the two Eurostat scales
-//! benched here demonstrate the latter dependence is sub-linear. The
-//! parallel crawl is timed alongside the serial one to show the fan-out
-//! win.
+//! benched here demonstrate the latter dependence is sub-linear.
 
 use re2x_bench::micro::Group;
-use re2x_cube::{bootstrap, bootstrap_parallel, BootstrapConfig};
+use re2x_cube::{bootstrap, BootstrapConfig};
 use re2x_sparql::LocalEndpoint;
 
 fn main() {
@@ -26,8 +24,5 @@ fn main() {
         let endpoint = LocalEndpoint::new(std::mem::take(&mut dataset.graph));
         let config = BootstrapConfig::new(class);
         group.bench(name, || bootstrap(&endpoint, &config).expect("bootstrap"));
-        group.bench(&format!("{name}_parallel"), || {
-            bootstrap_parallel(&endpoint, &config).expect("bootstrap")
-        });
     }
 }

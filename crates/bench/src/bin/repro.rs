@@ -216,11 +216,8 @@ fn main() {
     if wants("trace") {
         // 2 ms of injected latency stands in for a remote endpoint; the
         // phase-attributed report shows endpoint time dominating the
-        // pipeline (the paper's Figs. 6–9 observation), and the async
-        // comparison row measures how much of it the ticket fan-out
-        // reclaims.
-        let report =
-            re2x_bench::trace::run_with_async_comparison(std::time::Duration::from_millis(2), 8);
+        // pipeline (the paper's Figs. 6–9 observation).
+        let report = re2x_bench::trace::run(std::time::Duration::from_millis(2));
         emit(
             &args.out,
             "trace",

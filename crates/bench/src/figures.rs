@@ -846,7 +846,6 @@ pub fn fig9(results: &[(&str, [RefineStats; 3])]) -> String {
 /// the paper attributes most of the bootstrap and validation cost to
 /// exactly those round-trips.
 pub fn latency_profile(seed: u64) -> String {
-    use re2x_cube::bootstrap_parallel;
     use re2x_sparql::CachingEndpoint;
 
     let injected = Duration::from_millis(1);
@@ -877,9 +876,9 @@ pub fn latency_profile(seed: u64) -> String {
         endpoint.reset_stats();
     };
 
-    let report = bootstrap_parallel(&endpoint, &config).expect("bootstrap");
+    let report = bootstrap(&endpoint, &config).expect("bootstrap");
     record("bootstrap (cold)");
-    bootstrap_parallel(&endpoint, &config).expect("bootstrap");
+    bootstrap(&endpoint, &config).expect("bootstrap");
     record("bootstrap (warm)");
 
     let schema = report.schema;

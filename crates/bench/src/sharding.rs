@@ -7,8 +7,7 @@
 //! fact triples hash-partitioned, each shard returns only its share of the
 //! rows, and the scatter overlaps the shards' round-trip + transfer time —
 //! so wall time shrinks with the shard count even though the total work is
-//! unchanged (this parallelizes *waiting*, exactly like the async ticket
-//! fan-out in the `trace` experiment, so it holds on any core count).
+//! unchanged (this parallelizes *waiting*, so it holds on any core count).
 //!
 //! Every configuration is differentially checked against a latency-free
 //! [`LocalEndpoint`] on the unpartitioned graph (the `identical` flag), the

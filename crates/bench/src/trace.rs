@@ -14,7 +14,7 @@
 //! integration tests assert.
 
 use crate::report::{fmt_duration, Table};
-use re2x_cube::{bootstrap, bootstrap_async, bootstrap_parallel, BootstrapConfig};
+use re2x_cube::{bootstrap, BootstrapConfig};
 use re2x_obs::export::{aggregate_spans, events_to_jsonl, json_escape, render_self_time_tree};
 use re2x_obs::{PhaseQueryStats, TraceEvent, Tracer};
 use re2x_sparql::{EndpointStats, LocalEndpoint, SparqlEndpoint, TracingEndpoint};
@@ -48,75 +48,6 @@ pub fn phase_of(path: &str) -> &'static str {
     "other"
 }
 
-/// Serial-vs-async measurement of the bootstrap crawl's query fan-out over
-/// the same dataset and injected latency. The async leg is
-/// differential-tested to be byte-identical to serial, so the comparison
-/// isolates pure overlap.
-pub struct AsyncComparison {
-    /// Pool threads servicing async tickets.
-    pub workers: usize,
-    /// Injected per-query endpoint latency.
-    pub injected: Duration,
-    /// Wall time of serial `bootstrap`.
-    pub serial_wall: Duration,
-    /// Wall time of `bootstrap_async`.
-    pub async_wall: Duration,
-    /// Endpoint busy time consumed by the async leg (summed across pool
-    /// threads).
-    pub async_busy: Duration,
-    /// Whether the async leg produced a byte-identical Virtual Schema
-    /// Graph (it must; also enforced by the differential test suites).
-    pub identical: bool,
-}
-
-impl AsyncComparison {
-    /// Serial wall time over async wall time (> 1 means the fan-out won).
-    pub fn speedup(&self) -> f64 {
-        if self.async_wall.is_zero() {
-            return 0.0;
-        }
-        self.serial_wall.as_secs_f64() / self.async_wall.as_secs_f64()
-    }
-
-    /// Endpoint busy time per wall second of the async leg. A ratio above
-    /// 1.0 means the pool genuinely overlapped round-trips: the endpoint
-    /// was kept busy on several tickets at once.
-    pub fn overlap_ratio(&self) -> f64 {
-        if self.async_wall.is_zero() {
-            return 0.0;
-        }
-        self.async_busy.as_secs_f64() / self.async_wall.as_secs_f64()
-    }
-}
-
-/// Measures [`AsyncComparison`] on the running-example dataset.
-pub fn compare_async(injected: Duration, workers: usize) -> AsyncComparison {
-    let mut dataset = re2x_datagen::running::generate();
-    let graph = std::mem::take(&mut dataset.graph);
-    let endpoint = LocalEndpoint::new(graph).with_latency(injected);
-    let bootstrap_config = BootstrapConfig::new(dataset.observation_class.clone());
-
-    let serial_start = Instant::now();
-    let serial_report = bootstrap(&endpoint, &bootstrap_config).expect("serial bootstrap");
-    let serial_wall = serial_start.elapsed();
-
-    let busy_before = endpoint.stats().busy;
-    let async_start = Instant::now();
-    let async_report =
-        bootstrap_async(&endpoint, &bootstrap_config, workers).expect("async bootstrap");
-    let async_wall = async_start.elapsed();
-    let async_busy = endpoint.stats().busy.saturating_sub(busy_before);
-
-    AsyncComparison {
-        workers,
-        injected,
-        serial_wall,
-        async_wall,
-        async_busy,
-        identical: async_report.schema == serial_report.schema,
-    }
-}
-
 /// Everything one traced pipeline run produced.
 pub struct TraceReport {
     /// Wall-clock time of the whole pipeline (the root span).
@@ -129,17 +60,13 @@ pub struct TraceReport {
     pub provenance: Vec<(String, PhaseQueryStats)>,
     /// The raw trace event log.
     pub events: Vec<TraceEvent>,
-    /// Serial-vs-async fan-out measurement, when the experiment ran it.
-    pub async_comparison: Option<AsyncComparison>,
 }
 
 impl TraceReport {
-    /// Fraction of the pipeline wall time spent inside the endpoint.
-    ///
-    /// Endpoint busy time is summed across threads, so the fraction can
-    /// exceed 1.0 when parallel phases (`bootstrap_parallel`) keep the
-    /// endpoint busy on several threads at once — still "endpoint
-    /// dominates", only more so.
+    /// Fraction of the pipeline wall time spent inside the endpoint. The
+    /// pipeline issues every query on one thread, so the busy intervals are
+    /// disjoint sub-intervals of the wall time and the fraction lies in
+    /// `[0, 1]`.
     pub fn endpoint_fraction(&self) -> f64 {
         if self.pipeline_wall.is_zero() {
             return 0.0;
@@ -195,21 +122,6 @@ impl TraceReport {
             "  \"endpoint_fraction\": {:.4},",
             self.endpoint_fraction()
         );
-        if let Some(c) = &self.async_comparison {
-            let _ = writeln!(
-                out,
-                "  \"async_comparison\": {{\"workers\": {}, \"serial_wall_us\": {}, \
-                 \"async_wall_us\": {}, \"async_busy_us\": {}, \"speedup\": {:.2}, \
-                 \"overlap_ratio\": {:.2}, \"identical\": {}}},",
-                c.workers,
-                c.serial_wall.as_micros(),
-                c.async_wall.as_micros(),
-                c.async_busy.as_micros(),
-                c.speedup(),
-                c.overlap_ratio(),
-                c.identical,
-            );
-        }
         out.push_str("  \"phases\": [\n");
         let rollup = self.phase_rollup();
         for (i, (phase, stats)) in rollup.iter().enumerate() {
@@ -267,30 +179,12 @@ impl TraceReport {
             ]);
         }
         let mut out = t.render();
-        if let Some(c) = &self.async_comparison {
-            let _ = writeln!(
-                out,
-                "\nasync fan-out ({} workers): bootstrap serial {} vs async {} \
-                 → {:.2}x speedup, overlap ratio {:.2}, byte-identical: {}",
-                c.workers,
-                fmt_duration(c.serial_wall),
-                fmt_duration(c.async_wall),
-                c.speedup(),
-                c.overlap_ratio(),
-                c.identical,
-            );
-        }
         let _ = writeln!(
             out,
-            "\npipeline wall {}  endpoint busy {}  endpoint fraction {:.1}%{}\n",
+            "\npipeline wall {}  endpoint busy {}  endpoint fraction {:.1}%\n",
             fmt_duration(self.pipeline_wall),
             fmt_duration(self.stats.busy),
             100.0 * self.endpoint_fraction(),
-            if self.endpoint_fraction() > 1.0 {
-                " (busy summed across parallel bootstrap threads)"
-            } else {
-                ""
-            },
         );
         out.push_str("Self-time tree:\n\n");
         out.push_str(&render_self_time_tree(&self.events));
@@ -317,7 +211,7 @@ pub fn run(injected: Duration) -> TraceReport {
         let _pipeline = tracer.span("pipeline");
         let bootstrap_config =
             BootstrapConfig::new(dataset.observation_class.clone()).with_tracer(tracer.clone());
-        let report = bootstrap_parallel(&endpoint, &bootstrap_config).expect("bootstrap");
+        let report = bootstrap(&endpoint, &bootstrap_config).expect("bootstrap");
 
         let session_config = SessionConfig {
             tracer: tracer.clone(),
@@ -349,16 +243,7 @@ pub fn run(injected: Duration) -> TraceReport {
         stats: endpoint.stats(),
         provenance: tracer.provenance(),
         events: tracer.take_events(),
-        async_comparison: None,
     }
-}
-
-/// [`run`] followed by the serial-vs-async fan-out measurement at the same
-/// injected latency, attached to the report (and its `trace.json`).
-pub fn run_with_async_comparison(injected: Duration, workers: usize) -> TraceReport {
-    let mut report = run(injected);
-    report.async_comparison = Some(compare_async(injected, workers));
-    report
 }
 
 #[cfg(test)]
@@ -402,36 +287,13 @@ mod tests {
         assert!(json.contains("\"endpoint_fraction\""));
         assert!(json.contains("\"phase\": \"bootstrap\""));
         assert!(json.contains("\"spans\""));
-        assert!(!json.contains("\"async_comparison\""), "not measured here");
+        let fraction = report.endpoint_fraction();
+        assert!(
+            fraction > 0.0 && fraction <= 1.0,
+            "serial pipeline: endpoint_fraction {fraction} must lie in (0, 1]"
+        );
         let summary = report.summary();
         assert!(summary.contains("endpoint fraction"));
         assert!(summary.contains("pipeline"));
-    }
-
-    #[test]
-    fn async_comparison_is_identical_and_lands_in_the_artifact() {
-        // zero injected latency: no speedup claim, but the legs must agree
-        // byte-for-byte and the artifact must carry the row
-        let comparison = compare_async(Duration::ZERO, 4);
-        assert!(comparison.identical, "async legs diverged from serial");
-        let mut report = run(Duration::ZERO);
-        report.async_comparison = Some(comparison);
-        let json = report.to_json();
-        assert!(json.contains("\"async_comparison\""));
-        assert!(json.contains("\"overlap_ratio\""));
-        assert!(json.contains("\"identical\": true"));
-        assert!(report.summary().contains("async fan-out"));
-    }
-
-    #[test]
-    fn async_comparison_overlaps_injected_latency() {
-        let comparison = compare_async(Duration::from_millis(2), 8);
-        assert!(comparison.identical);
-        assert!(
-            comparison.speedup() > 1.0,
-            "async bootstrap ({:?}) should beat serial ({:?}) at 2 ms",
-            comparison.async_wall,
-            comparison.serial_wall
-        );
     }
 }

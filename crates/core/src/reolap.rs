@@ -43,7 +43,8 @@ pub struct ReolapConfig {
     /// Validate each interpretation against the endpoint (switchable for
     /// the ablation study).
     pub validate: bool,
-    /// Upper bound on interpretation combinations before giving up with
+    /// Upper bound on the candidate interpretations (member combinations)
+    /// enumerated and validated before giving up with
     /// [`Re2xError::TooManyInterpretations`].
     pub max_interpretations: usize,
     /// Tracer receiving per-phase spans under `reolap`: `reolap.match` per
@@ -412,9 +413,22 @@ pub fn reolap_multi(
             elapsed: start.elapsed(),
         });
     }
-    if combinations > config.max_interpretations {
+    // The bound caps the candidates enumerated and validated, as in
+    // `reolap`. A tuple's candidates over all combos are the product, per
+    // position, of its hits at that position's levels (a sum of products
+    // over a cartesian product factorizes).
+    let candidate_count = all
+        .iter()
+        .map(|row| {
+            saturating_product(row.iter().zip(&position_levels).map(|(hits, levels)| {
+                let at_levels = hits.iter().filter(|m| levels.contains(&m.binding.level));
+                at_levels.count()
+            }))
+        })
+        .fold(0, usize::saturating_add);
+    if candidate_count > config.max_interpretations {
         return Err(Re2xError::TooManyInterpretations {
-            combinations,
+            combinations: candidate_count,
             bound: config.max_interpretations,
         });
     }

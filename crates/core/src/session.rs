@@ -14,9 +14,7 @@ use crate::refine::{disaggregate, similar, subset, RefineOp, Refinement};
 use crate::reolap::{reolap, ReolapConfig, SynthesisOutcome};
 use re2x_cube::VirtualSchemaGraph;
 use re2x_obs::Tracer;
-use re2x_sparql::{
-    with_async_endpoint, AsyncResponse, AsyncSparqlEndpoint, Solutions, SparqlEndpoint, Ticket,
-};
+use re2x_sparql::{Solutions, SparqlEndpoint};
 use std::fmt;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -31,7 +29,7 @@ pub enum SessionPhase {
     Execute,
     /// Refinement generation ([`Session::refinements`]).
     Refine,
-    /// Refinement preview fan-out ([`Session::preview`]).
+    /// Refinement preview ([`Session::preview`]).
     Preview,
 }
 
@@ -373,53 +371,35 @@ impl<'a> Session<'a> {
     /// preview of what each exploration path would show before committing
     /// to one with [`Session::apply`]. Refinements that restrict the current
     /// step's rows are answered from them ([`derive()`]); only the others
-    /// reach the endpoint.
+    /// reach the endpoint, one after another.
     ///
-    /// With `workers == 0` those queries run one after another; otherwise
-    /// they are submitted together through the poll-based async endpoint
-    /// adapter and serviced by `workers` pool threads, overlapping their
-    /// round-trips. Results are byte-identical either way (the async
-    /// adapter preserves submission order), queries all attribute to the
-    /// `session.preview` span, and previewed paths do not enter the
-    /// session history or the tuples-accessible count.
-    pub fn preview(
-        &mut self,
-        refinements: &[Refinement],
-        workers: usize,
-    ) -> Result<Vec<Solutions>, Re2xError> {
+    /// Those queries attribute to the `session.preview` span, and previewed
+    /// paths do not enter the session history or the tuples-accessible
+    /// count.
+    pub fn preview(&mut self, refinements: &[Refinement]) -> Result<Vec<Solutions>, Re2xError> {
         let tracer = self.config.tracer.clone();
         let mut span = tracer.span("session.preview");
         let begin = self.cost_begin();
         let graph = self.endpoint.graph();
-        let mut previews: Vec<Option<Solutions>> = refinements
-            .iter()
-            .map(|r| derive(self.history.last()?, &r.query, graph))
-            .collect();
-        let pending: Vec<usize> = (0..previews.len())
-            .filter(|&i| previews[i].is_none())
-            .collect();
-        span.record("derived", previews.len() - pending.len());
-        if workers == 0 || pending.len() < 2 {
-            for &i in &pending {
-                previews[i] = Some(self.endpoint.select(&refinements[i].query.query)?);
-            }
-        } else {
-            let results = with_async_endpoint(self.endpoint, workers, |pool| {
-                let tickets: Vec<Ticket> = pending
-                    .iter()
-                    .map(|&i| pool.submit_select(refinements[i].query.query.clone()))
-                    .collect();
-                pool.join_all(tickets)
-            });
-            for (&i, result) in pending.iter().zip(results) {
-                previews[i] = Some(result.and_then(AsyncResponse::into_select)?);
-            }
+        let mut derived = 0usize;
+        let mut previews = Vec::with_capacity(refinements.len());
+        for refinement in refinements {
+            let query = &refinement.query;
+            let preview = match self.history.last().and_then(|s| derive(s, query, graph)) {
+                Some(rows) => {
+                    derived += 1;
+                    rows
+                }
+                None => self.endpoint.select(&query.query)?,
+            };
+            previews.push(preview);
         }
+        span.record("derived", derived);
         let cost = self.cost_end(begin);
         self.metrics.phases.execution.add(cost);
         self.notify(SessionPhase::Preview, cost, false);
         self.metrics.interactions += 1;
-        Ok(previews.into_iter().flatten().collect())
+        Ok(previews)
     }
 
     /// Applies a refinement: makes its query the current step, answered
@@ -653,38 +633,72 @@ mod tests {
     #[test]
     fn preview_sends_only_what_it_cannot_derive() {
         let (ep, schema) = fixture();
-        for workers in [0, 2] {
-            let mut session = drilled_down(&ep, &schema, SessionConfig::default());
-            // drill-downs and dices interleaved: derivable and not
-            let dis = session.refinements(RefineOp::Disaggregate).expect("dis");
-            let tops = session.refinements(RefineOp::TopK).expect("topk");
-            let sims = session.refinements(RefineOp::Similarity).expect("sim");
-            assert!(!dis.is_empty() && !tops.is_empty() && !sims.is_empty());
-            let executing = dis.len() as u64;
-            let mut offers = tops;
-            offers.splice(1..1, dis);
-            offers.extend(sims);
+        let mut session = drilled_down(&ep, &schema, SessionConfig::default());
+        // drill-downs and dices interleaved: derivable and not
+        let dis = session.refinements(RefineOp::Disaggregate).expect("dis");
+        let tops = session.refinements(RefineOp::TopK).expect("topk");
+        let sims = session.refinements(RefineOp::Similarity).expect("sim");
+        assert!(!dis.is_empty() && !tops.is_empty() && !sims.is_empty());
+        let executing = dis.len() as u64;
+        let mut offers = tops;
+        offers.splice(1..1, dis);
+        offers.extend(sims);
 
-            let expected: Vec<Solutions> = offers
+        let expected: Vec<Solutions> = offers
+            .iter()
+            .map(|r| ep.select(&r.query.query).expect("runs"))
+            .collect();
+        let issued = ep.stats().total_queries();
+        let phases = session.metrics().phases;
+        let previews = session.preview(&offers).expect("preview");
+        assert_eq!(previews, expected, "offer order");
+        assert_eq!(
+            ep.stats().total_queries() - issued,
+            executing,
+            "only the drill-downs are executed"
+        );
+        let execution = session.metrics().phases.execution;
+        assert_eq!(execution.invocations, phases.execution.invocations + 1);
+        assert_eq!(
+            execution.endpoint_queries,
+            phases.execution.endpoint_queries + executing
+        );
+    }
+
+    /// Every query a preview sends attributes to its `session.preview`
+    /// span: none lands in the unattributed bucket.
+    #[test]
+    fn preview_queries_attribute_to_its_own_span() {
+        let (ep, schema) = fixture();
+        let tracer = Tracer::enabled();
+        let ep = re2x_sparql::TracingEndpoint::new(ep, tracer.clone());
+        let config = SessionConfig {
+            tracer: tracer.clone(),
+            ..SessionConfig::default()
+        };
+        let mut session = Session::new(&ep, &schema, config);
+        let outcome = session.synthesize(&["Germany"]).expect("synthesis");
+        session.choose(outcome.queries[0].clone()).expect("run");
+        let refinements = session.refinements(RefineOp::Disaggregate).expect("dis");
+        assert!(refinements.len() > 1);
+        let unattributed = |tracer: &Tracer| {
+            tracer
+                .provenance()
                 .iter()
-                .map(|r| ep.select(&r.query.query).expect("runs"))
-                .collect();
-            let issued = ep.stats().total_queries();
-            let phases = session.metrics().phases;
-            let previews = session.preview(&offers, workers).expect("preview");
-            assert_eq!(previews, expected, "workers={workers}: offer order");
-            assert_eq!(
-                ep.stats().total_queries() - issued,
-                executing,
-                "workers={workers}: only the drill-downs are executed"
-            );
-            let execution = session.metrics().phases.execution;
-            assert_eq!(execution.invocations, phases.execution.invocations + 1);
-            assert_eq!(
-                execution.endpoint_queries,
-                phases.execution.endpoint_queries + executing
-            );
-        }
+                .find(|(path, _)| path == re2x_obs::UNATTRIBUTED)
+                .map_or(0, |(_, s)| s.queries())
+        };
+        let stray_before = unattributed(&tracer);
+        session.preview(&refinements).expect("preview");
+
+        let provenance = tracer.provenance();
+        let preview_selects: u64 = provenance
+            .iter()
+            .filter(|(path, _)| path.ends_with("session.preview"))
+            .map(|(_, s)| s.selects)
+            .sum();
+        assert_eq!(preview_selects, refinements.len() as u64);
+        assert_eq!(unattributed(&tracer), stray_before, "{provenance:?}");
     }
 
     #[test]
@@ -779,7 +793,7 @@ mod tests {
         let outcome = session.synthesize(&["Germany"]).expect("synthesis");
         session.choose(outcome.queries[0].clone()).expect("run");
         let refinements = session.refinements(RefineOp::Disaggregate).expect("refine");
-        session.preview(&refinements, 0).expect("preview");
+        session.preview(&refinements).expect("preview");
         let metrics = session.finish();
 
         let phases = recorder.phases.lock().expect("recorder");

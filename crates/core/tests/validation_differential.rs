@@ -622,13 +622,7 @@ fn multi_tuple_synthesis_matches_the_oracle() {
 
 /// A keyword naming two members of one level: "Springfield" is the
 /// destination of o1 (as A, from France) and of o2 (as B, from Germany).
-/// A tuple is explained at a level combo iff *some* combination of its
-/// members at those levels validates (footnote 3), so ⟨Springfield,
-/// Germany⟩ holds at (destination, origin) through B — for `reolap_multi`
-/// as for `reolap` — and so does ⟨Springfield, France⟩ through A beside
-/// it.
-#[test]
-fn multi_tuple_synthesis_tries_every_member_of_a_level() {
+fn two_springfields() -> (LocalEndpoint, VirtualSchemaGraph) {
     let turtle = "@prefix ex: <http://ex/> .\n\
          @prefix rdfs: <http://www.w3.org/2000/01/rdf-schema#> .\n\
          ex:SpringfieldA rdfs:label \"Springfield\" .\n\
@@ -643,6 +637,17 @@ fn multi_tuple_synthesis_tries_every_member_of_a_level() {
     let schema = bootstrap(&endpoint, &BootstrapConfig::new("http://ex/Obs"))
         .expect("bootstrap")
         .schema;
+    (endpoint, schema)
+}
+
+/// A tuple is explained at a level combo iff *some* combination of its
+/// members at those levels validates (footnote 3), so ⟨Springfield,
+/// Germany⟩ holds at (destination, origin) through B — for `reolap_multi`
+/// as for `reolap` — and so does ⟨Springfield, France⟩ through A beside
+/// it.
+#[test]
+fn multi_tuple_synthesis_tries_every_member_of_a_level() {
+    let (endpoint, schema) = two_springfields();
     let config = ReolapConfig::default();
     let single = reolap(&endpoint, &schema, &["Springfield", "Germany"], &config)
         .expect("synthesis")
@@ -674,6 +679,73 @@ fn multi_tuple_synthesis_tries_every_member_of_a_level() {
             ["http://ex/SpringfieldB", "http://ex/Germany"],
             ["http://ex/SpringfieldA", "http://ex/France"],
         ]
+    );
+}
+
+/// `max_interpretations` bounds the candidates enumerated and validated,
+/// not the level combos they fall into: ⟨Springfield, Germany⟩ is one
+/// level combo but two candidates, so a bound of one refuses it through
+/// both entry points — with matching traffic only, no validation.
+#[test]
+fn the_interpretation_bound_counts_candidates() {
+    let (endpoint, schema) = two_springfields();
+    let config = ReolapConfig {
+        max_interpretations: 1,
+        ..ReolapConfig::default()
+    };
+    let sent = |endpoint: &LocalEndpoint| endpoint.stats().total_queries();
+    let before = sent(&endpoint);
+    let err = reolap(&endpoint, &schema, &["Springfield", "Germany"], &config)
+        .expect_err("two candidates exceed a bound of one");
+    let matching = sent(&endpoint) - before;
+    assert!(
+        matches!(
+            err,
+            Re2xError::TooManyInterpretations {
+                combinations: 2,
+                bound: 1
+            }
+        ),
+        "{err:?}"
+    );
+    let examples = [vec!["Springfield".to_owned(), "Germany".to_owned()]];
+    let before = sent(&endpoint);
+    let err = reolap_multi(&endpoint, &schema, &examples, &config)
+        .expect_err("two candidates exceed a bound of one");
+    assert!(
+        matches!(
+            err,
+            Re2xError::TooManyInterpretations {
+                combinations: 2,
+                bound: 1
+            }
+        ),
+        "{err:?}"
+    );
+    assert_eq!(
+        sent(&endpoint) - before,
+        matching,
+        "refused before validating"
+    );
+    // both tuples of a pair each bring their two candidates
+    let pair = [
+        examples[0].clone(),
+        vec!["Springfield".to_owned(), "France".to_owned()],
+    ];
+    let config = ReolapConfig {
+        max_interpretations: 3,
+        ..ReolapConfig::default()
+    };
+    let err = reolap_multi(&endpoint, &schema, &pair, &config).expect_err("four candidates");
+    assert!(
+        matches!(
+            err,
+            Re2xError::TooManyInterpretations {
+                combinations: 4,
+                ..
+            }
+        ),
+        "{err:?}"
     );
 }
 

@@ -16,18 +16,16 @@
 //! The result is the [`VirtualSchemaGraph`]; everything downstream (query
 //! synthesis, refinements) navigates it instead of the triplestore.
 
-use crate::labels::{default_label_predicates, humanize, label_of_counted, local_name};
+use crate::labels::{default_label_predicates, label_of_counted};
+use crate::model::DimensionId;
 use crate::patterns::{observation_type, path_to_member};
 use crate::vgraph::VirtualSchemaGraph;
 use re2x_obs::Tracer;
 use re2x_rdf::vocab;
 use re2x_sparql::{
-    with_async_endpoint, AggFunc, AsyncAdapter, AsyncResponse, AsyncSparqlEndpoint, Expr, Func,
-    PatternElement, Query, SelectItem, Solutions, SparqlEndpoint, SparqlError, TermPattern, Ticket,
-    TriplePattern,
+    AggFunc, Expr, Func, PatternElement, Query, SelectItem, SparqlEndpoint, SparqlError,
+    TermPattern, TriplePattern,
 };
-use std::collections::{BTreeMap, HashSet};
-use std::task::Poll;
 use std::time::{Duration, Instant};
 
 /// Configuration of the bootstrap crawl.
@@ -99,626 +97,48 @@ pub fn bootstrap(
     // lint:allow(no-wallclock, bootstrap phase timing feeds BootstrapReport durations)
     let start = Instant::now();
     let _root = config.tracer.span("bootstrap");
-    let (mut schema, dim_predicates, mut queries) = bootstrap_prelude(endpoint, config)?;
-
-    for predicate in dim_predicates {
-        let crawl = {
-            let _dim = config.tracer.span_with(
-                "bootstrap.crawl_dimension",
-                &[("dimension", predicate.as_str())],
-            );
-            crawl_dimension(endpoint, config, predicate)?
-        };
-        queries += crawl.queries;
-        apply_dimension(&mut schema, crawl);
-    }
-
-    Ok(BootstrapReport {
-        schema,
-        elapsed: start.elapsed(),
-        endpoint_queries: queries,
-    })
-}
-
-/// [`bootstrap`] with the per-dimension hierarchy crawls fanned out over
-/// scoped threads, one per dimension.
-///
-/// Per-dimension crawls are independent — every level path starts with its
-/// dimension's predicate, so no discovery in one crawl can affect another —
-/// and their results are applied to the schema in dimension order, making
-/// the produced [`VirtualSchemaGraph`] *identical* to the serial one (and
-/// `endpoint_queries` equal; only `elapsed` differs). Requires an endpoint
-/// that tolerates concurrent queries, which [`SparqlEndpoint`]'s `Send +
-/// Sync` bound guarantees.
-pub fn bootstrap_parallel(
-    endpoint: &dyn SparqlEndpoint,
-    config: &BootstrapConfig,
-) -> Result<BootstrapReport, SparqlError> {
-    // lint:allow(no-wallclock, bootstrap phase timing feeds BootstrapReport durations)
-    let start = Instant::now();
-    let root = config.tracer.span("bootstrap");
-    let (mut schema, dim_predicates, mut queries) = bootstrap_prelude(endpoint, config)?;
-
-    // Worker threads have no span context of their own; each per-dimension
-    // span is explicitly parented under the root via its handle, so paths
-    // (and query provenance) nest identically to the serial variant.
-    let root_handle = root.handle();
-    let crawls: Vec<Result<DimensionCrawl, SparqlError>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = dim_predicates
-            .into_iter()
-            .map(|predicate| {
-                let root_handle = root_handle.clone();
-                scope.spawn(move || {
-                    let _dim = config.tracer.span_under_with(
-                        &root_handle,
-                        "bootstrap.crawl_dimension",
-                        &[("dimension", predicate.as_str())],
-                    );
-                    crawl_dimension(endpoint, config, predicate)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(result) => result,
-                // contain a worker panic as a crawl failure instead of
-                // re-panicking at scope exit and killing the session
-                Err(_) => Err(SparqlError::Endpoint(
-                    "dimension crawl thread panicked".into(),
-                )),
-            })
-            .collect()
-    });
-    for crawl in crawls {
-        let crawl = crawl?;
-        queries += crawl.queries;
-        apply_dimension(&mut schema, crawl);
-    }
-
-    Ok(BootstrapReport {
-        schema,
-        elapsed: start.elapsed(),
-        endpoint_queries: queries,
-    })
-}
-
-/// [`bootstrap`] with the per-level member/attribute crawl fanned out
-/// through the poll-based [`AsyncSparqlEndpoint`] adapter: every level's
-/// count, attribute, label, and roll-up queries — across *all* dimensions
-/// at once — are in flight concurrently on `workers` pool threads, so the
-/// crawl pays for round-trip *depth*, not round-trip *count*.
-///
-/// The produced [`VirtualSchemaGraph`] and `endpoint_queries` are
-/// **identical** to the serial [`bootstrap`] (differential-tested): the
-/// crawl issues exactly the queries the serial recursion would (including
-/// the short-circuiting label-predicate chains), records what each level
-/// discovered, and then replays the serial depth-first emission order
-/// from the recorded answers. Query provenance reconciles identically
-/// too: each submission carries its dimension's span context, which the
-/// pool workers adopt while servicing it.
-pub fn bootstrap_async(
-    endpoint: &dyn SparqlEndpoint,
-    config: &BootstrapConfig,
-    workers: usize,
-) -> Result<BootstrapReport, SparqlError> {
-    // lint:allow(no-wallclock, bootstrap phase timing feeds BootstrapReport durations)
-    let start = Instant::now();
-    let root = config.tracer.span("bootstrap");
-    let (mut schema, dim_predicates, mut queries) = bootstrap_prelude(endpoint, config)?;
-
-    let root_handle = root.handle();
-    let graph = endpoint.graph();
-    let crawls = with_async_endpoint(endpoint, workers, |pool| {
-        crawl_dimensions_async(pool, graph, config, &root_handle, dim_predicates)
-    })?;
-    for crawl in crawls {
-        queries += crawl.queries;
-        apply_dimension(&mut schema, crawl);
-    }
-
-    Ok(BootstrapReport {
-        schema,
-        elapsed: start.elapsed(),
-        endpoint_queries: queries,
-    })
-}
-
-/// The serial head of both bootstrap variants: observation count, measure
-/// discovery, and the dimension-predicate scan. Returns the partially
-/// built schema, the (non-excluded) dimension predicates in discovery
-/// order, and the queries spent so far.
-fn bootstrap_prelude(
-    endpoint: &dyn SparqlEndpoint,
-    config: &BootstrapConfig,
-) -> Result<(VirtualSchemaGraph, Vec<String>, u64), SparqlError> {
-    let _span = config.tracer.span("bootstrap.prelude");
     let mut queries = 0u64;
     let mut schema = VirtualSchemaGraph::new(config.observation_class.clone());
 
-    // 1. observation count
-    schema.observation_count = count_observations(endpoint, config, &mut queries)?;
+    let dim_predicates: Vec<String> = {
+        let _span = config.tracer.span("bootstrap.prelude");
+        // 1. observation count
+        schema.observation_count = count_observations(endpoint, config, &mut queries)?;
 
-    // 2. measures: observation predicates with numeric-literal objects
-    for predicate in typed_object_predicates(endpoint, config, Func::IsNumeric, &mut queries)? {
-        if config.is_excluded(&predicate) {
-            continue;
+        // 2. measures: observation predicates with numeric-literal objects
+        for predicate in typed_object_predicates(endpoint, config, Func::IsNumeric, &mut queries)? {
+            if config.is_excluded(&predicate) {
+                continue;
+            }
+            let label =
+                label_of_counted(endpoint, &predicate, &config.label_predicates, &mut queries);
+            schema.add_measure(predicate, label);
         }
-        let label = label_of_counted(endpoint, &predicate, &config.label_predicates, &mut queries);
-        schema.add_measure(predicate, label);
-    }
 
-    // 3. dimensions: observation predicates with IRI objects
-    let dim_predicates = typed_object_predicates(endpoint, config, Func::IsIri, &mut queries)?
-        .into_iter()
-        .filter(|p| !config.is_excluded(p))
-        .collect();
-    Ok((schema, dim_predicates, queries))
-}
+        // 3. dimensions: observation predicates with IRI objects
+        typed_object_predicates(endpoint, config, Func::IsIri, &mut queries)?
+            .into_iter()
+            .filter(|p| !config.is_excluded(p))
+            .collect()
+    };
 
-/// One discovered hierarchy level, pending insertion into the schema.
-struct PendingLevel {
-    path: Vec<String>,
-    member_count: usize,
-    attributes: Vec<String>,
-    label: String,
-}
-
-/// Everything one dimension's crawl discovered, plus its query count.
-struct DimensionCrawl {
-    predicate: String,
-    label: String,
-    levels: Vec<PendingLevel>,
-    queries: u64,
-}
-
-/// Crawls the hierarchy below one dimension predicate. Self-contained (own
-/// query counter, no schema access) so crawls can run on separate threads.
-fn crawl_dimension(
-    endpoint: &dyn SparqlEndpoint,
-    config: &BootstrapConfig,
-    predicate: String,
-) -> Result<DimensionCrawl, SparqlError> {
-    let mut queries = 0u64;
-    let label = label_of_counted(endpoint, &predicate, &config.label_predicates, &mut queries);
-    let mut levels = Vec::new();
-    collect_levels(
-        endpoint,
-        config,
-        &mut levels,
-        vec![predicate.clone()],
-        &mut queries,
-    )?;
-    Ok(DimensionCrawl {
-        predicate,
-        label,
-        levels,
-        queries,
-    })
-}
-
-/// Inserts a finished crawl into the schema, preserving depth-first
-/// discovery order within the dimension.
-fn apply_dimension(schema: &mut VirtualSchemaGraph, crawl: DimensionCrawl) {
-    let dim = schema.add_dimension(crawl.predicate, crawl.label);
-    for level in crawl.levels {
-        schema.add_level(
-            dim,
-            level.path,
-            level.member_count,
-            level.attributes,
-            level.label,
+    // 4. each dimension's hierarchy, depth-first
+    for predicate in dim_predicates {
+        let _dim = config.tracer.span_with(
+            "bootstrap.crawl_dimension",
+            &[("dimension", predicate.as_str())],
         );
-    }
-}
-
-/// Everything one level's fan-out discovered, keyed by path in
-/// [`AsyncCrawl::info`]; only levels with members are recorded, mirroring
-/// the serial early return on `member_count == 0`.
-struct LevelInfo {
-    member_count: usize,
-    attributes: Vec<String>,
-    label: String,
-    /// IRI-valued member predicates (empty when the level sits at
-    /// `max_depth`, where the serial crawl never asks for roll-ups).
-    rollups: Vec<String>,
-}
-
-/// One in-flight response: a submitted ticket, then its answer.
-enum Slot {
-    Pending(Ticket),
-    Ready(AsyncResponse),
-}
-
-impl Slot {
-    /// Polls a pending ticket. `Ok(true)` once the answer is in; a failed
-    /// query aborts the crawl like its serial counterpart would.
-    fn advance(&mut self, pool: &AsyncAdapter) -> Result<bool, SparqlError> {
-        if let Slot::Pending(ticket) = self {
-            match pool.poll(ticket) {
-                Poll::Ready(result) => *self = Slot::Ready(result?),
-                Poll::Pending => return Ok(false),
-            }
-        }
-        Ok(true)
+        let label = label_of_counted(endpoint, &predicate, &config.label_predicates, &mut queries);
+        let path = vec![predicate.clone()];
+        let dim = schema.add_dimension(predicate, label);
+        collect_levels(endpoint, config, &mut schema, dim, path, &mut queries)?;
     }
 
-    /// Consumes a completed slot. Taking a still-pending slot (a crawl
-    /// bookkeeping bug) or a shape mismatch surfaces as a typed error that
-    /// aborts the crawl, like any failed query would.
-    fn take_select(self) -> Result<Solutions, SparqlError> {
-        match self {
-            Slot::Ready(response) => response.into_select(),
-            Slot::Pending(_) => Err(SparqlError::Endpoint(
-                "bootstrap slot taken before completion".into(),
-            )),
-        }
-    }
-}
-
-/// Asynchronous replica of [`label_of_counted`]'s short-circuit chain: one
-/// label predicate is probed at a time and a hit (or a failed probe, which
-/// serial ignores too) moves the chain along, so the queries issued — and
-/// counted, one per probe submitted — match the serial lookup exactly.
-struct LabelChain {
-    iri: String,
-    next_pred: usize,
-    ticket: Option<Ticket>,
-    label: Option<String>,
-}
-
-/// Shared state of the in-flight crawl across all dimensions.
-struct AsyncCrawl<'a> {
-    pool: &'a AsyncAdapter,
-    tracer: &'a Tracer,
-    config: &'a BootstrapConfig,
-    graph: &'a re2x_rdf::Graph,
-    /// Per-dimension span handles; submissions adopt their dimension's
-    /// context so pool workers attribute queries like serial code would.
-    handles: Vec<re2x_obs::SpanHandle>,
-    /// Per-dimension counters of the queries submitted.
-    queries: Vec<u64>,
-    /// Discovered levels per dimension, keyed by path.
-    info: Vec<BTreeMap<Vec<String>, LevelInfo>>,
-    /// Paths already submitted for exploration (defensive; serial paths
-    /// are unique by construction).
-    seen: Vec<HashSet<Vec<String>>>,
-}
-
-impl AsyncCrawl<'_> {
-    /// Submits under the dimension's adopted span context, counting the
-    /// query against the dimension.
-    fn submit(&mut self, dim: usize, query: Query) -> Ticket {
-        self.queries[dim] += 1;
-        let _context = self.tracer.adopt(&self.handles[dim]);
-        self.pool.submit_select(query)
-    }
-
-    fn start_label(&mut self, dim: usize, iri: String) -> LabelChain {
-        let preds = &self.config.label_predicates;
-        if preds.is_empty() {
-            return LabelChain {
-                label: Some(humanize(local_name(&iri))),
-                iri,
-                next_pred: 0,
-                ticket: None,
-            };
-        }
-        let ticket = self.submit(dim, crate::labels::label_query(&iri, &preds[0]));
-        LabelChain {
-            iri,
-            next_pred: 0,
-            ticket: Some(ticket),
-            label: None,
-        }
-    }
-
-    fn advance_label(&mut self, dim: usize, chain: &mut LabelChain) -> bool {
-        while chain.label.is_none() {
-            let Some(ticket) = &chain.ticket else {
-                // an unresolved chain always has a probe in flight; if the
-                // invariant ever breaks, fall back to the local-name label
-                // (what the chain running dry would produce) instead of
-                // panicking mid-crawl
-                chain.label = Some(humanize(local_name(&chain.iri)));
-                return true;
-            };
-            match self.pool.poll(ticket) {
-                Poll::Pending => return false,
-                Poll::Ready(result) => {
-                    chain.ticket = None;
-                    let solutions = result.and_then(AsyncResponse::into_select).ok();
-                    if let Some(value) = solutions.as_ref().and_then(|s| s.value(0, "l")) {
-                        chain.label = Some(value.string_form(self.graph).into_owned());
-                        return true;
-                    }
-                    chain.next_pred += 1;
-                    match self.config.label_predicates.get(chain.next_pred) {
-                        Some(pred) => {
-                            let query = crate::labels::label_query(&chain.iri, pred);
-                            chain.ticket = Some(self.submit(dim, query));
-                        }
-                        None => {
-                            chain.label = Some(humanize(local_name(&chain.iri)));
-                            return true;
-                        }
-                    }
-                }
-            }
-        }
-        true
-    }
-
-    /// Submits the member count for a new level path.
-    fn start_count(&mut self, dim: usize, path: Vec<String>) -> CrawlTask {
-        let slot = Slot::Pending(self.submit(dim, count_members_query(self.config, &path)));
-        CrawlTask::Count { dim, path, slot }
-    }
-
-    /// Fans out a non-empty level's attribute/label/roll-up queries.
-    fn start_detail(&mut self, dim: usize, path: Vec<String>, member_count: usize) -> CrawlTask {
-        let attrs = Slot::Pending(self.submit(
-            dim,
-            member_predicates_query(self.config, &path, Func::IsLiteral),
-        ));
-        let label = self.start_label(dim, path.last().cloned().unwrap_or_default());
-        let rollups = (path.len() < self.config.max_depth).then(|| {
-            Slot::Pending(self.submit(
-                dim,
-                member_predicates_query(self.config, &path, Func::IsIri),
-            ))
-        });
-        CrawlTask::Detail {
-            dim,
-            path,
-            member_count,
-            attrs,
-            label,
-            rollups,
-        }
-    }
-}
-
-/// One in-flight unit of the crawl's dependency graph.
-enum CrawlTask {
-    /// The dimension predicate's own label lookup.
-    DimLabel { dim: usize, chain: LabelChain },
-    /// A level path waiting for its member count.
-    Count {
-        dim: usize,
-        path: Vec<String>,
-        slot: Slot,
-    },
-    /// A non-empty level waiting for attributes, label, and roll-ups.
-    Detail {
-        dim: usize,
-        path: Vec<String>,
-        member_count: usize,
-        attrs: Slot,
-        label: LabelChain,
-        rollups: Option<Slot>,
-    },
-}
-
-/// Drives every dimension's hierarchy crawl through the async pool at
-/// once, then reassembles per-dimension results in serial order.
-fn crawl_dimensions_async(
-    pool: &AsyncAdapter,
-    graph: &re2x_rdf::Graph,
-    config: &BootstrapConfig,
-    root_handle: &re2x_obs::SpanHandle,
-    dim_predicates: Vec<String>,
-) -> Result<Vec<DimensionCrawl>, SparqlError> {
-    // One span per dimension, parented under the root like the serial and
-    // parallel variants; guards stay open for the whole crawl and their
-    // handles carry the attribution context into every submission.
-    let spans: Vec<_> = dim_predicates
-        .iter()
-        .map(|predicate| {
-            config.tracer.span_under_with(
-                root_handle,
-                "bootstrap.crawl_dimension",
-                &[("dimension", predicate.as_str())],
-            )
-        })
-        .collect();
-    let dims = dim_predicates.len();
-    let mut crawl = AsyncCrawl {
-        pool,
-        tracer: &config.tracer,
-        config,
-        graph,
-        handles: spans.iter().map(|s| s.handle()).collect(),
-        queries: vec![0; dims],
-        info: (0..dims).map(|_| BTreeMap::new()).collect(),
-        seen: (0..dims).map(|_| HashSet::new()).collect(),
-    };
-
-    let mut dim_labels: Vec<Option<String>> = vec![None; dims];
-    let mut tasks: Vec<CrawlTask> = Vec::new();
-    for (dim, predicate) in dim_predicates.iter().enumerate() {
-        let chain = crawl.start_label(dim, predicate.clone());
-        tasks.push(CrawlTask::DimLabel { dim, chain });
-        crawl.seen[dim].insert(vec![predicate.clone()]);
-        let count = crawl.start_count(dim, vec![predicate.clone()]);
-        tasks.push(count);
-    }
-
-    while !tasks.is_empty() {
-        let mut completed_any = false;
-        let mut remaining: Vec<CrawlTask> = Vec::with_capacity(tasks.len());
-        for task in tasks {
-            match advance_task(task, &mut crawl)? {
-                TaskStep::Done { dim, label } => {
-                    completed_any = true;
-                    if let Some(label) = label {
-                        dim_labels[dim] = Some(label);
-                    }
-                }
-                TaskStep::Spawned(spawned) => {
-                    completed_any = true;
-                    remaining.extend(spawned);
-                }
-                TaskStep::Pending(task) => remaining.push(task),
-            }
-        }
-        tasks = remaining;
-        if !completed_any && !tasks.is_empty() {
-            // everything in flight is waiting on pool workers
-            std::thread::yield_now();
-        }
-    }
-    drop(spans);
-
-    // Reassemble each dimension in serial depth-first order from the
-    // recorded answers — byte-identical to `crawl_dimension`.
-    Ok(dim_predicates
-        .into_iter()
-        .enumerate()
-        .map(|(dim, predicate)| {
-            let mut levels = Vec::new();
-            replay_levels(
-                config,
-                &crawl.info[dim],
-                vec![predicate.clone()],
-                &mut levels,
-            );
-            DimensionCrawl {
-                predicate,
-                // A chain that somehow failed to resolve degrades to an
-                // unlabelled dimension, never a crash.
-                label: dim_labels[dim].take().unwrap_or_default(),
-                levels,
-                queries: crawl.queries[dim],
-            }
-        })
-        .collect())
-}
-
-/// Outcome of one advance attempt on a task.
-enum TaskStep {
-    /// Finished; a dimension-label task also yields its label.
-    Done { dim: usize, label: Option<String> },
-    /// Finished and scheduled follow-up work.
-    Spawned(Vec<CrawlTask>),
-    /// Still waiting on at least one response.
-    Pending(CrawlTask),
-}
-
-fn advance_task(task: CrawlTask, crawl: &mut AsyncCrawl<'_>) -> Result<TaskStep, SparqlError> {
-    match task {
-        CrawlTask::DimLabel { dim, mut chain } => {
-            if crawl.advance_label(dim, &mut chain) {
-                Ok(TaskStep::Done {
-                    dim,
-                    label: chain.label,
-                })
-            } else {
-                Ok(TaskStep::Pending(CrawlTask::DimLabel { dim, chain }))
-            }
-        }
-        CrawlTask::Count {
-            dim,
-            path,
-            mut slot,
-        } => {
-            if !slot.advance(crawl.pool)? {
-                return Ok(TaskStep::Pending(CrawlTask::Count { dim, path, slot }));
-            }
-            let member_count = count_from(&slot.take_select()?, crawl.graph);
-            if member_count == 0 {
-                // mirrors the serial early return: no detail queries
-                return Ok(TaskStep::Spawned(Vec::new()));
-            }
-            let detail = crawl.start_detail(dim, path, member_count);
-            Ok(TaskStep::Spawned(vec![detail]))
-        }
-        CrawlTask::Detail {
-            dim,
-            path,
-            member_count,
-            mut attrs,
-            mut label,
-            mut rollups,
-        } => {
-            let mut done = attrs.advance(crawl.pool)?;
-            done &= crawl.advance_label(dim, &mut label);
-            if let Some(slot) = &mut rollups {
-                done &= slot.advance(crawl.pool)?;
-            }
-            if !done {
-                return Ok(TaskStep::Pending(CrawlTask::Detail {
-                    dim,
-                    path,
-                    member_count,
-                    attrs,
-                    label,
-                    rollups,
-                }));
-            }
-            let attributes = predicates_from(&attrs.take_select()?, crawl.graph);
-            let rollups = match rollups {
-                Some(slot) => predicates_from(&slot.take_select()?, crawl.graph),
-                None => Vec::new(),
-            };
-            // explore children exactly as the serial recursion would
-            let mut spawned = Vec::new();
-            for rollup in &rollups {
-                if crawl.config.is_excluded(rollup) || path.contains(rollup) {
-                    continue;
-                }
-                let mut child = path.clone();
-                child.push(rollup.clone());
-                if !crawl.seen[dim].insert(child.clone()) {
-                    continue;
-                }
-                spawned.push(crawl.start_count(dim, child));
-            }
-            crawl.info[dim].insert(
-                path,
-                LevelInfo {
-                    member_count,
-                    attributes,
-                    label: label.label.unwrap_or_default(),
-                    rollups,
-                },
-            );
-            Ok(TaskStep::Spawned(spawned))
-        }
-    }
-}
-
-/// Emits the recorded levels of one dimension in the exact order the
-/// serial `collect_levels` recursion would have pushed them.
-fn replay_levels(
-    config: &BootstrapConfig,
-    info: &BTreeMap<Vec<String>, LevelInfo>,
-    path: Vec<String>,
-    levels: &mut Vec<PendingLevel>,
-) {
-    let Some(level) = info.get(&path) else {
-        return; // count was zero: serial records nothing and stops
-    };
-    levels.push(PendingLevel {
-        path: path.clone(),
-        member_count: level.member_count,
-        attributes: level.attributes.clone(),
-        label: level.label.clone(),
-    });
-    if path.len() >= config.max_depth {
-        return;
-    }
-    for rollup in &level.rollups {
-        if config.is_excluded(rollup) || path.contains(rollup) {
-            continue;
-        }
-        let mut child = path.clone();
-        child.push(rollup.clone());
-        if levels.iter().any(|l| l.path == child) {
-            continue;
-        }
-        replay_levels(config, info, child, levels);
-    }
+    Ok(BootstrapReport {
+        schema,
+        elapsed: start.elapsed(),
+        endpoint_queries: queries,
+    })
 }
 
 /// Outcome of an incremental refresh.
@@ -782,12 +202,7 @@ fn count_observations(
         expr: Expr::Number(1.0),
         alias: "n".to_owned(),
     });
-    *queries += 1;
-    let solutions = endpoint.select(&query)?;
-    Ok(solutions
-        .value(0, "n")
-        .and_then(|v| v.as_number(endpoint.graph()))
-        .unwrap_or(0.0) as usize)
+    select_count(endpoint, &query, queries)
 }
 
 /// `SELECT DISTINCT ?p WHERE { ?o a C . ?o ?p ?x . FILTER(kind(?x)) }`.
@@ -797,7 +212,7 @@ fn typed_object_predicates(
     kind: Func,
     queries: &mut u64,
 ) -> Result<Vec<String>, SparqlError> {
-    let mut query = Query::select_all(vec![
+    let query = Query::select_all(vec![
         observation_type("o", &config.observation_class),
         PatternElement::Triple(TriplePattern::with_pred_var(
             TermPattern::Var("o".to_owned()),
@@ -806,26 +221,16 @@ fn typed_object_predicates(
         )),
         PatternElement::Filter(Expr::Call(kind, vec![Expr::var("x")])),
     ]);
-    query.select.push(SelectItem::Var("p".to_owned()));
-    query.distinct = true;
-    *queries += 1;
-    let solutions = endpoint.select(&query)?;
-    let graph = endpoint.graph();
-    let mut predicates: Vec<String> = solutions
-        .rows
-        .iter()
-        .filter_map(|row| row[0].as_ref().map(|v| v.string_form(graph).into_owned()))
-        .collect();
-    predicates.sort_unstable();
-    Ok(predicates)
+    select_predicates(endpoint, query, "p", queries)
 }
 
-/// Records the level reached by `path` and recurses into its roll-ups,
-/// depth-first.
+/// Records the level reached by `path` in `dimension` and recurses into
+/// its roll-ups, depth-first.
 fn collect_levels(
     endpoint: &dyn SparqlEndpoint,
     config: &BootstrapConfig,
-    levels: &mut Vec<PendingLevel>,
+    schema: &mut VirtualSchemaGraph,
+    dimension: DimensionId,
     path: Vec<String>,
     queries: &mut u64,
 ) -> Result<(), SparqlError> {
@@ -842,12 +247,7 @@ fn collect_levels(
         &config.label_predicates,
         queries,
     );
-    levels.push(PendingLevel {
-        path: path.clone(),
-        member_count,
-        attributes,
-        label,
-    });
+    schema.add_level(dimension, path.clone(), member_count, attributes, label);
 
     if path.len() >= config.max_depth {
         return Ok(());
@@ -859,16 +259,22 @@ fn collect_levels(
         }
         let mut child = path.clone();
         child.push(rollup);
-        if levels.iter().any(|l| l.path == child) {
+        if schema.level_by_path(&child).is_some() {
             continue;
         }
-        collect_levels(endpoint, config, levels, child, queries)?;
+        collect_levels(endpoint, config, schema, dimension, child, queries)?;
     }
     Ok(())
 }
 
-/// `SELECT (COUNT(DISTINCT ?m) AS ?n) WHERE { ?o a C . ?o <path> ?m }`.
-fn count_members_query(config: &BootstrapConfig, path: &[String]) -> Query {
+/// `SELECT (COUNT(DISTINCT ?m) AS ?n) WHERE { ?o a C . ?o <path> ?m }`:
+/// one result row instead of one per member.
+fn count_level_members(
+    endpoint: &dyn SparqlEndpoint,
+    config: &BootstrapConfig,
+    path: &[String],
+    queries: &mut u64,
+) -> Result<usize, SparqlError> {
     let mut query = Query::select_all(vec![
         observation_type("o", &config.observation_class),
         path_to_member("o", path, "m"),
@@ -878,19 +284,18 @@ fn count_members_query(config: &BootstrapConfig, path: &[String]) -> Query {
         expr: Expr::var("m"),
         alias: "n".to_owned(),
     });
-    query
-}
-
-fn count_from(solutions: &Solutions, graph: &re2x_rdf::Graph) -> usize {
-    solutions
-        .value(0, "n")
-        .and_then(|v| v.as_number(graph))
-        .unwrap_or(0.0) as usize
+    select_count(endpoint, &query, queries)
 }
 
 /// `SELECT DISTINCT ?q WHERE { ?o a C . ?o <path> ?m . ?m ?q ?x . FILTER(kind(?x)) }`.
-fn member_predicates_query(config: &BootstrapConfig, path: &[String], kind: Func) -> Query {
-    let mut query = Query::select_all(vec![
+fn member_predicates(
+    endpoint: &dyn SparqlEndpoint,
+    config: &BootstrapConfig,
+    path: &[String],
+    kind: Func,
+    queries: &mut u64,
+) -> Result<Vec<String>, SparqlError> {
+    let query = Query::select_all(vec![
         observation_type("o", &config.observation_class),
         path_to_member("o", path, "m"),
         PatternElement::Triple(TriplePattern::with_pred_var(
@@ -900,43 +305,42 @@ fn member_predicates_query(config: &BootstrapConfig, path: &[String], kind: Func
         )),
         PatternElement::Filter(Expr::Call(kind, vec![Expr::var("x")])),
     ]);
-    query.select.push(SelectItem::Var("q".to_owned()));
-    query.distinct = true;
-    query
+    select_predicates(endpoint, query, "q", queries)
 }
 
-fn predicates_from(solutions: &Solutions, graph: &re2x_rdf::Graph) -> Vec<String> {
+/// Answers a one-row `?n` count query.
+fn select_count(
+    endpoint: &dyn SparqlEndpoint,
+    query: &Query,
+    queries: &mut u64,
+) -> Result<usize, SparqlError> {
+    *queries += 1;
+    let solutions = endpoint.select(query)?;
+    Ok(solutions
+        .value(0, "n")
+        .and_then(|v| v.as_number(endpoint.graph()))
+        .unwrap_or(0.0) as usize)
+}
+
+/// Answers `query` as `SELECT DISTINCT ?var`, the values sorted.
+fn select_predicates(
+    endpoint: &dyn SparqlEndpoint,
+    mut query: Query,
+    var: &str,
+    queries: &mut u64,
+) -> Result<Vec<String>, SparqlError> {
+    query.select.push(SelectItem::Var(var.to_owned()));
+    query.distinct = true;
+    *queries += 1;
+    let solutions = endpoint.select(&query)?;
+    let graph = endpoint.graph();
     let mut predicates: Vec<String> = solutions
         .rows
         .iter()
         .filter_map(|row| row[0].as_ref().map(|v| v.string_form(graph).into_owned()))
         .collect();
     predicates.sort_unstable();
-    predicates
-}
-
-fn count_level_members(
-    endpoint: &dyn SparqlEndpoint,
-    config: &BootstrapConfig,
-    path: &[String],
-    queries: &mut u64,
-) -> Result<usize, SparqlError> {
-    // COUNT(DISTINCT ?m): one result row instead of one per member
-    *queries += 1;
-    let solutions = endpoint.select(&count_members_query(config, path))?;
-    Ok(count_from(&solutions, endpoint.graph()))
-}
-
-fn member_predicates(
-    endpoint: &dyn SparqlEndpoint,
-    config: &BootstrapConfig,
-    path: &[String],
-    kind: Func,
-    queries: &mut u64,
-) -> Result<Vec<String>, SparqlError> {
-    *queries += 1;
-    let solutions = endpoint.select(&member_predicates_query(config, path, kind))?;
-    Ok(predicates_from(&solutions, endpoint.graph()))
+    Ok(predicates)
 }
 
 #[cfg(test)]
@@ -1110,35 +514,17 @@ mod tests {
     /// `inYear` levels carry no label, so theirs take two queries each.
     #[test]
     fn endpoint_queries_counts_every_query_issued() {
-        type Bootstrap = fn(&LocalEndpoint, &BootstrapConfig) -> BootstrapReport;
-        let variants: [(&str, Bootstrap); 3] = [
-            ("serial", |ep, config| {
-                bootstrap(ep, config).expect("bootstrap")
-            }),
-            ("parallel", |ep, config| {
-                bootstrap_parallel(ep, config).expect("bootstrap")
-            }),
-            ("async", |ep, config| {
-                bootstrap_async(ep, config, 3).expect("bootstrap")
-            }),
-        ];
         let config = BootstrapConfig::new("http://ex/Observation");
-        let mut counts = Vec::new();
-        for (name, run) in variants {
-            let ep = fixture();
-            let before = ep.stats().total_queries();
-            let report = run(&ep, &config);
-            let issued = ep.stats().total_queries() - before;
-            assert_eq!(report.endpoint_queries, issued, "{name}");
-            counts.push(issued);
-        }
-        assert_eq!(counts[0], counts[1]);
-        assert_eq!(counts[0], counts[2]);
+        let ep = fixture();
+        let before = ep.stats().total_queries();
+        let report = bootstrap(&ep, &config).expect("bootstrap");
+        let issued = ep.stats().total_queries() - before;
+        assert_eq!(report.endpoint_queries, issued);
         // an unlabeled IRI costs one query per label predicate tried
         let mut single = config.clone();
         single.label_predicates.truncate(1);
         let single = bootstrap(&fixture(), &single).expect("bootstrap");
-        assert!(counts[0] > single.endpoint_queries);
+        assert!(issued > single.endpoint_queries);
     }
 
     #[test]

@@ -22,9 +22,6 @@ pub mod patterns;
 pub mod qb;
 pub mod vgraph;
 
-pub use bootstrap::{
-    bootstrap, bootstrap_async, bootstrap_parallel, refresh, BootstrapConfig, BootstrapReport,
-    RefreshReport,
-};
+pub use bootstrap::{bootstrap, refresh, BootstrapConfig, BootstrapReport, RefreshReport};
 pub use model::{Dimension, DimensionId, LevelId, LevelNode, Measure, MeasureId};
 pub use vgraph::{SchemaStats, VirtualSchemaGraph};

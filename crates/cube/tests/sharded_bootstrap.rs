@@ -4,7 +4,7 @@
 //! enumeration, keyword lookups) exercises both the scatter and the replica
 //! path of the sharded decorator.
 
-use re2x_cube::{bootstrap, bootstrap_parallel, BootstrapConfig};
+use re2x_cube::{bootstrap, BootstrapConfig};
 use re2x_sparql::{LocalEndpoint, ShardedEndpoint};
 
 fn assert_sharded_matches_local(dataset: re2x_datagen::Dataset, shards: usize) {
@@ -49,18 +49,4 @@ fn eurostat_bootstrap_identical_over_shards() {
 #[test]
 fn production_bootstrap_identical_over_shards() {
     assert_sharded_matches_local(re2x_datagen::production::generate(400, 11), 4);
-}
-
-#[test]
-fn parallel_bootstrap_over_sharded_endpoint() {
-    // Parallel crawl over the scatter-gather decorator: concurrent callers
-    // against concurrent shard fan-out.
-    let dataset = re2x_datagen::eurostat::generate(400, 3);
-    let config = BootstrapConfig::new(dataset.observation_class.clone());
-    let local = LocalEndpoint::new(dataset.graph.clone());
-    let sharded =
-        ShardedEndpoint::with_observation_class(dataset.graph, &dataset.observation_class, 4);
-    let reference = bootstrap(&local, &config).expect("local bootstrap");
-    let parallel = bootstrap_parallel(&sharded, &config).expect("parallel sharded bootstrap");
-    assert_eq!(parallel.schema, reference.schema);
 }

@@ -1,7 +1,7 @@
 //! `endpoint-seam`: `re2x-core` / `re2x-cube` must reach the triplestore
 //! only through the `SparqlEndpoint` trait.
 //!
-//! Every decorator (caching, tracing, async fan-out, sharding) sits on
+//! Every decorator (caching, tracing, budgets, sharding) sits on
 //! that seam; a direct `Graph` index probe or a `LocalEndpoint`
 //! construction in the algorithm layers bypasses them all — queries stop
 //! being cached, attributed, and shardable. Modules that materialize into

@@ -1,6 +1,5 @@
 //! The runtime half of the lock-order cross-check: drive real concurrent
-//! workloads — bus fan-out, cache hammering, the async worker pool, and
-//! a sharded scatter — with the lock witness recording, then assert that
+//! workloads — bus fan-out, cache hammering, and a sharded scatter — with the lock witness recording, then assert that
 //! every nesting edge threads actually performed is present in the
 //! static registry graph (extracted ∪ declared `// lock-order:` edges)
 //! and that the combined graph stays acyclic. A deliberate runtime cycle
@@ -12,10 +11,7 @@ use re2x_lint::rules::lock_order::{find_cycles, LockEdge};
 use re2x_obs::{lock_or_recover, witness_edges, witness_enable_for_tests, BusEvent, EventBus};
 use re2x_rdf::io::parse_turtle;
 use re2x_rdf::Graph;
-use re2x_sparql::{
-    parse_query, with_async_endpoint, AsyncRequest, AsyncSparqlEndpoint, CachingEndpoint,
-    LocalEndpoint, ShardedEndpoint, SparqlEndpoint,
-};
+use re2x_sparql::{parse_query, CachingEndpoint, LocalEndpoint, ShardedEndpoint, SparqlEndpoint};
 use std::path::Path;
 use std::sync::Mutex;
 use std::time::Duration;
@@ -69,9 +65,8 @@ fn drive_bus() {
 }
 
 /// Hammers one caching endpoint from three threads (cache state + local
-/// stats locks), then drives the async adapter's scoped worker pool
-/// (shared-queue lock and both condvars) over the same stack.
-fn drive_cache_and_async() {
+/// stats locks).
+fn drive_cache() {
     let ep = CachingEndpoint::new(LocalEndpoint::new(graph()));
     std::thread::scope(|scope| {
         for _ in 0..3 {
@@ -84,15 +79,6 @@ fn drive_cache_and_async() {
                         .expect("ask");
                 }
             });
-        }
-    });
-    with_async_endpoint(&ep, 3, |pool| {
-        let query = parse_query("SELECT ?d WHERE { ?o <http://ex/dest> ?d }").expect("parse");
-        let tickets: Vec<_> = (0..8)
-            .map(|_| pool.submit(AsyncRequest::Select(query.clone())))
-            .collect();
-        for ticket in tickets {
-            pool.wait(ticket).expect("async select");
         }
     });
 }
@@ -115,7 +101,7 @@ fn drive_sharded() {
 fn observed_nesting_is_a_subset_of_the_static_registry() {
     witness_enable_for_tests();
     drive_bus();
-    drive_cache_and_async();
+    drive_cache();
     drive_sharded();
 
     let files = collect_files(workspace_root()).expect("workspace sources readable");

@@ -51,7 +51,6 @@ fn workspace_lock_graph_is_registered_and_acyclic() {
         "obs.metrics",
         "obs.tracer.events",
         "obs.tracer.provenance",
-        "sparql.async.shared",
         "sparql.cache.state",
         "sparql.local.stats",
         "sparql.sharded.stats",

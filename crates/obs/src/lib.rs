@@ -3,8 +3,7 @@
 //! A zero-dependency tracing and metrics layer:
 //!
 //! * [`Tracer`] — span-based tracer with RAII guards ([`SpanGuard`]),
-//!   per-thread nesting, wall-/self-time accounting, and explicit
-//!   cross-thread parenting ([`SpanHandle`]) for scoped worker threads;
+//!   per-thread nesting, and wall-/self-time accounting;
 //! * query provenance — [`Tracer::record_query`] attributes every SPARQL
 //!   query to the pipeline phase (innermost span path) that issued it,
 //!   with per-phase counts and latency quantiles ([`PhaseQueryStats`]);
@@ -56,6 +55,4 @@ pub use sync::{
     lock_or_recover, wait_or_recover, witness_edges, witness_enable_for_tests, witness_enabled,
     witness_reset, ObservedEdge, WitnessGuard,
 };
-pub use tracer::{
-    AdoptGuard, PhaseQueryStats, QueryKind, SpanGuard, SpanHandle, TraceEvent, Tracer, UNATTRIBUTED,
-};
+pub use tracer::{PhaseQueryStats, QueryKind, SpanGuard, TraceEvent, Tracer, UNATTRIBUTED};

@@ -5,12 +5,8 @@
 //!
 //! A [`Tracer`] hands out [`SpanGuard`]s from [`Tracer::span`]; dropping
 //! the guard closes the span. Spans nest **per thread**: each thread keeps
-//! its own stack, so a span opened on a crawler worker thread nests under
-//! whatever that worker opened, never under another thread's spans. Work
-//! fanned out to scoped threads links back to its logical parent with
-//! [`Tracer::span_under`], which composes the parent's *path* without
-//! folding the child's wall time into the parent's self time (concurrent
-//! children overlap, so subtracting them would go negative).
+//! its own stack, so a span opened on a worker thread nests under
+//! whatever that worker opened, never under another thread's spans.
 //!
 //! A span's **path** is the `/`-joined chain of span names from its root
 //! (`"pipeline/bootstrap/bootstrap.crawl_dimension"`). The path is what
@@ -19,8 +15,7 @@
 //! ## Cost accounting
 //!
 //! * **wall time** — guard creation to guard drop,
-//! * **self time** — wall time minus the wall time of same-thread child
-//!   spans (cross-thread children are excluded by construction),
+//! * **self time** — wall time minus the wall time of child spans,
 //! * **query provenance** — [`Tracer::record_query`] attributes a SPARQL
 //!   query (and [`Tracer::record_cache`] a cache hit/miss) to the
 //!   innermost span open on the calling thread.
@@ -162,8 +157,7 @@ pub enum TraceEvent {
     Enter {
         /// Process-unique span id.
         span: u64,
-        /// Id of the parent span (same-thread enclosing span, or the
-        /// explicit parent given to [`Tracer::span_under`]).
+        /// Id of the parent span (the same-thread enclosing span).
         parent: Option<u64>,
         /// Full `/`-joined path of the span.
         path: String,
@@ -258,14 +252,6 @@ impl TracerCore {
     }
 }
 
-/// A cloneable reference to an open (or closed) span, used to parent spans
-/// across threads. The handle of a disabled tracer's guard is inert.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct SpanHandle {
-    id: u64,
-    path: String,
-}
-
 /// The span tracer. Cheap to clone (clones share one collector); the
 /// `Default` tracer is disabled.
 #[derive(Clone, Default)]
@@ -320,43 +306,15 @@ impl Tracer {
 
     /// Opens a span nested under the calling thread's innermost open span.
     pub fn span(&self, name: &str) -> SpanGuard<'_> {
-        self.span_impl(name, &[], None)
+        self.span_with(name, &[])
     }
 
     /// [`Tracer::span`] with key/value annotations on the enter event.
     pub fn span_with(&self, name: &str, fields: &[(&str, &str)]) -> SpanGuard<'_> {
-        self.span_impl(name, fields, None)
-    }
-
-    /// Opens a span whose logical parent is `parent` (typically on another
-    /// thread). The child's path extends the parent's path, but its wall
-    /// time is *not* folded into the parent's self time — concurrent
-    /// children overlap.
-    pub fn span_under(&self, parent: &SpanHandle, name: &str) -> SpanGuard<'_> {
-        self.span_impl(name, &[], Some(parent))
-    }
-
-    /// [`Tracer::span_under`] with key/value annotations.
-    pub fn span_under_with(
-        &self,
-        parent: &SpanHandle,
-        name: &str,
-        fields: &[(&str, &str)],
-    ) -> SpanGuard<'_> {
-        self.span_impl(name, fields, Some(parent))
-    }
-
-    fn span_impl(
-        &self,
-        name: &str,
-        fields: &[(&str, &str)],
-        explicit_parent: Option<&SpanHandle>,
-    ) -> SpanGuard<'_> {
         let Some(core) = self.core.as_deref() else {
             return SpanGuard {
                 core: None,
                 span: 0,
-                path: String::new(),
                 fields: Vec::new(),
             };
         };
@@ -367,16 +325,10 @@ impl Tracer {
             let mut stacks = stacks.borrow_mut();
             let idx = stack_slot(&mut stacks, core.id);
             let stack = &mut stacks[idx];
-            let (parent, base) = match explicit_parent {
-                Some(h) if h.id != 0 => (Some(h.id), Some(h.path.clone())),
-                Some(_) => (None, None),
-                None => {
-                    let top = stack.frames.last();
-                    (top.map(|f| f.span), top.map(|f| f.path.clone()))
-                }
-            };
-            let path = match base {
-                Some(base) => format!("{base}/{name}"),
+            let top = stack.frames.last();
+            let parent = top.map(|f| f.span);
+            let path = match top {
+                Some(top) => format!("{}/{name}", top.path),
                 None => name.to_owned(),
             };
             stack.frames.push(Frame {
@@ -390,7 +342,7 @@ impl Tracer {
         core.push_event(TraceEvent::Enter {
             span,
             parent,
-            path: path.clone(),
+            path,
             name: name.to_owned(),
             thread,
             at: start.saturating_duration_since(core.epoch),
@@ -402,7 +354,6 @@ impl Tracer {
         SpanGuard {
             core: Some(core),
             span,
-            path,
             fields: Vec::new(),
         }
     }
@@ -410,63 +361,6 @@ impl Tracer {
     /// Path of the innermost span open on the calling thread, if any.
     pub fn current_path(&self) -> Option<String> {
         self.core.as_deref().and_then(TracerCore::current_path)
-    }
-
-    /// Handle of the innermost span open on the calling thread, if any.
-    /// Combined with [`Tracer::adopt`] this lets work submitted to another
-    /// thread carry its submitter's span context along.
-    pub fn current_handle(&self) -> Option<SpanHandle> {
-        let core = self.core.as_deref()?;
-        STACKS.with(|stacks| {
-            stacks
-                .borrow()
-                .iter()
-                .find(|s| s.tracer == core.id)
-                .and_then(|s| s.frames.last())
-                .map(|f| SpanHandle {
-                    id: f.span,
-                    path: f.path.clone(),
-                })
-        })
-    }
-
-    /// Re-opens an existing span's *context* on the calling thread: while
-    /// the returned guard lives, `record_query`/`record_cache` on this
-    /// thread attribute to the handle's path, and new spans nest under it.
-    ///
-    /// Unlike [`Tracer::span_under`] this creates **no new span**: no
-    /// Enter/Exit events are emitted and no wall time is accounted
-    /// anywhere — the adopted frame is pure attribution context. The async
-    /// endpoint adapter uses this so queries serviced on pool threads
-    /// reconcile to the same provenance paths as their serial equivalents.
-    /// Inert for disabled tracers and default (inert) handles.
-    pub fn adopt(&self, handle: &SpanHandle) -> AdoptGuard<'_> {
-        let Some(core) = self.core.as_deref() else {
-            return AdoptGuard {
-                core: None,
-                span: 0,
-            };
-        };
-        if handle.id == 0 {
-            return AdoptGuard {
-                core: None,
-                span: 0,
-            };
-        }
-        STACKS.with(|stacks| {
-            let mut stacks = stacks.borrow_mut();
-            let idx = stack_slot(&mut stacks, core.id);
-            stacks[idx].frames.push(Frame {
-                span: handle.id,
-                path: handle.path.clone(),
-                start: Instant::now(),
-                child: Duration::ZERO,
-            });
-        });
-        AdoptGuard {
-            core: Some(core),
-            span: handle.id,
-        }
     }
 
     /// Attributes one endpoint query to the innermost open span on the
@@ -616,7 +510,6 @@ impl Tracer {
 pub struct SpanGuard<'a> {
     core: Option<&'a TracerCore>,
     span: u64,
-    path: String,
     fields: Vec<(String, String)>,
 }
 
@@ -627,15 +520,6 @@ impl SpanGuard<'_> {
     pub fn record(&mut self, key: &str, value: impl std::fmt::Display) {
         if self.core.is_some() {
             self.fields.push((key.to_owned(), value.to_string()));
-        }
-    }
-
-    /// A cloneable handle for parenting spans on other threads. Inert for
-    /// disabled tracers.
-    pub fn handle(&self) -> SpanHandle {
-        SpanHandle {
-            id: self.span,
-            path: self.path.clone(),
         }
     }
 }
@@ -677,38 +561,6 @@ impl Drop for SpanGuard<'_> {
                 fields: std::mem::take(&mut self.fields),
             });
         }
-    }
-}
-
-/// RAII guard for an adopted span context (see [`Tracer::adopt`]);
-/// dropping it restores the thread's previous attribution context. Emits
-/// no events and accounts no time.
-#[must_use = "dropping the guard immediately restores the previous context"]
-pub struct AdoptGuard<'a> {
-    core: Option<&'a TracerCore>,
-    span: u64,
-}
-
-impl Drop for AdoptGuard<'_> {
-    fn drop(&mut self) {
-        let Some(core) = self.core else {
-            return;
-        };
-        STACKS.with(|stacks| {
-            let mut stacks = stacks.borrow_mut();
-            let Some(pos) = stacks.iter().position(|s| s.tracer == core.id) else {
-                return;
-            };
-            let stack = &mut stacks[pos];
-            if let Some(idx) = stack.frames.iter().rposition(|f| f.span == self.span) {
-                // Adopted frames are context only: the removed frame's wall
-                // time is discarded, not credited to an enclosing frame.
-                stack.frames.remove(idx);
-            }
-            if stack.frames.is_empty() {
-                stacks.swap_remove(pos);
-            }
-        });
     }
 }
 
@@ -784,104 +636,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn cross_thread_children_extend_the_parent_path() {
-        let tracer = Tracer::enabled();
-        {
-            let root = tracer.span("root");
-            let handle = root.handle();
-            std::thread::scope(|scope| {
-                for _ in 0..3 {
-                    let handle = handle.clone();
-                    let tracer = &tracer;
-                    scope.spawn(move || {
-                        let _child = tracer.span_under(&handle, "worker");
-                        std::thread::sleep(Duration::from_millis(1));
-                    });
-                }
-            });
-        }
-        let events = tracer.events();
-        let worker_exits: Vec<_> = exits(&events)
-            .into_iter()
-            .filter(|e| matches!(e, TraceEvent::Exit { path, .. } if path == "root/worker"))
-            .collect();
-        assert_eq!(worker_exits.len(), 3);
-        // concurrent children must not drive the parent's self time negative
-        // (saturating) nor be subtracted at all: root keeps its full wall
-        for e in exits(&events) {
-            if let TraceEvent::Exit {
-                path,
-                wall,
-                self_time,
-                ..
-            } = e
-            {
-                if path == "root" {
-                    assert_eq!(
-                        wall, self_time,
-                        "cross-thread children don't count as root's child time"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn adopt_attributes_queries_without_emitting_spans() {
-        let tracer = Tracer::enabled();
-        {
-            let root = tracer.span("submit");
-            let handle = tracer.current_handle().expect("span open");
-            assert_eq!(handle, root.handle());
-            std::thread::scope(|scope| {
-                let tracer = &tracer;
-                let handle = handle.clone();
-                scope.spawn(move || {
-                    assert_eq!(tracer.current_path(), None, "fresh worker thread");
-                    {
-                        let _ctx = tracer.adopt(&handle);
-                        assert_eq!(tracer.current_path().as_deref(), Some("submit"));
-                        tracer.record_query(QueryKind::Ask, Duration::from_micros(3));
-                        // real spans still nest under the adopted context
-                        let _inner = tracer.span("inner");
-                        tracer.record_query(QueryKind::Select, Duration::from_micros(2));
-                    }
-                    assert_eq!(tracer.current_path(), None, "context restored");
-                });
-            });
-        }
-        let prov = tracer.provenance();
-        let by_path: BTreeMap<&str, &PhaseQueryStats> =
-            prov.iter().map(|(k, v)| (k.as_str(), v)).collect();
-        assert_eq!(by_path["submit"].asks, 1, "worker query adopted the path");
-        assert_eq!(by_path["submit/inner"].selects, 1);
-        assert!(!by_path.contains_key(UNATTRIBUTED));
-        // adoption is invisible in the event log: one enter/exit pair for
-        // "submit", one for "submit/inner", plus the two query events
-        let events = tracer.events();
-        let enters = events
-            .iter()
-            .filter(|e| matches!(e, TraceEvent::Enter { .. }))
-            .count();
-        assert_eq!(enters, 2, "adopt emits no Enter events");
-    }
-
-    #[test]
-    fn adopt_is_inert_for_disabled_tracers_and_default_handles() {
-        let disabled = Tracer::disabled();
-        assert_eq!(disabled.current_handle(), None);
-        drop(disabled.adopt(&SpanHandle::default()));
-
-        let tracer = Tracer::enabled();
-        assert_eq!(tracer.current_handle(), None, "no span open");
-        {
-            let _ctx = tracer.adopt(&SpanHandle::default());
-            assert_eq!(tracer.current_path(), None, "inert handle adopts nothing");
-        }
-        assert!(tracer.events().is_empty());
     }
 
     #[test]
@@ -1055,7 +809,6 @@ mod tests {
         {
             let mut guard = tracer.span("a");
             guard.record("rows", 1);
-            assert_eq!(guard.handle(), SpanHandle::default());
             tracer.record_query(QueryKind::Select, Duration::from_micros(1));
             tracer.record_cache(true);
             tracer.counter_add("c", 1);

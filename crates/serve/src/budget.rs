@@ -54,8 +54,8 @@ impl<'a> QueryBudget<'a> {
     }
 
     /// Reserves one admission slot, or reports exhaustion. A CAS loop so
-    /// concurrent callers (a preview fan-out inside one session) can never
-    /// push the admitted count past the limit.
+    /// callers sharing one budget across threads (the seam is `Sync`) can
+    /// never push the admitted count past the limit.
     fn admit(&self) -> Result<(), SparqlError> {
         loop {
             let used = self.admitted.load(Ordering::SeqCst);
@@ -99,10 +99,6 @@ impl SparqlEndpoint for QueryBudget<'_> {
 
     fn reset_stats(&self) {
         self.inner.reset_stats()
-    }
-
-    fn tracer(&self) -> Option<&re2x_obs::Tracer> {
-        self.inner.tracer()
     }
 }
 

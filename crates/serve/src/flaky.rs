@@ -120,10 +120,6 @@ impl<E: SparqlEndpoint> SparqlEndpoint for FlakyEndpoint<E> {
     fn reset_stats(&self) {
         self.inner.reset_stats()
     }
-
-    fn tracer(&self) -> Option<&re2x_obs::Tracer> {
-        self.inner.tracer()
-    }
 }
 
 #[cfg(test)]

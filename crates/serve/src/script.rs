@@ -231,7 +231,7 @@ pub fn run_script(
             }
             RoundOp::Preview { op } => {
                 let offers = session.refinements(*op)?;
-                let previews = session.preview(&offers, 0)?;
+                let previews = session.preview(&offers)?;
                 let _span = digest_span(&config.tracer, "preview");
                 RoundRecord {
                     op: format!("preview:{}", op_label(*op)),

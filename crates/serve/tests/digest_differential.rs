@@ -74,7 +74,7 @@ fn oracle_rounds(
             }
             RoundOp::Preview { op } => {
                 let offers = session.refinements(*op).expect("offers");
-                let previews = session.preview(&offers, 0).expect("previews");
+                let previews = session.preview(&offers).expect("previews");
                 let mut all = String::new();
                 for p in &previews {
                     all.push_str(&to_tsv(p, graph));

@@ -351,14 +351,6 @@ impl<E: SparqlEndpoint> SparqlEndpoint for CachingEndpoint<E> {
         state.misses = 0;
         state.evictions = 0;
     }
-
-    fn tracer(&self) -> Option<&Tracer> {
-        if self.tracer.is_enabled() {
-            Some(&self.tracer)
-        } else {
-            self.inner.tracer()
-        }
-    }
 }
 
 #[cfg(test)]

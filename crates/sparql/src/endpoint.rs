@@ -110,16 +110,6 @@ pub trait SparqlEndpoint: Send + Sync {
     /// Resets the statistics (e.g. between experiment phases).
     fn reset_stats(&self);
 
-    /// The tracer queries through this endpoint are attributed to, if the
-    /// stack contains a tracing decorator. The async adapter uses this to
-    /// capture the submitter's span context at `submit` time so that
-    /// queries serviced on pool threads reconcile to the same provenance
-    /// paths as their serial equivalents. Decorators forward to their
-    /// inner endpoint; the default (no tracer anywhere) is `None`.
-    fn tracer(&self) -> Option<&re2x_obs::Tracer> {
-        None
-    }
-
     /// Answers a `SELECT` query with the first column of its rows as term
     /// ids, in row order — `None` if some row's first cell is not a
     /// [`Value::Term`]. By default exactly that mapping over
@@ -182,9 +172,6 @@ macro_rules! delegate_endpoint {
             }
             fn reset_stats(&self) {
                 (**self).reset_stats()
-            }
-            fn tracer(&self) -> Option<&re2x_obs::Tracer> {
-                (**self).tracer()
             }
         }
     )*};

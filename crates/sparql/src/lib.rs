@@ -47,7 +47,6 @@
 //! ```
 
 pub mod ast;
-pub mod async_endpoint;
 pub mod caching;
 pub mod endpoint;
 pub mod error;
@@ -64,9 +63,6 @@ pub mod value;
 pub use ast::{
     AggFunc, ArithOp, CmpOp, Expr, Func, Order, OrderKey, PatternElement, Predicate, Query,
     QueryForm, SelectItem, TermPattern, TriplePattern,
-};
-pub use async_endpoint::{
-    with_async_endpoint, AsyncAdapter, AsyncRequest, AsyncResponse, AsyncSparqlEndpoint, Ticket,
 };
 pub use caching::CachingEndpoint;
 pub use endpoint::{EndpointStats, LatencyHistogram, LocalEndpoint, SparqlEndpoint};

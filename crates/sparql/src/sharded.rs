@@ -6,7 +6,7 @@
 //! and schema triples are replicated to every shard, so the star-shaped
 //! patterns RE²xOLAP emits evaluate entirely shard-locally. A query the
 //! decomposer can prove mergeable *scatters* to all shards in parallel
-//! (scoped threads, like `crate::async_endpoint`) and the partial results
+//! (scoped threads) and the partial results
 //! *gather* through a merge layer:
 //!
 //! * SUM/COUNT/MIN/MAX partial-merge by group key,

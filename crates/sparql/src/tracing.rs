@@ -98,10 +98,6 @@ impl<E: SparqlEndpoint> SparqlEndpoint for TracingEndpoint<E> {
     fn reset_stats(&self) {
         self.inner.reset_stats();
     }
-
-    fn tracer(&self) -> Option<&Tracer> {
-        self.tracer.is_enabled().then_some(&self.tracer)
-    }
 }
 
 #[cfg(test)]

@@ -48,7 +48,7 @@ with open("bench_results/lint.json") as f:
     report = json.load(f)
 assert report["findings"] == [], f"lint findings: {report['findings']}"
 locks = set(report["locks"])
-assert len(locks) >= 13, f"lock registry shrank unexpectedly: {sorted(locks)}"
+assert len(locks) >= 12, f"lock registry shrank unexpectedly: {sorted(locks)}"
 for edge in report["lock_edges"] + report["declared_edges"]:
     assert edge["from"] in locks and edge["to"] in locks, f"dangling edge: {edge}"
 declared = {(e["from"], e["to"]) for e in report["declared_edges"]}
@@ -70,28 +70,22 @@ RE2X_LOCK_WITNESS=1 cargo test -q --offline -p re2x-lint --test witness_gate
 
 echo "== trace experiment (smallest dataset, offline) =="
 # The trace experiment runs on the in-memory running-example generator —
-# no datasets, no network — and must emit a well-formed trace.json
-# including the serial-vs-async fan-out comparison row.
+# no datasets, no network — and must emit a well-formed trace.json whose
+# endpoint_fraction is a true fraction: every query is issued on one
+# thread, so endpoint busy time lies inside the pipeline wall time.
 cargo run --release --offline -p re2x-bench --bin repro -- --out bench_results trace
 if command -v python3 >/dev/null 2>&1; then
     python3 - <<'EOF'
 import json
 with open("bench_results/trace.json") as f:
     trace = json.load(f)
-comparison = trace["async_comparison"]
-ratio = float(comparison["overlap_ratio"])
-assert ratio > 0.0, f"overlap_ratio must be positive, got {ratio}"
-assert comparison["identical"] is True, "async legs diverged from serial"
-assert float(comparison["speedup"]) > 0.0
-print(f"trace.json: valid JSON; async row: {comparison['speedup']:.2f}x speedup, "
-      f"overlap ratio {ratio:.2f}")
+fraction = float(trace["endpoint_fraction"])
+assert 0.0 < fraction <= 1.0, f"endpoint_fraction must lie in (0, 1], got {fraction}"
+print(f"trace.json: valid JSON; endpoint fraction {fraction:.2f}")
 EOF
 else
     # no python3 in the environment: fall back to a structural spot-check
     grep -q '"endpoint_fraction"' bench_results/trace.json
-    grep -q '"async_comparison"' bench_results/trace.json
-    grep -q '"overlap_ratio"' bench_results/trace.json
-    grep -q '"identical": true' bench_results/trace.json
     echo "trace.json: present (python3 unavailable, structural check only)"
 fi
 

@@ -148,3 +148,25 @@ fn ask_and_keyword_answers_match_through_the_cache() {
     let stats = cached.stats();
     assert!(stats.cache_hits > 0 && stats.cache_misses > 0);
 }
+
+/// A warm crawl through the cache is answered from it: the second
+/// bootstrap finds the same schema and sends the inner endpoint nothing.
+#[test]
+fn warm_bootstrap_is_answered_from_the_cache() {
+    let (inner, dataset) = fresh_endpoint();
+    let endpoint = CachingEndpoint::new(inner);
+    let config = BootstrapConfig::new(&dataset.observation_class);
+
+    let cold = bootstrap(&endpoint, &config).expect("cold bootstrap");
+    let inner_after_cold = endpoint.stats().total_queries();
+    let warm = bootstrap(&endpoint, &config).expect("warm bootstrap");
+
+    assert_eq!(warm.schema, cold.schema);
+    assert_eq!(warm.endpoint_queries, cold.endpoint_queries);
+    assert_eq!(
+        endpoint.stats().total_queries(),
+        inner_after_cold,
+        "the warm crawl reached the inner endpoint"
+    );
+    assert!(endpoint.stats().cache_hits >= warm.endpoint_queries);
+}

@@ -1,11 +1,11 @@
 //! Integration tests of the observability layer (`re2x-obs`) threaded
 //! through the whole pipeline: span nesting in the exported JSONL event
 //! log, query provenance reconciling exactly with [`EndpointStats`] —
-//! serially, under `bootstrap_parallel` and through set-path candidate
-//! validation — per-phase cache accounting, and the `trace` experiment's
+//! over the whole pipeline and through set-path candidate validation —
+//! per-phase cache accounting, and the `trace` experiment's
 //! "endpoint dominates" claim.
 
-use re2x_cube::{bootstrap, bootstrap_parallel, BootstrapConfig};
+use re2x_cube::{bootstrap, BootstrapConfig};
 use re2x_obs::{events_to_jsonl, TraceEvent, Tracer};
 use re2x_sparql::{CachingEndpoint, LocalEndpoint, SparqlEndpoint, TracingEndpoint};
 use re2xolap::{reolap, reolap_multi, RefineOp, ReolapConfig, Session, SessionConfig};
@@ -14,17 +14,13 @@ use std::time::Duration;
 
 /// Runs the full pipeline (bootstrap → synthesize → choose → refine →
 /// apply) over the running-example dataset with the given tracer.
-fn run_pipeline(tracer: &Tracer, parallel: bool) -> re2x_sparql::EndpointStats {
+fn run_pipeline(tracer: &Tracer) -> re2x_sparql::EndpointStats {
     let mut dataset = re2x_datagen::running::generate();
     let graph = std::mem::take(&mut dataset.graph);
     let endpoint = TracingEndpoint::new(LocalEndpoint::new(graph), tracer.clone());
 
     let config = BootstrapConfig::new(&dataset.observation_class).with_tracer(tracer.clone());
-    let report = if parallel {
-        bootstrap_parallel(&endpoint, &config).expect("bootstrap")
-    } else {
-        bootstrap(&endpoint, &config).expect("bootstrap")
-    };
+    let report = bootstrap(&endpoint, &config).expect("bootstrap");
 
     let mut session = Session::new(
         &endpoint,
@@ -46,7 +42,7 @@ fn run_pipeline(tracer: &Tracer, parallel: bool) -> re2x_sparql::EndpointStats {
 #[test]
 fn jsonl_spans_nest_and_self_is_bounded_by_wall() {
     let tracer = Tracer::enabled();
-    run_pipeline(&tracer, true);
+    run_pipeline(&tracer);
     let events = tracer.take_events();
 
     // every exit matches exactly one enter, with the same path
@@ -117,19 +113,11 @@ fn jsonl_spans_nest_and_self_is_bounded_by_wall() {
 #[test]
 fn provenance_sums_to_endpoint_stats_serial() {
     let tracer = Tracer::enabled();
-    let stats = run_pipeline(&tracer, false);
-    let attributed: u64 = tracer.provenance().iter().map(|(_, s)| s.queries()).sum();
-    assert_eq!(attributed, stats.total_queries());
-}
-
-#[test]
-fn provenance_sums_to_endpoint_stats_under_bootstrap_parallel() {
-    let tracer = Tracer::enabled();
-    let stats = run_pipeline(&tracer, true);
+    let stats = run_pipeline(&tracer);
     let provenance = tracer.provenance();
     let attributed: u64 = provenance.iter().map(|(_, s)| s.queries()).sum();
     assert_eq!(attributed, stats.total_queries());
-    // the parallel dimension crawls attribute to the bootstrap subtree
+    // the dimension crawls attribute to the bootstrap subtree
     let bootstrap_queries: u64 = provenance
         .iter()
         .filter(|(path, _)| path.contains("bootstrap"))
@@ -378,8 +366,8 @@ fn trace_experiment_endpoint_dominates() {
     // acceptance bar for the `repro trace` artifact.
     let report = re2x_bench::trace::run(Duration::from_millis(2));
     assert!(
-        report.endpoint_fraction() >= 0.8,
-        "endpoint fraction {:.2} below 0.8 (wall {:?}, busy {:?})",
+        (0.8..=1.0).contains(&report.endpoint_fraction()),
+        "endpoint fraction {:.2} outside [0.8, 1] (wall {:?}, busy {:?})",
         report.endpoint_fraction(),
         report.pipeline_wall,
         report.stats.busy,

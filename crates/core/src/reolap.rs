@@ -72,7 +72,10 @@ impl Default for ReolapConfig {
 pub struct SynthesisOutcome {
     /// The candidate queries, one per valid interpretation.
     pub queries: Vec<OlapQuery>,
-    /// Number of interpretation combinations enumerated.
+    /// Number of candidates enumerated — member combinations, one member
+    /// per keyword (per keyword of every tuple, for [`reolap_multi`]),
+    /// before deduplication and validation. This is the count
+    /// [`ReolapConfig::max_interpretations`] bounds.
     pub interpretations_considered: usize,
     /// Wall-clock synthesis time.
     pub elapsed: Duration,
@@ -493,7 +496,7 @@ pub fn reolap_multi(
         .collect();
     Ok(SynthesisOutcome {
         queries,
-        interpretations_considered: combinations,
+        interpretations_considered: candidate_count,
         elapsed: start.elapsed(),
     })
 }

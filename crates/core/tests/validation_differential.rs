@@ -18,7 +18,7 @@ use re2x_sparql::{AggFunc, LocalEndpoint, ShardedEndpoint, SparqlEndpoint};
 use re2x_testkit::{check_n, TestRng};
 use re2xolap::reolap::{
     get_query_tuples, reolap, reolap_multi, validate_candidates, validate_interpretation,
-    ReolapConfig,
+    ReolapConfig, SynthesisOutcome,
 };
 use re2xolap::{get_query, matches, ExampleBinding, MatchMode, OlapQuery, Re2xError};
 use std::cell::Cell;
@@ -685,10 +685,27 @@ fn multi_tuple_synthesis_tries_every_member_of_a_level() {
 /// `max_interpretations` bounds the candidates enumerated and validated,
 /// not the level combos they fall into: ⟨Springfield, Germany⟩ is one
 /// level combo but two candidates, so a bound of one refuses it through
-/// both entry points — with matching traffic only, no validation.
+/// both entry points — with matching traffic only, no validation. Under
+/// the default bound both report those two as
+/// `interpretations_considered`, and the pair beside ⟨Springfield,
+/// France⟩ four.
 #[test]
 fn the_interpretation_bound_counts_candidates() {
     let (endpoint, schema) = two_springfields();
+    let considered = |outcome: Result<SynthesisOutcome, Re2xError>| {
+        outcome.expect("synthesis").interpretations_considered
+    };
+    let default = ReolapConfig::default();
+    let germany = ["Springfield", "Germany"];
+    let france = ["Springfield", "France"];
+    assert_eq!(
+        considered(reolap(&endpoint, &schema, &germany, &default)),
+        2
+    );
+    let tuple = |kws: [&str; 2]| kws.map(str::to_owned).to_vec();
+    let multi = |examples: &[Vec<String>]| reolap_multi(&endpoint, &schema, examples, &default);
+    assert_eq!(considered(multi(&[tuple(germany)])), 2);
+    assert_eq!(considered(multi(&[tuple(germany), tuple(france)])), 4);
     let config = ReolapConfig {
         max_interpretations: 1,
         ..ReolapConfig::default()

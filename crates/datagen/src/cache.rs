@@ -2,11 +2,13 @@
 //!
 //! Generating a paper-scale dataset (millions of observations) costs
 //! minutes of RNG-driven graph construction; loading the same graph from a
-//! dictionary-encoded snapshot is a single sequential read with no string
-//! re-interning. [`load_or_generate`] makes that transparent: it loads a
-//! cached snapshot when one exists and is valid for the exact
-//! (dataset, observations, seed) triple, and otherwise regenerates the
-//! dataset and writes the snapshot for next time.
+//! dictionary-encoded snapshot is one sequential pass over the file, a
+//! section at a time, with no string re-interning — it never holds the
+//! whole file beside the graph, and neither does writing one.
+//! [`load_or_generate`] makes that transparent: it loads a cached snapshot
+//! when one exists and is valid for the exact (dataset, observations,
+//! seed) triple, and otherwise regenerates the dataset and writes the
+//! snapshot for next time.
 //!
 //! Cache artifacts are *never trusted blindly*: every file embeds the
 //! [`snapshot_key`] of the dataset it holds, and a key mismatch (a stale

@@ -34,7 +34,8 @@ pub enum RdfError {
     SnapshotTruncated {
         /// Section (or "header") being decoded when the data ran out.
         section: String,
-        /// Byte offset within that section where the read failed.
+        /// Byte offset where the read failed: within the section's
+        /// payload, or within the file for the header and section frames.
         offset: usize,
     },
     /// A snapshot section's stored FNV checksum does not match its payload.

@@ -14,6 +14,14 @@
 //! to check as to rebuild). That is what makes a snapshot load several
 //! times faster than regenerating the dataset it caches.
 //!
+//! Both directions stream one section at a time, so neither holds the
+//! whole file beside the graph. The writer encodes each section into one
+//! reused buffer and writes it, framed, through a `BufWriter`; the loader
+//! reads each section from the open file into a buffer of its own, checks
+//! and decodes it, and frees the buffer before reading the next. A
+//! transient is at most one section, not the file — at 90M triples the
+//! difference is gigabytes.
+//!
 //! ## File layout (version 3, all integers little-endian)
 //!
 //! ```text
@@ -76,6 +84,8 @@ use crate::interner::{Interner, TermId};
 use crate::partition::Partitioned;
 use crate::term::{Literal, Term};
 use crate::text::{normalizes_to, words, FrozenTable, FrozenText, TextIndex};
+use std::fs::File;
+use std::io::{BufWriter, ErrorKind, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -210,13 +220,6 @@ impl<'a> Reader<'a> {
         Ok(byte)
     }
 
-    fn u32_le(&mut self) -> Result<u32, RdfError> {
-        let raw = self.take(4)?;
-        let mut bytes = [0u8; 4];
-        bytes.copy_from_slice(raw);
-        Ok(u32::from_le_bytes(bytes))
-    }
-
     fn u64_le(&mut self) -> Result<u64, RdfError> {
         let raw = self.take(8)?;
         let mut bytes = [0u8; 8];
@@ -256,6 +259,94 @@ impl<'a> Reader<'a> {
     }
 }
 
+/// A snapshot read front to back from any reader of known length — the
+/// open file, or a byte slice in the unit tests. A length read from the
+/// file is checked against the bytes left *before* anything is allocated
+/// for it, so a corrupt length is [`RdfError::SnapshotTruncated`], never a
+/// huge allocation; a read past the end is truncated too.
+struct Source<R> {
+    inner: R,
+    /// Bytes read so far: the file offset of the next read.
+    pos: u64,
+    len: u64,
+    section: &'static str,
+}
+
+impl<R: Read> Source<R> {
+    fn new(inner: R, len: u64) -> Self {
+        Source {
+            inner,
+            pos: 0,
+            len,
+            section: "header",
+        }
+    }
+
+    fn truncated(&self) -> RdfError {
+        RdfError::SnapshotTruncated {
+            section: self.section.to_owned(),
+            offset: usize::try_from(self.pos).unwrap_or(usize::MAX),
+        }
+    }
+
+    fn corrupt(&self, message: impl Into<String>) -> RdfError {
+        RdfError::SnapshotCorrupt {
+            section: self.section.to_owned(),
+            message: message.into(),
+        }
+    }
+
+    /// Fills `buf` with the next bytes.
+    fn fill(&mut self, buf: &mut [u8]) -> Result<(), RdfError> {
+        self.inner.read_exact(buf).map_err(|e| match e.kind() {
+            ErrorKind::UnexpectedEof => self.truncated(),
+            _ => RdfError::Io(e.to_string()),
+        })?;
+        self.pos += buf.len() as u64;
+        Ok(())
+    }
+
+    /// The next `n` bytes, in a buffer of their own — allocated only once
+    /// `n` is known to fit in what is left.
+    fn bytes(&mut self, n: u64) -> Result<Vec<u8>, RdfError> {
+        // saturating: a file that grew since its length was read has
+        // `pos` past `len`
+        if n > self.len.saturating_sub(self.pos) {
+            return Err(self.truncated());
+        }
+        let mut buf = vec![0; usize::try_from(n).map_err(|_| self.truncated())?];
+        self.fill(&mut buf)?;
+        Ok(buf)
+    }
+
+    fn u32_le(&mut self) -> Result<u32, RdfError> {
+        let mut bytes = [0u8; 4];
+        self.fill(&mut bytes)?;
+        Ok(u32::from_le_bytes(bytes))
+    }
+
+    fn u64_le(&mut self) -> Result<u64, RdfError> {
+        let mut bytes = [0u8; 8];
+        self.fill(&mut bytes)?;
+        Ok(u64::from_le_bytes(bytes))
+    }
+
+    /// Reads one framed section, verifying its checksum: the payload, in a
+    /// buffer the caller frees once it is decoded.
+    fn section(&mut self, section: &'static str) -> Result<Vec<u8>, RdfError> {
+        self.section = section;
+        let len = self.u64_le()?;
+        let payload = self.bytes(len)?;
+        let stored = self.u64_le()?;
+        if section_checksum(&payload) != stored {
+            return Err(RdfError::SnapshotChecksum {
+                section: section.to_owned(),
+            });
+        }
+        Ok(payload)
+    }
+}
+
 // ---- header --------------------------------------------------------------
 
 struct Header {
@@ -264,37 +355,40 @@ struct Header {
     triple_count: usize,
     pred_count: usize,
     text_count: usize,
-    /// Offset of the first section frame.
-    body_start: usize,
 }
 
-fn parse_header(buf: &[u8]) -> Result<Header, RdfError> {
-    let mut r = Reader::new(buf, "header");
-    let magic = r.take(8)?;
+/// Reads the magic, the version and the embedded key.
+fn read_key<R: Read>(src: &mut Source<R>) -> Result<String, RdfError> {
+    let mut magic = [0u8; 8];
+    src.fill(&mut magic)?;
     if magic != SNAPSHOT_MAGIC {
         return Err(RdfError::SnapshotBadMagic);
     }
-    let version = r.u32_le()?;
+    let version = src.u32_le()?;
     if version != SNAPSHOT_VERSION {
         return Err(RdfError::SnapshotVersion {
             found: version,
             supported: SNAPSHOT_VERSION,
         });
     }
-    let key_len = r.u32_le()? as usize;
-    let key_bytes = r.take(key_len)?;
-    let key = std::str::from_utf8(key_bytes)
-        .map_err(|_| r.corrupt("snapshot key is not valid UTF-8"))?
-        .to_owned();
-    let counts: [u64; 4] = [r.u64_le()?, r.u64_le()?, r.u64_le()?, r.u64_le()?];
-    let as_usize = |v: u64| usize::try_from(v).map_err(|_| r.corrupt("count overflows usize"));
+    let key_len = src.u32_le()?;
+    let key = src.bytes(u64::from(key_len))?;
+    String::from_utf8(key).map_err(|_| src.corrupt("snapshot key is not valid UTF-8"))
+}
+
+/// Reads the whole header: the key, then the four counts.
+fn read_header<R: Read>(src: &mut Source<R>) -> Result<Header, RdfError> {
+    let key = read_key(src)?;
+    let mut count = || {
+        let raw = src.u64_le()?;
+        usize::try_from(raw).map_err(|_| src.corrupt("count overflows usize"))
+    };
     Ok(Header {
         key,
-        term_count: as_usize(counts[0])?,
-        triple_count: as_usize(counts[1])?,
-        pred_count: as_usize(counts[2])?,
-        text_count: as_usize(counts[3])?,
-        body_start: r.pos,
+        term_count: count()?,
+        triple_count: count()?,
+        pred_count: count()?,
+        text_count: count()?,
     })
 }
 
@@ -302,41 +396,9 @@ fn parse_header(buf: &[u8]) -> Result<Header, RdfError> {
 /// how the cache layer decides whether an on-disk artifact matches the
 /// dataset it is about to serve, without paying for a full load.
 pub fn peek_snapshot_key(path: &Path) -> Result<String, RdfError> {
-    use std::io::Read as _;
-    let mut file = std::fs::File::open(path).map_err(|e| io_err(path, &e))?;
-    // magic + version + key length + longest key we accept
-    let mut buf = vec![0u8; 16 + 4096];
-    let mut filled = 0usize;
-    loop {
-        match file.read(&mut buf[filled..]) {
-            Ok(0) => break,
-            Ok(n) => {
-                filled += n;
-                if filled == buf.len() {
-                    break;
-                }
-            }
-            Err(e) => return Err(io_err(path, &e)),
-        }
-    }
-    buf.truncate(filled);
-    let mut r = Reader::new(&buf, "header");
-    let magic = r.take(8)?;
-    if magic != SNAPSHOT_MAGIC {
-        return Err(RdfError::SnapshotBadMagic);
-    }
-    let version = r.u32_le()?;
-    if version != SNAPSHOT_VERSION {
-        return Err(RdfError::SnapshotVersion {
-            found: version,
-            supported: SNAPSHOT_VERSION,
-        });
-    }
-    let key_len = r.u32_le()? as usize;
-    let key_bytes = r.take(key_len)?;
-    std::str::from_utf8(key_bytes)
-        .map(str::to_owned)
-        .map_err(|_| r.corrupt("snapshot key is not valid UTF-8"))
+    let file = File::open(path).map_err(|e| io_err(path, &e))?;
+    let len = file.metadata().map_err(|e| io_err(path, &e))?.len();
+    read_key(&mut Source::new(file, len))
 }
 
 // ---- encoding ------------------------------------------------------------
@@ -493,13 +555,14 @@ fn read_counts(r: &mut Reader<'_>, bytes_per: [usize; 3]) -> Result<[usize; 3], 
 }
 
 /// Reads and fully validates one frozen-index section.
-fn read_index_section(
-    body: &mut Reader<'_>,
+fn read_index_section<R: Read>(
+    src: &mut Source<R>,
     section: &'static str,
     term_count: usize,
     triple_count: usize,
 ) -> Result<FrozenIndex, RdfError> {
-    let mut r = read_section(body, section)?;
+    let payload = src.section(section)?;
+    let mut r = Reader::new(&payload, section);
     // outer ids + ends, inner ids + ends, postings
     let [outer_count, inner_count, posting_count] = read_counts(&mut r, [8, 8, 4])?;
     if posting_count != triple_count {
@@ -538,11 +601,6 @@ fn read_index_section(
     })
 }
 
-/// Bytes [`encode_table`] writes for `table`.
-fn table_len(table: &FrozenTable) -> usize {
-    24 + 8 * table.len() + 4 * table.ids.len() + table.key_bytes.len()
-}
-
 /// Serializes one text table as the layout above.
 fn encode_table(table: &FrozenTable, out: &mut Vec<u8>) {
     for count in [table.len(), table.key_bytes.len(), table.ids.len()] {
@@ -560,12 +618,13 @@ fn encode_table(table: &FrozenTable, out: &mut Vec<u8>) {
 /// Reads one text table, validated structurally: exact offsets, in-range
 /// ids, non-empty strictly ascending runs, strictly ascending keys.
 /// Agreement with the dictionary is [`validate_text`]'s.
-fn read_table_section(
-    body: &mut Reader<'_>,
+fn read_table_section<R: Read>(
+    src: &mut Source<R>,
     section: &'static str,
     term_count: usize,
 ) -> Result<FrozenTable, RdfError> {
-    let mut r = read_section(body, section)?;
+    let payload = src.section(section)?;
+    let mut r = Reader::new(&payload, section);
     // key ends + id ends, key bytes, postings
     let [key_count, byte_count, posting_count] = read_counts(&mut r, [8, 1, 4])?;
     // Key ends only ascend: the first key may be empty (a zero-token
@@ -685,119 +744,96 @@ fn validate_text(text: &FrozenText, interner: &Interner, indexed: usize) -> Resu
     Ok(())
 }
 
-/// Appends one framed section (length, payload, FNV-1a checksum), the
-/// payload written in place by `encode` — no section is ever a buffer of
-/// its own.
-fn push_section(out: &mut Vec<u8>, encode: impl FnOnce(&mut Vec<u8>)) {
-    let start = out.len();
-    out.extend_from_slice(&[0; 8]);
-    encode(out);
-    let len = (out.len() - start - 8) as u64;
-    out[start..start + 8].copy_from_slice(&len.to_le_bytes());
-    let checksum = section_checksum(&out[start + 8..]);
-    out.extend_from_slice(&checksum.to_le_bytes());
-}
-
-/// Reads one framed section, verifying its checksum.
-fn read_section<'a>(r: &mut Reader<'a>, section: &'static str) -> Result<Reader<'a>, RdfError> {
-    r.section = section;
-    let len = r.u64_le()?;
-    let len = usize::try_from(len).map_err(|_| r.corrupt("section length overflows usize"))?;
-    let payload = r.take(len)?;
-    let stored = r.u64_le()?;
-    if section_checksum(payload) != stored {
-        return Err(RdfError::SnapshotChecksum {
-            section: section.to_owned(),
-        });
-    }
-    Ok(Reader::new(payload, section))
+/// Writes one framed section (length, payload, FNV-1a checksum), the
+/// payload encoded by `encode` into `buf` — cleared first, so one buffer
+/// serves every section and grows only to the largest.
+fn write_section(
+    out: &mut impl Write,
+    buf: &mut Vec<u8>,
+    encode: impl FnOnce(&mut Vec<u8>),
+) -> std::io::Result<()> {
+    buf.clear();
+    encode(buf);
+    out.write_all(&(buf.len() as u64).to_le_bytes())?;
+    out.write_all(buf)?;
+    out.write_all(&section_checksum(buf).to_le_bytes())
 }
 
 impl Graph {
     /// Writes the graph to `path` as a versioned binary snapshot stamped
     /// with `key` (the dataset identity the loader verifies).
     ///
-    /// The write is atomic-ish: the file is assembled in memory and written
-    /// in one call, so a crash mid-write leaves a truncated file the loader
-    /// rejects with a typed error rather than a silently short graph.
+    /// The file is streamed a section at a time through a `BufWriter`, so
+    /// the write holds at most one section beside the graph. A crash
+    /// mid-write leaves a truncated file the loader rejects with a typed
+    /// error rather than a silently short graph.
     pub fn write_snapshot(&self, path: &Path, key: &str) -> Result<(), RdfError> {
-        let out = self.encode_snapshot(key)?;
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent).map_err(|e| io_err(parent, &e))?;
-            }
-        }
-        std::fs::write(path, &out).map_err(|e| io_err(path, &e))
-    }
-
-    /// The bytes [`Graph::write_snapshot`] writes.
-    fn encode_snapshot(&self, key: &str) -> Result<Vec<u8>, RdfError> {
         if u32::try_from(self.len()).is_err() {
             return Err(RdfError::Io(format!(
                 "graph holds {} triples; snapshot offsets are u32",
                 self.len()
             )));
         }
+        if let Some(parent) = path.parent() {
+            if !parent.as_os_str().is_empty() {
+                std::fs::create_dir_all(parent).map_err(|e| io_err(parent, &e))?;
+            }
+        }
+        let file = File::create(path).map_err(|e| io_err(path, &e))?;
+        let mut out = BufWriter::new(file);
+        self.encode_snapshot(key, &mut out)
+            .and_then(|()| out.flush())
+            .map_err(|e| io_err(path, &e))
+    }
+
+    /// Writes the bytes of [`Graph::write_snapshot`]'s file to `out`.
+    fn encode_snapshot(&self, key: &str, out: &mut impl Write) -> std::io::Result<()> {
         // the text index's two tables, as one base — its own while the
         // overlay is empty, built by one merge per table otherwise. Only
         // the literals *currently* indexed are in it (removal orphans
         // literals out of the index, and a snapshot preserves that state).
         let text = self.text.freeze_view();
 
-        // Every section is written in place, into a buffer reserved once
-        // at an upper bound of the file: a term encodes to fewer bytes
-        // than it occupies on the heap, an index section to at most five
-        // `u32`s per triple. Pages past the end are never touched, so the
-        // slack costs no memory; a wrong bound would only cost a copy.
-        let mut out = Vec::with_capacity(
-            64 + key.len()
-                + self.interner.heap_bytes()
-                + 3 * (24 + 20 * self.len())
-                + 40 * self.pred_stats.len()
-                + table_len(&text.exact)
-                + table_len(&text.tokens)
-                + 7 * 16,
-        );
-        out.extend_from_slice(&SNAPSHOT_MAGIC);
-        out.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
-        out.extend_from_slice(&(key.len() as u32).to_le_bytes());
-        out.extend_from_slice(key.as_bytes());
+        out.write_all(&SNAPSHOT_MAGIC)?;
+        out.write_all(&SNAPSHOT_VERSION.to_le_bytes())?;
+        out.write_all(&(key.len() as u32).to_le_bytes())?;
+        out.write_all(key.as_bytes())?;
         for count in [
             self.interner.len(),
             self.len(),
             self.pred_stats.len(),
             text.exact.ids.len(),
         ] {
-            out.extend_from_slice(&(count as u64).to_le_bytes());
+            out.write_all(&(count as u64).to_le_bytes())?;
         }
+        let mut buf = Vec::new();
         // dictionary: terms in interning order, so ids round-trip.
-        push_section(&mut out, |out| {
+        write_section(out, &mut buf, |buf| {
             for (_, term) in self.interner.iter() {
-                encode_term(out, term);
+                encode_term(buf, term);
             }
-        });
+        })?;
         // the three indexes as one base each — the graph's own while its
         // overlay is empty, built by one merging sweep otherwise.
         for index in [&self.spo, &self.pos, &self.osp] {
-            push_section(&mut out, |out| encode_index(&index.freeze_view(), out));
+            write_section(out, &mut buf, |buf| encode_index(&index.freeze_view(), buf))?;
         }
         // predicate statistics, sorted by predicate id.
-        push_section(&mut out, |out| {
+        write_section(out, &mut buf, |buf| {
             let mut preds: Vec<TermId> = self.pred_stats.keys().copied().collect();
             preds.sort_unstable();
             let mut prev_p = 0u64;
             for p in &preds {
                 let st = self.pred_stats.get(p).copied().unwrap_or_default();
-                push_varint(out, u64::from(p.0) - prev_p);
+                push_varint(buf, u64::from(p.0) - prev_p);
                 prev_p = u64::from(p.0);
-                push_varint(out, st.triples as u64);
-                push_varint(out, st.distinct_subjects as u64);
-                push_varint(out, st.distinct_objects as u64);
+                push_varint(buf, st.triples as u64);
+                push_varint(buf, st.distinct_subjects as u64);
+                push_varint(buf, st.distinct_objects as u64);
             }
-        });
-        push_section(&mut out, |out| encode_table(&text.exact, out));
-        push_section(&mut out, |out| encode_table(&text.tokens, out));
-        Ok(out)
+        })?;
+        write_section(out, &mut buf, |buf| encode_table(&text.exact, buf))?;
+        write_section(out, &mut buf, |buf| encode_table(&text.tokens, buf))
     }
 
     /// Loads a snapshot written by [`Graph::write_snapshot`].
@@ -810,13 +846,21 @@ impl Graph {
     /// dictionary, hashing each term once into the interner's id table,
     /// and checking each indexed literal's normalized form.
     pub fn load_snapshot(path: &Path, expected_key: Option<&str>) -> Result<Graph, RdfError> {
-        let buf = std::fs::read(path).map_err(|e| io_err(path, &e))?;
-        Graph::decode_snapshot(&buf, expected_key)
+        let file = File::open(path).map_err(|e| io_err(path, &e))?;
+        let len = file.metadata().map_err(|e| io_err(path, &e))?.len();
+        Graph::decode_snapshot(file, len, expected_key)
     }
 
-    /// The graph [`Graph::load_snapshot`] loads from these bytes.
-    fn decode_snapshot(buf: &[u8], expected_key: Option<&str>) -> Result<Graph, RdfError> {
-        let header = parse_header(buf)?;
+    /// The graph [`Graph::load_snapshot`] loads from the `len` bytes
+    /// `inner` reads, one section at a time: each section's buffer is
+    /// freed once it is decoded.
+    fn decode_snapshot(
+        inner: impl Read,
+        len: u64,
+        expected_key: Option<&str>,
+    ) -> Result<Graph, RdfError> {
+        let mut src = Source::new(inner, len);
+        let header = read_header(&mut src)?;
         if let Some(expected) = expected_key {
             if header.key != expected {
                 return Err(RdfError::SnapshotKeyMismatch {
@@ -825,24 +869,27 @@ impl Graph {
                 });
             }
         }
-        let mut body = Reader::new(buf, "header");
-        body.pos = header.body_start;
 
-        // dictionary → interner.
-        let mut dict = read_section(&mut body, SECTION_DICTIONARY)?;
-        // Capacity from the payload, not the header count, so a corrupt
-        // count cannot force a huge allocation before validation.
-        let mut terms: Vec<Term> = Vec::with_capacity(header.term_count.min(dict.buf.len()));
-        while !dict.is_done() {
-            terms.push(decode_term(&mut dict)?);
-        }
-        if terms.len() != header.term_count {
-            return Err(dict.corrupt(format!(
-                "dictionary holds {} terms, header promised {}",
-                terms.len(),
-                header.term_count
-            )));
-        }
+        // dictionary → interner, its section freed before the id table
+        // is built.
+        let terms = {
+            let payload = src.section(SECTION_DICTIONARY)?;
+            let mut dict = Reader::new(&payload, SECTION_DICTIONARY);
+            // Capacity from the payload, not the header count, so a corrupt
+            // count cannot force a huge allocation before validation.
+            let mut terms: Vec<Term> = Vec::with_capacity(header.term_count.min(payload.len()));
+            while !dict.is_done() {
+                terms.push(decode_term(&mut dict)?);
+            }
+            if terms.len() != header.term_count {
+                return Err(dict.corrupt(format!(
+                    "dictionary holds {} terms, header promised {}",
+                    terms.len(),
+                    header.term_count
+                )));
+            }
+            terms
+        };
         let interner = Interner::from_terms(terms).ok_or_else(|| RdfError::SnapshotCorrupt {
             section: SECTION_DICTIONARY.to_owned(),
             message: "duplicate term in dictionary".to_owned(),
@@ -850,12 +897,13 @@ impl Graph {
         let term_count = interner.len();
 
         // the three frozen indexes, each validated independently.
-        let spo = read_index_section(&mut body, SECTION_SPO, term_count, header.triple_count)?;
-        let pos = read_index_section(&mut body, SECTION_POS, term_count, header.triple_count)?;
-        let osp = read_index_section(&mut body, SECTION_OSP, term_count, header.triple_count)?;
+        let spo = read_index_section(&mut src, SECTION_SPO, term_count, header.triple_count)?;
+        let pos = read_index_section(&mut src, SECTION_POS, term_count, header.triple_count)?;
+        let osp = read_index_section(&mut src, SECTION_OSP, term_count, header.triple_count)?;
 
         // predicate statistics.
-        let mut st = read_section(&mut body, SECTION_STATS)?;
+        let stats = src.section(SECTION_STATS)?;
+        let mut st = Reader::new(&stats, SECTION_STATS);
         let mut pred_stats: FxHashMap<TermId, PredicateStats> = FxHashMap::default();
         let mut prev_p = 0u64;
         let mut first_p = true;
@@ -907,8 +955,8 @@ impl Graph {
 
         // the text index's base, straight from its two tables.
         let text = FrozenText {
-            exact: read_table_section(&mut body, SECTION_TEXT_EXACT, term_count)?,
-            tokens: read_table_section(&mut body, SECTION_TEXT_TOKENS, term_count)?,
+            exact: read_table_section(&mut src, SECTION_TEXT_EXACT, term_count)?,
+            tokens: read_table_section(&mut src, SECTION_TEXT_TOKENS, term_count)?,
         };
         validate_text(&text, &interner, header.text_count)?;
 
@@ -1015,7 +1063,6 @@ mod tests {
         }
         let mut out = Vec::new();
         encode_table(&table, &mut out);
-        assert_eq!(out.len(), table_len(&table));
         out
     }
 
@@ -1052,24 +1099,28 @@ mod tests {
     /// and checksum recomputed), so only the loader's own checks can
     /// catch what the payload gets wrong.
     fn with_section(bytes: &[u8], n: usize, payload: &[u8]) -> Vec<u8> {
-        let header = parse_header(bytes).expect("header");
-        let mut r = Reader::new(bytes, "test");
-        r.pos = header.body_start;
-        let mut out = bytes[..header.body_start].to_vec();
+        let mut src = Source::new(bytes, bytes.len() as u64);
+        read_header(&mut src).expect("header");
+        let mut out = bytes[..src.pos as usize].to_vec();
+        let mut buf = Vec::new();
         for i in 0..7 {
-            let len = r.u64_le().expect("length") as usize;
-            let old = r.take(len).expect("payload");
-            r.u64_le().expect("checksum");
-            let payload = if i == n { payload } else { old };
-            push_section(&mut out, |out| out.extend_from_slice(payload));
+            let old = src.section("test").expect("section");
+            let payload = if i == n { payload } else { &old };
+            write_section(&mut out, &mut buf, |buf| buf.extend_from_slice(payload)).expect("write");
         }
         out
+    }
+
+    /// The graph `bytes` decode to.
+    fn decode(bytes: &[u8], expected_key: Option<&str>) -> Result<Graph, RdfError> {
+        Graph::decode_snapshot(bytes, bytes.len() as u64, expected_key)
     }
 
     /// The sample's snapshot and its two text tables.
     fn fixture() -> (Graph, Vec<u8>, Entries, Entries) {
         let g = sample();
-        let bytes = g.encode_snapshot("k").expect("encode");
+        let mut bytes = Vec::new();
+        g.encode_snapshot("k", &mut bytes).expect("encode");
         let text = g.text.freeze_view();
         let (exact, tokens) = (entries(&text.exact), entries(&text.tokens));
         (g, bytes, exact, tokens)
@@ -1088,7 +1139,7 @@ mod tests {
     fn assert_corrupt(bytes: &[u8], n: usize, entries: &Entries, reason: &str) {
         let crafted = with_section(bytes, n, &encoded(entries));
         let section = [SECTION_TEXT_EXACT, SECTION_TEXT_TOKENS][n - EXACT];
-        match Graph::decode_snapshot(&crafted, None).err() {
+        match decode(&crafted, None).err() {
             Some(RdfError::SnapshotCorrupt {
                 section: found,
                 message,
@@ -1107,7 +1158,7 @@ mod tests {
         assert_eq!(with_section(&bytes, EXACT, &encoded(&exact)), bytes);
         assert_eq!(with_section(&bytes, TOKENS, &encoded(&tokens)), bytes);
         assert_eq!(exact[0], (Vec::new(), vec![literal(&g, "—")]));
-        let loaded = Graph::decode_snapshot(&bytes, Some("k")).expect("load");
+        let loaded = decode(&bytes, Some("k")).expect("load");
         assert_eq!(loaded.text_index().len(), 6);
         for query in [
             "germany",
@@ -1137,7 +1188,7 @@ mod tests {
         let (_, mut bytes, _, _) = fixture();
         bytes[8..12].copy_from_slice(&2u32.to_le_bytes());
         assert!(matches!(
-            Graph::decode_snapshot(&bytes, None),
+            decode(&bytes, None),
             Err(RdfError::SnapshotVersion {
                 found: 2,
                 supported: SNAPSHOT_VERSION

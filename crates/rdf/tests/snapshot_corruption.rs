@@ -85,6 +85,21 @@ fn clean_snapshot_loads_and_peeks() {
     let _ = std::fs::remove_file(&path);
 }
 
+/// The streamed writer leaves the bytes the whole-file writer of format
+/// v3 left: FNV-1a over that writer's file of the sample.
+#[test]
+fn written_bytes_match_the_golden() {
+    let (path, bytes) = write_sample("golden");
+    let fnv1a = bytes
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |hash: u64, &byte| {
+            (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+    assert_eq!(SNAPSHOT_VERSION, 3);
+    assert_eq!((bytes.len(), fnv1a), (2_975, 0xf610_be77_5f03_188e));
+    let _ = std::fs::remove_file(&path);
+}
+
 #[test]
 fn missing_file_is_io_error() {
     let err = Graph::load_snapshot(std::path::Path::new("/nonexistent/no.snap"), None)

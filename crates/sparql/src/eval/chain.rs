@@ -42,6 +42,10 @@ enum Access {
     /// postings or forward along the seeds' runs, whichever its statistics
     /// favor ([`per_candidate`]); the arm's object is the variable held.
     PerCandidate(usize),
+    /// The seeds' SPO runs walked once, a predicate skipped once found and
+    /// a run's objects tested only up to the first one kept
+    /// ([`seed_walk`]); the arm's object is the variable held.
+    SeedWalk(usize),
     /// The part's join, from the seeds if there are any: a part that is no
     /// single arm, or a block with no cut.
     Join,
@@ -54,6 +58,7 @@ impl Access {
             Access::Forward => "forward",
             Access::Backward(_) => "backward",
             Access::PerCandidate(_) => "per candidate",
+            Access::SeedWalk(_) => "seed walk",
             Access::Join => "join",
         }
     }
@@ -198,6 +203,17 @@ impl<'g> ChainRun<'_, '_, 'g> {
                 let keeps = |x| node.keeps(graph, object, x);
                 Cow::Owned(per_candidate(graph, seeds, keeps))
             }
+            Access::SeedWalk(object) => {
+                let seeds = self.values[before].as_deref().unwrap_or_default();
+                let keeps = |x| node.keeps(graph, object, x);
+                Cow::Owned(seed_walk(
+                    graph,
+                    seeds,
+                    keeps,
+                    graph.predicates(),
+                    Vec::new(),
+                ))
+            }
             Access::Forward | Access::Join => {
                 let nvars = node.part.var_names.len();
                 let seed = match node.seed {
@@ -251,11 +267,10 @@ impl<'g> ChainRun<'_, '_, 'g> {
 /// seed among that object's subjects, up to the first witness — so a
 /// predicate the seeds do not carry (labels, hometowns, …) costs its own
 /// triples, never a walk of the seeds. The others are looked for along
-/// the seeds' SPO runs, which skip every predicate already decided and end
-/// once none is left undecided; before that, one with no more distinct
-/// objects than there are seeds is refuted outright if `keeps` accepts
-/// none of them (`rdf:type` under `isNumeric`, which every seed carries
-/// and none satisfies).
+/// the seeds' SPO runs ([`seed_walk`]); before that, one with no more
+/// distinct objects than there are seeds is refuted outright if `keeps`
+/// accepts none of them (`rdf:type` under `isNumeric`, which every seed
+/// carries and none satisfies).
 fn per_candidate(graph: &Graph, seeds: &[TermId], keeps: impl Fn(TermId) -> bool) -> Vec<TermId> {
     let mut found = Vec::new();
     let mut undecided = Vec::new();
@@ -272,18 +287,33 @@ fn per_candidate(graph: &Graph, seeds: &[TermId], keeps: impl Fn(TermId) -> bool
             undecided.push(p);
         }
     }
+    seed_walk(graph, seeds, keeps, undecided, found)
+}
+
+/// `found` and the predicates of `open` (ids ascending) that some seed
+/// carries with an object `keeps` accepts, ids ascending. The seeds' SPO
+/// runs are walked in turn: a run whose predicate is no longer open is
+/// skipped, a run's objects are tested only up to the first one kept,
+/// and a predicate found leaves `open` — the walk ends once none is left.
+fn seed_walk(
+    graph: &Graph,
+    seeds: &[TermId],
+    keeps: impl Fn(TermId) -> bool,
+    mut open: Vec<TermId>,
+    mut found: Vec<TermId>,
+) -> Vec<TermId> {
     for &s in seeds {
-        if undecided.is_empty() {
+        if open.is_empty() {
             break;
         }
         graph.predicate_runs_until(s, |p, objects| {
-            if let Ok(at) = undecided.binary_search(&p) {
+            if let Ok(at) = open.binary_search(&p) {
                 if objects.iter().any(|&o| keeps(o)) {
-                    undecided.remove(at);
+                    open.remove(at);
                     found.push(p);
                 }
             }
-            undecided.is_empty()
+            open.is_empty()
         });
     }
     found.sort_unstable();
@@ -392,8 +422,10 @@ impl<'q> Compiled<'q> {
     /// on its own when its seeds are the first node's: subjects picked by
     /// constants, which share their predicates, so the seeds' runs find
     /// every predicate left to them after a few seeds. Members reached
-    /// over an arm do not, and are walked forward, as is any other arm; a
-    /// part of several patterns is joined from the seeds.
+    /// over an arm do not share theirs, so no predicate is decided on its
+    /// own: the seeds' runs are walked once, each predicate skipped once
+    /// found. Any other arm is walked forward; a part of several patterns
+    /// is joined from the seeds.
     fn seeded_access(
         &self,
         graph: &Graph,
@@ -413,9 +445,13 @@ impl<'q> Compiled<'q> {
         }
         match (arm.s, arm.p, arm.o) {
             (Slot::Var(s), Slot::Var(p), Slot::Var(o))
-                if first && s == m && p == tv && o != m && o != tv && self.filters_only_on(o) =>
+                if s == m && p == tv && o != m && o != tv && self.filters_only_on(o) =>
             {
-                Access::PerCandidate(o)
+                if first {
+                    Access::PerCandidate(o)
+                } else {
+                    Access::SeedWalk(o)
+                }
             }
             _ => Access::Forward,
         }

@@ -248,14 +248,19 @@ echo "== select_ids seam differential suite (offline) =="
 cargo test -q --offline -p re2x-sparql --test select_ids_differential
 cargo test -q --offline -p re2x-sparql --lib only_plain_single_variable_selects_are_read_as_ids
 
-echo "== snapshot suites: round-trip / corruption / dataset cache (offline) =="
+echo "== snapshot suites: round-trip / corruption / golden / memory / dataset cache (offline) =="
 # write_snapshot -> load_snapshot must be the identity on graphs (incl.
 # removal-orphaned text state and per-shard artifacts); every corrupted,
 # truncated, stale or foreign file must fail with a typed error, never a
-# panic; and all four dataset generators must round-trip through the
-# cache layer with stale artifacts regenerated, not trusted.
+# panic; written files must stay byte-identical to format v3's golden
+# hashes; a write and a load must stream (a counting allocator holds each
+# to one section's transient, never the whole file); and all four dataset
+# generators must round-trip through the cache layer with stale artifacts
+# regenerated, not trusted.
 cargo test -q --offline -p re2x-rdf --test snapshot_roundtrip
 cargo test -q --offline -p re2x-rdf --test snapshot_corruption
+cargo test -q --offline -p re2x-datagen --test snapshot_golden
+cargo test -q --offline -p re2x-datagen --test snapshot_memory
 cargo test -q --offline -p re2x-datagen --test snapshot_datasets
 
 echo "== bulk build: extend_ids oracle suites (offline) =="
